@@ -62,7 +62,10 @@ def hamiltonian_application_flops(n_bands: int, n_grid: int, hybrid_mixing: floa
     The local/semi-local part costs one forward+inverse FFT plus pointwise
     work per band; a hybrid functional adds the Fock exchange — ``N_b^2``
     pair-density Poisson solves (Eq. 3 of the paper), the term that makes
-    hybrid groups dominate any mixed sweep.
+    hybrid groups dominate any mixed sweep. The count is the paper's (PWDFT
+    on Summit): the host engine's :mod:`repro.pw.exchange` solves only the
+    ``N_b (N_b + 1) / 2`` pair triangle, a constant factor that
+    :mod:`repro.calib` absorbs into the host's observed/predicted scale.
     """
     if n_bands < 1 or n_grid < 1:
         raise ValueError("n_bands and n_grid must be >= 1")

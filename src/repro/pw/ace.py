@@ -13,6 +13,22 @@ operator
 
 which agrees with ``V_X`` exactly on the span of the defining orbitals and
 costs only two thin GEMMs per application afterwards — no Poisson solves.
+
+Status in this code base (verdict of the layered trace, ``benchmarks/layers``)
+------------------------------------------------------------------------------
+ACE pays when one compressed operator serves *several* applications. The
+propagators here follow Alg. 1 literally: every inner iteration rebuilds
+``V_X[Psi_f]`` from the current iterate and applies it exactly once, to those
+same orbitals (the trace counts as many ``set_orbitals`` as ``apply`` calls),
+and RK4 does the same per stage. One compression costs one exact application,
+so there is nothing to amortise; ACE could only pay by *lagging* the operator
+across inner iterations, which changes the fixed point being solved and is a
+physics change, not an optimisation. It is therefore not wired into the
+propagation loop. The class stays as the extension the paper mentions:
+:meth:`ACEExchangeOperator.compress` goes through
+:meth:`ExchangeOperator.apply` on the defining orbitals, i.e. the
+pair-symmetric self-application (``N (N+1)/2`` Poisson solves instead of
+``N^2``) — see :mod:`repro.pw.exchange`.
 """
 
 from __future__ import annotations
@@ -69,8 +85,9 @@ class ACEExchangeOperator:
         """Build the ACE projectors from the occupied orbitals.
 
         Performs one exact Fock application ``W = V_X Psi`` (the expensive
-        step), forms ``M = Psi^* W`` (negative semi-definite for occupied
-        orbitals), factorises ``-M = L L^*`` and stores
+        step; a self-application, so it runs on the pair triangle), forms
+        ``M = Psi^* W`` (negative semi-definite for occupied orbitals),
+        factorises ``-M = L L^*`` and stores
         ``xi = -(L^{-1} W)`` so that ``V_ACE = -sum_k |xi_k><xi_k|``.
         """
         self.exchange.set_orbitals(orbitals)

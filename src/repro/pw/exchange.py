@@ -13,6 +13,45 @@ takes ~95 % of the total rt-TDDFT run time (Section 1 and 3 of the paper),
 which is exactly why the paper (a) reduces the number of applications with the
 PT-CN integrator and (b) accelerates each application on GPUs.
 
+Each pair once
+--------------
+Every propagator applies the operator to the very orbitals that define it
+(``V_X[Psi] Psi``: Alg. 1 lines 1 and 6, every RK4 stage, the energy record).
+Then the pair densities form a Hermitian block, ``rho_ji = conj(rho_ij)``, and
+for a real kernel with ``K(-G) = K(G)`` so do the pair potentials,
+``v_ji = conj(v_ij)``. The operator therefore solves only the ``i <= j``
+triangle — ``N(N+1)/2`` Poisson equations instead of ``N^2`` — and scatters
+each potential to both bands it serves,
+
+.. math::
+
+    out_j \\mathrel{+}= w_i \\psi_i v_{ij}, \\qquad
+    out_i \\mathrel{+}= w_j \\psi_j \\overline{v_{ij}} \\quad (i < j),
+
+reusing the real-space orbitals of :meth:`~ExchangeOperator.set_orbitals` as
+the target transform. Which path runs is decided from the data alone:
+
+* **triangle** — the target block equals the exchange orbitals *by value*
+  (compared against a private copy, so neither object identity nor a later
+  in-place write to the caller's array can change the answer) and the kernel
+  is inversion-even (:attr:`~repro.pw.poisson.CoulombKernel.inversion_even`,
+  checked once per kernel);
+* **rectangular** — any other target (eigensolver blocks, ACE tests) or a
+  kernel that is not even: every occupied ``i`` against every target ``j``.
+
+Both run through one pair-block kernel that differs only in its index set;
+pair densities are pushed through the cached FFT plan in large stacks on a
+preallocated scratch buffer.
+
+The self-application ``V_X[Psi] Psi`` is memoised per orbital set:
+:meth:`~ExchangeOperator.set_orbitals` with value-equal coefficients and
+occupations is a no-op, and the memo lives until a different set replaces it.
+The energy record after a step and the first Hamiltonian application of the
+next step therefore share one Fock application. :class:`ExchangeCounters`
+count the work actually done; the *logical* applications of Fig. 6 are
+counted one level up (``HamiltonianCounters.fock_applications``,
+``StepStatistics.hamiltonian_applications``) and do not change.
+
 This module provides the serial reference implementation used by the physics
 engine and as the ground truth for the distributed Alg. 2 implementation in
 :mod:`repro.parallel.exchange_parallel`.
@@ -30,15 +69,21 @@ from .poisson import CoulombKernel, bare_coulomb_kernel, screened_exchange_kerne
 
 __all__ = ["ExchangeOperator", "ExchangeCounters"]
 
+#: size of the pair-density scratch one operator keeps: the most pair
+#: densities sent through the FFT plan in one call (all 136 of Si8's triangle
+#: fit; larger grids go through in several stacks)
+_STACK_BYTES = 4 << 20
+
 
 @dataclass
 class ExchangeCounters:
     """Operation counters of a Fock exchange application.
 
-    The counters mirror the quantities the paper reports: the number of
-    Poisson-like solves (``N_e * N_occupied``), the number of FFTs (two per
-    solve plus the transforms of the orbitals), and the data volume that a
-    distributed implementation would have to broadcast.
+    The counters mirror the quantities the paper reports — Poisson-like
+    solves, FFTs (two per solve plus the transforms of the orbitals) — and
+    count the work *done*: ``N (N+1)/2`` solves for a self-application on the
+    triangle path, ``N_occupied * N_target`` on the rectangular one, nothing
+    for an application served from the memo.
     """
 
     poisson_solves: int = 0
@@ -50,6 +95,56 @@ class ExchangeCounters:
         self.poisson_solves = 0
         self.ffts = 0
         self.applications = 0
+
+
+@dataclass
+class _OrbitalSet:
+    """The exchange orbitals an operator currently holds."""
+
+    coefficients: np.ndarray  # private copy: what "the same orbitals" means
+    occupations: np.ndarray
+    real: np.ndarray  # (nbands, n1, n2, n3)
+    self_applied: np.ndarray | None = None  # memo of V_X[Psi] Psi
+
+    def holds(self, coefficients: np.ndarray, occupations: np.ndarray | None = None) -> bool:
+        """Whether ``coefficients`` (and ``occupations``) equal this set by value."""
+        own = self.coefficients
+        if coefficients.dtype != own.dtype or not np.array_equal(coefficients, own):
+            return False
+        return occupations is None or np.array_equal(occupations, self.occupations)
+
+
+def _triangle_rows(occupied: np.ndarray) -> list[tuple[int, int, int]]:
+    """Rows ``(i, j0, j1)`` covering the pairs ``i <= j < n`` in which at
+    least one orbital is occupied (a pair of two empty orbitals feeds no band)."""
+    n = occupied.size
+    rows = []
+    for i in range(n):
+        if occupied[i]:
+            rows.append((i, i, n))
+            continue
+        partners = i + 1 + np.flatnonzero(occupied[i + 1 :])
+        for run in np.split(partners, np.flatnonzero(np.diff(partners) > 1) + 1):
+            if run.size:
+                rows.append((i, int(run[0]), int(run[-1]) + 1))
+    return rows
+
+
+def _stacks(rows: list[tuple[int, int, int]], capacity: int):
+    """Cut ``rows`` into pieces ``(i, j0, j1, offset)`` and group them into
+    stacks of at most ``capacity`` pairs; yields ``(pieces, n_pairs)``."""
+    pieces, used = [], 0
+    for i, j0, j1 in rows:
+        while j0 < j1:
+            take = min(j1 - j0, capacity - used)
+            pieces.append((i, j0, j0 + take, used))
+            j0 += take
+            used += take
+            if used == capacity:
+                yield pieces, used
+                pieces, used = [], 0
+    if pieces:
+        yield pieces, used
 
 
 class ExchangeOperator:
@@ -96,26 +191,34 @@ class ExchangeOperator:
         else:
             self.kernel = bare_coulomb_kernel(self.grid)
         self.counters = ExchangeCounters()
-        self._orbitals_real: np.ndarray | None = None
-        self._occupations: np.ndarray | None = None
+        self._orbitals: _OrbitalSet | None = None
+        self._scratch: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
     def has_orbitals(self) -> bool:
         """Whether exchange orbitals have been set."""
-        return self._orbitals_real is not None
+        return self._orbitals is not None
 
     def set_orbitals(self, wavefunction: Wavefunction) -> None:
         """Set the orbitals defining the density matrix ``P`` of ``V_X[P]``.
 
         The orbitals are transformed to the real-space grid once and cached,
         mirroring the paper's strategy of keeping wavefunctions resident on the
-        GPU during the Fock loop.
+        GPU during the Fock loop. Setting the orbitals the operator already
+        holds (equal coefficients and occupations) does nothing, so their
+        transform and memoised self-application survive.
         """
         if wavefunction.basis is not self.basis and wavefunction.basis.npw != self.basis.npw:
             raise ValueError("exchange orbitals must live on the operator's basis")
-        self._orbitals_real = wavefunction.to_real_space()
-        self._occupations = wavefunction.occupations.copy()
+        held = self._orbitals
+        if held is not None and held.holds(wavefunction.coefficients, wavefunction.occupations):
+            return
+        self._orbitals = _OrbitalSet(
+            coefficients=wavefunction.coefficients.copy(),
+            occupations=wavefunction.occupations.copy(),
+            real=wavefunction.to_real_space(),
+        )
         self.counters.ffts += wavefunction.nbands
 
     # ------------------------------------------------------------------
@@ -139,37 +242,80 @@ class ExchangeOperator:
             coefficients = np.asarray(coefficients, dtype=np.complex128)
         if self.mixing_fraction == 0.0:
             return np.zeros_like(coefficients)
-        if self._orbitals_real is None or self._occupations is None:
+        orbitals = self._orbitals
+        if orbitals is None:
             raise RuntimeError("call set_orbitals() before apply()")
         if coefficients.ndim == 1:
             coefficients = coefficients[None, :]
+
+        if orbitals.holds(coefficients):
+            if orbitals.self_applied is None:
+                orbitals.self_applied = self._pair_sum(orbitals, None)
+            return orbitals.self_applied.copy()
         target_real = self.basis.to_real_space(coefficients)  # (nb, n1, n2, n3)
         self.counters.ffts += target_real.shape[0]
+        return self._pair_sum(orbitals, target_real)
 
-        out_real = np.zeros_like(target_real)
-        occ = self._occupations
+    def _pair_sum(self, orbitals: _OrbitalSet, target_real: np.ndarray | None) -> np.ndarray:
+        """``V_X`` on ``target_real``, or on the orbitals themselves for ``None``.
+
+        One kernel for both paths: pair densities ``conj(psi_i) * target_j``
+        of an index set, stacked, convolved, scattered. The self-application
+        on an even kernel takes the ``i <= j`` triangle and scatters every
+        potential to both of its bands; everything else takes the rectangle
+        of occupied ``i`` against all targets.
+        """
+        psi = orbitals.real
         # spin-degenerate occupations: the exchange sums over occupied *spin*
         # orbitals of one spin channel, so the weight per doubly occupied band
-        # is occ/2.
-        weights = occ / 2.0
-        for i in range(self._orbitals_real.shape[0]):
-            # python-float weight: an np.float64 scalar would promote the
-            # complex64 tier's accumulation to double
-            w = float(weights[i])
-            if w == 0.0:
-                continue
-            psi_i = self._orbitals_real[i]
-            # pair densities for all target bands at once: (nb, n1, n2, n3)
-            pair = np.conj(psi_i)[None, ...] * target_real
-            potential = self.kernel.apply_to_density(pair)
-            self.counters.poisson_solves += target_real.shape[0]
-            self.counters.ffts += 2 * target_real.shape[0]
-            out_real += w * psi_i[None, ...] * potential
+        # is occ/2 (cast to the tier's real dtype: float64 weights would
+        # promote the complex64 tier's accumulation to double)
+        weights = (orbitals.occupations / 2.0).astype(psi.real.dtype)
+        occupied = weights != 0.0
+        mirror = target_real is None and self.kernel.inversion_even
+        if target_real is None:
+            target_real = psi
+        if mirror:
+            rows = _triangle_rows(occupied)
+        else:
+            rows = [(int(i), 0, target_real.shape[0]) for i in np.flatnonzero(occupied)]
+
+        conj_psi = np.conj(psi)
+        weighted = weights[:, None, None, None] * psi
+        conj_weighted = np.conj(weighted) if mirror else None
+        out_real = np.zeros_like(target_real)
+        scratch = self._pair_scratch(np.result_type(psi.dtype, target_real.dtype))
+        for pieces, n_pairs in _stacks(rows, scratch.shape[0]):
+            for i, j0, j1, offset in pieces:
+                np.multiply(conj_psi[i], target_real[j0:j1], out=scratch[offset : offset + j1 - j0])
+            potential = self.kernel.apply_to_density(scratch[:n_pairs], overwrite=True)
+            self.counters.poisson_solves += n_pairs
+            self.counters.ffts += 2 * n_pairs
+            for i, j0, j1, offset in pieces:
+                block = potential[offset : offset + j1 - j0]  # v_ij, j0 <= j < j1
+                if mirror:
+                    # out_i += sum_{j > i} w_j psi_j conj(v_ij); the diagonal
+                    # pair is its own mirror and only scatters below
+                    m = max(j0, i + 1)
+                    if m < j1:
+                        out_real[i] += np.conj(
+                            np.einsum("j...,j...->...", conj_weighted[m:j1], block[m - j0 :])
+                        )
+                if occupied[i]:
+                    block *= weighted[i]  # the potential stack is scratch
+                    out_real[j0:j1] += block
         out_real *= -self.mixing_fraction
         self.counters.applications += 1
-        out = self.basis.from_real_space(out_real)
         self.counters.ffts += target_real.shape[0]
-        return out
+        return self.basis.from_real_space(out_real, overwrite=True)
+
+    def _pair_scratch(self, dtype: np.dtype) -> np.ndarray:
+        """The operator's pair-density buffer ``(stack, n1, n2, n3)``."""
+        scratch = self._scratch
+        if scratch is None or scratch.dtype != dtype:
+            capacity = max(1, _STACK_BYTES // (self.grid.size * np.dtype(dtype).itemsize))
+            scratch = self._scratch = np.empty((capacity,) + self.grid.shape, dtype=dtype)
+        return scratch
 
     # ------------------------------------------------------------------
     def energy(self, wavefunction: Wavefunction) -> float:
@@ -179,20 +325,20 @@ class ExchangeOperator:
         orbitals taken from ``wavefunction`` itself (the standard expression
         for the exchange energy of a single determinant).
         """
-        previous_real = self._orbitals_real
-        previous_occ = self._occupations
-        self.set_orbitals(wavefunction)
+        previous = self._orbitals
+        self.set_orbitals(wavefunction)  # keeps `previous` if these are its orbitals
         vx_psi = self.apply(wavefunction.coefficients)
         per_band = np.real(np.einsum("ng,ng->n", wavefunction.coefficients.conj(), vx_psi))
         energy = 0.5 * float(np.sum(wavefunction.occupations * per_band))
-        # restore any previously set orbitals so energy evaluation has no side effects
-        self._orbitals_real = previous_real
-        self._occupations = previous_occ
+        # restore any previously set orbitals (with their memo) so energy
+        # evaluation has no side effects
+        self._orbitals = previous
         return energy
 
     def expected_poisson_solves(self, n_target_bands: int) -> int:
-        """Number of Poisson solves one application performs (paper: N_e^2 when
-        the target block is the full set of occupied orbitals)."""
-        if self._orbitals_real is None:
+        """Poisson solves of one application to a general block of
+        ``n_target_bands`` (paper: ``N_e^2`` for the full occupied set; the
+        self-application of an even kernel needs only ``N_e (N_e + 1) / 2``)."""
+        if self._orbitals is None:
             raise RuntimeError("exchange orbitals not set")
-        return int(self._orbitals_real.shape[0]) * int(n_target_bands)
+        return int(self._orbitals.real.shape[0]) * int(n_target_bands)

@@ -10,7 +10,8 @@ that cache for the pure-Python engine:
 * :func:`get_plan` returns the process-wide :class:`FFTPlan` for an
   :class:`~repro.pw.grid.FFTGrid` and dtype. Plans are keyed by the grid's
   value semantics (``FFTGrid.__eq__`` / ``__hash__``: shape + cell), so equal
-  grids share one plan and unequal grids never do.
+  grids share one plan and unequal grids never do; each grid instance
+  remembers the plan it resolved to, so only its first lookup compares.
 * Transforms run through :mod:`scipy.fft` (pocketfft) with a configurable
   ``workers`` count, falling back to :mod:`numpy.fft` when scipy is
   unavailable. pocketfft computes every transform of a batch independently,
@@ -165,23 +166,45 @@ class FFTPlan:
         hot path copies out of it immediately). ``fill_indices`` documents the
         contract that makes reuse sound: a caller that only ever writes the
         same flat mesh positions finds every *other* position still zero from
-        the initial allocation, so no re-zeroing is needed between calls.
+        the initial allocation, so no re-zeroing is needed between calls. The
+        table is keyed by the *values* of the index set, so the bases of every
+        Session built on one grid and cutoff share one buffer per lead shape
+        instead of each leaving its own behind for the life of the process.
         """
-        key = (tuple(lead_shape), None if fill_indices is None else id(fill_indices))
-        entry = self._workspaces.get(key)
-        if entry is None:
+        key = (tuple(lead_shape), None if fill_indices is None else fill_indices.tobytes())
+        buffer = self._workspaces.get(key)
+        if buffer is None:
             buffer = np.zeros(tuple(lead_shape) + (self.grid.size,), dtype=self.dtype)
-            # pin fill_indices alive: the key uses its id(), which could be
-            # recycled for a different index set if the array were collected
-            entry = (buffer, fill_indices)
-            self._workspaces[key] = entry
-        return entry[0]
+            self._workspaces[key] = buffer
+        return buffer
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FFTPlan(shape={self.grid.shape}, dtype={self.dtype}, workers={_workers})"
 
 
 _PLANS: dict = {}
+#: bumped by :func:`clear_plan_cache`; a per-grid memo of another generation
+#: is stale
+_generation = 0
+
+
+class _GridPlans(dict):
+    """The plans one grid *instance* already resolved to, by dtype.
+
+    Kept in the grid's ``__dict__`` (like its cached properties) so the hot
+    path — several lookups per Hamiltonian application — never re-enters the
+    value comparison of the ``_PLANS`` key. Pickles and deep-copies as empty:
+    a grid shipped to a pool worker resolves through that process's cache.
+    """
+
+    __slots__ = ("generation",)
+
+    def __init__(self):
+        super().__init__()
+        self.generation = _generation
+
+    def __reduce__(self):
+        return (_GridPlans, ())
 
 
 def get_plan(grid, dtype=np.complex128) -> FFTPlan:
@@ -190,13 +213,23 @@ def get_plan(grid, dtype=np.complex128) -> FFTPlan:
     Keys use the grid's value equality (shape + cell), so two equal
     :class:`~repro.pw.grid.FFTGrid` instances — e.g. the wavefunction grids
     of every job in a sweep group — resolve to one shared plan, while grids
-    differing in shape or cell always get distinct plans.
+    differing in shape or cell always get distinct plans. The value compare
+    (``Cell.__eq__`` is an ``allclose``) is paid once per grid instance and
+    dtype: the resolved plan is remembered on the instance until
+    :func:`clear_plan_cache`.
     """
-    key = (grid, np.dtype(dtype))
-    plan = _PLANS.get(key)
+    dtype = np.dtype(dtype)
+    resolved = grid.__dict__.get("_resolved_plans")
+    if resolved is None or resolved.generation != _generation:
+        resolved = grid.__dict__["_resolved_plans"] = _GridPlans()
+    plan = resolved.get(dtype)
     if plan is None:
-        plan = FFTPlan(grid, dtype)
-        _PLANS[key] = plan
+        key = (grid, dtype)
+        plan = _PLANS.get(key)
+        if plan is None:
+            plan = FFTPlan(grid, dtype)
+            _PLANS[key] = plan
+        resolved[dtype] = plan
     return plan
 
 
@@ -212,4 +245,6 @@ def plan_cache_info() -> dict:
 
 def clear_plan_cache() -> None:
     """Drop every cached plan (frees workspaces; used by tests)."""
+    global _generation
     _PLANS.clear()
+    _generation += 1

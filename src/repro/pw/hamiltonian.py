@@ -71,7 +71,13 @@ class EnergyBreakdown:
 
 @dataclass
 class HamiltonianCounters:
-    """Counts of the expensive kernels, mirroring the paper's profiling."""
+    """Counts of the expensive kernels, mirroring the paper's profiling.
+
+    ``fock_applications`` counts *logical* applications — every ``H Psi`` with
+    exchange, the quantity of the paper's Fig. 6 — whether the exchange
+    operator computed it or served it from its per-orbital-set memo; the work
+    actually done is in :class:`~repro.pw.exchange.ExchangeCounters`.
+    """
 
     apply_calls: int = 0
     fock_applications: int = 0

@@ -148,4 +148,9 @@ class Cell:
         return np.allclose(self.lattice_vectors, other.lattice_vectors)
 
     def __hash__(self) -> int:  # needed because __eq__ is overridden
+        # NOTE: hashes the exact bytes while __eq__ is an allclose, so two
+        # cells can compare equal and hash differently. Hash-keyed caches
+        # (FFT plans, bare kernels) therefore share entries only between
+        # cells equal *by bytes* — which is what builders of one structure
+        # produce; an allclose-but-not-identical cell gets its own entry.
         return hash(self.lattice_vectors.tobytes())

@@ -53,7 +53,7 @@ class CoulombKernel:
             )
         object.__setattr__(self, "values", values)
 
-    def apply_to_density(self, rho_real: np.ndarray) -> np.ndarray:
+    def apply_to_density(self, rho_real: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Convolve a real-space (pair) density with the kernel.
 
         Returns the real-space potential ``V(r) = int K(r - r') rho(r') dr'``.
@@ -61,16 +61,37 @@ class CoulombKernel:
         ``psi_i^*(r) psi_j(r)`` are complex in general. Broadcasts over
         leading axes (stacked densities of a batched group) through one
         cached-plan call; ``complex64`` pair densities stay single precision.
+        ``overwrite=True`` lets ``rho_real`` be destroyed as transform scratch
+        (the Fock pair-density stacks); the potential is bit-identical.
         """
         rho_real = np.asarray(rho_real)
         plan = get_plan(self.grid, plan_dtype(rho_real.dtype))
-        rho_g = plan.fftn(rho_real)
+        rho_g = plan.fftn(rho_real, overwrite=overwrite)
         rho_g /= self.grid.size
         values = self.values_single if rho_g.dtype == np.complex64 else self.values
         np.multiply(values, rho_g, out=rho_g)  # rho_g is owned scratch here
         out = plan.ifftn(rho_g, overwrite=True)
         out *= self.grid.size
         return out
+
+    @property
+    def inversion_even(self) -> bool:
+        """Whether ``K(-G) == K(G)`` on the mesh (checked once per kernel).
+
+        With real values this makes the real-space kernel real, so
+        ``K * conj(rho) = conj(K * rho)`` — the identity that lets the Fock
+        operator solve one Poisson equation per *unordered* orbital pair.
+        The bare and erfc-screened kernels depend on ``|G|^2`` only and are
+        exactly even on orthogonal cells and on odd meshes; on an even mesh
+        of a skewed cell the Nyquist planes (which are their own mirror
+        index but not their own ``-G``) break it, as a hand-built kernel may.
+        """
+        cached = getattr(self, "_inversion_even", None)
+        if cached is None:
+            mirrored = np.roll(self.values[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
+            cached = bool(np.array_equal(self.values, mirrored))
+            object.__setattr__(self, "_inversion_even", cached)
+        return cached
 
     @property
     def values_single(self) -> np.ndarray:

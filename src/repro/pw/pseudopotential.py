@@ -22,6 +22,7 @@ the (constant, but reported) ion–ion energy.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -529,6 +530,14 @@ class NonlocalPotential:
 # ---------------------------------------------------------------------------
 
 
+# The Ewald constant depends on the structure alone, yet every Session of a
+# campaign builds its own Hamiltonian and the sum below is a pure-Python
+# triple loop (~0.1 s for Si8, longer than a PT-CN step). A small LRU keyed on
+# the exact bytes of every input returns the very float the loop produced.
+_EWALD_CACHE: OrderedDict[tuple, float] = OrderedDict()
+_EWALD_CACHE_SIZE = 16
+
+
 def ewald_energy(
     cell: Cell,
     positions: np.ndarray,
@@ -554,12 +563,45 @@ def ewald_energy(
         Ion (valence) charges ``(natoms,)``.
     eta:
         Ewald splitting parameter; chosen automatically if omitted.
+
+    The result is memoised per structure (bounded LRU on the bytes of the
+    lattice, positions and charges plus the three parameters); the sums are
+    deliberately left as loops — vectorising them would change the rounding.
     """
     positions = np.atleast_2d(np.asarray(positions, float))
     charges = np.asarray(charges, float)
     natoms = positions.shape[0]
     if charges.shape != (natoms,):
         raise ValueError("charges must have one entry per atom")
+    key = (
+        cell.lattice_vectors.tobytes(),
+        positions.tobytes(),
+        charges.tobytes(),
+        None if eta is None else float(eta),
+        float(real_space_cutoff),
+        float(reciprocal_cutoff),
+    )
+    cached = _EWALD_CACHE.get(key)
+    if cached is not None:
+        _EWALD_CACHE.move_to_end(key)
+        return cached
+    energy = _ewald_sum(cell, positions, charges, eta, real_space_cutoff, reciprocal_cutoff)
+    _EWALD_CACHE[key] = energy
+    while len(_EWALD_CACHE) > _EWALD_CACHE_SIZE:
+        _EWALD_CACHE.popitem(last=False)
+    return energy
+
+
+def _ewald_sum(
+    cell: Cell,
+    positions: np.ndarray,
+    charges: np.ndarray,
+    eta: float | None,
+    real_space_cutoff: float,
+    reciprocal_cutoff: float,
+) -> float:
+    """The uncached Ewald summation behind :func:`ewald_energy`."""
+    natoms = positions.shape[0]
     volume = cell.volume
     if eta is None:
         eta = (natoms * np.pi**3 / volume**2) ** (1.0 / 6.0) if natoms > 0 else 1.0

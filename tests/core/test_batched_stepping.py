@@ -139,6 +139,46 @@ class TestRunBatched:
             assert trajectory.metadata == reference.metadata
             assert trajectory.wall_time > 0.0
 
+    def test_hybrid_group_matches_solo_and_shares_the_exchange_path(
+        self, chain_hybrid_hamiltonian, chain_ground_state
+    ):
+        """A hybrid PT-CN + RK4 group (2 occupied bands, so the pair triangle
+        is a real saving) in lockstep equals the solo runs bit for bit. The
+        Fock operator picks its path and serves its memo by the *value* of
+        the coefficients it is handed, so solo (arrays) and lockstep (slices
+        of a job stack) do exactly the same exchange work."""
+        wf0 = chain_ground_state[1].wavefunction
+        jobs = [("ptcn", 1.0, 2), ("rk4", 0.4, 2)]
+
+        def simulation(name):
+            return self._simulation(chain_hybrid_hamiltonian, name)
+
+        solo_sims = [simulation(name) for name, _, _ in jobs]
+        solo = [sim.run(wf0, dt, n) for sim, (_, dt, n) in zip(solo_sims, jobs)]
+        batched_sims = [simulation(name) for name, _, _ in jobs]
+        batched = run_batched(
+            [
+                BatchedRun(simulation=sim, initial_state=wf0, time_step=dt, n_steps=n)
+                for sim, (_, dt, n) in zip(batched_sims, jobs)
+            ]
+        )
+
+        for reference, trajectory in zip(solo, batched):
+            for field in ("energies", "dipoles", "electron_numbers", "hamiltonian_applications"):
+                assert np.array_equal(getattr(trajectory, field), getattr(reference, field)), field
+            assert np.array_equal(
+                trajectory.final_wavefunction.coefficients,
+                reference.final_wavefunction.coefficients,
+            )
+        for solo_sim, batched_sim in zip(solo_sims, batched_sims):
+            done = solo_sim.hamiltonian.exchange.counters
+            assert batched_sim.hamiltonian.exchange.counters == done
+            # every application was a self-application on the 3-pair triangle;
+            # logically there were fock_applications + 3 energy records, of
+            # which each step's first application reused the record before it
+            assert done.poisson_solves == 3 * done.applications
+            assert done.applications == solo_sim.hamiltonian.counters.fock_applications + 3 - 2
+
     def test_empty_batch_returns_empty(self):
         assert run_batched([]) == []
 

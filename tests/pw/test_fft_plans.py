@@ -11,6 +11,7 @@ per-slice transforms), the dtype tiers, and the pool-worker thread cap.
 from __future__ import annotations
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -65,6 +66,44 @@ class TestPlanCacheKeyContract:
         a, b = _grid(), _grid()
         assert get_plan(a) is get_plan(b)
         assert get_plan(a) is not get_plan(_grid(box=7.0))
+
+    def test_cells_equal_by_bytes_share_one_plan(self):
+        """Cell.__eq__ is an allclose but Cell.__hash__ hashes the bytes: only
+        byte-equal cells are guaranteed to meet in a hash-keyed cache."""
+        lattice = np.eye(3) * 6.0
+        a, b = FFTGrid(Cell(lattice.copy()), (8, 8, 8)), FFTGrid(Cell(lattice.copy()), (8, 8, 8))
+        assert hash(a) == hash(b)
+        assert get_plan(a) is get_plan(b)
+        nudged = FFTGrid(Cell(lattice * (1.0 + 1e-13)), (8, 8, 8))
+        assert nudged == a and hash(nudged) != hash(a)  # the documented disagreement
+
+    def test_resolved_plan_is_remembered_on_the_grid_instance(self, monkeypatch):
+        registered, later = _grid(), _grid()
+        plan = get_plan(registered)
+        assert get_plan(later) is plan  # resolved by value, once
+
+        def no_compare(self, other):
+            raise AssertionError("plan lookup fell back to a value compare")
+
+        monkeypatch.setattr(Cell, "__eq__", no_compare)
+        assert get_plan(later) is plan
+        assert get_plan(registered) is plan
+
+    def test_clear_invalidates_remembered_plans(self):
+        grid = _grid()
+        stale = get_plan(grid)
+        clear_plan_cache()
+        fresh = get_plan(grid)
+        assert fresh is not stale
+        assert plan_cache_info()["n_plans"] == 1
+
+    def test_remembered_plans_do_not_travel_with_a_pickled_grid(self):
+        grid = _grid()
+        get_plan(grid).workspace((2,))
+        clone = pickle.loads(pickle.dumps(grid))
+        assert clone == grid
+        assert not clone.__dict__.get("_resolved_plans")
+        assert get_plan(clone) is get_plan(grid)
 
     def test_dtype_tiers_get_distinct_plans(self):
         grid = _grid()
@@ -176,6 +215,21 @@ class TestWorkspace:
         assert first.shape == (2, 3, grid.size)
         assert plan.workspace((2, 3), fill_indices=indices) is first
         assert plan.workspace((4,), fill_indices=indices) is not first
+
+    def test_equal_index_sets_share_one_buffer(self, h2_basis, rng):
+        """Every Session builds its own basis: the table must not grow by one
+        buffer per basis instance (it did while keyed on the array's id)."""
+        twin = PlaneWaveBasis(h2_basis.grid, h2_basis.ecut)
+        assert twin.indices is not h2_basis.indices
+        coeffs = rng.standard_normal((2, h2_basis.npw)) + 0j
+        plan = get_plan(h2_basis.grid)
+        h2_basis.to_real_space(coeffs)
+        n_buffers = len(plan._workspaces)
+        assert np.array_equal(twin.to_real_space(coeffs), h2_basis.to_real_space(coeffs))
+        assert len(plan._workspaces) == n_buffers
+        smaller = PlaneWaveBasis(h2_basis.grid, 0.5 * h2_basis.ecut)  # other positions: own buffer
+        smaller.to_real_space(coeffs[:, : smaller.npw])
+        assert len(plan._workspaces) == n_buffers + 1
 
     def test_scatter_reuse_is_sound_across_calls(self, h2_basis, rng):
         # repeated transforms through the shared scratch buffer must keep

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.pw.pseudopotential as psp_module
 from repro.pw import FFTGrid, PlaneWaveBasis
 from repro.pw.lattice import Cell
 from repro.pw.pseudopotential import (
@@ -216,3 +217,33 @@ class TestEwald:
     def test_charge_mismatch_raises(self):
         with pytest.raises(ValueError):
             ewald_energy(Cell.cubic(5.0), np.zeros((2, 3)), np.array([1.0]))
+
+    def test_memoised_per_structure(self, monkeypatch):
+        """Every Session build asks for the same constant: the loops run once
+        per structure, the cached float is the very one they produced, and the
+        cache stays bounded."""
+        calls = []
+        summed = psp_module._ewald_sum
+
+        def counting(*args):
+            calls.append(args)
+            return summed(*args)
+
+        monkeypatch.setattr(psp_module, "_ewald_sum", counting)
+        monkeypatch.setattr(psp_module, "_EWALD_CACHE", type(psp_module._EWALD_CACHE)())
+        cell = Cell.cubic(9.0)
+        positions = np.array([[2.0, 4.5, 4.5], [7.0, 4.5, 4.5]])
+        charges = np.array([4.0, 4.0])
+        first = ewald_energy(cell, positions, charges)
+        again = ewald_energy(Cell.cubic(9.0), positions.copy(), charges.copy())
+        assert len(calls) == 1
+        assert again == first == summed(cell, positions, charges, None, 10.0, 10.0)
+        # any input that enters the sum is part of the key
+        ewald_energy(cell, positions, charges, eta=0.6)
+        ewald_energy(cell, positions + 0.25, charges)
+        ewald_energy(cell, positions, 0.5 * charges)
+        assert len(calls) == 4
+        for shift in range(psp_module._EWALD_CACHE_SIZE + 3):
+            ewald_energy(cell, positions + 0.01 * (shift + 1), charges, real_space_cutoff=2.0,
+                         reciprocal_cutoff=2.0)
+        assert len(psp_module._EWALD_CACHE) == psp_module._EWALD_CACHE_SIZE
