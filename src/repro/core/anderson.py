@@ -30,8 +30,8 @@ class AndersonMixer:
         (1.0 reproduces the classic Anderson update; smaller values damp).
     per_band:
         If True (paper behaviour), solve an independent least-squares problem
-        for each row (band) of the iterate; if False, treat the whole array as
-        one vector.
+        for each row (band) of the iterate — all bands in one stacked solve;
+        if False, treat the whole array as one vector.
     regularization:
         Tikhonov regularisation added to the normal equations for numerical
         robustness when residual differences become nearly linearly dependent.
@@ -98,50 +98,35 @@ class AndersonMixer:
         if iterate.shape != residual.shape:
             raise ValueError("iterate and residual must have the same shape")
 
-        self._iterates.append(iterate.copy())
-        self._residuals.append(residual.copy())
+        # one row per independent least-squares problem: the bands, or the
+        # whole array as the one-row case
+        rows = iterate.shape[0] if self.per_band and iterate.ndim >= 2 else 1
+        self._iterates.append(iterate.reshape(rows, -1).copy())
+        self._residuals.append(residual.reshape(rows, -1).copy())
         if len(self._iterates) > self.history_size:
             self._iterates.pop(0)
             self._residuals.pop(0)
 
-        m = len(self._iterates)
         beta = self.mixing_parameter
-        if m == 1:
+        if len(self._iterates) == 1:
             return iterate - beta * residual
-
-        if self.per_band and iterate.ndim >= 2:
-            out = np.empty_like(iterate)
-            nbands = iterate.shape[0]
-            for band in range(nbands):
-                x_hist = [x[band].ravel() for x in self._iterates]
-                f_hist = [f[band].ravel() for f in self._residuals]
-                out[band] = self._extrapolate(x_hist, f_hist).reshape(iterate.shape[1:])
-            return out
-
-        x_hist = [x.ravel() for x in self._iterates]
-        f_hist = [f.ravel() for f in self._residuals]
-        return self._extrapolate(x_hist, f_hist).reshape(iterate.shape)
-
-    # ------------------------------------------------------------------
-    def _extrapolate(self, x_hist: list[np.ndarray], f_hist: list[np.ndarray]) -> np.ndarray:
-        """Type-II Anderson extrapolation for one flattened vector."""
-        beta = self.mixing_parameter
-        x_k = x_hist[-1]
-        f_k = f_hist[-1]
-        m = len(x_hist)
-        # residual and iterate difference matrices, columns k = 0..m-2
-        df = np.stack([f_hist[j + 1] - f_hist[j] for j in range(m - 1)], axis=1)
-        dx = np.stack([x_hist[j + 1] - x_hist[j] for j in range(m - 1)], axis=1)
-        # solve min_gamma || f_k - dF gamma ||  via regularised normal equations
-        gram = df.conj().T @ df
-        gram += self.regularization * np.eye(gram.shape[0]) * max(
-            1.0, float(np.max(np.abs(gram)))
-        )
-        rhs = df.conj().T @ f_k
+        x_k, f_k = self._iterates[-1], self._residuals[-1]
+        # iterate and residual differences (rows, m-1, n), k = 0..m-2
+        dx = np.diff(np.stack(self._iterates, axis=1), axis=1)
+        df = np.diff(np.stack(self._residuals, axis=1), axis=1)
+        # solve min_gamma || f_k - dF gamma || for every row at once, via the
+        # stacked normal equations, each regularised on its own Gram scale
+        df_h = df.conj()
+        gram = df_h @ df.transpose(0, 2, 1)
+        scale = np.maximum(1.0, np.abs(gram).max(axis=(1, 2)))
+        diagonal = np.arange(gram.shape[1])
+        gram[:, diagonal, diagonal] += self.regularization * scale[:, None]
+        rhs = df_h @ f_k[:, :, None]
         try:
             gamma = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:  # pragma: no cover - defensive
-            gamma = np.linalg.lstsq(df, f_k, rcond=None)[0]
-        x_bar = x_k - dx @ gamma
-        f_bar = f_k - df @ gamma
-        return x_bar - beta * f_bar
+            gamma = np.linalg.pinv(gram, hermitian=True) @ rhs
+        gamma = gamma.transpose(0, 2, 1)  # (rows, 1, m-1)
+        x_bar = x_k - (gamma @ dx)[:, 0]
+        f_bar = f_k - (gamma @ df)[:, 0]
+        return (x_bar - beta * f_bar).reshape(iterate.shape)

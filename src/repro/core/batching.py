@@ -19,7 +19,9 @@ produces. That holds because only two kinds of operation are batched:
 
 Everything GEMM-shaped (nonlocal projectors, exchange, subspace overlaps,
 Anderson extrapolation, Cholesky) stays a per-job loop on per-job slices:
-batching would change BLAS blocking and therefore the floats.
+batching would change BLAS blocking and therefore the floats. Anderson mixing
+is band-batched *inside* a job (one stacked solve over the job's bands, the
+same call solo and in lockstep) and still never across jobs.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def update_potentials_many(
     transforms when ``psi_real`` carries the already-transformed orbitals.
     The Hartree solve and the xc evaluation run batched over the stack (both
     produce bit-identical slices); only the exchange-orbital update remains
-    per-job (GEMM-shaped). Returns the stacked densities.
+    per-job, and takes its job's slice of ``psi_real`` instead of
+    transforming the coefficients again. Returns the stacked densities.
     """
     basis = hamiltonians[0].basis
     if densities is None:
@@ -113,5 +116,6 @@ def update_potentials_many(
             density=densities[j],
             v_hartree=v_hartree[j],
             xc_result=xc_results[j],
+            psi_real=None if psi_real is None else psi_real[j],
         )
     return densities

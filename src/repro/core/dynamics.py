@@ -289,10 +289,12 @@ class TDDFTSimulation:
         wavefunction = initial_state.copy()
         self.propagator.prepare(wavefunction, start_time)
 
+        # prepare() and every step leave the Hamiltonian holding the density,
+        # Hartree potential and xc energy of the state they return, so the
+        # records are the one-job case of the lockstep driver's: no further
+        # orbital transform, Poisson solve or xc pass
         times = [start_time]
-        energies = [self._energy(wavefunction)]
-        dipoles = [self._dipole(wavefunction)]
-        electrons = [electron_number(wavefunction)]
+        records = energies, dipoles, electrons = _group_records([self], [wavefunction])
         scf_iters = [0]
         h_apps = [0]
         density_errors = [0.0]
@@ -306,9 +308,8 @@ class TDDFTSimulation:
             statistics.append(stats)
 
             times.append(current_time)
-            energies.append(self._energy(wavefunction))
-            dipoles.append(self._dipole(wavefunction))
-            electrons.append(electron_number(wavefunction))
+            for column, record in zip(records, _group_records([self], [wavefunction])):
+                column += record
             scf_iters.append(stats.scf_iterations)
             h_apps.append(stats.hamiltonian_applications)
             density_errors.append(stats.density_error)

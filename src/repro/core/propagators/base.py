@@ -69,9 +69,32 @@ class Propagator(ABC):
     #: recommended step for implicit PT schemes in atomic time units
     #: (~48 attoseconds: accuracy limited, the paper's production step size)
     implicit_recommended_step: float = 2.0
+    #: (coefficients, their real-space transform, the density built from it)
+    #: of the state the last solo step ended on, and the same for the job
+    #: stack of the last ``step_many`` (held by the stack's first propagator)
+    _kept: tuple | None = None
+    _lockstep_cache: dict | None = None
 
     def __init__(self, hamiltonian: Hamiltonian):
         self.hamiltonian = hamiltonian
+
+    # ------------------------------------------------------------------
+    def _finish_step(self, wavefunction: Wavefunction) -> None:
+        """Leave the Hamiltonian consistent with the accepted end-of-step
+        state, keeping the one transform that took for the next step."""
+        psi_real = wavefunction.to_real_space()
+        self.hamiltonian.update_potential(wavefunction, psi_real=psi_real)
+        self._kept = (wavefunction.coefficients, psi_real, self.hamiltonian.density)
+
+    def _kept_transform(self, wavefunction: Wavefunction) -> np.ndarray | None:
+        """The real-space orbitals of ``wavefunction`` if the previous step
+        ended on this very coefficient array *and* the Hamiltonian still holds
+        the density built from it (identity checks, so bit-exact) — the
+        potential is then consistent already; else ``None``."""
+        kept = self._kept
+        if kept is None or kept[0] is not wavefunction.coefficients:
+            return None
+        return kept[1] if kept[2] is self.hamiltonian.density else None
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -135,7 +158,9 @@ class Propagator(ABC):
         """Hook called once before a propagation run starts.
 
         The default implementation synchronises the Hamiltonian potential and
-        exchange orbitals with the initial state.
+        exchange orbitals with the initial state, and drops the transforms
+        kept from an earlier run.
         """
+        self._kept = self._lockstep_cache = None
         self.hamiltonian.set_time(time)
         self.hamiltonian.update_potential(wavefunction)

@@ -97,10 +97,15 @@ class PTCNPropagator(Propagator):
         c_n = wavefunction.coefficients
 
         # Line 1: initial residual R_n with the Hamiltonian at time t_n,
-        # consistent with the current orbitals.
+        # consistent with the current orbitals. Every iterate of the step is
+        # transformed to real space once; the density, the exchange orbitals
+        # and the local term of H Psi all take that array.
         ham.set_time(time)
-        ham.update_potential(wavefunction)
-        h_cn = ham.apply(c_n)
+        psi_n = self._kept_transform(wavefunction)
+        if psi_n is None:
+            psi_n = wavefunction.to_real_space()
+            ham.update_potential(wavefunction, psi_real=psi_n)
+        h_cn = ham.apply(c_n, psi_real=psi_n)
         r_n = self._rhs_term(c_n, h_cn)
 
         # Line 2: the fixed right-hand side Psi_{n+1/2}
@@ -110,7 +115,8 @@ class PTCNPropagator(Propagator):
         # Line 3: density of the initial iterate; the Hamiltonian at t_{n+1}
         ham.set_time(time + dt)
         wf_f = Wavefunction(basis, c_f, occ)
-        rho_f = compute_density(wf_f, ham.grid)
+        psi_f = wf_f.to_real_space()
+        rho_f = compute_density(wf_f, ham.grid, psi_real=psi_f)
 
         mixer = AndersonMixer(
             history_size=self.anderson_history,
@@ -125,10 +131,10 @@ class PTCNPropagator(Propagator):
         for iterations in range(1, self.max_scf_iterations + 1):
             # Line 5: update potential and Hamiltonian from the current iterate
             wf_f = Wavefunction(basis, c_f, occ)
-            ham.update_potential(wf_f, density=rho_f)
+            ham.update_potential(wf_f, density=rho_f, psi_real=psi_f)
 
             # Line 6: fixed point residual
-            h_cf = ham.apply(c_f)
+            h_cf = ham.apply(c_f, psi_real=psi_f)
             h_applications += 1
             r_f = c_f + 0.5j * dt * self._rhs_term(c_f, h_cf) - c_half
 
@@ -138,7 +144,8 @@ class PTCNPropagator(Propagator):
 
             # Line 8: density of the new iterate
             wf_f = Wavefunction(basis, c_f, occ)
-            rho_new = compute_density(wf_f, ham.grid)
+            psi_f = wf_f.to_real_space()
+            rho_new = compute_density(wf_f, ham.grid, psi_real=psi_f)
 
             # Line 9: convergence on the density change
             err = density_error(rho_new, rho_f, ham.grid)
@@ -155,8 +162,7 @@ class PTCNPropagator(Propagator):
             if wf_f.coefficients.dtype != c_n.dtype:  # complex64 tier: the
                 wf_f = wf_f.astype(c_n.dtype)  # triangular solve promotes
 
-        # leave the Hamiltonian consistent with the accepted state
-        ham.update_potential(wf_f)
+        self._finish_step(wf_f)
 
         stats = StepStatistics(
             scf_iterations=iterations,
@@ -203,7 +209,7 @@ class PTCNPropagator(Propagator):
         # repeat of the potential rebuild is skipped.
         for j, ham in enumerate(hams):
             ham.set_time(times[j])
-        cache = getattr(propagators[0], "_lockstep_cache", None)
+        cache = propagators[0]._lockstep_cache
         if (
             cache is not None
             and len(cache["coeffs"]) == njobs
@@ -260,17 +266,21 @@ class PTCNPropagator(Propagator):
                 break
             sub_hams = [hams[j] for j in active]
 
-            # Line 5: update potentials from the current iterates
-            sub_wfs = [Wavefunction(basis, c_f[j], occs[j]) for j in active]
-            update_potentials_many(sub_hams, sub_wfs, densities=np.stack([rho_f[j] for j in active]))
-
-            # Line 6: fixed-point residuals, reusing the cached transform of
-            # the current iterates (computed alongside their densities)
+            # the cached transform of the current iterates (computed
+            # alongside their densities) serves lines 5 and 6
             if active == cache_jobs:
                 sub_c, sub_psi = sub_c_cache, psi_cache
             else:
                 rows = [cache_jobs.index(j) for j in active]
                 sub_c, sub_psi = sub_c_cache[rows], psi_cache[rows]
+
+            # Line 5: update potentials from the current iterates
+            sub_wfs = [Wavefunction(basis, c_f[j], occs[j]) for j in active]
+            update_potentials_many(
+                sub_hams, sub_wfs, densities=np.stack([rho_f[j] for j in active]), psi_real=sub_psi
+            )
+
+            # Line 6: fixed-point residuals
             h_cf = apply_many(sub_hams, sub_c, psi_real=sub_psi)
             for idx, j in enumerate(active):
                 iters[j] = iteration

@@ -44,21 +44,25 @@ class RK4Propagator(Propagator):
         self.self_consistent_stages = bool(self_consistent_stages)
 
     # ------------------------------------------------------------------
-    def _time_derivative(self, coefficients: np.ndarray, occupations: np.ndarray, time: float) -> np.ndarray:
-        """``dPsi/dt = -i H(t, Psi) Psi`` for a coefficient block."""
+    def _time_derivative(self, coefficients, occupations, time: float, psi_real=None) -> np.ndarray:
+        """``dPsi/dt = -i H(t, Psi) Psi`` for a coefficient block, transformed
+        to real space once for the potential update and ``H Psi``; a handed-in
+        ``psi_real`` belongs to a state the Hamiltonian is consistent with."""
         ham = self.hamiltonian
         ham.set_time(time)
-        if self.self_consistent_stages:
-            stage_wf = Wavefunction(ham.basis, coefficients, occupations)
-            ham.update_potential(stage_wf)
-        return -1j * ham.apply(coefficients)
+        if psi_real is None:
+            psi_real = ham.basis.to_real_space(coefficients)
+            if self.self_consistent_stages:
+                stage_wf = Wavefunction(ham.basis, coefficients, occupations)
+                ham.update_potential(stage_wf, psi_real=psi_real)
+        return -1j * ham.apply(coefficients, psi_real=psi_real)
 
     def step(self, wavefunction: Wavefunction, time: float, dt: float) -> tuple[Wavefunction, StepStatistics]:
         """One RK4 step of size ``dt`` starting at ``time``."""
         c0 = wavefunction.coefficients
         occ = wavefunction.occupations
 
-        k1 = self._time_derivative(c0, occ, time)
+        k1 = self._time_derivative(c0, occ, time, psi_real=self._kept_transform(wavefunction))
         k2 = self._time_derivative(c0 + 0.5 * dt * k1, occ, time + 0.5 * dt)
         k3 = self._time_derivative(c0 + 0.5 * dt * k2, occ, time + 0.5 * dt)
         k4 = self._time_derivative(c0 + dt * k3, occ, time + dt)
@@ -66,9 +70,8 @@ class RK4Propagator(Propagator):
         c_new = c0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         new_wf = Wavefunction(wavefunction.basis, c_new, occ)
 
-        # leave the Hamiltonian consistent with the end-of-step state
         self.hamiltonian.set_time(time + dt)
-        self.hamiltonian.update_potential(new_wf)
+        self._finish_step(new_wf)
 
         overlap = new_wf.overlap()
         ortho_err = float(np.max(np.abs(overlap - np.eye(new_wf.nbands))))
@@ -139,7 +142,7 @@ class RK4Propagator(Propagator):
         # transform — and skip the potential rebuild outright when every
         # Hamiltonian still holds the density of that update. Identity checks
         # on the arrays keep this bit-exact (same objects, same functions).
-        cache = getattr(propagators[0], "_lockstep_cache", None)
+        cache = propagators[0]._lockstep_cache
         if (
             cache is not None
             and len(cache["coeffs"]) == njobs

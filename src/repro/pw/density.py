@@ -17,7 +17,7 @@ from .grid import FFTGrid
 __all__ = ["compute_density", "compute_density_many", "density_error", "DensityMixer"]
 
 
-def compute_density(wavefunction: Wavefunction, grid: FFTGrid | None = None) -> np.ndarray:
+def compute_density(wavefunction: Wavefunction, grid: FFTGrid | None = None, psi_real=None) -> np.ndarray:
     """Real-space electron density from a wavefunction set.
 
     Parameters
@@ -29,6 +29,9 @@ def compute_density(wavefunction: Wavefunction, grid: FFTGrid | None = None) -> 
         own grid. (The paper evaluates the Fock exchange on the wavefunction
         grid but accumulates the density on a denser grid; both are supported
         by passing the appropriate ``grid``.)
+    psi_real:
+        Optional precomputed ``wavefunction.to_real_space()`` (own grid only):
+        the caller's transform is accumulated instead of a second one.
 
     Returns
     -------
@@ -36,16 +39,16 @@ def compute_density(wavefunction: Wavefunction, grid: FFTGrid | None = None) -> 
         Non-negative real array of shape ``grid.shape`` integrating to the
         total number of electrons.
     """
-    grid = wavefunction.basis.grid if grid is None else grid
-    if grid is wavefunction.basis.grid or grid == wavefunction.basis.grid:
-        psi_r = wavefunction.to_real_space()
-    else:
-        # interpolate onto a denser grid by zero-padding in Fourier space
-        coeffs_grid = wavefunction.basis.to_grid(wavefunction.coefficients)
-        psi_r = _resample_to_grid(wavefunction.basis.grid, grid, coeffs_grid)
+    basis = wavefunction.basis
+    if grid is None or grid is basis.grid or grid == basis.grid:
+        if psi_real is None:
+            psi_real = wavefunction.to_real_space()
+        # the one-job call of the stacked kernel
+        return compute_density_many(basis, None, wavefunction.occupations[None], psi_real[None])[0]
+    # interpolate onto a denser grid by zero-padding in Fourier space
+    psi_r = _resample_to_grid(basis.grid, grid, basis.to_grid(wavefunction.coefficients))
     occ = wavefunction.occupations[:, None, None, None]
-    rho = np.sum(occ * np.abs(psi_r) ** 2, axis=0)
-    return rho
+    return np.sum(occ * np.abs(psi_r) ** 2, axis=0)
 
 
 def compute_density_many(

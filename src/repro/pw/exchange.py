@@ -200,14 +200,16 @@ class ExchangeOperator:
         """Whether exchange orbitals have been set."""
         return self._orbitals is not None
 
-    def set_orbitals(self, wavefunction: Wavefunction) -> None:
+    def set_orbitals(self, wavefunction: Wavefunction, psi_real: np.ndarray | None = None) -> None:
         """Set the orbitals defining the density matrix ``P`` of ``V_X[P]``.
 
         The orbitals are transformed to the real-space grid once and cached,
         mirroring the paper's strategy of keeping wavefunctions resident on the
         GPU during the Fock loop. Setting the orbitals the operator already
         holds (equal coefficients and occupations) does nothing, so their
-        transform and memoised self-application survive.
+        transform and memoised self-application survive. ``psi_real`` may
+        carry ``wavefunction.to_real_space()`` when the caller already holds
+        it (kept by reference, never written): no transform is done or counted.
         """
         if wavefunction.basis is not self.basis and wavefunction.basis.npw != self.basis.npw:
             raise ValueError("exchange orbitals must live on the operator's basis")
@@ -217,9 +219,10 @@ class ExchangeOperator:
         self._orbitals = _OrbitalSet(
             coefficients=wavefunction.coefficients.copy(),
             occupations=wavefunction.occupations.copy(),
-            real=wavefunction.to_real_space(),
+            real=wavefunction.to_real_space() if psi_real is None else psi_real,
         )
-        self.counters.ffts += wavefunction.nbands
+        if psi_real is None:
+            self.counters.ffts += wavefunction.nbands
 
     # ------------------------------------------------------------------
     def apply(self, coefficients: np.ndarray) -> np.ndarray:

@@ -223,6 +223,15 @@ class Hamiltonian:
             self._kinetic_f32 = cached
         return cached
 
+    @property
+    def _local_single(self) -> np.ndarray:
+        """``float32`` :attr:`local_potential` for the complex64 tier (cached)."""
+        v_local = self.local_potential
+        cached = getattr(self, "_v_local_f32", None)
+        if cached is None or cached[0] is not v_local:
+            cached = self._v_local_f32 = (v_local, v_local.astype(np.float32))
+        return cached[1]
+
     # ------------------------------------------------------------------
     # State updates
     # ------------------------------------------------------------------
@@ -251,6 +260,7 @@ class Hamiltonian:
         update_exchange: bool = True,
         v_hartree: np.ndarray | None = None,
         xc_result: "XCResult | None" = None,
+        psi_real: np.ndarray | None = None,
     ) -> np.ndarray:
         """Recompute ``V_Hxc`` (and the exchange orbitals) from a wavefunction.
 
@@ -258,10 +268,12 @@ class Hamiltonian:
         Hamiltonian H_f"). Returns the density used. ``density``, ``v_hartree``
         and ``xc_result`` may be passed precomputed — the batched stepping
         engine evaluates all three for a whole job stack at once and hands
-        each Hamiltonian its slice.
+        each Hamiltonian its slice. ``psi_real`` may carry
+        ``wavefunction.to_real_space()`` — the propagators transform each
+        iterate once — for the density and the exchange orbitals to take.
         """
         if density is None:
-            density = compute_density(wavefunction, self.grid)
+            density = compute_density(wavefunction, self.grid, psi_real=psi_real)
         self.density = density
         self.v_hartree = hartree_potential(self.grid, density) if v_hartree is None else v_hartree
         if xc_result is None:
@@ -270,8 +282,7 @@ class Hamiltonian:
         self._xc_energy = xc_result.energy
         self._v_local = None
         if self.exchange is not None and update_exchange:
-            self.exchange.set_orbitals(wavefunction)
-            self.counters.fock_applications += 0  # orbitals update is not an application
+            self.exchange.set_orbitals(wavefunction, psi_real=psi_real)
         self.counters.potential_updates += 1
         return density
 
@@ -292,7 +303,7 @@ class Hamiltonian:
             self._v_local = v
         return v
 
-    def apply(self, coefficients: np.ndarray, include_exchange: bool = True) -> np.ndarray:
+    def apply(self, coefficients: np.ndarray, include_exchange: bool = True, psi_real=None) -> np.ndarray:
         """Evaluate ``H Psi`` for a block of plane-wave coefficients.
 
         Parameters
@@ -302,6 +313,9 @@ class Hamiltonian:
         include_exchange:
             If False, skip the Fock exchange term (used by semi-local
             preconditioners and by the ACE-style extensions).
+        psi_real:
+            Optional precomputed ``basis.to_real_space(coefficients)``; the
+            forward transform of the local term is then skipped.
         """
         coefficients = np.asarray(coefficients)
         if coefficients.dtype != np.complex64:  # complex64 tier stays single precision
@@ -316,14 +330,15 @@ class Hamiltonian:
         if coefficients.dtype == np.complex64:
             # float64 multipliers would promote the whole product back to double
             kinetic = self._kinetic_single
-            v_local = v_local.astype(np.float32)
+            v_local = self._local_single
 
         # kinetic: diagonal in G space
         out = coefficients * kinetic[None, :]
 
         # local potential: FFT to real space, multiply, FFT back (the product
         # is a temporary, so the transform may scratch it)
-        psi_real = self.basis.to_real_space(coefficients)
+        if psi_real is None:
+            psi_real = self.basis.to_real_space(coefficients)
         out += self.basis.from_real_space(v_local[None, ...] * psi_real, overwrite=True)
 
         # nonlocal pseudopotential

@@ -63,16 +63,18 @@ class CoulombKernel:
         cached-plan call; ``complex64`` pair densities stay single precision.
         ``overwrite=True`` lets ``rho_real`` be destroyed as transform scratch
         (the Fock pair-density stacks); the potential is bit-identical.
+
+        The convolution is ``ifftn(K * fftn(rho))`` and nothing else: the
+        ``1/N`` that turns ``fftn(rho)`` into Fourier coefficients and the
+        ``N`` that undoes ``ifftn``'s own ``1/N`` cancel exactly around the
+        diagonal kernel multiply, so neither pass over the stack is made.
         """
         rho_real = np.asarray(rho_real)
         plan = get_plan(self.grid, plan_dtype(rho_real.dtype))
         rho_g = plan.fftn(rho_real, overwrite=overwrite)
-        rho_g /= self.grid.size
         values = self.values_single if rho_g.dtype == np.complex64 else self.values
         np.multiply(values, rho_g, out=rho_g)  # rho_g is owned scratch here
-        out = plan.ifftn(rho_g, overwrite=True)
-        out *= self.grid.size
-        return out
+        return plan.ifftn(rho_g, overwrite=True)
 
     @property
     def inversion_even(self) -> bool:

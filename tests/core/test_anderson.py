@@ -133,3 +133,137 @@ class TestConvergence:
             f = a @ x - b
             x = mixer.update(x, f)
         assert np.linalg.norm(a @ x - b) < 1e-9
+
+
+def reference_extrapolate(x_hist, f_hist, beta, regularization):
+    """Type-II Anderson extrapolation for one flattened vector, written out —
+    the per-band formula the band-batched mixer must reproduce."""
+    x_k, f_k = x_hist[-1], f_hist[-1]
+    m = len(x_hist)
+    df = np.stack([f_hist[j + 1] - f_hist[j] for j in range(m - 1)], axis=1)
+    dx = np.stack([x_hist[j + 1] - x_hist[j] for j in range(m - 1)], axis=1)
+    gram = df.conj().T @ df
+    gram += regularization * np.eye(gram.shape[0]) * max(1.0, float(np.max(np.abs(gram))))
+    gamma = np.linalg.solve(gram, df.conj().T @ f_k)
+    return (x_k - dx @ gamma) - beta * (f_k - df @ gamma)
+
+
+def reference_update(iterates, residuals, history_size, beta, regularization, per_band):
+    """What ``update`` must return after being fed ``iterates``/``residuals``."""
+    x_hist, f_hist = iterates[-history_size:], residuals[-history_size:]
+    if len(x_hist) == 1:
+        return x_hist[0] - beta * f_hist[0]
+    if not per_band:
+        flat = reference_extrapolate(
+            [x.ravel() for x in x_hist], [f.ravel() for f in f_hist], beta, regularization
+        )
+        return flat.reshape(x_hist[0].shape)
+    return np.stack(
+        [
+            reference_extrapolate(
+                [x[b] for x in x_hist], [f[b] for f in f_hist], beta, regularization
+            )
+            for b in range(x_hist[0].shape[0])
+        ]
+    )
+
+
+def _assert_matches_reference(mixer, iterates, residuals):
+    for k in range(len(iterates)):
+        out = mixer.update(iterates[k], residuals[k])
+        expected = reference_update(
+            iterates[: k + 1],
+            residuals[: k + 1],
+            mixer.history_size,
+            mixer.mixing_parameter,
+            mixer.regularization,
+            mixer.per_band,
+        )
+        assert out.shape == iterates[k].shape
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+
+
+def _history(rng, nbands, npw, length, row_scale=None):
+    """A decaying fixed-point history (residuals shrink as an SCF's do)."""
+    shape = (nbands, npw)
+    iterates, residuals = [], []
+    for k in range(length):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = 0.5**k * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if row_scale is not None:
+            f = f * row_scale[:, None]
+        iterates.append(x)
+        residuals.append(f)
+    return iterates, residuals
+
+
+class TestBandBatchedUpdate:
+    """The stacked ``(nbands, m-1, m-1)`` solve equals the per-band formula."""
+
+    @pytest.mark.parametrize("nbands", [1, 3, 16])
+    def test_equals_per_band_reference(self, nbands):
+        rng = np.random.default_rng(nbands)
+        iterates, residuals = _history(rng, nbands, 40, 7)
+        mixer = AndersonMixer(history_size=20, mixing_parameter=0.7, per_band=True)
+        _assert_matches_reference(mixer, iterates, residuals)
+
+    def test_history_truncation(self):
+        """Past ``history_size`` updates only the newest pairs enter the solve."""
+        rng = np.random.default_rng(7)
+        iterates, residuals = _history(rng, 3, 24, 9)
+        mixer = AndersonMixer(history_size=4, per_band=True)
+        _assert_matches_reference(mixer, iterates, residuals)
+        assert mixer.history_length == 4
+
+    def test_regularisation_is_per_band(self):
+        """Bands whose Gram matrices differ by 1e6 in scale are each
+        regularised on their own scale, not on the largest band's."""
+        rng = np.random.default_rng(11)
+        scales = np.array([1.0, 1e3, 1e-3])  # Gram scales 1, 1e6, 1e-6
+        iterates, residuals = _history(rng, 3, 30, 6, row_scale=scales)
+        # a regularisation large enough that sharing one scale would show
+        mixer = AndersonMixer(history_size=10, per_band=True, regularization=1e-4)
+        _assert_matches_reference(mixer, iterates, residuals)
+
+    def test_band_with_zero_residual_differences(self):
+        """A band whose residual never changes has a zero Gram matrix: the
+        regularised solve gives gamma = 0, i.e. plain relaxation, for that
+        band and leaves the others alone."""
+        rng = np.random.default_rng(13)
+        iterates, residuals = _history(rng, 3, 20, 5)
+        for f in residuals:
+            f[1] = residuals[0][1]
+        mixer = AndersonMixer(history_size=10, mixing_parameter=0.5, per_band=True)
+        _assert_matches_reference(mixer, iterates, residuals)
+        mixer.reset()
+        for x, f in zip(iterates, residuals):
+            out = mixer.update(x, f)
+        np.testing.assert_allclose(out[1], iterates[-1][1] - 0.5 * residuals[-1][1], rtol=1e-12)
+
+    def test_whole_array_is_the_one_row_case(self):
+        rng = np.random.default_rng(17)
+        iterates, residuals = _history(rng, 4, 15, 6)
+        mixer = AndersonMixer(history_size=5, mixing_parameter=0.9, per_band=False)
+        _assert_matches_reference(mixer, iterates, residuals)
+
+    def test_one_dimensional_iterate_with_per_band(self):
+        """``per_band`` on a 1-D iterate has no band axis: one problem."""
+        rng = np.random.default_rng(19)
+        iterates = [rng.standard_normal(12) + 0j for _ in range(4)]
+        residuals = [0.3**k * (rng.standard_normal(12) + 0j) for k in range(4)]
+        mixer = AndersonMixer(history_size=5, per_band=True)
+        for k in range(4):
+            out = mixer.update(iterates[k], residuals[k])
+        expected = reference_update(iterates, residuals, 5, 1.0, mixer.regularization, False)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+
+    def test_stored_history_does_not_alias_the_caller(self):
+        """The lockstep engine overwrites its iterate stack in place."""
+        mixer = AndersonMixer(per_band=True)
+        x = np.ones((2, 4), dtype=complex)
+        f = 0.1 * np.ones((2, 4), dtype=complex)
+        mixer.update(x, f)
+        x[:] = 99.0
+        f[:] = 99.0
+        second = mixer.update(np.full((2, 4), 0.9 + 0j), np.full((2, 4), 0.05 + 0j))
+        assert np.all(np.abs(second) < 2.0)

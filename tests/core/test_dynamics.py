@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.constants import attoseconds_to_au
-from repro.core import PTCNPropagator, RK4Propagator, TDDFTSimulation
+from repro.core import ETRSPropagator, PTCNPropagator, RK4Propagator, TDDFTSimulation
+from repro.core.dynamics import BatchedRun, run_batched
+from repro.core.observables import dipole_moment, electron_number
 from repro.pw import Hamiltonian
 
 
@@ -88,3 +90,60 @@ class TestRun:
         traj = sim.run(wf0, attoseconds_to_au(25.0), 1)
         z = traj.dipole_along([0, 0, 1])
         assert np.allclose(z, traj.dipoles[:, 2])
+
+
+class TestRunIsRunBatchedOfOneJob:
+    """``run`` records from the state ``update_potential`` stored, like the
+    lockstep driver: one job through either gives the same trajectory, bit
+    for bit, records included."""
+
+    _PROPAGATORS = {
+        "ptcn": (PTCNPropagator, 1.0),
+        "rk4": (RK4Propagator, 0.3),
+        "etrs": (ETRSPropagator, 0.3),
+    }
+
+    @pytest.mark.parametrize("record", [True, False], ids=["records on", "records off"])
+    @pytest.mark.parametrize("hybrid", [True, False], ids=["hybrid", "semi-local"])
+    @pytest.mark.parametrize("name", sorted(_PROPAGATORS))
+    def test_bit_identical(self, name, hybrid, record, chain_hybrid_hamiltonian, chain_ground_state):
+        base_ham, result = chain_ground_state  # the semi-local Hamiltonian
+        if hybrid:
+            base_ham = chain_hybrid_hamiltonian
+        wf0 = result.wavefunction
+        factory, dt = self._PROPAGATORS[name]
+
+        def simulation():
+            propagator = factory(base_ham.clone())
+            return TDDFTSimulation(
+                propagator.hamiltonian, propagator, record_energy=record, record_dipole=record
+            )
+
+        solo = simulation().run(wf0, dt, 2, metadata={"name": name})
+        (batched,) = run_batched(
+            [BatchedRun(simulation(), wf0, dt, 2, metadata={"name": name})]
+        )
+        for column in solo._ARRAY_FIELDS:
+            assert np.array_equal(
+                getattr(batched, column), getattr(solo, column), equal_nan=True
+            ), column
+        assert np.array_equal(
+            batched.final_wavefunction.coefficients, solo.final_wavefunction.coefficients
+        )
+        assert batched.metadata == solo.metadata
+        assert [s.converged for s in batched.step_statistics] == [
+            s.converged for s in solo.step_statistics
+        ]
+
+    def test_records_are_those_of_the_returned_state(self, chain_hybrid_hamiltonian, chain_ground_state):
+        """The stored density/Hartree/xc the records read belong to the
+        state the step returned: recomputing from the orbitals agrees."""
+        wf0 = chain_ground_state[1].wavefunction
+        ham = chain_hybrid_hamiltonian.clone()
+        sim = TDDFTSimulation(ham, PTCNPropagator(ham))
+        seen = []
+        traj = sim.run(wf0, 1.0, 2, callback=lambda i, t, wf, stats: seen.append(wf))
+        final = seen[-1]
+        assert traj.energies[-1] == pytest.approx(ham.total_energy(final), abs=1e-12)
+        assert np.allclose(traj.dipoles[-1], dipole_moment(final), atol=1e-12)
+        assert traj.electron_numbers[-1] == pytest.approx(electron_number(final), abs=1e-12)

@@ -220,3 +220,136 @@ class TestETRS:
         ham, _ = propagation_setup
         with pytest.raises(ValueError):
             ETRSPropagator(ham, taylor_order=0)
+
+
+@pytest.fixture()
+def count_transforms(monkeypatch):
+    """Counts 3-D transforms through ``FFTPlan.fftn`` / ``ifftn`` (a batched
+    call counts once per leading-axis slice)."""
+    from repro.pw.fft import FFTPlan
+
+    counts = {"transforms": 0}
+
+    def counting(original):
+        def counted(self, values, overwrite=False):
+            counts["transforms"] += int(np.prod(np.shape(values)[:-3], dtype=int))
+            return original(self, values, overwrite=overwrite)
+
+        return counted
+
+    monkeypatch.setattr(FFTPlan, "fftn", counting(FFTPlan.fftn))
+    monkeypatch.setattr(FFTPlan, "ifftn", counting(FFTPlan.ifftn))
+    return counts
+
+
+class TestTransformBudget:
+    """Every iterate is transformed to real space once: the density, the
+    exchange orbitals and the local term of ``H Psi`` share that array."""
+
+    def _two_steps(self, propagator, wf0, dt, counts, lockstep):
+        """Transforms, Poisson solves and statistics of two consecutive steps."""
+        exchange = propagator.hamiltonian.exchange.counters
+        propagator.prepare(wf0, 0.0)
+        wf, rows = wf0, []
+        for step in range(2):
+            before = counts["transforms"], exchange.poisson_solves
+            if lockstep:
+                (wf,), (stats,) = type(propagator).step_many([propagator], [wf], [step * dt], [dt])
+            else:
+                wf, stats = propagator.step(wf, step * dt, dt)
+            rows.append(
+                (
+                    counts["transforms"] - before[0],
+                    exchange.poisson_solves - before[1],
+                    stats.scf_iterations,
+                )
+            )
+        return wf, rows
+
+    @pytest.mark.parametrize("lockstep", [False, True], ids=["solo", "width-1 lockstep"])
+    def test_hybrid_ptcn_step(self, chain_hybrid_hamiltonian, chain_ground_state, count_transforms, lockstep):
+        wf0 = chain_ground_state[1].wavefunction
+        n = wf0.nbands
+        propagator = PTCNPropagator(chain_hybrid_hamiltonian.clone(), scf_tolerance=1e-7)
+        _, rows = self._two_steps(propagator, wf0, 1.0, count_transforms, lockstep)
+        for step, (transforms, solves, k) in enumerate(rows):
+            assert k >= 2
+            # orbital transforms: psi_n (only when the previous step left
+            # none), H psi_n (local + exchange back-transforms), the initial
+            # iterate, per iteration the new iterate + H psi_f, the accepted
+            # state; Hartree: one solve per potential rebuild; Fock: two per pair
+            first = step == 0
+            orbital = (first + 2 + 1 + 3 * k + 1) * n
+            hartree = 2 * (first + k + 1)
+            assert transforms == orbital + hartree + 2 * solves
+
+    @pytest.mark.parametrize("lockstep", [False, True], ids=["solo", "width-1 lockstep"])
+    def test_hybrid_rk4_step(self, chain_hybrid_hamiltonian, chain_ground_state, count_transforms, lockstep):
+        wf0 = chain_ground_state[1].wavefunction
+        n = wf0.nbands
+        propagator = RK4Propagator(chain_hybrid_hamiltonian.clone())
+        _, rows = self._two_steps(propagator, wf0, 0.2, count_transforms, lockstep)
+        for step, (transforms, solves, _) in enumerate(rows):
+            first = step == 0
+            # four stages of (stage transform + H psi), the first stage's
+            # transform and rebuild kept from the previous step; the end state
+            orbital = (4 * 3 - (not first) + 1) * n
+            hartree = 2 * (4 - (not first) + 1)
+            assert transforms == orbital + hartree + 2 * solves
+
+    def test_solo_and_lockstep_do_the_same_exchange_work(
+        self, chain_hybrid_hamiltonian, chain_ground_state, count_transforms
+    ):
+        wf0 = chain_ground_state[1].wavefunction
+        results = []
+        for lockstep in (False, True):
+            propagator = PTCNPropagator(chain_hybrid_hamiltonian.clone())
+            wf, rows = self._two_steps(propagator, wf0, 1.0, count_transforms, lockstep)
+            results.append((wf.coefficients, rows, propagator.hamiltonian.exchange.counters))
+        assert np.array_equal(results[0][0], results[1][0])
+        assert results[0][1] == results[1][1]
+        assert results[0][2] == results[1][2]
+        # only prepare() transformed for the exchange operator: every later
+        # orbital set arrived with its transform (two back-transforms per pair
+        # and one per band per application remain)
+        done = results[0][2]
+        assert done.ffts == wf0.nbands + 2 * done.poisson_solves + wf0.nbands * done.applications
+
+    def test_handed_in_transform_changes_no_result(self, chain_hybrid_hamiltonian, chain_ground_state):
+        wf = chain_ground_state[1].wavefunction
+        psi = wf.to_real_space()
+        assert np.array_equal(compute_density(wf, psi_real=psi), compute_density(wf))
+
+        plain, handed = chain_hybrid_hamiltonian.clone(), chain_hybrid_hamiltonian.clone()
+        rho_plain = plain.update_potential(wf)
+        rho_handed = handed.update_potential(wf, psi_real=psi)
+        assert np.array_equal(rho_handed, rho_plain)
+        assert np.array_equal(handed.v_hartree, plain.v_hartree)
+        assert np.array_equal(handed.v_xc, plain.v_xc)
+        assert plain.exchange.counters.ffts == wf.nbands
+        assert handed.exchange.counters.ffts == 0
+        reference = plain.apply(wf.coefficients)
+        assert np.array_equal(handed.apply(wf.coefficients, psi_real=psi), reference)
+        assert np.array_equal(handed.apply(wf.coefficients), reference)
+
+    def test_kept_transform_needs_the_same_arrays_and_is_dropped_by_prepare(
+        self, chain_hybrid_hamiltonian, chain_ground_state
+    ):
+        wf0 = chain_ground_state[1].wavefunction
+        propagator = PTCNPropagator(chain_hybrid_hamiltonian.clone())
+        propagator.prepare(wf0, 0.0)
+        wf1, _ = propagator.step(wf0, 0.0, 1.0)
+        kept = propagator._kept_transform(wf1)
+        assert kept is not None and kept.shape == (wf1.nbands,) + wf1.basis.grid.shape
+        assert np.array_equal(kept, wf1.to_real_space())
+        # an equal copy is not the array the step ended on
+        assert propagator._kept_transform(wf1.copy()) is None
+        # a potential rebuilt from anything else invalidates it
+        propagator.hamiltonian.update_potential(wf0)
+        assert propagator._kept_transform(wf1) is None
+
+        propagator.prepare(wf0, 0.0)
+        PTCNPropagator.step_many([propagator], [wf0], [0.0], [1.0])
+        assert propagator._lockstep_cache is not None
+        propagator.prepare(wf0, 0.0)
+        assert propagator._kept is None and propagator._lockstep_cache is None

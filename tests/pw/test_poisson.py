@@ -136,3 +136,27 @@ class TestSolvePoisson:
         assert out.shape == (3,) + grid.shape
         single = kernel.apply_to_density(batch[1])
         assert np.allclose(out[1], single)
+
+    def test_convolution_is_ifftn_of_kernel_times_fftn(self, grid, rng=np.random.default_rng(4)):
+        """No normalisation pass on either side of the kernel multiply: the
+        potential is the written-out ``ifftn(K * fftn(rho))``, for a single
+        pair density, a stack, and with the input given up as scratch."""
+        kernel = screened_exchange_kernel(grid, 0.4)
+        stack = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+        axes = (-3, -2, -1)
+        expected = np.fft.ifftn(kernel.values * np.fft.fftn(stack, axes=axes), axes=axes)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(kernel.apply_to_density(stack) - expected)) < 1e-13 * scale
+        assert np.max(np.abs(kernel.apply_to_density(stack[1]) - expected[1])) < 1e-13 * scale
+        kept = kernel.apply_to_density(stack)
+        assert np.array_equal(kernel.apply_to_density(stack.copy(), overwrite=True), kept)
+
+    def test_hartree_potential_of_a_plane_wave_density(self, grid):
+        """``rho = cos(G.r)`` has the Hartree potential ``4 pi / G^2 cos(G.r)``."""
+        b = grid.cell.reciprocal_vectors
+        g_vector = 2 * b[0] + b[2]
+        phase = grid.real_space_points @ g_vector
+        rho = np.cos(phase)
+        expected = 4.0 * np.pi / float(g_vector @ g_vector) * rho
+        v = hartree_potential(grid, rho)
+        assert np.max(np.abs(v - expected)) < 1e-13 * np.max(np.abs(expected))
