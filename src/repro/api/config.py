@@ -236,14 +236,15 @@ class RunConfig:
         Sweep-level scheduling section consumed by :mod:`repro.exec` (it never
         affects the physics of a single run). Keys: ``policy``, one of
         :data:`SCHEDULE_POLICIES` (default ``"fifo"``), e.g.
-        ``{"schedule": {"policy": "cheapest_first"}}``; ``batch_stepping``,
-        a bool (default ``False``) enabling lockstep multi-job propagation
-        within a ground-state group; and ``precision``, ``"complex128"``
-        (default) or ``"complex64"`` selecting the screening precision tier.
-        ``batch_stepping`` is execution-only like ``policy``; ``precision``
-        *does* change the numbers, so complex64 results are stamped and kept
-        out of the result store — but the key still lives here because it
-        selects *how* the sweep executes, not *what* physics it describes.
+        ``{"schedule": {"policy": "cheapest_first"}}``; ``precision``,
+        ``"complex128"`` (default) or ``"complex64"`` selecting the screening
+        precision tier; and ``batch_stepping``, a bool that is accepted and
+        validated but has **no effect** (a ground-state group's jobs always
+        propagate in lockstep; the key stays so stored configs keep loading).
+        ``precision`` *does* change the numbers, so complex64 results are
+        stamped and kept out of the result store — but the key still lives
+        here because it selects *how* the sweep executes, not *what* physics
+        it describes.
     machine:
         Machine-model section consumed by :mod:`repro.cost` / :mod:`repro.exec`
         (like ``schedule``, it never affects the physics of a single run —
@@ -270,7 +271,8 @@ class RunConfig:
 
     @property
     def schedule_batch_stepping(self) -> bool:
-        """Whether lockstep multi-job propagation is enabled (default False)."""
+        """The inert ``batch_stepping`` key as stored (default False); lockstep
+        propagation is always on, whatever this says."""
         return bool(self.schedule.get("batch_stepping", False))
 
     @property

@@ -32,8 +32,16 @@ class Session:
 
     All heavy objects (grid, basis, Hamiltonian, ground state, trajectories)
     are built on first access and reused afterwards; calling
-    :meth:`ground_state` twice runs one SCF, and every :meth:`propagate` call
-    with the same arguments returns the cached trajectory.
+    :meth:`ground_state` twice runs one SCF, and every :meth:`propagate` /
+    :meth:`propagate_many` request with the same arguments returns the cached
+    trajectory.
+
+    Every propagation — one request or many — runs on its own
+    :meth:`~repro.pw.hamiltonian.Hamiltonian.clone` of :attr:`hamiltonian`,
+    so :attr:`hamiltonian` stays at the ground state: it holds neither the
+    end-of-run time and potential nor the apply / Fock counts of a run. The
+    counts of a run are on its trajectory
+    (``total_hamiltonian_applications``, the per-step statistics).
 
     Parameters
     ----------
@@ -296,7 +304,9 @@ class Session:
         params: dict | None = None,
         precision: str | None = None,
     ) -> Trajectory:
-        """Run (or return the cached) propagation.
+        """Run (or return the cached) propagation: :meth:`propagate_many` of
+        this one request, so it too runs on a clone and leaves
+        :attr:`hamiltonian` (state and counters) untouched.
 
         Parameters
         ----------
@@ -315,25 +325,18 @@ class Session:
             or the opt-in ``"complex64"`` screening tier (see
             :mod:`repro.core.precision`). Tiers cache separately.
         """
-        cfg = self.config
-        request = self._resolve_propagation(propagator, time_step_as, n_steps, params, precision)
-        if request["key"] not in self._trajectories:
-            ham = self.hamiltonian
-            scheme = request["factory"](ham, **request["params"])
-            simulation = TDDFTSimulation(
-                ham,
-                scheme,
-                record_energy=cfg.run.record_energy,
-                record_dipole=cfg.run.record_dipole,
-            )
-            trajectory = simulation.run(
-                self._initial_state_at(request["precision"]),
-                attoseconds_to_au(request["dt_as"]),
-                request["steps"],
-                metadata=self._run_metadata(request, scheme),
-            )
-            self._store_trajectory(request, scheme, trajectory)
-        return self._trajectories[request["key"]]
+        (trajectory,) = self.propagate_many(
+            [
+                {
+                    "propagator": propagator,
+                    "time_step_as": time_step_as,
+                    "n_steps": n_steps,
+                    "params": params,
+                    "precision": precision,
+                }
+            ]
+        )
+        return trajectory
 
     def propagate_many(
         self,
@@ -348,18 +351,18 @@ class Session:
         requests:
             One dict per job with any of the keys ``propagator``,
             ``time_step_as``, ``n_steps``, ``params``, ``precision`` — the
-            same arguments (and defaulting) as :meth:`propagate`.
+            same arguments (and defaulting, ``None`` meaning "as configured")
+            as :meth:`propagate`.
         precision:
             Default precision tier for requests that don't carry their own.
 
         All jobs share this session's ground state and basis; each gets its
         own Hamiltonian clone and propagator so per-job time-dependent state
-        never interferes. Jobs advance through the batched
-        ``step_many``/:func:`~repro.core.dynamics.run_batched` engine —
-        stacked FFTs across jobs — and every resulting trajectory is
-        bit-identical (``complex128``) to what :meth:`propagate` produces for
-        the same request, cached under the same key. Returns the
-        trajectories in request order.
+        never interferes. Jobs not yet cached advance through
+        :func:`~repro.core.dynamics.run_batched` — stacked FFTs across jobs —
+        and every resulting trajectory is bit-identical (``complex128``) to
+        what the same request gets alone or in any other group, cached under
+        one key either way. Returns the trajectories in request order.
         """
         resolved = [
             self._resolve_propagation(

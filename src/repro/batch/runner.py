@@ -160,9 +160,7 @@ class BatchRunner:
         self._machine_overridden = machine is not self._DEFAULT_MACHINE
         self.machine = settings.machine_model() if not self._machine_overridden else machine
         self.placement = placement
-        self.scheduler = Scheduler(
-            settings.schedule, machine=self.machine, batch_stepping=settings.batch_stepping
-        )
+        self.scheduler = Scheduler(settings.schedule, machine=self.machine)
         self.raise_on_error = bool(raise_on_error)
         self.share_ground_states = bool(share_ground_states)
         self._sessions: dict[str, Session] = {}
@@ -290,7 +288,6 @@ class BatchRunner:
             raise_on_error=self.raise_on_error,
             share_ground_states=self.share_ground_states,
             store=self.store,
-            batch_stepping=self.settings.batch_stepping,
             precision=self.settings.precision,
         )
         if self.backend == "process":

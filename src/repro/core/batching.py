@@ -9,19 +9,22 @@ production plane-wave codes.
 
 Bit-identity contract
 ---------------------
-Everything here must produce, per job, exactly the floats the solo code path
-produces. That holds because only two kinds of operation are batched:
+Everything here must produce, per job, exactly the floats the single-block
+operators (:meth:`~repro.pw.hamiltonian.Hamiltonian.apply` /
+``update_potential``, which the ground-state solver and the tests' written-out
+reference steps use) produce, whatever the width of the stack. That holds
+because only two kinds of operation are batched:
 
 * FFTs — pocketfft transforms every leading-axis slice independently, so a
-  stacked transform equals J solo transforms bit for bit;
+  stacked transform equals J single-job transforms bit for bit;
 * elementwise/broadcast arithmetic — each slice sees the same multiplier
-  values in the same expression order as the solo code.
+  values in the same expression order as the single-block code.
 
 Everything GEMM-shaped (nonlocal projectors, exchange, subspace overlaps,
 Anderson extrapolation, Cholesky) stays a per-job loop on per-job slices:
 batching would change BLAS blocking and therefore the floats. Anderson mixing
 is band-batched *inside* a job (one stacked solve over the job's bands, the
-same call solo and in lockstep) and still never across jobs.
+same call at every stack width) and never across jobs.
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ def apply_many(
     term executed once for the whole stack. ``psi_real`` may be passed when
     the caller already transformed ``coeff_stack`` to real space (the stage
     density needs the very same array): the forward transform is then skipped
-    entirely, which is where the batched engine beats the solo path's
-    one-transform-per-layer structure.
+    entirely.
     """
     coeff_stack = np.asarray(coeff_stack)
     basis = hamiltonians[0].basis
@@ -90,7 +92,7 @@ def update_potentials_many(
     """Refresh every job's ``V_Hxc`` with the density/Hartree FFTs batched.
 
     ``densities`` may be passed precomputed (the PT-CN inner loop reuses the
-    previous iteration's densities exactly like the solo code); otherwise they
+    densities it computed for the convergence check); otherwise they
     are evaluated for the whole stack in one transform — or with zero
     transforms when ``psi_real`` carries the already-transformed orbitals.
     The Hartree solve and the xc evaluation run batched over the stack (both

@@ -1,10 +1,12 @@
 """The rt-TDDFT simulation driver.
 
-Orchestrates a propagation run: repeatedly calls a propagator's ``step``,
-records observables (energy, dipole, electron number, SCF statistics) and
-returns a :class:`Trajectory` that the examples and benchmarks consume. This
-is the Python-level counterpart of the outer time loop of the paper's runs
-(600 PT-CN steps of 50 as for the 30 fs silicon simulations).
+Orchestrates propagation runs: :func:`run_batched` repeatedly advances a
+group of jobs through their propagators' ``step_many``, records observables
+(energy, dipole, electron number, SCF statistics) and returns one
+:class:`Trajectory` per job that the examples and benchmarks consume;
+:meth:`TDDFTSimulation.run` is the one-job call. This is the Python-level
+counterpart of the outer time loop of the paper's runs (600 PT-CN steps of
+50 as for the 30 fs silicon simulations).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import os
 import uuid
 import zipfile
+from collections.abc import Callable
 from dataclasses import dataclass, field
 import time as _wallclock
 
@@ -24,7 +27,7 @@ import numpy as np
 from ..pw.basis import Wavefunction
 from ..pw.hamiltonian import EnergyBreakdown, Hamiltonian
 from ..pw.laser import sawtooth_position
-from .observables import dipole_moment, electron_number, energy_drift
+from .observables import energy_drift
 from .propagators.base import Propagator, StepStatistics
 
 __all__ = ["Trajectory", "TDDFTSimulation", "BatchedRun", "run_batched", "json_default"]
@@ -262,7 +265,8 @@ class TDDFTSimulation:
         callback=None,
         metadata: dict | None = None,
     ) -> Trajectory:
-        """Propagate ``initial_state`` for ``n_steps`` steps of ``time_step``.
+        """Propagate ``initial_state`` for ``n_steps`` steps of ``time_step``:
+        :func:`run_batched` of this one job.
 
         Parameters
         ----------
@@ -281,85 +285,30 @@ class TDDFTSimulation:
             Optional JSON-serializable provenance dict attached verbatim to
             the returned :class:`Trajectory`.
         """
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if time_step <= 0:
-            raise ValueError("time_step must be positive")
-
-        wavefunction = initial_state.copy()
-        self.propagator.prepare(wavefunction, start_time)
-
-        # prepare() and every step leave the Hamiltonian holding the density,
-        # Hartree potential and xc energy of the state they return, so the
-        # records are the one-job case of the lockstep driver's: no further
-        # orbital transform, Poisson solve or xc pass
-        times = [start_time]
-        records = energies, dipoles, electrons = _group_records([self], [wavefunction])
-        scf_iters = [0]
-        h_apps = [0]
-        density_errors = [0.0]
-        statistics: list[StepStatistics] = []
-
-        wall_start = _wallclock.perf_counter()
-        current_time = start_time
-        for step_index in range(n_steps):
-            wavefunction, stats = self.propagator.step(wavefunction, current_time, time_step)
-            current_time += time_step
-            statistics.append(stats)
-
-            times.append(current_time)
-            for column, record in zip(records, _group_records([self], [wavefunction])):
-                column += record
-            scf_iters.append(stats.scf_iterations)
-            h_apps.append(stats.hamiltonian_applications)
-            density_errors.append(stats.density_error)
-
-            if callback is not None:
-                callback(step_index, current_time, wavefunction, stats)
-
-        wall_time = _wallclock.perf_counter() - wall_start
-        return Trajectory(
-            times=np.asarray(times),
-            energies=np.asarray(energies),
-            dipoles=np.asarray(dipoles),
-            electron_numbers=np.asarray(electrons),
-            scf_iterations=np.asarray(scf_iters),
-            hamiltonian_applications=np.asarray(h_apps),
-            density_errors=np.asarray(density_errors),
-            wall_time=wall_time,
-            final_wavefunction=wavefunction,
-            step_statistics=statistics,
-            metadata=copy.deepcopy(metadata) if metadata else {},
+        (trajectory,) = run_batched(
+            [
+                BatchedRun(
+                    simulation=self,
+                    initial_state=initial_state,
+                    time_step=time_step,
+                    n_steps=n_steps,
+                    start_time=start_time,
+                    metadata=metadata,
+                    callback=callback,
+                )
+            ]
         )
-
-    # ------------------------------------------------------------------
-    def _energy(
-        self,
-        wavefunction: Wavefunction,
-        density: np.ndarray | None = None,
-        v_hartree: np.ndarray | None = None,
-        xc_result=None,
-    ) -> float:
-        if not self.record_energy:
-            return float("nan")
-        return self.hamiltonian.total_energy(
-            wavefunction, density=density, v_hartree=v_hartree, xc_result=xc_result
-        )
-
-    def _dipole(self, wavefunction: Wavefunction, density: np.ndarray | None = None) -> np.ndarray:
-        if not self.record_dipole:
-            return np.full(3, np.nan)
-        return dipole_moment(wavefunction, density=density)
+        return trajectory
 
 
 @dataclass
 class BatchedRun:
-    """One job of a batched lockstep propagation (see :func:`run_batched`).
+    """One job of a lockstep propagation (see :func:`run_batched`).
 
-    Mirrors the arguments of :meth:`TDDFTSimulation.run`; the simulation
-    carries the job's own propagator and Hamiltonian (batched jobs must not
-    share mutable Hamiltonian state — use
-    :meth:`~repro.pw.hamiltonian.Hamiltonian.clone`).
+    Mirrors the arguments of :meth:`TDDFTSimulation.run` (``callback`` is
+    invoked after every step of this job); the simulation carries the job's
+    own propagator and Hamiltonian (jobs of one group must not share mutable
+    Hamiltonian state — use :meth:`~repro.pw.hamiltonian.Hamiltonian.clone`).
     """
 
     simulation: TDDFTSimulation
@@ -368,6 +317,7 @@ class BatchedRun:
     n_steps: int
     start_time: float = 0.0
     metadata: dict | None = None
+    callback: Callable | None = None
 
 
 def _group_records(
@@ -375,29 +325,18 @@ def _group_records(
 ) -> tuple[list[float], list[np.ndarray], list[float]]:
     """Per-job ``(energy, dipole, electron number)`` records for a stepped group.
 
-    The density-functional pieces (Poisson solve, xc, the grid integrals) are
-    evaluated once over the stacked end-of-step densities instead of job by
-    job — only the GEMM-shaped terms (nonlocal, exact exchange) stay per job.
-    Every batched expression reduces each job's contiguous grid slice exactly
-    as the solo observables reduce the whole array, so the recorded floats are
-    bit-identical to :meth:`TDDFTSimulation.run`'s; groups whose jobs do not
-    share a grid/functional (or lack a cached density) fall back to the
-    per-job evaluation.
+    ``prepare()`` and every ``step_many`` leave each Hamiltonian holding the
+    density, Hartree potential and xc energy of the state they return, so the
+    records need no orbital transform, Poisson solve or xc pass of their own.
+    The grid integrals run once over the stacked densities — only the
+    GEMM-shaped terms (nonlocal, exact exchange) stay per job — and every
+    stacked expression reduces each job's contiguous grid slice exactly as
+    the per-job observables reduce the whole array, so a job's recorded
+    floats do not depend on the width of its group.
     """
     n = len(sims)
     hams = [sim.hamiltonian for sim in sims]
     grid = hams[0].grid
-    xc = hams[0].xc
-    evaluate_many = getattr(xc, "evaluate_many", None)
-    batchable = evaluate_many is not None and all(
-        ham.density is not None and ham.grid is grid and ham.xc is xc for ham in hams
-    )
-    if not batchable:
-        energies = [sims[i]._energy(wfs[i], density=hams[i].density) for i in range(n)]
-        dipoles = [sims[i]._dipole(wfs[i], density=hams[i].density) for i in range(n)]
-        electrons = [electron_number(wfs[i], density=hams[i].density) for i in range(n)]
-        return energies, dipoles, electrons
-
     rho = np.stack([ham.density for ham in hams])
     electron_counts = np.real(grid.integrate(rho))
     electrons = [float(electron_counts[i]) for i in range(n)]
@@ -417,11 +356,6 @@ def _group_records(
     e_rows = [i for i in range(n) if sims[i].record_energy]
     if e_rows:
         sub = rho[e_rows] if len(e_rows) != n else rho
-        # update_potential stored the Hartree potential and the xc energy of
-        # exactly these densities at the end of the step (the consistency
-        # contract of every registered propagator), so the record evaluation
-        # needs no Poisson solve and no xc pass of its own — the stored
-        # arrays are bit-identical to recomputing them here
         v_hartree = np.stack([hams[i].v_hartree for i in e_rows])
         xc_energies = [hams[i]._xc_energy for i in e_rows]
         coeff = np.stack([wfs[i].coefficients for i in e_rows])
@@ -452,7 +386,8 @@ def _group_records(
 
 
 def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
-    """Propagate several compatible jobs in lockstep with stacked stepping.
+    """Propagate one or more compatible jobs in lockstep: the propagation
+    driver (:meth:`TDDFTSimulation.run` is its one-job call).
 
     All jobs must share one plane-wave basis (same grid, same structure —
     i.e. one ground-state group); time steps, step counts, propagators and
@@ -462,11 +397,11 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
     single batched transforms; jobs are peeled off the stack as they reach
     their own ``n_steps``.
 
-    Returns one :class:`Trajectory` per run, in order, with observables
-    recorded exactly as :meth:`TDDFTSimulation.run` records them — for
-    ``complex128`` jobs the trajectories are bit-identical to solo runs.
-    Per-job ``wall_time`` is the job's share of the lockstep wall clock
-    (each iteration's elapsed time split evenly over the jobs stepped in it).
+    Returns one :class:`Trajectory` per run, in order — for ``complex128``
+    jobs bit-identical to the trajectory the same job gets in a group of any
+    other width. Per-job ``wall_time`` is the job's share of the lockstep
+    wall clock (each iteration's elapsed time split evenly over the jobs
+    stepped in it).
     """
     if not runs:
         return []
@@ -491,8 +426,6 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
     wall_times = [0.0] * njobs
     records: list[dict] = []
     statistics: list[list[StepStatistics]] = [[] for _ in runs]
-    # prepare() left every ham.density bit-identical to compute_density(psi_0),
-    # so the initial records run off the stacked densities without a transform
     energies0, dipoles0, electrons0 = _group_records(
         [run.simulation for run in runs], wavefunctions
     )
@@ -530,12 +463,6 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
                 current_times[j] += runs[j].time_step
                 steps_done[j] += 1
                 statistics[j].append(stats[idx])
-            # every step_many (and the solo-step fallback) ends by rebuilding
-            # the potentials from the accepted state, so ham.density is
-            # bit-identical to compute_density(new_wf): the recorded
-            # observables run off the stacked end-of-step densities — zero
-            # extra orbital transforms, one Poisson solve and one xc pass
-            # for the whole group
             step_energies, step_dipoles, step_electrons = _group_records(
                 [runs[j].simulation for j in members],
                 [wavefunctions[j] for j in members],
@@ -549,6 +476,8 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
                 record["scf_iters"].append(stats[idx].scf_iterations)
                 record["h_apps"].append(stats[idx].hamiltonian_applications)
                 record["density_errors"].append(stats[idx].density_error)
+                if runs[j].callback is not None:
+                    runs[j].callback(steps_done[j] - 1, current_times[j], wavefunctions[j], stats[idx])
         elapsed = _wallclock.perf_counter() - iteration_start
         share = elapsed / len(active)
         for j in active:

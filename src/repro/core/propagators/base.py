@@ -9,6 +9,7 @@ import numpy as np
 
 from ...pw.basis import Wavefunction
 from ...pw.hamiltonian import Hamiltonian
+from ..batching import stack_coefficients, update_potentials_many
 
 __all__ = ["StepStatistics", "Propagator"]
 
@@ -46,9 +47,11 @@ class StepStatistics:
 class Propagator(ABC):
     """Base class for rt-TDDFT propagators.
 
-    A propagator advances a :class:`~repro.pw.basis.Wavefunction` by one time
-    step under a (generally nonlinear, time-dependent) Hamiltonian. Subclasses
-    implement :meth:`step`.
+    A propagator advances :class:`~repro.pw.basis.Wavefunction`\\ s by one time
+    step under a (generally nonlinear, time-dependent) Hamiltonian. There is
+    one engine per scheme: subclasses implement :meth:`step_many`, the
+    lockstep step of a stack of independent jobs, and :meth:`step` is its
+    width-1 call.
 
     Parameters
     ----------
@@ -69,44 +72,27 @@ class Propagator(ABC):
     #: recommended step for implicit PT schemes in atomic time units
     #: (~48 attoseconds: accuracy limited, the paper's production step size)
     implicit_recommended_step: float = 2.0
-    #: (coefficients, their real-space transform, the density built from it)
-    #: of the state the last solo step ended on, and the same for the job
-    #: stack of the last ``step_many`` (held by the stack's first propagator)
-    _kept: tuple | None = None
+    #: coefficient blocks, their real-space transform and the densities built
+    #: from it of the states the last ``step_many`` ended on (held by the
+    #: stack's first propagator; dropped by :meth:`prepare`)
     _lockstep_cache: dict | None = None
 
     def __init__(self, hamiltonian: Hamiltonian):
         self.hamiltonian = hamiltonian
 
     # ------------------------------------------------------------------
-    def _finish_step(self, wavefunction: Wavefunction) -> None:
-        """Leave the Hamiltonian consistent with the accepted end-of-step
-        state, keeping the one transform that took for the next step."""
-        psi_real = wavefunction.to_real_space()
-        self.hamiltonian.update_potential(wavefunction, psi_real=psi_real)
-        self._kept = (wavefunction.coefficients, psi_real, self.hamiltonian.density)
-
-    def _kept_transform(self, wavefunction: Wavefunction) -> np.ndarray | None:
-        """The real-space orbitals of ``wavefunction`` if the previous step
-        ended on this very coefficient array *and* the Hamiltonian still holds
-        the density built from it (identity checks, so bit-exact) — the
-        potential is then consistent already; else ``None``."""
-        kept = self._kept
-        if kept is None or kept[0] is not wavefunction.coefficients:
-            return None
-        return kept[1] if kept[2] is self.hamiltonian.density else None
-
-    # ------------------------------------------------------------------
-    @abstractmethod
     def step(self, wavefunction: Wavefunction, time: float, dt: float) -> tuple[Wavefunction, StepStatistics]:
-        """Advance ``wavefunction`` from ``time`` to ``time + dt``.
+        """Advance ``wavefunction`` from ``time`` to ``time + dt``: the
+        width-1 call of :meth:`step_many`.
 
-        Returns the new wavefunction and the step diagnostics. Implementations
-        must not modify the input wavefunction in place.
+        Returns the new wavefunction and the step diagnostics; the input
+        wavefunction is not modified.
         """
+        (new_wavefunction,), (statistics,) = self.step_many([self], [wavefunction], [time], [dt])
+        return new_wavefunction, statistics
 
-    # ------------------------------------------------------------------
     @classmethod
+    @abstractmethod
     def step_many(
         cls,
         propagators: "list[Propagator]",
@@ -118,21 +104,82 @@ class Propagator(ABC):
 
         ``propagators[j]`` (all of class ``cls``, each owning its own
         Hamiltonian) advances ``wavefunctions[j]`` from ``times[j]`` by
-        ``dts[j]``. Implementations must return, for every job, exactly what
-        ``propagators[j].step(...)`` alone would return — bit-identical
-        coefficients and equal statistics — so that batched execution is an
-        execution detail, never a physics change.
-
-        This default simply loops :meth:`step`; schemes with a profitable
-        batched form (PT-CN, RK4) override it with stacked FFT kernels.
+        ``dts[j]``. The FFT-bound work runs stacked over a leading job axis
+        (:mod:`repro.core.batching`); per job the result — coefficients and
+        statistics — must be exactly what the same job gets in a stack of any
+        other width, so that batching is an execution detail, never a physics
+        change. Implementations must not modify the input wavefunctions and
+        must end through :meth:`_end_of_step`.
         """
-        new_wavefunctions: list[Wavefunction] = []
-        statistics: list[StepStatistics] = []
-        for propagator, wavefunction, time, dt in zip(propagators, wavefunctions, times, dts):
-            new_wf, stats = propagator.step(wavefunction, time, dt)
-            new_wavefunctions.append(new_wf)
-            statistics.append(stats)
-        return new_wavefunctions, statistics
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _start_of_step(
+        propagators: "list[Propagator]",
+        wavefunctions: list[Wavefunction],
+        rows: list[int] | None = None,
+    ) -> np.ndarray:
+        """The real-space transform of a stack's starting states, with the
+        Hamiltonians of jobs ``rows`` (default: all) holding the potential
+        built from them.
+
+        The previous ``step_many`` call ended (:meth:`_end_of_step`) by
+        transforming and potential-updating exactly these coefficient blocks,
+        so on a cache hit (identity checks on the arrays — bit-exact) the
+        transform is reused, and the verbatim repeat of the potential rebuild
+        is skipped when every Hamiltonian still holds the density of that
+        update.
+        """
+        njobs = len(propagators)
+        rows = list(range(njobs)) if rows is None else rows
+        hams = [propagators[j].hamiltonian for j in rows]
+        cache = propagators[0]._lockstep_cache
+        hit = (
+            cache is not None
+            and len(cache["coeffs"]) == njobs
+            and all(cache["coeffs"][j] is wavefunctions[j].coefficients for j in range(njobs))
+        )
+        if hit:
+            psi_real = cache["psi"]
+        else:
+            psi_real = wavefunctions[0].basis.to_real_space(stack_coefficients(wavefunctions))
+        if hit and all(ham.density is cache["densities"][j] for j, ham in zip(rows, hams)):
+            return psi_real
+        if rows:
+            update_potentials_many(
+                hams,
+                [wavefunctions[j] for j in rows],
+                psi_real=psi_real if len(rows) == njobs else psi_real[rows],
+            )
+        return psi_real
+
+    @staticmethod
+    def _end_of_step(propagators: "list[Propagator]", wavefunctions: list[Wavefunction]) -> None:
+        """Leave every Hamiltonian consistent with its accepted end-of-step
+        state (the records of :func:`~repro.core.dynamics.run_batched` read
+        the density, Hartree potential and xc energy stored here), keeping the
+        one transform that took for the next call's :meth:`_start_of_step`."""
+        hams = [p.hamiltonian for p in propagators]
+        psi_real = wavefunctions[0].basis.to_real_space(stack_coefficients(wavefunctions))
+        update_potentials_many(hams, wavefunctions, psi_real=psi_real)
+        propagators[0]._lockstep_cache = {
+            "coeffs": [wf.coefficients for wf in wavefunctions],
+            "psi": psi_real,
+            "densities": [ham.density for ham in hams],
+        }
+
+    @staticmethod
+    def _explicit_statistics(wavefunction: Wavefunction, applications: int) -> StepStatistics:
+        """Diagnostics of an explicit step: no inner SCF, and the orbitals'
+        loss of orthonormality measured on the returned state."""
+        overlap = wavefunction.overlap()
+        return StepStatistics(
+            scf_iterations=0,
+            hamiltonian_applications=applications,
+            density_error=float("nan"),
+            converged=True,
+            orthogonality_error=float(np.max(np.abs(overlap - np.eye(wavefunction.nbands)))),
+        )
 
     # ------------------------------------------------------------------
     def recommended_time_step(self) -> float:
@@ -158,9 +205,9 @@ class Propagator(ABC):
         """Hook called once before a propagation run starts.
 
         The default implementation synchronises the Hamiltonian potential and
-        exchange orbitals with the initial state, and drops the transforms
+        exchange orbitals with the initial state, and drops the transform
         kept from an earlier run.
         """
-        self._kept = self._lockstep_cache = None
+        self._lockstep_cache = None
         self.hamiltonian.set_time(time)
         self.hamiltonian.update_potential(wavefunction)

@@ -21,7 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...pw.basis import Wavefunction
-from ...pw.density import compute_density, compute_density_many, density_error
+# compute_density is bound here, though unused, because benchmarks/layers pins
+# its by-identity patching on this module's from-import of it
+from ...pw.density import compute_density, compute_density_many, density_error  # noqa: F401
 from ...pw.hamiltonian import Hamiltonian
 from ...pw.orthogonalization import cholesky_orthonormalize, orthonormality_error
 from ..anderson import AndersonMixer
@@ -89,89 +91,9 @@ class PTCNPropagator(Propagator):
             return pt_residual(coefficients, h_coefficients)
         return h_coefficients
 
-    def step(self, wavefunction: Wavefunction, time: float, dt: float) -> tuple[Wavefunction, StepStatistics]:
-        """One PT-CN step (Alg. 1)."""
-        ham = self.hamiltonian
-        basis = wavefunction.basis
-        occ = wavefunction.occupations
-        c_n = wavefunction.coefficients
-
-        # Line 1: initial residual R_n with the Hamiltonian at time t_n,
-        # consistent with the current orbitals. Every iterate of the step is
-        # transformed to real space once; the density, the exchange orbitals
-        # and the local term of H Psi all take that array.
-        ham.set_time(time)
-        psi_n = self._kept_transform(wavefunction)
-        if psi_n is None:
-            psi_n = wavefunction.to_real_space()
-            ham.update_potential(wavefunction, psi_real=psi_n)
-        h_cn = ham.apply(c_n, psi_real=psi_n)
-        r_n = self._rhs_term(c_n, h_cn)
-
-        # Line 2: the fixed right-hand side Psi_{n+1/2}
-        c_half = c_n - 0.5j * dt * r_n
-        c_f = c_half.copy()
-
-        # Line 3: density of the initial iterate; the Hamiltonian at t_{n+1}
-        ham.set_time(time + dt)
-        wf_f = Wavefunction(basis, c_f, occ)
-        psi_f = wf_f.to_real_space()
-        rho_f = compute_density(wf_f, ham.grid, psi_real=psi_f)
-
-        mixer = AndersonMixer(
-            history_size=self.anderson_history,
-            mixing_parameter=self.anderson_beta,
-            per_band=True,
-        )
-
-        err = float("inf")
-        iterations = 0
-        h_applications = 1  # the R_n evaluation above
-        converged = False
-        for iterations in range(1, self.max_scf_iterations + 1):
-            # Line 5: update potential and Hamiltonian from the current iterate
-            wf_f = Wavefunction(basis, c_f, occ)
-            ham.update_potential(wf_f, density=rho_f, psi_real=psi_f)
-
-            # Line 6: fixed point residual
-            h_cf = ham.apply(c_f, psi_real=psi_f)
-            h_applications += 1
-            r_f = c_f + 0.5j * dt * self._rhs_term(c_f, h_cf) - c_half
-
-            # Line 7: Anderson mixing (the mixer extrapolates in double; the
-            # cast back is a no-op except on the complex64 screening tier)
-            c_f = mixer.update(c_f, r_f).astype(c_n.dtype, copy=False)
-
-            # Line 8: density of the new iterate
-            wf_f = Wavefunction(basis, c_f, occ)
-            psi_f = wf_f.to_real_space()
-            rho_new = compute_density(wf_f, ham.grid, psi_real=psi_f)
-
-            # Line 9: convergence on the density change
-            err = density_error(rho_new, rho_f, ham.grid)
-            rho_f = rho_new
-            if err < self.scf_tolerance:
-                converged = True
-                break
-
-        # Line 11: orthogonalize
-        wf_f = Wavefunction(basis, c_f, occ)
-        ortho_err = orthonormality_error(wf_f)
-        if self.orthogonalize:
-            wf_f = cholesky_orthonormalize(wf_f)
-            if wf_f.coefficients.dtype != c_n.dtype:  # complex64 tier: the
-                wf_f = wf_f.astype(c_n.dtype)  # triangular solve promotes
-
-        self._finish_step(wf_f)
-
-        stats = StepStatistics(
-            scf_iterations=iterations,
-            hamiltonian_applications=h_applications,
-            density_error=err,
-            converged=converged,
-            orthogonality_error=ortho_err,
-        )
-        return wf_f, stats
+    # bound in this class's own namespace (not only inherited): span tracers
+    # such as benchmarks/layers resolve their targets with ``vars(cls)``
+    step = Propagator.step
 
     # ------------------------------------------------------------------
     @classmethod
@@ -182,15 +104,17 @@ class PTCNPropagator(Propagator):
         times: list[float],
         dts: list[float],
     ) -> tuple[list[Wavefunction], list[StepStatistics]]:
-        """Lockstep PT-CN steps for a stack of jobs (Alg. 1, batched).
+        """Lockstep PT-CN steps for a stack of jobs (Alg. 1).
 
-        Every line of :meth:`step` runs for the whole stack: the FFT-bound
-        pieces (orbital transforms, densities, Hartree solves) as single
-        batched calls over the jobs still iterating, the GEMM/convergence
-        pieces per job. Jobs whose inner SCF converges — each against its own
-        tolerance and iteration cap — drop out of the active set, so a
-        tight-tolerance job never forces extra work on an already-converged
-        one. Per job, the result is bit-identical to the solo step.
+        Every line of Alg. 1 runs for the whole stack: the FFT-bound pieces
+        (orbital transforms, densities, Hartree solves) as single batched
+        calls over the jobs still iterating, the GEMM/convergence pieces per
+        job. Every iterate is transformed to real space once; its density, the
+        exchange orbitals and the local term of ``H Psi`` all take that array.
+        Jobs whose inner SCF converges — each against its own tolerance and
+        iteration cap — drop out of the active set, so a tight-tolerance job
+        never forces extra work on an already-converged one. Per job, the
+        result does not depend on the width of the stack.
         """
         njobs = len(propagators)
         basis = wavefunctions[0].basis
@@ -200,27 +124,11 @@ class PTCNPropagator(Propagator):
         occ_stack = np.stack(occs)
         c_n = np.stack([wf.coefficients for wf in wavefunctions])
 
-        # Line 1: residual R_n with every Hamiltonian at its own t_n; the
-        # orbitals are transformed once and feed both the density update and
-        # H Psi (the solo path transforms the same coefficients twice). The
-        # previous lockstep call ended by transforming and potential-updating
-        # exactly these coefficient blocks, so on a cache hit (identity checks
-        # on the arrays — bit-exact) the transform is reused and the verbatim
-        # repeat of the potential rebuild is skipped.
+        # Line 1: residual R_n with every Hamiltonian at its own t_n,
+        # consistent with the current orbitals
         for j, ham in enumerate(hams):
             ham.set_time(times[j])
-        cache = propagators[0]._lockstep_cache
-        if (
-            cache is not None
-            and len(cache["coeffs"]) == njobs
-            and all(cache["coeffs"][j] is wavefunctions[j].coefficients for j in range(njobs))
-        ):
-            psi_r_n = cache["psi"]
-            if not all(hams[j].density is cache["densities"][j] for j in range(njobs)):
-                update_potentials_many(hams, wavefunctions, psi_real=psi_r_n)
-        else:
-            psi_r_n = basis.to_real_space(c_n)
-            update_potentials_many(hams, wavefunctions, psi_real=psi_r_n)
+        psi_r_n = cls._start_of_step(propagators, wavefunctions)
         h_cn = apply_many(hams, c_n, psi_real=psi_r_n)
         r_n = np.empty_like(h_cn)
         for j, p in enumerate(propagators):
@@ -235,8 +143,7 @@ class PTCNPropagator(Propagator):
 
         # Line 3: densities of the initial iterates; Hamiltonians at t_{n+1}.
         # The transform of each iterate is cached and reused by the next
-        # apply_many call — one orbital transform per inner iteration instead
-        # of the solo path's two (bit-identical, see compute_density_many).
+        # apply_many call (bit-identical, see compute_density_many).
         for j, ham in enumerate(hams):
             ham.set_time(times[j] + dts[j])
         psi_cache = basis.to_real_space(c_f)
@@ -286,7 +193,9 @@ class PTCNPropagator(Propagator):
                 iters[j] = iteration
                 h_applications[j] += 1
                 r_f = sub_c[idx] + 0.5j * dts[j] * propagators[j]._rhs_term(sub_c[idx], h_cf[idx]) - c_half[j]
-                # Line 7: Anderson mixing (per job; scatter back into the stack)
+                # Line 7: Anderson mixing (per job; the mixer extrapolates in
+                # double, and the scatter back into the stack casts only on
+                # the complex64 screening tier)
                 c_f[j] = mixers[j].update(sub_c[idx], r_f)
 
             # Line 8: densities of the new iterates (one transform, cached
@@ -317,20 +226,11 @@ class PTCNPropagator(Propagator):
             ortho_errs.append(orthonormality_error(wf_f))
             if p.orthogonalize:
                 wf_f = cholesky_orthonormalize(wf_f)
-                if wf_f.coefficients.dtype != c_n.dtype:
-                    wf_f = wf_f.astype(c_n.dtype)
+                if wf_f.coefficients.dtype != c_n.dtype:  # complex64 tier: the
+                    wf_f = wf_f.astype(c_n.dtype)  # triangular solve promotes
             out_wfs.append(wf_f)
 
-        # leave every Hamiltonian consistent with its accepted state; the
-        # transform is kept so the next lockstep call's line 1 can skip it
-        c_out = np.stack([wf.coefficients for wf in out_wfs])
-        psi_out = basis.to_real_space(c_out)
-        update_potentials_many(hams, out_wfs, psi_real=psi_out)
-        propagators[0]._lockstep_cache = {
-            "coeffs": [wf.coefficients for wf in out_wfs],
-            "psi": psi_out,
-            "densities": [ham.density for ham in hams],
-        }
+        cls._end_of_step(propagators, out_wfs)
 
         statistics = [
             StepStatistics(

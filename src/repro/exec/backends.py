@@ -64,13 +64,22 @@ def execute_group(
     session: Session | None = None,
     share_ground_states: bool = False,
     store=None,
-    batch_stepping: bool = False,
     precision: str = "complex128",
 ) -> list[JobResult]:
     """Run one ground-state group of jobs through a shared session.
 
-    The session is built lazily from the first job's config, so a fully
-    checkpointed group never touches the physics stack at all. With
+    One pass: every job is read from the store once; the misses are advanced
+    together, in lockstep, through one
+    :meth:`~repro.api.Session.propagate_many` (stacked FFTs across jobs);
+    then results are built and saved job by job. The session is built lazily
+    from the first job's config, so a fully checkpointed group never touches
+    the physics stack at all.
+
+    Failure semantics: a group's jobs are all computed before the first
+    checkpoint of that group is written, so a hard kill mid-group redoes the
+    group on resume, not one job. An *exception* anywhere in the lockstep
+    pass instead falls through to per-job width-1 runs: the failure is
+    attributed to (and recorded for) the job that raised, and with
     ``raise_on_error`` the first failing job aborts the group *after* the
     checkpoints of the jobs before it were written — which is what makes a
     crashed sweep resumable.
@@ -85,72 +94,51 @@ def execute_group(
     otherwise by a per-directory
     :class:`~repro.batch.CheckpointStore` over ``checkpoint_dir``.
 
-    With ``batch_stepping`` the group's still-uncached jobs are advanced in
-    lockstep through :meth:`~repro.api.Session.propagate_many` (stacked FFTs
-    across jobs) before the per-job loop below serves them from the session's
-    trajectory cache — checkpoint, error and ground-state semantics are the
-    per-job loop's, and ``complex128`` physics is bit-identical to the
-    unbatched path. ``precision="complex64"`` selects the screening tier:
-    those results are stamped in their summaries and **never** loaded from or
-    saved to the result store (ground-state sharing still works — the SCF is
-    double precision either way).
+    ``precision="complex64"`` selects the screening tier: those results are
+    stamped in their summaries and **never** loaded from or saved to the
+    result store (ground-state sharing still works — the SCF is double
+    precision either way).
     """
     if store is None and checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
     gs_store = store if (share_ground_states and store is not None) else None
     # the store only ever holds/serves double-precision physics
     job_store = store if precision == "complex128" else None
+    cached = [None if job_store is None else job_store.load(job) for job in jobs]
+    requests = {
+        index: {
+            "propagator": job.config.propagator.name,
+            "time_step_as": job.config.run.time_step_as,
+            "n_steps": job.config.run.n_steps,
+            "params": dict(job.config.propagator.params),
+        }
+        for index, job in enumerate(jobs)
+        if cached[index] is None
+    }
     gs_persisted = False
-    if batch_stepping:
-        pending = [job for job in jobs if job_store is None or job_store.load(job) is None]
-        if len(pending) > 1:
-            if session is None:
-                session = Session(jobs[0].config)
-            if gs_store is not None and not session.ground_state_ready:
-                shared = gs_store.load_ground_state(pending[0].group_key, basis=session.basis)
-                if shared is not None:
-                    session.adopt_ground_state(shared)
-                    gs_persisted = True  # already on disk, no need to rewrite it
-            try:
-                session.propagate_many(
-                    [
-                        {
-                            "propagator": job.config.propagator.name,
-                            "time_step_as": job.config.run.time_step_as,
-                            "n_steps": job.config.run.n_steps,
-                            "params": dict(job.config.propagator.params),
-                        }
-                        for job in pending
-                    ],
-                    precision=precision,
-                )
-            except Exception:
-                # fall through: the per-job loop below re-runs solo, so the
-                # failure is attributed to (and recorded for) the right job
-                pass
-    results: list[JobResult] = []
-    for job in jobs:
-        if job_store is not None:
-            cached = job_store.load(job)
-            if cached is not None:
-                results.append(cached)
-                continue
+    if requests:
         if session is None:
             session = Session(jobs[0].config)
         if gs_store is not None and not session.ground_state_ready:
-            shared = gs_store.load_ground_state(job.group_key, basis=session.basis)
+            shared = gs_store.load_ground_state(jobs[0].group_key, basis=session.basis)
             if shared is not None:
                 session.adopt_ground_state(shared)
                 gs_persisted = True  # already on disk, no need to rewrite it
+    if len(requests) > 1:
         try:
-            run_cfg = job.config.run
-            trajectory = session.propagate(
-                job.config.propagator.name,
-                time_step_as=run_cfg.time_step_as,
-                n_steps=run_cfg.n_steps,
-                params=dict(job.config.propagator.params),
-                precision=precision,
-            )
+            session.propagate_many(list(requests.values()), precision=precision)
+        except Exception:
+            # fall through: the loop below re-runs job by job (width 1), so
+            # the failure is attributed to (and recorded for) the right job
+            pass
+    results: list[JobResult] = []
+    for index, job in enumerate(jobs):
+        if cached[index] is not None:
+            results.append(cached[index])
+            continue
+        try:
+            # served from the session's trajectory cache after the lockstep pass
+            (trajectory,) = session.propagate_many([requests[index]], precision=precision)
         except Exception as exc:
             if gs_store is not None and not gs_persisted and session.ground_state_ready:
                 # the SCF may have finished before the propagation failed;
@@ -210,15 +198,13 @@ def _run_group_worker(payload) -> list[dict]:
     ``workers * fft_threads`` ways degrades every group.
     """
     configure_for_pool_worker()
-    (jobs, checkpoint_dir, raise_on_error, share_ground_states, store,
-     batch_stepping, precision) = payload
+    jobs, checkpoint_dir, raise_on_error, share_ground_states, store, precision = payload
     results = execute_group(
         jobs,
         checkpoint_dir,
         raise_on_error,
         share_ground_states=share_ground_states,
         store=store,
-        batch_stepping=batch_stepping,
         precision=precision,
     )
     return [result.to_dict() for result in results]
@@ -245,9 +231,6 @@ class ExecutionBackend(ABC):
     store:
         A shared :class:`~repro.store.ResultStore` serving/receiving results;
         takes precedence over ``checkpoint_dir``.
-    batch_stepping:
-        Advance each group's uncached jobs in lockstep (see
-        :func:`execute_group`).
     precision:
         Propagation precision tier (``"complex128"`` or ``"complex64"``,
         see :mod:`repro.core.precision`).
@@ -257,11 +240,9 @@ class ExecutionBackend(ABC):
     name = "backend"
 
     def __init__(self, *, checkpoint_dir=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, store=None,
-                 batch_stepping: bool = False, precision: str = "complex128"):
+                 share_ground_states: bool = False, store=None, precision: str = "complex128"):
         self.checkpoint_dir = checkpoint_dir
         self.store = store
-        self.batch_stepping = bool(batch_stepping)
         self.precision = resolve_precision(precision)
         self.raise_on_error = bool(raise_on_error)
         self.share_ground_states = bool(share_ground_states)
@@ -364,13 +345,12 @@ class SerialBackend(ExecutionBackend):
 
     def __init__(self, *, checkpoint_dir=None, raise_on_error: bool = False,
                  share_ground_states: bool = False, store=None, sessions: dict | None = None,
-                 batch_stepping: bool = False, precision: str = "complex128"):
+                 precision: str = "complex128"):
         super().__init__(
             checkpoint_dir=checkpoint_dir,
             raise_on_error=raise_on_error,
             share_ground_states=share_ground_states,
             store=store,
-            batch_stepping=batch_stepping,
             precision=precision,
         )
         self.sessions = {} if sessions is None else sessions
@@ -387,7 +367,6 @@ class SerialBackend(ExecutionBackend):
                 session=self.sessions.get(group.key),
                 share_ground_states=self.share_ground_states,
                 store=self.store,
-                batch_stepping=self.batch_stepping,
                 precision=self.precision,
             )
             group.observed_seconds = _group_wall_seconds(group_results)
@@ -411,14 +390,12 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def __init__(self, *, checkpoint_dir=None, raise_on_error: bool = False,
                  share_ground_states: bool = False, store=None, max_workers: int | None = None,
-                 sessions: dict | None = None, batch_stepping: bool = False,
-                 precision: str = "complex128"):
+                 sessions: dict | None = None, precision: str = "complex128"):
         super().__init__(
             checkpoint_dir=checkpoint_dir,
             raise_on_error=raise_on_error,
             share_ground_states=share_ground_states,
             store=store,
-            batch_stepping=batch_stepping,
             precision=precision,
         )
         self.max_workers = max_workers
@@ -433,7 +410,6 @@ class ProcessPoolBackend(ExecutionBackend):
             share_ground_states=self.share_ground_states,
             store=self.store,
             sessions=self.sessions,
-            batch_stepping=self.batch_stepping,
             precision=self.precision,
         )
         fallback._cancelled = self._cancelled
@@ -478,8 +454,7 @@ class ProcessPoolBackend(ExecutionBackend):
                         executor.submit(
                             _run_group_worker,
                             (group.jobs, self.checkpoint_dir, self.raise_on_error,
-                             self.share_ground_states, self.store,
-                             self.batch_stepping, self.precision),
+                             self.share_ground_states, self.store, self.precision),
                         ),
                     )
                 )
@@ -534,14 +509,12 @@ class DistributedBackend(ExecutionBackend):
 
     def __init__(self, *, ranks: int = 4, checkpoint_dir=None, raise_on_error: bool = False,
                  share_ground_states: bool = False, store=None, comm: SimCommunicator | None = None,
-                 placement: NodePlacement | None = None, batch_stepping: bool = False,
-                 precision: str = "complex128"):
+                 placement: NodePlacement | None = None, precision: str = "complex128"):
         super().__init__(
             checkpoint_dir=checkpoint_dir,
             raise_on_error=raise_on_error,
             share_ground_states=share_ground_states,
             store=store,
-            batch_stepping=batch_stepping,
             precision=precision,
         )
         if comm is None and ranks < 1:
@@ -626,7 +599,6 @@ class DistributedBackend(ExecutionBackend):
                 self.raise_on_error,
                 share_ground_states=self.share_ground_states,
                 store=self.store,
-                batch_stepping=self.batch_stepping,
                 precision=self.precision,
             )
 

@@ -155,11 +155,6 @@ class Scheduler:
         predicted seconds and joules. Defaults to the Summit model; pass
         ``None`` to schedule on relative FLOPs only (no wall-clock
         predictions).
-    batch_stepping:
-        Predict group costs with the lockstep-stepping amortization of
-        :func:`~repro.perf.sweep_cost.predict_group_cost` applied — matches
-        how the backends will actually run when batched stepping is enabled.
-        Ignored by a custom ``cost_fn``.
     calibration:
         A fitted :class:`~repro.calib.CalibrationModel`: the machine model is
         replaced by its :meth:`~repro.cost.MachineCostModel.calibrated` copy,
@@ -169,19 +164,14 @@ class Scheduler:
     """
 
     def __init__(
-        self, policy: str = "fifo", cost_fn=None, machine=_DEFAULT_MACHINE,
-        batch_stepping: bool = False, calibration=None,
+        self, policy: str = "fifo", cost_fn=None, machine=_DEFAULT_MACHINE, calibration=None,
     ):
         if policy not in SCHEDULE_POLICIES:
             raise ValueError(
                 f"schedule policy must be one of {list(SCHEDULE_POLICIES)}, got {policy!r}"
             )
         self.policy = policy
-        self.batch_stepping = bool(batch_stepping)
-        if cost_fn is None:
-            def cost_fn(configs, _batched=self.batch_stepping):
-                return predict_group_cost(configs, batch_stepping=_batched)
-        self.cost_fn = cost_fn
+        self.cost_fn = predict_group_cost if cost_fn is None else cost_fn
         self.machine = MachineCostModel() if machine is _DEFAULT_MACHINE else machine
         if calibration is not None and self.machine is not None:
             self.machine = self.machine.calibrated(calibration)

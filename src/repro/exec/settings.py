@@ -68,10 +68,12 @@ class ExecutionSettings:
     max_workers:
         Process-pool size (process backend only; ``None`` = CPU count).
     batch_stepping:
-        Advance the jobs of a ground-state group in lockstep through the
-        batched ``step_many`` engine (stacked FFTs across jobs) instead of
-        one job at a time. Execution-only: ``complex128`` physics is
-        bit-identical either way.
+        Accepted, validated and round-tripped, with **no effect**: every
+        group's jobs always advance in lockstep through the one ``step_many``
+        engine (stacked FFTs across jobs). The field is inert provenance kept
+        so stored reports, configs carrying ``run.schedule.batch_stepping``
+        and the layered benchmark's settings keep loading; it goes at the
+        benchmark's next re-baseline.
     precision:
         Propagation precision tier, ``"complex128"`` (default) or the
         opt-in ``"complex64"`` screening tier (see
@@ -184,9 +186,7 @@ class ExecutionSettings:
         """The :class:`~repro.exec.Scheduler` these settings describe."""
         from .scheduler import Scheduler  # deferred: scheduler imports this module's peers
 
-        return Scheduler(
-            self.schedule, machine=self.machine_model(), batch_stepping=self.batch_stepping
-        )
+        return Scheduler(self.schedule, machine=self.machine_model())
 
     # ------------------------------------------------------------------
     # Provenance: stamping the chosen settings back into configs

@@ -41,12 +41,13 @@ NOMINAL_IMPLICIT_SCF_ITERATIONS = 8.0
 #: propagators — between explicit RK4 (4) and a converging implicit solve
 DEFAULT_APPLICATIONS_PER_STEP = 8.0
 
-#: fraction of a job's propagation cost that lockstep batched stepping
-#: amortizes away in the infinite-width limit (measured: stacking the
-#: FFT-bound transforms of a group roughly halves per-step time at width 4+
-#: — RK4 2.4-2.7x at widths 2-8 on the silicon reference,
-#: see ``benchmarks/results/BENCH_batchstep.json``)
-BATCH_STEPPING_EFFICIENCY = 0.5
+#: fraction of a job's propagation cost that lockstep stepping amortizes away
+#: in the infinite-width limit; :func:`predict_group_cost` applies it to every
+#: multi-job group. Measured as one width-w call against w width-1 calls on
+#: the silicon reference (``benchmarks/results/BENCH_batchstep.json``): RK4
+#: 1.14x / 1.29x / 1.22x at widths 2 / 4 / 8, PT-CN 1.39x at width 4, i.e.
+#: fractions of 0.21-0.38; the model predicts 1.18x / 1.29x / 1.36x
+BATCH_STEPPING_EFFICIENCY = 0.3
 
 #: nominal Davidson H-applications per outer ground-state SCF iteration
 _DAVIDSON_APPLICATIONS_PER_ITERATION = 6.0
@@ -144,15 +145,15 @@ def predict_scf_cost(config) -> float:
     return iterations * _DAVIDSON_APPLICATIONS_PER_ITERATION * per_apply
 
 
-def predict_group_cost(configs, batch_stepping: bool = False) -> float:
+def predict_group_cost(configs) -> float:
     """Relative cost of one ground-state group: one shared SCF + all jobs.
 
     ``configs`` are the expanded :class:`~repro.api.SimulationConfig`\\ s of
     the group's jobs (they share structure/basis/XC by construction, so the
     SCF term is computed from the first one).
 
-    With ``batch_stepping`` the propagation term is discounted by the
-    lockstep amortization: a group of ``n`` jobs stepping together saves
+    A group's jobs always step in lockstep, so the propagation term carries
+    the lockstep amortization: ``n`` jobs stepping together save
     :data:`BATCH_STEPPING_EFFICIENCY` of the per-job cost scaled by
     ``(n - 1) / n`` — nothing at width 1, approaching the full factor for
     wide groups. The shared-SCF term is unaffected (it runs once either way).
@@ -161,6 +162,6 @@ def predict_group_cost(configs, batch_stepping: bool = False) -> float:
     if not configs:
         return 0.0
     propagation = sum(predict_job_cost(c) for c in configs)
-    if batch_stepping and len(configs) > 1:
+    if len(configs) > 1:
         propagation *= 1.0 - BATCH_STEPPING_EFFICIENCY * (len(configs) - 1) / len(configs)
     return predict_scf_cost(configs[0]) + propagation

@@ -127,6 +127,17 @@ def test_session_caches_ground_state_and_trajectories(api_session):
     assert len(api_session.trajectories) == 1
 
 
+def test_propagate_is_propagate_many_of_one_request(api_session):
+    """One cache, one engine: ``propagate(r)`` and ``propagate_many([r])[0]``
+    are the same trajectory object, whichever ran first and however wide the
+    call that computed it."""
+    configured = api_session.propagate()
+    assert api_session.propagate_many([{}])[0] is configured
+    short, again = api_session.propagate_many([{"n_steps": 1}, {}])
+    assert again is configured
+    assert api_session.propagate(n_steps=1) is short
+
+
 def test_propagate_overrides_create_distinct_cache_entries(api_session):
     short = api_session.propagate(n_steps=1)
     assert short.n_steps == 1

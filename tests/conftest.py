@@ -127,18 +127,23 @@ def count_scf_solves(monkeypatch):
 
 @pytest.fixture()
 def count_propagation_steps(monkeypatch):
-    """Record the step count of every ``TDDFTSimulation.run`` call made while
-    active (``sum(...)`` is the total number of propagation steps)."""
-    from repro.core.dynamics import TDDFTSimulation
+    """Record the step count of every job handed to ``run_batched`` — the one
+    propagation driver — while active (``sum(...)`` is the total number of
+    propagation steps)."""
+    import repro.api.session
+    import repro.core.dynamics
 
     calls = []
-    original = TDDFTSimulation.run
+    original = repro.core.dynamics.run_batched
 
-    def counting(self, initial_state, time_step, n_steps, *args, **kwargs):
-        calls.append(int(n_steps))
-        return original(self, initial_state, time_step, n_steps, *args, **kwargs)
+    def counting(runs):
+        calls.extend(int(run.n_steps) for run in runs)
+        return original(runs)
 
-    monkeypatch.setattr(TDDFTSimulation, "run", counting)
+    # the driver module's own binding (TDDFTSimulation.run resolves it there)
+    # and the session's from-import of it
+    monkeypatch.setattr(repro.core.dynamics, "run_batched", counting)
+    monkeypatch.setattr(repro.api.session, "run_batched", counting)
     return calls
 
 

@@ -1,13 +1,15 @@
-"""Batched lockstep stepping: ``step_many`` and the ``run_batched`` driver.
+"""Lockstep stepping: ``step_many`` and the ``run_batched`` driver.
 
-The contract under test is *bit-identity*: at ``complex128``, stacking the
-wavefunctions of several jobs along a leading axis and advancing them with one
-batched ``step_many`` call must produce — element-wise, per job — exactly the
-arrays the solo ``step`` produces. The property is checked for every
-registered propagator class (hypothesis-driven over step-size combinations),
-and then end-to-end for the :func:`repro.core.dynamics.run_batched` driver
-against :meth:`~repro.core.dynamics.TDDFTSimulation.run`, including peeling
-jobs with different step counts and mixed propagator classes in one batch.
+``step_many`` is the only implementation of each scheme (the written-out
+references it is pinned against live in ``test_reference_steps.py``); the
+contract under test here is *width independence*: at ``complex128``, job j of
+a width-N stack gets — element-wise — exactly the arrays and statistics the
+same job gets at width 1 (``step`` / ``TDDFTSimulation.run``). The property
+is checked for every registered propagator class (hypothesis-driven over
+step-size combinations, with per-job parameters mixed inside one stack), and
+then end-to-end for the :func:`repro.core.dynamics.run_batched` driver,
+including peeling jobs with different step counts and mixed propagator
+classes in one group.
 """
 
 from __future__ import annotations
@@ -29,25 +31,38 @@ def canonical_propagator_names() -> list[str]:
     return sorted(seen.values())
 
 
-def _solo_step(factory, base_ham, wavefunction, dt):
-    propagator = factory(base_ham.clone())
+def _solo_step(factory, base_ham, wavefunction, dt, **params):
+    """The job alone: ``step``, the width-1 call of ``step_many``."""
+    propagator = factory(base_ham.clone(), **params)
     propagator.prepare(wavefunction, 0.0)
     return propagator.step(wavefunction, 0.0, dt)
+
+
+#: per-job parameters cycled over the jobs of one stack, so every stack mixes
+#: tolerances / iteration caps / frozen stages / Taylor orders
+_MIXED_PARAMS = {
+    "pt-cn": [{}, {"scf_tolerance": 1e-9}, {"max_scf_iterations": 3}],
+    "cn": [{}, {"scf_tolerance": 1e-9}, {"max_scf_iterations": 3}],
+    "rk4": [{}, {"self_consistent_stages": False}],
+    "etrs": [{}, {"taylor_order": 2}, {"taylor_order": 5}],
+}
 
 
 @pytest.mark.parametrize("name", canonical_propagator_names())
 @given(dts=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=2, max_size=4))
 @settings(max_examples=3, deadline=None)
 def test_step_many_is_elementwise_identical_to_solo_steps(name, dts, h2_ground_state):
-    """For every registered propagator, a stacked ``step_many`` batch equals
-    the per-job solo ``step`` bit for bit (complex128)."""
+    """For every registered propagator, job j of a stacked ``step_many`` call
+    equals the same job stepped alone (width 1) bit for bit (complex128)."""
     base_ham, result = h2_ground_state
     factory = PROPAGATORS.get(name)
     wf0 = result.wavefunction
+    variants = _MIXED_PARAMS[name]
+    params = [variants[j % len(variants)] for j in range(len(dts))]
 
-    solo = [_solo_step(factory, base_ham, wf0, dt) for dt in dts]
+    solo = [_solo_step(factory, base_ham, wf0, dt, **p) for dt, p in zip(dts, params)]
 
-    propagators = [factory(base_ham.clone()) for _ in dts]
+    propagators = [factory(base_ham.clone(), **p) for p in params]
     for propagator in propagators:
         propagator.prepare(wf0, 0.0)
     batched_wfs, batched_stats = type(propagators[0]).step_many(
@@ -69,9 +84,20 @@ def _assert_float_equal(a: float, b: float) -> None:
     assert a == b
 
 
+def _statistics(trajectory) -> list[tuple]:
+    """Every ``StepStatistics`` of a trajectory as comparable tuples (the
+    explicit schemes' NaN density error as its ``repr``)."""
+    return [
+        (s.scf_iterations, s.hamiltonian_applications, repr(s.density_error), s.converged,
+         s.orthogonality_error)
+        for s in trajectory.step_statistics
+    ]
+
+
 def test_ptcn_batch_with_different_tolerances_converges_each_job(h2_ground_state):
     """Jobs drop out of the lockstep SCF against their *own* tolerance — a
-    loose job must not inherit the tight job's iteration count."""
+    loose job must not inherit the tight job's iteration count (each count is
+    the one the job gets alone)."""
     base_ham, result = h2_ground_state
     factory = PROPAGATORS.get("ptcn")
     wf0 = result.wavefunction
@@ -98,25 +124,35 @@ class TestRunBatched:
         return TDDFTSimulation(propagator.hamiltonian, propagator)
 
     def test_matches_solo_runs_and_peels_finished_jobs(self, h2_ground_state):
+        """Every job of a mixed group — all four registered schemes, ETRS at
+        two Taylor orders — gets the trajectory it gets alone (``run``, the
+        one-job group)."""
         base_ham, result = h2_ground_state
         wf0 = result.wavefunction
-        # different step counts: job 1 peels off after 2 lockstep iterations
-        jobs = [("ptcn", 0.8, 3), ("ptcn", 1.2, 2), ("rk4", 0.4, 3)]
+        # different step counts: jobs peel off after 2 lockstep iterations
+        jobs = [
+            ("ptcn", 0.8, 3, {}),
+            ("ptcn", 1.2, 2, {}),
+            ("rk4", 0.4, 3, {}),
+            ("etrs", 0.4, 2, {"taylor_order": 2}),
+            ("etrs", 0.3, 3, {}),
+            ("cn", 0.1, 2, {"max_scf_iterations": 8}),
+        ]
 
         solo = []
-        for name, dt, n_steps in jobs:
-            simulation = self._simulation(base_ham, name)
+        for name, dt, n_steps, params in jobs:
+            simulation = self._simulation(base_ham, name, **params)
             solo.append(simulation.run(wf0, dt, n_steps, metadata={"dt": dt}))
 
         runs = [
             BatchedRun(
-                simulation=self._simulation(base_ham, name),
+                simulation=self._simulation(base_ham, name, **params),
                 initial_state=wf0,
                 time_step=dt,
                 n_steps=n_steps,
                 metadata={"dt": dt},
             )
-            for name, dt, n_steps in jobs
+            for name, dt, n_steps, params in jobs
         ]
         batched = run_batched(runs)
 
@@ -130,12 +166,16 @@ class TestRunBatched:
                 "electron_numbers",
                 "scf_iterations",
                 "hamiltonian_applications",
+                "density_errors",
             ):
-                assert np.array_equal(getattr(trajectory, field), getattr(reference, field)), field
+                assert np.array_equal(
+                    getattr(trajectory, field), getattr(reference, field), equal_nan=True
+                ), field
             assert np.array_equal(
                 trajectory.final_wavefunction.coefficients,
                 reference.final_wavefunction.coefficients,
             )
+            assert _statistics(trajectory) == _statistics(reference)
             assert trajectory.metadata == reference.metadata
             assert trajectory.wall_time > 0.0
 
@@ -143,10 +183,10 @@ class TestRunBatched:
         self, chain_hybrid_hamiltonian, chain_ground_state
     ):
         """A hybrid PT-CN + RK4 group (2 occupied bands, so the pair triangle
-        is a real saving) in lockstep equals the solo runs bit for bit. The
-        Fock operator picks its path and serves its memo by the *value* of
-        the coefficients it is handed, so solo (arrays) and lockstep (slices
-        of a job stack) do exactly the same exchange work."""
+        is a real saving) in lockstep equals the one-job runs bit for bit.
+        The Fock operator picks its path and serves its memo by the *value*
+        of the coefficients it is handed, so whatever the width of the stack
+        a job's slice sits in, it does exactly the same exchange work."""
         wf0 = chain_ground_state[1].wavefunction
         jobs = [("ptcn", 1.0, 2), ("rk4", 0.4, 2)]
 

@@ -93,14 +93,14 @@ class TestRun:
 
 
 class TestRunIsRunBatchedOfOneJob:
-    """``run`` records from the state ``update_potential`` stored, like the
-    lockstep driver: one job through either gives the same trajectory, bit
-    for bit, records included."""
+    """``run`` is ``run_batched`` of one job, and the width of a group is an
+    execution detail: a job stepped alone and the same job inside a wider
+    group give the same trajectory, bit for bit, records included."""
 
     _PROPAGATORS = {
-        "ptcn": (PTCNPropagator, 1.0),
-        "rk4": (RK4Propagator, 0.3),
-        "etrs": (ETRSPropagator, 0.3),
+        "ptcn": (PTCNPropagator, 1.0, {}),
+        "rk4": (RK4Propagator, 0.3, {}),
+        "etrs": (ETRSPropagator, 0.3, {"taylor_order": 3}),
     }
 
     @pytest.mark.parametrize("record", [True, False], ids=["records on", "records off"])
@@ -111,29 +111,56 @@ class TestRunIsRunBatchedOfOneJob:
         if hybrid:
             base_ham = chain_hybrid_hamiltonian
         wf0 = result.wavefunction
-        factory, dt = self._PROPAGATORS[name]
+        factory, dt, params = self._PROPAGATORS[name]
 
-        def simulation():
-            propagator = factory(base_ham.clone())
+        def simulation(cls=factory, **kwargs):
+            propagator = cls(base_ham.clone(), **kwargs)
             return TDDFTSimulation(
                 propagator.hamiltonian, propagator, record_energy=record, record_dipole=record
             )
 
-        solo = simulation().run(wf0, dt, 2, metadata={"name": name})
-        (batched,) = run_batched(
-            [BatchedRun(simulation(), wf0, dt, 2, metadata={"name": name})]
-        )
-        for column in solo._ARRAY_FIELDS:
+        alone_sim = simulation(**params)
+        alone = alone_sim.run(wf0, dt, 2, metadata={"name": name})
+        # the same job third in a group of four: a same-scheme neighbour at
+        # another step size (and default parameters, so ETRS mixes Taylor
+        # orders in one stack) that outlives it, one that finishes first, and
+        # another scheme stepping in its own stack
+        other = RK4Propagator if factory is PTCNPropagator else PTCNPropagator
+        grouped_sim = simulation(**params)
+        grouped = run_batched(
+            [
+                BatchedRun(simulation(), wf0, 0.5 * dt, 3),
+                BatchedRun(simulation(), wf0, 0.7 * dt, 1),
+                BatchedRun(grouped_sim, wf0, dt, 2, metadata={"name": name}),
+                BatchedRun(simulation(other), wf0, 0.2, 2),
+            ]
+        )[2]
+        for column in alone._ARRAY_FIELDS:
             assert np.array_equal(
-                getattr(batched, column), getattr(solo, column), equal_nan=True
+                getattr(grouped, column), getattr(alone, column), equal_nan=True
             ), column
         assert np.array_equal(
-            batched.final_wavefunction.coefficients, solo.final_wavefunction.coefficients
+            grouped.final_wavefunction.coefficients, alone.final_wavefunction.coefficients
         )
-        assert batched.metadata == solo.metadata
-        assert [s.converged for s in batched.step_statistics] == [
-            s.converged for s in solo.step_statistics
-        ]
+        assert grouped.metadata == alone.metadata
+        for got, expected in zip(grouped.step_statistics, alone.step_statistics, strict=True):
+            assert (got.scf_iterations, got.hamiltonian_applications, got.converged) == (
+                expected.scf_iterations, expected.hamiltonian_applications, expected.converged
+            )
+            assert np.array_equal(
+                [got.density_error, got.orthogonality_error],
+                [expected.density_error, expected.orthogonality_error],
+                equal_nan=True,
+            )
+        # (potential rebuilds are not compared: a neighbour leaving the stack
+        # makes the next step repeat, verbatim, the rebuild its predecessor
+        # ended on)
+        done, expected = grouped_sim.hamiltonian.counters, alone_sim.hamiltonian.counters
+        assert (done.apply_calls, done.fock_applications) == (
+            expected.apply_calls, expected.fock_applications
+        )
+        if hybrid:
+            assert grouped_sim.hamiltonian.exchange.counters == alone_sim.hamiltonian.exchange.counters
 
     def test_records_are_those_of_the_returned_state(self, chain_hybrid_hamiltonian, chain_ground_state):
         """The stored density/Hartree/xc the records read belong to the

@@ -244,17 +244,26 @@ def count_transforms(monkeypatch):
 
 class TestTransformBudget:
     """Every iterate is transformed to real space once: the density, the
-    exchange orbitals and the local term of ``H Psi`` share that array."""
+    exchange orbitals and the local term of ``H Psi`` share that array — the
+    same budget through either entry point of the one engine (``step``, and
+    ``step_many`` called with a stack of one)."""
 
-    def _two_steps(self, propagator, wf0, dt, counts, lockstep):
-        """Transforms, Poisson solves and statistics of two consecutive steps."""
+    def _two_steps(self, propagator, wf0, dt, counts, lockstep, neighbour=None):
+        """Transforms, Poisson solves and statistics of two consecutive steps
+        (``neighbour``: a second job stepped in the same stack)."""
         exchange = propagator.hamiltonian.exchange.counters
-        propagator.prepare(wf0, 0.0)
-        wf, rows = wf0, []
+        stack = [propagator] if neighbour is None else [propagator, neighbour]
+        for member in stack:
+            member.prepare(wf0, 0.0)
+        wfs, rows = [wf0] * len(stack), []
+        wf = wf0
         for step in range(2):
             before = counts["transforms"], exchange.poisson_solves
             if lockstep:
-                (wf,), (stats,) = type(propagator).step_many([propagator], [wf], [step * dt], [dt])
+                wfs, (stats, *_) = type(propagator).step_many(
+                    stack, wfs, [step * dt] * len(stack), [dt] * len(stack)
+                )
+                wf = wfs[0]
             else:
                 wf, stats = propagator.step(wf, step * dt, dt)
             rows.append(
@@ -300,12 +309,24 @@ class TestTransformBudget:
     def test_solo_and_lockstep_do_the_same_exchange_work(
         self, chain_hybrid_hamiltonian, chain_ground_state, count_transforms
     ):
+        """A job does the same exchange work — and ends on the same bits —
+        alone and as the first job of a width-2 stack."""
         wf0 = chain_ground_state[1].wavefunction
         results = []
         for lockstep in (False, True):
             propagator = PTCNPropagator(chain_hybrid_hamiltonian.clone())
-            wf, rows = self._two_steps(propagator, wf0, 1.0, count_transforms, lockstep)
-            results.append((wf.coefficients, rows, propagator.hamiltonian.exchange.counters))
+            neighbour = PTCNPropagator(chain_hybrid_hamiltonian.clone(), scf_tolerance=1e-3)
+            wf, rows = self._two_steps(
+                propagator, wf0, 1.0, count_transforms, lockstep,
+                neighbour=neighbour if lockstep else None,
+            )
+            results.append(
+                (
+                    wf.coefficients,
+                    [(solves, k) for _, solves, k in rows],  # transforms are the stack's
+                    propagator.hamiltonian.exchange.counters,
+                )
+            )
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
         assert results[0][2] == results[1][2]
@@ -333,23 +354,36 @@ class TestTransformBudget:
         assert np.array_equal(handed.apply(wf.coefficients), reference)
 
     def test_kept_transform_needs_the_same_arrays_and_is_dropped_by_prepare(
-        self, chain_hybrid_hamiltonian, chain_ground_state
+        self, chain_hybrid_hamiltonian, chain_ground_state, count_transforms
     ):
         wf0 = chain_ground_state[1].wavefunction
         propagator = PTCNPropagator(chain_hybrid_hamiltonian.clone())
+        ham = propagator.hamiltonian
         propagator.prepare(wf0, 0.0)
         wf1, _ = propagator.step(wf0, 0.0, 1.0)
-        kept = propagator._kept_transform(wf1)
-        assert kept is not None and kept.shape == (wf1.nbands,) + wf1.basis.grid.shape
-        assert np.array_equal(kept, wf1.to_real_space())
+        kept = propagator._lockstep_cache["psi"]
+        assert kept.shape == (1, wf1.nbands) + wf1.basis.grid.shape
+        assert np.array_equal(kept[0], wf1.to_real_space())
+
+        def start_of_step(wavefunction):
+            """(transform handed out, orbital transforms made, potential rebuilds)"""
+            before = count_transforms["transforms"], ham.counters.potential_updates
+            psi = PTCNPropagator._start_of_step([propagator], [wavefunction])
+            rebuilds = ham.counters.potential_updates - before[1]
+            hartree = 2 * rebuilds  # one forward + one back transform per Poisson solve
+            return psi, count_transforms["transforms"] - before[0] - hartree, rebuilds
+
+        # the very arrays the step ended on: nothing is transformed or rebuilt
+        psi, transforms, rebuilds = start_of_step(wf1)
+        assert psi is kept and (transforms, rebuilds) == (0, 0)
+        # a potential rebuilt from anything else is rebuilt back, from the kept transform
+        ham.update_potential(wf0)
+        psi, transforms, rebuilds = start_of_step(wf1)
+        assert psi is kept and (transforms, rebuilds) == (0, 1)
         # an equal copy is not the array the step ended on
-        assert propagator._kept_transform(wf1.copy()) is None
-        # a potential rebuilt from anything else invalidates it
-        propagator.hamiltonian.update_potential(wf0)
-        assert propagator._kept_transform(wf1) is None
+        psi, transforms, rebuilds = start_of_step(wf1.copy())
+        assert psi is not kept and np.array_equal(psi, kept)
+        assert (transforms, rebuilds) == (wf1.nbands, 1)
 
         propagator.prepare(wf0, 0.0)
-        PTCNPropagator.step_many([propagator], [wf0], [0.0], [1.0])
-        assert propagator._lockstep_cache is not None
-        propagator.prepare(wf0, 0.0)
-        assert propagator._kept is None and propagator._lockstep_cache is None
+        assert propagator._lockstep_cache is None

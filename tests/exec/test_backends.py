@@ -450,7 +450,7 @@ class TestPollCancel:
         calls: list[int] = []
 
         def fake(jobs, checkpoint_dir, raise_on_error, session=None, share_ground_states=False,
-                 store=None, batch_stepping=False, precision="complex128"):
+                 store=None, precision="complex128"):
             calls.append(len(jobs))
             if on_group is not None:
                 on_group(len(calls))

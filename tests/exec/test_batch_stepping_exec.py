@@ -1,30 +1,39 @@
-"""Batched stepping through the execution stack: backends, settings, identity.
+"""Lockstep stepping through the execution stack: backends, settings, identity.
 
-The flags under test — ``batch_stepping`` and ``precision`` — are threaded
-from ``run.schedule`` / :class:`~repro.exec.ExecutionSettings` through the
-scheduler, every backend and :func:`~repro.exec.backends.execute_group`.
-Invariants:
+Every backend runs a group through :func:`~repro.exec.backends.execute_group`,
+which always advances the group's uncached jobs in lockstep. ``precision`` is
+threaded from ``run.schedule`` / :class:`~repro.exec.ExecutionSettings`
+through every backend; ``batch_stepping`` is still accepted, validated and
+round-tripped there but selects nothing. Invariants:
 
-* physics exports of a batched sweep are bit-identical to the unbatched
-  sweep (``to_json(exclude_timings=True)``);
-* both flags are execution-only for job identity: ``config_hash`` and group
-  keys ignore them, so a warm store re-run under different batching settings
-  is served 100 % from cache with zero propagation steps;
+* physics exports do not depend on the inert flag or the backend
+  (``to_json(exclude_timings=True)``);
+* both settings are execution-only for job identity: ``config_hash`` and
+  group keys ignore them, so a warm store re-run under different settings is
+  served 100 % from cache with zero propagation steps;
+* a group reads each job from the store exactly once, and a failing job of a
+  lockstep group is attributed to itself, after its predecessors were
+  checkpointed;
 * process-pool workers cap FFT threading at 1 (the pool owns the cores);
-* the scheduler's cost model amortizes batched groups.
+* the scheduler's cost model amortizes multi-job groups.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
-from repro.api import SimulationConfig
 from repro.batch import BatchRunner, SweepSpec
 from repro.batch.sweep import config_hash, group_jobs
-from repro.exec import ExecutionSettings, Scheduler
-from repro.perf.sweep_cost import BATCH_STEPPING_EFFICIENCY, predict_group_cost
+from repro.exec import ExecutionSettings, Scheduler, execute_group
+from repro.perf.sweep_cost import (
+    BATCH_STEPPING_EFFICIENCY,
+    predict_group_cost,
+    predict_job_cost,
+    predict_scf_cost,
+)
 from repro.store import ResultStore
 
 BATCHED = ExecutionSettings(batch_stepping=True)
@@ -83,6 +92,86 @@ class TestIdentityExclusion:
         assert count_propagation_steps[steps_before_rerun:] == []
 
 
+class TestOneStoreReadPerJob:
+    def test_cold_group_misses_once_and_warm_group_hits_once_per_job(
+        self, dt_spec, tmp_path, monkeypatch
+    ):
+        """``execute_group`` reads each job of a group from the store exactly
+        once: N ``load`` calls and N ledger misses cold, N hits warm (the
+        warm path's reads are digest-verified, so a second read per job would
+        double its cost)."""
+        loads = []
+        original = ResultStore.load
+
+        def counting(self, job, *args, **kwargs):
+            loads.append(job.job_id)
+            return original(self, job, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "load", counting)
+        (jobs,) = group_jobs(dt_spec).values()
+
+        cold = BatchRunner(dt_spec, store=tmp_path / "store", settings=BATCHED)
+        assert [r.status for r in cold.run().results] == ["completed"] * 4
+        assert sorted(loads) == sorted(job.job_id for job in jobs)
+        assert (cold.store.stats["hits"], cold.store.stats["misses"]) == (0, 4)
+
+        del loads[:]
+        warm = BatchRunner(dt_spec, store=tmp_path / "store", settings=BATCHED)
+        assert [r.status for r in warm.run().results] == ["cached"] * 4
+        assert sorted(loads) == sorted(job.job_id for job in jobs)
+        assert (warm.store.stats["hits"], warm.store.stats["misses"]) == (4, 0)
+
+
+class TestFailureAttribution:
+    """A lockstep group with one job that raises: the exception falls through
+    to per-job width-1 runs, so the failure lands on the job that raised."""
+
+    @pytest.fixture()
+    def jobs(self, tiny_config):
+        """Three jobs of one group; the middle one's propagator rejects its params."""
+        spec = SweepSpec(
+            tiny_config,
+            {
+                "propagator": [
+                    {"name": "ptcn", "params": {}},
+                    {"name": "ptcn", "params": {"scf_tolerance": -1.0}},
+                    {"name": "rk4", "params": {}},
+                ]
+            },
+            mode="zip",
+        )
+        (jobs,) = group_jobs(spec).values()
+        return jobs
+
+    def test_failure_is_recorded_for_the_job_that_raised(self, jobs):
+        results = execute_group(jobs, None, raise_on_error=False)
+        assert [r.status for r in results] == ["completed", "failed", "completed"]
+        assert [r.job_id for r in results] == [job.job_id for job in jobs]
+        assert "scf_tolerance" in results[1].error
+        # the survivors are what their one-job groups compute, bit for bit
+        for index in (0, 2):
+            (alone,) = execute_group([jobs[index]], None, raise_on_error=True)
+            for column in alone.trajectory._ARRAY_FIELDS:
+                assert np.array_equal(
+                    getattr(results[index].trajectory, column),
+                    getattr(alone.trajectory, column),
+                    equal_nan=True,
+                ), column
+            assert np.array_equal(
+                results[index].trajectory.final_wavefunction.coefficients,
+                alone.trajectory.final_wavefunction.coefficients,
+            )
+
+    def test_raise_on_error_checkpoints_the_jobs_before_the_failure(self, jobs, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="scf_tolerance"):
+            execute_group(jobs, None, raise_on_error=True, store=store)
+        assert [store.has(job) for job in jobs] == [True, False, False]
+        # the resume serves the first job from its checkpoint
+        resumed = execute_group(jobs, None, raise_on_error=False, store=store)
+        assert [r.status for r in resumed] == ["cached", "failed", "completed"]
+
+
 class TestPoolWorkerCapping:
     def test_run_group_worker_caps_fft_threads_to_one(self, dt_spec, monkeypatch):
         from repro.exec.backends import _run_group_worker
@@ -93,7 +182,7 @@ class TestPoolWorkerCapping:
         set_fft_workers(4)
         try:
             (jobs,) = group_jobs(dt_spec).values()
-            payload = (jobs, None, True, False, None, True, "complex128")
+            payload = (jobs, None, True, False, None, "complex128")
             dicts = _run_group_worker(payload)
             assert get_fft_workers() == 1
             assert os.environ["REPRO_FFT_WORKERS"] == "1"
@@ -159,19 +248,26 @@ class TestSettingsPlumbing:
 
 class TestCostAmortization:
     def test_batched_groups_predict_cheaper(self, tiny_config):
-        configs = [tiny_config] * 4
-        solo = predict_group_cost(configs)
-        batched = predict_group_cost(configs, batch_stepping=True)
-        assert batched < solo
+        """A width-4 group predicts cheaper than four width-1 groups'
+        propagation: the lockstep saving applies to every multi-job group."""
+        scf = predict_scf_cost(tiny_config)
+        four_alone = 4 * (predict_group_cost([tiny_config]) - scf)
+        together = predict_group_cost([tiny_config] * 4) - scf
+        assert together < four_alone
+        assert together == pytest.approx(four_alone * (1 - BATCH_STEPPING_EFFICIENCY * 3 / 4))
         # the shared-SCF term is unaffected and width 1 gets no discount
-        assert predict_group_cost([tiny_config], batch_stepping=True) == predict_group_cost(
-            [tiny_config]
+        assert predict_group_cost([tiny_config]) == pytest.approx(
+            scf + predict_job_cost(tiny_config)
         )
-        assert predict_group_cost([], batch_stepping=True) == 0.0
+        assert predict_group_cost([]) == 0.0
         assert 0 < BATCH_STEPPING_EFFICIENCY < 1
 
     def test_scheduler_uses_the_amortized_model(self, dt_spec):
         (jobs,) = group_jobs(dt_spec).values()
-        plain = Scheduler(machine=None).predict_cost(jobs)
-        batched = Scheduler(machine=None, batch_stepping=True).predict_cost(jobs)
-        assert batched < plain
+        unamortized = predict_scf_cost(jobs[0].config) + sum(
+            predict_job_cost(job.config) for job in jobs
+        )
+        for scheduler in (Scheduler(machine=None), ExecutionSettings(batch_stepping=True).scheduler()):
+            predicted = scheduler.predict_cost(jobs)
+            assert predicted == predict_group_cost([job.config for job in jobs])
+            assert predicted < unamortized

@@ -11,7 +11,7 @@ from repro.perf import (
     predict_scf_cost,
     workload_sizes,
 )
-from repro.perf.sweep_cost import DEFAULT_APPLICATIONS_PER_STEP
+from repro.perf.sweep_cost import BATCH_STEPPING_EFFICIENCY, DEFAULT_APPLICATIONS_PER_STEP
 
 
 @pytest.fixture()
@@ -89,8 +89,17 @@ class TestJobAndGroupCost:
         assert predict_group_cost([hybrid]) > predict_group_cost([base_config])
 
     def test_group_cost_is_scf_plus_jobs(self, base_config):
+        # one job: the shared SCF plus its propagation
+        assert predict_group_cost([base_config]) == pytest.approx(
+            predict_scf_cost(base_config) + predict_job_cost(base_config)
+        )
+        # n jobs step in lockstep: the summed propagation carries the
+        # (n - 1) / n share of the lockstep saving, the SCF term none
         configs = [base_config, base_config.with_overrides({"run.time_step_as": 2.0})]
-        expected = predict_scf_cost(base_config) + sum(predict_job_cost(c) for c in configs)
+        propagation = sum(predict_job_cost(c) for c in configs)
+        expected = predict_scf_cost(base_config) + propagation * (
+            1.0 - BATCH_STEPPING_EFFICIENCY * 1 / 2
+        )
         assert predict_group_cost(configs) == pytest.approx(expected)
 
     def test_empty_group_costs_nothing(self):
