@@ -129,7 +129,7 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
 
 
 def smoke(backend: str, ranks: int, schedule: str | None) -> int:
-    """Tiny sweep + checkpoint resume through the chosen backend; exits
+    """Tiny sweep + store resume through the chosen backend; exits
     nonzero on any failure. With a non-serial backend the deterministic
     report export is additionally checked against the serial reference."""
     base = SimulationConfig.from_dict(
@@ -145,16 +145,16 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
     spec = SweepSpec(base, {"basis.ecut": [1.5, 1.7, 2.0, 2.2], "run.time_step_as": [1.0, 2.0]})
     n_jobs = spec.n_jobs
     settings = ExecutionSettings.resolve(base, backend=backend, ranks=ranks, schedule=schedule)
-    with tempfile.TemporaryDirectory() as checkpoint_dir:
-        runner = BatchRunner(spec, checkpoint_dir=checkpoint_dir, settings=settings)
+    with tempfile.TemporaryDirectory() as store_root:
+        runner = BatchRunner(spec, store=store_root, settings=settings)
         report = runner.run()
         print(report.to_table())
         if [r.status for r in report] != ["completed"] * n_jobs:
             print("smoke FAILED: sweep did not complete", file=sys.stderr)
             return 1
-        resumed = BatchRunner(spec, checkpoint_dir=checkpoint_dir, settings=settings).run()
+        resumed = BatchRunner(spec, store=store_root, settings=settings).run()
         if [r.status for r in resumed] != ["cached"] * n_jobs:
-            print("smoke FAILED: resume did not load the checkpoints", file=sys.stderr)
+            print("smoke FAILED: resume did not load the stored results", file=sys.stderr)
             return 1
         if backend != "serial":
             print(report.execution_table())
@@ -169,7 +169,7 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
             print(f"smoke ok: {backend} export is bit-identical to the serial backend")
     print(
         f"smoke ok: {n_jobs} jobs completed on the {backend} backend, "
-        "resume served all of them from checkpoints"
+        "resume served all of them from the store"
     )
     return 0
 

@@ -6,8 +6,9 @@ benchmarks into one declarative call: a :class:`SweepSpec` expands a base
 supercell size, pulse, ...), a :class:`BatchRunner` executes the job list —
 sharing one ground-state SCF per compatible group, scheduling and placing
 groups through the pluggable :mod:`repro.exec` layer (serial, process pool,
-or simulated-MPI distributed), checkpointing every completed job *and* every
-converged SCF for resume-after-crash — and a :class:`SweepReport` aggregates
+or simulated-MPI distributed), persisting every completed job *and* every
+converged SCF in a content-addressed :class:`~repro.store.ResultStore`
+(``store=``) for resume-after-crash — and a :class:`SweepReport` aggregates
 the results into the paper's tables (Fig. 6-style cost comparison,
 dt-vs-accuracy, propagator-x-dt pivots) plus the per-rank execution summary.
 
@@ -24,19 +25,17 @@ dt-vs-accuracy, propagator-x-dt pivots) plus the per-rank execution summary.
                     {"time_step_as": 20.0, "n_steps": 3}],
         },
     )
-    report = BatchRunner(spec, checkpoint_dir="sweep-ckpt").run()
+    report = BatchRunner(spec, store="sweep-store").run()
     print(report.fig6_table())
     print(report.accuracy_table())
 """
 
-from .checkpoint import CheckpointStore
 from .report import JobResult, SweepReport
 from .runner import BatchRunner
 from .sweep import SweepJob, SweepSpec, config_hash, ground_state_group_key
 
 __all__ = [
     "BatchRunner",
-    "CheckpointStore",
     "JobResult",
     "SweepJob",
     "SweepReport",

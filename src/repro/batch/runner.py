@@ -9,14 +9,13 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
   one frozen :class:`~repro.exec.ExecutionSettings` value, resolved from the
   base config's ``run.schedule`` / ``run.machine`` sections unless an explicit
   ``settings=`` object (e.g. from a :class:`~repro.campaign.CampaignPlanner`
-  plan) is passed. The legacy ``backend=`` / ``ranks=`` / ``schedule=`` /
-  ``max_workers=`` keywords still work as thin deprecation shims.
+  plan) is passed.
 * **Ground-state sharing.** Jobs are grouped by
   :func:`~repro.batch.sweep.ground_state_group_key`; each group runs through
   one caching :class:`~repro.api.Session`, so a {propagator} x {dt} sweep
   converges its SCF exactly once no matter how many propagations fan out.
-  With a checkpoint directory the converged SCFs are persisted too, so a
-  *resumed* sweep skips even the first group SCF.
+  With a store the converged SCFs are persisted too, so a *resumed* sweep
+  skips even the first group SCF.
 * **Scheduling.** A :class:`~repro.exec.Scheduler` orders (and, for the
   distributed backend, packs) the groups by predicted wall seconds / joules —
   :mod:`repro.perf.sweep_cost` workload predictions turned machine-aware by a
@@ -28,11 +27,13 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
   warning naming the original error); ``"distributed"`` places groups onto
   virtual ranks of the simulated MPI runtime and logs per-rank
   dispatch/result communication volume into the report's execution summary.
-* **Checkpointing.** With a ``checkpoint_dir``, every completed job is
-  persisted via :class:`~repro.batch.CheckpointStore`; a rerun of the same
-  sweep loads finished jobs (status ``"cached"``) instead of recomputing
-  them — resume-after-crash is just "run it again". Settings never touch job
-  identity, so rerunning under different settings reuses every checkpoint.
+* **Persistence.** With a ``store`` (a :class:`~repro.store.ResultStore` or
+  its root directory — the one persistence argument of every layer), every
+  completed job is saved; a rerun of the same sweep, or any other sweep
+  sharing the store, loads finished jobs (status ``"cached"``) instead of
+  recomputing them — resume-after-crash is just "run it again". Settings
+  never touch job identity, so rerunning under different settings reuses
+  every stored result.
 
 .. code-block:: python
 
@@ -41,7 +42,7 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
     report = BatchRunner(
         SweepSpec(base, {"propagator.name": ["ptcn", "rk4"],
                          "run.time_step_as": [10.0, 50.0]}),
-        checkpoint_dir="sweep-ckpt",
+        store="sweep-store",
         settings=ExecutionSettings(backend="distributed", ranks=4,
                                    schedule="makespan_balanced"),
     ).run()
@@ -51,12 +52,9 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
 
 from __future__ import annotations
 
-import warnings
-
 from ..api.session import Session
 from ..exec.settings import BACKEND_NAMES, ExecutionSettings
-from ..store.store import ResultStore
-from .checkpoint import CheckpointStore
+from ..store.store import _as_store
 from .report import SweepReport
 from .sweep import SweepJob, SweepSpec, group_jobs
 
@@ -64,7 +62,7 @@ __all__ = ["BACKEND_NAMES", "BatchRunner"]
 
 
 class BatchRunner:
-    """Execute a sweep: expand, group, schedule, run, checkpoint, aggregate.
+    """Execute a sweep: expand, group, schedule, run, store, aggregate.
 
     Parameters
     ----------
@@ -74,18 +72,13 @@ class BatchRunner:
         The :class:`~repro.exec.ExecutionSettings` (or its ``as_dict`` form)
         describing where and how the sweep runs. ``None`` (default) resolves
         the settings from the base config's ``run.schedule`` / ``run.machine``
-        sections. Mutually exclusive with the deprecated per-field keywords
-        below.
-    checkpoint_dir:
-        Directory for per-job and shared ground-state checkpoints; ``None``
-        disables checkpointing.
+        sections.
     store:
         A content-addressed :class:`~repro.store.ResultStore` (or its root
-        directory) serving and receiving results. Unlike ``checkpoint_dir``
-        — which scopes resume to one directory — a store may be shared by
-        any number of sweeps and campaigns, and any of them serves a hit
-        for an already-computed config. Takes precedence over
-        ``checkpoint_dir`` when both are given.
+        directory) serving and receiving results and shared ground states;
+        ``None`` disables persistence. A store may be shared by any number
+        of sweeps and campaigns, and any of them serves a hit for an
+        already-computed config.
     machine:
         Expert override: a concrete :class:`repro.cost.MachineCostModel`
         predicting wall seconds and joules for the scheduler and the report
@@ -96,17 +89,12 @@ class BatchRunner:
         distributed backend's virtual ranks onto modeled nodes; defaults to a
         dense placement of ``settings.ranks`` ranks on the settings' machine.
     raise_on_error:
-        If ``True``, the first failing job re-raises (completed jobs keep
-        their checkpoints, so the sweep is resumable). If ``False`` (default)
+        If ``True``, the first failing job re-raises (completed jobs stay
+        stored, so the sweep is resumable). If ``False`` (default)
         failures are recorded as ``"failed"`` results and the sweep continues.
     share_ground_states:
-        Persist converged SCFs in the checkpoint store and adopt them on
-        resume (default ``True``; no effect without ``checkpoint_dir``).
-    backend, max_workers, ranks, schedule:
-        **Deprecated** — the pre-settings keyword plumbing, kept as thin
-        shims: each non-``None`` value is layered over the config-resolved
-        settings exactly as before, with a :class:`DeprecationWarning`
-        pointing at ``settings=`` / :meth:`from_plan`.
+        Persist converged SCFs in the store and adopt them on resume
+        (default ``True``; no effect without ``store``).
     """
 
     _DEFAULT_MACHINE = object()  # distinguishes "from the settings" from an explicit None
@@ -116,12 +104,7 @@ class BatchRunner:
         spec: SweepSpec,
         *,
         settings: ExecutionSettings | dict | None = None,
-        checkpoint_dir=None,
         store=None,
-        backend: str | None = None,
-        max_workers: int | None = None,
-        ranks: int | None = None,
-        schedule: str | None = None,
         machine=_DEFAULT_MACHINE,
         placement=None,
         raise_on_error: bool = False,
@@ -129,34 +112,13 @@ class BatchRunner:
     ):
         from ..exec import Scheduler  # deferred: repro.exec imports repro.batch
 
-        legacy = {"backend": backend, "ranks": ranks, "schedule": schedule, "max_workers": max_workers}
-        given = sorted(name for name, value in legacy.items() if value is not None)
-        if settings is not None:
-            if given:
-                raise ValueError(
-                    f"pass either settings= or the deprecated keyword(s) {given}, not both"
-                )
-            if isinstance(settings, dict):
-                settings = ExecutionSettings.from_dict(settings)
-        else:
-            if given:
-                warnings.warn(
-                    f"BatchRunner keyword(s) {given} are deprecated; pass "
-                    "settings=repro.exec.ExecutionSettings(...) instead (or build the "
-                    "runner from a campaign plan via BatchRunner.from_plan / "
-                    "repro.api.plan)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            settings = ExecutionSettings.resolve(
-                spec.base, backend=backend, ranks=ranks, schedule=schedule, max_workers=max_workers
-            )
+        if settings is None:
+            settings = ExecutionSettings.from_config(spec.base)
+        elif isinstance(settings, dict):
+            settings = ExecutionSettings.from_dict(settings)
         self.spec = spec
         self.settings = settings
-        self.checkpoint_dir = checkpoint_dir
-        if store is not None and not isinstance(store, ResultStore):
-            store = ResultStore(store)
-        self.store = store
+        self.store = _as_store(store)
         self._machine_overridden = machine is not self._DEFAULT_MACHINE
         self.machine = settings.machine_model() if not self._machine_overridden else machine
         self.placement = placement
@@ -172,7 +134,6 @@ class BatchRunner:
         plan,
         name: str | None = None,
         *,
-        checkpoint_dir=None,
         store=None,
         raise_on_error: bool = False,
         share_ground_states: bool = True,
@@ -195,14 +156,13 @@ class BatchRunner:
         return cls(
             plan.sweep_spec(name),
             settings=plan.settings,
-            checkpoint_dir=checkpoint_dir,
             store=store,
             raise_on_error=raise_on_error,
             share_ground_states=share_ground_states,
         )
 
     # ------------------------------------------------------------------
-    # Back-compat views onto the settings
+    # Read-only views onto the settings
     # ------------------------------------------------------------------
     @property
     def backend(self) -> str:
@@ -230,53 +190,29 @@ class BatchRunner:
         (see :func:`repro.batch.sweep.group_jobs`)."""
         return group_jobs(self.spec)
 
-    def _result_store(self) -> ResultStore | None:
-        """The store serving this sweep: ``store=`` if given, else a
-        per-directory :class:`CheckpointStore` over ``checkpoint_dir``."""
-        if self.store is not None:
-            return self.store
-        if self.checkpoint_dir is not None:
-            return CheckpointStore(self.checkpoint_dir)
-        return None
-
-    def _ground_state_store(self) -> ResultStore | None:
-        if not self.share_ground_states:
-            return None
-        return self._result_store()
-
     def prepare_ground_states(self) -> int:
         """Converge (in-process) the shared ground state of every group that
-        still has uncheckpointed jobs; returns the number of SCFs run.
+        still has unstored jobs; returns the number of SCFs run.
 
         Separates the expensive warm-up from :meth:`run` — benchmarks time the
         sweep without the SCF, services can prepare caches ahead of traffic.
-        Groups whose SCF is already persisted in the checkpoint store adopt it
-        instead of reconverging (and count as zero SCFs); freshly converged
-        ones are persisted for future sweeps. Only the serial backend reuses
-        these warm sessions (process/distributed workers rebuild their own);
-        the one-SCF-per-group property holds either way.
+        Groups whose SCF is already persisted in the store adopt it instead
+        of reconverging (and count as zero SCFs); freshly converged ones are
+        persisted for future sweeps. Only the in-process backends reuse these
+        warm sessions (process/distributed workers rebuild their own); the
+        one-SCF-per-group property holds either way.
         """
-        store = self._result_store()
-        gs_store = self._ground_state_store()
+        from ..exec.backends import _ground_state_through_store
+
+        gs_store = self.store if self.share_ground_states else None
         count = 0
         for key, jobs in self.groups().items():
-            if store is not None and all(store.has(job) for job in jobs):
+            if self.store is not None and all(self.store.has(job) for job in jobs):
                 continue
             session = self._sessions.get(key)
             if session is None:
-                session = Session(jobs[0].config)
-                self._sessions[key] = session
-            if not session.ground_state_ready and gs_store is not None:
-                shared = gs_store.load_ground_state(key, basis=session.basis)
-                if shared is not None:
-                    session.adopt_ground_state(shared)
-                    continue
-            converged_here = not session.ground_state_ready
-            session.ground_state()
-            if converged_here:
-                count += 1
-                if gs_store is not None:
-                    gs_store.save_ground_state(key, session.ground_state())
+                session = self._sessions[key] = Session(jobs[0].config)
+            count += _ground_state_through_store(session, gs_store, key)
         return count
 
     # ------------------------------------------------------------------
@@ -284,10 +220,9 @@ class BatchRunner:
         from ..exec import DistributedBackend, ProcessPoolBackend, SerialBackend
 
         common = dict(
-            checkpoint_dir=self.checkpoint_dir,
+            store=self.store,
             raise_on_error=self.raise_on_error,
             share_ground_states=self.share_ground_states,
-            store=self.store,
             precision=self.settings.precision,
         )
         if self.backend == "process":
@@ -309,28 +244,14 @@ class BatchRunner:
 
     def run(self) -> SweepReport:
         """Schedule and execute every job; return the aggregated report."""
+        from ..exec.backends import _sweep_report
+
         scheduled = self.scheduler.schedule(self.groups())
         backend = self._make_backend()
         if self.backend == "distributed":
             self.scheduler.pack(scheduled, backend.ranks)
         for group in scheduled:
             backend.submit_group(group)
-        results = backend.drain()
-        execution = backend.execution_summary()
-        execution["schedule"] = self.scheduler.policy
-        store = self._result_store()
-        if store is not None:
-            # cached-vs-computed provenance; execution summaries are already
-            # excluded from the deterministic physics export
-            execution["store"] = {
-                "root": str(store.root),
-                "hits": sum(1 for r in results if r.status == "cached"),
-                "computed": sum(1 for r in results if r.status == "completed"),
-                "failed": sum(1 for r in results if r.status == "failed"),
-            }
-        return SweepReport(
-            results,
-            axes=self.spec.axis_paths,
-            execution=execution,
-            settings=self.settings.as_dict(),
+        return _sweep_report(
+            backend, backend.drain(), self.spec, self.settings, self.scheduler.policy
         )

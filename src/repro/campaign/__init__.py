@@ -31,11 +31,11 @@ The one-call facade (also re-exported as ``repro.api.plan`` / ``repro.api.run``)
         budget=Budget(max_wall_seconds=3600.0, max_nodes=16),
     )
     print(execution_plan.plan_table())       # settings + predictions, pre-flight
-    report = execution_plan.execute("ckpt")  # resumable, like any sweep
+    report = execution_plan.execute("store")  # resumable, like any sweep
     print(report.plan_table())               # predicted vs observed
 
 Settings never touch job identity: planning, re-planning, or switching
-machines reuses every existing checkpoint bit-for-bit.
+machines reuses every stored result bit-for-bit.
 """
 
 from .planner import CampaignPlanner, ExecutionPlan, SweepPlan
@@ -77,17 +77,19 @@ def run(
     sweeps,
     budget: Budget | dict | None = None,
     *,
-    checkpoint_dir=None,
+    store=None,
     raise_on_error: bool = False,
     share_ground_states: bool = True,
     on_sweep_complete=None,
     **planner_options,
 ) -> CampaignReport:
     """Plan and execute a campaign in one call; returns the
-    :class:`CampaignReport` (see :func:`plan` for the arguments;
-    ``on_sweep_complete(name, report)`` is called after each sweep)."""
+    :class:`CampaignReport` (see :func:`plan` for the arguments; ``store`` —
+    a :class:`~repro.store.ResultStore` or its root directory — makes the run
+    incremental; ``on_sweep_complete(name, report)`` is called after each
+    sweep)."""
     return plan(sweeps, budget, **planner_options).execute(
-        checkpoint_dir,
+        store,
         raise_on_error=raise_on_error,
         share_ground_states=share_ground_states,
         on_sweep_complete=on_sweep_complete,

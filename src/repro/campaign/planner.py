@@ -155,9 +155,8 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
     def execute(
         self,
-        checkpoint_dir=None,
-        *,
         store=None,
+        *,
         raise_on_error: bool = False,
         share_ground_states: bool = True,
         on_sweep_complete=None,
@@ -171,13 +170,11 @@ class ExecutionPlan:
         single-campaign execution and service execution are one code path
         (and bit-identical in their physics exports).
 
-        ``checkpoint_dir`` gets one subdirectory per sweep name, so campaigns
-        are resumable exactly like single sweeps: re-executing a crashed plan
-        loads every finished job and every converged SCF from disk.
         ``store`` (a :class:`~repro.store.ResultStore` or its root directory)
-        goes further: every sweep of the campaign — and any other campaign
-        sharing the store — is diffed against one content-addressed index,
-        so a re-executed plan runs only new/changed configs (zero SCFs, zero
+        makes campaigns resumable exactly like single sweeps: every sweep of
+        the campaign — and any other campaign sharing the store — is diffed
+        against one content-addressed index, so re-executing a crashed or
+        finished plan runs only new/changed configs (zero SCFs, zero
         propagation steps for a fully warm store) and the hits are stamped
         as ``"cached"`` provenance in the reports.
         ``on_sweep_complete(name, report)``, when given, is called after each
@@ -208,7 +205,6 @@ class ExecutionPlan:
             handle = service.submit(
                 self,
                 name="campaign",
-                checkpoint_dir=checkpoint_dir,
                 store=store,
                 raise_on_error=raise_on_error,
                 share_ground_states=share_ground_states,

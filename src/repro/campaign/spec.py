@@ -21,8 +21,8 @@ from ..batch.sweep import SweepSpec
 
 __all__ = ["Budget", "CampaignSpec", "InfeasibleBudgetError"]
 
-#: sweep names become checkpoint subdirectory names, so they must be plain
-#: path components: no separators, no traversal, nothing hidden
+#: sweep names label reports, leases and exported files, so they must be
+#: plain path components: no separators, no traversal, nothing hidden
 _SWEEP_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 

@@ -3,9 +3,13 @@
 Execution policy used to live inline in :class:`repro.batch.BatchRunner`;
 this module extracts it behind one small surface, the
 :class:`ExecutionBackend` protocol — ``submit_group`` accepts scheduled
-ground-state groups, ``drain`` runs everything and returns the
-:class:`~repro.batch.JobResult` list, ``execution_summary`` reports how the
-work was placed. Three implementations:
+ground-state groups, ``run_group`` turns one of them into
+:class:`~repro.batch.JobResult`\\ s (the one place that happens:
+:func:`execute_group`, the observed-seconds stamp, the poll bookkeeping),
+``drain`` is the cancel-aware loop over ``run_group``, ``execution_summary``
+reports how the work was placed. :meth:`repro.batch.BatchRunner.run` drains a
+backend; :func:`repro.service.run_sweep` steps the same backend group by
+group between its ``await``\\ s. Three implementations:
 
 * :class:`SerialBackend` — in-process, in submission order; the only backend
   that reuses the runner's warm sessions (``prepare_ground_states``).
@@ -24,8 +28,9 @@ work was placed. Three implementations:
   sweep traffic.
 
 All backends run whole groups, so the one-SCF-per-group property survives any
-placement, and all of them share the checkpoint/resume and ground-state
-sharing machinery of :func:`execute_group`.
+placement, and all of them share the store-backed resume and ground-state
+sharing machinery of :func:`execute_group`. Persistence is one argument
+everywhere: ``store=``, a :class:`~repro.store.ResultStore`.
 """
 
 from __future__ import annotations
@@ -33,19 +38,18 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from ..api.session import Session
-from ..batch.checkpoint import CheckpointStore
-from ..batch.report import JobResult
+from ..batch.report import JobResult, SweepReport
 from ..core.dynamics import json_default
 from ..core.precision import resolve_precision
 from ..cost.placement import NodePlacement
 from ..parallel.comm import SimCommunicator
 from ..pw.fft import configure_for_pool_worker
+from ..store.store import _as_store
 from .scheduler import ScheduledGroup
 
 __all__ = [
@@ -59,11 +63,10 @@ __all__ = [
 
 def execute_group(
     jobs: list,
-    checkpoint_dir,
+    store,
     raise_on_error: bool,
     session: Session | None = None,
     share_ground_states: bool = False,
-    store=None,
     precision: str = "complex128",
 ) -> list[JobResult]:
     """Run one ground-state group of jobs through a shared session.
@@ -72,36 +75,33 @@ def execute_group(
     together, in lockstep, through one
     :meth:`~repro.api.Session.propagate_many` (stacked FFTs across jobs);
     then results are built and saved job by job. The session is built lazily
-    from the first job's config, so a fully checkpointed group never touches
-    the physics stack at all.
+    from the first job's config, so a fully stored group never touches the
+    physics stack at all.
 
     Failure semantics: a group's jobs are all computed before the first
-    checkpoint of that group is written, so a hard kill mid-group redoes the
+    result of that group is written, so a hard kill mid-group redoes the
     group on resume, not one job. An *exception* anywhere in the lockstep
     pass instead falls through to per-job width-1 runs: the failure is
     attributed to (and recorded for) the job that raised, and with
     ``raise_on_error`` the first failing job aborts the group *after* the
-    checkpoints of the jobs before it were written — which is what makes a
+    results of the jobs before it were written — which is what makes a
     crashed sweep resumable.
 
-    With ``share_ground_states`` (and a store) the group's converged SCF is
-    adopted from / persisted to the store, so a resumed sweep skips even the
-    first group SCF.
-
-    Persistence is served by ``store`` (any
-    :class:`~repro.store.ResultStore`) when given — this is how sweeps,
-    campaigns and service tenants share one content-addressed store —
-    otherwise by a per-directory
-    :class:`~repro.batch.CheckpointStore` over ``checkpoint_dir``.
+    ``store`` (a :class:`~repro.store.ResultStore` or its root directory;
+    ``None`` for no persistence) serves and receives the results — this is
+    how sweeps, campaigns and service tenants share one content-addressed
+    store. With ``share_ground_states`` the group's converged SCF is adopted
+    from / persisted to it too (before any propagation, so even a group
+    whose propagation fails leaves its SCF behind), and a resumed sweep
+    skips even the first group SCF.
 
     ``precision="complex64"`` selects the screening tier: those results are
     stamped in their summaries and **never** loaded from or saved to the
     result store (ground-state sharing still works — the SCF is double
     precision either way).
     """
-    if store is None and checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-    gs_store = store if (share_ground_states and store is not None) else None
+    store = _as_store(store)
+    gs_store = store if share_ground_states else None
     # the store only ever holds/serves double-precision physics
     job_store = store if precision == "complex128" else None
     cached = [None if job_store is None else job_store.load(job) for job in jobs]
@@ -115,21 +115,18 @@ def execute_group(
         for index, job in enumerate(jobs)
         if cached[index] is None
     }
-    gs_persisted = False
     if requests:
         if session is None:
             session = Session(jobs[0].config)
-        if gs_store is not None and not session.ground_state_ready:
-            shared = gs_store.load_ground_state(jobs[0].group_key, basis=session.basis)
-            if shared is not None:
-                session.adopt_ground_state(shared)
-                gs_persisted = True  # already on disk, no need to rewrite it
-    if len(requests) > 1:
         try:
-            session.propagate_many(list(requests.values()), precision=precision)
+            if gs_store is not None:
+                _ground_state_through_store(session, gs_store, jobs[0].group_key)
+            if len(requests) > 1:
+                session.propagate_many(list(requests.values()), precision=precision)
         except Exception:
             # fall through: the loop below re-runs job by job (width 1), so
-            # the failure is attributed to (and recorded for) the right job
+            # a failure (of the SCF or of one job's propagation) is attributed
+            # to (and recorded for) the right job
             pass
     results: list[JobResult] = []
     for index, job in enumerate(jobs):
@@ -140,16 +137,10 @@ def execute_group(
             # served from the session's trajectory cache after the lockstep pass
             (trajectory,) = session.propagate_many([requests[index]], precision=precision)
         except Exception as exc:
-            if gs_store is not None and not gs_persisted and session.ground_state_ready:
-                # the SCF may have finished before the propagation failed;
-                # persisting it still saves the resume a full reconvergence
-                gs_persisted = _persist_ground_state(gs_store, job.group_key, session)
             if raise_on_error:
                 raise
             results.append(JobResult.from_failure(job, exc))
             continue
-        if gs_store is not None and not gs_persisted:
-            gs_persisted = _persist_ground_state(gs_store, job.group_key, session)
         result = JobResult.from_trajectory(job, trajectory)
         if job_store is not None:
             try:
@@ -164,19 +155,31 @@ def execute_group(
     return results
 
 
-def _persist_ground_state(gs_store: CheckpointStore, group_key: str, session: Session) -> bool:
-    """Best-effort save of a session's converged SCF; never aborts the sweep."""
-    try:
-        if gs_store.has_ground_state(group_key):
-            # already persisted (e.g. by prepare_ground_states warming the
-            # store): skip rewriting the orbital archive, the largest file
-            # in the store
-            return True
-        gs_store.save_ground_state(group_key, session.ground_state())
-        return True
-    except Exception as exc:
-        warnings.warn(f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}")
-        return False
+def _ground_state_through_store(session: Session, gs_store, group_key: str) -> bool:
+    """Adopt the group's stored SCF, or converge it here and persist it.
+
+    The one spelling of ground-state sharing, used by :func:`execute_group`
+    and :meth:`repro.batch.BatchRunner.prepare_ground_states`; ``gs_store``
+    may be ``None`` (converge only). Returns ``True`` when an SCF ran. The
+    write is best-effort — it never aborts the sweep — and is skipped when
+    the store already holds the group's SCF (the orbital archive is the
+    largest file in the store).
+    """
+    converged_here = False
+    if not session.ground_state_ready:
+        shared = None if gs_store is None else gs_store.load_ground_state(group_key, basis=session.basis)
+        if shared is not None:
+            session.adopt_ground_state(shared)
+            return False
+        session.ground_state()
+        converged_here = True
+    if gs_store is not None:
+        try:
+            if not gs_store.has_ground_state(group_key):
+                gs_store.save_ground_state(group_key, session.ground_state())
+        except Exception as exc:
+            warnings.warn(f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}")
+    return converged_here
 
 
 def _group_wall_seconds(results) -> float:
@@ -188,26 +191,50 @@ def _group_wall_seconds(results) -> float:
     return sum(float(r.summary.get("wall_time") or 0.0) for r in results)
 
 
+def _finite(value) -> float | None:
+    """NaN (the scheduler's cost-model-failure sentinel) is not valid strict
+    JSON — export it as null instead."""
+    return float(value) if np.isfinite(value) else None
+
+
 def _run_group_worker(payload) -> list[dict]:
     """Process-pool entry point: run a group, return JSON-able result dicts.
 
     Results cross the process boundary in dict form (observables only) to
-    avoid pickling wavefunctions and grids; checkpoints written inside the
-    worker keep the full trajectories on disk. FFT threading is capped to one
+    avoid pickling wavefunctions and grids; results stored inside the worker
+    keep the full trajectories on disk. FFT threading is capped to one
     worker first — the pool already owns the cores, and oversubscribing
     ``workers * fft_threads`` ways degrades every group.
     """
     configure_for_pool_worker()
-    jobs, checkpoint_dir, raise_on_error, share_ground_states, store, precision = payload
+    jobs, store, raise_on_error, share_ground_states, precision = payload
     results = execute_group(
-        jobs,
-        checkpoint_dir,
-        raise_on_error,
-        share_ground_states=share_ground_states,
-        store=store,
-        precision=precision,
+        jobs, store, raise_on_error, share_ground_states=share_ground_states, precision=precision
     )
     return [result.to_dict() for result in results]
+
+
+def _sweep_report(backend, results, spec, settings, schedule: str, record=()) -> SweepReport:
+    """The :class:`~repro.batch.SweepReport` of a finished sweep — the one
+    builder behind :meth:`repro.batch.BatchRunner.run` and
+    :func:`repro.service.run_sweep`: the backend's execution summary, the
+    scheduling policy, the caller's own ``record`` keys (the service's
+    lease/adaptive accounting) and the store provenance."""
+    execution = backend.execution_summary()
+    execution["schedule"] = schedule
+    execution.update(record)
+    if backend.store is not None:
+        # cached-vs-computed provenance; execution summaries are already
+        # excluded from the deterministic physics export
+        execution["store"] = {
+            "root": str(backend.store.root),
+            "hits": sum(1 for r in results if r.status == "cached"),
+            "computed": sum(1 for r in results if r.status == "completed"),
+            "failed": sum(1 for r in results if r.status == "failed"),
+        }
+    return SweepReport(
+        results, axes=spec.axis_paths, execution=execution, settings=settings.as_dict()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,37 +242,41 @@ def _run_group_worker(payload) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-class ExecutionBackend(ABC):
-    """Where the groups of a sweep run: ``submit_group`` then ``drain``.
+class ExecutionBackend:
+    """Where the groups of a sweep run: ``submit_group``, then ``drain`` (or
+    ``run_group`` one at a time).
 
     Parameters
     ----------
-    checkpoint_dir:
-        Directory for per-job (and shared ground-state) checkpoints;
-        ``None`` disables persistence.
+    store:
+        The :class:`~repro.store.ResultStore` (or its root directory)
+        serving/receiving results and, with ``share_ground_states``,
+        converged SCFs; ``None`` disables persistence.
     raise_on_error:
         Propagate the first job failure instead of recording it.
     share_ground_states:
-        Persist/adopt converged SCFs through the checkpoint store (no effect
-        without a store or ``checkpoint_dir``).
-    store:
-        A shared :class:`~repro.store.ResultStore` serving/receiving results;
-        takes precedence over ``checkpoint_dir``.
+        Persist/adopt converged SCFs through the store (no effect without
+        one).
+    sessions:
+        Warm :class:`~repro.api.Session`\\ s keyed by group key (from
+        :meth:`repro.batch.BatchRunner.prepare_ground_states`), reused by
+        the groups that run in-process.
     precision:
         Propagation precision tier (``"complex128"`` or ``"complex64"``,
         see :mod:`repro.core.precision`).
     """
 
-    #: registry name of the backend (the ``BatchRunner(backend=...)`` string)
+    #: registry name of the backend (the ``ExecutionSettings(backend=...)`` string)
     name = "backend"
 
-    def __init__(self, *, checkpoint_dir=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, store=None, precision: str = "complex128"):
-        self.checkpoint_dir = checkpoint_dir
-        self.store = store
+    def __init__(self, *, store=None, raise_on_error: bool = False,
+                 share_ground_states: bool = False, sessions: dict | None = None,
+                 precision: str = "complex128"):
+        self.store = _as_store(store)
         self.precision = resolve_precision(precision)
         self.raise_on_error = bool(raise_on_error)
         self.share_ground_states = bool(share_ground_states)
+        self.sessions = {} if sessions is None else sessions
         self.groups: list[ScheduledGroup] = []
         self._drained_groups = 0
         self._drained_jobs = 0
@@ -257,18 +288,42 @@ class ExecutionBackend(ABC):
         """Enqueue one scheduled ground-state group for execution."""
         self.groups.append(group)
 
-    @abstractmethod
+    def run_group(self, group: ScheduledGroup) -> list[JobResult]:
+        """Execute one submitted group, in-process, and return its results.
+
+        The one place a scheduled group turns into results — ``drain`` loops
+        over it, the service calls it between its ``await``\\ s.
+        """
+        results = execute_group(
+            group.jobs,
+            self.store,
+            self.raise_on_error,
+            session=self.sessions.get(group.key),
+            share_ground_states=self.share_ground_states,
+            precision=self.precision,
+        )
+        return self._record_group(group, results)
+
+    def _record_group(self, group: ScheduledGroup, results: list[JobResult]) -> list[JobResult]:
+        """Stamp a finished group's observed wall and count it as drained."""
+        group.observed_seconds = _group_wall_seconds(results)
+        self._drained_groups += 1
+        self._drained_jobs += group.n_jobs
+        return results
+
     def drain(self) -> list[JobResult]:
-        """Run every submitted group and return all job results."""
+        """Run every submitted group (until cancelled) and return all job results."""
+        results: list[JobResult] = []
+        for group in self.groups:
+            if self._cancelled:
+                break
+            results.extend(self.run_group(group))
+        self._done = True
+        return results
 
     # ------------------------------------------------------------------
     # Non-blocking observation: poll/cancel beside drain
     # ------------------------------------------------------------------
-    def _record_group_drained(self, group: ScheduledGroup) -> None:
-        """Bookkeeping every drain loop calls once per completed group."""
-        self._drained_groups += 1
-        self._drained_jobs += group.n_jobs
-
     def poll(self) -> dict:
         """Non-blocking progress snapshot of the drain, JSON-serializable.
 
@@ -289,7 +344,7 @@ class ExecutionBackend(ABC):
     def cancel(self) -> int:
         """Ask the drain to stop at the next group boundary.
 
-        Groups already executed keep their results (and checkpoints — a
+        Groups already executed keep their results (stored ones included — a
         cancelled sweep resumes like a crashed one); returns the number of
         submitted groups that had not finished when cancellation was
         requested.
@@ -300,12 +355,6 @@ class ExecutionBackend(ABC):
     # ------------------------------------------------------------------
     def execution_summary(self) -> dict:
         """How the submitted work was (or will be) placed, JSON-serializable."""
-
-        def _finite(value) -> float | None:
-            # the scheduler's cost-model-failure sentinel is NaN, which is not
-            # valid strict JSON — export it as null instead
-            return float(value) if np.isfinite(value) else None
-
         return {
             "backend": self.name,
             "n_groups": len(self.groups),
@@ -320,13 +369,14 @@ class ExecutionBackend(ABC):
                     "n_gpus": g.n_gpus,
                     "rank": g.rank,
                     # self-describing calibration identity (repro.calib):
-                    # machine preset, propagator, workload sizes, and the
-                    # observed wall the drain stamped
+                    # machine preset, propagator, workload sizes, the observed
+                    # wall run_group stamped and the service's adaptive re-price
                     "machine": g.machine,
                     "propagator": g.propagator,
                     "n_bands": g.n_bands,
                     "n_grid": g.n_grid,
                     "observed_seconds": _finite(g.observed_seconds),
+                    "repriced_seconds": _finite(g.repriced_seconds),
                 }
                 for g in self.groups
             ],
@@ -334,46 +384,14 @@ class ExecutionBackend(ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process execution in submission order.
+    """In-process execution in submission order — the base loop, named.
 
-    The only backend that can reuse warm :class:`~repro.api.Session`\\ s (from
+    The backend that reuses warm :class:`~repro.api.Session`\\ s (from
     :meth:`repro.batch.BatchRunner.prepare_ground_states`): pass them as
     ``sessions``, keyed by group key.
     """
 
     name = "serial"
-
-    def __init__(self, *, checkpoint_dir=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, store=None, sessions: dict | None = None,
-                 precision: str = "complex128"):
-        super().__init__(
-            checkpoint_dir=checkpoint_dir,
-            raise_on_error=raise_on_error,
-            share_ground_states=share_ground_states,
-            store=store,
-            precision=precision,
-        )
-        self.sessions = {} if sessions is None else sessions
-
-    def drain(self) -> list[JobResult]:
-        results: list[JobResult] = []
-        for group in self.groups:
-            if self._cancelled:
-                break
-            group_results = execute_group(
-                group.jobs,
-                self.checkpoint_dir,
-                self.raise_on_error,
-                session=self.sessions.get(group.key),
-                share_ground_states=self.share_ground_states,
-                store=self.store,
-                precision=self.precision,
-            )
-            group.observed_seconds = _group_wall_seconds(group_results)
-            results.extend(group_results)
-            self._record_group_drained(group)
-        self._done = True
-        return results
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -384,54 +402,19 @@ class ProcessPoolBackend(ExecutionBackend):
     workers on fork-based platforms. A single-group sweep has nothing to
     parallelise and runs in-process; if no pool can be created the backend
     warns — naming the original error and the fallback — and runs serially.
+    Both fallbacks are the base class's loop itself.
     """
 
     name = "process"
 
-    def __init__(self, *, checkpoint_dir=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, store=None, max_workers: int | None = None,
-                 sessions: dict | None = None, precision: str = "complex128"):
-        super().__init__(
-            checkpoint_dir=checkpoint_dir,
-            raise_on_error=raise_on_error,
-            share_ground_states=share_ground_states,
-            store=store,
-            precision=precision,
-        )
+    def __init__(self, *, max_workers: int | None = None, **common):
+        super().__init__(**common)
         self.max_workers = max_workers
-        self.sessions = {} if sessions is None else sessions
         self.used_fallback = False
-        self._fallback: SerialBackend | None = None
-
-    def _drain_serially(self) -> list[JobResult]:
-        fallback = SerialBackend(
-            checkpoint_dir=self.checkpoint_dir,
-            raise_on_error=self.raise_on_error,
-            share_ground_states=self.share_ground_states,
-            store=self.store,
-            sessions=self.sessions,
-            precision=self.precision,
-        )
-        fallback._cancelled = self._cancelled
-        self._fallback = fallback
-        for group in self.groups:
-            fallback.submit_group(group)
-        try:
-            return fallback.drain()
-        finally:
-            self._drained_groups = fallback._drained_groups
-            self._drained_jobs = fallback._drained_jobs
-            self._done = fallback._done
-
-    def cancel(self) -> int:
-        pending = super().cancel()
-        if self._fallback is not None:
-            self._fallback.cancel()
-        return pending
 
     def drain(self) -> list[JobResult]:
         if len(self.groups) <= 1:
-            return self._drain_serially()
+            return super().drain()
         workers = min(self.max_workers or os.cpu_count() or 1, len(self.groups))
         try:
             executor = ProcessPoolExecutor(max_workers=workers)
@@ -441,30 +424,21 @@ class ProcessPoolBackend(ExecutionBackend):
                 f"process pool unavailable ({type(exc).__name__}: {exc}); "
                 f"falling back to the '{SerialBackend.name}' execution backend"
             )
-            return self._drain_serially()
+            return super().drain()
         results: list[JobResult] = []
         with executor:
             futures = []
             for group in self.groups:
                 if self._cancelled:
                     break
-                futures.append(
-                    (
-                        group,
-                        executor.submit(
-                            _run_group_worker,
-                            (group.jobs, self.checkpoint_dir, self.raise_on_error,
-                             self.share_ground_states, self.store, self.precision),
-                        ),
-                    )
-                )
+                payload = (group.jobs, self.store, self.raise_on_error,
+                           self.share_ground_states, self.precision)
+                futures.append((group, executor.submit(_run_group_worker, payload)))
             for group, future in futures:
                 if self._cancelled and future.cancel():
                     continue  # never started; its jobs simply don't report
                 group_results = [JobResult.from_dict(d) for d in future.result()]
-                group.observed_seconds = _group_wall_seconds(group_results)
-                results.extend(group_results)
-                self._record_group_drained(group)
+                results.extend(self._record_group(group, group_results))
         self._done = True
         return results
 
@@ -507,14 +481,13 @@ class DistributedBackend(ExecutionBackend):
 
     name = "distributed"
 
-    def __init__(self, *, ranks: int = 4, checkpoint_dir=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, store=None, comm: SimCommunicator | None = None,
+    def __init__(self, *, ranks: int = 4, store=None, raise_on_error: bool = False,
+                 share_ground_states: bool = False, comm: SimCommunicator | None = None,
                  placement: NodePlacement | None = None, precision: str = "complex128"):
         super().__init__(
-            checkpoint_dir=checkpoint_dir,
+            store=store,
             raise_on_error=raise_on_error,
             share_ground_states=share_ground_states,
-            store=store,
             precision=precision,
         )
         if comm is None and ranks < 1:
@@ -565,64 +538,47 @@ class DistributedBackend(ExecutionBackend):
         text = json.dumps(payload, default=json_default)
         return np.frombuffer(text.encode(), dtype=np.uint8)
 
-    def _assigned_rank(self, group: ScheduledGroup, position: int) -> int:
-        """The group's scheduler-assigned rank, or round-robin when unplaced."""
-        if group.rank is not None and 0 <= group.rank < self.comm.size:
-            return group.rank
-        return position % self.comm.size
+    def run_group(self, group: ScheduledGroup) -> list[JobResult]:
+        """The base execution, wrapped in the dispatch/result traffic of the
+        group's rank (scheduler-assigned, or round-robin when unplaced)."""
+        rank = group.rank
+        if rank is None or not 0 <= rank < self.comm.size:
+            rank = self._drained_groups % self.comm.size
+        group.rank = rank
+        stats = self.rank_stats[rank]
 
-    def drain(self) -> list[JobResult]:
-        results: list[JobResult] = []
-        for position, group in enumerate(self.groups):
-            if self._cancelled:
-                break
-            rank = self._assigned_rank(group, position)
-            group.rank = rank
-            stats = self.rank_stats[rank]
+        # dispatch: the expanded group spec travels root -> rank
+        dispatch = self._wire(
+            {
+                "group_index": group.index,
+                "job_ids": [job.job_id for job in group.jobs],
+                "configs": [job.config.to_dict() for job in group.jobs],
+            }
+        )
+        self.comm.sendrecv(dispatch, description=f"dispatch group {group.index} -> rank {rank}")
+        stats["dispatch_bytes"] += int(dispatch.nbytes)
+        stats["comm_seconds"] += self.placement.transfer_seconds(dispatch.nbytes, 0, rank)
 
-            # dispatch: the expanded group spec travels root -> rank
-            dispatch = self._wire(
-                {
-                    "group_index": group.index,
-                    "job_ids": [job.job_id for job in group.jobs],
-                    "configs": [job.config.to_dict() for job in group.jobs],
-                }
-            )
-            self.comm.sendrecv(dispatch, description=f"dispatch group {group.index} -> rank {rank}")
-            stats["dispatch_bytes"] += int(dispatch.nbytes)
-            stats["comm_seconds"] += self.placement.transfer_seconds(dispatch.nbytes, 0, rank)
+        # "remote" execution on the rank (in-process, bit-identical physics)
+        group_results = super().run_group(group)
 
-            # "remote" execution on the rank (in-process, bit-identical physics)
-            group_results = execute_group(
-                group.jobs,
-                self.checkpoint_dir,
-                self.raise_on_error,
-                share_ground_states=self.share_ground_states,
-                store=self.store,
-                precision=self.precision,
-            )
+        # results travel rank -> root as observables-only dicts
+        wire = self._wire([result.to_dict() for result in group_results])
+        received = self.comm.sendrecv(wire, description=f"results group {group.index} <- rank {rank}")
+        stats["result_bytes"] += int(wire.nbytes)
+        stats["comm_seconds"] += self.placement.transfer_seconds(wire.nbytes, rank, 0)
+        stats["groups"] += 1
+        stats["jobs"] += group.n_jobs
+        if np.isfinite(group.predicted_cost):
+            stats["predicted_cost"] += float(group.predicted_cost)
+        if np.isfinite(group.predicted_seconds):
+            stats["predicted_seconds"] += float(group.predicted_seconds)
+        if np.isfinite(group.predicted_energy_j):
+            stats["predicted_energy_j"] += float(group.predicted_energy_j)
+        stats["observed_seconds"] += group.observed_seconds
 
-            # results travel rank -> root as observables-only dicts
-            wire = self._wire([result.to_dict() for result in group_results])
-            received = self.comm.sendrecv(wire, description=f"results group {group.index} <- rank {rank}")
-            stats["result_bytes"] += int(wire.nbytes)
-            stats["comm_seconds"] += self.placement.transfer_seconds(wire.nbytes, rank, 0)
-            stats["groups"] += 1
-            stats["jobs"] += group.n_jobs
-            if np.isfinite(group.predicted_cost):
-                stats["predicted_cost"] += float(group.predicted_cost)
-            if np.isfinite(group.predicted_seconds):
-                stats["predicted_seconds"] += float(group.predicted_seconds)
-            if np.isfinite(group.predicted_energy_j):
-                stats["predicted_energy_j"] += float(group.predicted_energy_j)
-            group.observed_seconds = _group_wall_seconds(group_results)
-            stats["observed_seconds"] += group.observed_seconds
-
-            decoded = json.loads(bytes(bytearray(received)).decode())
-            results.extend(JobResult.from_dict(d) for d in decoded)
-            self._record_group_drained(group)
-        self._done = True
-        return results
+        decoded = json.loads(bytes(bytearray(received)).decode())
+        return [JobResult.from_dict(d) for d in decoded]
 
     def execution_summary(self) -> dict:
         summary = super().execution_summary()

@@ -1,7 +1,7 @@
 """One frozen object describing *how* a sweep executes: ``ExecutionSettings``.
 
 Before this module, execution placement was threaded through three packages as
-loose keywords: ``BatchRunner(backend=..., ranks=..., schedule=...)``, the
+loose keywords: per-field ``BatchRunner`` arguments (since removed), the
 ``run.schedule`` / ``run.machine`` config sections consumed by
 :mod:`repro.exec` and :mod:`repro.cost`, and per-backend constructor
 arguments. :class:`ExecutionSettings` collapses all of it into a single frozen,
@@ -17,15 +17,15 @@ emits and a :class:`~repro.batch.BatchRunner` consumes:
 
 Everything in a settings object is *execution-only*: like the config sections
 it mirrors, it never affects job identity — group keys, ``config_hash`` and
-checkpoint ids are computed with ``run.schedule`` / ``run.machine`` excluded,
-so the same sweep re-run under any settings reuses its checkpoints
+store keys are computed with ``run.schedule`` / ``run.machine`` excluded,
+so the same sweep re-run under any settings reuses its stored results
 bit-for-bit.
 
 Resolution order (what :meth:`ExecutionSettings.resolve` implements, and what
 :class:`~repro.batch.BatchRunner` applies):
 
 1. an explicit ``settings=`` object (e.g. from a campaign plan) wins whole;
-2. explicit per-field arguments (the deprecated ``BatchRunner`` keywords);
+2. explicit per-field arguments to :meth:`ExecutionSettings.resolve`;
 3. the base config's ``run.schedule`` / ``run.machine`` sections;
 4. the defaults (serial backend, 4 ranks, ``fifo``, Summit, 1 GPU/group).
 """
@@ -151,13 +151,12 @@ class ExecutionSettings:
         schedule: str | None = None,
         max_workers: int | None = None,
     ) -> "ExecutionSettings":
-        """Layer the legacy per-field arguments over the config's sections.
+        """Layer explicit per-field arguments over the config's sections.
 
         ``None`` means "not specified": the value falls through to the
         config's ``run.schedule`` / ``run.machine`` sections, then to the
-        dataclass defaults. This is the resolution the deprecated
-        ``BatchRunner(backend=..., ranks=..., schedule=...)`` keywords go
-        through.
+        dataclass defaults — what a CLI with optional ``--backend`` /
+        ``--ranks`` / ``--schedule`` flags wants.
         """
         return cls.from_config(
             config, backend=backend, ranks=ranks, schedule=schedule, max_workers=max_workers

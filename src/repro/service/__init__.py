@@ -14,15 +14,16 @@ paper's production reality of a fixed machine shared by many budgeted runs:
    infeasible submissions synchronously — then runs them as :mod:`asyncio`
    tasks whose sweeps interleave at ground-state-group boundaries;
 3. priorities preempt: a higher-priority arrival reclaims leases at group
-   boundaries, and preempted sweeps resume from their checkpoints without
-   redoing finished work;
+   boundaries, and preempted sweeps resume with their next unstarted group
+   without redoing finished work;
 4. every submission returns a streaming :class:`CampaignHandle` —
    ``status()`` / ``progress()`` / ``partial_report()`` mid-flight,
    ``await handle.report()`` for the final
    :class:`~repro.campaign.CampaignReport`.
 
-Physics stays bit-identical to the blocking path: groups run through the
-same :func:`~repro.exec.execute_group`, so a campaign's
+Physics stays bit-identical to the blocking path: the service steps the same
+:class:`~repro.exec.ExecutionBackend` a :class:`~repro.batch.BatchRunner`
+drains, group by group, so a campaign's
 ``to_json(exclude_timings=True)`` export matches
 :meth:`~repro.campaign.ExecutionPlan.execute` exactly; concurrency lives
 only in the *modeled* calendar, where co-scheduled campaigns finish in the

@@ -1,19 +1,21 @@
 """Running one planned sweep under leases from a shared :class:`NodePool`.
 
 :func:`run_sweep` is the service-side counterpart of
-:meth:`repro.batch.BatchRunner.run`: the same schedule → pack → execute
-pipeline (literally the same :class:`~repro.exec.Scheduler` and
-:func:`~repro.exec.execute_group`, so the physics export stays bit-identical),
-but split at every ground-state group boundary by an ``await`` — which is
-where co-scheduling, preemption and cancellation all happen:
+:meth:`repro.batch.BatchRunner.run`: the service steps the same backend
+``BatchRunner`` drains — the same :class:`~repro.exec.Scheduler`, a
+:class:`~repro.exec.SerialBackend` built from the settings, its
+:meth:`~repro.exec.ExecutionBackend.run_group` per group and the same report
+builder, so the physics export stays bit-identical — but split at every
+ground-state group boundary by an ``await`` — which is where co-scheduling,
+preemption and cancellation all happen:
 
 * before each group the coroutine yields, letting other campaigns' sweeps
   interleave on the same event loop;
 * at each yield it checks the current lease's
   :attr:`~repro.service.Lease.preempt_requested` flag; when set, the segment
   executed so far is released (its *modeled* duration charged to the pool's
-  calendar), the sweep re-queues at its priority, and — because every group
-  is checkpointed — resumes without redoing any finished work;
+  calendar), the sweep re-queues at its priority and resumes with the next
+  unstarted group — no finished work is redone;
 * at least one group runs per lease, so mutual preemption can never livelock.
 
 Modeled time is strictly accounting: groups really run in-process, one after
@@ -48,7 +50,7 @@ import numpy as np
 from ..batch.report import SweepReport
 from ..batch.sweep import SweepSpec, group_jobs
 from ..calib import CalibrationModel, Observation
-from ..exec.backends import execute_group
+from ..exec.backends import SerialBackend, _sweep_report
 from ..exec.settings import ExecutionSettings
 from .pool import Lease, NodePool
 
@@ -57,11 +59,6 @@ __all__ = ["SweepOutcome", "run_sweep"]
 #: default observed/predicted ratio spread (max/min over completed groups)
 #: beyond which the adaptive runner re-packs the remaining groups
 DEFAULT_DRIFT_THRESHOLD = 1.5
-
-
-def _finite(value) -> float | None:
-    """NaN (the scheduler's cost-model-failure sentinel) → JSON null."""
-    return float(value) if np.isfinite(value) else None
 
 
 def _segment_seconds(segment, n_ranks: int) -> float:
@@ -75,11 +72,6 @@ def _segment_seconds(segment, n_ranks: int) -> float:
         rank = group.rank if group.rank is not None and 0 <= group.rank < n_ranks else 0
         loads[rank] = loads.get(rank, 0.0) + group.planned_seconds
     return max(loads.values(), default=0.0)
-
-
-def _group_wall_seconds(results) -> float:
-    """Observed wall of one executed group (summed job wall times)."""
-    return sum(float(r.summary.get("wall_time") or 0.0) for r in results)
 
 
 def _observations_of(groups) -> list[Observation]:
@@ -203,7 +195,6 @@ async def run_sweep(
     name: str = "sweep",
     priority: int = 0,
     arrival: float | None = None,
-    checkpoint_dir=None,
     store=None,
     raise_on_error: bool = False,
     share_ground_states: bool = True,
@@ -225,8 +216,7 @@ async def run_sweep(
     ``store`` is a shared :class:`~repro.store.ResultStore`: every job whose
     config is already stored is served as a hit (status ``"cached"``) instead
     of recomputed, no matter which sweep, campaign or tenant computed it —
-    the incremental-campaign path. Without it, ``checkpoint_dir`` scopes
-    persistence to one directory as before.
+    the incremental-campaign path.
 
     ``calibration`` (a fitted :class:`~repro.calib.CalibrationModel`)
     re-prices the scheduler's machine model up front, so packing and pool
@@ -250,6 +240,15 @@ async def run_sweep(
     # the slice size the *pricing* actually used (per-config overrides win in
     # the cost model), mirroring CampaignPlanner._occupied_nodes
     priced_gpus = max((g.n_gpus for g in scheduled), default=settings.gpus_per_group)
+    # the backend BatchRunner would drain, stepped here one group at a time
+    backend = SerialBackend(
+        store=store,
+        raise_on_error=raise_on_error,
+        share_ground_states=share_ground_states,
+        precision=settings.precision,
+    )
+    for group in scheduled:
+        backend.submit_group(group)
 
     results = []
     leases: list[Lease] = []
@@ -278,18 +277,9 @@ async def run_sweep(
                 if segment and lease.preempt_requested:
                     break  # yield the nodes; ≥1 group per lease prevents livelock
                 group = remaining.pop(0)
-                group_results = execute_group(
-                    group.jobs,
-                    checkpoint_dir,
-                    raise_on_error,
-                    share_ground_states=share_ground_states,
-                    store=store,
-                )
-                group.observed_seconds = (
-                    float(observe(group)) if observe is not None
-                    else _group_wall_seconds(group_results)
-                )
-                results.extend(group_results)
+                results.extend(backend.run_group(group))
+                if observe is not None:
+                    group.observed_seconds = float(observe(group))
                 segment.append(group)
                 completed.append(group)
                 if progress is not None:
@@ -327,29 +317,9 @@ async def run_sweep(
         progress.state = "done"
         progress.modeled_start = modeled_start
         progress.modeled_end = modeled_end
+    # the service's own keys on top of the backend's execution summary
     execution = {
         "backend": "service",
-        "schedule": scheduler.policy,
-        "n_groups": len(scheduled),
-        "n_jobs": sum(g.n_jobs for g in scheduled),
-        "groups": [
-            {
-                "index": g.index,
-                "n_jobs": g.n_jobs,
-                "predicted_cost": _finite(g.predicted_cost),
-                "predicted_seconds": _finite(g.predicted_seconds),
-                "predicted_energy_j": _finite(g.predicted_energy_j),
-                "n_gpus": g.n_gpus,
-                "rank": g.rank,
-                "machine": g.machine,
-                "propagator": g.propagator,
-                "n_bands": g.n_bands,
-                "n_grid": g.n_grid,
-                "observed_seconds": _finite(g.observed_seconds),
-                "repriced_seconds": _finite(g.repriced_seconds),
-            }
-            for g in scheduled
-        ],
         "pool": {"machine": pool.machine, "n_nodes": pool.n_nodes},
         "leases": [lease.as_dict() for lease in leases],
         "preemptions": preemptions,
@@ -383,21 +353,7 @@ async def run_sweep(
                 scheduled, {g.index: g.rank for g in scheduled}, corrected, settings.ranks
             )
         execution["adaptive"] = record
-    if store is not None or checkpoint_dir is not None:
-        # cached-vs-computed provenance; execution summaries are already
-        # excluded from the deterministic physics export
-        execution["store"] = {
-            "root": str(getattr(store, "root", checkpoint_dir)),
-            "hits": sum(1 for r in results if r.status == "cached"),
-            "computed": sum(1 for r in results if r.status == "completed"),
-            "failed": sum(1 for r in results if r.status == "failed"),
-        }
-    report = SweepReport(
-        results,
-        axes=spec.axis_paths,
-        execution=execution,
-        settings=settings.as_dict(),
-    )
+    report = _sweep_report(backend, results, spec, settings, scheduler.policy, execution)
     return SweepOutcome(
         report=report,
         modeled_start=modeled_start,

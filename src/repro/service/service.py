@@ -12,8 +12,8 @@ lease disjoint nodes from the shared :class:`~repro.service.NodePool`, so
 independent campaigns co-schedule side by side and the pool's modeled
 makespan beats the serial sum of their plans whenever capacity allows.
 Priorities are enforced by the pool: a higher-priority arrival reclaims
-leases at group boundaries, and the preempted sweeps resume from their
-checkpoints.
+leases at group boundaries, and the preempted sweeps resume with their next
+unstarted group.
 
 The service is also where the **calibration loop** closes (see
 :mod:`repro.calib`): when it holds a store, every finished sweep's execution
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import os
 import time
 import warnings
 
@@ -37,6 +36,7 @@ from ..calib import CalibrationModel, ObservationLog, extract_observations
 from ..campaign.planner import CampaignPlanner, ExecutionPlan
 from ..campaign.report import CampaignReport
 from ..campaign.spec import Budget, CampaignSpec, InfeasibleBudgetError
+from ..store.store import _as_store
 from .handle import CampaignHandle
 from .pool import NodePool
 from .runner import DEFAULT_DRIFT_THRESHOLD, run_sweep
@@ -52,17 +52,13 @@ class CampaignService:
     pool:
         The shared :class:`~repro.service.NodePool` (default: a whole modeled
         Summit).
-    checkpoint_dir:
-        Service-level checkpoint root; each campaign gets a subdirectory
-        named after it (its sweeps one more level down), so preempted or
-        crashed campaigns resume like any sweep. A per-submission
-        ``checkpoint_dir`` overrides this and is used as-is.
     store:
         Service-level :class:`~repro.store.ResultStore` (or its root
-        directory) shared by *every* submission: any tenant's sweep serves a
+        directory) shared by *every* submission — one content-addressed root,
+        no per-campaign or per-sweep directories: any tenant's sweep serves a
         hit for a config any other tenant already computed, which is what
-        makes re-submitted campaigns incremental. A per-submission ``store``
-        overrides this.
+        makes re-submitted (or crashed) campaigns incremental. A
+        per-submission ``store`` overrides this.
     calibration:
         ``None`` (plan with the pristine cost model), a fitted
         :class:`~repro.calib.CalibrationModel`, or the string ``"store"`` —
@@ -84,19 +80,13 @@ class CampaignService:
         self,
         pool: NodePool | None = None,
         *,
-        checkpoint_dir=None,
         store=None,
         calibration=None,
         adaptive: bool = False,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
     ):
-        from ..store.store import ResultStore
-
         self.pool = NodePool() if pool is None else pool
-        self.checkpoint_dir = checkpoint_dir
-        if store is not None and not isinstance(store, ResultStore):
-            store = ResultStore(store)
-        self.store = store
+        self.store = _as_store(store)
         if calibration == "store":
             pass  # resolved lazily at each admission, from the live log
         elif calibration is not None and not isinstance(calibration, CalibrationModel):
@@ -203,7 +193,6 @@ class CampaignService:
         *,
         priority: int = 0,
         name: str | None = None,
-        checkpoint_dir=None,
         store=None,
         raise_on_error: bool = False,
         share_ground_states: bool = True,
@@ -241,24 +230,16 @@ class CampaignService:
         this submission's sweeps (mid-flight re-packing on observed drift;
         see :func:`repro.service.run_sweep`).
         """
-        from ..store.store import ResultStore
-
         loop = asyncio.get_running_loop()  # raises RuntimeError outside a loop
         calibration = self._resolve_calibration()
         plan = self._admit(campaign, budget, planner_options, calibration)
         if name is None:
             name = f"campaign-{next(self._names)}"
-        if checkpoint_dir is None and self.checkpoint_dir is not None:
-            checkpoint_dir = os.path.join(os.fspath(self.checkpoint_dir), name)
-        if store is None:
-            store = self.store
-        elif not isinstance(store, ResultStore):
-            store = ResultStore(store)
+        store = self.store if store is None else _as_store(store)
         handle = CampaignHandle(name, plan, priority=priority)
         handle._task = loop.create_task(
             self._run_campaign(
                 handle,
-                checkpoint_dir=checkpoint_dir,
                 store=store,
                 raise_on_error=raise_on_error,
                 share_ground_states=share_ground_states,
@@ -279,7 +260,6 @@ class CampaignService:
         self,
         handle: CampaignHandle,
         *,
-        checkpoint_dir,
         store,
         raise_on_error: bool,
         share_ground_states: bool,
@@ -292,9 +272,6 @@ class CampaignService:
         cursor = self.pool.start_time
         try:
             for sweep_name in plan.sweep_names:
-                sweep_dir = None
-                if checkpoint_dir is not None:
-                    sweep_dir = os.path.join(os.fspath(checkpoint_dir), sweep_name)
                 start = time.perf_counter()
                 try:
                     outcome = await run_sweep(
@@ -305,7 +282,6 @@ class CampaignService:
                         name=sweep_name,
                         priority=handle.priority,
                         arrival=cursor,  # a campaign's own sweeps still serialise
-                        checkpoint_dir=sweep_dir,
                         store=store,
                         raise_on_error=raise_on_error,
                         share_ground_states=share_ground_states,

@@ -61,8 +61,8 @@ __all__ = ["ResultStore", "ground_state_hash"]
 
 
 def _config_hash(config) -> str:
-    # deferred: repro.batch.checkpoint subclasses ResultStore, so this module
-    # must not import repro.batch at import time
+    # deferred: repro.batch.runner imports this module, so it must not import
+    # repro.batch at import time
     from ..batch.sweep import config_hash
 
     return config_hash(config)
@@ -461,3 +461,11 @@ class ResultStore:
             "quarantined": quarantined,
             "session": dict(self.stats),
         }
+
+
+def _as_store(store) -> ResultStore | None:
+    """The one reading of a ``store=`` argument: ``None`` (no persistence), a
+    :class:`ResultStore`, or the root directory of one."""
+    if store is None or isinstance(store, ResultStore):
+        return store
+    return ResultStore(store)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.api import PROPAGATORS
-from repro.batch import BatchRunner, SweepSpec
+from repro.batch import BatchRunner, SweepSpec, config_hash
 from repro.campaign import Budget, CampaignReport, CampaignSpec, plan, run
+from repro.store import ResultStore
 
 
 @pytest.fixture()
@@ -53,17 +54,64 @@ class TestExecution:
                     planned.trajectory.energies, manual.trajectory.energies
                 )
 
+    @pytest.mark.parametrize("precision", ["complex128", "complex64"])
+    def test_precision_tier_is_the_runners_through_the_service_path(
+        self, small_campaign, tmp_path, precision
+    ):
+        """The settings' precision tier reaches the physics through
+        ExecutionPlan.execute / run_sweep exactly as through BatchRunner: the
+        screening tier is stamped on every result and never touches the
+        store; either tier agrees with the hand-configured runner."""
+        execution_plan = plan(small_campaign)
+        execution_plan.settings = execution_plan.settings.replace(precision=precision)
+        store = ResultStore(tmp_path / "store")
+        report = execution_plan.execute(store)
+        assert report.ok
+        for name, spec in small_campaign.sweeps.items():
+            hand = BatchRunner(spec, settings=execution_plan.settings).run()
+            assert report[name].settings["precision"] == precision
+            assert report[name].to_json(exclude_timings=True) == hand.to_json(exclude_timings=True)
+            for planned, manual in zip(report[name], hand):
+                assert planned.job_id == manual.job_id
+                assert planned.summary.get("precision") == manual.summary.get("precision")
+                if precision == "complex64":
+                    assert planned.summary["precision"] == "complex64"
+                np.testing.assert_array_equal(
+                    planned.trajectory.energies, manual.trajectory.energies
+                )
+        jobs = [job for spec in small_campaign.sweeps.values() for job in spec.expand()]
+        stored = 0 if precision == "complex64" else len({config_hash(j.config) for j in jobs})
+        assert len(list(store.manifests_dir.glob("job-*.json"))) == stored
+
     def test_run_facade_plans_and_executes(self, small_campaign):
         report = run(small_campaign)
         assert report.ok
         assert report.settings["ranks"] <= 2  # the campaign's own budget applied
 
+    def test_run_facade_is_incremental_through_store(
+        self, small_campaign, tmp_path, count_scf_solves, count_propagation_steps
+    ):
+        cold = run(small_campaign, store=tmp_path)
+        assert cold.ok and count_scf_solves and count_propagation_steps
+        count_scf_solves.clear()
+        count_propagation_steps.clear()
+        warm = run(small_campaign, small_campaign.budget, store=tmp_path)
+        assert warm.n_cached == warm.n_jobs == 4
+        assert count_scf_solves == [] and count_propagation_steps == []
+        for name in cold.sweep_names:
+            assert warm[name].to_json(exclude_timings=True) == cold[name].to_json(
+                exclude_timings=True
+            )
+
     def test_campaign_checkpoints_resume_per_sweep(self, small_campaign, tmp_path, count_scf_solves):
         execution_plan = plan(small_campaign)
         execution_plan.execute(tmp_path)
         first_scfs = len(count_scf_solves)
-        assert first_scfs == 3  # 2 cutoff groups + 1 dt group
-        assert (tmp_path / "cutoff").is_dir() and (tmp_path / "dt").is_dir()
+        # one shared store root, no per-sweep directories: the dt group is the
+        # cutoff sweep's ecut=2.0 ground state and adopts it (2 SCFs, not 3)
+        assert first_scfs == 2
+        assert not (tmp_path / "cutoff").exists() and not (tmp_path / "dt").exists()
+        assert (tmp_path / "manifests").is_dir()
 
         resumed = execution_plan.execute(tmp_path)
         assert len(count_scf_solves) == first_scfs  # zero new SCFs

@@ -1,5 +1,5 @@
 """ExecutionSettings: validation, config resolution, identity preservation,
-and the BatchRunner redesign around it (settings= path + deprecation shims).
+and the BatchRunner redesign around it (settings= is the only path).
 """
 
 import pytest
@@ -181,17 +181,18 @@ class TestBatchRunnerRedesign:
         assert runner.machine.system is MACHINES["frontier"]
         assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
 
-    def test_legacy_keywords_warn_and_still_work(self, tiny_config):
+    def test_legacy_keywords_are_a_type_error(self, tiny_config):
+        # the pre-settings keywords are gone, not deprecated: settings= is the
+        # one way to say where and how a sweep runs
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        with pytest.warns(DeprecationWarning, match=r"backend.*ranks.*ExecutionSettings"):
-            runner = BatchRunner(spec, backend="distributed", ranks=2)
-        assert runner.settings == ExecutionSettings(backend="distributed", ranks=2)
-        report = runner.run()
-        assert [r.status for r in report] == ["completed", "completed"]
+        legacy = {"backend": "serial", "ranks": 2, "schedule": "fifo", "max_workers": 2}
+        for name, value in legacy.items():
+            with pytest.raises(TypeError, match=name):
+                BatchRunner(spec, **{name: value})
 
     def test_settings_and_legacy_keywords_are_mutually_exclusive(self, tiny_config):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        with pytest.raises(ValueError, match=r"settings=.*\['ranks'\]"):
+        with pytest.raises(TypeError, match="ranks"):
             BatchRunner(spec, settings=ExecutionSettings(), ranks=2)
 
     def test_backend_names_reexported_for_compat(self):

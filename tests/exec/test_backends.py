@@ -1,19 +1,33 @@
 """Execution backends: distributed equivalence, comm accounting, gs sharing.
 
 Acceptance tests of the backend layer: ``BatchRunner(spec,
-backend="distributed", ranks=4)`` runs a >=4-group sweep over the simulated
-MPI runtime, reports per-rank communication volume, and its deterministic
-report export is bit-identical to the serial backend's; the process-pool
-fallback warning names the original error and the fallback backend; shared
-ground-state checkpoints let resumed sweeps skip every SCF.
+settings=ExecutionSettings(backend="distributed", ranks=4))`` runs a
+>=4-group sweep over the simulated MPI runtime, reports per-rank
+communication volume, and its deterministic report export is bit-identical
+to the serial backend's; the process-pool fallback warning names the original
+error and the fallback backend; ground states shared through the store let
+resumed sweeps skip every SCF.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.batch import BatchRunner, CheckpointStore, SweepSpec
-from repro.exec import DistributedBackend, Scheduler, SerialBackend
+from repro.batch import BatchRunner, SweepSpec
+from repro.exec import (
+    DistributedBackend,
+    ExecutionSettings,
+    ProcessPoolBackend,
+    Scheduler,
+    SerialBackend,
+)
+from repro.store import ResultStore
 from repro.parallel import SimCommunicator
+
+
+def _distributed(ranks: int, schedule: str = "fifo") -> ExecutionSettings:
+    return ExecutionSettings(backend="distributed", ranks=ranks, schedule=schedule)
 
 
 @pytest.fixture()
@@ -33,7 +47,7 @@ def four_group_spec(tiny_config):
 class TestDistributedBackend:
     def test_distributed_matches_serial_bit_for_bit(self, four_group_spec):
         serial = BatchRunner(four_group_spec).run()
-        distributed = BatchRunner(four_group_spec, backend="distributed", ranks=4).run()
+        distributed = BatchRunner(four_group_spec, settings=_distributed(4)).run()
 
         assert [r.status for r in distributed] == ["completed"] * 8
         assert distributed.to_json(exclude_timings=True) == serial.to_json(exclude_timings=True)
@@ -44,7 +58,7 @@ class TestDistributedBackend:
             np.testing.assert_array_equal(a.trajectory.dipoles, b.trajectory.dipoles)
 
     def test_per_rank_communication_volume_is_reported(self, four_group_spec):
-        report = BatchRunner(four_group_spec, backend="distributed", ranks=4).run()
+        report = BatchRunner(four_group_spec, settings=_distributed(4)).run()
         execution = report.execution
 
         assert execution["backend"] == "distributed"
@@ -68,9 +82,7 @@ class TestDistributedBackend:
         assert "dispatch" in table and "distributed" in table
 
     def test_execution_summary_json_exports_on_request(self, four_group_spec):
-        import json
-
-        report = BatchRunner(four_group_spec, backend="distributed", ranks=2).run()
+        report = BatchRunner(four_group_spec, settings=_distributed(2)).run()
         plain = json.loads(report.to_json())
         assert "execution" not in plain
         full = json.loads(report.to_json(include_execution=True))
@@ -82,7 +94,7 @@ class TestDistributedBackend:
             tiny_config,
             {"xc.hybrid_mixing": [0.25, 0.0], "basis.ecut": [2.0, 1.5]},
         )
-        runner = BatchRunner(spec, backend="distributed", ranks=2, schedule="makespan_balanced")
+        runner = BatchRunner(spec, settings=_distributed(2, "makespan_balanced"))
         report = runner.run()
         per_rank = report.execution["per_rank"]
         assert sum(s["groups"] for s in per_rank) == 4
@@ -108,20 +120,20 @@ class TestDistributedBackend:
 
     def test_single_rank_distributed_still_works(self, tiny_config):
         spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
-        report = BatchRunner(spec, backend="distributed", ranks=1).run()
+        report = BatchRunner(spec, settings=_distributed(1)).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert report.execution["per_rank"][0]["groups"] == 2
 
     def test_invalid_ranks_raise(self, four_group_spec):
         with pytest.raises(ValueError, match="ranks"):
-            BatchRunner(four_group_spec, backend="distributed", ranks=0)
+            BatchRunner(four_group_spec, settings=_distributed(0))
 
     def test_distributed_respects_checkpoints(self, four_group_spec, tmp_path, count_scf_solves):
-        BatchRunner(four_group_spec, checkpoint_dir=tmp_path, backend="distributed", ranks=4).run()
+        BatchRunner(four_group_spec, store=tmp_path, settings=_distributed(4)).run()
         scf_first = len(count_scf_solves)
         assert scf_first == 4
         resumed = BatchRunner(
-            four_group_spec, checkpoint_dir=tmp_path, backend="distributed", ranks=4
+            four_group_spec, store=tmp_path, settings=_distributed(4)
         ).run()
         assert [r.status for r in resumed] == ["cached"] * 8
         assert len(count_scf_solves) == scf_first
@@ -151,7 +163,7 @@ class TestPlacementCosting:
         """Acceptance: 8 ranks span both sockets and a second node, and every
         rank that received work logs link-attributed traffic with a nonzero
         predicted wall cost."""
-        report = BatchRunner(four_group_spec, backend="distributed", ranks=8).run()
+        report = BatchRunner(four_group_spec, settings=_distributed(8)).run()
         per_rank = report.execution["per_rank"]
         # Summit geometry: 3 ranks per socket, 6 per node
         assert [s["link"] for s in per_rank] == (
@@ -173,11 +185,10 @@ class TestPlacementCosting:
         sweep's traffic crosses IB instead of NVLink and costs more wall."""
         from repro.cost import NodePlacement
 
-        dense = BatchRunner(four_group_spec, backend="distributed", ranks=4).run()
+        dense = BatchRunner(four_group_spec, settings=_distributed(4)).run()
         sparse = BatchRunner(
             four_group_spec,
-            backend="distributed",
-            ranks=4,
+            settings=_distributed(4),
             placement=NodePlacement(n_ranks=4, ranks_per_node=2),
         ).run()
         dense_links = [s["link"] for s in dense.execution["per_rank"]]
@@ -197,18 +208,17 @@ class TestPlacementCosting:
 
         serial = BatchRunner(four_group_spec).run()
         variants = [
-            BatchRunner(four_group_spec, backend="distributed", ranks=4).run(),
+            BatchRunner(four_group_spec, settings=_distributed(4)).run(),
             BatchRunner(
                 four_group_spec,
-                backend="distributed",
-                ranks=4,
+                settings=_distributed(4),
                 placement=NodePlacement(n_ranks=4, ranks_per_node=1),
             ).run(),
             BatchRunner(
-                four_group_spec, backend="distributed", ranks=3, schedule="energy_aware"
+                four_group_spec, settings=_distributed(3, "energy_aware")
             ).run(),
             BatchRunner(
-                four_group_spec, backend="distributed", ranks=2, schedule="makespan_balanced"
+                four_group_spec, settings=_distributed(2, "makespan_balanced")
             ).run(),
         ]
         reference = serial.to_json(exclude_timings=True)
@@ -216,10 +226,8 @@ class TestPlacementCosting:
             assert report.to_json(exclude_timings=True) == reference
 
     def test_execution_summary_is_strict_json(self, four_group_spec):
-        import json
-
         report = BatchRunner(
-            four_group_spec, backend="distributed", ranks=4, schedule="energy_aware"
+            four_group_spec, settings=_distributed(4, "energy_aware")
         ).run()
         text = json.dumps(report.execution, allow_nan=False)
         decoded = json.loads(text)
@@ -249,13 +257,13 @@ class TestProcessFallbackWarning:
             UserWarning,
             match=r"OSError: no child processes allowed in this sandbox.*'serial'",
         ):
-            report = BatchRunner(spec, backend="process").run()
+            report = BatchRunner(spec, settings=ExecutionSettings(backend="process")).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert report.execution["used_fallback"] is True
 
     def test_no_warning_on_single_group_sweep(self, tiny_config, recwarn):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        report = BatchRunner(spec, backend="process").run()
+        report = BatchRunner(spec, settings=ExecutionSettings(backend="process")).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert not [w for w in recwarn.list if "process pool" in str(w.message)]
 
@@ -270,11 +278,11 @@ class TestGroundStateSharing:
         """A *different* sweep over the same ground states adopts the persisted
         SCFs: zero solves, identical physics to a cold run."""
         first = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        BatchRunner(first, checkpoint_dir=tmp_path).run()
+        BatchRunner(first, store=tmp_path).run()
         assert len(count_scf_solves) == 1
 
         second = SweepSpec(tiny_config, {"run.time_step_as": [2.0, 3.0]})
-        report = BatchRunner(second, checkpoint_dir=tmp_path).run()
+        report = BatchRunner(second, store=tmp_path).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert len(count_scf_solves) == 1  # both new jobs rode the stored SCF
 
@@ -285,23 +293,23 @@ class TestGroundStateSharing:
 
     def test_opt_out_reconverges(self, tiny_config, tmp_path, count_scf_solves):
         first = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        BatchRunner(first, checkpoint_dir=tmp_path, share_ground_states=False).run()
+        BatchRunner(first, store=tmp_path, share_ground_states=False).run()
         second = SweepSpec(tiny_config, {"run.time_step_as": [2.0]})
-        BatchRunner(second, checkpoint_dir=tmp_path, share_ground_states=False).run()
+        BatchRunner(second, store=tmp_path, share_ground_states=False).run()
         assert len(count_scf_solves) == 2
-        assert not CheckpointStore(tmp_path).has_ground_state(
+        assert not ResultStore(tmp_path).has_ground_state(
             first.expand()[0].group_key
         )
 
     def test_prepare_ground_states_adopts_persisted_scf(self, tiny_config, tmp_path, count_scf_solves):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        warm = BatchRunner(spec, checkpoint_dir=tmp_path)
+        warm = BatchRunner(spec, store=tmp_path)
         assert warm.prepare_ground_states() == 1
         assert len(count_scf_solves) == 1
 
         # a fresh runner (new process, conceptually) warms from disk instead
         resumed_spec = SweepSpec(tiny_config, {"run.time_step_as": [3.0]})
-        resumed = BatchRunner(resumed_spec, checkpoint_dir=tmp_path)
+        resumed = BatchRunner(resumed_spec, store=tmp_path)
         assert resumed.prepare_ground_states() == 0
         assert len(count_scf_solves) == 1
         report = resumed.run()
@@ -313,7 +321,7 @@ class TestGroundStateSharing:
 
         session = Session(tiny_config)
         result = session.ground_state()
-        store = CheckpointStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = "some-group-key"
         assert not store.has_ground_state(key)
         store.save_ground_state(key, result)
@@ -330,8 +338,8 @@ class TestGroundStateSharing:
 
     def test_gs_entries_do_not_pollute_job_ids(self, tiny_config, tmp_path):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        BatchRunner(spec, checkpoint_dir=tmp_path).run()
-        store = CheckpointStore(tmp_path)
+        BatchRunner(spec, store=tmp_path).run()
+        store = ResultStore(tmp_path)
         assert store.completed_ids() == {spec.expand()[0].job_id}
         assert store.has_ground_state(spec.expand()[0].group_key)
 
@@ -339,11 +347,13 @@ class TestGroundStateSharing:
         """prepare_ground_states persists the SCF; run() must not rewrite the
         (large) orbital archive it already finds on disk."""
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        runner = BatchRunner(spec, checkpoint_dir=tmp_path)
+        runner = BatchRunner(spec, store=tmp_path)
         assert runner.prepare_ground_states() == 1
-        gs_path = CheckpointStore(tmp_path).ground_state_trajectory_path(
-            spec.expand()[0].group_key
+        store = ResultStore(tmp_path)
+        manifest = json.loads(
+            store.ground_state_manifest_path(spec.expand()[0].group_key).read_text()
         )
+        gs_path = store.object_path(manifest["artifact"]["sha256"])
         before = gs_path.stat().st_mtime_ns
         runner.run()
         assert gs_path.stat().st_mtime_ns == before
@@ -352,7 +362,7 @@ class TestGroundStateSharing:
         from repro.api import Session
 
         session = Session(tiny_config)
-        store = CheckpointStore(tmp_path)
+        store = ResultStore(tmp_path)
         store.save_ground_state("k", session.ground_state())
         without_basis = store.load_ground_state("k")  # no basis: no orbitals
         fresh = Session(tiny_config)
@@ -361,12 +371,12 @@ class TestGroundStateSharing:
 
     def test_distributed_and_process_share_ground_states_too(self, tiny_config, tmp_path, count_scf_solves):
         spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
-        BatchRunner(spec, checkpoint_dir=tmp_path, backend="distributed", ranks=2).run()
+        BatchRunner(spec, store=tmp_path, settings=_distributed(2)).run()
         assert len(count_scf_solves) == 2
         follow_up = SweepSpec(
             tiny_config, {"basis.ecut": [1.5, 2.0], "run.time_step_as": [2.0]}
         )
-        report = BatchRunner(follow_up, checkpoint_dir=tmp_path, backend="distributed", ranks=2).run()
+        report = BatchRunner(follow_up, store=tmp_path, settings=_distributed(2)).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert len(count_scf_solves) == 2  # adopted on the simulated ranks
 
@@ -379,7 +389,7 @@ class TestGroundStateSharing:
 class TestBackendSurface:
     def test_unknown_backend_raises_listing_choices(self, four_group_spec):
         with pytest.raises(ValueError, match="serial.*process.*distributed"):
-            BatchRunner(four_group_spec, backend="threads")
+            BatchRunner(four_group_spec, settings=ExecutionSettings(backend="threads"))
 
     def test_serial_backend_reuses_warm_sessions(self, four_group_spec, count_scf_solves):
         runner = BatchRunner(four_group_spec)
@@ -399,8 +409,6 @@ class TestBackendSurface:
     def test_unknown_costs_export_as_null_not_nan(self, tiny_config):
         """A failing cost model leaves NaN sentinels on the scheduled groups;
         the execution export must stay strict JSON (null, not NaN)."""
-        import json
-
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
         runner = BatchRunner(spec)
         scheduled = Scheduler("fifo", cost_fn=lambda configs: float("nan")).schedule(runner.groups())
@@ -449,8 +457,8 @@ class TestPollCancel:
 
         calls: list[int] = []
 
-        def fake(jobs, checkpoint_dir, raise_on_error, session=None, share_ground_states=False,
-                 store=None, precision="complex128"):
+        def fake(jobs, store, raise_on_error, session=None, share_ground_states=False,
+                 precision="complex128"):
             calls.append(len(jobs))
             if on_group is not None:
                 on_group(len(calls))
@@ -460,8 +468,6 @@ class TestPollCancel:
         return calls
 
     def test_poll_reports_zero_then_full_progress(self, four_group_spec, monkeypatch):
-        import json
-
         self._stub_execute_group(monkeypatch)
         backend = self._submit(SerialBackend(), four_group_spec)
 
@@ -530,3 +536,45 @@ class TestPollCancel:
         status = backend.poll()
         assert status["backend"] == "distributed"
         assert status["groups_done"] == 1 and status["cancelled"] and status["done"]
+
+    def test_process_pool_single_group_reports_from_the_base_loop(self, tiny_config, monkeypatch):
+        """A single-group process sweep runs the base class's own loop: the
+        counters poll() reports are the ones that loop keeps, nothing mirrored."""
+        calls = self._stub_execute_group(monkeypatch)
+        spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
+        backend = self._submit(ProcessPoolBackend(max_workers=2), spec)
+
+        assert len(backend.drain()) == 2
+        assert calls == [2]  # in-process: the stubbed module global was reached
+        status = backend.poll()
+        assert status["backend"] == "process"
+        assert status["groups_done"] == 1 and status["jobs_done"] == 2
+        assert status["done"] and not status["cancelled"]
+        assert backend.execution_summary()["used_fallback"] is False
+
+    def test_process_pool_without_a_pool_honours_cancel(self, four_group_spec, monkeypatch):
+        """No pool can be created: the fallback is the base loop, so a
+        mid-drain cancel() on the backend itself stops it at the group
+        boundary and poll() reports straight from it."""
+        import repro.exec.backends as backends_module
+
+        def refuse(*args, **kwargs):
+            raise OSError("no child processes allowed in this sandbox")
+
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", refuse)
+        backend = ProcessPoolBackend()
+
+        def cancel_after_second(i):
+            if i == 2:
+                backend.cancel()
+
+        calls = self._stub_execute_group(monkeypatch, on_group=cancel_after_second)
+        self._submit(backend, four_group_spec)
+
+        with pytest.warns(UserWarning, match="falling back to the 'serial'"):
+            results = backend.drain()
+        assert calls == [2, 2] and len(results) == 4
+        status = backend.poll()
+        assert status["groups_done"] == 2 and status["jobs_done"] == 4
+        assert status["cancelled"] and status["done"]
+        assert backend.execution_summary()["used_fallback"] is True

@@ -165,10 +165,10 @@ class TestFailureAttribution:
     def test_raise_on_error_checkpoints_the_jobs_before_the_failure(self, jobs, tmp_path):
         store = ResultStore(tmp_path / "store")
         with pytest.raises(ValueError, match="scf_tolerance"):
-            execute_group(jobs, None, raise_on_error=True, store=store)
+            execute_group(jobs, store, raise_on_error=True)
         assert [store.has(job) for job in jobs] == [True, False, False]
         # the resume serves the first job from its checkpoint
-        resumed = execute_group(jobs, None, raise_on_error=False, store=store)
+        resumed = execute_group(jobs, store, raise_on_error=False)
         assert [r.status for r in resumed] == ["cached", "failed", "completed"]
 
 
@@ -182,7 +182,7 @@ class TestPoolWorkerCapping:
         set_fft_workers(4)
         try:
             (jobs,) = group_jobs(dt_spec).values()
-            payload = (jobs, None, True, False, None, "complex128")
+            payload = (jobs, None, True, False, "complex128")
             dicts = _run_group_worker(payload)
             assert get_fft_workers() == 1
             assert os.environ["REPRO_FFT_WORKERS"] == "1"

@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import ConfigError, SimulationConfig
 from repro.batch import BatchRunner, SweepSpec, config_hash, ground_state_group_key
-from repro.exec import SCHEDULE_POLICIES, ScheduledGroup, Scheduler
+from repro.exec import SCHEDULE_POLICIES, ExecutionSettings, ScheduledGroup, Scheduler
 from repro.perf import predict_group_cost
 
 
@@ -286,5 +286,5 @@ class TestScheduleConfig:
         config = tiny_config.with_overrides({"run.schedule.policy": "cheapest_first"})
         runner = BatchRunner(SweepSpec(config))
         assert runner.schedule == "cheapest_first"
-        override = BatchRunner(SweepSpec(config), schedule="fifo")
+        override = BatchRunner(SweepSpec(config), settings=ExecutionSettings(schedule="fifo"))
         assert override.schedule == "fifo"

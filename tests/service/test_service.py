@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro.api import PROPAGATORS
-from repro.batch import BatchRunner, SweepSpec
+from repro.batch import BatchRunner, SweepSpec, config_hash
 from repro.campaign import Budget, CampaignSpec, InfeasibleBudgetError, plan
-from repro.service import CampaignService, NodePool
+from repro.exec import ExecutionSettings, Scheduler
+from repro.service import CampaignService, NodePool, run_sweep
+from repro.store import ResultStore
 
 
 def run(coro):
@@ -90,6 +92,62 @@ class TestCoScheduling:
 
 
 # ---------------------------------------------------------------------------
+# One group-stepping core: run_sweep steps the backend BatchRunner drains
+# ---------------------------------------------------------------------------
+
+
+class TestSharedGroupCore:
+    """The execution records of the two entrypoints come from one place —
+    ``ExecutionBackend.execution_summary`` and one report builder — so they
+    cannot drift apart again."""
+
+    @staticmethod
+    def _service_report(spec, settings, **options):
+        async def body():
+            return await run_sweep(spec, settings, NodePool("summit", n_nodes=1), **options)
+
+        return run(body()).report
+
+    def test_group_records_and_store_provenance_match_the_runner(self, cutoff_campaign, tmp_path):
+        (spec,) = cutoff_campaign.sweeps.values()  # four ground-state groups
+        settings = ExecutionSettings()
+        store = ResultStore(tmp_path / "store")
+        cold = BatchRunner(spec, settings=settings, store=store).run().execution
+        ours = self._service_report(spec, settings, store=store).execution  # warm
+        theirs = BatchRunner(spec, settings=settings, store=store).run().execution  # warm
+
+        assert cold["store"]["computed"] == 4 and cold["store"]["hits"] == 0
+        assert ours["store"] == theirs["store"]
+        assert ours["store"] == {"root": str(store.root), "hits": 4, "computed": 0, "failed": 0}
+        assert ours["schedule"] == theirs["schedule"] == "fifo"
+        assert ours["backend"] == "service" and theirs["backend"] == "serial"
+        assert len(ours["groups"]) == len(cold["groups"]) == 4
+        for mine, runner_cold, runner_warm in zip(ours["groups"], cold["groups"], theirs["groups"]):
+            assert list(mine) == list(runner_cold) == list(runner_warm)  # same keys, same order
+            for key in ("index", "n_jobs", "n_gpus", "machine", "propagator", "n_bands", "n_grid",
+                        "predicted_cost", "predicted_seconds", "predicted_energy_j"):
+                assert mine[key] == runner_cold[key] == runner_warm[key], key
+            assert mine["predicted_seconds"] > 0 and mine["repriced_seconds"] is None
+            assert runner_cold["observed_seconds"] > 0
+
+    def test_unknown_costs_export_as_null_through_the_service_too(
+        self, dt_campaign, monkeypatch
+    ):
+        (spec,) = dt_campaign.sweeps.values()
+        monkeypatch.setattr(
+            ExecutionSettings,
+            "scheduler",
+            lambda self: Scheduler("fifo", cost_fn=lambda configs: float("nan")),
+        )
+        report = self._service_report(spec, ExecutionSettings(machine=None))
+        assert [r.status for r in report] == ["completed", "completed"]
+        decoded = json.loads(json.dumps(report.execution, allow_nan=False))  # strict JSON
+        assert decoded["groups"][0]["predicted_cost"] is None
+        assert decoded["groups"][0]["predicted_seconds"] is None
+        assert decoded["groups"][0]["observed_seconds"] > 0
+
+
+# ---------------------------------------------------------------------------
 # Priorities: preemption at group boundaries, checkpointed resume
 # ---------------------------------------------------------------------------
 
@@ -133,9 +191,12 @@ class TestPreemption:
     def test_preempted_sweep_resumes_from_checkpoints(
         self, cutoff_campaign, dt_campaign, tmp_path, count_scf_solves
     ):
-        """Preemption must never redo finished work: 4 cutoff groups + 1 dt
-        group converge exactly 5 SCFs however the leases interleave."""
-        service = CampaignService(NodePool("summit", n_nodes=1), checkpoint_dir=tmp_path)
+        """Preemption must never redo finished work, however the leases
+        interleave — and both tenants share the service's one store: the dt
+        group is the cutoff sweep's ecut=2.0 ground state, so the 4 + 1 groups
+        converge 4 SCFs (5 with the per-sweep directories this replaced), and
+        every job has its manifest in the one store root."""
+        service = CampaignService(NodePool("summit", n_nodes=1), store=tmp_path)
 
         async def body():
             low = service.submit(cutoff_campaign, priority=0, name="low")
@@ -144,9 +205,17 @@ class TestPreemption:
             return await asyncio.gather(low.report(), high.report())
 
         run(body())
-        assert len(count_scf_solves) == 5
-        assert (tmp_path / "low" / "cutoff").is_dir()
-        assert (tmp_path / "high" / "dt").is_dir()
+        assert len(count_scf_solves) == 4
+        jobs = [
+            job
+            for campaign in (cutoff_campaign, dt_campaign)
+            for spec in campaign.sweeps.values()
+            for job in spec.expand()
+        ]
+        assert all(service.store.has(job) for job in jobs)
+        manifests = list(service.store.manifests_dir.glob("job-*.json"))
+        assert len(manifests) == len({config_hash(job.config) for job in jobs})
+        assert not (tmp_path / "low").exists() and not (tmp_path / "high").exists()
 
 
 # ---------------------------------------------------------------------------

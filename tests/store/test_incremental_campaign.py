@@ -99,7 +99,8 @@ class TestIncrementalExecute:
             assert stamp["failed"] == 0
 
     def test_checkpoint_dir_execute_remains_incremental(self, campaign, tmp_path, count_scf_solves):
-        # the pre-store calling convention still round-trips through the store
+        # execute(path): the first positional argument is the store (a root
+        # directory builds a ResultStore), so the old calling convention holds
         execution_plan = plan(campaign)
         execution_plan.execute(tmp_path / "ckpt")
         count_scf_solves.clear()

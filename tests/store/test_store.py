@@ -1,6 +1,6 @@
 """ResultStore behavior: layout, round-trips, content addressing, dedup,
-cross-sweep cache hits, the legacy CheckpointStore shim, and concurrent
-writers racing on one artifact.
+cross-sweep cache hits, ``store=<path>`` vs ``store=<ResultStore>``, and
+concurrent writers racing on one artifact.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import threading
 
-from repro.batch import BatchRunner, CheckpointStore, SweepSpec
+from repro.batch import BatchRunner, SweepSpec
 from repro.store import ResultStore, ground_state_hash
 
 
@@ -98,27 +98,26 @@ class TestContentAddressing:
         assert store.completed_ids() == {job.job_id for job in dt_spec.expand()}
 
 
-class TestCheckpointShim:
-    def test_checkpoint_store_is_a_result_store(self, tmp_path):
-        shim = CheckpointStore(tmp_path / "ckpt")
-        assert isinstance(shim, ResultStore)
-        assert shim.directory == shim.root
+class TestStorePathArgument:
+    """``store=`` is the one persistence argument; a root directory and a
+    :class:`ResultStore` over it are the same store."""
 
-    def test_legacy_checkpoint_dir_runs_through_the_store(self, dt_spec, tmp_path):
-        BatchRunner(dt_spec, checkpoint_dir=tmp_path / "ckpt").run()
-        shim = CheckpointStore(tmp_path / "ckpt")
+    def test_path_runs_through_the_store(self, dt_spec, tmp_path, job_entry, gs_entry):
+        runner = BatchRunner(dt_spec, store=tmp_path / "root")
+        assert isinstance(runner.store, ResultStore)
+        runner.run()
+        store = ResultStore(tmp_path / "root")
         job = dt_spec.expand()[0]
-        manifest = json.loads(shim.manifest_path(job.job_id).read_text())
-        assert manifest["job_id"] == job.job_id
-        trajectory = shim.trajectory_path(job.job_id)
-        assert trajectory.exists() and trajectory.parent == shim.objects_dir
-        gs = shim.ground_state_trajectory_path(job.group_key)
-        assert gs.exists() and gs.parent == shim.objects_dir
+        manifest_path, trajectory = job_entry(store, job)
+        assert json.loads(manifest_path.read_text())["job_id"] == job.job_id
+        assert trajectory.exists() and trajectory.parent == store.objects_dir
+        _, gs = gs_entry(store, job.group_key)
+        assert gs.exists() and gs.parent == store.objects_dir
 
-    def test_checkpoint_dir_and_store_share_results(self, dt_spec, store):
-        # a sweep checkpointed through the legacy kwarg is a warm store for
-        # a sweep passed the store object, and vice versa
-        BatchRunner(dt_spec, checkpoint_dir=store.root).run()
+    def test_path_and_store_object_share_results(self, dt_spec, store):
+        # a sweep persisted through the root path is a warm store for a sweep
+        # passed the store object, and vice versa
+        BatchRunner(dt_spec, store=store.root).run()
         report = BatchRunner(dt_spec, store=store).run()
         assert [r.status for r in report.results] == ["cached", "cached"]
 
