@@ -8,7 +8,9 @@ wavefunctions must be stored (Section 7's memory analysis, 512 GB Summit nodes).
 
 The implementation below is the standard "type-II" Anderson/Pulay update:
 given a history of iterates ``x_k`` and their residuals ``f_k``, minimise the
-linear combination of residual differences and extrapolate.
+linear combination of residual differences and extrapolate. The mixer applies
+no preconditioner of its own: the caller hands in the residual it wants mixed
+(PT-CN divides its line-6 residual by the diagonal of the Jacobian first).
 """
 
 from __future__ import annotations

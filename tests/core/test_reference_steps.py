@@ -65,7 +65,20 @@ def reference_ptcn_step(
     # Line 1: R_n with the Hamiltonian at t_n, consistent with Psi_n
     ham.set_time(time)
     ham.update_potential(wavefunction)
-    r_n = rhs(c_n, ham.apply(c_n))
+    h_cn = ham.apply(c_n)
+    r_n = rhs(c_n, h_cn)
+    # the preconditioner of line 7, fixed for the step: the inverse diagonal of
+    # line 6's Jacobian 1 + i dt/2 (H - eps_i), band by band, with H's diagonal
+    # taken as the kinetic energy about the band's own <T> (PT gauge) or about
+    # <T> - Re<H_n> (Schroedinger gauge, where no eps_i is subtracted)
+    kinetic = ham.kinetic_diagonal
+    inverse_diagonal = np.empty(c_n.shape, dtype=np.complex128)
+    for band, (c, h_c) in enumerate(zip(c_n, h_cn)):
+        weight = np.abs(c) ** 2
+        shift = -np.sum(weight * kinetic) / np.sum(weight)
+        if not parallel_transport:
+            shift += np.sum(c.conj() * h_c).real / np.sum(weight)
+        inverse_diagonal[band] = 1.0 / (1.0 + 0.5j * dt * (kinetic + shift))
     # Line 2: the fixed right-hand side Psi_{n+1/2}
     c_half = c_n - 0.5j * dt * r_n
     c_f = c_half.copy()
@@ -80,8 +93,8 @@ def reference_ptcn_step(
         rho_f = ham.update_potential(Wavefunction(basis, c_f, occ))
         # Line 6: fixed-point residual
         r_f = c_f + 0.5j * dt * rhs(c_f, ham.apply(c_f)) - c_half
-        # Line 7: Anderson mixing
-        c_f = mixer.update(c_f, r_f)
+        # Line 7: Anderson mixing of the preconditioned residual
+        c_f = mixer.update(c_f, inverse_diagonal * r_f)
         # Lines 8-9: density of the new iterate, convergence on its change
         rho_new = _density(Wavefunction(basis, c_f, occ))
         charge = float(np.sum(np.abs(rho_f)) * volume_element)
