@@ -53,10 +53,13 @@ the config resolves to remains public API::
                                t0=attoseconds_to_au(150.0),
                                sigma=attoseconds_to_au(60.0),
                                polarization=[1.0, 0.0, 0.0])
+    # the ground state is field-free; the propagation switches the field on
+    field_free = Hamiltonian(basis, structure, hybrid_mixing=0.25,
+                             screening_length=None)
+    ground_state = GroundStateSolver(field_free, scf_tolerance=1e-7).solve()
     hamiltonian = Hamiltonian(basis, structure, hybrid_mixing=0.25,
                               screening_length=None,
                               external_field=pulse.potential_factory(grid))
-    ground_state = GroundStateSolver(hamiltonian, scf_tolerance=1e-7).solve()
     propagator = PTCNPropagator(hamiltonian, scf_tolerance=1e-6,
                                 max_scf_iterations=30)
     simulation = TDDFTSimulation(hamiltonian, propagator)

@@ -10,6 +10,10 @@ materials** through a :class:`~repro.service.CampaignService` backed by a
 queries from the same store — a warm query is a pure cache hit: zero SCF
 solves, zero propagation steps, bit-identical physics.
 
+The ground state is field-free, so each material's fluence sweep is one group
+sharing one SCF: a cold pass solves exactly as many ground states as there are
+materials (the smoke fails otherwise).
+
 The smoke mode is the CI harness: the ``assets-verify`` job runs it twice
 against one store directory (second pass with ``--expect-warm``) and uploads
 ``benchmarks/results/BENCH_assets.json`` (scenario count x cold/warm store
@@ -238,6 +242,14 @@ def smoke(store_root: pathlib.Path, out_path: pathlib.Path, expect_warm: bool) -
             return 1
         print("warm pass: 100% hits, zero SCF solves, zero propagation steps, physics bit-identical")
     else:
+        if report.n_cached == 0 and counts["scf_solves"] != len(MATERIALS):
+            # the ground state is field-free: a fluence sweep shares its material's SCF
+            print(
+                f"smoke FAILED: cold pass ran {counts['scf_solves']} SCF solves "
+                f"for {len(MATERIALS)} distinct materials",
+                file=sys.stderr,
+            )
+            return 1
         digest_path.write_text(json.dumps(digests, indent=2) + "\n")
         print(
             f"cold pass: {report.n_jobs} scenarios over {len(MATERIALS)} materials "

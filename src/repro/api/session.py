@@ -21,10 +21,15 @@ from ..pw.grid import FFTGrid, PlaneWaveBasis, choose_grid_shape
 from ..pw.ground_state import GroundStateResult, GroundStateSolver
 from ..pw.hamiltonian import Hamiltonian
 from ..pw.laser import DeltaKick
-from .config import SimulationConfig
+from .config import LaserConfig, SimulationConfig
 from .registry import PROPAGATORS, PULSES, STRUCTURES
 
 __all__ = ["Session", "run_tddft", "compare_propagators"]
+
+
+def _params_key(params: dict) -> tuple:
+    """A hashable, order-independent cache key of a ``params`` dict."""
+    return tuple(sorted((k, repr(v)) for k, v in params.items()))
 
 
 class Session:
@@ -36,11 +41,15 @@ class Session:
     :meth:`propagate_many` request with the same arguments returns the cached
     trajectory.
 
+    The ground state is field-free and the field is switched on by the
+    propagation at *t* = 0 (the usual rt-TDDFT convention), so one session
+    serves every pulse of its material: a request may carry its own ``laser``.
+
     Every propagation — one request or many — runs on its own
-    :meth:`~repro.pw.hamiltonian.Hamiltonian.clone` of :attr:`hamiltonian`,
-    so :attr:`hamiltonian` stays at the ground state: it holds neither the
-    end-of-run time and potential nor the apply / Fock counts of a run. The
-    counts of a run are on its trajectory
+    :meth:`~repro.pw.hamiltonian.Hamiltonian.clone` of :attr:`hamiltonian`
+    carrying the request's pulse, so :attr:`hamiltonian` is never stepped: it
+    holds neither the end-of-run time and potential nor the apply / Fock
+    counts of a run. The counts of a run are on its trajectory
     (``total_hamiltonian_applications``, the per-step statistics).
 
     Parameters
@@ -54,11 +63,9 @@ class Session:
         self._structure = None
         self._grid: FFTGrid | None = None
         self._basis: PlaneWaveBasis | None = None
-        self._pulse = None
-        self._pulse_built = False
+        self._pulses: dict[tuple, object] = {}
         self._hamiltonian: Hamiltonian | None = None
         self._ground_state: GroundStateResult | None = None
-        self._initial_wavefunction: Wavefunction | None = None
         self._trajectories: dict[tuple, Trajectory] = {}
         self._trajectory_labels: dict[tuple, str] = {}
 
@@ -89,31 +96,49 @@ class Session:
             self._basis = PlaneWaveBasis(self.grid, self.config.basis.ecut)
         return self._basis
 
+    def _pulse_for(self, laser: LaserConfig):
+        """The pulse object of a ``laser`` section, built once per session."""
+        key = (laser.pulse, _params_key(laser.params))
+        if key not in self._pulses:
+            self._pulses[key] = PULSES.create(laser.pulse, **laser.params)
+        return self._pulses[key]
+
+    def _external_field(self, pulse):
+        """A pulse's length-gauge potential ``t -> V_ext(r, t)`` on this
+        session's grid; ``None`` for no pulse and for a delta kick."""
+        if pulse is None or not hasattr(pulse, "potential_factory"):
+            return None
+        return pulse.potential_factory(self.grid)
+
+    def _build_hamiltonian(self, hybrid_mixing: float, external_field=None) -> Hamiltonian:
+        xc = self.config.xc
+        return Hamiltonian(
+            self.basis,
+            self.structure,
+            hybrid_mixing=hybrid_mixing,
+            screening_length=xc.screening_length,
+            external_field=external_field,
+            include_nonlocal=xc.include_nonlocal,
+        )
+
     @property
     def pulse(self):
         """The configured pulse object (``None`` for field-free runs)."""
-        if not self._pulse_built:
-            cfg = self.config.laser
-            self._pulse = PULSES.create(cfg.pulse, **cfg.params)
-            self._pulse_built = True
-        return self._pulse
+        return self._pulse_for(self.config.laser)
 
     @property
     def hamiltonian(self) -> Hamiltonian:
-        """The propagation Hamiltonian (shared with the default ground state)."""
+        """The propagation Hamiltonian: ``xc.hybrid_mixing`` and the
+        configured pulse's field.
+
+        A template — the ground state is solved on a field-free Hamiltonian
+        of its own (:meth:`ground_state`) and every propagation runs on a
+        clone of this one that carries the request's pulse — so it stays in
+        its as-built state unless a caller steps it by hand.
+        """
         if self._hamiltonian is None:
-            xc = self.config.xc
-            pulse = self.pulse
-            external = None
-            if pulse is not None and hasattr(pulse, "potential_factory"):
-                external = pulse.potential_factory(self.grid)
-            self._hamiltonian = Hamiltonian(
-                self.basis,
-                self.structure,
-                hybrid_mixing=xc.hybrid_mixing,
-                screening_length=xc.screening_length,
-                external_field=external,
-                include_nonlocal=xc.include_nonlocal,
+            self._hamiltonian = self._build_hamiltonian(
+                self.config.xc.hybrid_mixing, self._external_field(self.pulse)
             )
         return self._hamiltonian
 
@@ -121,28 +146,21 @@ class Session:
     # Results
     # ------------------------------------------------------------------
     def ground_state(self) -> GroundStateResult:
-        """Converge (once) and return the ground state.
+        """Converge (once) and return the field-free ground state.
 
-        Uses the propagation Hamiltonian unless ``xc.gs_hybrid_mixing`` is
-        set, in which case a separate field-free Hamiltonian with that mixing
-        prepares the initial state (the paper's silicon workflow: semi-local
-        ground state, hybrid propagation).
+        The SCF runs on a field-free Hamiltonian of its own, with
+        ``xc.gs_hybrid_mixing`` if set (the paper's silicon workflow:
+        semi-local ground state, hybrid propagation) and ``xc.hybrid_mixing``
+        otherwise. No pulse enters it — the field is switched on by the
+        propagation — so the result depends on exactly what
+        :func:`~repro.batch.sweep.ground_state_group_key` carries.
         """
         if self._ground_state is None:
             xc = self.config.xc
             run = self.config.run
-            if xc.gs_hybrid_mixing is None:
-                ham = self.hamiltonian
-            else:
-                ham = Hamiltonian(
-                    self.basis,
-                    self.structure,
-                    hybrid_mixing=xc.gs_hybrid_mixing,
-                    screening_length=xc.screening_length,
-                    include_nonlocal=xc.include_nonlocal,
-                )
+            mixing = xc.hybrid_mixing if xc.gs_hybrid_mixing is None else xc.gs_hybrid_mixing
             solver = GroundStateSolver(
-                ham,
+                self._build_hamiltonian(mixing),
                 scf_tolerance=run.gs_scf_tolerance,
                 max_scf_iterations=run.gs_max_scf_iterations,
             )
@@ -180,21 +198,21 @@ class Session:
                 f"coefficients but this session's basis has {self.basis.npw}"
             )
         self._ground_state = result
-        self._initial_wavefunction = None
 
     def initial_wavefunction(self) -> Wavefunction:
         """The propagation starting state: the ground state, kicked if the
         configured pulse is a :class:`~repro.pw.laser.DeltaKick`."""
-        if self._initial_wavefunction is None:
-            wavefunction = self.ground_state().wavefunction
-            pulse = self.pulse
-            if isinstance(pulse, DeltaKick):
-                kicked = pulse.apply(self.grid, wavefunction.to_real_space())
-                wavefunction = Wavefunction.from_real_space(
-                    self.basis, kicked, wavefunction.occupations
-                )
-            self._initial_wavefunction = wavefunction
-        return self._initial_wavefunction
+        return self._initial_state(self.pulse)
+
+    def _initial_state(self, pulse) -> Wavefunction:
+        """The ground state, kicked if ``pulse`` is a delta kick."""
+        wavefunction = self.ground_state().wavefunction
+        if isinstance(pulse, DeltaKick):
+            kicked = pulse.apply(self.grid, wavefunction.to_real_space())
+            wavefunction = Wavefunction.from_real_space(
+                self.basis, kicked, wavefunction.occupations
+            )
+        return wavefunction
 
     # ------------------------------------------------------------------
     def _resolve_propagation(
@@ -204,9 +222,10 @@ class Session:
         n_steps: int | None = None,
         params: dict | None = None,
         precision: str | None = None,
+        laser: LaserConfig | dict | None = None,
     ) -> dict:
         """Resolve one propagation request against the config: registry
-        factory, effective params/step settings and the cache key."""
+        factory, effective params/step settings/laser and the cache key."""
         cfg = self.config
         name = cfg.propagator.name if propagator is None else propagator
         factory = PROPAGATORS.get(name)
@@ -218,13 +237,19 @@ class Session:
         dt_as = cfg.run.time_step_as if time_step_as is None else float(time_step_as)
         steps = cfg.run.n_steps if n_steps is None else int(n_steps)
         precision = resolve_precision(precision)
+        if laser is None:
+            laser = cfg.laser
+        elif isinstance(laser, dict):
+            laser = LaserConfig(**laser)
         # keyed by factory identity so aliases share one cache entry
         key = (
             factory,
             dt_as,
             steps,
-            tuple(sorted((k, repr(v)) for k, v in params.items())),
+            _params_key(params),
             precision,
+            laser.pulse,
+            _params_key(laser.params),
         )
         return {
             "name": name,
@@ -233,6 +258,7 @@ class Session:
             "dt_as": dt_as,
             "steps": steps,
             "precision": precision,
+            "laser": laser,
             "key": key,
         }
 
@@ -241,8 +267,10 @@ class Session:
         run (overrides folded in), not the session's base config, so archived
         trajectories can be reproduced from their own metadata even when a
         batch driver ran many variants through one shared session."""
+        laser = request["laser"]
         effective = self.config.with_overrides(
             {
+                "laser": {"pulse": laser.pulse, "params": dict(laser.params)},
                 "propagator": {"name": request["name"], "params": dict(request["params"])},
                 "run": {"time_step_as": request["dt_as"], "n_steps": request["steps"]},
             }
@@ -260,17 +288,18 @@ class Session:
             # stamped only off the default tier: complex128 provenance stays
             # byte-identical to what stores and goldens already hold
             metadata["precision"] = request["precision"]
-        assets = self._asset_provenance()
+        assets = self._asset_provenance(laser)
         if assets:
             # asset-driven configs carry id -> content digest, so archived
             # trajectories pin exactly which payload versions produced them
             metadata["assets"] = assets
         return metadata
 
-    def _asset_provenance(self) -> dict:
-        """``asset:`` reference -> sha256 for every asset this config names
-        (``{}`` for registry-only configs, keeping their metadata unchanged)."""
-        refs = [self.config.system.structure, self.config.laser.pulse]
+    def _asset_provenance(self, laser: LaserConfig) -> dict:
+        """``asset:`` reference -> sha256 for every asset a run of ``laser``
+        on this system names (``{}`` for registry-only configs, keeping their
+        metadata unchanged)."""
+        refs = [self.config.system.structure, laser.pulse]
         provenance = {}
         for name in refs:
             if not isinstance(name, str) or not name.startswith("asset:"):
@@ -290,10 +319,6 @@ class Session:
             label = f"{base} #{suffix}"
             suffix += 1
         self._trajectory_labels[request["key"]] = label
-
-    def _initial_state_at(self, precision: str) -> Wavefunction:
-        wavefunction = self.initial_wavefunction()
-        return wavefunction.astype(precision_dtype(precision))
 
     def propagate(
         self,
@@ -352,17 +377,21 @@ class Session:
             One dict per job with any of the keys ``propagator``,
             ``time_step_as``, ``n_steps``, ``params``, ``precision`` — the
             same arguments (and defaulting, ``None`` meaning "as configured")
-            as :meth:`propagate`.
+            as :meth:`propagate` — and ``laser``, the job's own
+            :class:`~repro.api.LaserConfig` (or its dict form) in place of the
+            configured one: its field drives the job's clone, a
+            :class:`~repro.pw.laser.DeltaKick` kicks the job's initial state.
         precision:
             Default precision tier for requests that don't carry their own.
 
-        All jobs share this session's ground state and basis; each gets its
-        own Hamiltonian clone and propagator so per-job time-dependent state
-        never interferes. Jobs not yet cached advance through
-        :func:`~repro.core.dynamics.run_batched` — stacked FFTs across jobs —
-        and every resulting trajectory is bit-identical (``complex128``) to
-        what the same request gets alone or in any other group, cached under
-        one key either way. Returns the trajectories in request order.
+        All jobs share this session's field-free ground state and basis; each
+        gets its own Hamiltonian clone (with its own pulse) and propagator so
+        per-job time-dependent state never interferes. Jobs not yet cached
+        advance through :func:`~repro.core.dynamics.run_batched` — stacked
+        FFTs across jobs — and every resulting trajectory is bit-identical
+        (``complex128``) to what the same request gets alone or in any other
+        group, cached under one key either way. Returns the trajectories in
+        request order.
         """
         resolved = [
             self._resolve_propagation(
@@ -371,6 +400,7 @@ class Session:
                 request.get("n_steps"),
                 request.get("params"),
                 request.get("precision", precision),
+                request.get("laser"),
             )
             for request in requests
         ]
@@ -382,7 +412,9 @@ class Session:
             runs = []
             schemes = []
             for request in pending.values():
+                pulse = self._pulse_for(request["laser"])
                 ham = self.hamiltonian.clone()
+                ham.external_field = self._external_field(pulse)
                 scheme = request["factory"](ham, **request["params"])
                 schemes.append(scheme)
                 simulation = TDDFTSimulation(
@@ -394,7 +426,9 @@ class Session:
                 runs.append(
                     BatchedRun(
                         simulation=simulation,
-                        initial_state=self._initial_state_at(request["precision"]),
+                        initial_state=self._initial_state(pulse).astype(
+                            precision_dtype(request["precision"])
+                        ),
                         time_step=attoseconds_to_au(request["dt_as"]),
                         n_steps=request["steps"],
                         metadata=self._run_metadata(request, scheme),

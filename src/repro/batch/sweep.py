@@ -102,22 +102,36 @@ def config_hash(config: SimulationConfig | dict) -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
+#: bumped whenever the meaning of :func:`ground_state_group_key` changes, so a
+#: store never serves a ground state solved under an older convention (1: the
+#: key carried the ``laser`` section and the SCF saw the pulse's t = 0 tail;
+#: 2: field-free SCF, the laser is not part of the key)
+_GROUND_STATE_KEY_VERSION = 2
+
+
 def ground_state_group_key(config: SimulationConfig) -> str:
     """Canonical key identifying the ground state a config propagates from.
 
-    Two configs with equal keys describe the same structure, basis, XC
-    treatment, laser and ground-state SCF parameters — they may differ only in
-    the propagator and in the propagation-only run fields, so their jobs can
-    share one converged ground state (and one :class:`~repro.api.Session`).
-    Asset content digests are folded in like :func:`config_hash` does.
+    The ground state is field-free — the laser is switched on by the
+    propagation — so the key carries the structure, basis, XC treatment, the
+    ``run`` fields a group's session reads once (the ``gs_*`` SCF parameters
+    and the recording flags) and :data:`_GROUND_STATE_KEY_VERSION`, and
+    nothing of the ``laser`` or ``propagator`` sections or the
+    propagation-only run fields. Jobs with equal keys share one converged
+    SCF, one :class:`~repro.api.Session` and one lockstep stack, whatever
+    their pulses, integrators and time steps; the same string keys the
+    scheduling group and the store's ground-state object. The structure
+    asset's content digest is folded in like :func:`config_hash` does.
     """
     data = config.to_dict()
     data.pop("propagator")
+    data.pop("laser")
     for name in _PROPAGATION_ONLY_RUN_FIELDS:
         data["run"].pop(name)
     assets = _asset_digest_overlay(data)
     if assets:
-        data = {**data, "assets": assets}
+        data["assets"] = assets
+    data["ground_state_key_version"] = _GROUND_STATE_KEY_VERSION
     return json.dumps(data, sort_keys=True, default=str)
 
 

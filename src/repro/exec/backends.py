@@ -68,6 +68,7 @@ def execute_group(
     session: Session | None = None,
     share_ground_states: bool = False,
     precision: str = "complex128",
+    notes: list | None = None,
 ) -> list[JobResult]:
     """Run one ground-state group of jobs through a shared session.
 
@@ -76,7 +77,9 @@ def execute_group(
     :meth:`~repro.api.Session.propagate_many` (stacked FFTs across jobs);
     then results are built and saved job by job. The session is built lazily
     from the first job's config, so a fully stored group never touches the
-    physics stack at all.
+    physics stack at all. The jobs of a group share structure, basis, XC
+    and SCF parameters only — each brings its own ``config.laser`` (the
+    ground state is field-free), propagator and time step to the request.
 
     Failure semantics: a group's jobs are all computed before the first
     result of that group is written, so a hard kill mid-group redoes the
@@ -85,7 +88,9 @@ def execute_group(
     attributed to (and recorded for) the job that raised, and with
     ``raise_on_error`` the first failing job aborts the group *after* the
     results of the jobs before it were written — which is what makes a
-    crashed sweep resumable.
+    crashed sweep resumable. That degraded path is never silent: the
+    exception is warned about with the group's job ids and appended to
+    ``notes`` (the backends' channel into the report's execution section).
 
     ``store`` (a :class:`~repro.store.ResultStore` or its root directory;
     ``None`` for no persistence) serves and receives the results — this is
@@ -111,6 +116,7 @@ def execute_group(
             "time_step_as": job.config.run.time_step_as,
             "n_steps": job.config.run.n_steps,
             "params": dict(job.config.propagator.params),
+            "laser": job.config.laser,
         }
         for index, job in enumerate(jobs)
         if cached[index] is None
@@ -123,11 +129,17 @@ def execute_group(
                 _ground_state_through_store(session, gs_store, jobs[0].group_key)
             if len(requests) > 1:
                 session.propagate_many(list(requests.values()), precision=precision)
-        except Exception:
+        except Exception as exc:
             # fall through: the loop below re-runs job by job (width 1), so
             # a failure (of the SCF or of one job's propagation) is attributed
             # to (and recorded for) the right job
-            pass
+            note = (
+                f"lockstep pass of jobs {[jobs[index].job_id for index in requests]} "
+                f"fell back to width-1 runs: {type(exc).__name__}: {exc}"
+            )
+            warnings.warn(note)
+            if notes is not None:
+                notes.append(note)
     results: list[JobResult] = []
     for index, job in enumerate(jobs):
         if cached[index] is not None:
@@ -197,8 +209,10 @@ def _finite(value) -> float | None:
     return float(value) if np.isfinite(value) else None
 
 
-def _run_group_worker(payload) -> list[dict]:
-    """Process-pool entry point: run a group, return JSON-able result dicts.
+def _run_group_worker(payload) -> tuple[list[dict], list[str]]:
+    """Process-pool entry point: run a group, return JSON-able result dicts
+    and the group's degraded-path notes (a worker's warnings never reach the
+    parent's stderr).
 
     Results cross the process boundary in dict form (observables only) to
     avoid pickling wavefunctions and grids; results stored inside the worker
@@ -208,10 +222,12 @@ def _run_group_worker(payload) -> list[dict]:
     """
     configure_for_pool_worker()
     jobs, store, raise_on_error, share_ground_states, precision = payload
+    notes: list[str] = []
     results = execute_group(
-        jobs, store, raise_on_error, share_ground_states=share_ground_states, precision=precision
+        jobs, store, raise_on_error, share_ground_states=share_ground_states,
+        precision=precision, notes=notes,
     )
-    return [result.to_dict() for result in results]
+    return [result.to_dict() for result in results], notes
 
 
 def _sweep_report(backend, results, spec, settings, schedule: str, record=()) -> SweepReport:
@@ -301,6 +317,7 @@ class ExecutionBackend:
             session=self.sessions.get(group.key),
             share_ground_states=self.share_ground_states,
             precision=self.precision,
+            notes=group.notes,
         )
         return self._record_group(group, results)
 
@@ -377,6 +394,8 @@ class ExecutionBackend:
                     "n_grid": g.n_grid,
                     "observed_seconds": _finite(g.observed_seconds),
                     "repriced_seconds": _finite(g.repriced_seconds),
+                    # degraded paths only: a healthy group's record has no such key
+                    **({"notes": list(g.notes)} if g.notes else {}),
                 }
                 for g in self.groups
             ],
@@ -437,7 +456,9 @@ class ProcessPoolBackend(ExecutionBackend):
             for group, future in futures:
                 if self._cancelled and future.cancel():
                     continue  # never started; its jobs simply don't report
-                group_results = [JobResult.from_dict(d) for d in future.result()]
+                dicts, notes = future.result()
+                group.notes.extend(notes)
+                group_results = [JobResult.from_dict(d) for d in dicts]
                 results.extend(self._record_group(group, group_results))
         self._done = True
         return results

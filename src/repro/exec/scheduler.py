@@ -1,8 +1,10 @@
 """Machine-aware ordering and packing of sweep ground-state groups.
 
-The unit of scheduling is the *ground-state group* (all jobs sharing one SCF,
-see :func:`repro.batch.sweep.ground_state_group_key`): groups are what the
-backends dispatch, so they are what the scheduler orders and places. Costs are
+The unit of scheduling is the *ground-state group* (all jobs sharing one
+field-free SCF, see :func:`repro.batch.sweep.ground_state_group_key` — a
+propagator, time-step or laser-axis sweep of one material is one group):
+groups are what the backends dispatch, so they are what the scheduler orders
+and places. Costs are
 layered the way the paper planned its campaigns: relative FLOPs from
 :mod:`repro.perf.sweep_cost` (the cheap config layers only), turned into
 predicted wall seconds and joules on a parameterised Summit by a
@@ -71,7 +73,8 @@ class ScheduledGroup:
         Self-describing identity for calibration observations
         (:mod:`repro.calib`): the machine preset the prediction was priced
         on, the group's propagator (``None`` when its jobs mix propagators —
-        the group key excludes them), and the workload sizes from
+        the group key excludes them, as it does the laser), and the workload
+        sizes from
         :func:`~repro.perf.sweep_cost.workload_sizes`.
     observed_seconds:
         Wall seconds the group actually took, stamped by the backends after
@@ -82,6 +85,10 @@ class ScheduledGroup:
         separate from :attr:`predicted_seconds` so observations always pair
         the *model's* prediction with reality — re-priced accounting never
         feeds back into the next fit.
+    notes:
+        Degraded paths the group took while executing (today: the lockstep
+        pass falling back to width-1 runs), appended by the backends and
+        exported in the report's execution section only when non-empty.
     """
 
     key: str
@@ -98,6 +105,7 @@ class ScheduledGroup:
     n_grid: int | None = None
     observed_seconds: float = float("nan")
     repriced_seconds: float = float("nan")
+    notes: list = field(default_factory=list, repr=False)
 
     @property
     def n_jobs(self) -> int:

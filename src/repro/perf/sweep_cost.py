@@ -18,6 +18,8 @@ FFT solves, for semi-local functionals ``N_b`` orbital FFTs.
 
 from __future__ import annotations
 
+import json
+
 from ..machine.gpu import fft_flops
 
 __all__ = [
@@ -108,19 +110,46 @@ def applications_per_step(propagator_name: str, params: dict | None = None) -> f
     return DEFAULT_APPLICATIONS_PER_STEP
 
 
+#: memo of :func:`workload_sizes`; two ints per distinct (system, basis), and
+#: emptied at the cap so a long-lived service cannot grow it without bound
+_WORKLOAD_SIZES: dict[tuple, tuple[int, int]] = {}
+_WORKLOAD_SIZES_CAP = 4096
+
+
 def workload_sizes(config) -> tuple[int, int]:
     """``(n_bands, n_grid_points)`` of a :class:`~repro.api.SimulationConfig`.
 
     Built from the cheap layers only — the structure factory and the FFT grid
-    choice — so predicting a whole sweep costs microseconds per group.
+    choice — and memoised on what those read: the canonical ``system`` and
+    ``basis`` sections plus what the structure name resolves to (the
+    registered factory, or the content digest of an ``asset:`` reference).
+    Scheduling, planning and re-pricing ask for the same few materials
+    hundreds of times a campaign, so predicting a whole sweep costs
+    microseconds per group.
     """
     from ..api.registry import STRUCTURES  # deferred: avoids a perf -> api cycle
+    from ..assets import ASSET_PREFIX, default_library
     from ..pw.grid import choose_grid_shape
 
-    structure = STRUCTURES.create(config.system.structure, **config.system.params)
-    shape = choose_grid_shape(structure.cell, config.basis.ecut, factor=config.basis.grid_factor)
-    n_grid = int(shape[0]) * int(shape[1]) * int(shape[2])
-    return int(structure.n_occupied_bands()), n_grid
+    system, basis = config.system, config.basis
+    name = system.structure
+    if name.startswith(ASSET_PREFIX):
+        resolved = default_library().digest(name[len(ASSET_PREFIX):])
+    else:
+        resolved = STRUCTURES.get(name)
+    key = (
+        resolved,
+        json.dumps([name, system.params, basis.ecut, basis.grid_factor], sort_keys=True, default=str),
+    )
+    sizes = _WORKLOAD_SIZES.get(key)
+    if sizes is None:
+        structure = STRUCTURES.create(name, **system.params)
+        shape = choose_grid_shape(structure.cell, basis.ecut, factor=basis.grid_factor)
+        sizes = (int(structure.n_occupied_bands()), int(shape[0]) * int(shape[1]) * int(shape[2]))
+        if len(_WORKLOAD_SIZES) >= _WORKLOAD_SIZES_CAP:
+            _WORKLOAD_SIZES.clear()
+        _WORKLOAD_SIZES[key] = sizes
+    return sizes
 
 
 def predict_job_cost(config) -> float:
@@ -149,8 +178,10 @@ def predict_group_cost(configs) -> float:
     """Relative cost of one ground-state group: one shared SCF + all jobs.
 
     ``configs`` are the expanded :class:`~repro.api.SimulationConfig`\\ s of
-    the group's jobs (they share structure/basis/XC by construction, so the
-    SCF term is computed from the first one).
+    the group's jobs. They share structure, basis, XC and SCF parameters by
+    construction, so the field-free SCF term is computed from the first one;
+    they may differ in laser, propagator and time step, which only the
+    per-job propagation terms read.
 
     A group's jobs always step in lockstep, so the propagation term carries
     the lockstep amortization: ``n`` jobs stepping together save

@@ -18,7 +18,11 @@ Results are keyed by *content*, not by which sweep produced them:
   config (execution-only fields excluded), so two sweeps — or two campaigns,
   or two service tenants — asking for the same physics share one entry;
 * ground states by :func:`ground_state_hash` of the
-  :func:`~repro.batch.sweep.ground_state_group_key`.
+  :func:`~repro.batch.sweep.ground_state_group_key` — field-free, so every
+  pulse of one material shares one entry. The key carries a version: a
+  ground state written under an older key convention is never asked for
+  again (a one-time miss; it is left in place, not quarantined), while job
+  results, keyed by ``config_hash``, keep being served.
 
 Durability rules, in order:
 

@@ -65,6 +65,9 @@ def hand_wired():
         sigma=attoseconds_to_au(60.0),
         polarization=[1.0, 0.0, 0.0],
     )
+    # the ground state is field-free; the field is switched on by the propagation
+    field_free = Hamiltonian(basis, structure, hybrid_mixing=0.25, screening_length=None)
+    ground_state = GroundStateSolver(field_free, scf_tolerance=1e-7).solve()
     hamiltonian = Hamiltonian(
         basis,
         structure,
@@ -72,7 +75,6 @@ def hand_wired():
         screening_length=None,
         external_field=pulse.potential_factory(grid),
     )
-    ground_state = GroundStateSolver(hamiltonian, scf_tolerance=1e-7).solve()
     propagator = PTCNPropagator(hamiltonian, scf_tolerance=1e-6, max_scf_iterations=30)
     simulation = TDDFTSimulation(hamiltonian, propagator)
     trajectory = simulation.run(ground_state.wavefunction, attoseconds_to_au(50.0), N_STEPS)

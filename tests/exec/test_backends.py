@@ -458,7 +458,7 @@ class TestPollCancel:
         calls: list[int] = []
 
         def fake(jobs, store, raise_on_error, session=None, share_ground_states=False,
-                 precision="complex128"):
+                 precision="complex128", notes=None):
             calls.append(len(jobs))
             if on_group is not None:
                 on_group(len(calls))

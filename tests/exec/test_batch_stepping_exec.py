@@ -13,7 +13,9 @@ round-tripped there but selects nothing. Invariants:
   served 100 % from cache with zero propagation steps;
 * a group reads each job from the store exactly once, and a failing job of a
   lockstep group is attributed to itself, after its predecessors were
-  checkpointed;
+  checkpointed; the width-1 fallback that does the attributing is warned
+  about with the group's job ids and noted in the report's execution section
+  (and only there, and only when it fired);
 * process-pool workers cap FFT threading at 1 (the pool owns the cores);
 * the scheduler's cost model amortizes multi-job groups.
 """
@@ -144,7 +146,8 @@ class TestFailureAttribution:
         return jobs
 
     def test_failure_is_recorded_for_the_job_that_raised(self, jobs):
-        results = execute_group(jobs, None, raise_on_error=False)
+        with pytest.warns(UserWarning, match="fell back to width-1 runs: ValueError"):
+            results = execute_group(jobs, None, raise_on_error=False)
         assert [r.status for r in results] == ["completed", "failed", "completed"]
         assert [r.job_id for r in results] == [job.job_id for job in jobs]
         assert "scf_tolerance" in results[1].error
@@ -164,12 +167,53 @@ class TestFailureAttribution:
 
     def test_raise_on_error_checkpoints_the_jobs_before_the_failure(self, jobs, tmp_path):
         store = ResultStore(tmp_path / "store")
-        with pytest.raises(ValueError, match="scf_tolerance"):
+        with pytest.warns(UserWarning, match="fell back"), pytest.raises(ValueError, match="scf_tolerance"):
             execute_group(jobs, store, raise_on_error=True)
         assert [store.has(job) for job in jobs] == [True, False, False]
         # the resume serves the first job from its checkpoint
-        resumed = execute_group(jobs, store, raise_on_error=False)
+        with pytest.warns(UserWarning, match="fell back"):
+            resumed = execute_group(jobs, store, raise_on_error=False)
         assert [r.status for r in resumed] == ["cached", "failed", "completed"]
+
+    def test_fallback_names_the_jobs_and_lands_in_the_execution_section(self, jobs, dt_spec):
+        ids = [job.job_id for job in jobs]
+        notes: list[str] = []
+        with pytest.warns(UserWarning) as caught:
+            execute_group(jobs, None, raise_on_error=False, notes=notes)
+        (warning,) = caught
+        assert notes == [str(warning.message)]
+        assert all(job_id in notes[0] for job_id in ids)
+        assert "ValueError: scf_tolerance must be positive" in notes[0]
+
+        spec = SweepSpec(jobs[0].config, {"propagator": [job.config.to_dict()["propagator"] for job in jobs]})
+        with pytest.warns(UserWarning, match="fell back"):
+            degraded = BatchRunner(spec).run()
+        (group,) = degraded.execution["groups"]
+        assert group["notes"] == notes
+        # a healthy run has no such key, in the execution section or anywhere else
+        healthy = BatchRunner(dt_spec).run()
+        assert all("notes" not in group for group in healthy.execution["groups"])
+        assert "fell back" not in healthy.to_json(include_execution=True)
+        # the survivors' physics is what a healthy group of the two computes
+        survivors = SweepSpec(jobs[0].config, {"propagator": [spec.axes["propagator"][0], spec.axes["propagator"][2]]})
+        expected = BatchRunner(survivors).run().results
+        for index, reference in zip((0, 2), expected):
+            assert np.array_equal(degraded.results[index].trajectory.energies, reference.trajectory.energies)
+            assert degraded.results[index].error is None
+
+    def test_pool_worker_returns_the_note_to_the_parent(self, jobs):
+        from repro.exec.backends import _run_group_worker
+        from repro.pw.fft import get_fft_workers, set_fft_workers
+
+        workers_before = get_fft_workers()
+        try:
+            with pytest.warns(UserWarning, match="fell back"):
+                dicts, notes = _run_group_worker((jobs, None, False, False, "complex128"))
+        finally:
+            set_fft_workers(workers_before)
+            os.environ.pop("REPRO_FFT_WORKERS", None)
+        assert [d["status"] for d in dicts] == ["completed", "failed", "completed"]
+        assert len(notes) == 1 and jobs[1].job_id in notes[0]
 
 
 class TestPoolWorkerCapping:
@@ -183,7 +227,8 @@ class TestPoolWorkerCapping:
         try:
             (jobs,) = group_jobs(dt_spec).values()
             payload = (jobs, None, True, False, "complex128")
-            dicts = _run_group_worker(payload)
+            dicts, notes = _run_group_worker(payload)
+            assert notes == []
             assert get_fft_workers() == 1
             assert os.environ["REPRO_FFT_WORKERS"] == "1"
             assert [d["status"] for d in dicts] == ["completed"] * 4

@@ -38,6 +38,61 @@ class TestWorkloadSizes:
         predict_group_cost([base_config])
         assert len(count_scf_solves) == 0
 
+    @pytest.fixture()
+    def count_structure_builds(self, monkeypatch):
+        """Count ``STRUCTURES.create`` calls, starting from an empty memo."""
+        from repro.api import STRUCTURES
+        from repro.perf import sweep_cost
+
+        monkeypatch.setattr(sweep_cost, "_WORKLOAD_SIZES", {})
+        builds = []
+        original = STRUCTURES.create
+
+        def counting(name, *args, **kwargs):
+            builds.append(name)
+            return original(name, *args, **kwargs)
+
+        monkeypatch.setattr(STRUCTURES, "create", counting)
+        return builds
+
+    def test_sizes_are_memoised_on_system_and_basis(self, base_config, count_structure_builds):
+        first = workload_sizes(base_config)
+        # laser, propagator, xc and run never enter the key
+        other = base_config.with_overrides(
+            {"laser": {"pulse": "delta_kick", "params": {"strength": 0.01}},
+             "propagator.name": "rk4", "xc.hybrid_mixing": 0.25, "run.n_steps": 7}
+        )
+        assert workload_sizes(other) == first
+        predict_group_cost([base_config, other])
+        assert len(count_structure_builds) == 1
+        # system and basis do
+        assert workload_sizes(base_config.with_overrides({"basis.ecut": 4.0})) != first
+        workload_sizes(base_config.with_overrides({"system.params.box": 9.0}))
+        workload_sizes(base_config.with_overrides({"system.structure": "h2"}))  # an alias is its own entry
+        assert len(count_structure_builds) == 4
+
+    def test_memo_follows_a_re_registered_factory(self, base_config, count_structure_builds):
+        from repro.api import STRUCTURES
+        from repro.pw import hydrogen_chain
+
+        STRUCTURES.register("memo-probe", lambda: hydrogen_chain(n_atoms=2, spacing=2.0, box=7.0))
+        try:
+            config = base_config.with_overrides({"system": {"structure": "memo-probe", "params": {}}})
+            two_atoms = workload_sizes(config)
+            STRUCTURES.register(
+                "memo-probe", lambda: hydrogen_chain(n_atoms=4, spacing=2.0, box=7.0), overwrite=True
+            )
+            assert workload_sizes(config)[0] == 2 * two_atoms[0]
+        finally:
+            STRUCTURES.unregister("memo-probe")
+
+    def test_asset_structures_are_keyed_by_content_digest(self, count_structure_builds):
+        config = SimulationConfig.from_dict(
+            {"system": {"structure": "asset:structure/h2-box@1"}, "basis": {"ecut": 2.0}}
+        )
+        assert workload_sizes(config) == workload_sizes(config)
+        assert count_structure_builds == ["asset:structure/h2-box@1"]
+
 
 class TestApplicationFlops:
     def test_hybrid_dominates_semilocal(self):

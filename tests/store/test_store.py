@@ -1,12 +1,17 @@
 """ResultStore behavior: layout, round-trips, content addressing, dedup,
-cross-sweep cache hits, ``store=<path>`` vs ``store=<ResultStore>``, and
-concurrent writers racing on one artifact.
+cross-sweep cache hits, ``store=<path>`` vs ``store=<ResultStore>``,
+concurrent writers racing on one artifact, and a store written under the
+previous ground-state key convention.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
+import shutil
 import threading
+
+import pytest
 
 from repro.batch import BatchRunner, SweepSpec
 from repro.store import ResultStore, ground_state_hash
@@ -149,3 +154,57 @@ class TestConcurrentWriters:
         loaded = store.load_ground_state("shared-group")
         assert loaded is not None
         assert float(loaded.total_energy) == float(result.total_energy)
+
+
+class TestParentWrittenStore:
+    """A store written before the ground state became field-free (fixture
+    ``fixtures/pr16_store``: one Gaussian-pulse job and its SCF, written by
+    the PR 16 code under the key that still carried the ``laser`` section).
+
+    Job results are keyed by ``config_hash``, which did not change, so they
+    keep being served; the ground state sits under a key nobody asks for any
+    more — one miss, one fresh SCF, and the old object is left where it is.
+    """
+
+    GAUSSIAN = {
+        "pulse": "gaussian",
+        "params": {"amplitude": 0.005, "omega": 0.35, "t0_as": 20.0, "sigma_as": 10.0},
+    }
+
+    @pytest.fixture()
+    def parent_store(self, tmp_path):
+        root = tmp_path / "parent-store"
+        shutil.copytree(pathlib.Path(__file__).parent / "fixtures" / "pr16_store", root)
+        return ResultStore(root)
+
+    def test_parent_written_trajectory_is_served_warm(
+        self, tiny_config, parent_store, count_scf_solves, count_propagation_steps
+    ):
+        spec = SweepSpec(tiny_config.with_overrides({"laser": self.GAUSSIAN}), {"run.time_step_as": [1.0]})
+        (result,) = BatchRunner(spec, store=parent_store).run().results
+        assert result.status == "cached"
+        assert count_scf_solves == [] and count_propagation_steps == []
+        assert parent_store.stats["quarantined"] == 0
+
+    def test_parent_ground_state_is_a_one_time_miss_not_a_quarantine(
+        self, tiny_config, parent_store, count_scf_solves
+    ):
+        (old_manifest,) = parent_store.manifests_dir.glob("gs-*.json")
+        old_object = parent_store.object_path(json.loads(old_manifest.read_text())["artifact"]["sha256"])
+        base = tiny_config.with_overrides({"laser": self.GAUSSIAN})
+
+        report = BatchRunner(SweepSpec(base, {"run.time_step_as": [1.0, 2.0]}), store=parent_store).run()
+        assert [r.status for r in report.results] == ["cached", "completed"]
+        assert len(count_scf_solves) == 1
+        assert (parent_store.stats["gs_misses"], parent_store.stats["gs_hits"]) == (1, 0)
+        # ignored, not quarantined: the parent's entry is still in place
+        assert parent_store.stats["quarantined"] == 0
+        assert not parent_store.quarantine_dir.exists()
+        assert old_manifest.exists() and old_object.exists()
+        assert parent_store.ledger()["ground_state_manifests"] == 2
+
+        # one-time: the next sweep of the material adopts the new entry
+        again = ResultStore(parent_store.root)
+        assert not BatchRunner(SweepSpec(base, {"run.time_step_as": [3.0]}), store=again).run().failed
+        assert len(count_scf_solves) == 1
+        assert (again.stats["gs_misses"], again.stats["gs_hits"]) == (0, 1)
