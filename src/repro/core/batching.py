@@ -29,6 +29,8 @@ same call at every stack width) and never across jobs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..pw.basis import Wavefunction
@@ -39,6 +41,11 @@ from ..pw.poisson import hartree_potential
 __all__ = ["stack_coefficients", "apply_many", "update_potentials_many"]
 
 
+def _per_job(flag: bool | Sequence[bool], njobs: int) -> Sequence[bool]:
+    """One flag for the whole stack, or the per-job flags as given."""
+    return [flag] * njobs if isinstance(flag, bool) else flag
+
+
 def stack_coefficients(wavefunctions) -> np.ndarray:
     """Stack per-job coefficient blocks into a ``(njobs, nbands, npw)`` array."""
     return np.stack([wf.coefficients for wf in wavefunctions])
@@ -47,7 +54,7 @@ def stack_coefficients(wavefunctions) -> np.ndarray:
 def apply_many(
     hamiltonians: list[Hamiltonian],
     coeff_stack: np.ndarray,
-    include_exchange: bool = True,
+    include_exchange: bool | Sequence[bool] = True,
     psi_real: np.ndarray | None = None,
 ) -> np.ndarray:
     """``H_j Psi_j`` for every job of a stack, FFTs batched across jobs.
@@ -58,7 +65,8 @@ def apply_many(
     term executed once for the whole stack. ``psi_real`` may be passed when
     the caller already transformed ``coeff_stack`` to real space (the stage
     density needs the very same array): the forward transform is then skipped
-    entirely.
+    entirely. ``include_exchange`` may be one flag per job: the jobs of a
+    lockstep stack need not all apply the Fock operator in the same call.
     """
     coeff_stack = np.asarray(coeff_stack)
     basis = hamiltonians[0].basis
@@ -75,9 +83,10 @@ def apply_many(
         psi_real = basis.to_real_space(coeff_stack)
     out += basis.from_real_space(v_stack[:, None, ...] * psi_real, overwrite=True)
 
+    include = _per_job(include_exchange, len(hamiltonians))
     for j, ham in enumerate(hamiltonians):
         out[j] += ham.nonlocal_psp.apply(coeff_stack[j])
-        if include_exchange and ham.exchange is not None:
+        if include[j] and ham.exchange is not None:
             out[j] += ham.exchange.apply(coeff_stack[j])
             ham.counters.fock_applications += 1
     return out
@@ -85,9 +94,10 @@ def apply_many(
 
 def update_potentials_many(
     hamiltonians: list[Hamiltonian],
-    wavefunctions: list[Wavefunction],
+    wavefunctions: "list[Wavefunction | None]",
     densities: np.ndarray | None = None,
     psi_real: np.ndarray | None = None,
+    update_exchange: bool | Sequence[bool] = True,
 ) -> np.ndarray:
     """Refresh every job's ``V_Hxc`` with the density/Hartree FFTs batched.
 
@@ -98,7 +108,10 @@ def update_potentials_many(
     The Hartree solve and the xc evaluation run batched over the stack (both
     produce bit-identical slices); only the exchange-orbital update remains
     per-job, and takes its job's slice of ``psi_real`` instead of
-    transforming the coefficients again. Returns the stacked densities.
+    transforming the coefficients again. ``update_exchange`` may be one flag
+    per job; a job that keeps its exchange orbitals and whose density is
+    passed in needs no ``Wavefunction`` (its entry may be ``None``). Returns
+    the stacked densities.
     """
     basis = hamiltonians[0].basis
     if densities is None:
@@ -112,10 +125,12 @@ def update_potentials_many(
         xc_results = xc.evaluate_many(densities, basis.grid.volume_element)
     else:  # heterogeneous functionals: evaluate per job inside update_potential
         xc_results = [None] * len(hamiltonians)
+    update = _per_job(update_exchange, len(hamiltonians))
     for j, ham in enumerate(hamiltonians):
         ham.update_potential(
             wavefunctions[j],
             density=densities[j],
+            update_exchange=update[j],
             v_hartree=v_hartree[j],
             xc_result=xc_results[j],
             psi_real=None if psi_real is None else psi_real[j],

@@ -23,9 +23,12 @@ class StepStatistics:
     scf_iterations:
         Number of inner SCF iterations (0 for explicit schemes).
     hamiltonian_applications:
-        Number of ``H Psi`` evaluations performed in the step; for hybrid
-        functionals every one of these contains a Fock exchange application,
-        the dominant cost the paper is concerned with.
+        Number of evaluations of the full ``H Psi`` performed in the step; for
+        hybrid functionals every one of these contains a Fock exchange
+        application, the dominant cost the paper is concerned with (Fig. 6's
+        quantity). Inner iterations of hybrid PT-CN that reuse the exchange
+        term of an earlier one are not counted here but in
+        ``extra["frozen_exchange_iterations"]``.
     density_error:
         Final SCF density error (NaN for explicit schemes).
     converged:
@@ -34,6 +37,8 @@ class StepStatistics:
     orthogonality_error:
         Deviation of the output orbitals from orthonormality *before* the
         final re-orthogonalization.
+    extra:
+        Scheme-specific counts; not serialized with a trajectory.
     """
 
     scf_iterations: int = 0

@@ -16,15 +16,29 @@ costs only two thin GEMMs per application afterwards — no Poisson solves.
 
 Status in this code base (verdict of the layered trace, ``benchmarks/layers``)
 ------------------------------------------------------------------------------
-ACE pays when one compressed operator serves *several* applications. The
-propagators here follow Alg. 1 literally: every inner iteration rebuilds
-``V_X[Psi_f]`` from the current iterate and applies it exactly once, to those
-same orbitals (the trace counts as many ``set_orbitals`` as ``apply`` calls),
-and RK4 does the same per stage. One compression costs one exact application,
-so there is nothing to amortise; ACE could only pay by *lagging* the operator
-across inner iterations, which changes the fixed point being solved and is a
-physics change, not an optimisation. It is therefore not wired into the
-propagation loop. The class stays as the extension the paper mentions:
+ACE pays when one compressed operator serves *several* applications to
+*other* orbitals than those that define it. RK4 rebuilds ``V_X`` per stage
+and applies it once, to the defining orbitals, so there is nothing to
+amortise. PT-CN does reuse exchange work across inner iterations — a job with
+exact exchange refreshes its Fock term instead of recomputing it every
+iteration (:mod:`repro.core.propagators.pt_cn`) — but what it reuses between
+two refreshes is the *vector* ``W^m = V_X[Psi^m] Psi^m``, which the exact
+operator's self-application memo already holds. Holding ``W^m`` and applying
+an :class:`ACEExchangeOperator` compressed from it were measured on Si8 HSE06
+and give the same counts at every step size and tolerance tried (e.g. 41
+exact applications and 32 frozen iterations over eight 50 as steps at 1e-5
+either way): the iterate moves too little between refreshes for the
+operator's action off ``Psi^m`` to matter, so ACE would add two GEMMs and a
+Cholesky per refresh for nothing. It is therefore not wired
+into the propagation loop.
+
+What separates the two lagging schemes is the acceptance test, not the
+compression. Lagging the term *and accepting the step on a lagged residual*
+changes the fixed point being solved: that is a physics change (parked in
+ROADMAP). Refreshing the term and accepting only an update of the exact
+residual keeps Alg. 1's fixed point: that is what PT-CN does.
+
+The class stays as the extension the paper mentions:
 :meth:`ACEExchangeOperator.compress` goes through
 :meth:`ExchangeOperator.apply` on the defining orbitals, i.e. the
 pair-symmetric self-application (``N (N+1)/2`` Poisson solves instead of

@@ -167,8 +167,9 @@ class ExchangeOperator:
     -----
     The operator depends on the *exchange orbitals* ``{psi_i}`` that define the
     density matrix ``P``: call :meth:`set_orbitals` before :meth:`apply`. In
-    the PT-CN inner SCF these are the current iterate ``Psi_f`` (the operator
-    is updated once per SCF step, consistent with the paper's Alg. 1 line 5).
+    the PT-CN inner SCF these are the iterate ``Psi_f`` of the last fresh
+    iteration (Alg. 1 line 5; iterations in between keep the operator and
+    read :meth:`self_application`).
     """
 
     def __init__(
@@ -252,12 +253,22 @@ class ExchangeOperator:
             coefficients = coefficients[None, :]
 
         if orbitals.holds(coefficients):
-            if orbitals.self_applied is None:
-                orbitals.self_applied = self._pair_sum(orbitals, None)
-            return orbitals.self_applied.copy()
+            return self.self_application().copy()
         target_real = self.basis.to_real_space(coefficients)  # (nb, n1, n2, n3)
         self.counters.ffts += target_real.shape[0]
         return self._pair_sum(orbitals, target_real)
+
+    def self_application(self) -> np.ndarray:
+        """``V_X[Psi] Psi`` of the orbitals held — the memo itself, computed
+        on first use and to be read, not written. PT-CN's frozen-term
+        iterations take their exchange term from here: it stays that of the
+        last :meth:`set_orbitals` for as long as no other set replaces it."""
+        orbitals = self._orbitals
+        if orbitals is None:
+            raise RuntimeError("call set_orbitals() before self_application()")
+        if orbitals.self_applied is None:
+            orbitals.self_applied = self._pair_sum(orbitals, None)
+        return orbitals.self_applied
 
     def _pair_sum(self, orbitals: _OrbitalSet, target_real: np.ndarray | None) -> np.ndarray:
         """``V_X`` on ``target_real``, or on the orbitals themselves for ``None``.

@@ -77,6 +77,9 @@ class HamiltonianCounters:
     exchange, the quantity of the paper's Fig. 6 — whether the exchange
     operator computed it or served it from its per-orbital-set memo; the work
     actually done is in :class:`~repro.pw.exchange.ExchangeCounters`.
+    ``apply_calls`` counts every ``H Psi``, with or without the exchange term:
+    on a hybrid PT-CN run the difference of the two is the inner iterations
+    that reused the exchange term of an earlier one.
     """
 
     apply_calls: int = 0

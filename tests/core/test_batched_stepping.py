@@ -74,6 +74,7 @@ def test_step_many_is_elementwise_identical_to_solo_steps(name, dts, h2_ground_s
         assert stats.scf_iterations == solo_stats.scf_iterations
         assert stats.hamiltonian_applications == solo_stats.hamiltonian_applications
         assert stats.converged == solo_stats.converged
+        assert stats.extra == solo_stats.extra
         _assert_float_equal(stats.density_error, solo_stats.density_error)
         _assert_float_equal(stats.orthogonality_error, solo_stats.orthogonality_error)
 
@@ -116,6 +117,72 @@ def test_ptcn_batch_with_different_tolerances_converges_each_job(h2_ground_state
 
     assert [s.scf_iterations for s in batched_stats] == [s.scf_iterations for s in solo_stats]
     assert batched_stats[0].scf_iterations < batched_stats[1].scf_iterations
+
+
+@pytest.mark.parametrize(
+    "dtype, parallel_transport",
+    [(np.complex128, True), (np.complex64, True), (np.complex128, False)],
+    ids=["complex128", "complex64", "schroedinger-gauge"],
+)
+def test_hybrid_refresh_phase_is_per_job(
+    chain_hybrid_hamiltonian, chain_ground_state, monkeypatch, dtype, parallel_transport
+):
+    """Whether a hybrid job's inner iteration applies the exact Fock operator
+    or reuses the term of an earlier one follows from that job's own
+    iterations only: in a width-3 stack mixing tolerances and step sizes the
+    jobs are in different phases in the same pass, and each still gets the
+    floats, statistics and exchange counters it gets at width 1."""
+    from repro.core.propagators import pt_cn
+
+    wf0 = chain_ground_state[1].wavefunction.astype(dtype)
+    params = [{"scf_tolerance": 1e-4}, {"scf_tolerance": 1e-8}, {"scf_tolerance": 1e-6}]
+    dts = [0.5, 2.0, 1.0]
+    built = []  # Wavefunctions the engine builds: only set_orbitals reads one
+
+    class CountedWavefunction(pt_cn.Wavefunction):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    def stack():
+        propagators = [
+            pt_cn.PTCNPropagator(
+                chain_hybrid_hamiltonian.clone(), parallel_transport=parallel_transport, **kw
+            )
+            for kw in params
+        ]
+        for propagator in propagators:
+            propagator.prepare(wf0, 0.0)
+        return propagators
+
+    def two_steps(propagators, wfs, dts):
+        rows = []
+        for step in range(2):
+            times = [step * dt for dt in dts]
+            wfs, statistics = pt_cn.PTCNPropagator.step_many(propagators, wfs, times, dts)
+            rows.append(statistics)
+        return wfs, rows
+
+    solo_stack = stack()
+    alone = [two_steps([p], [wf0], [dt]) for p, dt in zip(solo_stack, dts)]
+    stacked = stack()
+    monkeypatch.setattr(pt_cn, "Wavefunction", CountedWavefunction)
+    wfs, rows = two_steps(stacked, [wf0] * 3, dts)
+
+    for j, ((solo_wfs, solo_rows), wf) in enumerate(zip(alone, wfs)):
+        assert wf.coefficients.dtype == dtype
+        assert np.array_equal(wf.coefficients, solo_wfs[0].coefficients)
+        assert [row[j] for row in rows] == [row[0] for row in solo_rows]
+        assert stacked[j].hamiltonian.exchange.counters == solo_stack[j].hamiltonian.exchange.counters
+        assert stacked[j].hamiltonian.counters == solo_stack[j].hamiltonian.counters
+    # the stack really mixed phases: the jobs froze different iterations
+    frozen = [[stats.extra["frozen_exchange_iterations"] for stats in row] for row in rows]
+    assert len({tuple(step) for step in zip(*frozen)}) > 1
+    # one Wavefunction per fresh iteration (the exchange orbitals) and one per
+    # job per step (line 11): none for an iteration that keeps its term
+    fresh = sum(stats.hamiltonian_applications - 1 for row in rows for stats in row)
+    assert all(stats.converged for row in rows for stats in row)
+    assert len(built) == fresh + 2 * len(dts)
 
 
 class TestRunBatched:
@@ -286,3 +353,37 @@ class TestHamiltonianClone:
             twin.update_potential(result.wavefunction)
         coeffs = result.wavefunction.coefficients
         assert np.array_equal(twins[0].apply(coeffs), twins[1].apply(coeffs))
+
+
+def test_stacked_kernels_take_the_exchange_flags_per_job(h2_ground_state, rng):
+    """``apply_many(include_exchange=[...])`` and
+    ``update_potentials_many(update_exchange=[...])`` do, per job, what the
+    single-block calls do with that job's flag — floats and counters — and a
+    job that keeps its exchange orbitals needs no ``Wavefunction``."""
+    from repro.core.batching import apply_many, update_potentials_many
+    from repro.pw import Wavefunction, compute_density
+
+    base_ham, result = h2_ground_state
+    wf0 = result.wavefunction
+    wf1 = Wavefunction(wf0.basis, wf0.coefficients * np.exp(0.3j), wf0.occupations)
+    target = rng.standard_normal(wf0.coefficients.shape) + 0j
+    flags = [True, False, True]
+
+    stacked = [base_ham.clone() for _ in flags]
+    single = [base_ham.clone() for _ in flags]
+    for ham in stacked + single:
+        ham.update_potential(wf0)
+
+    densities = np.stack([compute_density(wf1, base_ham.grid)] * len(flags))
+    update_potentials_many(
+        stacked, [wf1 if flag else None for flag in flags], densities=densities, update_exchange=flags
+    )
+    out = apply_many(stacked, np.stack([target] * len(flags)), include_exchange=flags)
+    for ham, flag, row in zip(single, flags, out):
+        ham.update_potential(wf1, density=densities[0], update_exchange=flag)
+        assert np.array_equal(row, ham.apply(target, include_exchange=flag))
+    assert [ham.counters for ham in stacked] == [ham.counters for ham in single]
+    assert [ham.exchange.counters for ham in stacked] == [ham.exchange.counters for ham in single]
+    # job 1 kept the orbitals of wf0 and skipped the Fock term altogether
+    assert stacked[1].counters.fock_applications == 0
+    assert stacked[1].exchange.counters.applications == 0

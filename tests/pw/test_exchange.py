@@ -251,6 +251,22 @@ class TestSelfApplicationMemo:
         second[:] = 0.0  # the caller owns what apply returns
         assert np.array_equal(operator.apply(orbitals.coefficients), first)
 
+    def test_self_application_is_the_memo_of_the_orbitals_held(self, operator, orbitals):
+        with pytest.raises(RuntimeError, match="set_orbitals"):
+            operator.self_application()
+        operator.set_orbitals(orbitals)
+        held = operator.self_application()  # computes it: one application
+        assert operator.counters.applications == 1
+        assert np.array_equal(held, operator.apply(orbitals.coefficients))
+        assert operator.self_application() is held
+        assert operator.counters.applications == 1
+        # it follows the exchange orbitals, not the block H is applied to
+        other = Wavefunction(orbitals.basis, 1.01 * orbitals.coefficients, orbitals.occupations)
+        operator.apply(other.coefficients)
+        assert operator.self_application() is held
+        operator.set_orbitals(other)
+        assert not np.array_equal(operator.self_application(), held)
+
     def test_energy_and_apply_share_one_application(self, operator, orbitals):
         operator.set_orbitals(orbitals)
         operator.energy(orbitals)
