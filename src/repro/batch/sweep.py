@@ -105,8 +105,10 @@ def config_hash(config: SimulationConfig | dict) -> str:
 #: bumped whenever the meaning of :func:`ground_state_group_key` changes, so a
 #: store never serves a ground state solved under an older convention (1: the
 #: key carried the ``laser`` section and the SCF saw the pulse's t = 0 tail;
-#: 2: field-free SCF, the laser is not part of the key)
-_GROUND_STATE_KEY_VERSION = 2
+#: 2: field-free SCF, the laser is not part of the key; 3: the SCF's Davidson
+#: tolerance follows the density error, so orbitals differ from a version-2
+#: solve at the level of ``gs_scf_tolerance``)
+_GROUND_STATE_KEY_VERSION = 3
 
 
 def ground_state_group_key(config: SimulationConfig) -> str:

@@ -11,13 +11,8 @@ counterpart of the outer time loop of the paper's runs (600 PT-CN steps of
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import io
 import json
-import os
-import uuid
-import zipfile
 from collections.abc import Callable
 from dataclasses import dataclass, field
 import time as _wallclock
@@ -25,39 +20,13 @@ import time as _wallclock
 import numpy as np
 
 from ..pw.basis import Wavefunction
+from ..pw.ground_state import _atomic_savez
 from ..pw.hamiltonian import EnergyBreakdown, Hamiltonian
 from ..pw.laser import sawtooth_position
 from .observables import energy_drift
 from .propagators.base import Propagator, StepStatistics
 
 __all__ = ["Trajectory", "TDDFTSimulation", "BatchedRun", "run_batched", "json_default"]
-
-
-def _atomic_savez(path, **arrays) -> None:
-    """Deterministic ``np.savez`` through a sibling tmp file + ``os.replace``.
-
-    Atomic: a crash mid-write can never leave a torn archive at the final
-    path (checkpoint manifests assume the archive next to them is complete).
-    Deterministic: ``np.savez`` stamps zip members with the current wall
-    clock, so the archive is rewritten with member timestamps pinned to the
-    zip epoch — equal arrays give byte-identical files, which is what lets a
-    content-addressed store deduplicate equal physics by sha256.
-    """
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"  # np.savez appends the extension for bare paths; match it
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    buffer.seek(0)
-    tmp = f"{path}.{os.getpid()}-{uuid.uuid4().hex}.tmp"
-    try:
-        with zipfile.ZipFile(buffer) as src, zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as dst:
-            for name in src.namelist():
-                dst.writestr(zipfile.ZipInfo(name), src.read(name))  # epoch date_time
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
 
 
 def json_default(value):

@@ -47,22 +47,9 @@ class EigenResult:
     converged: bool
 
 
-def _rayleigh_ritz(
-    apply_h: Callable[[np.ndarray], np.ndarray], subspace: np.ndarray, nbands: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormalise ``subspace`` rows, project H, and return the lowest pairs."""
-    # orthonormalise the subspace with a QR factorisation (rows as vectors)
-    q, _ = np.linalg.qr(subspace.T)
-    basis = q.T  # rows orthonormal in the <u|v> = sum conj(u) v inner product
-    h_basis = apply_h(basis)
-    h_sub = basis.conj() @ h_basis.T
-    h_sub = 0.5 * (h_sub + h_sub.conj().T)
-    eigval, eigvec = np.linalg.eigh(h_sub)
-    eigval = eigval[:nbands]
-    eigvec = eigvec[:, :nbands]
-    ritz_vectors = (eigvec.T @ basis).astype(np.complex128)
-    h_ritz = (eigvec.T @ h_basis).astype(np.complex128)
-    return eigval, ritz_vectors, h_ritz
+def _orthonormal_rows(block: np.ndarray) -> np.ndarray:
+    """Rows spanning those of ``block``, orthonormal in ``<u|v> = sum conj(u) v``."""
+    return np.ascontiguousarray(np.linalg.qr(block.T)[0].T)
 
 
 def block_davidson(
@@ -75,6 +62,12 @@ def block_davidson(
     max_subspace_factor: int = 4,
 ) -> EigenResult:
     """Preconditioned block Davidson solver for the lowest ``nbands`` eigenpairs.
+
+    The orthonormal search space ``V`` and ``H V`` are held side by side, so
+    Rayleigh–Ritz needs no application: ``H`` is applied once to the
+    orthonormalised guess and once to each block of new directions, and to no
+    vector twice (a restart collapses to the Ritz vectors and their images,
+    both linear combinations of rows already held).
 
     Parameters
     ----------
@@ -101,37 +94,50 @@ def block_davidson(
     npw = guess.shape[1]
     if preconditioner is None:
         preconditioner = np.ones(npw)
-    preconditioner = np.asarray(preconditioner, dtype=float)
+    inverse_preconditioner = 1.0 / np.asarray(preconditioner, dtype=float)
 
-    subspace = guess.copy()
+    basis = _orthonormal_rows(guess)
+    h_basis = apply_h(basis)
     eigval = np.zeros(nbands)
-    ritz = guess[:nbands].copy()
+    ritz = basis[:nbands]
     residual_norms = np.full(nbands, np.inf)
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        eigval, ritz, h_ritz = _rayleigh_ritz(apply_h, subspace, nbands)
+        h_sub = basis.conj() @ h_basis.T
+        h_sub = 0.5 * (h_sub + h_sub.conj().T)
+        eigval, eigvec = np.linalg.eigh(h_sub)
+        eigval = eigval[:nbands]
+        rotation = eigvec[:, :nbands].T
+        ritz = rotation @ basis
+        h_ritz = rotation @ h_basis
         residuals = h_ritz - eigval[:, None] * ritz
         residual_norms = np.linalg.norm(residuals, axis=1)
-        if np.all(residual_norms < tolerance):
+        unconverged = residual_norms >= tolerance
+        if not unconverged.any():
             return EigenResult(eigval, ritz, iterations, residual_norms, True)
+        if iterations == max_iterations:
+            break  # no Rayleigh-Ritz left to use another block
         # preconditioned correction vectors for unconverged bands
-        new_directions = []
-        for b in range(nbands):
-            if residual_norms[b] < tolerance:
-                continue
-            denom = 1.0 / preconditioner - eigval[b]
-            # guard against tiny denominators
-            denom = np.where(np.abs(denom) < 1e-3, np.sign(denom + 1e-30) * 1e-3, denom)
-            correction = residuals[b] / denom
-            norm = np.linalg.norm(correction)
-            if norm > 1e-14:
-                new_directions.append(correction / norm)
-        if not new_directions:
+        denom = inverse_preconditioner[None, :] - eigval[unconverged, None]
+        # guard against tiny denominators
+        denom = np.where(np.abs(denom) < 1e-3, np.sign(denom + 1e-30) * 1e-3, denom)
+        corrections = residuals[unconverged] / denom
+        norms = np.linalg.norm(corrections, axis=1)
+        usable = norms > 1e-14
+        corrections = corrections[usable] / norms[usable, None]
+        if not len(corrections):
             break
-        if subspace.shape[0] + len(new_directions) > max_subspace_factor * nbands:
-            subspace = ritz.copy()
-        subspace = np.vstack([subspace, np.asarray(new_directions)])
+        if len(basis) + len(corrections) > max_subspace_factor * nbands:
+            basis, h_basis = ritz, h_ritz
+        # orthonormalise the new block only: Gram-Schmidt against the kept
+        # rows (twice, so a correction almost inside their span stays
+        # orthogonal to working precision), then QR within the block
+        for _ in range(2):
+            corrections -= (corrections @ basis.conj().T) @ basis
+        block = _orthonormal_rows(corrections)
+        basis = np.vstack([basis, block])
+        h_basis = np.vstack([h_basis, apply_h(block)])
 
     return EigenResult(eigval, ritz, iterations, residual_norms, bool(np.all(residual_norms < tolerance)))
 

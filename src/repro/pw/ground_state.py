@@ -5,7 +5,8 @@ state of the silicon supercell. This module provides a self-consistent field
 driver on top of :class:`repro.pw.hamiltonian.Hamiltonian`:
 
 * an inner loop that, for a fixed potential, diagonalises the Kohn–Sham
-  Hamiltonian with the block Davidson solver;
+  Hamiltonian with the block Davidson solver, to the accuracy the density
+  update can use (two orders below the previous density error);
 * density mixing between outer iterations;
 * for hybrid functionals, an outer "exchange loop" that refreshes the orbitals
   entering the Fock operator (the standard nested-SCF treatment of hybrid
@@ -30,6 +31,14 @@ from .hamiltonian import Hamiltonian
 from .orthogonalization import lowdin_orthonormalize
 
 __all__ = ["GroundStateResult", "GroundStateSolver"]
+
+
+#: Davidson tolerance of an SCF iteration relative to the previous iteration's
+#: density error, and its cap (also the first iteration's tolerance): orbitals
+#: two orders better than the density they are solved in is all the density
+#: update can use (Kresse & Furthmueller, PRB 54, 11169).
+_DAVIDSON_TOLERANCE_RATIO = 1e-2
+_DAVIDSON_TOLERANCE_CAP = 1e-3
 
 
 def _atomic_savez(path, **arrays) -> None:
@@ -156,6 +165,12 @@ class GroundStateSolver:
         Maximum outer iterations.
     exchange_outer_iterations:
         Number of exchange-orbital refreshes for hybrid functionals.
+    davidson_tolerance:
+        Tightest eigensolver residual tolerance. An SCF iteration is
+        diagonalised to ``max(davidson_tolerance, min(1e-3, 1e-2 * e))`` with
+        ``e`` the previous iteration's density error (1e-3 on the first), so
+        the returned orbitals' residual is two orders below the last-but-one
+        density error, and ``davidson_tolerance`` once that is below 1e-5.
     """
 
     def __init__(
@@ -188,8 +203,17 @@ class GroundStateSolver:
         wf = Wavefunction.random(self.hamiltonian.basis, self.nbands, rng=rng)
         return lowdin_orthonormalize(wf)
 
-    def _diagonalize(self, guess: Wavefunction, include_exchange: bool) -> tuple[np.ndarray, Wavefunction]:
+    def _diagonalize(
+        self, guess: Wavefunction, include_exchange: bool, previous_error: float
+    ) -> tuple[np.ndarray, Wavefunction]:
+        """Lowest ``nbands`` eigenpairs of the current Hamiltonian, to a residual
+        two orders below the previous SCF iteration's density error (no tighter
+        than ``davidson_tolerance``, no looser than the cap)."""
         ham = self.hamiltonian
+        tolerance = max(
+            self.davidson_tolerance,
+            min(_DAVIDSON_TOLERANCE_CAP, _DAVIDSON_TOLERANCE_RATIO * previous_error),
+        )
 
         def apply_h(block: np.ndarray) -> np.ndarray:
             return ham.apply(block, include_exchange=include_exchange)
@@ -199,7 +223,7 @@ class GroundStateSolver:
             guess.coefficients,
             self.nbands,
             preconditioner=ham.preconditioner(),
-            tolerance=self.davidson_tolerance,
+            tolerance=tolerance,
         )
         wavefunction = Wavefunction(ham.basis, result.eigenvectors, guess.occupations)
         return result.eigenvalues, wavefunction
@@ -230,7 +254,9 @@ class GroundStateSolver:
             for _ in range(self.max_scf_iterations):
                 iterations += 1
                 ham.update_potential(wavefunction, density=density, update_exchange=False)
-                eigenvalues, wavefunction = self._diagonalize(wavefunction, include_exchange)
+                eigenvalues, wavefunction = self._diagonalize(
+                    wavefunction, include_exchange, errors[-1] if errors else np.inf
+                )
                 new_density = compute_density(wavefunction, ham.grid)
                 err = density_error(new_density, density, ham.grid)
                 errors.append(err)

@@ -145,7 +145,11 @@ class Cell:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cell):
             return NotImplemented
-        return np.allclose(self.lattice_vectors, other.lattice_vectors)
+        # hash-keyed caches look a grid's cell up on every Hartree solve, and
+        # the hit is the same object or byte-equal vectors: skip the allclose
+        if self is other or self.lattice_vectors.tobytes() == other.lattice_vectors.tobytes():
+            return True
+        return bool(np.allclose(self.lattice_vectors, other.lattice_vectors))
 
     def __hash__(self) -> int:  # needed because __eq__ is overridden
         # NOTE: hashes the exact bytes while __eq__ is an allclose, so two

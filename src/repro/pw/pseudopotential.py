@@ -393,6 +393,26 @@ def _real_spherical_harmonics(l: int, unit_vectors: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported angular momentum l={l}")
 
 
+def _memoised(cache: OrderedDict, size: int, key: tuple, build):
+    """``cache[key]``, built on a miss; least recently used entries beyond
+    ``size`` are dropped."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    while len(cache) > size:
+        cache.popitem(last=False)
+    return value
+
+
+# Every Session builds its own Hamiltonian, and the ``spherical_jn`` tables
+# below are ~5 ms for Si8 (as long as an inner PT-CN iteration). A small LRU
+# keyed on the exact bytes of every input hands back the very arrays the
+# build produced, marked read-only because every holder shares them.
+_PROJECTOR_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_PROJECTOR_CACHE_SIZE = 4
+
+
 class NonlocalPotential:
     """Separable Kleinman–Bylander nonlocal potential on a plane-wave basis.
 
@@ -462,6 +482,26 @@ class NonlocalPotential:
         return out
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        """The projector matrix and couplings, memoised (bounded LRU on the
+        bytes of the basis G-vectors, lattice and positions plus the projector
+        channels and the two radial parameters)."""
+        key = (
+            self.basis.g_vectors.tobytes(),
+            self.basis.grid.cell.lattice_vectors.tobytes(),
+            tuple(species.projectors for species in self.species_list),
+            tuple(positions.tobytes() for positions in self.positions_list),
+            self._radial_points,
+            self._radial_cutoff,
+        )
+        return _memoised(_PROJECTOR_CACHE, _PROJECTOR_CACHE_SIZE, key, self._build_read_only)
+
+    def _build_read_only(self) -> tuple[np.ndarray, np.ndarray]:
+        tables = self._build_uncached()
+        for array in tables:
+            array.setflags(write=False)
+        return tables
+
+    def _build_uncached(self) -> tuple[np.ndarray, np.ndarray]:
         basis = self.basis
         g_vec = basis.g_vectors
         g_norm = np.sqrt(basis.g_squared)
@@ -581,15 +621,12 @@ def ewald_energy(
         float(real_space_cutoff),
         float(reciprocal_cutoff),
     )
-    cached = _EWALD_CACHE.get(key)
-    if cached is not None:
-        _EWALD_CACHE.move_to_end(key)
-        return cached
-    energy = _ewald_sum(cell, positions, charges, eta, real_space_cutoff, reciprocal_cutoff)
-    _EWALD_CACHE[key] = energy
-    while len(_EWALD_CACHE) > _EWALD_CACHE_SIZE:
-        _EWALD_CACHE.popitem(last=False)
-    return energy
+    return _memoised(
+        _EWALD_CACHE,
+        _EWALD_CACHE_SIZE,
+        key,
+        lambda: _ewald_sum(cell, positions, charges, eta, real_space_cutoff, reciprocal_cutoff),
+    )
 
 
 def _ewald_sum(

@@ -102,3 +102,19 @@ class TestSupercell:
         assert a == b
         assert a != c
         assert hash(a) == hash(b)
+
+    def test_equality_fast_path_keeps_the_allclose_semantics(self, monkeypatch):
+        """Identical objects and byte-equal vectors compare equal without an
+        ``allclose`` (the cache-hit case of every Hartree solve); a cell that
+        is only allclose still compares equal and still hashes differently."""
+        a, b = Cell.cubic(2.0), Cell.cubic(2.0)
+        nearly = Cell(a.lattice_vectors * (1.0 + 1e-12))
+        assert a == nearly and hash(a) != hash(nearly)
+        assert a != Cell.cubic(2.0 + 1e-3)
+        assert (a == "not a cell") is False
+
+        def no_allclose(*args, **kwargs):
+            raise AssertionError("allclose on the fast path")
+
+        monkeypatch.setattr(np, "allclose", no_allclose)
+        assert a == a and a == b

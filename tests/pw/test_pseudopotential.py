@@ -178,6 +178,42 @@ class TestNonlocalPotential:
         assert np.allclose(sorted(norms1), sorted(norms2), rtol=1e-10)
 
 
+    def test_projector_tables_are_memoised_bit_identically(self, small_basis, monkeypatch):
+        """Every Session build asks for the same tables: they are built once
+        per (basis, species, positions, radial parameters), the shared arrays
+        are the very ones an uncached build produces and are read-only, and
+        the cache stays bounded."""
+        builds = []
+        uncached = NonlocalPotential._build_uncached
+
+        def counting(self):
+            builds.append(self)
+            return uncached(self)
+
+        monkeypatch.setattr(NonlocalPotential, "_build_uncached", counting)
+        monkeypatch.setattr(psp_module, "_PROJECTOR_CACHE", type(psp_module._PROJECTOR_CACHE)())
+        si = silicon_species()
+        positions = np.array([[2.0, 2.0, 2.0], [6.0, 6.0, 6.0]])
+        first = NonlocalPotential(small_basis, [si], [positions])
+        again = NonlocalPotential(small_basis, [silicon_species()], [positions.copy()])
+        assert len(builds) == 1
+        assert again.projector_matrix is first.projector_matrix and again.couplings is first.couplings
+        matrix, couplings = uncached(first)
+        assert first.projector_matrix.tobytes() == matrix.tobytes()
+        assert first.couplings.tobytes() == couplings.tobytes()
+        assert not first.projector_matrix.flags.writeable and not first.couplings.flags.writeable
+        c = np.random.default_rng(3).standard_normal((2, small_basis.npw)).astype(complex)
+        assert np.array_equal(first.apply(c), (matrix.T @ ((matrix.conj() @ c.T) * couplings[:, None])).T)
+        # anything that enters the tables is part of the key
+        NonlocalPotential(small_basis, [si], [positions + 0.25])
+        NonlocalPotential(small_basis, [silicon_species(include_nonlocal=False)], [positions])
+        NonlocalPotential(small_basis, [si], [positions], radial_points=300)
+        NonlocalPotential(small_basis, [si], [positions], radial_cutoff=9.0)
+        NonlocalPotential(PlaneWaveBasis(small_basis.grid, 0.8 * small_basis.ecut), [si], [positions])
+        assert len(builds) == 6
+        assert len(psp_module._PROJECTOR_CACHE) == psp_module._PROJECTOR_CACHE_SIZE
+
+
 class TestEwald:
     def test_like_charges_repel(self):
         """Bringing two like charges closer (same cell, same background) raises the energy."""

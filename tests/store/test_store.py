@@ -13,7 +13,9 @@ import threading
 
 import pytest
 
+from repro.api import Session
 from repro.batch import BatchRunner, SweepSpec
+from repro.batch.sweep import ground_state_group_key
 from repro.store import ResultStore, ground_state_hash
 
 
@@ -208,3 +210,22 @@ class TestParentWrittenStore:
         assert not BatchRunner(SweepSpec(base, {"run.time_step_as": [3.0]}), store=again).run().failed
         assert len(count_scf_solves) == 1
         assert (again.stats["gs_misses"], again.stats["gs_hits"]) == (0, 1)
+
+    def test_ground_state_of_the_previous_key_version_is_a_one_time_miss(
+        self, tiny_config, tmp_path, count_scf_solves
+    ):
+        """Version 2 (PR 17/18: every SCF iteration diagonalised to 1e-7) to 3:
+        same rule as above for a ground state written under the version-2 key."""
+        key = ground_state_group_key(tiny_config)
+        assert '"ground_state_key_version": 3' in key
+        old_key = key.replace('"ground_state_key_version": 3', '"ground_state_key_version": 2')
+        store = ResultStore(tmp_path / "store")
+        store.save_ground_state(old_key, Session(tiny_config).ground_state())
+        del count_scf_solves[:]
+
+        spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
+        assert not BatchRunner(spec, store=store).run().failed
+        assert len(count_scf_solves) == 1
+        assert (store.stats["gs_misses"], store.stats["gs_hits"]) == (1, 0)
+        assert store.has_ground_state(old_key) and store.stats["quarantined"] == 0
+        assert store.ledger()["ground_state_manifests"] == 2
