@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import copy
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 from . import registry as _registry
 
@@ -65,14 +67,37 @@ def _require_positive(section: str, name: str, value) -> None:
 
 
 def _require_mapping(section: str, name: str, value) -> None:
-    if not isinstance(value, dict):
+    if not isinstance(value, Mapping):
         raise ConfigError(
             f"{section}.{name} must be a dict of keyword arguments, got {type(value).__name__}"
         )
 
 
+class _ParamsSection:
+    """What the sections holding a ``params`` mapping share: configs are
+    values, so the mapping is deep-copied at construction and handed out
+    read-only. Identity derived from a config (``config_hash``, the
+    ground-state group key, store keys) is computed once, at sweep expansion,
+    and carried — a ``params`` that could be edited afterwards would silently
+    disagree with it. ``job.config.system.params["box"] = 9`` raises
+    ``TypeError``; :meth:`SimulationConfig.with_overrides` is the way to
+    derive a changed config, :meth:`SimulationConfig.to_dict` the way to get a
+    mutable copy. (Containers nested *inside* ``params`` are copied but not
+    frozen.)"""
+
+    def _freeze_params(self, section: str) -> None:
+        _require_mapping(section, "params", self.params)
+        object.__setattr__(self, "params", MappingProxyType(copy.deepcopy(dict(self.params))))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; the constructor
+        # arguments can (process-pool workers receive whole jobs)
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        return type(self), tuple({**state, "params": dict(self.params)}.values())
+
+
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(_ParamsSection):
     """Which atomic structure to build.
 
     Attributes
@@ -90,12 +115,12 @@ class SystemConfig:
     """
 
     structure: str = "hydrogen_molecule"
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.structure, str) or not self.structure:
             raise ConfigError(f"system.structure must be a non-empty string, got {self.structure!r}")
-        _require_mapping("system", "params", self.params)
+        self._freeze_params("system")
 
 
 @dataclass(frozen=True)
@@ -162,7 +187,7 @@ class XCConfig:
 
 
 @dataclass(frozen=True)
-class LaserConfig:
+class LaserConfig(_ParamsSection):
     """External field driving the dynamics.
 
     Attributes
@@ -181,16 +206,16 @@ class LaserConfig:
     """
 
     pulse: str = "none"
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.pulse, str) or not self.pulse:
             raise ConfigError(f"laser.pulse must be a non-empty string, got {self.pulse!r}")
-        _require_mapping("laser", "params", self.params)
+        self._freeze_params("laser")
 
 
 @dataclass(frozen=True)
-class PropagatorConfig:
+class PropagatorConfig(_ParamsSection):
     """Which time integrator to use.
 
     Attributes
@@ -205,12 +230,12 @@ class PropagatorConfig:
     """
 
     name: str = "ptcn"
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(f"propagator.name must be a non-empty string, got {self.name!r}")
-        _require_mapping("propagator", "params", self.params)
+        self._freeze_params("propagator")
 
 
 @dataclass(frozen=True)
@@ -406,13 +431,21 @@ class SimulationConfig:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """A plain-dict deep copy of the config (JSON-serializable if the
-        ``params`` dicts are)."""
+        ``params`` dicts are), independent of the config and of every other
+        copy."""
+        return copy.deepcopy(self._plain())
+
+    def _plain(self) -> dict:
+        """:meth:`to_dict` without the deep copy, for readers that serialise
+        and discard (hashing, group keys): the outer, section and ``params``
+        dicts are fresh — keys may be popped — while everything nested below
+        them is shared with the config and must not be modified."""
         out: dict = {}
         for section in self._SECTIONS:
             value = getattr(self, section)
-            out[section] = {
-                f.name: copy.deepcopy(getattr(value, f.name)) for f in fields(value)
-            }
+            out[section] = {f.name: getattr(value, f.name) for f in fields(value)}
+            if isinstance(value, _ParamsSection):
+                out[section]["params"] = dict(value.params)
         return out
 
     @classmethod

@@ -46,6 +46,11 @@ class JobResult:
         results carry observables only (no final wavefunction).
     error:
         ``"ExcType: message"`` for failed jobs, else ``None``.
+    config_hash:
+        The job's carried :attr:`~repro.batch.sweep.SweepJob.config_hash` —
+        the key :meth:`repro.store.ResultStore.save` files the result under.
+        Not part of :meth:`to_dict` (the ``job_id`` embeds it), so ``None``
+        on results rebuilt from dicts, which are never saved.
     """
 
     index: int
@@ -56,6 +61,7 @@ class JobResult:
     summary: dict = field(default_factory=dict)
     trajectory: Trajectory | None = None
     error: str | None = None
+    config_hash: str | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -92,6 +98,7 @@ class JobResult:
             status=status,
             summary=summary,
             trajectory=trajectory,
+            config_hash=job.config_hash,
         )
 
     @classmethod

@@ -56,7 +56,7 @@ from ..api.session import Session
 from ..exec.settings import BACKEND_NAMES, ExecutionSettings
 from ..store.store import _as_store
 from .report import SweepReport
-from .sweep import SweepJob, SweepSpec, group_jobs
+from .sweep import SweepJob, SweepSpec
 
 __all__ = ["BACKEND_NAMES", "BatchRunner"]
 
@@ -187,8 +187,8 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def groups(self) -> dict[str, list[SweepJob]]:
         """Expanded jobs grouped by ground-state key, in expansion order
-        (see :func:`repro.batch.sweep.group_jobs`)."""
-        return group_jobs(self.spec)
+        (:meth:`repro.batch.SweepSpec.groups`)."""
+        return self.spec.groups()
 
     def prepare_ground_states(self) -> int:
         """Converge (in-process) the shared ground state of every group that

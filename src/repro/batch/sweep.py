@@ -24,21 +24,27 @@ hook) to the values it sweeps over:
 PT-CN-at-50-as vs RK4-at-0.5-as comparisons, where each propagator runs at
 its own step size.
 
-Every job carries a deterministic ``job_id`` derived from its expanded config,
-so re-expanding the same spec reproduces the same ids — the property the
-checkpoint/resume machinery relies on.
+A job's identity is fixed at expansion: :meth:`SweepSpec.expand` computes each
+job's :func:`config_hash` and :func:`ground_state_group_key` once and the
+:class:`SweepJob` carries them (``job_id`` embeds the hash), so the planner,
+the scheduler, the backends and the store read fields instead of re-deriving
+them from the config. A spec is a value — ``base``, ``axes`` and ``mode`` are
+read-only — so it is expanded once however many layers (or submissions) ask;
+re-expanding reproduces the same ids, the property resume relies on.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ..api.config import ConfigError, SimulationConfig
 
-__all__ = ["SweepJob", "SweepSpec", "ground_state_group_key", "group_jobs", "config_hash"]
+__all__ = ["SweepJob", "SweepSpec", "ground_state_group_key", "config_hash"]
 
 #: run-section fields that only affect the propagation (or, for ``schedule``
 #: and ``machine``, only how/where the sweep is modeled to run), never the
@@ -48,6 +54,19 @@ _PROPAGATION_ONLY_RUN_FIELDS = ("time_step_as", "n_steps", "schedule", "machine"
 #: run-section fields that never affect what a job computes, only when and on
 #: which modeled hardware it runs — excluded from job identity entirely
 _EXECUTION_ONLY_RUN_FIELDS = ("schedule", "machine")
+
+
+def _asset_digests(names) -> dict:
+    """``asset:`` reference -> the library's current content digest, for the
+    references among ``names`` (a manifest lookup each, no payload read)."""
+    overlay = {}
+    for name in names:
+        if not isinstance(name, str) or not name.startswith("asset:"):
+            continue
+        from ..assets import default_library
+
+        overlay[name] = default_library().digest(name[len("asset:"):])
+    return overlay
 
 
 def _asset_digest_overlay(data: dict) -> dict:
@@ -60,21 +79,13 @@ def _asset_digest_overlay(data: dict) -> dict:
     changes produces new hashes even though the config text is unchanged.
     Configs without ``asset:`` references hash exactly as before.
     """
-    refs = []
-    system = data.get("system")
-    if isinstance(system, dict):
-        refs.append(system.get("structure"))
-    laser = data.get("laser")
-    if isinstance(laser, dict):
-        refs.append(laser.get("pulse"))
-    overlay = {}
-    for name in refs:
-        if not isinstance(name, str) or not name.startswith("asset:"):
-            continue
-        from ..assets import default_library
-
-        overlay[name] = default_library().digest(name[len("asset:"):])
-    return overlay
+    system, laser = data.get("system"), data.get("laser")
+    return _asset_digests(
+        [
+            system.get("structure") if isinstance(system, dict) else None,
+            laser.get("pulse") if isinstance(laser, dict) else None,
+        ]
+    )
 
 
 def config_hash(config: SimulationConfig | dict) -> str:
@@ -88,8 +99,11 @@ def config_hash(config: SimulationConfig | dict) -> str:
     Configs referencing ``asset:`` ids additionally fold the assets' content
     digests into the hash (see :func:`_asset_digest_overlay`), so store keys
     track asset *content*, not just the id string.
+
+    This is the *definition*; a :class:`SweepJob` carries the value
+    (:attr:`SweepJob.config_hash`), which is what every layer reads.
     """
-    data = config.to_dict() if isinstance(config, SimulationConfig) else config
+    data = config._plain() if isinstance(config, SimulationConfig) else config
     if isinstance(data.get("run"), dict) and set(data["run"]) & set(_EXECUTION_ONLY_RUN_FIELDS):
         data = {
             **data,
@@ -124,8 +138,9 @@ def ground_state_group_key(config: SimulationConfig) -> str:
     their pulses, integrators and time steps; the same string keys the
     scheduling group and the store's ground-state object. The structure
     asset's content digest is folded in like :func:`config_hash` does.
+    Carried by every job as :attr:`SweepJob.group_key`.
     """
-    data = config.to_dict()
+    data = config._plain()
     data.pop("propagator")
     data.pop("laser")
     for name in _PROPAGATION_ONLY_RUN_FIELDS:
@@ -137,48 +152,56 @@ def ground_state_group_key(config: SimulationConfig) -> str:
     return json.dumps(data, sort_keys=True, default=str)
 
 
-def group_jobs(spec: "SweepSpec") -> dict:
-    """A spec's expanded jobs grouped by ground-state key, in expansion order.
-
-    The unit of scheduling and dispatch throughout :mod:`repro.exec` and
-    :mod:`repro.campaign`: all jobs of one group share one converged SCF.
-    """
-    grouped: dict[str, list[SweepJob]] = {}
-    for job in spec.expand():
-        grouped.setdefault(job.group_key, []).append(job)
-    return grouped
-
-
 @dataclass(frozen=True)
 class SweepJob:
-    """One expanded point of a sweep.
+    """One expanded point of a sweep, with its identity.
+
+    Built by :meth:`SweepSpec.expand`, which is the one moment a job's
+    identity is fixed: ``config_hash`` and ``group_key`` are computed there
+    (for ``asset:`` configs, from the asset content the library held *then*)
+    and read as fields by every layer afterwards — the store keys a result by
+    the carried hash on the way in and on the way out, so the two cannot
+    disagree.
 
     Attributes
     ----------
     index:
         Position in the expansion order (stable across re-expansions).
     job_id:
-        Deterministic identifier (index + config hash) used as the checkpoint
-        file stem.
+        Deterministic identifier, ``job<index>-<config_hash>``.
     point:
-        The axis overrides that produced this job, path -> value.
+        The axis overrides that produced this job, path -> value (shared by
+        every reader of the expansion: treat it as read-only).
     config:
-        The fully expanded, validated simulation config.
+        The fully expanded, validated simulation config (a value: its
+        ``params`` mappings are read-only).
+    config_hash:
+        :func:`config_hash` of ``config`` — the store key of the job's result.
+    group_key:
+        :func:`ground_state_group_key` of ``config`` — the scheduling group,
+        the shared session and the store key of the ground state.
     """
 
     index: int
     job_id: str
     point: dict = field(compare=False)
     config: SimulationConfig = field(compare=False)
-
-    @property
-    def group_key(self) -> str:
-        """The ground-state sharing key (see :func:`ground_state_group_key`)."""
-        return ground_state_group_key(self.config)
+    config_hash: str
+    group_key: str
 
 
 class SweepSpec:
-    """A base config swept over named axes.
+    """A base config swept over named axes — an immutable value.
+
+    ``base``, ``axes`` and ``mode`` are read-only after construction (the
+    axis values are copied in), so the spec's expansion is a function of the
+    spec alone and is computed once: :meth:`expand` and :meth:`groups` serve
+    the :class:`~repro.campaign.CampaignPlanner`,
+    :func:`repro.service.run_sweep`, :class:`~repro.batch.BatchRunner` and
+    the store from the same :class:`SweepJob`\\ s, on every submission of the
+    spec. The one outside input of a job's identity is the content of the
+    ``asset:`` references it names; a reused spec re-expands when the
+    library's digest of one of them is no longer the one it expanded with.
 
     Parameters
     ----------
@@ -219,11 +242,31 @@ class SweepSpec:
             lengths = {path: len(values) for path, values in axes.items()}
             if len(set(lengths.values())) > 1:
                 raise ConfigError(f"zip-mode axes must have equal lengths, got {lengths}")
-        self.base = base
-        self.axes = axes
-        self.mode = mode
+        self._base = base
+        self._axes = MappingProxyType(
+            {path: tuple(copy.deepcopy(value) for value in values) for path, values in axes.items()}
+        )
+        self._mode = mode
+        self._jobs: tuple[SweepJob, ...] | None = None
+        #: asset reference -> content digest the jobs were expanded with
+        self._asset_digests: dict[str, str] = {}
 
     # ------------------------------------------------------------------
+    @property
+    def base(self) -> SimulationConfig:
+        """The config every job starts from."""
+        return self._base
+
+    @property
+    def axes(self):
+        """Override path -> tuple of values, read-only, in expansion order."""
+        return self._axes
+
+    @property
+    def mode(self) -> str:
+        """``"product"`` or ``"zip"``."""
+        return self._mode
+
     @property
     def axis_paths(self) -> list[str]:
         """The axis override paths, in expansion order."""
@@ -260,21 +303,42 @@ class SweepSpec:
                 yield dict(zip(paths, values))
 
     def expand(self) -> list[SweepJob]:
-        """Expand into the full, validated job list.
+        """The full, validated job list (a fresh list of the shared jobs).
 
-        Invalid override values fail here — before anything runs — with the
-        usual actionable :class:`~repro.api.ConfigError` /
-        :class:`~repro.api.UnknownNameError` messages.
+        The first call expands: every point is applied to the base config,
+        hashed and keyed, once. Invalid override values fail here — before
+        anything runs — with the usual actionable
+        :class:`~repro.api.ConfigError` / :class:`~repro.api.UnknownNameError`
+        messages. Later calls return the same jobs, unless an asset they name
+        changed content in the library since (then identity is fixed anew).
         """
-        jobs = []
-        for index, point in enumerate(self.points()):
-            config = self.base.with_overrides(point)
-            jobs.append(
-                SweepJob(
-                    index=index,
-                    job_id=f"job{index:04d}-{config_hash(config)}",
-                    point=point,
-                    config=config,
+        if self._jobs is None or _asset_digests(self._asset_digests) != self._asset_digests:
+            jobs, assets = [], {}
+            for index, point in enumerate(self.points()):
+                config = self.base.with_overrides(point)
+                digest = config_hash(config)
+                jobs.append(
+                    SweepJob(
+                        index=index,
+                        job_id=f"job{index:04d}-{digest}",
+                        point=point,
+                        config=config,
+                        config_hash=digest,
+                        group_key=ground_state_group_key(config),
+                    )
                 )
-            )
-        return jobs
+                assets.update(_asset_digests([config.system.structure, config.laser.pulse]))
+            self._jobs, self._asset_digests = tuple(jobs), assets
+        return list(self._jobs)
+
+    def groups(self) -> dict[str, list[SweepJob]]:
+        """The expanded jobs grouped by :attr:`SweepJob.group_key`, groups and
+        jobs in expansion order.
+
+        The unit of scheduling and dispatch throughout :mod:`repro.exec` and
+        :mod:`repro.campaign`: all jobs of one group share one converged SCF.
+        """
+        grouped: dict[str, list[SweepJob]] = {}
+        for job in self.expand():
+            grouped.setdefault(job.group_key, []).append(job)
+        return grouped

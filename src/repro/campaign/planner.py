@@ -30,13 +30,12 @@ binding constraint and the cheapest relaxation that would unblock it.
 from __future__ import annotations
 
 import asyncio
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..batch.sweep import group_jobs
 from ..cost.model import MACHINES, resolve_machine
+from ..exec.scheduler import Scheduler
 from ..exec.settings import ExecutionSettings
 from .spec import Budget, CampaignSpec, InfeasibleBudgetError
 
@@ -310,10 +309,12 @@ class CampaignPlanner:
         self.policies = tuple(policies)
         if not self.policies:
             raise ValueError("policies must name at least one scheduling policy")
-        # grouping is settings-independent: expand each sweep exactly once
-        self._grouped = {
-            name: group_jobs(sweep_spec) for name, sweep_spec in spec.sweeps.items()
-        }
+        # grouping and the workload model are settings-independent: each
+        # sweep is grouped, and each group priced in relative FLOPs, exactly
+        # once; the candidate grid only converts those through machine models
+        self._grouped = {name: sweep_spec.groups() for name, sweep_spec in spec.sweeps.items()}
+        pricer = Scheduler(machine=None)
+        self._priced = {name: pricer.price(grouped) for name, grouped in self._grouped.items()}
         # candidate pricing is *budget*-independent too: cache it, so
         # re-planning the same campaign under many budgets (what-ifs, the
         # hypothesis properties) prices the grid exactly once
@@ -355,6 +356,15 @@ class CampaignPlanner:
         """Price every sweep under ``settings`` with the execution-time
         pipeline itself (same scheduler, same machine model, same packing).
 
+        The relative FLOPs of every group were priced once, at construction
+        (the workload model reads no setting); a forecast hands copies of
+        those priced groups to the settings' own
+        :meth:`~repro.exec.Scheduler.order` and
+        :meth:`~repro.exec.Scheduler.pack`, so what differs between
+        candidates — machine, GPU slice, policy, ranks — is all that is
+        recomputed, and the numbers are the ones
+        :meth:`~repro.exec.Scheduler.schedule` gives at execution time.
+
         Raises :class:`ValueError` when a group's workload cannot be
         predicted (exotic custom structures) — the planner needs real
         numbers, unlike the scheduler, which degrades to expansion order.
@@ -363,8 +373,8 @@ class CampaignPlanner:
         if self.calibration is not None and scheduler.machine is not None:
             scheduler.machine = scheduler.machine.calibrated(self.calibration)
         forecasts: dict[str, SweepPlan] = {}
-        for name, grouped in self._grouped.items():
-            scheduled = scheduler.schedule(copy.copy(grouped))
+        for name, priced in self._priced.items():
+            scheduled = scheduler.order([replace(group, notes=list(group.notes)) for group in priced])
             bad = [group.key for group in scheduled if not np.isfinite(group.predicted_seconds)]
             if bad:
                 raise ValueError(

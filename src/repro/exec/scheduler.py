@@ -9,7 +9,10 @@ layered the way the paper planned its campaigns: relative FLOPs from
 :mod:`repro.perf.sweep_cost` (the cheap config layers only), turned into
 predicted wall seconds and joules on a parameterised Summit by a
 :class:`repro.cost.MachineCostModel` — so the scheduler packs by *time on the
-machine*, not by unitless work.
+machine*, not by unitless work. :meth:`Scheduler.schedule` is those two layers
+in sequence — :meth:`Scheduler.price` (workload model, reads no setting) then
+:meth:`Scheduler.order` (machine model and policy) — so a caller weighing many
+settings for the same groups prices them once.
 
 Policies (``run.schedule.policy`` in :class:`~repro.api.SimulationConfig`, or
 the ``schedule=`` argument of :class:`~repro.batch.BatchRunner`):
@@ -38,6 +41,13 @@ from ..cost.model import MachineCostModel, machine_name
 from ..perf.sweep_cost import predict_group_cost, workload_sizes
 
 __all__ = ["SCHEDULE_POLICIES", "ScheduledGroup", "Scheduler"]
+
+#: what a workload or machine model — and the registry and asset lookups
+#: behind them — raise for a group they cannot price: ``KeyError`` covers
+#: ``UnknownNameError`` / ``UnknownAssetError``, ``ValueError`` covers
+#: ``ConfigError`` / ``AssetError``. These degrade the group (see
+#: :meth:`Scheduler.price`); any other exception propagates.
+_PRICING_ERRORS = (KeyError, ValueError, TypeError, ArithmeticError)
 
 #: sentinel distinguishing "build the default machine model" from an explicit
 #: ``machine=None`` (pure relative-FLOP scheduling, no wall-clock predictions)
@@ -86,9 +96,12 @@ class ScheduledGroup:
         the *model's* prediction with reality — re-priced accounting never
         feeds back into the next fit.
     notes:
-        Degraded paths the group took while executing (today: the lockstep
-        pass falling back to width-1 runs), appended by the backends and
-        exported in the report's execution section only when non-empty.
+        Degraded paths the group took, each ending in ``"<ExceptionClass>:
+        <message>"``: a workload or machine model that could not price it
+        (appended by the :class:`Scheduler`; the group then shows ``nan``
+        predictions and keeps its expansion position) and the lockstep pass
+        falling back to width-1 runs (appended by the backends). Exported in
+        the report's execution section only when non-empty.
     """
 
     key: str
@@ -132,6 +145,10 @@ class ScheduledGroup:
             if np.isfinite(value) and value > 0:
                 return float(value)
         return self.weight
+
+    def degraded(self, what: str, exc: BaseException) -> None:
+        """Record a degraded path in :attr:`notes`: ``"<what>: <ExceptionClass>: <message>"``."""
+        self.notes.append(f"{what}: {type(exc).__name__}: {exc}")
 
     def metric_value(self, metric: str) -> float:
         """The group's load in one named unit (``Scheduler._weight_metric``)."""
@@ -186,58 +203,69 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     def predict_cost(self, jobs) -> float:
-        """Predicted relative cost of one group (``nan`` if prediction fails).
+        """Predicted relative cost of one group, from the workload model alone."""
+        return float(self.cost_fn([job.config for job in jobs]))
 
-        A failing cost model must never fail the sweep — scheduling degrades
-        to expansion order, the physics still runs.
+    def price(self, grouped: dict[str, list]) -> list[ScheduledGroup]:
+        """The settings-independent half of :meth:`schedule`: one
+        :class:`ScheduledGroup` per group, in expansion order, carrying what
+        the *workload* model says — relative FLOPs, propagator, workload sizes.
+
+        Nothing here reads the policy or the machine, so a caller weighing
+        many settings for the same groups (the
+        :class:`~repro.campaign.CampaignPlanner`'s candidate grid) prices them
+        once and gives :meth:`order` a copy per candidate.
+
+        A workload the model cannot price must never fail the sweep: the
+        group keeps ``nan`` / ``None``, scheduling degrades to expansion
+        order, the physics still runs — and the failure is appended to
+        :attr:`ScheduledGroup.notes`, which the report's execution section
+        exports. Only :data:`_PRICING_ERRORS` degrade; anything else is a bug
+        and propagates. A group whose jobs mix propagators (the group key
+        excludes them, as it does the laser) is stamped ``propagator=None``
+        and only informs the machine-wide calibration bucket.
         """
-        try:
-            return float(self.cost_fn([job.config for job in jobs]))
-        except Exception:
-            return float("nan")
+        groups = []
+        for index, (key, jobs) in enumerate(grouped.items()):
+            group = ScheduledGroup(key=key, index=index, jobs=list(jobs))
+            try:
+                group.predicted_cost = self.predict_cost(group.jobs)
+            except _PRICING_ERRORS as exc:
+                group.degraded("no cost prediction, scheduled in expansion order", exc)
+            if group.jobs:
+                names = {job.config.propagator.name for job in group.jobs}
+                group.propagator = names.pop() if len(names) == 1 else None
+                try:
+                    n_bands, n_grid = workload_sizes(group.jobs[0].config)
+                    group.n_bands, group.n_grid = int(n_bands), int(n_grid)
+                except _PRICING_ERRORS as exc:
+                    group.degraded("no workload sizes for calibration", exc)
+            groups.append(group)
+        return groups
 
     def _annotate(self, group: ScheduledGroup) -> None:
-        """Attach the machine-model predictions to one group (best-effort).
+        """Convert one priced group through the machine model (best-effort).
 
         The machine only converts the workload prediction already on the
         group; when that prediction failed (``nan``) the wall-clock fields
         stay ``nan`` too, so a deliberately disabled cost model degrades every
         policy to expansion order instead of resurrecting a default.
         """
-        self._stamp_identity(group)
-        if self.machine is None or not np.isfinite(group.predicted_cost):
+        if self.machine is None:
+            return
+        group.machine = machine_name(self.machine.system)
+        if not np.isfinite(group.predicted_cost):
             return
         try:
             estimate = self.machine.group_estimate(
                 [job.config for job in group.jobs], flops=group.predicted_cost
             )
-        except Exception:
+        except _PRICING_ERRORS as exc:
+            group.degraded("no machine estimate, packed by relative cost", exc)
             return
         group.predicted_seconds = float(estimate.seconds)
         group.predicted_energy_j = float(estimate.energy_joules)
         group.n_gpus = int(estimate.n_gpus)
-
-    def _stamp_identity(self, group: ScheduledGroup) -> None:
-        """Make the group's execution record self-describing (best-effort).
-
-        Machine preset, propagator and workload sizes are what a calibration
-        observation (:mod:`repro.calib`) needs to bucket the group without
-        re-expanding configs; a group whose jobs mix propagators (the group
-        key excludes them) is stamped ``propagator=None`` and only informs
-        the machine-wide bucket. Stamping failures leave fields ``None`` —
-        identity is provenance, never load-bearing for execution.
-        """
-        if self.machine is not None:
-            group.machine = machine_name(self.machine.system)
-        if not group.jobs:
-            return
-        names = {job.config.propagator.name for job in group.jobs}
-        group.propagator = names.pop() if len(names) == 1 else None
-        try:
-            n_bands, n_grid = workload_sizes(group.jobs[0].config)
-            group.n_bands, group.n_grid = int(n_bands), int(n_grid)
-        except Exception:
-            pass
 
     def _order_metric(self, group: ScheduledGroup) -> float:
         """What the cost-ordered policies sort by (energy for energy-aware,
@@ -250,18 +278,13 @@ class Scheduler:
                 return float(value)
         return float("nan")
 
-    def schedule(self, grouped: dict[str, list]) -> list[ScheduledGroup]:
-        """Annotate and order the groups of a sweep according to the policy.
-
-        ``grouped`` maps group key to job list in expansion order (the shape
-        :meth:`repro.batch.BatchRunner.groups` returns). The returned order is
-        the submission order; unpredictable (``nan``-cost) groups keep their
-        expansion position at the end of cost-ordered policies.
-        """
-        groups = [
-            ScheduledGroup(key=key, index=index, jobs=list(jobs), predicted_cost=self.predict_cost(jobs))
-            for index, (key, jobs) in enumerate(grouped.items())
-        ]
+    def order(self, groups: list[ScheduledGroup]) -> list[ScheduledGroup]:
+        """The settings-dependent half of :meth:`schedule`: convert priced
+        groups through this scheduler's machine model (predicted seconds,
+        joules, GPU slice — one ``group_estimate`` each) and sort them by the
+        policy. Unpredictable (``nan``-cost) groups keep their expansion
+        position at the end of cost-ordered policies. Annotates ``groups`` in
+        place and returns them in submission order."""
         for group in groups:
             self._annotate(group)
         if self.policy == "cheapest_first":
@@ -269,6 +292,18 @@ class Scheduler:
         elif self.policy in ("makespan_balanced", "energy_aware"):
             groups.sort(key=lambda g: (not np.isfinite(self._order_metric(g)), -self._order_metric(g), g.index))
         return groups
+
+    def schedule(self, grouped: dict[str, list]) -> list[ScheduledGroup]:
+        """Price, annotate and order the groups of a sweep: :meth:`order` of
+        :meth:`price`.
+
+        ``grouped`` maps group key to job list in expansion order (the shape
+        :meth:`repro.batch.SweepSpec.groups` returns; each job already carries
+        its key and hash). Each group is priced once by the workload model
+        and converted once by the machine model; the returned order is the
+        submission order.
+        """
+        return self.order(self.price(grouped))
 
     def _weight_metric(self, groups: list[ScheduledGroup]) -> str:
         """The one unit every group of a packing is weighed in.

@@ -142,7 +142,7 @@ def workload_sizes(config) -> tuple[int, int]:
         resolved = STRUCTURES.get(name)
     key = (
         resolved,
-        json.dumps([name, system.params, basis.ecut, basis.grid_factor], sort_keys=True, default=str),
+        json.dumps([name, dict(system.params), basis.ecut, basis.grid_factor], sort_keys=True, default=str),
     )
     sizes = _WORKLOAD_SIZES.get(key)
     if sizes is None:

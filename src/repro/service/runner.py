@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..batch.report import SweepReport
-from ..batch.sweep import SweepSpec, group_jobs
+from ..batch.sweep import SweepSpec
 from ..calib import CalibrationModel, Observation
 from ..exec.backends import SerialBackend, _sweep_report
 from ..exec.settings import ExecutionSettings
@@ -232,7 +232,7 @@ async def run_sweep(
     scheduler = settings.scheduler()
     if calibration is not None and scheduler.machine is not None:
         scheduler.machine = scheduler.machine.calibrated(calibration)
-    scheduled = scheduler.schedule(group_jobs(spec))
+    scheduled = scheduler.schedule(spec.groups())
     scheduler.pack(scheduled, settings.ranks)
     # the static packing, frozen before anything runs — what the adaptive
     # accounting compares its re-packed makespan against

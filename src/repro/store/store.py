@@ -16,7 +16,11 @@ Results are keyed by *content*, not by which sweep produced them:
 
 * job results by :func:`~repro.batch.sweep.config_hash` of their expanded
   config (execution-only fields excluded), so two sweeps — or two campaigns,
-  or two service tenants — asking for the same physics share one entry;
+  or two service tenants — asking for the same physics share one entry. The
+  store never computes that hash: it reads the one the job was expanded with
+  (:attr:`SweepJob.config_hash <repro.batch.SweepJob>`, copied onto its
+  :class:`~repro.batch.JobResult`), so a result is filed and found under the
+  same key whatever happened to the asset library in between;
 * ground states by :func:`ground_state_hash` of the
   :func:`~repro.batch.sweep.ground_state_group_key` — field-free, so every
   pulse of one material shares one entry. The key carries a version: a
@@ -63,13 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ResultStore", "ground_state_hash"]
 
-
-def _config_hash(config) -> str:
-    # deferred: repro.batch.runner imports this module, so it must not import
-    # repro.batch at import time
-    from ..batch.sweep import config_hash
-
-    return config_hash(config)
 
 #: manifest filename prefixes — job results vs shared ground states
 _JOB_PREFIX = "job-"
@@ -264,11 +261,11 @@ class ResultStore:
     # Job results (keyed by config_hash — any sweep anywhere serves a hit)
     # ------------------------------------------------------------------
     def _read_result_manifest(self, job: SweepJob) -> tuple[dict | None, pathlib.Path]:
-        path = self.job_manifest_path(_config_hash(job.config))
+        path = self.job_manifest_path(job.config_hash)
         manifest = self._read_json(path)
         if manifest is None:
             return None, path
-        if manifest.get("config_hash") != _config_hash(job.config):
+        if manifest.get("config_hash") != job.config_hash:
             # keyed by the hash, so a mismatch means the entry was tampered
             # with or mis-filed — quarantine rather than trust or overwrite
             # silently on the read path
@@ -303,7 +300,9 @@ class ResultStore:
         physics is the same by key construction, but the requesting sweep's
         axes and execution-only fields may differ).
         """
-        from ..batch.report import JobResult  # deferred, see _config_hash
+        # deferred: repro.batch.runner imports this module, so it must not
+        # import repro.batch at import time
+        from ..batch.report import JobResult
 
         manifest, path = self._read_result_manifest(job)
         if manifest is None:
@@ -338,8 +337,13 @@ class ResultStore:
             raise ValueError(
                 f"cannot checkpoint job {result.job_id!r}: it has no full trajectory"
             )
+        key = result.config_hash
+        if key is None:
+            raise ValueError(
+                f"cannot checkpoint job {result.job_id!r}: it carries no config_hash "
+                "(results rebuilt from dicts do not; JobResult.from_trajectory copies the job's)"
+            )
         artifact = self._write_object(result.trajectory.save_npz)
-        key = _config_hash(result.config)
         manifest = {
             "job_id": result.job_id,
             "index": result.index,

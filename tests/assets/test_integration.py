@@ -91,6 +91,66 @@ class TestHashOverlay:
         )
 
 
+class TestIdentityIsFixedAtExpansion:
+    """A job's hash is the hash of the asset content the library held when
+    the spec was expanded; the store files and finds the result under that
+    one carried key, and a reused spec notices when the content moved on."""
+
+    @pytest.fixture()
+    def drift(self, monkeypatch):
+        """Call to make the library report new content for the H2 structure."""
+        library = default_library()
+        real_digest = library.digest
+
+        def apply(digest="d" * 64):
+            monkeypatch.setattr(
+                library, "digest",
+                lambda ref: digest if ref == "structure/h2-box@1" else real_digest(ref),
+            )
+
+        return apply
+
+    def test_a_result_is_saved_under_the_hash_it_was_expanded_with(self, tmp_path, drift):
+        from repro.store import ResultStore
+
+        (job,) = SweepSpec(SimulationConfig.from_dict(ASSET_CFG)).expand()
+        assert job.job_id.endswith(job.config_hash)
+        store = ResultStore(tmp_path / "store")
+
+        # the library changes between expansion and the save at the end of
+        # the run: the job keeps the identity it was given (at the parent the
+        # save re-hashed, so job_id and store key disagreed)
+        original = ResultStore.save
+
+        def save_after_drift(self, result):
+            drift()
+            return original(self, result)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ResultStore, "save", save_after_drift)
+            (result,) = BatchRunner(SweepSpec(job.config), store=store).run().results
+        assert result.status == "completed" and result.job_id == job.job_id
+        assert config_hash(job.config) != job.config_hash  # the library did move
+        assert store.job_manifest_path(job.config_hash).exists()
+        assert store.has(job) and store.load(job).status == "cached"
+
+    def test_a_reused_spec_re_expands_when_an_asset_it_names_changes(self, drift):
+        spec = SweepSpec(
+            SimulationConfig.from_dict(PLAIN_CFG),
+            {"system": [{"structure": "hydrogen_molecule", "params": {"box": 8.0}},
+                        {"structure": "asset:structure/h2-box@1", "params": {}}]},
+        )
+        plain, asset = spec.expand()
+        assert all(a is b for a, b in zip(spec.expand(), (plain, asset)))  # one expansion
+        drift()
+        plain_again, asset_again = spec.expand()
+        assert plain_again == plain
+        assert asset_again.config_hash != asset.config_hash
+        assert asset_again.config_hash == config_hash(asset_again.config)
+        assert asset_again.group_key != asset.group_key and "d" * 64 in asset_again.group_key
+        assert all(a is b for a, b in zip(spec.expand(), (plain_again, asset_again)))
+
+
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def report(self):

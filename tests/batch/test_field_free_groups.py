@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.api import SimulationConfig
 from repro.batch import BatchRunner, SweepSpec, ground_state_group_key
-from repro.batch.sweep import group_jobs
 from repro.campaign import Budget, CampaignSpec
 from repro.constants import attoseconds_to_au
 from repro.exec import execute_group
@@ -147,7 +146,7 @@ class TestMixedPulseLockstep:
             },
             mode="zip",
         )
-        (jobs,) = group_jobs(spec).values()
+        (jobs,) = spec.groups().values()
         return jobs
 
     @pytest.mark.parametrize("precision", ["complex128", "complex64"])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.batch import SweepSpec
-from repro.batch.sweep import group_jobs
 from repro.calib import CalibrationModel, Observation
 from repro.campaign import Budget, CampaignPlanner, CampaignSpec
 from repro.cost import CalibratedCostModel, MachineCostModel, machine_name
@@ -57,8 +56,8 @@ class TestCalibratedScheduler:
         model = MachineCostModel(system=resolve_machine("summit"))
         cold = Scheduler(policy="makespan_balanced", machine=model)
         warm = Scheduler(policy="makespan_balanced", machine=model, calibration=fit(3.0))
-        cold_groups = cold.schedule(group_jobs(spec))
-        warm_groups = warm.schedule(group_jobs(spec))
+        cold_groups = cold.schedule(spec.groups())
+        warm_groups = warm.schedule(spec.groups())
         for before, after in zip(cold_groups, warm_groups):
             assert before.machine == after.machine == "summit"
             assert before.propagator == after.propagator == "ptcn"

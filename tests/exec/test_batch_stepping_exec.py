@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchRunner, SweepSpec
-from repro.batch.sweep import config_hash, group_jobs
+from repro.batch.sweep import config_hash
 from repro.exec import ExecutionSettings, Scheduler, execute_group
 from repro.perf.sweep_cost import (
     BATCH_STEPPING_EFFICIENCY,
@@ -110,7 +110,7 @@ class TestOneStoreReadPerJob:
             return original(self, job, *args, **kwargs)
 
         monkeypatch.setattr(ResultStore, "load", counting)
-        (jobs,) = group_jobs(dt_spec).values()
+        (jobs,) = dt_spec.groups().values()
 
         cold = BatchRunner(dt_spec, store=tmp_path / "store", settings=BATCHED)
         assert [r.status for r in cold.run().results] == ["completed"] * 4
@@ -142,7 +142,7 @@ class TestFailureAttribution:
             },
             mode="zip",
         )
-        (jobs,) = group_jobs(spec).values()
+        (jobs,) = spec.groups().values()
         return jobs
 
     def test_failure_is_recorded_for_the_job_that_raised(self, jobs):
@@ -225,7 +225,7 @@ class TestPoolWorkerCapping:
         workers_before = get_fft_workers()
         set_fft_workers(4)
         try:
-            (jobs,) = group_jobs(dt_spec).values()
+            (jobs,) = dt_spec.groups().values()
             payload = (jobs, None, True, False, "complex128")
             dicts, notes = _run_group_worker(payload)
             assert notes == []
@@ -308,7 +308,7 @@ class TestCostAmortization:
         assert 0 < BATCH_STEPPING_EFFICIENCY < 1
 
     def test_scheduler_uses_the_amortized_model(self, dt_spec):
-        (jobs,) = group_jobs(dt_spec).values()
+        (jobs,) = dt_spec.groups().values()
         unamortized = predict_scf_cost(jobs[0].config) + sum(
             predict_job_cost(job.config) for job in jobs
         )

@@ -11,6 +11,7 @@ import pytest
 
 from repro.api import ConfigError, SimulationConfig
 from repro.batch import BatchRunner, SweepSpec, config_hash, ground_state_group_key
+from repro.cost import MachineCostModel
 from repro.exec import SCHEDULE_POLICIES, ExecutionSettings, ScheduledGroup, Scheduler
 from repro.perf import predict_group_cost
 
@@ -71,12 +72,50 @@ class TestOrdering:
 
     def test_failing_cost_model_degrades_to_expansion_order(self, heterogeneous_runner):
         def broken(configs):
-            raise RuntimeError("no cost model for this structure")
+            raise KeyError("no cost model for this structure")
 
         grouped = heterogeneous_runner.groups()
         scheduled = Scheduler("cheapest_first", cost_fn=broken).schedule(grouped)
         assert [g.index for g in scheduled] == list(range(len(grouped)))
         assert all(np.isnan(g.predicted_cost) for g in scheduled)
+        # ... and says so: the degraded group is visible, not only a nan
+        for group in scheduled:
+            (note,) = group.notes
+            assert note.endswith("KeyError: 'no cost model for this structure'")
+
+    def test_a_degraded_group_shows_in_the_report_execution_section(self, tiny_config):
+        def broken(configs):
+            raise ArithmeticError("workload overflows the model")
+
+        runner = BatchRunner(SweepSpec(tiny_config.with_overrides({"run.n_steps": 1})))
+        runner.scheduler = Scheduler("cheapest_first", cost_fn=broken)
+        (record,) = runner.run().execution["groups"]
+        assert record["predicted_cost"] is None
+        assert record["notes"] == [
+            "no cost prediction, scheduled in expansion order: "
+            "ArithmeticError: workload overflows the model"
+        ]
+
+    def test_a_bug_in_the_cost_model_is_not_swallowed(self, heterogeneous_runner):
+        """Only the failures a model raises for a workload it cannot price
+        degrade the schedule; anything else propagates."""
+
+        def buggy(configs):
+            raise RuntimeError("a bug, not an unpriceable workload")
+
+        with pytest.raises(RuntimeError, match="a bug"):
+            Scheduler("cheapest_first", cost_fn=buggy).schedule(heterogeneous_runner.groups())
+
+    def test_failing_machine_estimate_is_noted(self, heterogeneous_runner):
+        class NoEstimate(MachineCostModel):
+            def group_estimate(self, configs, flops=None):
+                raise ValueError("no such slice")
+
+        scheduled = Scheduler("makespan_balanced", machine=NoEstimate()).schedule(
+            heterogeneous_runner.groups()
+        )
+        assert all(np.isfinite(g.predicted_cost) and np.isnan(g.predicted_seconds) for g in scheduled)
+        assert all(g.notes[0].endswith("ValueError: no such slice") for g in scheduled)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +247,6 @@ class TestMachineAwareness:
     def test_custom_cost_fn_flows_into_wall_predictions(self, heterogeneous_runner):
         """The machine converts whatever the workload model returns, so a
         custom cost_fn keeps machine-aware packing."""
-        from repro.cost import MachineCostModel
-
         scheduler = Scheduler("makespan_balanced", cost_fn=lambda configs: 7.0)
         scheduled = scheduler.schedule(heterogeneous_runner.groups())
         expected = MachineCostModel().group_estimate(
@@ -233,7 +270,7 @@ class TestMachineAwareness:
         the machine layer's default."""
 
         def broken(configs):
-            raise RuntimeError("no model")
+            raise ValueError("no model")
 
         scheduled = Scheduler("energy_aware", cost_fn=broken).schedule(heterogeneous_runner.groups())
         assert all(np.isnan(g.predicted_seconds) for g in scheduled)

@@ -19,22 +19,72 @@ def model():
     return PWDFTPerformanceModel(SiliconWorkload.from_atom_count(1536))
 
 
+#: Table 1 row -> relative-error budget of the model against the paper over
+#: *all eight* GPU counts (36 ... 3072): the measured worst column, rounded up.
+#: Compute rows track the paper to 2-35 %; the loose ones are named below.
+TABLE1_BUDGETS = {
+    "fock_mpi": 0.75,
+    "fock_compute": 0.2,
+    "fock_total": 0.3,
+    "local_semilocal": 0.15,
+    "hpsi_total": 0.3,
+    "residual_alltoallv": 0.85,
+    "residual_allreduce": 0.5,
+    "residual_compute": 0.3,
+    "residual_total": 0.5,
+    "anderson_memcpy": 0.1,
+    "anderson_compute": 0.35,
+    "anderson_total": 0.2,
+    "density_compute": 0.05,
+    "density_allreduce": 0.55,
+    "density_total": 0.5,
+    "others": 0.15,
+    "per_scf_total": 0.25,
+    "total_step_time": 0.25,
+    "speedup": 0.3,
+    "hpsi_percentage": 0.05,
+}
+
+#: the rows the model is loose on (budget >= 0.5), all communication: the
+#: visible part of the Fock broadcast (71 % low at 384 GPUs, where the paper's
+#: overlap stops hiding it earlier than the model's), the residual's
+#: Alltoallv (81 % low at 768, a non-monotone column in the paper) and the
+#: latency-bound Allreduces of residual and density (30-50 % low beyond 36
+#: GPUs), with the two totals they dominate. None exceeds 1.2 s per SCF, so
+#: per_scf_total and total_step_time stay within 25 %.
+LOOSE_ROWS = ("fock_mpi", "residual_alltoallv", "residual_allreduce", "residual_total",
+              "density_allreduce", "density_total")
+
+
+def _table1_value(model, row: str, n_gpus: int) -> float:
+    """The model's counterpart of one Table 1 cell."""
+    components = model.scf_component_times(n_gpus).as_dict()
+    if row in components:
+        return components[row]
+    return getattr(model.step_breakdown(n_gpus), row)
+
+
 class TestAnchors:
     def test_cpu_baseline_matches_paper(self, model):
         assert model.cpu_step_time(3072) == pytest.approx(CPU_BASELINE_TIME_S, rel=0.05)
 
     def test_36_gpu_column_matches_table1(self, model):
-        """The calibration anchor: every component within 40 % of the paper at 36 GPUs."""
-        scf = model.scf_component_times(36).as_dict()
-        for key in ("fock_compute", "fock_total", "hpsi_total", "residual_total",
-                    "anderson_total", "density_total", "others", "per_scf_total"):
-            assert scf[key] == pytest.approx(TABLE1[key][0], rel=0.4), key
+        """The calibration anchor: every row within 20 % of the paper at 36 GPUs."""
+        for row, paper in TABLE1.items():
+            assert _table1_value(model, row, 36) == pytest.approx(paper[0], rel=0.2), row
 
-    def test_total_step_time_all_columns(self, model):
-        """Total per-step times within 35 % of Table 1 across the full GPU range."""
-        for i, n in enumerate(TABLE1_GPU_COUNTS):
-            total = model.step_breakdown(n).total_step_time
-            assert total == pytest.approx(TABLE1["total_step_time"][i], rel=0.35), n
+    @pytest.mark.parametrize("row", sorted(TABLE1))
+    def test_every_table1_row_at_every_gpu_count(self, model, row):
+        """Each component of Table 1, at each of its eight GPU counts, within
+        the row's stated budget (the total row included, at 25 %)."""
+        for column, n_gpus in enumerate(TABLE1_GPU_COUNTS):
+            assert _table1_value(model, row, n_gpus) == pytest.approx(
+                TABLE1[row][column], rel=TABLE1_BUDGETS[row]
+            ), (row, n_gpus)
+
+    def test_budgets_name_every_row_and_the_loose_ones(self):
+        assert set(TABLE1_BUDGETS) == set(TABLE1)
+        assert {row for row, budget in TABLE1_BUDGETS.items() if budget >= 0.5} == set(LOOSE_ROWS)
 
     def test_unbiased_overall(self, model):
         """Geometric-mean model/paper ratio of the per-step totals is within 15 %."""

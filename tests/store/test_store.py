@@ -188,6 +188,17 @@ class TestParentWrittenStore:
         assert count_scf_solves == [] and count_propagation_steps == []
         assert parent_store.stats["quarantined"] == 0
 
+    def test_the_carried_hash_is_the_key_the_parent_filed_the_result_under(self, tiny_config, parent_store):
+        """The store reads ``SweepJob.config_hash`` instead of hashing the
+        config: it must be, byte for byte, the name PR 16 wrote."""
+        (manifest,) = parent_store.manifests_dir.glob("job-*.json")
+        spec = SweepSpec(tiny_config.with_overrides({"laser": self.GAUSSIAN}), {"run.time_step_as": [1.0]})
+        (job,) = spec.expand()
+        assert manifest.name == f"job-{job.config_hash}.json"
+        assert json.loads(manifest.read_text())["config_hash"] == job.config_hash
+        hits, misses = parent_store.diff(spec.expand())
+        assert hits == [job] and misses == []
+
     def test_parent_ground_state_is_a_one_time_miss_not_a_quarantine(
         self, tiny_config, parent_store, count_scf_solves
     ):
