@@ -121,8 +121,11 @@ def config_hash(config: SimulationConfig | dict) -> str:
 #: key carried the ``laser`` section and the SCF saw the pulse's t = 0 tail;
 #: 2: field-free SCF, the laser is not part of the key; 3: the SCF's Davidson
 #: tolerance follows the density error, so orbitals differ from a version-2
-#: solve at the level of ``gs_scf_tolerance``)
-_GROUND_STATE_KEY_VERSION = 3
+#: solve at the level of ``gs_scf_tolerance``; 4: densities are Anderson-mixed
+#: after a three-iteration linear warm-up; an SCF that needs more than three
+#: iterations ends on orbitals that differ from a version-3 solve at the level
+#: of ``gs_scf_tolerance``)
+_GROUND_STATE_KEY_VERSION = 4
 
 
 def ground_state_group_key(config: SimulationConfig) -> str:

@@ -6,16 +6,20 @@ at every time step. The paper accelerates that iteration with Anderson mixing
 maximum mixing dimension of 20 — which is also why up to 20 copies of the
 wavefunctions must be stored (Section 7's memory analysis, 512 GB Summit nodes).
 
-The implementation below is the standard "type-II" Anderson/Pulay update:
-given a history of iterates ``x_k`` and their residuals ``f_k``, minimise the
-linear combination of residual differences and extrapolate. The mixer applies
-no preconditioner of its own: the caller hands in the residual it wants mixed
-(PT-CN divides its line-6 residual by the diagonal of the Jacobian first).
+The update is the standard "type-II" Anderson/Pulay one: given a history of
+iterates ``x_k`` and their residuals ``f_k``, minimise the linear combination
+of residual differences and extrapolate (the least-squares kernel,
+:func:`repro.pw.density.anderson_extrapolation`, is shared with the ground
+state's density mixer). The mixer applies no preconditioner of its own: the
+caller hands in the residual it wants mixed (PT-CN divides its line-6
+residual by the diagonal of the Jacobian first).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..pw.density import anderson_extrapolation
 
 __all__ = ["AndersonMixer"]
 
@@ -112,23 +116,5 @@ class AndersonMixer:
         beta = self.mixing_parameter
         if len(self._iterates) == 1:
             return iterate - beta * residual
-        x_k, f_k = self._iterates[-1], self._residuals[-1]
-        # iterate and residual differences (rows, m-1, n), k = 0..m-2
-        dx = np.diff(np.stack(self._iterates, axis=1), axis=1)
-        df = np.diff(np.stack(self._residuals, axis=1), axis=1)
-        # solve min_gamma || f_k - dF gamma || for every row at once, via the
-        # stacked normal equations, each regularised on its own Gram scale
-        df_h = df.conj()
-        gram = df_h @ df.transpose(0, 2, 1)
-        scale = np.maximum(1.0, np.abs(gram).max(axis=(1, 2)))
-        diagonal = np.arange(gram.shape[1])
-        gram[:, diagonal, diagonal] += self.regularization * scale[:, None]
-        rhs = df_h @ f_k[:, :, None]
-        try:
-            gamma = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:  # pragma: no cover - defensive
-            gamma = np.linalg.pinv(gram, hermitian=True) @ rhs
-        gamma = gamma.transpose(0, 2, 1)  # (rows, 1, m-1)
-        x_bar = x_k - (gamma @ dx)[:, 0]
-        f_bar = f_k - (gamma @ df)[:, 0]
+        x_bar, f_bar = anderson_extrapolation(self._iterates, self._residuals, self.regularization)
         return (x_bar - beta * f_bar).reshape(iterate.shape)

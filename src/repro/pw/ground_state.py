@@ -7,7 +7,9 @@ driver on top of :class:`repro.pw.hamiltonian.Hamiltonian`:
 * an inner loop that, for a fixed potential, diagonalises the Kohn–Sham
   Hamiltonian with the block Davidson solver, to the accuracy the density
   update can use (two orders below the previous density error);
-* density mixing between outer iterations;
+* density mixing between outer iterations — three linear steps, then Anderson
+  extrapolation over the iterations' own history
+  (:class:`repro.pw.density.DensityMixer`);
 * for hybrid functionals, an outer "exchange loop" that refreshes the orbitals
   entering the Fock operator (the standard nested-SCF treatment of hybrid
   functionals in plane-wave codes).
@@ -47,21 +49,21 @@ def _atomic_savez(path, **arrays) -> None:
     Atomic: a crash mid-write can never leave a torn archive at the final
     path (checkpoint manifests assume the archive next to them is complete).
     Deterministic: ``np.savez`` stamps zip members with the current wall
-    clock, so the archive is rewritten with member timestamps pinned to the
-    zip epoch — equal arrays give byte-identical files, which is what lets a
-    content-addressed store deduplicate equal physics by sha256.
+    clock, so each array is serialised once (``.npy`` format, as ``np.savez``
+    would) and stored with its timestamp pinned to the zip epoch — equal
+    arrays give byte-identical files, which is what lets a content-addressed
+    store deduplicate equal physics by sha256. ``np.load`` reads the result.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"  # np.savez appends the extension for bare paths; match it
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    buffer.seek(0)
     tmp = f"{path}.{os.getpid()}-{uuid.uuid4().hex}.tmp"
     try:
-        with zipfile.ZipFile(buffer) as src, zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as dst:
-            for name in src.namelist():
-                dst.writestr(zipfile.ZipInfo(name), src.read(name))  # epoch date_time
+        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as archive:
+            for name, array in arrays.items():
+                member = io.BytesIO()
+                np.lib.format.write_array(member, np.asanyarray(array))
+                archive.writestr(zipfile.ZipInfo(name + ".npy"), member.getvalue())  # epoch date_time
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(OSError):
@@ -157,7 +159,11 @@ class GroundStateSolver:
     nbands:
         Number of occupied bands (defaults to electrons/2).
     mixing_beta:
-        Linear density mixing parameter.
+        Step of the linear density updates: the first three of every SCF loop
+        (of every exchange round, for a hybrid). Later updates are Anderson
+        extrapolations (:class:`~repro.pw.density.DensityMixer`), so an SCF
+        that stops within three iterations is the linear-mixing SCF bit for
+        bit and a longer one reaches the same fixed point in fewer iterations.
     scf_tolerance:
         Convergence threshold on the density change (the paper's rt-TDDFT SCF
         uses 1e-6; the ground state solver defaults to the same).
@@ -250,6 +256,7 @@ class GroundStateSolver:
             include_exchange = use_hybrid and exchange_round > 0
             if include_exchange and ham.exchange is not None:
                 ham.exchange.set_orbitals(wavefunction)
+            self.mixer.reset()  # a new round is a new SCF map: history and warm-up restart
             inner_converged = False
             for _ in range(self.max_scf_iterations):
                 iterations += 1

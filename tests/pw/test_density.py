@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pw import FFTGrid, PlaneWaveBasis, Wavefunction, compute_density, density_error
+from repro.pw import density as density_module
 from repro.pw.density import DensityMixer
 from repro.pw.lattice import Cell
 
@@ -96,3 +97,73 @@ class TestDensityMixer:
             DensityMixer(beta=0.0)
         with pytest.raises(ValueError):
             DensityMixer(beta=1.5)
+
+
+def _contraction(rng, n=40, slope=0.6):
+    """A linear map ``rho -> fixed + A (rho - fixed)`` with ``|A| <= slope``
+    and the charge ``sum(rho)`` conserved: the model of an SCF map near its
+    fixed point that the mixer tests iterate."""
+    fixed = 1.0 + rng.random(n)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    matrix = basis @ np.diag(slope * rng.uniform(-1.0, 1.0, n)) @ basis.T
+    matrix -= np.outer(np.ones(n), matrix.sum(axis=0)) / n  # columns sum to zero: charge is kept
+    return fixed, lambda rho: fixed + matrix @ (rho - fixed)
+
+
+class TestDensityMixerExtrapolation:
+    """The ground state's one mixer: linear for the warm-up, Anderson after."""
+
+    def test_warm_up_updates_are_the_linear_step_bit_for_bit(self, rng):
+        mixer = DensityMixer(beta=0.4)
+        for _ in range(density_module._WARMUP_ITERATIONS):
+            rho_in, rho_out = rng.random((4, 4, 4)), rng.random((4, 4, 4))
+            assert np.array_equal(mixer.mix(rho_in, rho_out), rho_in + 0.4 * (rho_out - rho_in))
+        rho_in, rho_out = rng.random((4, 4, 4)), rng.random((4, 4, 4))
+        assert not np.array_equal(mixer.mix(rho_in, rho_out), rho_in + 0.4 * (rho_out - rho_in))
+
+    def test_reset_restarts_history_and_warm_up(self, rng):
+        mixer = DensityMixer(beta=0.4)
+        for _ in range(6):
+            mixer.mix(rng.random(9), rng.random(9))
+        mixer.reset()
+        assert mixer._densities == [] and mixer._residuals == []
+        for _ in range(density_module._WARMUP_ITERATIONS):
+            rho_in, rho_out = rng.random(9), rng.random(9)
+            assert np.array_equal(mixer.mix(rho_in, rho_out), rho_in + 0.4 * (rho_out - rho_in))
+
+    def test_extrapolation_beats_the_linear_rate_and_keeps_the_charge(self, rng):
+        fixed, scf_map = _contraction(rng)
+        mixer = DensityMixer(beta=0.4)
+        rho = fixed + rng.standard_normal(fixed.size)
+        rho += (fixed.sum() - rho.sum()) / rho.size
+        errors = []
+        for _ in range(14):
+            rho = mixer.mix(rho, scf_map(rho))
+            errors.append(np.linalg.norm(rho - fixed))
+            assert rho.sum() == pytest.approx(fixed.sum(), rel=1e-12)
+        # linear mixing at beta 0.4 of a map with slopes in [-0.6, 0.6] contracts
+        # by at best 0.6 an update; eleven extrapolated updates do a hundred times better
+        assert errors[-1] < 1e-2 * 0.6**11 * errors[2]
+
+    def test_history_is_bounded_by_its_constant_depth(self, rng):
+        _, scf_map = _contraction(rng)
+        mixer = DensityMixer(beta=0.4)
+        rho = 1.0 + rng.random(40)
+        for update in range(1, 31):
+            rho = mixer.mix(rho, scf_map(rho))
+            kept = min(max(0, update - density_module._WARMUP_ITERATIONS + 1), density_module._HISTORY_DEPTH)
+            assert len(mixer._densities) == len(mixer._residuals) == kept
+        assert density_module._HISTORY_DEPTH <= 8  # grid-sized arrays: 2 x depth, whatever the SCF does
+
+    def test_value_equal_history_entries_give_a_finite_update(self, rng):
+        """A stalled SCF hands the mixer the same pair again and again: the
+        Gram matrix of residual differences is exactly singular and only the
+        regularisation makes the solve well-posed."""
+        mixer = DensityMixer(beta=0.4)
+        rho_in, rho_out = 1.0 + rng.random(30), 1.0 + rng.random(30)
+        for _ in range(density_module._HISTORY_DEPTH + 4):
+            mixed = mixer.mix(rho_in.copy(), rho_out.copy())
+            assert np.all(np.isfinite(mixed))
+        # no direction to extrapolate along: the stalled update is the residual step
+        assert np.allclose(mixed, rho_out)
+

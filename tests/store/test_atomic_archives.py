@@ -24,7 +24,8 @@ class TestAtomicWrites:
         def torn_write(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", torn_write)
+        # tears while the tmp archive is open: its first member never lands
+        monkeypatch.setattr(np.lib.format, "write_array", torn_write)
         with pytest.raises(OSError):
             result.save_npz(target)
         assert target.read_bytes() == before  # old archive untouched
@@ -41,7 +42,8 @@ class TestAtomicWrites:
         def torn_write(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", torn_write)
+        # tears while the tmp archive is open: its first member never lands
+        monkeypatch.setattr(np.lib.format, "write_array", torn_write)
         with pytest.raises(OSError):
             trajectory.save_npz(target)
         assert target.read_bytes() == before

@@ -225,11 +225,12 @@ class TestParentWrittenStore:
     def test_ground_state_of_the_previous_key_version_is_a_one_time_miss(
         self, tiny_config, tmp_path, count_scf_solves
     ):
-        """Version 2 (PR 17/18: every SCF iteration diagonalised to 1e-7) to 3:
-        same rule as above for a ground state written under the version-2 key."""
+        """Version 3 (PRs 19/20: every density update the linear step) to 4
+        (Anderson-mixed after a three-iteration warm-up): same rule as above
+        for a ground state written under the version-3 key."""
         key = ground_state_group_key(tiny_config)
-        assert '"ground_state_key_version": 3' in key
-        old_key = key.replace('"ground_state_key_version": 3', '"ground_state_key_version": 2')
+        assert '"ground_state_key_version": 4' in key
+        old_key = key.replace('"ground_state_key_version": 4', '"ground_state_key_version": 3')
         store = ResultStore(tmp_path / "store")
         store.save_ground_state(old_key, Session(tiny_config).ground_state())
         del count_scf_solves[:]
