@@ -36,6 +36,20 @@ update: the sizing prototype saw that converge falsely, and on this engine it
 costs exact applications and doubles the deviation from a tight run. An
 operator that is lagged and never re-checked changes the fixed point. Neither
 is done here.) A job without exchange runs Alg. 1 as printed.
+
+The step *starts* on a held term where the gauge allows it. Line 1 has just
+applied ``V_X[Psi_n] Psi_n`` and the operator's memo still holds it; in the
+parallel transport gauge the orbitals move as slowly as the density, so that
+vector is as good for the first iterates ``Psi_n - i dt/2 R_n + ...`` as the
+term of any later fresh iterate is for the two after it, and the step's first
+exact application is its first *refresh*. In the Schrödinger gauge
+(``parallel_transport=False``, the CN ablation) the same vector turns with the
+orbital phases ``exp(-i eps_i dt)`` and a frozen start costs applications
+(hybrid H2, 50 as, 1e-6: 11 -> 14; PT gauge: 5 -> 4), so there the first
+iteration is fresh. The rule reads the propagator's own ``parallel_transport``
+flag and nothing else: the asymmetry is what the gauge is for. A job whose
+operator does not hold ``Psi_n`` by value after line 1 (its exchange orbitals
+were re-set between steps) also starts fresh.
 """
 
 from __future__ import annotations
@@ -77,9 +91,9 @@ class PTCNPropagator(Propagator):
     max_scf_iterations:
         Safety bound on the inner iteration count, fresh and frozen ones
         alike. The paper reports ~22 iterations on average at 50 as steps;
-        this engine, which mixes the preconditioned residual, executes 8
-        there on Si8 HSE06 at a tolerance of 1e-5 (4 of them with an exact
-        Fock application) and 11-12 at 1e-6 (5-6).
+        this engine, which mixes the preconditioned residual, executes 7
+        there on Si8 HSE06 at a tolerance of 1e-5 (3 of them with an exact
+        Fock application) and 10-11 at 1e-6 (4-5).
     anderson_history:
         Maximum Anderson mixing dimension (paper: 20).
     anderson_beta:
@@ -166,9 +180,9 @@ class PTCNPropagator(Propagator):
         iteration cap — drop out of the active set, so a tight-tolerance job
         never forces extra work on an already-converged one. Whether an
         iteration of a hybrid job is fresh or frozen (module docstring)
-        follows from that job's own iterations, so one pass may apply the
-        exact operator for some jobs and not for others. Per job, the result
-        does not depend on the width of the stack.
+        follows from that job's own gauge and iterations, so one pass may
+        apply the exact operator for some jobs and not for others. Per job,
+        the result does not depend on the width of the stack.
 
         ``StepStatistics.hamiltonian_applications`` counts applications of
         the full Hamiltonian (line 1 and the fresh iterations),
@@ -224,7 +238,14 @@ class PTCNPropagator(Propagator):
         # per job: whether the Hamiltonian carries exact exchange, and how many
         # of the coming iterations reuse the exchange term of the last fresh one
         hybrid = [ham.exchange is not None for ham in hams]
-        frozen_left = [0] * njobs
+        # PT gauge only (module docstring): the step opens frozen, on the
+        # V_X[Psi_n] Psi_n line 1 applied, if the operator's memo is still that
+        frozen_left = [
+            _FROZEN_ITERATIONS
+            if p.parallel_transport and hybrid[j] and hams[j].exchange.holds(c_n[j], occs[j])
+            else 0
+            for j, p in enumerate(propagators)
+        ]
 
         errs = [float("inf")] * njobs
         iters = [0] * njobs
@@ -240,7 +261,7 @@ class PTCNPropagator(Propagator):
             sub_hams = [hams[j] for j in active]
             # a fresh iteration rebuilds and applies the exact operator (every
             # iteration of a job without exchange is one); a frozen one keeps
-            # V_X[Psi^m] Psi^m of the last fresh iterate Psi^m
+            # V_X[Psi^m] Psi^m of the last fresh iterate Psi^m, or of Psi_n
             fresh = [frozen_left[j] == 0 for j in active]
 
             # the cached transform of the current iterates (computed

@@ -36,10 +36,11 @@ __all__ = [
 
 #: nominal inner-SCF iterations per implicit (PT-CN / CN) step used for cost
 #: prediction; the paper reports ~22 at the full 50 as production step, this
-#: engine's preconditioned solve executes 8 there (Si8 HSE06, tolerance 1e-5).
-#: With exact exchange only about half of them apply the Fock operator (the
-#: rest reuse the last fresh term), which this relative-cost constant does not
-#: model: the value is kept because scheduler orderings are pinned on it
+#: engine's preconditioned solve executes 7-8 there (Si8 HSE06, tolerance 1e-5).
+#: With exact exchange only 3-4 of them apply the Fock operator (the rest reuse
+#: the last fresh term, the first two of a PT-gauge step the term of line 1),
+#: which this relative-cost constant does not model: the value is kept because
+#: scheduler orderings are pinned on it
 NOMINAL_IMPLICIT_SCF_ITERATIONS = 8.0
 
 #: fallback Hamiltonian applications per step for unknown (user-registered)

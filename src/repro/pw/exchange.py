@@ -47,7 +47,10 @@ The self-application ``V_X[Psi] Psi`` is memoised per orbital set:
 :meth:`~ExchangeOperator.set_orbitals` with value-equal coefficients and
 occupations is a no-op, and the memo lives until a different set replaces it.
 The energy record after a step and the first Hamiltonian application of the
-next step therefore share one Fock application. :class:`ExchangeCounters`
+next step therefore share one Fock application, and so do, in the PT gauge,
+that step's first inner iterations: PT-CN starts on the memo once
+:meth:`~ExchangeOperator.holds` confirms it is the term of the step's own
+``Psi_n``. :class:`ExchangeCounters`
 count the work actually done; the *logical* applications of Fig. 6 are
 counted one level up (``HamiltonianCounters.fock_applications``,
 ``StepStatistics.hamiltonian_applications``) and do not change.
@@ -168,8 +171,8 @@ class ExchangeOperator:
     The operator depends on the *exchange orbitals* ``{psi_i}`` that define the
     density matrix ``P``: call :meth:`set_orbitals` before :meth:`apply`. In
     the PT-CN inner SCF these are the iterate ``Psi_f`` of the last fresh
-    iteration (Alg. 1 line 5; iterations in between keep the operator and
-    read :meth:`self_application`).
+    iteration, ``Psi_n`` before the first (Alg. 1 line 5; iterations in
+    between keep the operator and read :meth:`self_application`).
     """
 
     def __init__(
@@ -201,6 +204,13 @@ class ExchangeOperator:
         """Whether exchange orbitals have been set."""
         return self._orbitals is not None
 
+    def holds(self, coefficients: np.ndarray, occupations: np.ndarray | None = None) -> bool:
+        """Whether the exchange orbitals are ``coefficients`` (and
+        ``occupations``) by value: :meth:`self_application` is then
+        ``V_X[Psi] Psi`` of exactly that block."""
+        held = self._orbitals
+        return held is not None and held.holds(coefficients, occupations)
+
     def set_orbitals(self, wavefunction: Wavefunction, psi_real: np.ndarray | None = None) -> None:
         """Set the orbitals defining the density matrix ``P`` of ``V_X[P]``.
 
@@ -214,8 +224,7 @@ class ExchangeOperator:
         """
         if wavefunction.basis is not self.basis and wavefunction.basis.npw != self.basis.npw:
             raise ValueError("exchange orbitals must live on the operator's basis")
-        held = self._orbitals
-        if held is not None and held.holds(wavefunction.coefficients, wavefunction.occupations):
+        if self.holds(wavefunction.coefficients, wavefunction.occupations):
             return
         self._orbitals = _OrbitalSet(
             coefficients=wavefunction.coefficients.copy(),
@@ -262,7 +271,8 @@ class ExchangeOperator:
         """``V_X[Psi] Psi`` of the orbitals held — the memo itself, computed
         on first use and to be read, not written. PT-CN's frozen-term
         iterations take their exchange term from here: it stays that of the
-        last :meth:`set_orbitals` for as long as no other set replaces it."""
+        last :meth:`set_orbitals` for as long as no other set replaces it
+        (:meth:`holds` tells a caller whose term it is)."""
         orbitals = self._orbitals
         if orbitals is None:
             raise RuntimeError("call set_orbitals() before self_application()")

@@ -185,6 +185,59 @@ def test_hybrid_refresh_phase_is_per_job(
     assert len(built) == fresh + 2 * len(dts)
 
 
+def test_frozen_start_is_per_job(
+    chain_hybrid_hamiltonian, chain_basis, chain_structure, chain_ground_state
+):
+    """A PT-gauge hybrid job opens its step on the exchange term line 1
+    applied; the job next to it has no exchange and the third runs into its
+    cap on the very iteration that refreshes the term. Over two steps each
+    gets the floats, statistics and counters it gets at width 1."""
+    from repro.core.propagators.pt_cn import PTCNPropagator
+    from repro.pw import Hamiltonian
+
+    wf0 = chain_ground_state[1].wavefunction
+    semi_local = Hamiltonian(chain_basis, chain_structure, hybrid_mixing=0.0)
+    members = [
+        (chain_hybrid_hamiltonian, {}),
+        (semi_local, {}),
+        (chain_hybrid_hamiltonian, {"max_scf_iterations": 3}),
+    ]
+
+    def stack():
+        propagators = [PTCNPropagator(ham.clone(), **kw) for ham, kw in members]
+        for propagator in propagators:
+            propagator.prepare(wf0, 0.0)
+        return propagators
+
+    def two_steps(propagators):
+        wfs, rows = [wf0] * len(propagators), []
+        for step in range(2):
+            wfs, statistics = PTCNPropagator.step_many(
+                propagators, wfs, [float(step)] * len(propagators), [1.0] * len(propagators)
+            )
+            rows.append(statistics)
+        return wfs, rows
+
+    solo_stack, stacked = stack(), stack()
+    alone = [two_steps([p]) for p in solo_stack]
+    wfs, rows = two_steps(stacked)
+    for j, ((solo_wfs, solo_rows), wf) in enumerate(zip(alone, wfs)):
+        assert np.array_equal(wf.coefficients, solo_wfs[0].coefficients)
+        assert [row[j] for row in rows] == [row[0] for row in solo_rows]
+        assert stacked[j].hamiltonian.counters == solo_stack[j].hamiltonian.counters
+    for j in (0, 2):
+        assert stacked[j].hamiltonian.exchange.counters == solo_stack[j].hamiltonian.exchange.counters
+    hybrid, plain, capped = zip(*rows)
+    # two frozen iterations open every hybrid step; the capped job's third is
+    # its only refresh, the job without exchange runs Alg. 1 as printed
+    assert all(s.converged and s.extra["frozen_exchange_iterations"] >= 2 for s in hybrid)
+    assert all(s.converged and s.extra == {} for s in plain)
+    assert all(s.hamiltonian_applications == s.scf_iterations + 1 for s in plain)
+    assert [(s.converged, s.scf_iterations, s.hamiltonian_applications, s.extra) for s in capped] == [
+        (False, 3, 2, {"frozen_exchange_iterations": 2})
+    ] * 2
+
+
 class TestRunBatched:
     def _simulation(self, base_ham, name: str, **params) -> TDDFTSimulation:
         propagator = PROPAGATORS.get(name)(base_ham.clone(), **params)

@@ -12,7 +12,8 @@ frozen stages, by definition, keeps the one it finds).
 
 Alg. 1 is written out twice: as printed, which is what a semi-local job
 runs, and with the Fock term refreshed every third iteration at most, which
-is what a job with exact exchange runs.
+is what a job with exact exchange runs — in the PT gauge starting on the term
+line 1 applied, in the Schrödinger gauge on a fresh one.
 
 ``Propagator.step`` must reproduce these bit for bit — coefficients and
 statistics, hybrid and semi-local, over consecutive steps (the second step is
@@ -133,7 +134,9 @@ def reference_hybrid_ptcn_step(
     the exchange term stays ``W = V_X[Psi^m] Psi^m`` of the last fresh iterate.
     A fresh iteration is followed by two frozen ones, unless its own update
     moved the density by less than ten tolerances; only a fresh update can end
-    the step.
+    the step. In the PT gauge line 1's ``V_X[Psi_n] Psi_n`` is the first such
+    term and the step opens with its two frozen iterations; in the Schrödinger
+    gauge, where that vector turns with the orbital phases, it opens fresh.
     """
     basis, occ, c_n = wavefunction.basis, wavefunction.occupations, wavefunction.coefficients
     volume_element = ham.grid.volume_element
@@ -141,10 +144,12 @@ def reference_hybrid_ptcn_step(
     def rhs(c, h_c):
         return h_c - (c.conj() @ h_c.T).T @ c if parallel_transport else h_c
 
-    # Lines 1-3 and the preconditioner: as in the semi-local reference
+    # Lines 1-3 and the preconditioner: as in the semi-local reference, with
+    # H_n Psi_n taken apart to keep its exchange term
     ham.set_time(time)
     ham.update_potential(wavefunction)
-    h_cn = ham.apply(c_n)
+    w = ham.exchange.apply(c_n)
+    h_cn = ham.apply(c_n, include_exchange=False) + w
     r_n = rhs(c_n, h_cn)
     kinetic = ham.kinetic_diagonal
     inverse_diagonal = np.empty(c_n.shape, dtype=np.complex128)
@@ -162,8 +167,8 @@ def reference_hybrid_ptcn_step(
     )
     err, iterations, converged = float("inf"), 0, False
     exact_applications, frozen_iterations = 1, 0
-    schedule = []  # the iterations to come that keep the exchange term w
-    w = None
+    # the iterations to come that keep the exchange term w
+    schedule = ["frozen", "frozen"] if parallel_transport else []
     for iterations in range(1, max_scf_iterations + 1):
         wf_f = Wavefunction(basis, c_f, occ)
         fresh = not schedule
