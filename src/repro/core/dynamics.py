@@ -148,20 +148,22 @@ class Trajectory:
         free-form diagnostics); everything else round-trips through
         :meth:`load_npz`.
         """
+        _atomic_savez(path, **self._npz_arrays())
+
+    def _npz_arrays(self) -> dict:
+        """The arrays :meth:`save_npz` archives (and the store digests)."""
         if self.final_wavefunction is None:
             raise ValueError(
                 "cannot save_npz: final_wavefunction is None "
                 "(trajectory was loaded without a basis)"
             )
-        arrays = {name: np.asarray(getattr(self, name)) for name in self._ARRAY_FIELDS}
-        _atomic_savez(
-            path,
-            wall_time=np.float64(self.wall_time),
-            metadata_json=json.dumps(self.metadata, default=json_default),
-            final_coefficients=self.final_wavefunction.coefficients,
-            final_occupations=self.final_wavefunction.occupations,
-            **arrays,
-        )
+        return {
+            "wall_time": np.float64(self.wall_time),
+            "metadata_json": json.dumps(self.metadata, default=json_default),
+            "final_coefficients": self.final_wavefunction.coefficients,
+            "final_occupations": self.final_wavefunction.occupations,
+            **{name: np.asarray(getattr(self, name)) for name in self._ARRAY_FIELDS},
+        }
 
     @classmethod
     def load_npz(cls, path, basis=None) -> "Trajectory":

@@ -77,9 +77,10 @@ class Propagator(ABC):
     #: recommended step for implicit PT schemes in atomic time units
     #: (~48 attoseconds: accuracy limited, the paper's production step size)
     implicit_recommended_step: float = 2.0
-    #: coefficient blocks, their real-space transform and the densities built
-    #: from it of the states the last ``step_many`` ended on (held by the
-    #: stack's first propagator; dropped by :meth:`prepare`)
+    #: the state this job's last ``step_many`` ended on, or :meth:`prepare`
+    #: started it on: its coefficient block, the real-space transform of the
+    #: stack it was transformed in with its row there, and the density built
+    #: from it
     _lockstep_cache: dict | None = None
 
     def __init__(self, hamiltonian: Hamiltonian):
@@ -128,33 +129,39 @@ class Propagator(ABC):
         Hamiltonians of jobs ``rows`` (default: all) holding the potential
         built from them.
 
-        The previous ``step_many`` call ended (:meth:`_end_of_step`) by
-        transforming and potential-updating exactly these coefficient blocks,
-        so on a cache hit (identity checks on the arrays — bit-exact) the
-        transform is reused, and the verbatim repeat of the potential rebuild
-        is skipped when every Hamiltonian still holds the density of that
-        update.
+        The previous ``step_many`` call of each job ended (or its
+        :meth:`prepare` started it, :meth:`_end_of_step`) by transforming and
+        potential-updating exactly these coefficient blocks, so when every
+        job's kept block is its starting one (identity checks on the arrays —
+        bit-exact) no transform is made: the stack the jobs ended in is
+        reused, or their rows of the stacks they ended in are copied into one
+        (a job that stepped alone, or in a stack that has since lost or gained
+        members). The potential is rebuilt only for a job whose Hamiltonian
+        no longer holds the density of that update.
         """
         njobs = len(propagators)
         rows = list(range(njobs)) if rows is None else rows
-        hams = [propagators[j].hamiltonian for j in rows]
-        cache = propagators[0]._lockstep_cache
-        hit = (
-            cache is not None
-            and len(cache["coeffs"]) == njobs
-            and all(cache["coeffs"][j] is wavefunctions[j].coefficients for j in range(njobs))
+        kept = [p._lockstep_cache for p in propagators]
+        hit = all(
+            entry is not None and entry["coeffs"] is wf.coefficients
+            for entry, wf in zip(kept, wavefunctions)
         )
-        if hit:
-            psi_real = cache["psi"]
-        else:
+        if not hit:
             psi_real = wavefunctions[0].basis.to_real_space(stack_coefficients(wavefunctions))
-        if hit and all(ham.density is cache["densities"][j] for j, ham in zip(rows, hams)):
-            return psi_real
-        if rows:
+        elif kept[0]["psi"].shape[0] == njobs and all(
+            entry["psi"] is kept[0]["psi"] and entry["row"] == j for j, entry in enumerate(kept)
+        ):
+            psi_real = kept[0]["psi"]
+        else:
+            psi_real = np.stack([entry["psi"][entry["row"]] for entry in kept])
+        stale = [
+            j for j in rows if not (hit and propagators[j].hamiltonian.density is kept[j]["density"])
+        ]
+        if stale:
             update_potentials_many(
-                hams,
-                [wavefunctions[j] for j in rows],
-                psi_real=psi_real if len(rows) == njobs else psi_real[rows],
+                [propagators[j].hamiltonian for j in stale],
+                [wavefunctions[j] for j in stale],
+                psi_real=psi_real if len(stale) == njobs else psi_real[stale],
             )
         return psi_real
 
@@ -167,11 +174,13 @@ class Propagator(ABC):
         hams = [p.hamiltonian for p in propagators]
         psi_real = wavefunctions[0].basis.to_real_space(stack_coefficients(wavefunctions))
         update_potentials_many(hams, wavefunctions, psi_real=psi_real)
-        propagators[0]._lockstep_cache = {
-            "coeffs": [wf.coefficients for wf in wavefunctions],
-            "psi": psi_real,
-            "densities": [ham.density for ham in hams],
-        }
+        for row, (propagator, wavefunction, ham) in enumerate(zip(propagators, wavefunctions, hams)):
+            propagator._lockstep_cache = {
+                "coeffs": wavefunction.coefficients,
+                "psi": psi_real,
+                "row": row,
+                "density": ham.density,
+            }
 
     @staticmethod
     def _explicit_statistics(wavefunction: Wavefunction, applications: int) -> StepStatistics:
@@ -210,9 +219,11 @@ class Propagator(ABC):
         """Hook called once before a propagation run starts.
 
         The default implementation synchronises the Hamiltonian potential and
-        exchange orbitals with the initial state, and drops the transform
-        kept from an earlier run.
+        exchange orbitals with the initial state exactly as a step ending on
+        it would (:meth:`_end_of_step`): one transform serves the density and
+        the exchange orbitals, and is kept — in place of anything an earlier
+        run left — so the run's first step (as a stack of one) starts on it
+        without transforming or rebuilding again.
         """
-        self._lockstep_cache = None
         self.hamiltonian.set_time(time)
-        self.hamiltonian.update_potential(wavefunction)
+        self._end_of_step([self], [wavefunction])

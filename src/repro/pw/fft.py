@@ -12,11 +12,18 @@ that cache for the pure-Python engine:
   value semantics (``FFTGrid.__eq__`` / ``__hash__``: shape + cell), so equal
   grids share one plan and unequal grids never do; each grid instance
   remembers the plan it resolved to, so only its first lookup compares.
-* Transforms run through :mod:`scipy.fft` (pocketfft) with a configurable
-  ``workers`` count, falling back to :mod:`numpy.fft` when scipy is
-  unavailable. pocketfft computes every transform of a batch independently,
-  so stacking jobs/bands along leading axes is bit-identical to transforming
-  each slice alone — the property the batched stepping engine relies on.
+* Transforms call scipy's pocketfft kernel (``c2c``) directly, with exactly
+  the arguments :func:`scipy.fft.fftn` / :func:`~scipy.fft.ifftn` would pass
+  it — same axes, normalisation, ``out`` and ``workers``, so the same bits.
+  The public functions spend as long validating and dispatching (``uarray``,
+  array-API namespace, axis normalisation) as the kernel spends on a one-band
+  8³ transform, and the engine makes thousands of those per job; the plan
+  binds the kernel once instead. Inputs the kernel does not take as they are
+  (other dtypes, unaligned arrays) go through :mod:`scipy.fft`, and without
+  scipy everything falls back to :mod:`numpy.fft`. pocketfft computes every
+  transform of a batch independently, so stacking jobs/bands along leading
+  axes is bit-identical to transforming each slice alone — the property the
+  batched stepping engine relies on.
 * :func:`set_fft_workers` / :func:`configure_for_pool_worker` control the
   intra-transform thread count. Process-pool workers must cap it at 1
   (``REPRO_FFT_WORKERS`` is also honoured at import): the pool already
@@ -32,8 +39,12 @@ import numpy as np
 
 try:  # scipy is a hard dependency of the package, but the fallback keeps
     from scipy import fft as _scipy_fft  # the pw layer importable without it
-except ImportError:  # pragma: no cover - exercised via _set_backend in tests
+except ImportError:  # pragma: no cover - exercised by patching _scipy_fft in tests
     _scipy_fft = None
+try:  # the kernel behind scipy.fft.fftn/ifftn; a private module, hence guarded
+    from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
+except ImportError:  # pragma: no cover - scipy without it: public scipy.fft
+    _c2c = None
 
 __all__ = [
     "FFTPlan",
@@ -50,6 +61,9 @@ __all__ = [
 #: the transform axes of every plan: the trailing grid axes, so any number of
 #: leading (job, band) axes batch through a single call
 _AXES = (-3, -2, -1)
+#: the input dtypes scipy.fft hands to the kernel unconverted (native byte
+#: order only: a swapped dtype compares unequal)
+_KERNEL_DTYPES = frozenset(np.dtype(t) for t in (np.complex128, np.complex64, np.float64, np.float32))
 
 
 def _initial_workers() -> int:
@@ -108,7 +122,8 @@ class FFTPlan:
     """The reusable transform + workspace bundle of one ``(grid, dtype)``.
 
     A plan is cheap state — the grid, the dtype tier, and a workspace table
-    for callers that scatter sphere coefficients onto the full mesh — but
+    for callers that scatter sphere coefficients onto the full mesh — and
+    its transforms go straight to the pocketfft kernel bound at import;
     caching it process-wide is what lets every step of every job share the
     same backend configuration (and lets pool workers cap threading in one
     place).
@@ -138,23 +153,29 @@ class FFTPlan:
         bit-identical either way; pocketfft runs the same butterflies whether
         or not the output aliases the input).
         """
-        values = np.asarray(values)
-        if _scipy_fft is not None:
-            return _scipy_fft.fftn(values, axes=_AXES, workers=_workers, overwrite_x=overwrite)
-        out = np.fft.fftn(values, axes=_AXES)
-        if self.dtype == np.complex64 and out.dtype != np.complex64:
-            out = out.astype(np.complex64)  # older numpy upcasts single precision
-        return out
+        return self._transform(values, overwrite, True)
 
     def ifftn(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Inverse transform over the trailing grid axes (batches leading)."""
+        return self._transform(values, overwrite, False)
+
+    def _transform(self, values, overwrite: bool, forward: bool) -> np.ndarray:
         values = np.asarray(values)
-        if _scipy_fft is not None:
-            return _scipy_fft.ifftn(values, axes=_AXES, workers=_workers, overwrite_x=overwrite)
-        out = np.fft.ifftn(values, axes=_AXES)
-        if self.dtype == np.complex64 and out.dtype != np.complex64:
-            out = out.astype(np.complex64)
-        return out
+        if _scipy_fft is None:
+            out = (np.fft.fftn if forward else np.fft.ifftn)(values, axes=_AXES)
+            if self.dtype == np.complex64 and out.dtype != np.complex64:
+                out = out.astype(np.complex64)  # older numpy upcasts single precision
+            return out
+        ndim = values.ndim
+        if _c2c is None or ndim < 3 or values.dtype not in _KERNEL_DTYPES or not values.flags.aligned:
+            transform = _scipy_fft.fftn if forward else _scipy_fft.ifftn
+            return transform(values, axes=_AXES, workers=_workers, overwrite_x=overwrite)
+        # scipy.fft's c2cn call: the axes made positive, no scaling forward
+        # and 1/N inverse, the input reused as output only when it may be
+        # overwritten and is complex; real densities go in as they are (the
+        # kernel runs r2c and fills in the Hermitian half)
+        out = values if overwrite and values.dtype.kind == "c" else None
+        return _c2c(values, (ndim - 3, ndim - 2, ndim - 1), forward, 0 if forward else 2, out, _workers)
 
     # ------------------------------------------------------------------
     def workspace(self, lead_shape: tuple, fill_indices=None) -> np.ndarray:
@@ -188,13 +209,13 @@ _PLANS: dict = {}
 _generation = 0
 
 
-class _GridPlans(dict):
-    """The plans one grid *instance* already resolved to, by dtype.
+class _PlanMemo(dict):
+    """What one object *instance* already resolved from the plan cache.
 
-    Kept in the grid's ``__dict__`` (like its cached properties) so the hot
+    Kept in the owner's ``__dict__`` (like its cached properties) so the hot
     path — several lookups per Hamiltonian application — never re-enters the
     value comparison of the ``_PLANS`` key. Pickles and deep-copies as empty:
-    a grid shipped to a pool worker resolves through that process's cache.
+    an object shipped to a pool worker resolves through that process's cache.
     """
 
     __slots__ = ("generation",)
@@ -204,7 +225,17 @@ class _GridPlans(dict):
         self.generation = _generation
 
     def __reduce__(self):
-        return (_GridPlans, ())
+        return (_PlanMemo, ())
+
+
+def plan_memo(owner, name: str) -> dict:
+    """``owner``'s memo of plan-derived values (plans, workspaces) stored as
+    ``owner.__dict__[name]``: empty again after :func:`clear_plan_cache`, and
+    empty in a pickled or deep-copied owner."""
+    memo = owner.__dict__.get(name)
+    if memo is None or memo.generation != _generation:
+        memo = owner.__dict__[name] = _PlanMemo()
+    return memo
 
 
 def get_plan(grid, dtype=np.complex128) -> FFTPlan:
@@ -219,9 +250,7 @@ def get_plan(grid, dtype=np.complex128) -> FFTPlan:
     :func:`clear_plan_cache`.
     """
     dtype = np.dtype(dtype)
-    resolved = grid.__dict__.get("_resolved_plans")
-    if resolved is None or resolved.generation != _generation:
-        resolved = grid.__dict__["_resolved_plans"] = _GridPlans()
+    resolved = plan_memo(grid, "_resolved_plans")
     plan = resolved.get(dtype)
     if plan is None:
         key = (grid, dtype)

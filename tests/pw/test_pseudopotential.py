@@ -283,3 +283,71 @@ class TestEwald:
             ewald_energy(cell, positions + 0.01 * (shift + 1), charges, real_space_cutoff=2.0,
                          reciprocal_cutoff=2.0)
         assert len(psp_module._EWALD_CACHE) == psp_module._EWALD_CACHE_SIZE
+
+    @pytest.mark.parametrize("name", ["si8", "h2", "n2", "skewed", "skewed eta=0.7"])
+    def test_is_the_written_out_loop_bit_for_bit(self, name):
+        """The vectorised sums add the very terms of the triple loops, in the
+        loops' order: the same float, not one within rounding of it."""
+        from repro.pw.structures import diamond_silicon, diatomic_molecule, hydrogen_molecule
+
+        eta = None
+        if name.startswith("skewed"):
+            cell = Cell(np.array([[7.0, 0.3, 0.1], [1.2, 6.5, -0.4], [0.5, 0.9, 8.1]]))
+            positions = np.random.default_rng(3).uniform(0.0, 6.0, size=(5, 3))
+            charges = np.array([1.0, 4.0, 5.0, 4.0, 1.0])
+            eta = 0.7 if name.endswith("0.7") else None
+        else:
+            structure = {
+                "si8": diamond_silicon,
+                "h2": lambda: hydrogen_molecule(box=8.0, bond_length=1.4),
+                "n2": lambda: diatomic_molecule("N", "N", 2.07, box=10.0),
+            }[name]()
+            cell, positions, charges = structure.cell, structure.positions, structure.valence_charges
+        positions = np.asarray(positions, float)
+        charges = np.asarray(charges, float)
+        summed = psp_module._ewald_sum(cell, positions, charges, eta, 10.0, 10.0)
+        assert summed == _ewald_loop(cell, positions, charges, eta, 10.0, 10.0)
+
+
+def _ewald_loop(cell, positions, charges, eta, real_space_cutoff, reciprocal_cutoff) -> float:
+    """The Ewald sum as three nested loops per lattice, one term at a time —
+    the reference the vectorised sum behind :func:`ewald_energy` reproduces."""
+    from scipy.special import erfc
+
+    natoms = positions.shape[0]
+    volume = cell.volume
+    if eta is None:
+        eta = max((natoms * np.pi**3 / volume**2) ** (1.0 / 6.0), 0.3)
+    energy = -eta / np.sqrt(np.pi) * float(np.sum(charges**2))
+    energy -= np.pi / (2.0 * eta**2 * volume) * float(np.sum(charges)) ** 2
+
+    lat = cell.lattice_vectors
+    nmax = np.maximum(1, np.ceil(real_space_cutoff / (eta * np.linalg.norm(lat, axis=1))).astype(int) + 1)
+    shifts = np.asarray([
+        n1 * lat[0] + n2 * lat[1] + n3 * lat[2]
+        for n1 in range(-nmax[0], nmax[0] + 1)
+        for n2 in range(-nmax[1], nmax[1] + 1)
+        for n3 in range(-nmax[2], nmax[2] + 1)
+    ])
+    for a in range(natoms):
+        for b in range(natoms):
+            r = np.linalg.norm(positions[a] - positions[b] + shifts, axis=1)
+            r = r[r > 1e-10]
+            if r.size:
+                energy += 0.5 * charges[a] * charges[b] * float(np.sum(erfc(eta * r) / r))
+
+    recip = cell.reciprocal_vectors
+    gmax = 2.0 * eta * reciprocal_cutoff
+    mmax = np.maximum(1, np.ceil(gmax / np.linalg.norm(recip, axis=1)).astype(int) + 1)
+    for m1 in range(-mmax[0], mmax[0] + 1):
+        for m2 in range(-mmax[1], mmax[1] + 1):
+            for m3 in range(-mmax[2], mmax[2] + 1):
+                if m1 == 0 and m2 == 0 and m3 == 0:
+                    continue
+                g = m1 * recip[0] + m2 * recip[1] + m3 * recip[2]
+                g2 = float(g @ g)
+                if g2 > gmax * gmax:
+                    continue
+                s = np.sum(charges * np.exp(1j * positions @ g))
+                energy += 2.0 * np.pi / volume * np.exp(-g2 / (4.0 * eta**2)) / g2 * float(np.abs(s) ** 2)
+    return float(energy)

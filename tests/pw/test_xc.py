@@ -98,3 +98,28 @@ class TestLDAFunctional:
         functional = LDAFunctional()
         rho = np.full((3, 3, 3), 0.05)
         assert functional.evaluate(rho, 1.0).energy < 0.0
+
+    def test_clips_once_and_adds_up_the_public_terms(self, monkeypatch):
+        """An evaluation clips the density at zero once, not once per term,
+        and is bit for bit the sum of the public terms (which clip on their
+        own when called directly)."""
+        rho = np.random.default_rng(0).uniform(-1e-9, 2.0, size=(2, 4, 4, 4))  # both PZ81 branches
+        eps_x, v_x = lda_exchange(rho)
+        eps_c, v_c = pz81_correlation(rho)
+        eps, pot = 0.75 * eps_x + eps_c, 0.75 * v_x + v_c
+        clipped = np.maximum(rho, 0.0)
+        functional = LDAFunctional(exchange_scale=0.75)
+        maximum, clips = np.maximum, []
+
+        def counting(*args, **kwargs):
+            clips.append(args[0].shape)
+            return maximum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "maximum", counting)
+        stacked = functional.evaluate_many(rho, 0.5)
+        single = functional.evaluate(rho[1], 0.5)
+        assert clips == [rho.shape, rho[1].shape]
+        for result in (stacked[1], single):
+            assert np.array_equal(result.energy_density, eps[1])
+            assert np.array_equal(result.potential, pot[1])
+            assert result.energy == float(np.sum(clipped[1] * eps[1]) * 0.5)

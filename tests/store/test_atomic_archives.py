@@ -24,7 +24,7 @@ class TestAtomicWrites:
         def torn_write(*args, **kwargs):
             raise OSError("disk full")
 
-        # tears while the tmp archive is open: its first member never lands
+        # tears while the archive is serialised: nothing reaches the disk
         monkeypatch.setattr(np.lib.format, "write_array", torn_write)
         with pytest.raises(OSError):
             result.save_npz(target)
@@ -42,7 +42,7 @@ class TestAtomicWrites:
         def torn_write(*args, **kwargs):
             raise OSError("disk full")
 
-        # tears while the tmp archive is open: its first member never lands
+        # tears while the archive is serialised: nothing reaches the disk
         monkeypatch.setattr(np.lib.format, "write_array", torn_write)
         with pytest.raises(OSError):
             trajectory.save_npz(target)

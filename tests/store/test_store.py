@@ -6,11 +6,13 @@ previous ground-state key convention.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import shutil
 import threading
 
+import numpy as np
 import pytest
 
 from repro.api import Session
@@ -103,6 +105,56 @@ class TestContentAddressing:
 
     def test_completed_ids_reports_recorded_job_ids(self, warm_report, dt_spec, store):
         assert store.completed_ids() == {job.job_id for job in dt_spec.expand()}
+
+
+class TestObjectWrites:
+    """An object is serialised once, in memory, and written once: its bytes
+    are the archive ``save_npz`` writes (so content addresses did not move),
+    and an archive that fails to serialise leaves nothing on disk."""
+
+    def test_stored_trajectory_is_the_saved_archive(self, warm_report, tmp_path):
+        result = warm_report.results[0]
+        store = ResultStore(tmp_path / "fresh")
+        store.save(result)
+        result.trajectory.save_npz(tmp_path / "trajectory.npz")
+        archive = (tmp_path / "trajectory.npz").read_bytes()
+        artifact = json.loads(store.job_manifest_path(result.config_hash).read_text())["artifact"]
+        assert artifact == {"sha256": hashlib.sha256(archive).hexdigest(), "size": len(archive)}
+        assert store.object_path(artifact["sha256"]).read_bytes() == archive
+
+    def test_stored_ground_state_is_the_saved_archive(self, store, h2_ground_state, tmp_path):
+        _, result = h2_ground_state
+        store.save_ground_state("group", result)
+        result.save_npz(tmp_path / "gs.npz")
+        archive = (tmp_path / "gs.npz").read_bytes()
+        artifact = json.loads(store.ground_state_manifest_path("group").read_text())["artifact"]
+        assert artifact == {"sha256": hashlib.sha256(archive).hexdigest(), "size": len(archive)}
+        assert store.object_path(artifact["sha256"]).read_bytes() == archive
+
+    def test_failed_serialisation_leaves_neither_object_nor_manifest(
+        self, warm_report, h2_ground_state, tmp_path, monkeypatch
+    ):
+        _, ground_state = h2_ground_state
+        store = ResultStore(tmp_path / "fresh")
+        write_array = np.lib.format.write_array
+        members = []
+
+        def torn_write(handle, array, *args, **kwargs):
+            members.append(array)
+            if len(members) % 3 == 0:  # mid-archive: earlier members serialised
+                raise OSError("disk full")
+            return write_array(handle, array, *args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", torn_write)
+        with pytest.raises(OSError):
+            store.save(warm_report.results[0])
+        with pytest.raises(OSError):
+            store.save_ground_state("group", ground_state)
+        assert len(members) == 6
+        assert list(store.objects_dir.iterdir()) == []
+        assert list(store.manifests_dir.iterdir()) == []
+        assert not store.tmp_dir.exists() or list(store.tmp_dir.iterdir()) == []
+        assert store.stats["writes"] == 0
 
 
 class TestStorePathArgument:
