@@ -281,7 +281,9 @@ class Session:
             "propagator_params": dict(request["params"]),
             "time_step_as": request["dt_as"],
             "n_steps": request["steps"],
-            "config": effective.to_dict(),
+            # run_batched deep-copies the metadata onto the trajectory, and
+            # nothing else holds this config: its plain dict is copy enough
+            "config": effective._plain(),
             "repro_version": _repro_version,
         }
         if request["precision"] != DEFAULT_PRECISION:

@@ -8,7 +8,6 @@ semi-local functional, the screened Fock exchange operator, laser fields,
 ground-state solvers and orthogonalization utilities.
 """
 
-from .ace import ACEExchangeOperator
 from .basis import Wavefunction
 from .density import compute_density, density_error
 from .eigensolver import block_davidson, dense_eigensolve
@@ -53,7 +52,6 @@ from .structures import (
 from .xc import LDAFunctional
 
 __all__ = [
-    "ACEExchangeOperator",
     "Wavefunction",
     "compute_density",
     "density_error",

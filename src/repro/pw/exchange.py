@@ -36,7 +36,7 @@ the target transform. Which path runs is decided from the data alone:
   in-place write to the caller's array can change the answer) and the kernel
   is inversion-even (:attr:`~repro.pw.poisson.CoulombKernel.inversion_even`,
   checked once per kernel);
-* **rectangular** — any other target (eigensolver blocks, ACE tests) or a
+* **rectangular** — any other target (eigensolver blocks) or a
   kernel that is not even: every occupied ``i`` against every target ``j``.
 
 Both run through one pair-block kernel that differs only in its index set;

@@ -18,10 +18,13 @@ driver on top of :class:`repro.pw.hamiltonian.Hamiltonian`:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import os
+import struct
 import uuid
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,22 +46,89 @@ _DAVIDSON_TOLERANCE_RATIO = 1e-2
 _DAVIDSON_TOLERANCE_CAP = 1e-3
 
 
+#: the stored-zip records ``zipfile`` writes: local header, central-directory
+#: entry, end of central directory
+_ZIP_LOCAL = struct.Struct("<4s2B4HL2L2H")
+_ZIP_CENTRAL = struct.Struct("<4s4B4HL2L5H2L")
+_ZIP_END = struct.Struct("<4s4H2LH")
+#: what a ``zipfile.ZipInfo(name)`` member carries: format version 2.0, the
+#: zip epoch (1980-01-01 00:00 is DOS date 33, time 0), the host system and
+#: ``rw-------`` permissions
+_ZIP_VERSION, _ZIP_DATE = 20, 33
+_ZIP_SYSTEM = zipfile.ZipInfo().create_system
+_ZIP_ATTRIBUTES = 0o600 << 16
+#: archives past half the ZIP64 limit, or with more members than the end
+#: record counts, go to ``zipfile``, which adds ZIP64 records where needed
+_ZIP_PLAIN_BYTES = zipfile.ZIP64_LIMIT // 2
+_ZIP_PLAIN_MEMBERS = 0xFFFF
+#: dtype kinds whose ``.npy`` payload is the array's C-order buffer
+_RAW_KINDS = "biufcSU"
+
+
+@functools.lru_cache(maxsize=1024)
+def _npy_header(dtype: np.dtype, shape: tuple) -> bytes:
+    """The ``.npy`` header ``np.lib.format`` writes for a C-ordered array."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header,
+        {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape},
+    )
+    return header.getvalue()
+
+
+def _npy_bytes(array) -> bytes:
+    """One archive member: ``array`` in ``.npy`` format, the bytes
+    ``np.lib.format.write_array`` produces. A C-contiguous plain array is its
+    header plus its buffer; object dtypes, ndarray subclasses and other
+    layouts go through ``write_array`` itself."""
+    array = np.asanyarray(array)
+    if type(array) is np.ndarray and array.flags.c_contiguous and array.dtype.kind in _RAW_KINDS:
+        return _npy_header(array.dtype, array.shape) + array.tobytes()
+    member = io.BytesIO()
+    np.lib.format.write_array(member, array)
+    return member.getvalue()
+
+
 def _npz_bytes(**arrays) -> bytes:
     """A deterministic ``np.savez`` archive of ``arrays``, built in memory.
 
     ``np.savez`` stamps zip members with the current wall clock, so each
-    array is serialised once (``.npy`` format, as ``np.savez`` would) and
-    stored with its timestamp pinned to the zip epoch — equal arrays give
-    byte-identical archives, which is what lets a content-addressed store
-    deduplicate equal physics by sha256. ``np.load`` reads the result.
+    array is serialised once (:func:`_npy_bytes`) and stored uncompressed with
+    its timestamp pinned to the zip epoch — equal arrays give byte-identical
+    archives, which is what lets a content-addressed store deduplicate equal
+    physics by sha256. ``np.load`` reads the result. The records are packed
+    here, byte for byte what ``zipfile.ZipFile.writestr(ZipInfo(name), ...)``
+    writes; archives that need ZIP64 records or member names that are not
+    plain identifiers are left to ``zipfile``.
     """
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
-        for name, array in arrays.items():
-            member = io.BytesIO()
-            np.lib.format.write_array(member, np.asanyarray(array))
-            archive.writestr(zipfile.ZipInfo(name + ".npy"), member.getvalue())  # epoch date_time
-    return buffer.getvalue()
+    members = [(name + ".npy", _npy_bytes(array)) for name, array in arrays.items()]
+    if (
+        len(members) > _ZIP_PLAIN_MEMBERS
+        or sum(len(data) for _, data in members) > _ZIP_PLAIN_BYTES
+        or not all(name.isascii() and name.isidentifier() for name in arrays)
+    ):
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
+            for name, data in members:
+                archive.writestr(zipfile.ZipInfo(name), data)  # epoch date_time
+        return buffer.getvalue()
+    records, directory, offset = [], [], 0
+    for name, data in members:
+        filename, crc, size = name.encode("ascii"), zlib.crc32(data), len(data)
+        # reserved, flags, stored, time 0, date, crc, sizes, name, no extra field
+        fields = (0, 0, 0, 0, _ZIP_DATE, crc, size, size, len(filename), 0)
+        records += (_ZIP_LOCAL.pack(b"PK\x03\x04", _ZIP_VERSION, *fields), filename, data)
+        directory += (
+            _ZIP_CENTRAL.pack(
+                b"PK\x01\x02", _ZIP_VERSION, _ZIP_SYSTEM, _ZIP_VERSION, *fields,
+                0, 0, 0, _ZIP_ATTRIBUTES, offset,  # no comment, disk 0, internal attributes 0
+            ),
+            filename,
+        )
+        offset += _ZIP_LOCAL.size + len(filename) + size
+    directory_size = sum(map(len, directory))
+    end = _ZIP_END.pack(b"PK\x05\x06", 0, 0, len(members), len(members), directory_size, offset, 0)
+    return b"".join(records + directory + [end])
 
 
 def _atomic_savez(path, **arrays) -> None:

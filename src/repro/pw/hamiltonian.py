@@ -315,7 +315,7 @@ class Hamiltonian:
             ``(nbands, npw)`` complex array.
         include_exchange:
             If False, skip the Fock exchange term (used by semi-local
-            preconditioners and by the ACE-style extensions).
+            preconditioners and the ground state's semi-local first round).
         psi_real:
             Optional precomputed ``basis.to_real_space(coefficients)``; the
             forward transform of the local term is then skipped.

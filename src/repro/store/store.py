@@ -94,6 +94,28 @@ def _fresh_stats() -> dict:
     }
 
 
+def _replace_into(tmp: pathlib.Path, data: bytes, final: pathlib.Path) -> None:
+    """Write ``data`` to ``tmp`` and rename it to ``final``, so a reader sees
+    the whole file or none of it. A missing directory (``tmp/`` before the
+    first write, or one removed under a live store) is made then and only
+    then, and the tmp file is removed only when the rename did not consume
+    it."""
+    try:
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:
+            tmp.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
+        try:
+            os.replace(tmp, final)
+        except FileNotFoundError:
+            final.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(tmp, final)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class ResultStore:
     """Content-addressed store of job results and shared ground states.
 
@@ -179,25 +201,13 @@ class ResultStore:
         if final.exists():
             self.stats["deduplicated"] += 1
         else:
-            self.tmp_dir.mkdir(parents=True, exist_ok=True)
-            tmp = self.tmp_dir / f"{os.getpid()}-{uuid.uuid4().hex}.npz"
-            try:
-                tmp.write_bytes(data)
-                self.objects_dir.mkdir(parents=True, exist_ok=True)
-                os.replace(tmp, final)
-                self.stats["writes"] += 1
-            finally:
-                tmp.unlink(missing_ok=True)
+            _replace_into(self.tmp_dir / f"{os.getpid()}-{uuid.uuid4().hex}.npz", data, final)
+            self.stats["writes"] += 1
         return {"sha256": digest, "size": len(data)}
 
     def _write_manifest(self, path: pathlib.Path, manifest: dict) -> None:
-        self.manifests_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
-        try:
-            tmp.write_text(json.dumps(manifest, indent=2, default=json_default))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _replace_into(tmp, json.dumps(manifest, indent=2, default=json_default).encode(), path)
 
     def _quarantine(self, *paths) -> None:
         """Move files aside into ``quarantine/`` (never delete evidence)."""

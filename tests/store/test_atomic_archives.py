@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.pw.ground_state as ground_state
+
 
 class TestAtomicWrites:
     def test_failed_gs_save_leaves_existing_archive_intact(
@@ -21,11 +23,11 @@ class TestAtomicWrites:
         result.save_npz(target)
         before = target.read_bytes()
 
-        def torn_write(*args, **kwargs):
+        def torn_member(array):
             raise OSError("disk full")
 
         # tears while the archive is serialised: nothing reaches the disk
-        monkeypatch.setattr(np.lib.format, "write_array", torn_write)
+        monkeypatch.setattr(ground_state, "_npy_bytes", torn_member)
         with pytest.raises(OSError):
             result.save_npz(target)
         assert target.read_bytes() == before  # old archive untouched
@@ -39,11 +41,11 @@ class TestAtomicWrites:
         trajectory.save_npz(target)
         before = target.read_bytes()
 
-        def torn_write(*args, **kwargs):
+        def torn_member(array):
             raise OSError("disk full")
 
         # tears while the archive is serialised: nothing reaches the disk
-        monkeypatch.setattr(np.lib.format, "write_array", torn_write)
+        monkeypatch.setattr(ground_state, "_npy_bytes", torn_member)
         with pytest.raises(OSError):
             trajectory.save_npz(target)
         assert target.read_bytes() == before

@@ -12,9 +12,9 @@ import pathlib
 import shutil
 import threading
 
-import numpy as np
 import pytest
 
+import repro.pw.ground_state as ground_state_module
 from repro.api import Session
 from repro.batch import BatchRunner, SweepSpec
 from repro.batch.sweep import ground_state_group_key
@@ -136,16 +136,16 @@ class TestObjectWrites:
     ):
         _, ground_state = h2_ground_state
         store = ResultStore(tmp_path / "fresh")
-        write_array = np.lib.format.write_array
+        npy_bytes = ground_state_module._npy_bytes
         members = []
 
-        def torn_write(handle, array, *args, **kwargs):
+        def torn_member(array):
             members.append(array)
             if len(members) % 3 == 0:  # mid-archive: earlier members serialised
                 raise OSError("disk full")
-            return write_array(handle, array, *args, **kwargs)
+            return npy_bytes(array)
 
-        monkeypatch.setattr(np.lib.format, "write_array", torn_write)
+        monkeypatch.setattr(ground_state_module, "_npy_bytes", torn_member)
         with pytest.raises(OSError):
             store.save(warm_report.results[0])
         with pytest.raises(OSError):
@@ -154,6 +154,35 @@ class TestObjectWrites:
         assert list(store.objects_dir.iterdir()) == []
         assert list(store.manifests_dir.iterdir()) == []
         assert not store.tmp_dir.exists() or list(store.tmp_dir.iterdir()) == []
+        assert store.stats["writes"] == 0
+
+    def test_directories_removed_under_a_live_store_are_made_again(
+        self, warm_report, dt_spec, h2_ground_state, tmp_path
+    ):
+        _, ground_state = h2_ground_state
+        store = ResultStore(tmp_path / "fresh")
+        for directory in (store.objects_dir, store.manifests_dir):
+            shutil.rmtree(directory)
+        store.save(warm_report.results[0])
+        shutil.rmtree(store.tmp_dir)
+        store.save_ground_state("group", ground_state)
+        assert store.stats["writes"] == 2
+        assert store.ledger()["objects"] == 2
+        assert list(store.tmp_dir.iterdir()) == []  # every tmp file renamed away
+        assert store.load(dt_spec.expand()[0]) is not None
+        assert store.load_ground_state("group") is not None
+
+    def test_a_failed_rename_leaves_no_tmp_file(self, store, h2_ground_state, monkeypatch):
+        _, ground_state = h2_ground_state
+
+        def refused(source, target):
+            raise PermissionError("read-only objects/")
+
+        monkeypatch.setattr("repro.store.store.os.replace", refused)
+        with pytest.raises(PermissionError):
+            store.save_ground_state("group", ground_state)
+        assert list(store.tmp_dir.iterdir()) == []
+        assert list(store.objects_dir.iterdir()) == []
         assert store.stats["writes"] == 0
 
 
