@@ -554,7 +554,7 @@ class SweepReport:
     # ------------------------------------------------------------------
     def _delta_kick_results(self) -> list[tuple[JobResult, dict]]:
         """Completed jobs whose configured pulse resolves to a delta kick."""
-        from ..api.registry import PULSES  # deferred: avoids a batch -> api import cycle
+        from ..api.registry import PULSES, UnknownNameError  # deferred: avoids a batch -> api import cycle
         from ..pw.laser import DeltaKick
 
         kicked: list[tuple[JobResult, dict]] = []
@@ -564,7 +564,7 @@ class SweepReport:
             laser = (r.config or {}).get("laser", {})
             try:
                 factory = PULSES.get(laser.get("pulse", "none"))
-            except Exception:
+            except UnknownNameError:  # a pulse this process does not register: not a kick
                 continue
             if factory is DeltaKick:
                 kicked.append((r, dict(laser.get("params", {}))))

@@ -24,6 +24,14 @@ that cache for the pure-Python engine:
   transform of a batch independently, so stacking jobs/bands along leading
   axes is bit-identical to transforming each slice alone — the property the
   batched stepping engine relies on.
+* A plan built with an output ``support`` (the plane-wave sphere's mask)
+  computes only the pencils that reach it in a forward transform. pocketfft's
+  n-D transform is the 1-D transforms of its axes run one after another, in
+  the order given, and the forward one scales nothing, so transforming one
+  axis at a time — the x pencils everywhere, the y pencils of the x-slabs the
+  support touches, the z pencils of those slabs' y-slabs — gives the support
+  positions the bits of the single call. Stacks too small to pay for the
+  extra kernel calls keep the single call.
 * :func:`set_fft_workers` / :func:`configure_for_pool_worker` control the
   intra-transform thread count. Process-pool workers must cap it at 1
   (``REPRO_FFT_WORKERS`` is also honoured at import): the pool already
@@ -64,6 +72,12 @@ _AXES = (-3, -2, -1)
 #: the input dtypes scipy.fft hands to the kernel unconverted (native byte
 #: order only: a swapped dtype compares unequal)
 _KERNEL_DTYPES = frozenset(np.dtype(t) for t in (np.complex128, np.complex64, np.float64, np.float32))
+#: a support-bound forward transform runs axis by axis only when the pencils
+#: it skips hold at least this many bytes: the extra kernel calls break even
+#: with the single call at 26-33 kB skipped (6^3, 8^3 and 10^3 meshes,
+#: complex128 and complex64, measured in the perf notes), so below it they
+#: cost more than they save
+_PRUNE_MIN_SKIPPED_BYTES = 40_000
 
 
 def _initial_workers() -> int:
@@ -129,15 +143,30 @@ class FFTPlan:
     place).
 
     Obtain plans through :func:`get_plan`; constructing them directly
-    bypasses the cache.
+    bypasses the cache. The one exception is a plan with a ``support``: a
+    boolean mesh mask of the Fourier positions its forward transforms are
+    read at. Its :meth:`fftn` leaves every other position unspecified, so it
+    belongs to the caller that reads only the support (the plane-wave basis
+    builds one per sphere and dtype).
     """
 
-    __slots__ = ("grid", "dtype", "_workspaces")
+    __slots__ = ("grid", "dtype", "_workspaces", "_slabs", "_prune_from_size")
 
-    def __init__(self, grid, dtype=np.complex128):
+    def __init__(self, grid, dtype=np.complex128, support=None):
         self.grid = grid
         self.dtype = np.dtype(dtype)
         self._workspaces: dict = {}
+        self._slabs = None
+        self._prune_from_size = np.inf
+        if support is not None:
+            n1, n2, n3 = grid.shape
+            xs, ys = np.flatnonzero(support.any(axis=(1, 2))), np.flatnonzero(support.any(axis=(0, 2)))
+            self._slabs = (_runs(xs), _runs(ys))
+            # mesh points per transform that the y and z passes skip
+            skipped = (n1 - xs.size) * n2 * n3 + (n1 * n2 - xs.size * ys.size) * n3
+            if skipped:
+                skipped_bytes = skipped * self.dtype.itemsize
+                self._prune_from_size = _PRUNE_MIN_SKIPPED_BYTES * grid.size / skipped_bytes
 
     # ------------------------------------------------------------------
     @property
@@ -152,7 +181,19 @@ class FFTPlan:
         pass it for arrays the caller discards (the transform result is
         bit-identical either way; pocketfft runs the same butterflies whether
         or not the output aliases the input).
+
+        On a plan with a ``support``, a C-contiguous complex stack large
+        enough to pay for it is transformed one axis at a time over the
+        pencils that reach the support; the support positions hold the bits
+        of the whole-mesh transform, every other position is unspecified.
         """
+        values = np.asarray(values)
+        if (
+            values.size >= self._prune_from_size and values.dtype == self.dtype and values.ndim >= 3
+            and values.flags.c_contiguous and values.flags.aligned
+            and _c2c is not None and _scipy_fft is not None
+        ):
+            return self._pruned_fftn(values, overwrite)
         return self._transform(values, overwrite, True)
 
     def ifftn(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -176,6 +217,20 @@ class FFTPlan:
         # kernel runs r2c and fills in the Hermitian half)
         out = values if overwrite and values.dtype.kind == "c" else None
         return _c2c(values, (ndim - 3, ndim - 2, ndim - 1), forward, 0 if forward else 2, out, _workers)
+
+    def _pruned_fftn(self, values, overwrite: bool) -> np.ndarray:
+        """The single call's axis passes in its order (x, y, z), each pass
+        after the first in place and only on the slabs the support reaches."""
+        ndim = values.ndim
+        x_slabs, y_slabs = self._slabs
+        out = _c2c(values, (ndim - 3,), True, 0, values if overwrite else None, _workers)
+        for xs in x_slabs:
+            slab = out[..., xs, :, :]
+            _c2c(slab, (ndim - 2,), True, 0, slab, _workers)
+            for ys in y_slabs:
+                block = slab[..., ys, :]
+                _c2c(block, (ndim - 1,), True, 0, block, _workers)
+        return out
 
     # ------------------------------------------------------------------
     def workspace(self, lead_shape: tuple, fill_indices=None) -> np.ndarray:
@@ -201,6 +256,12 @@ class FFTPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FFTPlan(shape={self.grid.shape}, dtype={self.dtype}, workers={_workers})"
+
+
+def _runs(indices: np.ndarray) -> tuple:
+    """Sorted mesh indices as the slices of their contiguous runs."""
+    breaks = np.flatnonzero(np.diff(indices) != 1) + 1
+    return tuple(slice(int(run[0]), int(run[-1]) + 1) for run in np.split(indices, breaks) if run.size)
 
 
 _PLANS: dict = {}

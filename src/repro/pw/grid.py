@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fft import get_plan, plan_dtype, plan_memo
+from .fft import FFTPlan, get_plan, plan_dtype, plan_memo
 from .lattice import Cell
 
 __all__ = ["FFTGrid", "PlaneWaveBasis", "choose_grid_shape"]
@@ -308,13 +308,15 @@ class PlaneWaveBasis:
         out[..., self._indices] = coeffs
         return out.reshape(lead + self.grid.shape)
 
-    def _plan(self, dtype: np.dtype):
-        """The plan transforming arrays of ``dtype``, resolved once per basis
-        (and again after :func:`~repro.pw.fft.clear_plan_cache`)."""
+    def _forward_plan(self, dtype: np.dtype):
+        """The plan whose forward transforms of ``dtype`` arrays compute only
+        what this sphere reads (see :class:`~repro.pw.fft.FFTPlan`), built
+        once per basis and dtype (and again after
+        :func:`~repro.pw.fft.clear_plan_cache`)."""
         memo = plan_memo(self, "_bound_transforms")
         plan = memo.get(dtype)
         if plan is None:
-            plan = memo[dtype] = get_plan(self.grid, plan_dtype(dtype))
+            plan = memo[dtype] = FFTPlan(self.grid, plan_dtype(dtype), support=self._mask)
         return plan
 
     def _workspace(self, dtype: np.dtype, lead: tuple):
@@ -332,7 +334,7 @@ class PlaneWaveBasis:
         memo = plan_memo(self, "_bound_transforms")
         bound = memo.get((dtype, lead))
         if bound is None:
-            plan = self._plan(dtype)
+            plan = get_plan(self.grid, plan_dtype(dtype))
             flat = plan.workspace(lead, fill_indices=self._indices)
             bound = memo[(dtype, lead)] = (plan, flat, flat.reshape(lead + self.grid.shape))
         return bound
@@ -342,7 +344,7 @@ class PlaneWaveBasis:
         grid_values = np.asarray(grid_values)
         lead = grid_values.shape[:-3]
         flat = grid_values.reshape(lead + (self.grid.size,))
-        return np.ascontiguousarray(flat[..., self._indices])
+        return np.take(flat, self._indices, axis=-1)  # C-contiguous, unlike flat[..., indices]
 
     # ------------------------------------------------------------------
     # Convenience transforms sphere <-> real space
@@ -365,11 +367,14 @@ class PlaneWaveBasis:
 
         ``overwrite=True`` allows ``psi_real`` to be used as FFT scratch; pass
         it only for arrays the caller discards (e.g. a ``V psi`` product).
+        The transform computes only the pencils that reach the sphere, and
+        only the gathered ``npw`` values are scaled: the bits of
+        ``from_grid(grid.to_fourier(psi_real))``.
         """
         psi_real = np.asarray(psi_real)
-        out = self._plan(psi_real.dtype).fftn(psi_real, overwrite=overwrite)  # FFTGrid.to_fourier
-        out *= self.grid._fourier_scale
-        return self.from_grid(out)
+        coeffs = self.from_grid(self._forward_plan(psi_real.dtype).fftn(psi_real, overwrite=overwrite))
+        coeffs *= self.grid._fourier_scale
+        return coeffs
 
     def random_coefficients(
         self, nbands: int, rng: np.random.Generator | None = None

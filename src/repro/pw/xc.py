@@ -87,38 +87,35 @@ def pz81_correlation(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pz81(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pz81_correlation` of a density already clipped at zero."""
-    eps_c = np.zeros_like(rho)
-    v_c = np.zeros_like(rho)
-    tiny = 1e-20
-    positive = rho > tiny
-    if not np.any(positive):
-        return eps_c, v_c
+    """:func:`pz81_correlation` of a density already clipped at zero.
 
-    rs = np.empty_like(rho)
-    rs[positive] = (3.0 / (4.0 * np.pi * rho[positive])) ** (1.0 / 3.0)
+    The low-density Padé form is evaluated on the whole grid (``rs`` of a
+    vanishing density taken at ``rho = 1``), the high-density (``rs < 1``)
+    points are patched in afterwards and the vanishing ones zeroed: every
+    point gets the floats of its own branch, and the common case is not
+    gathered and scattered back.
+    """
+    positive = rho > 1e-20
+    rs = (3.0 / (4.0 * np.pi * np.where(positive, rho, 1.0))) ** (1.0 / 3.0)
 
-    high = positive & (rs < 1.0)
-    low = positive & (rs >= 1.0)
+    sqrt_rs = np.sqrt(rs)
+    denom = 1.0 + _PZ_BETA1 * sqrt_rs + _PZ_BETA2 * rs
+    eps_c = _PZ_GAMMA / denom
+    deps = -_PZ_GAMMA * (0.5 * _PZ_BETA1 / sqrt_rs + _PZ_BETA2) / (denom * denom)
+    # v_c = eps - (rs/3) d eps / d rs
+    v_c = eps_c - (rs / 3.0) * deps
 
-    if np.any(high):
-        rs_h = rs[high]
+    high = np.flatnonzero(rs < 1.0)
+    if high.size:
+        rs_h = rs.flat[high]
         lnrs = np.log(rs_h)
         eps = _PZ_A * lnrs + _PZ_B + _PZ_C * rs_h * lnrs + _PZ_D * rs_h
-        # v_c = eps - (rs/3) d eps / d rs
         deps = _PZ_A / rs_h + _PZ_C * (lnrs + 1.0) + _PZ_D
-        eps_c[high] = eps
-        v_c[high] = eps - (rs_h / 3.0) * deps
-
-    if np.any(low):
-        rs_l = rs[low]
-        sqrt_rs = np.sqrt(rs_l)
-        denom = 1.0 + _PZ_BETA1 * sqrt_rs + _PZ_BETA2 * rs_l
-        eps = _PZ_GAMMA / denom
-        deps = -_PZ_GAMMA * (0.5 * _PZ_BETA1 / sqrt_rs + _PZ_BETA2) / (denom * denom)
-        eps_c[low] = eps
-        v_c[low] = eps - (rs_l / 3.0) * deps
-
+        eps_c.flat[high] = eps
+        v_c.flat[high] = eps - (rs_h / 3.0) * deps
+    vanishing = np.flatnonzero(~positive)
+    eps_c.flat[vanishing] = 0.0
+    v_c.flat[vanishing] = 0.0
     return eps_c, v_c
 
 
@@ -164,11 +161,12 @@ class LDAFunctional:
     def _energy_density_and_potential(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(epsilon_xc, v_xc)`` of a density clipped at zero once, by the
         caller (clipping is the one full-grid pass both terms would repeat)."""
-        eps_x, v_x = _slater(rho)
-        eps = self.exchange_scale * eps_x
-        pot = self.exchange_scale * v_x
+        eps, pot = _slater(rho)
+        if self.exchange_scale != 1.0:  # scaling by 1.0 would copy the same floats
+            eps = self.exchange_scale * eps
+            pot = self.exchange_scale * pot
         if self.correlation:
             eps_c, v_c = _pz81(rho)
-            eps = eps + eps_c
-            pot = pot + v_c
+            eps += eps_c  # both terms are fresh arrays of this evaluation
+            pot += v_c
         return eps, pot

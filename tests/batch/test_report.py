@@ -254,6 +254,24 @@ class TestSpectra:
         spectra = report.spectra(max_energy=1.0)
         assert set(spectra) == {"job0000-kick"}
 
+    def test_an_unknown_pulse_is_skipped(self):
+        """A pulse name this process does not register (the registry raises
+        UnknownNameError) is not a kick: the job is left out, not fatal."""
+        unknown = _kick_result(1, 4, omega=0.6, pulse="no_such_pulse")
+        report = SweepReport([_kick_result(0, 2, omega=0.3), unknown])
+        assert set(report.spectra(max_energy=1.0)) == {"job0000-kick"}
+
+    def test_any_other_lookup_failure_propagates(self, monkeypatch):
+        from repro.api.registry import PULSES
+
+        def broken(name):
+            raise RuntimeError("asset library unreadable")
+
+        monkeypatch.setattr(PULSES, "get", broken)
+        report = SweepReport([_kick_result(0, 2, omega=0.3)])
+        with pytest.raises(RuntimeError, match="asset library unreadable"):
+            report.spectra(max_energy=1.0)
+
     def test_no_kicked_jobs_raises_actionable_error(self, report):
         with pytest.raises(ValueError, match="delta_kick"):
             report.spectrum_table()

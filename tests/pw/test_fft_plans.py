@@ -15,8 +15,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.pw import FFTGrid, PlaneWaveBasis, choose_grid_shape, hydrogen_molecule
+from repro.pw import FFTGrid, PlaneWaveBasis, choose_grid_shape, diamond_silicon, hydrogen_molecule
 from repro.pw import fft as fft_mod
 from repro.pw.fft import (
     clear_plan_cache,
@@ -314,6 +316,151 @@ class TestWorkspace:
         stacked = h2_basis.to_real_space(coeffs)
         for j in range(3):
             assert np.array_equal(stacked[j], h2_basis.to_real_space(coeffs[j]))
+
+
+def _sphere(cell: Cell, ecut: float, shape=None) -> PlaneWaveBasis:
+    return PlaneWaveBasis(FFTGrid(cell, shape or choose_grid_shape(cell, ecut, factor=1.0)), ecut)
+
+
+_H2_BOX = hydrogen_molecule(box=8.0, bond_length=1.4).cell
+#: the meshes the engine transforms: Si8 at the benchmark cutoff (10^3), H2 in
+#: the campaign box at two cutoffs (6^3, 8^3), an odd mesh and a skewed cell
+SPHERES = {
+    "si8": lambda: _sphere(diamond_silicon().cell, 2.5),
+    "h2-ecut1.5": lambda: _sphere(_H2_BOX, 1.5),
+    "h2-ecut2.0": lambda: _sphere(_H2_BOX, 2.0),
+    "odd-mesh": lambda: _sphere(_H2_BOX, 2.0, (9, 11, 13)),
+    "skewed-cell": lambda: _sphere(Cell(np.array([[7.0, 0.0, 0.0], [2.5, 6.5, 0.0], [1.0, 1.5, 8.0]])), 2.5),
+}
+
+
+def _stack(rng, lead, basis, dtype=np.complex128):
+    shape = tuple(lead) + basis.grid.shape
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+
+
+def _single_call_coefficients(basis, values) -> np.ndarray:
+    """The sphere coefficients as one whole-mesh kernel call, a full-mesh
+    scale and a gather compute them."""
+    out = get_plan(basis.grid, plan_dtype(values.dtype)).fftn(values.copy())
+    out *= basis.grid._fourier_scale
+    return np.ascontiguousarray(out.reshape(out.shape[:-3] + (-1,))[..., basis.indices])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts pocketfft kernel calls (the pruned path makes several per
+    transform, the single call one)."""
+    if fft_mod._c2c is None:
+        pytest.skip("this scipy has no pocketfft kernel module")
+    calls = []
+    kernel = fft_mod._c2c
+
+    def counted(values, axes, *args):
+        calls.append(tuple(axes))
+        return kernel(values, axes, *args)
+
+    monkeypatch.setattr(fft_mod, "_c2c", counted)
+    return calls
+
+
+class TestSphereAwareForward:
+    """``PlaneWaveBasis.from_real_space`` transforms only the pencils that
+    reach the sphere: the sphere positions must carry the bits of one
+    whole-mesh kernel call (compared as bytes, so a -0.0 would show)."""
+
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["keep", "overwrite"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("name", sorted(SPHERES))
+    def test_sphere_positions_are_the_single_calls_bits(self, rng, name, dtype, overwrite, kernel_calls):
+        basis = SPHERES[name]()
+        plan = basis._forward_plan(np.dtype(dtype))
+        lead = (4, int(np.ceil(plan._prune_from_size / (4 * basis.grid.size))))
+        values = _stack(rng, lead, basis, dtype)
+        expected = _single_call_coefficients(basis, values)
+        kernel_calls.clear()
+        scratch = values.copy()
+        got = basis.from_real_space(scratch, overwrite=overwrite)
+        assert len(kernel_calls) > 1  # the axis-by-axis path ran
+        assert got.dtype == expected.dtype and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        if not overwrite:
+            assert np.array_equal(scratch, values)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        name=st.sampled_from(sorted(SPHERES)),
+        single=st.booleans(),
+        above=st.booleans(),
+        overwrite=st.booleans(),
+        data=st.data(),
+    )
+    def test_leading_shapes_either_side_of_the_threshold(
+        self, name, single, above, overwrite, data, kernel_calls
+    ):
+        basis = SPHERES[name]()
+        dtype = np.dtype(np.complex64 if single else np.complex128)
+        # the fewest transforms a stack must hold to take the pruned path
+        fewest = int(np.ceil(basis._forward_plan(dtype)._prune_from_size / basis.grid.size))
+        count = data.draw(st.integers(fewest, fewest + 12) if above else st.integers(1, fewest - 1))
+        lead = data.draw(st.sampled_from([(count,), (1, count), (count, 1)] + ([()] if count == 1 else [])))
+        values = _stack(np.random.default_rng(count), lead, basis, dtype)
+        expected = _single_call_coefficients(basis, values)
+        kernel_calls.clear()
+        got = basis.from_real_space(values, overwrite=overwrite)
+        assert (len(kernel_calls) > 1) == above
+        assert got.tobytes() == expected.tobytes()
+
+    def test_small_stacks_keep_the_single_call(self, rng, kernel_calls):
+        """Below the threshold the extra kernel calls cost more than they
+        save: every stack the H2 campaign transforms (up to 4 jobs x 1 band
+        on 8^3) stays one call, a Si8 16-band stack does not."""
+        h2 = SPHERES["h2-ecut2.0"]()
+        assert h2.grid.shape == (8, 8, 8)
+        h2.from_real_space(_stack(rng, (4, 1), h2))
+        assert kernel_calls == [(2, 3, 4)]
+        si8 = SPHERES["si8"]()
+        kernel_calls.clear()
+        si8.from_real_space(_stack(rng, (1, 16), si8))
+        x_slabs, y_slabs = si8._forward_plan(np.dtype(np.complex128))._slabs
+        assert kernel_calls == [(2,)] + [(3,), *[(4,)] * len(y_slabs)] * len(x_slabs)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [lambda a: a.transpose(1, 0, 2, 3, 4), lambda a: a[:, :, ::-1], lambda a: np.asfortranarray(a)],
+        ids=["swapped-lead", "reversed-x", "fortran"],
+    )
+    def test_non_contiguous_inputs_take_the_single_call(self, rng, layout, kernel_calls):
+        si8 = SPHERES["si8"]()
+        values = layout(_stack(rng, (16, 4), si8))
+        assert not values.flags.c_contiguous
+        expected = _single_call_coefficients(si8, values)
+        kernel_calls.clear()
+        assert si8.from_real_space(values).tobytes() == expected.tobytes()
+        assert len(kernel_calls) == 1
+
+    def test_real_input_and_the_numpy_fallback_transform_the_whole_mesh(self, rng, monkeypatch):
+        si8 = SPHERES["si8"]()
+        real = rng.standard_normal((16,) + si8.grid.shape)
+        assert si8.from_real_space(real).tobytes() == _single_call_coefficients(si8, real).tobytes()
+        complex_values = _stack(rng, (16,), si8)
+        expected = _single_call_coefficients(si8, complex_values)
+        monkeypatch.setattr(fft_mod, "_scipy_fft", None)
+        np.testing.assert_allclose(si8.from_real_space(complex_values), expected, atol=1e-12)
+
+    def test_plans_without_a_support_never_prune(self, kernel_calls, rng):
+        si8 = SPHERES["si8"]()
+        get_plan(si8.grid).fftn(_stack(rng, (4, 16), si8))
+        assert kernel_calls == [(2, 3, 4)]
+
+    def test_the_forward_plan_is_built_once_per_basis_and_dtype(self):
+        basis = SPHERES["h2-ecut2.0"]()
+        single = basis._forward_plan(np.dtype(np.complex64))
+        assert basis._forward_plan(np.dtype(np.complex64)) is single
+        assert basis._forward_plan(np.dtype(np.complex128)) is not single
+        assert single.dtype == np.dtype(np.complex64)
+        clear_plan_cache()
+        assert basis._forward_plan(np.dtype(np.complex64)) is not single
 
 
 def test_plane_wave_basis_rejects_wrong_npw(h2_basis):
