@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...pw.basis import Wavefunction
-from ...pw.hamiltonian import Hamiltonian
-from ..batching import stack_coefficients, update_potentials_many
+from ...pw.hamiltonian import Hamiltonian, stack_coefficients, update_potentials_many
 
 __all__ = ["StepStatistics", "Propagator"]
 
@@ -111,7 +110,7 @@ class Propagator(ABC):
         ``propagators[j]`` (all of class ``cls``, each owning its own
         Hamiltonian) advances ``wavefunctions[j]`` from ``times[j]`` by
         ``dts[j]``. The FFT-bound work runs stacked over a leading job axis
-        (:mod:`repro.core.batching`); per job the result — coefficients and
+        (:mod:`repro.pw.hamiltonian`); per job the result — coefficients and
         statistics — must be exactly what the same job gets in a stack of any
         other width, so that batching is an execution detail, never a physics
         change. Implementations must not modify the input wavefunctions and

@@ -60,10 +60,9 @@ from ...pw.basis import Wavefunction
 # compute_density is bound here, though unused, because benchmarks/layers pins
 # its by-identity patching on this module's from-import of it
 from ...pw.density import compute_density, compute_density_many, density_error  # noqa: F401
-from ...pw.hamiltonian import Hamiltonian
+from ...pw.hamiltonian import Hamiltonian, apply_many, update_potentials_many
 from ...pw.orthogonalization import cholesky_orthonormalize, orthonormality_error
 from ..anderson import AndersonMixer
-from ..batching import apply_many, update_potentials_many
 from ..gauge import pt_residual
 from .base import Propagator, StepStatistics
 

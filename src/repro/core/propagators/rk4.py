@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...pw.basis import Wavefunction
-from ...pw.hamiltonian import Hamiltonian
-from ..batching import apply_many, update_potentials_many
+from ...pw.hamiltonian import Hamiltonian, apply_many, update_potentials_many
 from .base import Propagator, StepStatistics
 
 __all__ = ["RK4Propagator"]

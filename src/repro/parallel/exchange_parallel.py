@@ -4,8 +4,14 @@ The wavefunctions are stored in the band-index distribution. For every band
 ``i`` of the full set, the owning rank broadcasts ``psi_i`` to all ranks
 (``MPI_Bcast`` in the paper; a round-robin ``MPI_Send/Recv`` ring is provided
 as the alternative the paper also measured); every rank then solves the
-Poisson-like equations pairing ``psi_i`` with each of its local bands and
-accumulates into its local block of ``V_X Psi``.
+Poisson-like equations pairing the orbitals it received with each of its local
+bands and accumulates into its local block of ``V_X Psi``.
+
+That pair work is the serial operator's own loop: each rank's share is one
+rectangle-path :meth:`~repro.pw.exchange.ExchangeOperator._pair_sum` of the
+orbitals it holds against its local target bands (once per rank after the
+broadcasts, once per shift and rank on the ring), so empty orbitals are
+skipped here as they are there.
 
 The total received communication volume is ``N_p x N_G x N_e`` complex numbers
 (Section 3.2), or half that with single-precision MPI — both facts are checked
@@ -19,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..pw.exchange import ExchangeOperator, _OrbitalSet
 from ..pw.grid import PlaneWaveBasis
-from ..pw.poisson import CoulombKernel, bare_coulomb_kernel, screened_exchange_kernel
+from ..pw.poisson import CoulombKernel
 from .comm import SimCommunicator
 from .distributed_wavefunction import DistributedWavefunction
 
@@ -53,6 +60,12 @@ class DistributedExchangeOperator:
         ``"bcast"`` (paper default, Alg. 2 line 4) or ``"round_robin"`` (the
         ``MPI_Send/Recv`` ring of Ratcliff et al. that the paper also
         implemented and found to perform equivalently on Summit).
+    kernel:
+        Optional explicit :class:`~repro.pw.poisson.CoulombKernel`.
+
+    The kernel choice, the pair-density scratch, the operation counters and
+    the pair loop itself belong to the one serial
+    :class:`~repro.pw.exchange.ExchangeOperator` held as :attr:`exchange`.
     """
 
     def __init__(
@@ -68,14 +81,8 @@ class DistributedExchangeOperator:
             raise ValueError(f"unknown strategy {strategy!r}; use 'bcast' or 'round_robin'")
         self.basis = basis
         self.comm = comm
-        self.mixing_fraction = float(mixing_fraction)
         self.strategy = strategy
-        if kernel is not None:
-            self.kernel = kernel
-        elif screening_length is not None:
-            self.kernel = screened_exchange_kernel(basis.grid, screening_length)
-        else:
-            self.kernel = bare_coulomb_kernel(basis.grid)
+        self.exchange = ExchangeOperator(basis, mixing_fraction, screening_length, kernel)
         self.work = _ExchangeWorkCounters()
 
     # ------------------------------------------------------------------
@@ -109,46 +116,25 @@ class DistributedExchangeOperator:
             ``target`` itself (the PT-CN inner iteration uses the current
             iterate for both).
         """
-        if self.mixing_fraction == 0.0:
-            zero_blocks = [np.zeros_like(b) for b in target.band_blocks]
-            return DistributedWavefunction(
-                basis=target.basis,
-                comm=target.comm,
-                band_blocks=zero_blocks,
-                bands=target.bands,
-                gspace=target.gspace,
-                occupations=target.occupations.copy(),
-            )
-        exchange_orbitals = target if exchange_orbitals is None else exchange_orbitals
-        if exchange_orbitals.comm is not self.comm or target.comm is not self.comm:
-            raise ValueError("wavefunctions must live on the operator's communicator")
-
-        basis = self.basis
-        comm = self.comm
-        grid = basis.grid
-
-        # Every rank transforms its *local* target bands to real space once.
-        target_real_by_rank = [
-            basis.to_real_space(block) if block.shape[0] else np.zeros((0,) + grid.shape, dtype=np.complex128)
-            for block in target.band_blocks
-        ]
-        accum_by_rank = [np.zeros_like(tr) for tr in target_real_by_rank]
-        weights = exchange_orbitals.occupations / 2.0
-
-        if self.strategy == "bcast":
-            self._apply_bcast(exchange_orbitals, target_real_by_rank, accum_by_rank, weights)
+        if self.exchange.mixing_fraction == 0.0:
+            out_blocks = [np.zeros_like(b) for b in target.band_blocks]
         else:
-            self._apply_round_robin(exchange_orbitals, target_real_by_rank, accum_by_rank, weights)
-
-        out_blocks = []
-        for rank in range(comm.size):
-            if accum_by_rank[rank].shape[0] == 0:
-                out_blocks.append(np.zeros((0, basis.npw), dtype=np.complex128))
-                continue
-            out_blocks.append(basis.from_real_space(-self.mixing_fraction * accum_by_rank[rank]))
+            exchange_orbitals = target if exchange_orbitals is None else exchange_orbitals
+            if exchange_orbitals.comm is not self.comm or target.comm is not self.comm:
+                raise ValueError("wavefunctions must live on the operator's communicator")
+            # every rank transforms its *local* target bands to real space once
+            target_real = [
+                self.basis.to_real_space(block) if len(block) else block for block in target.band_blocks
+            ]
+            solves = self.exchange.counters.poisson_solves
+            if self.strategy == "bcast":
+                out_blocks = self._apply_bcast(exchange_orbitals, target_real)
+            else:
+                out_blocks = self._apply_round_robin(exchange_orbitals, target_real)
+            self.work.poisson_solves += self.exchange.counters.poisson_solves - solves
         return DistributedWavefunction(
             basis=target.basis,
-            comm=comm,
+            comm=target.comm,
             band_blocks=out_blocks,
             bands=target.bands,
             gspace=target.gspace,
@@ -156,32 +142,24 @@ class DistributedExchangeOperator:
         )
 
     # ------------------------------------------------------------------
-    def _accumulate_pair(
-        self,
-        psi_i_real: np.ndarray,
-        weight: float,
-        target_real_by_rank: list[np.ndarray],
-        accum_by_rank: list[np.ndarray],
-    ) -> None:
-        """Inner loop of Alg. 2 (lines 6-10): every rank pairs psi_i with its bands."""
-        for rank in range(self.comm.size):
-            local = target_real_by_rank[rank]
-            if local.shape[0] == 0:
-                continue
-            pair = np.conj(psi_i_real)[None, ...] * local
-            potential = self.kernel.apply_to_density(pair)
-            accum_by_rank[rank] += weight * psi_i_real[None, ...] * potential
-            self.work.poisson_solves += local.shape[0]
+    def _pair_sum(
+        self, coefficients: np.ndarray, occupations: np.ndarray, target_real: np.ndarray
+    ) -> np.ndarray:
+        """One rank's pair work (Alg. 2 lines 6-10): ``V_X`` of the orbitals it
+        holds on its local target bands, through the serial operator's
+        rectangle path; returns the rank's ``(local bands, npw)`` block."""
+        if not (len(coefficients) and len(target_real)):
+            return np.zeros((len(target_real), self.basis.npw), dtype=np.complex128)
+        held = _OrbitalSet(coefficients, occupations, self.basis.to_real_space(coefficients))
+        return self.exchange._pair_sum(held, target_real)
 
     def _apply_bcast(
-        self,
-        exchange_orbitals: DistributedWavefunction,
-        target_real_by_rank: list[np.ndarray],
-        accum_by_rank: list[np.ndarray],
-        weights: np.ndarray,
-    ) -> None:
-        """Alg. 2 with a band-by-band ``MPI_Bcast`` from the owning rank."""
-        basis = self.basis
+        self, exchange_orbitals: DistributedWavefunction, target_real: list[np.ndarray]
+    ) -> list[np.ndarray]:
+        """Alg. 2 with a band-by-band ``MPI_Bcast`` from the owning rank; each
+        rank then pairs all ``N_e`` orbitals it received with its bands."""
+        comm = self.comm
+        received: list[list[np.ndarray]] = [[] for _ in range(comm.size)]
         for i in range(exchange_orbitals.nbands):
             owner = exchange_orbitals.bands.owner_of(i)
             local_index = i - exchange_orbitals.bands.offsets[owner]
@@ -189,21 +167,20 @@ class DistributedExchangeOperator:
                 exchange_orbitals.band_blocks[owner][local_index]
                 if rank == owner
                 else np.empty(0, dtype=np.complex128)
-                for rank in range(self.comm.size)
+                for rank in range(comm.size)
             ]
-            received = self.comm.bcast(payload_by_rank, root=owner, description=f"exchange psi_{i}")
+            rows = comm.bcast(payload_by_rank, root=owner, description=f"exchange psi_{i}")
+            for rank, row in enumerate(rows):
+                received[rank].append(row)
             self.work.broadcasts += 1
-            # all ranks now hold the same coefficients; transform once
-            psi_i_real = basis.to_real_space(received[0][None, :])[0]
-            self._accumulate_pair(psi_i_real, float(weights[i]), target_real_by_rank, accum_by_rank)
+        occupations = exchange_orbitals.occupations
+        return [
+            self._pair_sum(np.stack(rows), occupations, local) for rows, local in zip(received, target_real)
+        ]
 
     def _apply_round_robin(
-        self,
-        exchange_orbitals: DistributedWavefunction,
-        target_real_by_rank: list[np.ndarray],
-        accum_by_rank: list[np.ndarray],
-        weights: np.ndarray,
-    ) -> None:
+        self, exchange_orbitals: DistributedWavefunction, target_real: list[np.ndarray]
+    ) -> list[np.ndarray]:
         """The ring (``MPI_Send``/``MPI_Recv``) alternative to the broadcast.
 
         Each rank's block of exchange orbitals circulates around a ring of the
@@ -211,25 +188,16 @@ class DistributedExchangeOperator:
         wavefunction exactly once. The data volume on the wire is the same as
         for the broadcast, but it is carried by point-to-point messages.
         """
-        basis = self.basis
         comm = self.comm
+        occupations = exchange_orbitals.occupations
+        out_blocks = [np.zeros((len(local), self.basis.npw), dtype=np.complex128) for local in target_real]
         circulating = [block.copy() for block in exchange_orbitals.band_blocks]
         circulating_indices = [list(exchange_orbitals.local_band_indices(r)) for r in range(comm.size)]
         for shift in range(comm.size):
-            # every rank processes the block it currently holds
+            # every rank pairs the block it currently holds with its own targets
             for rank in range(comm.size):
-                block = circulating[rank]
-                indices = circulating_indices[rank]
-                for local_i, global_i in enumerate(indices):
-                    psi_i_real = basis.to_real_space(block[local_i][None, :])[0]
-                    # Only this rank pairs with its own targets in the ring variant
-                    local = target_real_by_rank[rank]
-                    if local.shape[0] == 0:
-                        continue
-                    pair = np.conj(psi_i_real)[None, ...] * local
-                    potential = self.kernel.apply_to_density(pair)
-                    accum_by_rank[rank] += float(weights[global_i]) * psi_i_real[None, ...] * potential
-                    self.work.poisson_solves += local.shape[0]
+                held = occupations[circulating_indices[rank]]
+                out_blocks[rank] += self._pair_sum(circulating[rank], held, target_real[rank])
             if shift == comm.size - 1:
                 break
             # shift the blocks one step around the ring
@@ -244,3 +212,4 @@ class DistributedExchangeOperator:
                 self.work.point_to_point_messages += 1
             circulating = new_circulating  # type: ignore[assignment]
             circulating_indices = new_indices  # type: ignore[assignment]
+        return out_blocks

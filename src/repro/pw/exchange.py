@@ -1,4 +1,4 @@
-"""The Fock exchange operator (Eq. 3 / Alg. 2 of the paper), serial reference.
+"""The Fock exchange operator (Eq. 3 / Alg. 2 of the paper) and its pair kernel.
 
 Applying the (possibly screened) Fock exchange operator to a block of orbitals,
 
@@ -55,9 +55,10 @@ count the work actually done; the *logical* applications of Fig. 6 are
 counted one level up (``HamiltonianCounters.fock_applications``,
 ``StepStatistics.hamiltonian_applications``) and do not change.
 
-This module provides the serial reference implementation used by the physics
-engine and as the ground truth for the distributed Alg. 2 implementation in
-:mod:`repro.parallel.exchange_parallel`.
+The pair kernel (:meth:`~ExchangeOperator._pair_sum`) is the package's one
+Fock pair loop: the physics engine applies it serially, and the distributed
+Alg. 2 of :mod:`repro.parallel.exchange_parallel` runs each rank's share of
+the pairs through it, on the rectangle path.
 """
 
 from __future__ import annotations
@@ -361,8 +362,9 @@ class ExchangeOperator:
 
     def expected_poisson_solves(self, n_target_bands: int) -> int:
         """Poisson solves of one application to a general block of
-        ``n_target_bands`` (paper: ``N_e^2`` for the full occupied set; the
-        self-application of an even kernel needs only ``N_e (N_e + 1) / 2``)."""
+        ``n_target_bands``: every *occupied* orbital against every target
+        (paper: ``N_e^2`` for the full occupied set; the self-application of
+        an even kernel needs only ``N_e (N_e + 1) / 2``)."""
         if self._orbitals is None:
             raise RuntimeError("exchange orbitals not set")
-        return int(self._orbitals.real.shape[0]) * int(n_target_bands)
+        return int(np.count_nonzero(self._orbitals.occupations)) * int(n_target_bands)

@@ -10,22 +10,43 @@
 * ``V_X`` is the (screened) Fock exchange integral operator depending on the
   full density matrix.
 
-The class below assembles these pieces and exposes the two operations the
-propagators need: :meth:`update_potential` (recompute ``V_Hxc`` and the
-exchange orbitals from a wavefunction/density) and :meth:`apply` (evaluate
-``H Psi`` for a coefficient block), which is the ``HΨ`` kernel whose cost
-dominates the paper's runtime breakdown.
+The class below assembles these pieces. The two operations the propagators
+and the ground-state solver need have one body each, the stacked kernels at
+the end of this module: :func:`update_potentials_many` (recompute ``V_Hxc``
+and the exchange orbitals, Alg. 1 line 5) and :func:`apply_many` (``H Psi``,
+the kernel whose cost dominates the paper's runtime breakdown: kinetic, local
+FFT, nonlocal, and the Fock pair loop of Alg. 2). A lockstep group calls them
+on a stack of jobs; :meth:`Hamiltonian.update_potential` and
+:meth:`Hamiltonian.apply` are their width-1 calls.
+
+Bit-identity contract
+---------------------
+The kernels must produce, per job, exactly the floats of the same job in a
+stack of any other width — a stack of one included. That holds because only
+two kinds of operation are batched across jobs:
+
+* FFTs — pocketfft transforms every leading-axis slice independently, so a
+  stacked transform equals J single-job transforms bit for bit;
+* elementwise/broadcast arithmetic — each slice sees the same multiplier
+  values in the same expression order at every width.
+
+Everything GEMM-shaped (nonlocal projectors, exchange, subspace overlaps,
+Anderson extrapolation, Cholesky) stays a per-job loop on per-job slices:
+batching would change BLAS blocking and therefore the floats. Anderson mixing
+is band-batched *inside* a job (one stacked solve over the job's bands, the
+same call at every stack width) and never across jobs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .basis import Wavefunction
-from .density import compute_density
+from .density import compute_density, compute_density_many
 from .exchange import ExchangeOperator
 from .grid import FFTGrid, PlaneWaveBasis
 from .poisson import hartree_energy, hartree_potential
@@ -38,7 +59,14 @@ from .pseudopotential import (
 from .structures import Structure
 from .xc import LDAFunctional
 
-__all__ = ["Hamiltonian", "EnergyBreakdown", "HamiltonianCounters"]
+__all__ = [
+    "Hamiltonian",
+    "EnergyBreakdown",
+    "HamiltonianCounters",
+    "stack_coefficients",
+    "apply_many",
+    "update_potentials_many",
+]
 
 
 @dataclass
@@ -226,15 +254,6 @@ class Hamiltonian:
             self._kinetic_f32 = cached
         return cached
 
-    @property
-    def _local_single(self) -> np.ndarray:
-        """``float32`` :attr:`local_potential` for the complex64 tier (cached)."""
-        v_local = self.local_potential
-        cached = getattr(self, "_v_local_f32", None)
-        if cached is None or cached[0] is not v_local:
-            cached = self._v_local_f32 = (v_local, v_local.astype(np.float32))
-        return cached[1]
-
     # ------------------------------------------------------------------
     # State updates
     # ------------------------------------------------------------------
@@ -261,33 +280,15 @@ class Hamiltonian:
         wavefunction: Wavefunction,
         density: np.ndarray | None = None,
         update_exchange: bool = True,
-        v_hartree: np.ndarray | None = None,
-        xc_result: "XCResult | None" = None,
-        psi_real: np.ndarray | None = None,
     ) -> np.ndarray:
         """Recompute ``V_Hxc`` (and the exchange orbitals) from a wavefunction.
 
         This is Alg. 1 line 5 of the paper ("Update the potential and the
-        Hamiltonian H_f"). Returns the density used. ``density``, ``v_hartree``
-        and ``xc_result`` may be passed precomputed — the batched stepping
-        engine evaluates all three for a whole job stack at once and hands
-        each Hamiltonian its slice. ``psi_real`` may carry
-        ``wavefunction.to_real_space()`` — the propagators transform each
-        iterate once — for the density and the exchange orbitals to take.
+        Hamiltonian H_f"), the width-1 call of :func:`update_potentials_many`.
+        Returns the density used; ``density`` may be passed precomputed.
         """
-        if density is None:
-            density = compute_density(wavefunction, self.grid, psi_real=psi_real)
-        self.density = density
-        self.v_hartree = hartree_potential(self.grid, density) if v_hartree is None else v_hartree
-        if xc_result is None:
-            xc_result = self.xc.evaluate(density, self.grid.volume_element)
-        self.v_xc = xc_result.potential
-        self._xc_energy = xc_result.energy
-        self._v_local = None
-        if self.exchange is not None and update_exchange:
-            self.exchange.set_orbitals(wavefunction, psi_real=psi_real)
-        self.counters.potential_updates += 1
-        return density
+        densities = None if density is None else np.asarray(density)[None]
+        return update_potentials_many([self], [wavefunction], densities, update_exchange=[update_exchange])[0]
 
     # ------------------------------------------------------------------
     # Operator application
@@ -306,58 +307,20 @@ class Hamiltonian:
             self._v_local = v
         return v
 
-    def apply(self, coefficients: np.ndarray, include_exchange: bool = True, psi_real=None) -> np.ndarray:
+    def apply(self, coefficients: np.ndarray, include_exchange: bool = True) -> np.ndarray:
         """Evaluate ``H Psi`` for a block of plane-wave coefficients.
 
-        Parameters
-        ----------
-        coefficients:
-            ``(nbands, npw)`` complex array.
-        include_exchange:
-            If False, skip the Fock exchange term (used by semi-local
-            preconditioners and the ground state's semi-local first round).
-        psi_real:
-            Optional precomputed ``basis.to_real_space(coefficients)``; the
-            forward transform of the local term is then skipped.
+        The width-1 call of :func:`apply_many`. ``coefficients`` is an
+        ``(nbands, npw)`` block or one ``(npw,)`` band; ``include_exchange=False``
+        skips the Fock exchange term (the ground state's semi-local first
+        round).
         """
         coefficients = np.asarray(coefficients)
         if coefficients.dtype != np.complex64:  # complex64 tier stays single precision
             coefficients = np.asarray(coefficients, dtype=np.complex128)
-        single = coefficients.ndim == 1
-        if single:
-            coefficients = coefficients[None, :]
-        self.counters.apply_calls += 1
-
-        kinetic = self.kinetic_diagonal
-        v_local = self.local_potential
-        if coefficients.dtype == np.complex64:
-            # float64 multipliers would promote the whole product back to double
-            kinetic = self._kinetic_single
-            v_local = self._local_single
-
-        # kinetic: diagonal in G space
-        out = coefficients * kinetic[None, :]
-
-        # local potential: FFT to real space, multiply, FFT back (the product
-        # is a temporary, so the transform may scratch it)
-        if psi_real is None:
-            psi_real = self.basis.to_real_space(coefficients)
-        out += self.basis.from_real_space(v_local[None, ...] * psi_real, overwrite=True)
-
-        # nonlocal pseudopotential
-        out += self.nonlocal_psp.apply(coefficients)
-
-        # hybrid exchange
-        if include_exchange and self.exchange is not None:
-            out += self.exchange.apply(coefficients)
-            self.counters.fock_applications += 1
-        return out[0] if single else out
-
-    def apply_to_wavefunction(self, wavefunction: Wavefunction) -> Wavefunction:
-        """Convenience wrapper returning a :class:`Wavefunction` of ``H Psi``."""
-        return Wavefunction(
-            self.basis, self.apply(wavefunction.coefficients), wavefunction.occupations
-        )
+        if coefficients.ndim == 1:
+            return apply_many([self], coefficients[None, None], [include_exchange])[0, 0]
+        return apply_many([self], coefficients[None], [include_exchange])[0]
 
     # ------------------------------------------------------------------
     # Energies
@@ -427,3 +390,108 @@ class Hamiltonian:
         ``1 / (|G|^2/2 + shift)``; used by the iterative eigensolver.
         """
         return 1.0 / (self.kinetic_diagonal + shift)
+
+
+# ----------------------------------------------------------------------
+# The stacked kernels (one body each; see the bit-identity contract above)
+# ----------------------------------------------------------------------
+def _per_job(flag: bool | Sequence[bool], njobs: int) -> Sequence[bool]:
+    """One flag for the whole stack, or the per-job flags as given."""
+    return [flag] * njobs if isinstance(flag, bool) else flag
+
+
+def stack_coefficients(wavefunctions) -> np.ndarray:
+    """Stack per-job coefficient blocks into a ``(njobs, nbands, npw)`` array."""
+    return np.stack([wf.coefficients for wf in wavefunctions])
+
+
+def apply_many(
+    hamiltonians: list[Hamiltonian],
+    coeff_stack: np.ndarray,
+    include_exchange: bool | Sequence[bool] = True,
+    psi_real: np.ndarray | None = None,
+) -> np.ndarray:
+    """``H_j Psi_j`` for every job of a stack, FFTs batched across jobs.
+
+    Per job: kinetic, local, nonlocal, exchange, in that order, with the two
+    orbital transforms of the local term executed once for the whole stack,
+    and one ``apply_calls`` (plus one ``fock_applications`` with exchange).
+    ``psi_real`` may be passed when the caller already transformed
+    ``coeff_stack`` to real space (the stage density needs the very same
+    array): the forward transform is then skipped entirely.
+    ``include_exchange`` may be one flag per job: the jobs of a lockstep stack
+    need not all apply the Fock operator in the same call.
+    """
+    coeff_stack = np.asarray(coeff_stack)
+    basis = hamiltonians[0].basis
+    kinetic = hamiltonians[0].kinetic_diagonal
+    potentials = [ham.local_potential for ham in hamiltonians]
+    # a stack of one is a view of its potential; np.stack would copy the grid
+    v_stack = potentials[0][None] if len(potentials) == 1 else np.stack(potentials)
+    if coeff_stack.dtype == np.complex64:
+        # float64 multipliers would promote the whole product back to double
+        kinetic = hamiltonians[0]._kinetic_single
+        v_stack = v_stack.astype(np.float32)
+    for ham in hamiltonians:
+        ham.counters.apply_calls += 1
+
+    out = coeff_stack * kinetic[None, None, :]
+    if psi_real is None:
+        psi_real = basis.to_real_space(coeff_stack)
+    # the product is a temporary, so the transform may scratch it
+    out += basis.from_real_space(v_stack[:, None, ...] * psi_real, overwrite=True)
+
+    include = _per_job(include_exchange, len(hamiltonians))
+    for j, ham in enumerate(hamiltonians):
+        out[j] += ham.nonlocal_psp.apply(coeff_stack[j])
+        if include[j] and ham.exchange is not None:
+            out[j] += ham.exchange.apply(coeff_stack[j])
+            ham.counters.fock_applications += 1
+    return out
+
+
+def update_potentials_many(
+    hamiltonians: list[Hamiltonian],
+    wavefunctions: "list[Wavefunction | None]",
+    densities: np.ndarray | None = None,
+    psi_real: np.ndarray | None = None,
+    update_exchange: bool | Sequence[bool] = True,
+) -> np.ndarray:
+    """Refresh every job's ``V_Hxc`` with the density/Hartree FFTs batched.
+
+    ``densities`` may be passed precomputed (the PT-CN inner loop reuses the
+    densities it computed for the convergence check); otherwise they
+    are evaluated for the whole stack in one transform — or with zero
+    transforms when ``psi_real`` carries the already-transformed orbitals.
+    The Hartree solve and the xc evaluation run batched over the stack (both
+    produce bit-identical slices); only the exchange-orbital update remains
+    per-job, and takes its job's slice of ``psi_real`` instead of
+    transforming the coefficients again. ``update_exchange`` may be one flag
+    per job; a job that keeps its exchange orbitals and whose density is
+    passed in needs no ``Wavefunction`` (its entry may be ``None``). Returns
+    the stacked densities.
+    """
+    basis = hamiltonians[0].basis
+    grid = basis.grid
+    if densities is None:
+        occupations = np.stack([wf.occupations for wf in wavefunctions])
+        if psi_real is None:
+            psi_real = basis.to_real_space(stack_coefficients(wavefunctions))
+        densities = compute_density_many(basis, None, occupations, psi_real=psi_real)
+    v_hartree = hartree_potential(grid, densities)
+    xc = hamiltonians[0].xc
+    if all(ham.xc is xc for ham in hamiltonians):
+        xc_results = xc.evaluate_many(densities, grid.volume_element)
+    else:  # heterogeneous functionals: each job's own
+        xc_results = [ham.xc.evaluate(rho, grid.volume_element) for ham, rho in zip(hamiltonians, densities)]
+    update = _per_job(update_exchange, len(hamiltonians))
+    for j, ham in enumerate(hamiltonians):
+        ham.density = densities[j]
+        ham.v_hartree = v_hartree[j]
+        ham.v_xc = xc_results[j].potential
+        ham._xc_energy = xc_results[j].energy
+        ham._v_local = None
+        if ham.exchange is not None and update[j]:
+            ham.exchange.set_orbitals(wavefunctions[j], psi_real=None if psi_real is None else psi_real[j])
+        ham.counters.potential_updates += 1
+    return densities

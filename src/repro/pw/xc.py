@@ -135,19 +135,16 @@ class LDAFunctional:
         self.correlation = bool(correlation)
 
     def evaluate(self, rho: np.ndarray, volume_element: float) -> XCResult:
-        """Evaluate energy density, potential, and integrated energy."""
-        rho = _clipped(rho)
-        eps, pot = self._energy_density_and_potential(rho)
-        energy = float(np.sum(rho * eps) * volume_element)
-        return XCResult(energy_density=eps, potential=pot, energy=energy)
+        """Energy density, potential, and integrated energy of one density:
+        the width-1 call of :meth:`evaluate_many`."""
+        return self.evaluate_many(np.asarray(rho)[None], volume_element)[0]
 
     def evaluate_many(self, rho_stack: np.ndarray, volume_element: float) -> list[XCResult]:
         """Evaluate a ``(njobs,) + grid.shape`` density stack in one pass.
 
-        Every operation is elementwise (and the energy integral reduces each
-        job's contiguous grid slice in the same order as :meth:`evaluate`
-        reduces the whole array), so each returned slice is bit-identical to
-        evaluating that job's density alone — the batched stepping engine
+        Every operation is elementwise, and the energy integral reduces each
+        job's contiguous grid slice, so each returned slice is bit-identical
+        to evaluating that job's density alone — the batched stepping engine
         relies on this to amortize the ufunc dispatch over the job stack.
         """
         rho = _clipped(rho_stack)

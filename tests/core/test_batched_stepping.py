@@ -413,8 +413,8 @@ def test_stacked_kernels_take_the_exchange_flags_per_job(h2_ground_state, rng):
     ``update_potentials_many(update_exchange=[...])`` do, per job, what the
     single-block calls do with that job's flag — floats and counters — and a
     job that keeps its exchange orbitals needs no ``Wavefunction``."""
-    from repro.core.batching import apply_many, update_potentials_many
     from repro.pw import Wavefunction, compute_density
+    from repro.pw.hamiltonian import apply_many, update_potentials_many
 
     base_ham, result = h2_ground_state
     wf0 = result.wavefunction

@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.core.observables import dipole_moment, electron_number
 from repro.pw import Hamiltonian, Wavefunction, compute_density
+from repro.pw.hamiltonian import apply_many, update_potentials_many
 
 
 @pytest.fixture()
@@ -417,22 +418,35 @@ class TestTransformBudget:
         done = results[0][2]
         assert done.ffts == 2 * done.poisson_solves + wf0.nbands * done.applications
 
-    def test_handed_in_transform_changes_no_result(self, chain_hybrid_hamiltonian, chain_ground_state):
+    def test_handed_in_transform_changes_no_result(
+        self, chain_hybrid_hamiltonian, chain_ground_state, count_transforms
+    ):
+        """The stacked kernels take a caller's transform instead of making
+        their own: the same floats, one orbital transform fewer per band."""
         wf = chain_ground_state[1].wavefunction
         psi = wf.to_real_space()
         assert np.array_equal(compute_density(wf, psi_real=psi), compute_density(wf))
 
+        def transforms(kernel, *args, **kwargs):
+            before = count_transforms["transforms"]
+            result = kernel(*args, **kwargs)
+            return result, count_transforms["transforms"] - before
+
         plain, handed = chain_hybrid_hamiltonian.clone(), chain_hybrid_hamiltonian.clone()
-        rho_plain = plain.update_potential(wf)
-        rho_handed = handed.update_potential(wf, psi_real=psi)
+        rho_plain, made_plain = transforms(update_potentials_many, [plain], [wf])
+        rho_handed, made_handed = transforms(update_potentials_many, [handed], [wf], psi_real=psi[None])
+        assert made_plain - made_handed == wf.nbands
         assert np.array_equal(rho_handed, rho_plain)
         assert np.array_equal(handed.v_hartree, plain.v_hartree)
         assert np.array_equal(handed.v_xc, plain.v_xc)
-        assert plain.exchange.counters.ffts == wf.nbands
-        assert handed.exchange.counters.ffts == 0
-        reference = plain.apply(wf.coefficients)
-        assert np.array_equal(handed.apply(wf.coefficients, psi_real=psi), reference)
-        assert np.array_equal(handed.apply(wf.coefficients), reference)
+        # either way the exchange orbitals arrive with the kernel's transform
+        assert plain.exchange.counters.ffts == handed.exchange.counters.ffts == 0
+
+        reference, made_plain = transforms(apply_many, [plain], wf.coefficients[None])
+        out, made_handed = transforms(apply_many, [handed], wf.coefficients[None], psi_real=psi[None])
+        assert made_plain - made_handed == wf.nbands
+        assert np.array_equal(out, reference)
+        assert np.array_equal(handed.apply(wf.coefficients), reference[0])
 
     def test_kept_transform_needs_the_same_arrays_and_is_dropped_by_prepare(
         self, chain_hybrid_hamiltonian, chain_ground_state, count_transforms

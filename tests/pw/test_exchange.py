@@ -156,6 +156,16 @@ class TestEnergyAndCounters:
         # pairs (0,0) and (0,1); the empty-empty pair (1,1) feeds no band
         assert op.counters.poisson_solves == 2
 
+    def test_expected_poisson_solves_counts_occupied_orbitals(self, h2_basis, rng):
+        """The rectangle path pairs only occupied orbitals with the targets."""
+        op = ExchangeOperator(h2_basis, mixing_fraction=0.25)
+        op.set_orbitals(Wavefunction.random(h2_basis, 2, rng=rng, occupations=np.array([2.0, 0.0])))
+        target = Wavefunction.random(h2_basis, 5, rng=rng)
+        op.counters.reset()
+        op.apply(target.coefficients)
+        assert op.counters.poisson_solves == 5
+        assert op.expected_poisson_solves(5) == 5
+
 
 def _rectangular_reference(basis, kernel, wavefunction, mixing):
     """The N^2 loop of Eq. 3, written out: the reference both paths must match."""

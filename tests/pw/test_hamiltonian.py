@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pw import Hamiltonian, Wavefunction, compute_density
+from repro.pw.hamiltonian import apply_many
 from repro.pw.laser import GaussianLaserPulse
 
 
@@ -85,11 +86,19 @@ class TestApply:
         assert hybrid_hamiltonian.counters.apply_calls == 1
         assert hybrid_hamiltonian.counters.fock_applications == 1
 
-    def test_apply_to_wavefunction(self, lda_hamiltonian, random_wavefunction):
-        lda_hamiltonian.update_potential(random_wavefunction)
-        result = lda_hamiltonian.apply_to_wavefunction(random_wavefunction)
-        assert isinstance(result, Wavefunction)
-        assert result.nbands == random_wavefunction.nbands
+    def test_complex64_block_is_row_0_of_a_wider_stack(self, hybrid_hamiltonian, random_wavefunction, rng):
+        """The single-precision tier stays single precision through the
+        width-1 call and gets the floats of the same job in a width-2 stack."""
+        hybrid_hamiltonian.update_potential(random_wavefunction)
+        neighbour = hybrid_hamiltonian.clone()
+        neighbour.update_potential(Wavefunction.random(hybrid_hamiltonian.basis, 3, rng=rng))
+        block = random_wavefunction.coefficients.astype(np.complex64)
+        other = Wavefunction.random(hybrid_hamiltonian.basis, 3, rng=rng).coefficients.astype(np.complex64)
+        single = hybrid_hamiltonian.apply(block)
+        assert single.dtype == np.complex64
+        stacked = apply_many([hybrid_hamiltonian, neighbour], np.stack([block, other]))
+        assert stacked.dtype == np.complex64
+        assert single.tobytes() == stacked[0].tobytes()
 
 
 class TestExternalField:

@@ -203,7 +203,7 @@ class TestLDAFunctional:
         monkeypatch.setattr(np, "maximum", counting)
         stacked = functional.evaluate_many(rho, 0.5)
         single = functional.evaluate(rho[1], 0.5)
-        assert clips == [rho.shape, rho[1].shape]
+        assert clips == [rho.shape, rho[1:2].shape]  # evaluate is the width-1 evaluate_many
         for result in (stacked[1], single):
             assert np.array_equal(result.energy_density, eps[1])
             assert np.array_equal(result.potential, pot[1])
