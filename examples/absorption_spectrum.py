@@ -109,7 +109,7 @@ def sweep(backend: str, ranks: int, schedule: str | None, smoke: bool) -> int:
     )
     runner = BatchRunner(
         spec,
-        settings=ExecutionSettings.resolve(
+        settings=ExecutionSettings.from_config(
             spec.base, backend=backend, ranks=ranks, schedule=schedule
         ),
     )

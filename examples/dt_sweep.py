@@ -89,7 +89,7 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
     else:
         runner = BatchRunner(
             spec,
-            settings=ExecutionSettings.resolve(
+            settings=ExecutionSettings.from_config(
                 spec.base, backend=backend, ranks=ranks, schedule=schedule
             ),
         )
@@ -144,7 +144,7 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
     # exercise scheduling and to give every one of 4 simulated ranks a group
     spec = SweepSpec(base, {"basis.ecut": [1.5, 1.7, 2.0, 2.2], "run.time_step_as": [1.0, 2.0]})
     n_jobs = spec.n_jobs
-    settings = ExecutionSettings.resolve(base, backend=backend, ranks=ranks, schedule=schedule)
+    settings = ExecutionSettings.from_config(base, backend=backend, ranks=ranks, schedule=schedule)
     with tempfile.TemporaryDirectory() as store_root:
         runner = BatchRunner(spec, store=store_root, settings=settings)
         report = runner.run()

@@ -323,7 +323,9 @@ class SweepReport:
         info = self.execution
         if not info:
             return "(no execution summary recorded)"
-        per_rank = info.get("per_rank")
+        from ..cost.model import _rank_records  # deferred: keeps report import light
+
+        per_rank = _rank_records(info)
         if not per_rank:
             line = (
                 f"backend={info.get('backend', '?')} "
@@ -372,13 +374,14 @@ class SweepReport:
         reduces the table to the scaling-curve point the ``bench_fig7/8``
         benchmarks consume (:func:`repro.cost.sweep_execution_point`).
         """
-        per_rank = self.execution.get("per_rank")
+        from ..cost.model import _rank_records, sweep_execution_point  # deferred: keeps report import light
+
+        per_rank = _rank_records(self.execution)
         if not per_rank:
             return (
                 "(no per-rank execution accounting; run the sweep with "
                 "backend='distributed' to model placement and wall costs)"
             )
-        from ..cost import sweep_execution_point  # deferred: keeps report import light
 
         headers = [
             "rank", "node", "link", "jobs",

@@ -10,7 +10,8 @@ re-expansion of configs.
 
 :func:`extract_observations` pulls them out of any
 :class:`~repro.batch.SweepReport` / :class:`~repro.campaign.CampaignReport`
-(or a raw execution dict); :class:`ObservationLog` persists them under a
+(or a raw execution dict of :meth:`repro.exec.ScheduledGroup.as_dict`
+records); :class:`ObservationLog` persists them under a
 :class:`~repro.store.ResultStore` root at ``calibration/observations.jsonl``
 — append-only in semantics, atomic tmp-then-``os.replace`` in mechanism,
 exactly like the object store's writes, so a crashed append can never leave
@@ -99,7 +100,10 @@ class Observation:
 
 
 def _group_observations(execution: dict, *, sweep: str | None, machine: str | None) -> list[Observation]:
-    """Observations of one execution summary's stamped group records."""
+    """Observations of one execution summary's group records — the
+    :meth:`repro.exec.ScheduledGroup.as_dict` records, stamped after
+    execution. The one place an :class:`Observation` is built from a group:
+    reports and the service runner's mid-sweep fits both read through it."""
     out: list[Observation] = []
     for record in execution.get("groups") or []:
         if not isinstance(record, dict):

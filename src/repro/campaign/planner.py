@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..cost.model import MACHINES, resolve_machine
-from ..exec.scheduler import Scheduler
+from ..exec.scheduler import Scheduler, _rank_loads
 from ..exec.settings import ExecutionSettings
 from .spec import Budget, CampaignSpec, InfeasibleBudgetError
 
@@ -369,9 +369,9 @@ class CampaignPlanner:
         predicted (exotic custom structures) — the planner needs real
         numbers, unlike the scheduler, which degrades to expansion order.
         """
-        scheduler = settings.scheduler()
-        if self.calibration is not None and scheduler.machine is not None:
-            scheduler.machine = scheduler.machine.calibrated(self.calibration)
+        scheduler = Scheduler(
+            settings.schedule, machine=settings.machine_model(), calibration=self.calibration
+        )
         forecasts: dict[str, SweepPlan] = {}
         for name, priced in self._priced.items():
             scheduled = scheduler.order([replace(group, notes=list(group.notes)) for group in priced])
@@ -383,8 +383,8 @@ class CampaignPlanner:
                     "structure or disabled machine model?); campaigns need predictable "
                     "workloads"
                 )
-            bins = scheduler.pack(scheduled, settings.ranks)
-            wall = max(sum(g.predicted_seconds for g in rank_groups) for rank_groups in bins)
+            scheduler.pack(scheduled, settings.ranks)
+            wall = max(_rank_loads(scheduled, settings.ranks, lambda g: g.predicted_seconds))
             energy = sum(g.predicted_energy_j for g in scheduled)
             forecasts[name] = SweepPlan(
                 name=name,

@@ -16,7 +16,9 @@ import json
 
 from ..analysis import format_table
 from ..batch.report import SweepReport
+from ..calib import CalibrationModel
 from ..core.dynamics import json_default
+from ..cost.model import sweep_execution_point
 
 __all__ = ["CampaignReport"]
 
@@ -30,13 +32,10 @@ def _observed_wall_seconds(report: SweepReport) -> float:
     never have reported its stats dict — in which case the makespan degrades
     to the summed-job rule instead of raising on a partial report.
     """
-    per_rank = [
-        stats for stats in (report.execution.get("per_rank") or [])
-        if isinstance(stats, dict)
-    ]
-    if per_rank:
-        return max(float(stats.get("observed_seconds") or 0.0) for stats in per_rank)
-    return sum(float(r.summary.get("wall_time") or 0.0) for r in report.results)
+    try:
+        return sweep_execution_point(report.execution)["observed_makespan_s"]
+    except ValueError:  # no per-rank accounting
+        return sum(float(r.summary.get("wall_time") or 0.0) for r in report.results)
 
 
 def _drift(predicted, observed) -> str:
@@ -200,13 +199,10 @@ class CampaignReport:
             )
         settings = self.settings
         calibration = self.plan.get("calibration")
-        if isinstance(calibration, dict) and calibration.get("factors"):
-            provenance = (
-                f"calibrated from {calibration.get('n_observations', 0)} obs / "
-                f"{len(calibration['factors'])} bucket(s)"
-            )
-        else:
-            provenance = "uncalibrated"
+        provenance = (
+            CalibrationModel.from_dict(calibration).describe()
+            if isinstance(calibration, dict) else "uncalibrated"
+        )
         footer = (
             f"machine={settings.get('machine', '?')} backend={settings.get('backend', '?')} "
             f"ranks={settings.get('ranks', '?')} schedule={settings.get('schedule', '?')} "

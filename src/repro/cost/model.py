@@ -385,6 +385,13 @@ class CalibratedCostModel(MachineCostModel):
 # ---------------------------------------------------------------------------
 
 
+def _rank_records(execution: dict) -> list[dict]:
+    """The per-rank stats of an execution summary — the one reader of
+    ``per_rank``: entries that are not dicts (a crashed rank's missing
+    stats) are skipped."""
+    return [stats for stats in execution.get("per_rank") or [] if isinstance(stats, dict)]
+
+
 def sweep_execution_point(execution: dict) -> dict:
     """Reduce one ``SweepReport.execution`` summary to a scaling-curve point.
 
@@ -394,7 +401,7 @@ def sweep_execution_point(execution: dict) -> dict:
     observed makespan (the busiest rank), total communication volume and
     predicted communication seconds, and total predicted energy.
     """
-    per_rank = execution.get("per_rank") or []
+    per_rank = _rank_records(execution)
     if not per_rank:
         raise ValueError("execution summary carries no per-rank accounting (distributed backend only)")
 

@@ -5,11 +5,14 @@ this module extracts it behind one small surface, the
 :class:`ExecutionBackend` protocol — ``submit_group`` accepts scheduled
 ground-state groups, ``run_group`` turns one of them into
 :class:`~repro.batch.JobResult`\\ s (the one place that happens:
-:func:`execute_group`, the observed-seconds stamp, the poll bookkeeping),
-``drain`` is the cancel-aware loop over ``run_group``, ``execution_summary``
-reports how the work was placed. :meth:`repro.batch.BatchRunner.run` drains a
-backend; :func:`repro.service.run_sweep` steps the same backend group by
-group between its ``await``\\ s. Three implementations:
+:func:`execute_group` and the observed-seconds stamp), ``drain`` is the loop
+over ``run_group``, ``execution_summary`` reports how the work was placed —
+one :meth:`~repro.exec.ScheduledGroup.as_dict` record per group.
+:meth:`repro.batch.BatchRunner.run` drains a backend;
+:func:`repro.service.run_sweep` steps the same backend group by group between
+its ``await``\\ s, and its progress and cancellation are the service's
+(:class:`~repro.service.SweepProgress`, the campaign task). Three
+implementations:
 
 * :class:`SerialBackend` — in-process, in submission order; the only backend
   that reuses the runner's warm sessions (``prepare_ground_states``).
@@ -203,12 +206,6 @@ def _group_wall_seconds(results) -> float:
     return sum(float(r.summary.get("wall_time") or 0.0) for r in results)
 
 
-def _finite(value) -> float | None:
-    """NaN (the scheduler's cost-model-failure sentinel) is not valid strict
-    JSON — export it as null instead."""
-    return float(value) if np.isfinite(value) else None
-
-
 def _run_group_worker(payload) -> tuple[list[dict], list[str]]:
     """Process-pool entry point: run a group, return JSON-able result dicts
     and the group's degraded-path notes (a worker's warnings never reach the
@@ -295,9 +292,6 @@ class ExecutionBackend:
         self.sessions = {} if sessions is None else sessions
         self.groups: list[ScheduledGroup] = []
         self._drained_groups = 0
-        self._drained_jobs = 0
-        self._done = False
-        self._cancelled = False
 
     # ------------------------------------------------------------------
     def submit_group(self, group: ScheduledGroup) -> None:
@@ -325,49 +319,14 @@ class ExecutionBackend:
         """Stamp a finished group's observed wall and count it as drained."""
         group.observed_seconds = _group_wall_seconds(results)
         self._drained_groups += 1
-        self._drained_jobs += group.n_jobs
         return results
 
     def drain(self) -> list[JobResult]:
-        """Run every submitted group (until cancelled) and return all job results."""
+        """Run every submitted group and return all job results."""
         results: list[JobResult] = []
         for group in self.groups:
-            if self._cancelled:
-                break
             results.extend(self.run_group(group))
-        self._done = True
         return results
-
-    # ------------------------------------------------------------------
-    # Non-blocking observation: poll/cancel beside drain
-    # ------------------------------------------------------------------
-    def poll(self) -> dict:
-        """Non-blocking progress snapshot of the drain, JSON-serializable.
-
-        Meaningful mid-drain when the backend is driven from another thread
-        or between a service's group boundaries; before ``drain`` it reports
-        zero progress, after it ``done`` is ``True``.
-        """
-        return {
-            "backend": self.name,
-            "n_groups": len(self.groups),
-            "n_jobs": sum(g.n_jobs for g in self.groups),
-            "groups_done": self._drained_groups,
-            "jobs_done": self._drained_jobs,
-            "cancelled": self._cancelled,
-            "done": self._done,
-        }
-
-    def cancel(self) -> int:
-        """Ask the drain to stop at the next group boundary.
-
-        Groups already executed keep their results (stored ones included — a
-        cancelled sweep resumes like a crashed one); returns the number of
-        submitted groups that had not finished when cancellation was
-        requested.
-        """
-        self._cancelled = True
-        return max(0, len(self.groups) - self._drained_groups)
 
     # ------------------------------------------------------------------
     def execution_summary(self) -> dict:
@@ -376,29 +335,7 @@ class ExecutionBackend:
             "backend": self.name,
             "n_groups": len(self.groups),
             "n_jobs": sum(g.n_jobs for g in self.groups),
-            "groups": [
-                {
-                    "index": g.index,
-                    "n_jobs": g.n_jobs,
-                    "predicted_cost": _finite(g.predicted_cost),
-                    "predicted_seconds": _finite(g.predicted_seconds),
-                    "predicted_energy_j": _finite(g.predicted_energy_j),
-                    "n_gpus": g.n_gpus,
-                    "rank": g.rank,
-                    # self-describing calibration identity (repro.calib):
-                    # machine preset, propagator, workload sizes, the observed
-                    # wall run_group stamped and the service's adaptive re-price
-                    "machine": g.machine,
-                    "propagator": g.propagator,
-                    "n_bands": g.n_bands,
-                    "n_grid": g.n_grid,
-                    "observed_seconds": _finite(g.observed_seconds),
-                    "repriced_seconds": _finite(g.repriced_seconds),
-                    # degraded paths only: a healthy group's record has no such key
-                    **({"notes": list(g.notes)} if g.notes else {}),
-                }
-                for g in self.groups
-            ],
+            "groups": [group.as_dict() for group in self.groups],
         }
 
 
@@ -448,19 +385,14 @@ class ProcessPoolBackend(ExecutionBackend):
         with executor:
             futures = []
             for group in self.groups:
-                if self._cancelled:
-                    break
                 payload = (group.jobs, self.store, self.raise_on_error,
                            self.share_ground_states, self.precision)
                 futures.append((group, executor.submit(_run_group_worker, payload)))
             for group, future in futures:
-                if self._cancelled and future.cancel():
-                    continue  # never started; its jobs simply don't report
                 dicts, notes = future.result()
                 group.notes.extend(notes)
                 group_results = [JobResult.from_dict(d) for d in dicts]
                 results.extend(self._record_group(group, group_results))
-        self._done = True
         return results
 
     def execution_summary(self) -> dict:

@@ -15,7 +15,7 @@ in sequence — :meth:`Scheduler.price` (workload model, reads no setting) then
 settings for the same groups prices them once.
 
 Policies (``run.schedule.policy`` in :class:`~repro.api.SimulationConfig`, or
-the ``schedule=`` argument of :class:`~repro.batch.BatchRunner`):
+``ExecutionSettings(schedule=...)``):
 
 * ``"fifo"`` — expansion order, cost-blind (the pre-existing behaviour);
   packing onto ranks is round-robin.
@@ -28,6 +28,13 @@ the ``schedule=`` argument of :class:`~repro.batch.BatchRunner`):
   packing weigh groups by predicted *joules* (watts of the occupied nodes
   times seconds), which differs from time whenever groups occupy differently
   sized machine slices (``run.machine.gpus_per_group``).
+
+This module owns the group ledger. :class:`ScheduledGroup` is the one record
+of a group (:meth:`ScheduledGroup.as_dict` is what execution summaries export
+and calibration reads), :func:`_least_loaded` the one greedy placement and
+:func:`_rank_loads` the one per-rank sum: :meth:`Scheduler.pack` /
+:meth:`Scheduler.makespan`, the planner's forecast and the service runner's
+lease length, adaptive re-pack and what-if all go through them.
 """
 
 from __future__ import annotations
@@ -52,6 +59,34 @@ _PRICING_ERRORS = (KeyError, ValueError, TypeError, ArithmeticError)
 #: sentinel distinguishing "build the default machine model" from an explicit
 #: ``machine=None`` (pure relative-FLOP scheduling, no wall-clock predictions)
 _DEFAULT_MACHINE = object()
+
+
+def _finite(value) -> float | None:
+    """NaN (the scheduler's cost-model-failure sentinel) is not valid strict
+    JSON — export it as null instead."""
+    return float(value) if np.isfinite(value) else None
+
+
+def _least_loaded(groups, loads: list[float], weight) -> None:
+    """Greedy least-loaded placement, in the given order: each group goes to
+    the rank with the smallest load so far (the lowest rank on ties), whose
+    load then grows by ``weight(group)``. Sets each group's ``rank`` and
+    updates ``loads`` (one entry per rank) in place."""
+    for group in groups:
+        rank = min(range(len(loads)), key=lambda r: (loads[r], r))
+        group.rank = rank
+        loads[rank] += weight(group)
+
+
+def _rank_loads(groups, n_ranks: int, weight) -> list[float]:
+    """Per-rank sums of ``weight(group)``, each rank summed in the given
+    order; a group without a rank in ``range(n_ranks)`` counts on rank 0.
+    The makespan of a packing is the ``max`` of this."""
+    loads = [0.0] * n_ranks
+    for group in groups:
+        rank = group.rank if group.rank is not None and 0 <= group.rank < n_ranks else 0
+        loads[rank] += weight(group)
+    return loads
 
 
 @dataclass
@@ -146,9 +181,42 @@ class ScheduledGroup:
                 return float(value)
         return self.weight
 
+    def repriced(self, fit) -> float:
+        """The model's prediction re-priced by a fitted
+        :class:`~repro.calib.CalibrationModel`: :attr:`predicted_seconds` ×
+        ``fit.scale_for(machine, propagator)``; ``nan`` without a finite
+        positive prediction."""
+        if np.isfinite(self.predicted_seconds) and self.predicted_seconds > 0:
+            return float(self.predicted_seconds) * fit.scale_for(self.machine, self.propagator)
+        return float("nan")
+
     def degraded(self, what: str, exc: BaseException) -> None:
         """Record a degraded path in :attr:`notes`: ``"<what>: <ExceptionClass>: <message>"``."""
         self.notes.append(f"{what}: {type(exc).__name__}: {exc}")
+
+    def as_dict(self) -> dict:
+        """The group's JSON-able record: what execution summaries export and
+        :func:`repro.calib.extract_observations` reads back."""
+        return {
+            "index": self.index,
+            "n_jobs": self.n_jobs,
+            "predicted_cost": _finite(self.predicted_cost),
+            "predicted_seconds": _finite(self.predicted_seconds),
+            "predicted_energy_j": _finite(self.predicted_energy_j),
+            "n_gpus": self.n_gpus,
+            "rank": self.rank,
+            # self-describing calibration identity (repro.calib): machine
+            # preset, propagator, workload sizes, the observed wall run_group
+            # stamped and the service's adaptive re-price
+            "machine": self.machine,
+            "propagator": self.propagator,
+            "n_bands": self.n_bands,
+            "n_grid": self.n_grid,
+            "observed_seconds": _finite(self.observed_seconds),
+            "repriced_seconds": _finite(self.repriced_seconds),
+            # degraded paths only: a healthy group's record has no such key
+            **({"notes": list(self.notes)} if self.notes else {}),
+        }
 
     def metric_value(self, metric: str) -> float:
         """The group's load in one named unit (``Scheduler._weight_metric``)."""
@@ -337,13 +405,10 @@ class Scheduler:
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         metric = self._weight_metric(groups)
-        loads = [0.0] * n_ranks
+        _least_loaded(groups, [0.0] * n_ranks, lambda g: g.metric_value(metric))
         bins: list[list[ScheduledGroup]] = [[] for _ in range(n_ranks)]
         for group in groups:
-            rank = min(range(n_ranks), key=lambda r: (loads[r], r))
-            group.rank = rank
-            bins[rank].append(group)
-            loads[rank] += group.metric_value(metric)
+            bins[group.rank].append(group)
         return bins
 
     def makespan(self, bins: list[list[ScheduledGroup]]) -> float:
@@ -352,7 +417,6 @@ class Scheduler:
         time-aware policies, predicted joules under ``"energy_aware"``."""
         if not bins:
             return 0.0
-        metric = self._weight_metric([group for rank_groups in bins for group in rank_groups])
-        return max(
-            sum(g.metric_value(metric) for g in rank_groups) for rank_groups in bins
-        )
+        groups = [group for rank_groups in bins for group in rank_groups]
+        metric = self._weight_metric(groups)
+        return max(_rank_loads(groups, len(bins), lambda g: g.metric_value(metric)))

@@ -21,13 +21,15 @@ store keys are computed with ``run.schedule`` / ``run.machine`` excluded,
 so the same sweep re-run under any settings reuses its stored results
 bit-for-bit.
 
-Resolution order (what :meth:`ExecutionSettings.resolve` implements, and what
-:class:`~repro.batch.BatchRunner` applies):
+Resolution order (what :class:`~repro.batch.BatchRunner` applies):
 
 1. an explicit ``settings=`` object (e.g. from a campaign plan) wins whole;
-2. explicit per-field arguments to :meth:`ExecutionSettings.resolve`;
-3. the base config's ``run.schedule`` / ``run.machine`` sections;
-4. the defaults (serial backend, 4 ranks, ``fifo``, Summit, 1 GPU/group).
+2. the base config's ``run.schedule`` / ``run.machine`` sections
+   (:meth:`ExecutionSettings.from_config`);
+3. the defaults (serial backend, 4 ranks, ``fifo``, Summit, 1 GPU/group).
+
+A caller building the ``settings=`` object itself layers per-field values
+over 2 and 3 as ``from_config`` keyword overrides.
 """
 
 from __future__ import annotations
@@ -128,7 +130,12 @@ class ExecutionSettings:
     @classmethod
     def from_config(cls, config, **overrides) -> "ExecutionSettings":
         """The settings a config's ``run.schedule`` / ``run.machine`` sections
-        describe, with any keyword overrides applied on top."""
+        describe, with any keyword overrides applied on top.
+
+        ``None`` means "not given": the value falls through to the config's
+        sections, then to the dataclass defaults — what a CLI with optional
+        ``--backend`` / ``--ranks`` / ``--schedule`` flags wants.
+        """
         machine = dict(getattr(config.run, "machine", {}) or {})
         schedule = dict(getattr(config.run, "schedule", {}) or {})
         resolved = {
@@ -140,27 +147,6 @@ class ExecutionSettings:
         }
         resolved.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**resolved)
-
-    @classmethod
-    def resolve(
-        cls,
-        config,
-        *,
-        backend: str | None = None,
-        ranks: int | None = None,
-        schedule: str | None = None,
-        max_workers: int | None = None,
-    ) -> "ExecutionSettings":
-        """Layer explicit per-field arguments over the config's sections.
-
-        ``None`` means "not specified": the value falls through to the
-        config's ``run.schedule`` / ``run.machine`` sections, then to the
-        dataclass defaults — what a CLI with optional ``--backend`` /
-        ``--ranks`` / ``--schedule`` flags wants.
-        """
-        return cls.from_config(
-            config, backend=backend, ranks=ranks, schedule=schedule, max_workers=max_workers
-        )
 
     # ------------------------------------------------------------------
     # The objects the settings describe
@@ -180,12 +166,6 @@ class ExecutionSettings:
         if self.machine is None or self.backend != "distributed":
             return None
         return NodePlacement(n_ranks=self.ranks, system=resolve_machine(self.machine))
-
-    def scheduler(self):
-        """The :class:`~repro.exec.Scheduler` these settings describe."""
-        from .scheduler import Scheduler  # deferred: scheduler imports this module's peers
-
-        return Scheduler(self.schedule, machine=self.machine_model())
 
     # ------------------------------------------------------------------
     # Provenance: stamping the chosen settings back into configs

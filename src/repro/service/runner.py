@@ -23,7 +23,11 @@ another, deterministic; their predicted seconds (the same numbers the
 :class:`~repro.campaign.CampaignPlanner` forecast) drive the pool calendar,
 so an un-preempted sweep occupies the pool for exactly its planned wall and
 the co-scheduled makespan of a set of campaigns is a prediction comparable
-against the serial sum of their plans.
+against the serial sum of their plans. The arithmetic is the scheduler's own
+group ledger (:mod:`repro.exec.scheduler`): a lease lasts the ``max`` of its
+segment's per-rank loads, a re-pack is its greedy least-loaded placement, and
+calibration fits read the groups' ``as_dict`` records through
+:func:`repro.calib.extract_observations`.
 
 **Adaptive re-planning** (``adaptive=True``) closes the calibration loop
 mid-sweep, at the same group boundaries preemption already uses: each
@@ -43,14 +47,15 @@ the physics export are untouched by construction.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..batch.report import SweepReport
 from ..batch.sweep import SweepSpec
-from ..calib import CalibrationModel, Observation
+from ..calib import CalibrationModel, extract_observations
 from ..exec.backends import SerialBackend, _sweep_report
+from ..exec.scheduler import Scheduler, _least_loaded, _rank_loads
 from ..exec.settings import ExecutionSettings
 from .pool import Lease, NodePool
 
@@ -61,36 +66,17 @@ __all__ = ["SweepOutcome", "run_sweep"]
 DEFAULT_DRIFT_THRESHOLD = 1.5
 
 
-def _segment_seconds(segment, n_ranks: int) -> float:
-    """Modeled duration of a lease's executed groups: the busiest virtual
-    rank's total planned seconds under the scheduler's packing — for a full
-    un-preempted sweep this is exactly the planner's predicted wall.
-    ``planned_seconds`` prefers calibration-repriced values, so a re-packed
-    sweep's leases shrink or grow with the corrected pricing."""
-    loads: dict[int, float] = {}
-    for group in segment:
-        rank = group.rank if group.rank is not None and 0 <= group.rank < n_ranks else 0
-        loads[rank] = loads.get(rank, 0.0) + group.planned_seconds
-    return max(loads.values(), default=0.0)
+def _fit(groups) -> CalibrationModel:
+    """The calibration fitted from executed groups' records (the fit drops
+    unusable ones — e.g. fully cached groups observing ~0 seconds)."""
+    return CalibrationModel.fit(extract_observations({"groups": [g.as_dict() for g in groups]}))
 
 
-def _observations_of(groups) -> list[Observation]:
-    """Calibration observations of executed groups (unusable ones dropped by
-    the fit itself — e.g. fully cached groups observing ~0 seconds)."""
-    return [
-        Observation(
-            machine=g.machine,
-            propagator=g.propagator,
-            n_bands=g.n_bands,
-            n_grid=g.n_grid,
-            gpus=int(g.n_gpus),
-            n_jobs=g.n_jobs,
-            predicted_seconds=float(g.predicted_seconds),
-            observed_seconds=float(g.observed_seconds),
-            group_index=g.index,
-        )
-        for g in groups
-    ]
+def _elapsed_seconds(group) -> float:
+    """What an executed group really cost its rank: observed seconds when
+    stamped, else its planned seconds."""
+    elapsed = group.observed_seconds
+    return float(elapsed) if np.isfinite(elapsed) and elapsed > 0 else group.planned_seconds
 
 
 def _drift_spread(groups) -> float | None:
@@ -125,36 +111,13 @@ def _repack(completed, remaining, segment, n_ranks: int) -> CalibrationModel:
     the imbalance work stealing corrects. Completed groups keep their ranks
     and their order.
     """
-    fit = CalibrationModel.fit(_observations_of(completed))
+    fit = _fit(completed)
     for group in remaining:
-        if np.isfinite(group.predicted_seconds) and group.predicted_seconds > 0:
-            group.repriced_seconds = float(group.predicted_seconds) * fit.scale_for(
-                group.machine, group.propagator
-            )
+        group.repriced_seconds = group.repriced(fit)
     remaining.sort(key=lambda g: (-g.planned_seconds, g.index))
-    loads = [0.0] * n_ranks
-    for group in segment:
-        rank = group.rank if group.rank is not None and 0 <= group.rank < n_ranks else 0
-        elapsed = group.observed_seconds
-        loads[rank] += (
-            float(elapsed) if np.isfinite(elapsed) and elapsed > 0
-            else group.planned_seconds
-        )
-    for group in remaining:
-        rank = min(range(n_ranks), key=lambda r: (loads[r], r))
-        group.rank = rank
-        loads[rank] += group.planned_seconds
+    loads = _rank_loads(segment, n_ranks, _elapsed_seconds)
+    _least_loaded(remaining, loads, lambda g: g.planned_seconds)
     return fit
-
-
-def _rank_makespan(groups, rank_of: dict[int, int | None], seconds_of, n_ranks: int) -> float:
-    """Makespan of a packing: busiest rank's summed ``seconds_of(group)``."""
-    loads: dict[int, float] = {}
-    for group in groups:
-        rank = rank_of.get(group.index)
-        rank = rank if rank is not None and 0 <= rank < n_ranks else 0
-        loads[rank] = loads.get(rank, 0.0) + float(seconds_of(group))
-    return max(loads.values(), default=0.0)
 
 
 @dataclass
@@ -229,14 +192,14 @@ async def run_sweep(
     :class:`~repro.exec.ScheduledGroup`, it returns the group's observed
     seconds; by default the real summed job wall times are used.
     """
-    scheduler = settings.scheduler()
-    if calibration is not None and scheduler.machine is not None:
-        scheduler.machine = scheduler.machine.calibrated(calibration)
+    scheduler = Scheduler(
+        settings.schedule, machine=settings.machine_model(), calibration=calibration
+    )
     scheduled = scheduler.schedule(spec.groups())
     scheduler.pack(scheduled, settings.ranks)
     # the static packing, frozen before anything runs — what the adaptive
     # accounting compares its re-packed makespan against
-    static_rank: dict[int, int | None] = {g.index: g.rank for g in scheduled}
+    static = [replace(group) for group in scheduled] if adaptive else []
     # the slice size the *pricing* actually used (per-config overrides win in
     # the cost model), mirroring CampaignPlanner._occupied_nodes
     priced_gpus = max((g.n_gpus for g in scheduled), default=settings.gpus_per_group)
@@ -302,7 +265,8 @@ async def run_sweep(
                         if progress is not None:
                             progress.repacks = len(repack_events)
         finally:
-            pool.release(lease, _segment_seconds(segment, settings.ranks))
+            # the lease's modeled duration: the segment's packed makespan
+            pool.release(lease, max(_rank_loads(segment, settings.ranks, lambda g: g.planned_seconds)))
             leases.append(lease)
         cursor = lease.end
         if remaining:
@@ -335,22 +299,19 @@ async def run_sweep(
             "repacks": len(repack_events),
             "events": repack_events,
         }
-        final_fit = CalibrationModel.fit(_observations_of(completed))
+        final_fit = _fit(completed)
         if repack_events and not final_fit.is_empty:
             # the what-if the re-pack is judged by: both packings priced with
             # the final fitted (observed-corrected) seconds
             def corrected(group) -> float:
-                if np.isfinite(group.predicted_seconds) and group.predicted_seconds > 0:
-                    return float(group.predicted_seconds) * final_fit.scale_for(
-                        group.machine, group.propagator
-                    )
-                return group.planned_seconds
+                seconds = group.repriced(final_fit)
+                return seconds if np.isfinite(seconds) else group.planned_seconds
 
-            record["static_modeled_makespan_s"] = _rank_makespan(
-                scheduled, static_rank, corrected, settings.ranks
+            record["static_modeled_makespan_s"] = max(
+                _rank_loads(static, settings.ranks, corrected)
             )
-            record["adaptive_modeled_makespan_s"] = _rank_makespan(
-                scheduled, {g.index: g.rank for g in scheduled}, corrected, settings.ranks
+            record["adaptive_modeled_makespan_s"] = max(
+                _rank_loads(scheduled, settings.ranks, corrected)
             )
         execution["adaptive"] = record
     report = _sweep_report(backend, results, spec, settings, scheduler.policy, execution)

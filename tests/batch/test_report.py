@@ -188,6 +188,22 @@ class TestScalingTable:
         assert "link" in table.splitlines()[0] and "comm [s]" in table.splitlines()[0]
         assert "nvlink" in table and "ib" in table
 
+    def test_a_missing_rank_entry_is_skipped_everywhere(self, report):
+        """A crashed rank may leave ``None`` in ``per_rank``: both tables
+        render the surviving rank, and the scaling point is that rank's."""
+        from repro.cost import sweep_execution_point
+
+        execution = self._execution()
+        survivor = execution["per_rank"][1]
+        execution["per_rank"][0] = None
+        report.execution = execution
+        for table in (report.execution_table(), report.scaling_table()):
+            assert len(table.splitlines()) == 2 + 1 + 1  # header, separator, 1 rank, footer
+            assert "ib" in table and "nvlink" not in table
+        point = sweep_execution_point(execution)
+        assert point == sweep_execution_point({**execution, "per_rank": [survivor]})
+        assert point["predicted_makespan_s"] == 1.5 and point["observed_makespan_s"] == 0.3
+
 
 def _kick_result(index, n_atoms, omega, *, pulse="delta_kick", strength=0.01) -> JobResult:
     """A delta-kick job whose dipole oscillates at ``omega`` (Ha)."""

@@ -22,6 +22,7 @@ from repro.campaign import (
     InfeasibleBudgetError,
 )
 from repro.cost import MACHINES
+from repro.exec import Scheduler
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ class TestPlannerSearch:
         with the chosen settings' own scheduler reproduces the predicted
         makespan exactly."""
         plan = shared_planner.plan(Budget(max_ranks=4))
-        scheduler = plan.settings.scheduler()
+        scheduler = Scheduler(plan.settings.schedule, machine=plan.settings.machine_model())
         for name, grouped in shared_planner._grouped.items():
             scheduled = scheduler.schedule(dict(grouped))
             bins = scheduler.pack(scheduled, plan.settings.ranks)

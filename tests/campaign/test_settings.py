@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.api import SimulationConfig
 from repro.batch import BatchRunner, SweepSpec, config_hash
 from repro.cost import MACHINES, MachineCostModel, NodePlacement
-from repro.exec import BACKEND_NAMES, ExecutionSettings, Scheduler
+from repro.exec import BACKEND_NAMES, ExecutionSettings
 
 
 class TestValidation:
@@ -74,14 +74,14 @@ class TestResolution:
 
     def test_explicit_arguments_override_the_config(self):
         config = SimulationConfig.from_dict({"run": {"schedule": {"policy": "energy_aware"}}})
-        settings = ExecutionSettings.resolve(config, backend="distributed", ranks=2, schedule="fifo")
+        settings = ExecutionSettings.from_config(config, backend="distributed", ranks=2, schedule="fifo")
         assert settings.backend == "distributed"
         assert settings.ranks == 2
         assert settings.schedule == "fifo"
 
     def test_none_arguments_fall_through_to_the_config(self):
         config = SimulationConfig.from_dict({"run": {"schedule": {"policy": "cheapest_first"}}})
-        settings = ExecutionSettings.resolve(config, backend=None, schedule=None)
+        settings = ExecutionSettings.from_config(config, backend=None, schedule=None)
         assert settings.schedule == "cheapest_first"
         assert settings.backend == "serial"
 
@@ -108,7 +108,6 @@ class TestDescribedObjects:
         settings = ExecutionSettings(machine=None, backend="distributed")
         assert settings.machine_model() is None
         assert settings.placement() is None
-        assert settings.scheduler().machine is None
 
     def test_placement_only_for_the_distributed_backend(self):
         assert ExecutionSettings(backend="serial").placement() is None
@@ -116,12 +115,6 @@ class TestDescribedObjects:
         assert isinstance(placement, NodePlacement)
         assert placement.n_ranks == 8
         assert placement.ranks_per_node == 8  # frontier: one rank per GCD
-
-    def test_scheduler_carries_policy_and_machine(self):
-        scheduler = ExecutionSettings(schedule="makespan_balanced").scheduler()
-        assert isinstance(scheduler, Scheduler)
-        assert scheduler.policy == "makespan_balanced"
-        assert scheduler.machine.system is MACHINES["summit"]
 
 
 class TestIdentityPreservation:

@@ -438,21 +438,10 @@ class TestBackendSurface:
 # ---------------------------------------------------------------------------
 
 
-class TestPollCancel:
-    """Every backend exposes a JSON-able progress snapshot and a cooperative
-    cancel that stops the drain at the next group boundary."""
-
-    @staticmethod
-    def _submit(backend, spec):
-        scheduled = Scheduler("fifo").schedule(BatchRunner(spec).groups())
-        for group in scheduled:
-            backend.submit_group(group)
-        return backend
-
-    @staticmethod
-    def _stub_execute_group(monkeypatch, on_group=None):
-        """Replace the physics with instant stub results; ``on_group(i)`` fires
-        after the i-th group (1-based) so tests can cancel mid-drain."""
+class TestProcessPoolSingleGroup:
+    def test_single_group_runs_in_process_on_the_base_loop(self, tiny_config, monkeypatch):
+        """A single-group process sweep has nothing to parallelise: it runs
+        the base class's own loop in-process, and that is no fallback."""
         from repro.batch import JobResult
 
         calls: list[int] = []
@@ -460,121 +449,14 @@ class TestPollCancel:
         def fake(jobs, store, raise_on_error, session=None, share_ground_states=False,
                  precision="complex128", notes=None):
             calls.append(len(jobs))
-            if on_group is not None:
-                on_group(len(calls))
             return [JobResult.from_failure(job, RuntimeError("stubbed")) for job in jobs]
 
         monkeypatch.setattr("repro.exec.backends.execute_group", fake)
-        return calls
-
-    def test_poll_reports_zero_then_full_progress(self, four_group_spec, monkeypatch):
-        self._stub_execute_group(monkeypatch)
-        backend = self._submit(SerialBackend(), four_group_spec)
-
-        before = backend.poll()
-        assert before == {
-            "backend": "serial",
-            "n_groups": 4,
-            "n_jobs": 8,
-            "groups_done": 0,
-            "jobs_done": 0,
-            "cancelled": False,
-            "done": False,
-        }
-        results = backend.drain()
-        after = backend.poll()
-        assert len(results) == 8
-        assert after["groups_done"] == 4 and after["jobs_done"] == 8
-        assert after["done"] and not after["cancelled"]
-        json.dumps(after)  # the snapshot is strict JSON
-
-    def test_cancel_before_drain_skips_everything(self, four_group_spec, monkeypatch):
-        calls = self._stub_execute_group(monkeypatch)
-        backend = self._submit(SerialBackend(), four_group_spec)
-
-        assert backend.cancel() == 4  # all four groups were still pending
-        assert backend.drain() == []
-        assert calls == []  # no physics ran at all
-        status = backend.poll()
-        assert status["cancelled"] and status["done"]
-        assert status["groups_done"] == 0
-
-    def test_mid_drain_cancel_stops_at_the_group_boundary(self, four_group_spec, monkeypatch):
-        backend = SerialBackend()
-        pending_at_cancel = []
-
-        def cancel_after_second(i):
-            if i == 2:
-                pending_at_cancel.append(backend.cancel())
-
-        calls = self._stub_execute_group(monkeypatch, on_group=cancel_after_second)
-        self._submit(backend, four_group_spec)
-
-        results = backend.drain()
-        # group 2 finished (cancel is cooperative), groups 3-4 never started
-        assert calls == [2, 2]
-        assert len(results) == 4
-        assert pending_at_cancel == [3]  # groups 2, 3, 4 were unfinished then
-        status = backend.poll()
-        assert status["cancelled"] and status["done"]
-        assert status["groups_done"] == 2 and status["jobs_done"] == 4
-
-    def test_distributed_backend_honours_cancel(self, four_group_spec, monkeypatch):
-        comm = SimCommunicator(size=2)
-        backend = DistributedBackend(comm=comm)
-
-        def cancel_after_first(i):
-            if i == 1:
-                backend.cancel()
-
-        calls = self._stub_execute_group(monkeypatch, on_group=cancel_after_first)
-        self._submit(backend, four_group_spec)
-
-        results = backend.drain()
-        assert calls == [2]  # only the first group was dispatched
-        assert len(results) == 2
-        status = backend.poll()
-        assert status["backend"] == "distributed"
-        assert status["groups_done"] == 1 and status["cancelled"] and status["done"]
-
-    def test_process_pool_single_group_reports_from_the_base_loop(self, tiny_config, monkeypatch):
-        """A single-group process sweep runs the base class's own loop: the
-        counters poll() reports are the ones that loop keeps, nothing mirrored."""
-        calls = self._stub_execute_group(monkeypatch)
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        backend = self._submit(ProcessPoolBackend(max_workers=2), spec)
+        backend = ProcessPoolBackend(max_workers=2)
+        for group in Scheduler("fifo").schedule(BatchRunner(spec).groups()):
+            backend.submit_group(group)
 
         assert len(backend.drain()) == 2
         assert calls == [2]  # in-process: the stubbed module global was reached
-        status = backend.poll()
-        assert status["backend"] == "process"
-        assert status["groups_done"] == 1 and status["jobs_done"] == 2
-        assert status["done"] and not status["cancelled"]
         assert backend.execution_summary()["used_fallback"] is False
-
-    def test_process_pool_without_a_pool_honours_cancel(self, four_group_spec, monkeypatch):
-        """No pool can be created: the fallback is the base loop, so a
-        mid-drain cancel() on the backend itself stops it at the group
-        boundary and poll() reports straight from it."""
-        import repro.exec.backends as backends_module
-
-        def refuse(*args, **kwargs):
-            raise OSError("no child processes allowed in this sandbox")
-
-        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", refuse)
-        backend = ProcessPoolBackend()
-
-        def cancel_after_second(i):
-            if i == 2:
-                backend.cancel()
-
-        calls = self._stub_execute_group(monkeypatch, on_group=cancel_after_second)
-        self._submit(backend, four_group_spec)
-
-        with pytest.warns(UserWarning, match="falling back to the 'serial'"):
-            results = backend.drain()
-        assert calls == [2, 2] and len(results) == 4
-        status = backend.poll()
-        assert status["groups_done"] == 2 and status["jobs_done"] == 4
-        assert status["cancelled"] and status["done"]
-        assert backend.execution_summary()["used_fallback"] is True

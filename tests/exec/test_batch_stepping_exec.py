@@ -312,7 +312,8 @@ class TestCostAmortization:
         unamortized = predict_scf_cost(jobs[0].config) + sum(
             predict_job_cost(job.config) for job in jobs
         )
-        for scheduler in (Scheduler(machine=None), ExecutionSettings(batch_stepping=True).scheduler()):
+        settings = ExecutionSettings(batch_stepping=True)
+        for scheduler in (Scheduler(machine=None), Scheduler(machine=settings.machine_model())):
             predicted = scheduler.predict_cost(jobs)
             assert predicted == predict_group_cost([job.config for job in jobs])
             assert predicted < unamortized

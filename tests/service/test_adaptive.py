@@ -16,6 +16,7 @@ import asyncio
 import pytest
 
 from repro.batch import BatchRunner, SweepSpec
+from repro.calib import CalibrationModel, Observation
 from repro.exec import ExecutionSettings
 from repro.service import NodePool
 from repro.service.runner import run_sweep
@@ -47,12 +48,35 @@ def settings() -> ExecutionSettings:
     return ExecutionSettings(machine="summit", ranks=2, schedule="makespan_balanced")
 
 
-def run_adaptive(spec, settings, **kwargs):
+def run_adaptive(spec, settings, observe=skewed_observe, **kwargs):
     async def body():
         pool = NodePool("summit", n_nodes=1)
-        return await run_sweep(spec, settings, pool, observe=skewed_observe, **kwargs)
+        return await run_sweep(spec, settings, pool, observe=observe, **kwargs)
 
     return asyncio.run(body())
+
+
+def fit_of(records) -> CalibrationModel:
+    """The calibration the given group records fit to."""
+    return CalibrationModel.fit(
+        [
+            Observation(
+                machine=r["machine"],
+                propagator=r["propagator"],
+                predicted_seconds=r["predicted_seconds"],
+                observed_seconds=r["observed_seconds"],
+            )
+            for r in records
+        ]
+    )
+
+
+def corrected_makespan(records, rank_of, fit) -> float:
+    """The busiest of two ranks, every group priced ``predicted x scale``."""
+    loads = [0.0, 0.0]
+    for r in records:
+        loads[rank_of[r["index"]]] += r["predicted_seconds"] * fit.scale_for(r["machine"], r["propagator"])
+    return max(loads)
 
 
 class TestAdaptiveRepack:
@@ -75,22 +99,45 @@ class TestAdaptiveRepack:
             < record["static_modeled_makespan_s"]
         )
 
-    def test_remaining_groups_are_repriced_not_repredicted(self, skewed_spec, settings):
-        outcome = run_adaptive(skewed_spec, settings, adaptive=True)
+    def test_the_ledger_is_the_fit_exactly(self, skewed_spec, settings):
+        """Every re-priced second and both what-if makespans equal what the
+        fits of the observed groups give, float for float: a group is
+        re-priced by the fit of the last re-pack before it ran, and both
+        packings are priced by the final fit."""
+        executed = []
+
+        def observe(group):
+            executed.append(group.index)
+            return skewed_observe(group)
+
+        static = run_adaptive(skewed_spec, settings, observe=observe)
+        del executed[:]
+        outcome = run_adaptive(skewed_spec, settings, observe=observe, adaptive=True)
+        record = outcome.report.execution["adaptive"]
         groups = outcome.report.execution["groups"]
-        repriced = [g for g in groups if g["repriced_seconds"] is not None]
-        assert repriced  # the re-pack re-priced at least the stolen groups
-        for g in repriced:
-            # repriced = prediction x the fitted bucket scale; the prediction
-            # itself stays the cost model's own number — observations must
-            # keep pairing it with reality
-            assert g["repriced_seconds"] == pytest.approx(
-                g["predicted_seconds"] * SKEW[g["propagator"]]
-            )
+        by_index = {g["index"]: g for g in groups}
+        assert len(record["events"]) >= 2  # re-packed more than once
+
+        static_groups = static.report.execution["groups"]
+        # re-priced, never re-predicted: observations keep pairing the model's
+        # own prediction with reality
+        assert [g["predicted_seconds"] for g in groups] == [g["predicted_seconds"] for g in static_groups]
         for g in groups:
-            assert g["observed_seconds"] == pytest.approx(
-                g["predicted_seconds"] * SKEW[g["propagator"]]
-            )
+            assert g["observed_seconds"] == g["predicted_seconds"] * SKEW[g["propagator"]]
+        for position, index in enumerate(executed):
+            before = [e["after_groups"] for e in record["events"] if e["after_groups"] <= position]
+            expected = None
+            if before:
+                fit = fit_of(by_index[i] for i in executed[: before[-1]])
+                g = by_index[index]
+                expected = g["predicted_seconds"] * fit.scale_for(g["machine"], g["propagator"])
+            assert by_index[index]["repriced_seconds"] == expected
+
+        final = fit_of(groups)
+        static_rank = {g["index"]: g["rank"] for g in static_groups}
+        adaptive_rank = {g["index"]: g["rank"] for g in groups}
+        assert record["static_modeled_makespan_s"] == corrected_makespan(groups, static_rank, final)
+        assert record["adaptive_modeled_makespan_s"] == corrected_makespan(groups, adaptive_rank, final)
 
     def test_no_repack_below_threshold(self, skewed_spec, settings):
         outcome = run_adaptive(

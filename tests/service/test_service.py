@@ -12,7 +12,7 @@ import pytest
 from repro.api import PROPAGATORS
 from repro.batch import BatchRunner, SweepSpec, config_hash
 from repro.campaign import Budget, CampaignSpec, InfeasibleBudgetError, plan
-from repro.exec import ExecutionSettings, Scheduler
+from repro.exec import ExecutionSettings
 from repro.service import CampaignService, NodePool, run_sweep
 from repro.store import ResultStore
 
@@ -90,6 +90,25 @@ class TestCoScheduling:
                 name
             ].to_json(exclude_timings=True)
 
+    def test_an_idle_pool_leases_exactly_the_planned_wall(self, cutoff_campaign):
+        """Un-preempted and uncalibrated, a sweep holds one lease for exactly
+        its planned wall: the planner's forecast and the runner's lease are
+        one rank-load sum over the same packing."""
+        # four groups on three ranks: one rank's load is a sum of two groups
+        execution_plan = plan(
+            cutoff_campaign, machines=["summit"], rank_options=(3,), gpus_per_group_options=(1,)
+        )
+        assert execution_plan.settings.ranks == 3
+
+        async def body():
+            pool = NodePool("summit", n_nodes=1)
+            return await run_sweep(cutoff_campaign.sweeps["cutoff"], execution_plan.settings, pool)
+
+        outcome = run(body())
+        (lease,) = outcome.leases
+        assert lease.start == 0.0
+        assert lease.duration == execution_plan.sweeps["cutoff"].predicted_wall_seconds
+
 
 # ---------------------------------------------------------------------------
 # One group-stepping core: run_sweep steps the backend BatchRunner drains
@@ -134,11 +153,8 @@ class TestSharedGroupCore:
         self, dt_campaign, monkeypatch
     ):
         (spec,) = dt_campaign.sweeps.values()
-        monkeypatch.setattr(
-            ExecutionSettings,
-            "scheduler",
-            lambda self: Scheduler("fifo", cost_fn=lambda configs: float("nan")),
-        )
+        # a workload model that cannot price anything
+        monkeypatch.setattr("repro.exec.scheduler.predict_group_cost", lambda configs: float("nan"))
         report = self._service_report(spec, ExecutionSettings(machine=None))
         assert [r.status for r in report] == ["completed", "completed"]
         decoded = json.loads(json.dumps(report.execution, allow_nan=False))  # strict JSON
