@@ -434,29 +434,69 @@ class TestBackendSurface:
 
 
 # ---------------------------------------------------------------------------
-# Non-blocking observation: poll() / cancel() beside drain()
+# What drain() leaves behind: placement and the group records
 # ---------------------------------------------------------------------------
+
+
+def _stub_execute_group(monkeypatch) -> list[int]:
+    """Replace the physics with instant stub results; returns the list each
+    executed group appends its job count to."""
+    from repro.batch import JobResult
+
+    calls: list[int] = []
+
+    def fake(jobs, store, raise_on_error, session=None, share_ground_states=False,
+             precision="complex128", notes=None):
+        calls.append(len(jobs))
+        return [JobResult.from_failure(job, RuntimeError("stubbed")) for job in jobs]
+
+    monkeypatch.setattr("repro.exec.backends.execute_group", fake)
+    return calls
+
+
+def _submit(backend, spec):
+    for group in Scheduler("fifo").schedule(BatchRunner(spec).groups()):
+        backend.submit_group(group)
+    return backend
 
 
 class TestProcessPoolSingleGroup:
     def test_single_group_runs_in_process_on_the_base_loop(self, tiny_config, monkeypatch):
         """A single-group process sweep has nothing to parallelise: it runs
         the base class's own loop in-process, and that is no fallback."""
-        from repro.batch import JobResult
-
-        calls: list[int] = []
-
-        def fake(jobs, store, raise_on_error, session=None, share_ground_states=False,
-                 precision="complex128", notes=None):
-            calls.append(len(jobs))
-            return [JobResult.from_failure(job, RuntimeError("stubbed")) for job in jobs]
-
-        monkeypatch.setattr("repro.exec.backends.execute_group", fake)
+        calls = _stub_execute_group(monkeypatch)
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        backend = ProcessPoolBackend(max_workers=2)
-        for group in Scheduler("fifo").schedule(BatchRunner(spec).groups()):
-            backend.submit_group(group)
+        backend = _submit(ProcessPoolBackend(max_workers=2), spec)
 
         assert len(backend.drain()) == 2
         assert calls == [2]  # in-process: the stubbed module global was reached
         assert backend.execution_summary()["used_fallback"] is False
+
+
+class TestDrainLedger:
+    def test_unplaced_groups_are_dispatched_round_robin(self, four_group_spec, monkeypatch):
+        """Groups the scheduler never packed (or packed for more ranks than
+        the backend has) go round-robin in drain order, and keep that rank."""
+        calls = _stub_execute_group(monkeypatch)
+        backend = _submit(DistributedBackend(ranks=2), four_group_spec)
+        assert all(g.rank is None for g in backend.groups)
+        backend.groups[1].rank = 5  # out of range for two ranks
+
+        assert len(backend.drain()) == 8
+        assert calls == [2, 2, 2, 2]
+        assert [g.rank for g in backend.groups] == [0, 1, 0, 1]
+        summary = backend.execution_summary()
+        assert [s["groups"] for s in summary["per_rank"]] == [2, 2]
+        assert [g["rank"] for g in summary["groups"]] == [0, 1, 0, 1]
+
+    def test_execution_summary_exports_the_group_records(self, four_group_spec, monkeypatch):
+        """The summary's ``groups`` are the scheduler's own records, one per
+        submitted group in submission order, stamped after the drain."""
+        _stub_execute_group(monkeypatch)
+        backend = _submit(SerialBackend(), four_group_spec)
+        backend.drain()
+
+        summary = json.loads(json.dumps(backend.execution_summary(), allow_nan=False))
+        assert summary["groups"] == [group.as_dict() for group in backend.groups]
+        assert [g["index"] for g in summary["groups"]] == [0, 1, 2, 3]
+        assert summary["n_groups"] == 4 and summary["n_jobs"] == 8

@@ -6,13 +6,18 @@ ground-state groups by the ``repro.perf`` cost predictions, and
 synthetic heterogeneous sweep.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from repro.api import ConfigError, SimulationConfig
 from repro.batch import BatchRunner, SweepSpec, config_hash, ground_state_group_key
+from repro.calib import CalibrationModel, Observation, extract_observations
 from repro.cost import MachineCostModel
 from repro.exec import SCHEDULE_POLICIES, ExecutionSettings, ScheduledGroup, Scheduler
+from repro.exec.scheduler import _least_loaded, _rank_loads
 from repro.perf import predict_group_cost
 
 
@@ -183,6 +188,75 @@ class TestPacking:
     def test_pack_requires_positive_rank_count(self):
         with pytest.raises(ValueError, match="n_ranks"):
             Scheduler().pack([], 0)
+
+
+# ---------------------------------------------------------------------------
+# The group ledger: one placement, one rank-load sum, one record
+# ---------------------------------------------------------------------------
+
+
+class TestGroupLedger:
+    def test_least_loaded_starts_from_the_given_loads(self):
+        """Placement onto ranks that already carry load (an adaptive re-pack's
+        spent seconds): each group takes the least-loaded rank, lowest on
+        ties, and the loads grow in place."""
+        groups = _synthetic_groups([3.0, 4.0, 1.0, 2.0])
+        loads = [5.0, 0.0, 2.0]
+        _least_loaded(groups, loads, lambda g: g.predicted_cost)
+        # 3 -> rank 1 (0), 4 -> rank 2 (2), 1 -> rank 1 (3), 2 -> rank 1 (4)
+        assert [g.rank for g in groups] == [1, 2, 1, 1]
+        assert loads == [5.0, 6.0, 6.0]
+
+        (tied,) = _synthetic_groups([1.0])
+        _least_loaded([tied], [2.0, 2.0], lambda g: g.predicted_cost)
+        assert tied.rank == 0
+
+    def test_rank_loads_count_unplaced_groups_on_rank_zero(self):
+        groups = _synthetic_groups([1.0, 2.0, 4.0, 8.0, 16.0])
+        for group, rank in zip(groups, [1, None, 3, -1, 0]):
+            group.rank = rank
+        assert _rank_loads(groups, 2, lambda g: g.predicted_cost) == [30.0, 1.0]
+        assert _rank_loads([], 3, lambda g: g.predicted_cost) == [0.0, 0.0, 0.0]
+
+    def test_group_record_is_strict_json_and_feeds_calibration(self):
+        """``as_dict`` exports NaN as null, adds ``notes`` only on a degraded
+        path, and is what calibration reads its observation from."""
+        group = ScheduledGroup(
+            key="g", index=3, jobs=[None, None], predicted_cost=5.0,
+            predicted_seconds=2.0, rank=1, machine="summit", propagator="ptcn",
+        )
+        record = group.as_dict()
+        assert json.loads(json.dumps(record, allow_nan=False)) == record
+        assert record["n_jobs"] == 2 and record["rank"] == 1
+        assert record["predicted_energy_j"] is None and record["observed_seconds"] is None
+        assert "notes" not in record
+        assert extract_observations({"groups": [record]}) == []  # not run yet
+
+        group.observed_seconds = 3.0
+        group.degraded("lockstep", ValueError("width-1 fallback"))
+        record = group.as_dict()
+        assert record["notes"] == ["lockstep: ValueError: width-1 fallback"]
+        (obs,) = extract_observations({"groups": [record]})
+        assert (obs.machine, obs.propagator, obs.group_index, obs.n_jobs) == ("summit", "ptcn", 3, 2)
+        assert obs.ratio == 1.5
+
+    def test_repriced_is_the_prediction_times_the_fitted_scale(self):
+        fit = CalibrationModel.fit(
+            [Observation(machine="summit", propagator="ptcn", predicted_seconds=2.0, observed_seconds=3.0)]
+        )
+        scale = fit.scale_for("summit", "ptcn")
+        assert scale == 1.5
+        group = ScheduledGroup(
+            key="g", index=0, jobs=[], predicted_seconds=4.0, machine="summit", propagator="ptcn"
+        )
+        assert group.repriced(fit) == 4.0 * scale
+        # another machine falls through to the identity scale
+        group.machine = "frontier"
+        assert group.repriced(fit) == 4.0
+        # no finite positive prediction: nothing to re-price
+        for predicted in (float("nan"), 0.0):
+            group.predicted_seconds = predicted
+            assert math.isnan(group.repriced(fit))
 
 
 # ---------------------------------------------------------------------------
