@@ -6,12 +6,10 @@ This benchmark submits two single-node campaigns to a 2-node
 :class:`~repro.service.NodePool`, measures the real async-dispatch overhead
 under ``pytest-benchmark``, and checks the layer's acceptance property: the
 co-scheduled modeled makespan is strictly below the serial sum of the two
-plans while the physics export stays backend-invariant. It emits the
-``BENCH_service.json`` perf artifact (uploaded by CI).
+plans while the physics export stays backend-invariant.
 """
 
 import asyncio
-import json
 
 from repro.analysis import format_table
 from repro.api import SimulationConfig
@@ -56,13 +54,9 @@ def _co_schedule():
     return pool, handles, reports
 
 
-def test_bench_service_artifact(benchmark, results_dir, report_writer):
-    """Emit the ``BENCH_service.json`` perf artifact (uploaded by CI).
-
-    Schema: ``{"schema": "bench_service/1", machine, n_nodes, serial_wall_s,
-    co_scheduled_wall_s, speedup, utilisation, campaigns: {...},
-    leases: [...]}`` — the co-scheduling ledger of one shared pool.
-    """
+def test_bench_service_co_scheduling(benchmark, report_writer):
+    """Two campaigns sharing a 2-node pool finish in less modeled makespan than
+    their plans run serially, with physics bit-identical to hand-configured runs."""
     pool, handles, reports = benchmark(_co_schedule)
 
     serial = sum(h.plan.predicted_wall_seconds for h in handles.values())
@@ -78,28 +72,6 @@ def test_bench_service_artifact(benchmark, results_dir, report_writer):
             assert reports[name][sweep_name].to_json(exclude_timings=True) == hand.to_json(
                 exclude_timings=True
             )
-
-    artifact = {
-        "schema": "bench_service/1",
-        "machine": pool.machine,
-        "n_nodes": pool.n_nodes,
-        "serial_wall_s": serial,
-        "co_scheduled_wall_s": co_scheduled,
-        "speedup": serial / co_scheduled,
-        "utilisation": pool.utilisation(),
-        "campaigns": {
-            name: {
-                "predicted_wall_s": handle.plan.predicted_wall_seconds,
-                "n_jobs": reports[name].n_jobs,
-                "ok": reports[name].ok,
-            }
-            for name, handle in handles.items()
-        },
-        "leases": [lease.as_dict() for lease in pool.history],
-    }
-    path = results_dir / "BENCH_service.json"
-    path.write_text(json.dumps(artifact, indent=2) + "\n")
-    print(f"\n[BENCH_service] wrote {path}")
 
     report_writer(
         "service_co_scheduling",

@@ -128,7 +128,7 @@ def _greedy_makespan(seconds: list[float], workers: int) -> float:
 
 def _makespan_row(report, backend: str, policy: str, ranks: int | None,
                   workers: int, elapsed_s: float) -> dict:
-    """One ``BENCH_sweep.json`` row: predicted vs observed makespan of a run.
+    """One row of the makespan matrix: predicted vs observed makespan of a run.
 
     Distributed runs reduce the per-rank accounting via
     :func:`repro.cost.sweep_execution_point` (the busiest modeled rank).
@@ -155,13 +155,8 @@ def _makespan_row(report, backend: str, policy: str, ranks: int | None,
     }
 
 
-def test_bench_sweep_artifact(benchmark, results_dir, report_writer):
-    """Emit the ``BENCH_sweep.json`` perf artifact (uploaded by CI).
-
-    Schema: ``{"schema": "bench_sweep/1", "rows": [{backend, policy, ranks,
-    predicted_makespan_s, observed_makespan_s}, ...]}`` — the
-    backend-x-policy makespan matrix that seeds the performance trajectory.
-    """
+def test_bench_sweep_makespans(benchmark, report_writer):
+    """Predicted vs observed makespan per (backend, policy, ranks)."""
     matrix = [
         ("serial", "fifo", None),
         ("process", "cheapest_first", None),
@@ -186,11 +181,6 @@ def test_bench_sweep_artifact(benchmark, results_dir, report_writer):
         return rows
 
     rows = benchmark(run_all)
-
-    artifact = {"schema": "bench_sweep/1", "rows": rows}
-    path = results_dir / "BENCH_sweep.json"
-    path.write_text(json.dumps(artifact, indent=2) + "\n")
-    print(f"\n[BENCH_sweep] wrote {path}")
 
     report_writer(
         "sweep_backend_makespans",

@@ -26,10 +26,9 @@ groups, and the remaining unstarted groups are re-priced and re-packed LPT
 across the ranks. The check: the re-packed makespan is **strictly below**
 the static plan's, both priced with the final fitted seconds.
 
-The smoke mode is the CI harness (``calibration-smoke`` job): a cold pass
+The smoke mode is the CI harness (the ``examples`` job): a cold pass
 (``--smoke --store DIR``), then a calibrated pass (``--smoke --store DIR
---calibrated``) against the same store, uploading
-``benchmarks/results/BENCH_calibration.json``.
+--calibrated``) against the same store.
 
 Usage:
     python examples/calibration_campaign.py                      # walkthrough
@@ -56,8 +55,6 @@ from repro.exec import ExecutionSettings
 from repro.service import CampaignService, NodePool
 from repro.service.runner import run_sweep
 from repro.store import ResultStore
-
-DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "BENCH_calibration.json"
 
 #: the tiny semi-local H2 base config every sweep starts from
 BASE = {
@@ -150,12 +147,7 @@ def adaptive_demo(*, verbose: bool = True) -> dict:
             observe=lambda g: g.predicted_seconds * SKEW[g.propagator],
         )
 
-    outcome = asyncio.run(body())
-    record = dict(outcome.report.execution["adaptive"])
-    record["leases"] = [
-        {k: lease[k] for k in ("start", "end", "duration")}
-        for lease in outcome.report.execution["leases"]
-    ]
+    record = asyncio.run(body()).report.execution["adaptive"]
     if verbose:
         static = record.get("static_modeled_makespan_s", float("nan"))
         adaptive = record.get("adaptive_modeled_makespan_s", float("nan"))
@@ -172,26 +164,9 @@ def check(condition: bool, message: str) -> bool:
     return condition
 
 
-def merge_artifact(out_path: pathlib.Path, key: str, record: dict) -> None:
-    """Merge this pass's record under its key (the CI job runs cold then
-    calibrated against one store and uploads one file)."""
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    merged = {}
-    if out_path.exists():
-        try:
-            merged = json.loads(out_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            merged = {}
-    if not isinstance(merged, dict):
-        merged = {}
-    merged[key] = record
-    out_path.write_text(json.dumps(merged, indent=2) + "\n")
-    print(f"[BENCH_calibration] wrote {out_path} (keys: {sorted(merged)})")
-
-
-def cold_pass(store: ResultStore, out_path: pathlib.Path) -> int:
+def cold_pass(store: ResultStore) -> int:
     """Run the campaign uncalibrated; populate the observation log."""
-    handle, report = run_campaign(store)
+    _, report = run_campaign(store)
     print(report.plan_table())
     if not check(report.ok, f"{report.n_failed} job(s) failed"):
         return 1
@@ -201,17 +176,6 @@ def cold_pass(store: ResultStore, out_path: pathlib.Path) -> int:
     digests = physics_digests(report)
     (store.root / "physics-digest.json").write_text(json.dumps(digests, indent=2) + "\n")
     uncalibrated_error = median_relative_error(observations, CalibrationModel())
-    merge_artifact(
-        out_path,
-        "cold",
-        {
-            "n_jobs": report.n_jobs,
-            "n_cached": report.n_cached,
-            "observations_logged": len(observations),
-            "plan_calibrated": "calibration" in handle.plan.as_dict(),
-            "median_relative_error_uncalibrated": uncalibrated_error,
-        },
-    )
     print(
         f"cold pass: {len(observations)} observations logged; uncalibrated "
         f"median relative prediction error {uncalibrated_error:.3g}"
@@ -219,7 +183,7 @@ def cold_pass(store: ResultStore, out_path: pathlib.Path) -> int:
     return 0
 
 
-def calibrated_pass(store: ResultStore, out_path: pathlib.Path) -> int:
+def calibrated_pass(store: ResultStore) -> int:
     """Re-run calibrated from the store's log; check the PR's inequalities."""
     observations = ObservationLog(store).load()
     if not check(bool(observations), "no observations in the store (run the cold pass first)"):
@@ -270,36 +234,19 @@ def calibrated_pass(store: ResultStore, out_path: pathlib.Path) -> int:
         "re-packing did not beat the static plan's modeled makespan",
     ):
         return 1
-
-    merge_artifact(
-        out_path,
-        "calibrated",
-        {
-            "n_jobs": report.n_jobs,
-            "n_cached": report.n_cached,
-            "fit": fitted.as_dict(),
-            "median_relative_error_uncalibrated": uncalibrated_error,
-            "median_relative_error_calibrated": calibrated_error,
-            "error_shrink_factor": (
-                uncalibrated_error / calibrated_error if calibrated_error else float("inf")
-            ),
-            "physics_bit_identical": True,
-            "adaptive": adaptive,
-        },
-    )
     return 0
 
 
-def main(store_root: pathlib.Path | None, out_path: pathlib.Path) -> int:
+def main(store_root: pathlib.Path | None) -> int:
     """Full walkthrough: cold pass, calibrated pass, adaptive demo."""
     if store_root is None:
         store_root = pathlib.Path(tempfile.mkdtemp(prefix="repro-calib-")) / "store"
     print(f"store root: {store_root}\n")
     print("=== cold pass (uncalibrated; populating the observation log) ===\n")
-    if cold_pass(ResultStore(store_root), out_path):
+    if cold_pass(ResultStore(store_root)):
         return 1
     print("\n=== calibrated pass (fit from the log; adaptive demo) ===\n")
-    return calibrated_pass(ResultStore(store_root), out_path)
+    return calibrated_pass(ResultStore(store_root))
 
 
 if __name__ == "__main__":
@@ -316,18 +263,10 @@ if __name__ == "__main__":
         action="store_true",
         help="smoke: fit from the store's log, re-run calibrated, run the adaptive demo",
     )
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=DEFAULT_OUT,
-        help="BENCH_calibration.json artifact path",
-    )
     args = parser.parse_args()
     if args.smoke:
         if args.store is None:
             parser.error("--smoke requires --store DIR (the CI job reuses it across passes)")
         store = ResultStore(args.store)
-        sys.exit(
-            calibrated_pass(store, args.out) if args.calibrated else cold_pass(store, args.out)
-        )
-    sys.exit(main(args.store, args.out))
+        sys.exit(calibrated_pass(store) if args.calibrated else cold_pass(store))
+    sys.exit(main(args.store))

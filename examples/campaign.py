@@ -12,9 +12,7 @@ and the cheapest relaxation.
 The smoke mode is also the acceptance harness of the campaign layer: it
 checks that every emitted plan is budget-sound under the cost model, that
 infeasible budgets fail actionably, and that planner-driven execution is
-bit-identical (physics export) to a hand-configured ``BatchRunner`` — then it
-writes ``benchmarks/results/BENCH_campaign.json`` (predicted vs observed
-makespan per machine preset) for the CI artifact.
+bit-identical (physics export) to a hand-configured ``BatchRunner``.
 
 Usage:
     python examples/campaign.py                      # full walkthrough
@@ -26,15 +24,10 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
 import sys
 
 from repro.api import Budget, InfeasibleBudgetError, SimulationConfig, plan
 from repro.batch import BatchRunner, SweepSpec
-
-#: default artifact path (merged across --machine invocations by the CI job)
-DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "BENCH_campaign.json"
 
 #: the tiny semi-local H2 base every sweep of the demo campaign starts from
 BASE = {
@@ -56,42 +49,6 @@ def build_campaign(smoke: bool) -> dict[str, SweepSpec]:
     }
 
 
-def merge_artifact(out_path: pathlib.Path, machine_key: str, record: dict) -> None:
-    """Merge this invocation's record under its machine key (the CI job runs
-    the smoke once per preset and uploads one file)."""
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    merged = {}
-    if out_path.exists():
-        try:
-            merged = json.loads(out_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            merged = {}
-    if not isinstance(merged, dict):
-        merged = {}
-    merged[machine_key] = record
-    out_path.write_text(json.dumps(merged, indent=2) + "\n")
-    print(f"[BENCH_campaign] wrote {out_path} (presets: {sorted(merged)})")
-
-
-def artifact_record(execution_plan, report) -> dict:
-    """The predicted-vs-observed makespan record of one planned campaign."""
-    return {
-        "settings": execution_plan.settings.as_dict(),
-        "budget": execution_plan.budget.as_dict(),
-        "predicted_wall_s": execution_plan.predicted_wall_seconds,
-        "predicted_energy_j": execution_plan.predicted_energy_joules,
-        "predicted_nodes": execution_plan.predicted_nodes,
-        "sweeps": {
-            name: {
-                "n_jobs": len(report[name]),
-                "predicted_wall_s": execution_plan.sweeps[name].predicted_wall_seconds,
-                "observed_wall_s": report.observed_wall_seconds(name),
-            }
-            for name in execution_plan.sweep_names
-        },
-    }
-
-
 def run_campaign(machine: str | None, budget: Budget, *, verbose: bool = True):
     """Plan and execute the demo campaign; returns (plan, report)."""
     sweeps = build_campaign(smoke=True)
@@ -109,7 +66,7 @@ def run_campaign(machine: str | None, budget: Budget, *, verbose: bool = True):
     return execution_plan, report
 
 
-def smoke(machine: str | None, out_path: pathlib.Path) -> int:
+def smoke(machine: str | None) -> int:
     """CI smoke: budget soundness, actionable infeasibility, bit-identical
     physics, JSON round-trips; exits nonzero on any failure."""
     budget = Budget(max_wall_seconds=60.0, max_energy_joules=1.0e6, max_ranks=4)
@@ -162,7 +119,6 @@ def smoke(machine: str | None, out_path: pathlib.Path) -> int:
         print("smoke FAILED: CampaignReport JSON round-trip drifted", file=sys.stderr)
         return 1
 
-    merge_artifact(out_path, machine or "auto", artifact_record(execution_plan, report))
     chosen = execution_plan.settings
     print(
         f"smoke ok: campaign of {report.n_jobs} jobs planned onto "
@@ -173,14 +129,13 @@ def smoke(machine: str | None, out_path: pathlib.Path) -> int:
     return 0
 
 
-def main(machine: str | None, budget_wall: float | None, out_path: pathlib.Path) -> int:
+def main(machine: str | None, budget_wall: float | None) -> int:
     budget = Budget(max_wall_seconds=budget_wall, max_ranks=8)
     try:
-        execution_plan, report = run_campaign(machine, budget)
+        _, report = run_campaign(machine, budget)
     except InfeasibleBudgetError as exc:
         print(f"campaign is infeasible under this budget:\n  {exc}", file=sys.stderr)
         return 2
-    merge_artifact(out_path, machine or "auto", artifact_record(execution_plan, report))
     for name in report.sweep_names:
         print(f"[{name}]")
         print(report[name].to_table())
@@ -203,13 +158,7 @@ if __name__ == "__main__":
         default=None,
         help="campaign wall-clock budget in modeled seconds (full mode)",
     )
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=DEFAULT_OUT,
-        help="BENCH_campaign.json artifact path",
-    )
     args = parser.parse_args()
     if args.smoke:
-        sys.exit(smoke(args.machine, args.out))
-    sys.exit(main(args.machine, args.budget_wall, args.out))
+        sys.exit(smoke(args.machine))
+    sys.exit(main(args.machine, args.budget_wall))

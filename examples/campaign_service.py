@@ -13,9 +13,7 @@ group boundaries (checkpoints make preemption free: no finished work reruns).
 The smoke mode is also the acceptance harness of the service layer: two
 campaigns submitted to a 2-node pool must finish in strictly less modeled
 makespan than running their plans serially, with a physics export
-bit-identical to hand-configured ``BatchRunner`` runs — then it writes
-``benchmarks/results/BENCH_service.json`` (serial vs co-scheduled makespan,
-utilisation, lease calendar) for the CI artifact.
+bit-identical to hand-configured ``BatchRunner`` runs.
 
 Usage:
     python examples/campaign_service.py            # full walkthrough + preemption demo
@@ -27,16 +25,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
-import pathlib
 import sys
 
 from repro.api import SimulationConfig
 from repro.batch import BatchRunner, SweepSpec
 from repro.campaign import Budget, CampaignSpec
 from repro.service import CampaignService, NodePool
-
-DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "BENCH_service.json"
 
 #: the tiny semi-local H2 base config shared by both tenants' sweeps
 BASE = {
@@ -104,37 +98,7 @@ async def preemption_demo(machine: str) -> None:
           "checkpoints meant zero redone groups")
 
 
-def artifact_record(machine: str, pool, handles, reports) -> dict:
-    """The serial-vs-co-scheduled makespan record of one smoke run."""
-    serial = sum(h.plan.predicted_wall_seconds for h in handles.values())
-    co_scheduled = pool.makespan()
-    return {
-        "schema": "bench_service/1",
-        "machine": machine,
-        "n_nodes": pool.n_nodes,
-        "serial_wall_s": serial,
-        "co_scheduled_wall_s": co_scheduled,
-        "speedup": serial / co_scheduled if co_scheduled else None,
-        "utilisation": pool.utilisation(),
-        "campaigns": {
-            name: {
-                "predicted_wall_s": handle.plan.predicted_wall_seconds,
-                "n_jobs": sum(len(reports[name][s]) for s in reports[name].sweep_names),
-                "ok": reports[name].ok,
-            }
-            for name, handle in handles.items()
-        },
-        "leases": [lease.as_dict() for lease in pool.history],
-    }
-
-
-def write_artifact(out_path: pathlib.Path, record: dict) -> None:
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"[BENCH_service] wrote {out_path}")
-
-
-def smoke(machine: str, out_path: pathlib.Path) -> int:
+def smoke(machine: str) -> int:
     """CI smoke: co-scheduling beats serial on modeled makespan and the
     physics export is bit-identical to hand-configured runs."""
     pool, handles, reports = asyncio.run(co_schedule(machine))
@@ -168,13 +132,12 @@ def smoke(machine: str, out_path: pathlib.Path) -> int:
                 return 1
     print("physics export is bit-identical to hand-configured BatchRunner runs")
 
-    write_artifact(out_path, artifact_record(machine, pool, handles, reports))
     print(f"smoke ok: {len(handles)} campaigns co-scheduled on a shared "
           f"{pool.n_nodes}-node {machine} pool")
     return 0
 
 
-def main(machine: str, out_path: pathlib.Path) -> int:
+def main(machine: str) -> int:
     pool, handles, reports = asyncio.run(co_schedule(machine))
     print(f"\nShared {machine} pool, {pool.n_nodes} nodes:")
     print(f"  serial sum of plans : {sum(h.plan.predicted_wall_seconds for h in handles.values()):.3g} s")
@@ -184,7 +147,6 @@ def main(machine: str, out_path: pathlib.Path) -> int:
         print(f"\n[{name}]")
         print(report.plan_table())
     asyncio.run(preemption_demo(machine))
-    write_artifact(out_path, artifact_record(machine, pool, handles, reports))
     return 0
 
 
@@ -197,13 +159,7 @@ if __name__ == "__main__":
         default="summit",
         help="machine preset the shared pool models (default: summit)",
     )
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=DEFAULT_OUT,
-        help="BENCH_service.json artifact path",
-    )
     args = parser.parse_args()
     if args.smoke:
-        sys.exit(smoke(args.machine, args.out))
-    sys.exit(main(args.machine, args.out))
+        sys.exit(smoke(args.machine))
+    sys.exit(main(args.machine))

@@ -10,10 +10,8 @@ store a second time it performs **zero** SCF solves and **zero** propagation
 steps while producing a physics export bit-identical to the cold run — the
 acceptance contract of the store layer, counted and checked in-process.
 
-The smoke mode is the CI harness: the ``store-smoke`` job runs it twice
-against one store directory (second pass with ``--expect-warm``) and uploads
-``benchmarks/results/BENCH_store.json`` (cold-vs-warm compute and hit-rate
-ledger).
+The smoke mode is the CI harness: the ``examples`` job runs it twice against
+one store directory (second pass with ``--expect-warm``).
 
 Usage:
     python examples/incremental_campaign.py                      # walkthrough (cold + warm)
@@ -29,14 +27,10 @@ import json
 import pathlib
 import sys
 import tempfile
-import time
 
 from repro.api import Budget, SimulationConfig, plan
 from repro.batch import SweepSpec
 from repro.store import ResultStore
-
-#: default artifact path (merged across cold/warm invocations by the CI job)
-DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "BENCH_store.json"
 
 #: the tiny semi-local H2 base every sweep of the demo campaign starts from
 BASE = {
@@ -93,51 +87,18 @@ def run_pass(store: ResultStore, *, verbose: bool = True):
     """Plan and execute the demo campaign against ``store``."""
     counts = install_counters()
     budget = Budget(max_wall_seconds=60.0, max_ranks=4)
-    started = time.perf_counter()
     report = plan(build_campaign(), budget).execute(store=store)
-    elapsed = time.perf_counter() - started
     if verbose:
         print(report.plan_table())
         print()
-    return report, counts, elapsed
+    return report, counts
 
 
-def pass_record(report, counts: dict, elapsed: float, store: ResultStore) -> dict:
-    ledger = store.ledger()
-    return {
-        "n_jobs": report.n_jobs,
-        "n_cached": report.n_cached,
-        "n_failed": report.n_failed,
-        "hit_rate": report.n_cached / report.n_jobs if report.n_jobs else 0.0,
-        "scf_solves": counts["scf_solves"],
-        "propagation_steps": counts["propagation_steps"],
-        "wall_s": elapsed,
-        "ledger": ledger,
-    }
-
-
-def merge_artifact(out_path: pathlib.Path, pass_key: str, record: dict) -> None:
-    """Merge this pass's record under its key (the CI job runs the smoke
-    twice — cold then warm — and uploads one file)."""
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    merged = {}
-    if out_path.exists():
-        try:
-            merged = json.loads(out_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            merged = {}
-    if not isinstance(merged, dict):
-        merged = {}
-    merged[pass_key] = record
-    out_path.write_text(json.dumps(merged, indent=2) + "\n")
-    print(f"[BENCH_store] wrote {out_path} (passes: {sorted(merged)})")
-
-
-def smoke(store_root: pathlib.Path, out_path: pathlib.Path, expect_warm: bool) -> int:
+def smoke(store_root: pathlib.Path, expect_warm: bool) -> int:
     """One CI pass; with ``--expect-warm`` it must be 100% hits, zero SCF
     solves, zero propagation steps, and bit-identical to the cold pass."""
     store = ResultStore(store_root)
-    report, counts, elapsed = run_pass(store)
+    report, counts = run_pass(store)
     if not report.ok:
         print(f"smoke FAILED: {report.n_failed} job(s) failed", file=sys.stderr)
         return 1
@@ -176,7 +137,6 @@ def smoke(store_root: pathlib.Path, out_path: pathlib.Path, expect_warm: bool) -
             f"({counts['scf_solves']} SCF solves, {counts['propagation_steps']} steps)"
         )
 
-    merge_artifact(out_path, "warm" if expect_warm else "cold", pass_record(report, counts, elapsed, store))
     ledger = store.ledger()
     print(
         f"smoke ok: store at {store.root} holds {ledger['objects']} objects "
@@ -186,20 +146,17 @@ def smoke(store_root: pathlib.Path, out_path: pathlib.Path, expect_warm: bool) -
     return 0
 
 
-def main(store_root: pathlib.Path | None, out_path: pathlib.Path) -> int:
+def main(store_root: pathlib.Path | None) -> int:
     """Full walkthrough: cold pass, then a warm pass against the same store."""
     if store_root is None:
         store_root = pathlib.Path(tempfile.mkdtemp(prefix="repro-store-")) / "store"
     print(f"store root: {store_root}\n")
     print("=== cold pass (everything computed) ===\n")
     store = ResultStore(store_root)
-    cold_report, cold_counts, cold_elapsed = run_pass(store)
-    merge_artifact(out_path, "cold", pass_record(cold_report, cold_counts, cold_elapsed, store))
+    cold_report, cold_counts = run_pass(store)
 
     print("\n=== warm pass (same campaign, same store) ===\n")
-    warm_store = ResultStore(store_root)
-    warm_report, warm_counts, warm_elapsed = run_pass(warm_store)
-    merge_artifact(out_path, "warm", pass_record(warm_report, warm_counts, warm_elapsed, warm_store))
+    warm_report, warm_counts = run_pass(ResultStore(store_root))
 
     identical = physics_digests(warm_report) == physics_digests(cold_report)
     print(
@@ -224,15 +181,9 @@ if __name__ == "__main__":
         action="store_true",
         help="smoke: require 100%% hits / zero compute / bit-identical physics",
     )
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=DEFAULT_OUT,
-        help="BENCH_store.json artifact path",
-    )
     args = parser.parse_args()
     if args.smoke:
         if args.store is None:
             parser.error("--smoke requires --store DIR (the CI job reuses it across passes)")
-        sys.exit(smoke(args.store, args.out, args.expect_warm))
-    sys.exit(main(args.store, args.out))
+        sys.exit(smoke(args.store, args.expect_warm))
+    sys.exit(main(args.store))

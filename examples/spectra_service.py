@@ -14,10 +14,8 @@ The ground state is field-free, so each material's fluence sweep is one group
 sharing one SCF: a cold pass solves exactly as many ground states as there are
 materials (the smoke fails otherwise).
 
-The smoke mode is the CI harness: the ``assets-verify`` job runs it twice
-against one store directory (second pass with ``--expect-warm``) and uploads
-``benchmarks/results/BENCH_assets.json`` (scenario count x cold/warm store
-hits, plus the asset provenance check).
+The smoke mode is the CI harness: the ``examples`` job runs it twice against
+one store directory (second pass with ``--expect-warm``).
 
 Usage:
     python examples/spectra_service.py                           # walkthrough (cold + warm + query)
@@ -36,16 +34,12 @@ import json
 import pathlib
 import sys
 import tempfile
-import time
 
 from repro.api import SimulationConfig
 from repro.batch import SweepSpec
 from repro.campaign import Budget, CampaignSpec
 from repro.service import CampaignService, NodePool
 from repro.store import ResultStore
-
-#: default artifact path (merged across cold/warm invocations by the CI job)
-DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "BENCH_assets.json"
 
 #: the three materials of the demo campaign — all tiny enough for CI
 MATERIALS = (
@@ -108,14 +102,12 @@ def run_campaign(store: ResultStore):
     """One campaign pass through a CampaignService over ``store``."""
     counts = install_counters()
     service = CampaignService(NodePool("summit", n_nodes=1), store=store)
-    started = time.perf_counter()
 
     async def body():
         handle = service.submit(build_campaign(), name="spectra-demo")
         return await handle.report()
 
-    report = asyncio.run(body())
-    return report, counts, time.perf_counter() - started
+    return asyncio.run(body()), counts
 
 
 def physics_digests(report) -> dict[str, str]:
@@ -170,44 +162,11 @@ def answer_query(store: ResultStore, material: str, pulse: str, fluence: float) 
     }
 
 
-def pass_record(report, counts: dict, elapsed: float, store: ResultStore) -> dict:
-    return {
-        "scenarios": report.n_jobs,
-        "materials": len(MATERIALS),
-        "fluences": len(FLUENCES),
-        "n_cached": report.n_cached,
-        "n_failed": report.n_failed,
-        "hit_rate": report.n_cached / report.n_jobs if report.n_jobs else 0.0,
-        "scf_solves": counts["scf_solves"],
-        "propagation_steps": counts["propagation_steps"],
-        "missing_asset_provenance": missing_asset_provenance(report),
-        "wall_s": elapsed,
-        "ledger": store.ledger(),
-    }
-
-
-def merge_artifact(out_path: pathlib.Path, pass_key: str, record: dict) -> None:
-    """Merge this pass's record under its key (the CI job runs the smoke
-    twice — cold then warm — and uploads one file)."""
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    merged = {}
-    if out_path.exists():
-        try:
-            merged = json.loads(out_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            merged = {}
-    if not isinstance(merged, dict):
-        merged = {}
-    merged[pass_key] = record
-    out_path.write_text(json.dumps(merged, indent=2) + "\n")
-    print(f"[BENCH_assets] wrote {out_path} (passes: {sorted(merged)})")
-
-
-def smoke(store_root: pathlib.Path, out_path: pathlib.Path, expect_warm: bool) -> int:
+def smoke(store_root: pathlib.Path, expect_warm: bool) -> int:
     """One CI pass; with ``--expect-warm`` it must be 100% hits, zero SCF
     solves, zero propagation steps, and bit-identical to the cold pass."""
     store = ResultStore(store_root)
-    report, counts, elapsed = run_campaign(store)
+    report, counts = run_campaign(store)
     if not report.ok:
         print(f"smoke FAILED: {report.n_failed} job(s) failed", file=sys.stderr)
         return 1
@@ -255,13 +214,10 @@ def smoke(store_root: pathlib.Path, out_path: pathlib.Path, expect_warm: bool) -
             f"cold pass: {report.n_jobs} scenarios over {len(MATERIALS)} materials "
             f"({counts['scf_solves']} SCF solves, {counts['propagation_steps']} steps)"
         )
-
-    merge_artifact(out_path, "warm" if expect_warm else "cold",
-                   pass_record(report, counts, elapsed, store))
     return 0
 
 
-def main(store_root: pathlib.Path | None, out_path: pathlib.Path) -> int:
+def main(store_root: pathlib.Path | None) -> int:
     """Walkthrough: cold campaign, warm campaign, then a cached query."""
     if store_root is None:
         store_root = pathlib.Path(tempfile.mkdtemp(prefix="repro-spectra-")) / "store"
@@ -269,14 +225,11 @@ def main(store_root: pathlib.Path | None, out_path: pathlib.Path) -> int:
 
     print("=== cold pass: pump-probe fluence sweep over 3 materials ===\n")
     store = ResultStore(store_root)
-    cold_report, cold_counts, cold_elapsed = run_campaign(store)
+    cold_report, cold_counts = run_campaign(store)
     print(cold_report.plan_table())
-    merge_artifact(out_path, "cold", pass_record(cold_report, cold_counts, cold_elapsed, store))
 
     print("\n=== warm pass (same campaign, same store) ===\n")
-    warm_store = ResultStore(store_root)
-    warm_report, warm_counts, warm_elapsed = run_campaign(warm_store)
-    merge_artifact(out_path, "warm", pass_record(warm_report, warm_counts, warm_elapsed, warm_store))
+    warm_report, warm_counts = run_campaign(ResultStore(store_root))
     identical = physics_digests(warm_report) == physics_digests(cold_report)
     print(
         f"warm pass served {warm_report.n_cached}/{warm_report.n_jobs} scenarios from the store "
@@ -307,12 +260,6 @@ if __name__ == "__main__":
     parser.add_argument("--query", default=None, help="material asset id to query")
     parser.add_argument("--pulse", default=PULSE, help="pulse asset id for --query")
     parser.add_argument("--fluence", type=float, default=FLUENCES[0], help="pump fluence for --query")
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=DEFAULT_OUT,
-        help="BENCH_assets.json artifact path",
-    )
     args = parser.parse_args()
     if args.query:
         if args.store is None:
@@ -322,5 +269,5 @@ if __name__ == "__main__":
     if args.smoke:
         if args.store is None:
             parser.error("--smoke requires --store DIR (the CI job reuses it across passes)")
-        sys.exit(smoke(args.store, args.out, args.expect_warm))
-    sys.exit(main(args.store, args.out))
+        sys.exit(smoke(args.store, args.expect_warm))
+    sys.exit(main(args.store))

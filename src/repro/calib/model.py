@@ -54,7 +54,7 @@ class CalibrationFactor:
     n_observations: int
 
     def as_dict(self) -> dict:
-        """JSON-able record (plan provenance, ``BENCH_calibration.json``)."""
+        """JSON-able record (plan provenance)."""
         return {
             "machine": self.machine,
             "propagator": self.propagator,

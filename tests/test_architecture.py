@@ -1,0 +1,150 @@
+"""Architecture rules of the package, checked over the source tree.
+
+Each rule is a function over a repository root that returns the offending
+lines (``path:line: text``), none when the rule holds; its docstring says why
+the rule exists. ``test_rule_holds`` runs every rule on this checkout, and
+``test_rule_detects_a_break`` runs it on a small tree that breaks it, so a rule
+whose pattern stops matching anything fails too (as
+``tests/pw/test_layering.py`` tests its import scanner).
+"""
+
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _grep(root: pathlib.Path, pattern: str, tops: list[str], *, python_only: bool = True,
+          allowed: tuple[str, ...] = ()) -> list[str]:
+    """``grep -rnE pattern tops`` under ``root`` (``--include=*.py`` when
+    ``python_only``), skipping files whose relative path starts with one of
+    ``allowed``."""
+    regex = re.compile(pattern)
+    hits = []
+    for top in tops:
+        start = root / top
+        if not start.exists():
+            continue
+        files = [start] if start.is_file() else sorted(start.rglob("*.py" if python_only else "*"))
+        for path in files:
+            relative = path.relative_to(root).as_posix()
+            if not path.is_file() or "__pycache__" in path.parts or relative.startswith(allowed):
+                continue
+            try:
+                lines = path.read_text().splitlines()
+            except UnicodeDecodeError:
+                continue
+            hits += [f"{relative}:{n}: {line.strip()}"
+                     for n, line in enumerate(lines, 1) if regex.search(line)]
+    return hits
+
+
+def no_shim_names(root):
+    """``store=`` is the one persistence argument and ``settings=`` the one way
+    to place a sweep: the removed ``checkpoint_dir`` / ``CheckpointStore``
+    shims and their deprecation warnings stay out of shipped code and docs."""
+    return _grep(root, r"checkpoint_dir|CheckpointStore|DeprecationWarning", ["src", "examples", "README.md"],
+                 python_only=False)
+
+
+def no_rayleigh_ritz(root):
+    """``block_davidson`` holds ``V`` and ``H V`` side by side and applies ``H``
+    to new directions only; the helper that re-applied ``H`` to the whole
+    search space every iteration lives on as the written-out reference in
+    ``tests/pw/test_eigensolver.py``, not under ``src/``."""
+    return _grep(root, r"_rayleigh_ritz", ["src"])
+
+
+def identity_is_carried(root):
+    """``SweepJob.group_key`` / ``.config_hash`` are fields filled in by
+    ``SweepSpec.expand`` (the property re-serialised the config on every
+    access), and grouping is ``SweepSpec.groups()`` on the shared expansion:
+    neither the per-access property body nor a second grouping function may
+    come back."""
+    return _grep(root, r"return ground_state_group_key\(self\.config\)|group_jobs", ["src"])
+
+
+def transforms_are_fftplan_calls(root):
+    """``FFTPlan`` binds pocketfft's kernel (``_c2c``) and is what the tracer
+    and the transform-budget tests count; the sphere-aware forward path runs
+    inside ``FFTPlan.fftn``. Tests may patch the binding, shipped code may not
+    call it anywhere else."""
+    return _grep(root, r"_c2c", ["src", "examples", "benchmarks"], allowed=("src/repro/pw/fft.py",))
+
+
+def one_hpsi_kernel(root):
+    """``HΨ`` has one body, ``repro.pw.hamiltonian.apply_many``
+    (``Hamiltonian.apply`` is its width-1 call), and the Fock pair solve one
+    loop, ``ExchangeOperator._pair_sum`` (Alg. 2 runs each rank's pairs
+    through it): a second body would apply the projectors or solve pair
+    densities somewhere else."""
+    projectors = _grep(root, r"nonlocal_psp\.apply\(", ["src"])
+    found = [] if len(projectors) == 1 else [f"{len(projectors)} projector applications, not 1"] + projectors
+    return found + _grep(root, r"apply_to_density\(", ["src"],
+                         allowed=("src/repro/pw/exchange.py", "src/repro/pw/poisson.py"))
+
+
+def one_density_mixer(root):
+    """Linear mixing is the warm-up / history-1 case of the ground state's one
+    mixer (``repro.pw.density.DensityMixer``), not a second class beside it;
+    PT-CN's wavefunction mixer is ``repro.core.anderson.AndersonMixer``."""
+    mixers = _grep(root, r"^class \w*Mix\w*", ["src"])
+    if len(mixers) == 2 and sum("Density" in line for line in mixers) == 1:
+        return []
+    return [f"{len(mixers)} mixer classes, not DensityMixer and one wavefunction mixer"] + mixers
+
+
+def one_group_ledger(root):
+    """``repro.exec.scheduler`` owns the arithmetic of a scheduled group: one
+    greedy least-loaded loop and the one place a cost model is calibrated
+    (``Scheduler(calibration=...)``); observations are built only by
+    ``repro.calib``, from ``ScheduledGroup.as_dict`` records."""
+    scheduler = ("src/repro/exec/scheduler.py",)
+    return (_grep(root, r"min\(range\(", ["src"], allowed=scheduler)
+            + _grep(root, r"\.calibrated\(", ["src"], allowed=scheduler)
+            + _grep(root, r"(^|[^A-Za-z0-9_])Observation\(", ["src"], allowed=("src/repro/calib/",)))
+
+
+RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_fftplan_calls,
+         one_hpsi_kernel, one_density_mixer, one_group_ledger]
+
+#: per rule, a tree that breaks it (the allowed sites included) and the file it must name
+BREAKS = {
+    no_shim_names: ({"README.md": "Pass `checkpoint_dir=` to resume.\n"}, "README.md"),
+    no_rayleigh_ritz: ({"src/repro/pw/eigensolver.py": "def _rayleigh_ritz(h, v):\n    pass\n"},
+                       "src/repro/pw/eigensolver.py"),
+    identity_is_carried: ({"src/repro/service/runner.py": "groups = group_jobs(spec)\n"},
+                          "src/repro/service/runner.py"),
+    transforms_are_fftplan_calls: ({"src/repro/pw/fft.py": "_c2c = pocketfft.c2c\n",
+                                    "examples/fast_fft.py": "from repro.pw.fft import _c2c\n"},
+                                   "examples/fast_fft.py"),
+    one_hpsi_kernel: ({"src/repro/pw/hamiltonian.py": "out = h.nonlocal_psp.apply(psi)\n",
+                       "src/repro/core/fast.py": "out = h.nonlocal_psp.apply(psi)\n"},
+                      "src/repro/core/fast.py"),
+    one_density_mixer: ({"src/repro/pw/density.py": "class DensityMixer:\n    pass\n",
+                         "src/repro/core/anderson.py": "class AndersonMixer:\n    pass\n",
+                         "src/repro/pw/linear.py": "class LinearMixer:\n    pass\n"},
+                        "src/repro/pw/linear.py"),
+    one_group_ledger: ({"src/repro/exec/scheduler.py": "rank = min(range(n), key=loads.__getitem__)\n",
+                        "src/repro/service/runner.py": "rank = min(range(n), key=loads.__getitem__)\n"},
+                       "src/repro/service/runner.py"),
+}
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+def test_rule_holds(rule):
+    found = rule(ROOT)
+    assert not found, f"{rule.__name__}: {rule.__doc__}\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+def test_rule_detects_a_break(rule, tmp_path):
+    files, offender = BREAKS[rule]
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    found = rule(tmp_path)
+    assert any(line.startswith(f"{offender}:") for line in found), found
