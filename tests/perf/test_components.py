@@ -173,3 +173,28 @@ class TestRK4Comparison:
         r36 = model.rk4_time_per_window(36) / model.ptcn_time_per_window(36)
         r768 = model.rk4_time_per_window(768) / model.ptcn_time_per_window(768)
         assert r768 > r36
+
+
+class TestExactValues:
+    """The Si1536 step floats bit for bit (``float.hex``): Table 1, Fig. 7/8
+    and the machine what-ifs are all read off these numbers, so a refactor
+    of the FLOP counts or the step schedule must keep every bit."""
+
+    STEP_TIMES = {
+        36: "0x1.2dbd005610774p+11",
+        72: "0x1.35eba60c67b2ep+10",
+        144: "0x1.4697549fcc87dp+9",
+        288: "0x1.688d09181d11fp+8",
+        384: "0x1.1f983d2f18518p+8",
+        768: "0x1.c6ba57c059547p+7",
+        1536: "0x1.c102953f679c8p+7",
+        3072: "0x1.bf6e60b41063bp+7",
+    }
+
+    @pytest.mark.parametrize("n_gpus", TABLE1_GPU_COUNTS)
+    def test_step_time(self, model, n_gpus):
+        expected = float.fromhex(self.STEP_TIMES[n_gpus])
+        assert model.step_breakdown(n_gpus).total_step_time == expected
+
+    def test_cpu_step_time(self, model):
+        assert model.cpu_step_time(3072) == float.fromhex("0x1.14d7775cd4950p+13")

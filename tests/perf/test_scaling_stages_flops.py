@@ -118,6 +118,13 @@ class TestFlops:
         with pytest.raises(ValueError):
             flops_efficiency(model.workload, 36, 0.0)
 
+    def test_si1536_counts_are_bit_exact(self):
+        """The Section 7 accounting's floats, pinned with ``float.hex``."""
+        w = SiliconWorkload.from_atom_count(1536)
+        assert step_flops(w) == float.fromhex("0x1.beb6d283d3bcfp+54")
+        assert fock_flops_per_application(w) == float.fromhex("0x1.14d2b0916697bp+50")
+        assert fock_flop_fraction(w) == float.fromhex("0x1.dbeb7232f8646p-1")
+
 
 class TestReportingHelpers:
     def test_format_table(self):

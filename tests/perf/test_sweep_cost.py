@@ -164,3 +164,94 @@ class TestJobAndGroupCost:
         hybrid_prop = base_config.with_overrides({"xc.hybrid_mixing": 0.25})
         cheap_gs = hybrid_prop.with_overrides({"xc.gs_hybrid_mixing": 0.0})
         assert predict_scf_cost(cheap_gs) < predict_scf_cost(hybrid_prop)
+
+
+# ---------------------------------------------------------------------------
+# Exact values: every float of the cost path, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _h2(xc: str, propagator: str) -> SimulationConfig:
+    return SimulationConfig.from_dict(
+        {
+            "system": {"structure": "hydrogen_molecule", "params": {"box": 8.0}},
+            "basis": {"ecut": 2.0},
+            "xc": {"hybrid_mixing": 0.25 if xc == "hybrid" else 0.0},
+            "propagator": {"name": propagator},
+            "run": {"time_step_as": 1.0, "n_steps": 2},
+        }
+    )
+
+
+def _group(config: SimulationConfig, width: int) -> list[SimulationConfig]:
+    """``width`` jobs of one ground-state group (they differ in time step)."""
+    return [config.with_overrides({"run.time_step_as": 1.0 + k}) for k in range(width)]
+
+
+def _cost_path_value(quantity: str, xc: str, propagator: str, width: int) -> float:
+    from repro.cost import MACHINES, MachineCostModel
+
+    config = _h2(xc, propagator)
+    if quantity == "application":
+        return hamiltonian_application_flops(*workload_sizes(config), config.xc.hybrid_mixing)
+    if quantity == "job":
+        return predict_job_cost(config)
+    if quantity == "scf":
+        return predict_scf_cost(config)
+    if quantity == "group":
+        return predict_group_cost(_group(config, width))
+    machine, attribute = quantity.split(".")
+    estimate = MachineCostModel(system=MACHINES[machine]).group_estimate(_group(config, width))
+    return getattr(estimate, attribute)
+
+
+#: (quantity, xc, propagator, group width, float.hex of the value). The
+#: scheduler, the planner and the calibration see exactly these floats; a
+#: refactor of the FLOP counts or of MachineCostModel must keep every bit.
+EXACT_COST_PATH = [
+    ("application", "lda", "ptcn", 1, "0x1.8000000000000p+15"),
+    ("scf", "lda", "ptcn", 1, "0x1.0e00000000000p+23"),
+    ("job", "lda", "ptcn", 1, "0x1.e000000000000p+19"),
+    ("group", "lda", "ptcn", 1, "0x1.2c00000000000p+23"),
+    ("summit.seconds", "lda", "ptcn", 1, "0x1.e08e47b01a944p-16"),
+    ("frontier.seconds", "lda", "ptcn", 1, "0x1.39ab0fbab64d8p-17"),
+    ("group", "lda", "ptcn", 3, "0x1.5600000000000p+23"),
+    ("summit.seconds", "lda", "ptcn", 3, "0x1.11eab31a23a15p-15"),
+    ("frontier.seconds", "lda", "ptcn", 3, "0x1.6594ee17696cdp-17"),
+    ("job", "lda", "rk4", 1, "0x1.e000000000000p+18"),
+    ("group", "lda", "rk4", 1, "0x1.1d00000000000p+23"),
+    ("summit.seconds", "lda", "rk4", 1, "0x1.c8872a80e60cep-16"),
+    ("frontier.seconds", "lda", "rk4", 1, "0x1.29fc1bbe2d300p-17"),
+    ("group", "lda", "rk4", 3, "0x1.3200000000000p+23"),
+    ("summit.seconds", "lda", "rk4", 3, "0x1.ea2ab9c2fc641p-16"),
+    ("frontier.seconds", "lda", "rk4", 3, "0x1.3ff10aec86bfbp-17"),
+    ("application", "hybrid", "ptcn", 1, "0x1.8000000000000p+16"),
+    ("scf", "hybrid", "ptcn", 1, "0x1.0e00000000000p+24"),
+    ("job", "hybrid", "ptcn", 1, "0x1.e000000000000p+20"),
+    ("group", "hybrid", "ptcn", 1, "0x1.2c00000000000p+24"),
+    ("summit.seconds", "hybrid", "ptcn", 1, "0x1.e08e47b01a944p-15"),
+    ("frontier.seconds", "hybrid", "ptcn", 1, "0x1.39ab0fbab64d8p-16"),
+    ("group", "hybrid", "ptcn", 3, "0x1.5600000000000p+24"),
+    ("summit.seconds", "hybrid", "ptcn", 3, "0x1.11eab31a23a15p-14"),
+    ("frontier.seconds", "hybrid", "ptcn", 3, "0x1.6594ee17696cdp-16"),
+    ("job", "hybrid", "rk4", 1, "0x1.e000000000000p+19"),
+    ("group", "hybrid", "rk4", 1, "0x1.1d00000000000p+24"),
+    ("summit.seconds", "hybrid", "rk4", 1, "0x1.c8872a80e60cep-15"),
+    ("frontier.seconds", "hybrid", "rk4", 1, "0x1.29fc1bbe2d300p-16"),
+    ("group", "hybrid", "rk4", 3, "0x1.3200000000000p+24"),
+    ("summit.seconds", "hybrid", "rk4", 3, "0x1.ea2ab9c2fc641p-15"),
+    ("frontier.seconds", "hybrid", "rk4", 3, "0x1.3ff10aec86bfbp-16"),
+    ("summit.power_watts", "hybrid", "ptcn", 1, "0x1.1080000000000p+11"),
+    ("summit.power_watts", "hybrid", "ptcn", 3, "0x1.1080000000000p+11"),
+    ("frontier.power_watts", "hybrid", "ptcn", 1, "0x1.3420000000000p+11"),
+    ("frontier.power_watts", "hybrid", "ptcn", 3, "0x1.3420000000000p+11"),
+]
+
+
+@pytest.mark.parametrize(
+    "quantity, xc, propagator, width, expected",
+    EXACT_COST_PATH,
+    ids=[f"{q}-{xc}-{p}-w{w}" for q, xc, p, w, _ in EXACT_COST_PATH],
+)
+def test_cost_path_is_bit_exact(quantity, xc, propagator, width, expected):
+    assert _cost_path_value(quantity, xc, propagator, width) == float.fromhex(expected)
