@@ -3,13 +3,15 @@ with improved network bandwidth" — answered across machine presets.
 
 Two levels of the question:
 
-* **Kernel/step level** — the calibrated PT-CN step model
-  (:meth:`repro.cost.MachineCostModel.silicon_step_estimate`) evaluated on
-  every :data:`repro.cost.MACHINES` preset over the paper's Fig. 7 strong
-  scaling range. The Frontier-like preset carries 4x the injection bandwidth
-  and ~3x the per-GPU throughput, so its speedup over Summit must *grow* with
-  the GPU count: the deeper into the network-bound regime, the more the
-  improved network pays — which is precisely the paper's closing claim.
+* **Kernel/step level** — the per-component PT-CN step model behind Table 1
+  (:class:`repro.perf.PWDFTPerformanceModel`) priced on every
+  :data:`repro.cost.MACHINES` preset over the paper's Fig. 7 strong scaling
+  range, each step wrapped with its slice's nodes and power by
+  :meth:`repro.cost.MachineCostModel.estimate`. The Frontier-like preset
+  carries 4x the injection bandwidth and ~3x the per-GPU throughput, so its
+  speedup over Summit must *grow* with the GPU count: the deeper into the
+  network-bound regime, the more the improved network pays — which is
+  precisely the paper's closing claim.
 * **Campaign level** — the :class:`repro.campaign.CampaignPlanner` asked to
   plan the same sweep campaign once per preset; the improved machine's
   plan must predict a shorter makespan and less energy to solution.
@@ -21,18 +23,15 @@ from repro.analysis import format_table
 from repro.api import Budget, CampaignSpec, SimulationConfig
 from repro.batch import SweepSpec
 from repro.campaign import CampaignPlanner
-from repro.cost import MACHINES, MachineCostModel
+from repro.cost import MACHINES
 
 GPU_COUNTS = (72, 384, 768, 1536, 3072)
 
 
-def test_step_whatif_across_machines(benchmark, report_writer):
+def test_step_whatif_across_machines(benchmark, report_writer, si1536_step_estimate):
     def run():
         return {
-            name: [
-                MachineCostModel(system=system).silicon_step_estimate(1536, n)
-                for n in GPU_COUNTS
-            ]
+            name: [si1536_step_estimate(system, n) for n in GPU_COUNTS]
             for name, system in sorted(MACHINES.items())
         }
 
@@ -116,13 +115,12 @@ def test_campaign_planner_whatif(benchmark, report_writer):
     assert CampaignPlanner(campaign, machines=["frontier"]).plan().as_dict() == frontier.as_dict()
 
 
-def test_whatif_preserves_calibration(benchmark):
+def test_whatif_preserves_calibration(benchmark, si1536_step_estimate):
     """The what-if must not disturb the Summit calibration: the summit preset
     still reproduces the paper's 36-GPU reference step time."""
-    model = MachineCostModel()
 
     def run():
-        return model.silicon_step_estimate(1536, 36).seconds
+        return si1536_step_estimate(MACHINES["summit"], 36).seconds
 
     predicted = benchmark(run)
     assert predicted == pytest.approx(2263.0, rel=0.15)  # paper Fig. 7 reference

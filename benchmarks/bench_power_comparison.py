@@ -8,7 +8,7 @@ same 72-GPU workload priced on the Frontier-like preset
 import pytest
 
 from repro.analysis import CPU_BASELINE_TIME_S, PAPER_SCALARS, format_table
-from repro.cost import MACHINES, MachineCostModel
+from repro.cost import MACHINES
 from repro.machine import PowerReport, compare_runs, cpu_run_power, gpu_run_power, SUMMIT
 
 
@@ -50,7 +50,7 @@ def test_power_comparison(benchmark, si1536_model, report_writer):
     assert result["speedup"] == pytest.approx(7.0, rel=0.2)
 
 
-def test_improved_network_whatif(benchmark, report_writer):
+def test_improved_network_whatif(benchmark, report_writer, si1536_step_estimate):
     """The same 72-GPU PT-CN step on the Frontier-like preset: 8 GPUs/node
     (fewer, denser nodes) and 4x the injection bandwidth must beat Summit on
     wall time *and* energy to solution — the paper's closing expectation,
@@ -58,7 +58,7 @@ def test_improved_network_whatif(benchmark, report_writer):
 
     def run():
         return {
-            name: MachineCostModel(system=system).silicon_step_estimate(1536, 72)
+            name: si1536_step_estimate(system, 72)
             for name, system in sorted(MACHINES.items())
         }
 

@@ -14,7 +14,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.perf import PWDFTPerformanceModel, SiliconWorkload
+from repro.cost import CostEstimate, MachineCostModel
+from repro.perf import PWDFTPerformanceModel, SiliconWorkload, step_flops
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -50,6 +51,20 @@ def results_dir() -> pathlib.Path:
 def si1536_model() -> PWDFTPerformanceModel:
     """The calibrated performance model of the paper's largest system."""
     return PWDFTPerformanceModel(SiliconWorkload.from_atom_count(1536))
+
+
+@pytest.fixture(scope="session")
+def si1536_step_estimate():
+    """Callable ``(system, n_gpus) -> CostEstimate``: one Si1536 PT-CN step
+    priced per component on ``system`` (any :data:`repro.cost.MACHINES`
+    preset), with the nodes and power of its slice."""
+    workload = SiliconWorkload.from_atom_count(1536)
+
+    def estimate(system, n_gpus: int) -> CostEstimate:
+        seconds = PWDFTPerformanceModel(workload, system=system).step_breakdown(n_gpus).total_step_time
+        return MachineCostModel(system=system).estimate(step_flops(workload), n_gpus, seconds=seconds)
+
+    return estimate
 
 
 def write_report(results_dir: pathlib.Path, name: str, text: str) -> None:

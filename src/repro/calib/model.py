@@ -1,13 +1,15 @@
 """Fitting the cost model to reality: robust per-(machine, propagator) scales.
 
-The cost stack prices every group from a hand-pinned
-``step_flop_multiplier = 2.5`` and the static sustained fraction of
-:class:`~repro.machine.gpu.GPUKernelModel`. A :class:`CalibrationModel`
+The cost stack prices every group from two fixed numbers: the constant
+``MachineCostModel.step_flop_multiplier`` (2.5, set once against the 36-GPU
+column of Table 1) and the sustained FFT fraction of the
+:class:`~repro.machine.gpu.GPUKernelModel` it builds on the machine preset's
+accelerator (``MachineCostModel.gpu_model``). A :class:`CalibrationModel`
 replaces that act of faith with data: from the predicted-vs-observed pairs of
 :mod:`repro.calib.observations` it fits one multiplicative *time scale* per
-``(machine, propagator)`` bucket — equivalently a re-fit
-``step_flop_multiplier`` (scale × the base multiplier) or sustained fraction
-(base efficiency / scale), see :meth:`CalibrationModel.parameters`.
+``(machine, propagator)`` bucket — equivalently a re-fit multiplier (scale ×
+the constant) or sustained fraction (base efficiency / scale), see
+:meth:`CalibrationModel.parameters`.
 
 The fit is deliberately simple and robust: per bucket, ratios
 ``observed / predicted`` are clipped to a band around their median (outlier

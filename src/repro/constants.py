@@ -74,15 +74,8 @@ PAPER_LASER_WAVELENGTH_NM: float = 380.0
 #: SCF convergence threshold on the electron density used in the paper.
 PAPER_SCF_DENSITY_TOLERANCE: float = 1.0e-6
 
-#: Average number of SCF iterations per PT-CN step reported in the paper.
-PAPER_AVERAGE_SCF_ITERATIONS: int = 22
-
 #: Maximum Anderson mixing history used in the paper.
 PAPER_ANDERSON_HISTORY: int = 20
-
-#: Number of Fock exchange applications per PT-CN time step reported in the
-#: paper (22 SCF + 1 energy + 1 initial residual).
-PAPER_FOCK_APPLICATIONS_PER_STEP: int = 24
 
 
 def wavelength_nm_to_energy_hartree(wavelength_nm: float) -> float:

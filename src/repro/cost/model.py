@@ -17,26 +17,23 @@ the concrete V100/NVLink/EDR numbers of Section 5:
   energy to solution.
 
 :class:`MachineCostModel` is what the :class:`~repro.exec.Scheduler` packs by
-and what the report's predicted columns come from; its
-:meth:`~MachineCostModel.silicon_step_estimate` reference path predicts the
-paper's own Fig. 7/8 systems, which is how the model is calibrated (see
-``tests/cost/test_model.py``).
+and what the report's predicted columns come from. The paper's own silicon
+steps are priced per component by
+:class:`~repro.perf.components.PWDFTPerformanceModel` on any
+:data:`MACHINES` preset; :meth:`MachineCostModel.estimate` wraps such a time
+(``seconds=``) in a :class:`CostEstimate` with the nodes and power of its
+slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..machine.frontier import FRONTIER
 from ..machine.gpu import GPUKernelModel
-from ..machine.network import NetworkModel
 from ..machine.summit import SUMMIT, SummitSystem
-from ..perf.sweep_cost import (
-    hamiltonian_application_flops,
-    predict_group_cost,
-    predict_job_cost,
-    predict_scf_cost,
-)
+from ..perf.sweep_cost import predict_group_cost, predict_job_cost, predict_scf_cost
 
 __all__ = [
     "MACHINES",
@@ -85,7 +82,8 @@ class CostEstimate:
     ----------
     flops:
         Floating-point work (from :mod:`repro.perf.sweep_cost` for sweep
-        groups, or the reference path for the paper's silicon systems).
+        groups, or :func:`repro.perf.flops.step_flops` for the paper's
+        silicon steps).
     seconds:
         Predicted wall-clock time.
     n_gpus, nodes:
@@ -131,45 +129,32 @@ class MachineCostModel:
     ----------
     system:
         The modeled machine (bandwidths, node power, capacity).
-    gpu_model:
-        Kernel roofline used for the sustained FLOP throughput; defaults to
-        a :class:`~repro.machine.gpu.GPUKernelModel` built on the modeled
-        system's own accelerator.
-    network:
-        Collective cost model for the communication terms of the reference
-        path.
     gpus_per_group:
         Default GPUs each sweep group occupies; per-config
         ``run.machine.gpus_per_group`` overrides it.
-    bcast_overlap_fraction:
-        Fraction of the Fock wavefunction broadcast hidden behind computation
-        (the paper's final optimization stage).
-    step_flop_multiplier:
-        Ratio of a full PT-CN step's work to its Fock + local ``H Psi`` FLOPs
-        (residual transposes, subspace GEMMs, Anderson mixing, density
-        evaluation, host-side "others"). The sweep FLOP counter deliberately
-        models only the dominant ``H Psi`` term; this single multiplier,
-        calibrated once against the 36-GPU column of the paper's Table 1,
-        turns it into full-step work. It scales every estimate uniformly, so
-        orderings and makespan ratios are unaffected.
+
+    The kernel roofline (:attr:`gpu_model`) that sets the sustained FLOP
+    throughput is built on the modeled system's own accelerator, so a preset
+    with faster GPUs (e.g. ``"frontier"``) predicts faster kernels.
     """
 
+    #: ratio of a full PT-CN step's work to its Fock + local ``H Psi`` FLOPs
+    #: (residual transposes, subspace GEMMs, Anderson mixing, density
+    #: evaluation, host-side "others"). The sweep FLOP counter deliberately
+    #: models only the dominant ``H Psi`` term; this single multiplier, set
+    #: once against the 36-GPU column of the paper's Table 1, turns it into
+    #: full-step work. It scales every estimate uniformly, so
+    #: orderings and makespan ratios are unaffected
+    step_flop_multiplier: ClassVar[float] = 2.5
+
     system: SummitSystem = SUMMIT
-    gpu_model: GPUKernelModel | None = None
-    network: NetworkModel | None = None
     gpus_per_group: int = 1
-    bcast_overlap_fraction: float = 0.92
-    step_flop_multiplier: float = 2.5
+    gpu_model: GPUKernelModel = field(init=False)
 
     def __post_init__(self) -> None:
         if self.gpus_per_group < 1:
             raise ValueError(f"gpus_per_group must be >= 1, got {self.gpus_per_group}")
-        if self.gpu_model is None:
-            # the roofline follows the modeled machine's accelerator, so a
-            # preset with faster GPUs (e.g. "frontier") predicts faster kernels
-            object.__setattr__(self, "gpu_model", GPUKernelModel(gpu=self.system.node.gpu))
-        if self.network is None:
-            object.__setattr__(self, "network", NetworkModel(self.system))
+        object.__setattr__(self, "gpu_model", GPUKernelModel(gpu=self.system.node.gpu))
 
     # ------------------------------------------------------------------
     # Construction from configs
@@ -270,55 +255,8 @@ class MachineCostModel:
         if calibration is None or getattr(calibration, "is_empty", False):
             return self
         return CalibratedCostModel(
-            system=self.system,
-            gpu_model=self.gpu_model,
-            network=self.network,
-            gpus_per_group=self.gpus_per_group,
-            bcast_overlap_fraction=self.bcast_overlap_fraction,
-            step_flop_multiplier=self.step_flop_multiplier,
-            calibration=calibration,
+            system=self.system, gpus_per_group=self.gpus_per_group, calibration=calibration
         )
-
-    # ------------------------------------------------------------------
-    # Reference path: the paper's silicon systems (model calibration)
-    # ------------------------------------------------------------------
-    def silicon_step_estimate(
-        self,
-        natoms: int,
-        n_gpus: int,
-        n_scf_iterations: int = 22,
-        extra_fock_applications: int = 2,
-        hybrid_mixing: float = 0.25,
-    ) -> CostEstimate:
-        """Predicted time/energy of one PT-CN step of a Si-``natoms`` system.
-
-        Compute flows through the same FLOPs → throughput conversion the sweep
-        estimates use; the per-application wavefunction broadcast (the paper's
-        dominant communication term) flows through the network model, with the
-        overlappable fraction hidden behind computation. This is the curve the
-        calibration tests pin against :func:`repro.perf.scaling.strong_scaling`
-        / :func:`~repro.perf.scaling.weak_scaling`.
-        """
-        from ..perf.workload import SiliconWorkload  # deferred: keeps import cheap
-
-        workload = SiliconWorkload.from_atom_count(natoms)
-        applications = n_scf_iterations + extra_fock_applications
-        flops = self.step_flop_multiplier * applications * hamiltonian_application_flops(
-            workload.n_bands, workload.n_planewaves, hybrid_mixing
-        )
-        compute_per_app = self.compute_seconds(flops, n_gpus) / applications
-        bcast_bytes_per_rank = workload.n_bands * workload.n_planewaves * 8  # single-precision MPI
-        visible_comm_per_app = self.network.overlap(
-            self.network.bcast_time(bcast_bytes_per_rank, n_gpus),
-            compute_per_app,
-            self.bcast_overlap_fraction,
-        )
-        seconds = applications * (compute_per_app + visible_comm_per_app)
-        return self.estimate(flops, n_gpus, seconds=seconds)
-
-    def silicon_scaling(self, natoms: int, gpu_counts) -> list[CostEstimate]:
-        """The strong-scaling curve of :meth:`silicon_step_estimate`."""
-        return [self.silicon_step_estimate(natoms, n) for n in gpu_counts]
 
 
 @dataclass(frozen=True)
@@ -329,10 +267,7 @@ class CalibratedCostModel(MachineCostModel):
     (job, SCF, group) is rescaled in *seconds* by the calibration's time
     scale for this machine and the workload's propagator — the SCF uses the
     machine-wide bucket (it is not a propagator workload), mixed-propagator
-    groups likewise. The :meth:`~MachineCostModel.silicon_step_estimate`
-    reference path is deliberately left at the base pricing: it is the
-    paper-pinned curve the static model is validated against, not a sweep
-    workload.
+    groups likewise.
     """
 
     #: a fitted :class:`repro.calib.CalibrationModel` (duck-typed: anything

@@ -11,6 +11,7 @@ from .flops import (
     flops_efficiency,
     fock_flop_fraction,
     fock_flops_per_application,
+    hamiltonian_application_flops,
     step_flops,
 )
 from .scaling import (
@@ -24,7 +25,6 @@ from .scaling import (
 from .stages import StageResult, optimization_stage_times
 from .sweep_cost import (
     applications_per_step,
-    hamiltonian_application_flops,
     predict_group_cost,
     predict_job_cost,
     predict_scf_cost,

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.paper_data import CPU_BASELINE_CORES
-from ..machine.gpu import CPUKernelModel, GPUKernelModel, fft_flops
+from ..machine.gpu import CPUKernelModel, GPUKernelModel
 from ..machine.network import NetworkModel
 from ..machine.summit import SUMMIT, SummitSystem
+from .flops import EXTRA_FOCK_APPLICATIONS, SCF_ITERATIONS_PER_STEP, fock_pair_solves, pair_solve_flops
 from .workload import SiliconWorkload
 
 __all__ = ["ComponentCalibration", "SCFComponentTimes", "StepBreakdown", "CommunicationBreakdown", "PWDFTPerformanceModel"]
@@ -237,11 +238,11 @@ class PWDFTPerformanceModel:
         parameters.
     calibration:
         Calibration multipliers for the host-side components.
-    n_scf_iterations:
-        Inner SCF iterations per PT-CN step (paper: 22).
-    extra_fock_applications:
-        Fock applications outside the SCF loop per step (paper: 2 — the
-        initial residual and the energy evaluation).
+    n_scf_iterations, extra_fock_applications:
+        Inner SCF iterations per PT-CN step and Fock applications outside the
+        SCF loop; default to the paper's schedule
+        (:data:`~repro.perf.flops.SCF_ITERATIONS_PER_STEP` and
+        :data:`~repro.perf.flops.EXTRA_FOCK_APPLICATIONS`).
     single_precision_mpi:
         Whether wavefunction communication uses single precision (the paper's
         production configuration).
@@ -255,8 +256,8 @@ class PWDFTPerformanceModel:
         cpu_model: CPUKernelModel | None = None,
         network: NetworkModel | None = None,
         calibration: ComponentCalibration | None = None,
-        n_scf_iterations: int = 22,
-        extra_fock_applications: int = 2,
+        n_scf_iterations: int = SCF_ITERATIONS_PER_STEP,
+        extra_fock_applications: int = EXTRA_FOCK_APPLICATIONS,
         single_precision_mpi: bool = True,
     ):
         self.workload = workload
@@ -481,11 +482,8 @@ class PWDFTPerformanceModel:
         """CPU time of one Fock exchange application on ``n_cores`` cores."""
         w = self.workload
         n_cores = min(n_cores, w.n_bands)  # band-parallel limit (Section 5)
-        solves = w.n_bands * w.n_bands
-        flops_per_solve = 2.0 * fft_flops(w.n_planewaves) + 6.0 * w.n_planewaves
-        total_flops = solves * flops_per_solve
         rate = self.cpu.socket.sustained_gflops_per_core * 1e9 * n_cores
-        return total_flops / rate
+        return fock_pair_solves(w.n_bands) * pair_solve_flops(w.n_planewaves) / rate
 
     def cpu_step_time(self, n_cores: int) -> float:
         """CPU-only time of one PT-CN step (Fock-dominated, paper: 8874 s)."""

@@ -11,23 +11,23 @@ groups can be packed onto ranks with balanced makespan.
 The estimates here are **relative FLOP counts**, not wall-time predictions:
 they are derived from the cheap layers of a config only (structure factory,
 grid choice — never an SCF), and they only need to order workloads correctly.
-The dominant term mirrors :func:`repro.perf.flops.fock_flops_per_application`:
-for hybrid functionals one Hamiltonian application costs ``N_b^2`` pair-density
-FFT solves, for semi-local functionals ``N_b`` orbital FFTs.
+Every job is priced in Hamiltonian applications, each counted by
+:func:`repro.perf.flops.hamiltonian_application_flops`: for hybrid functionals
+``N_b^2`` pair-density FFT solves on top of the ``N_b`` orbital FFTs of the
+semi-local part.
 """
 
 from __future__ import annotations
 
 import json
 
-from ..machine.gpu import fft_flops
+from .flops import hamiltonian_application_flops
 
 __all__ = [
     "BATCH_STEPPING_EFFICIENCY",
     "DEFAULT_APPLICATIONS_PER_STEP",
     "NOMINAL_IMPLICIT_SCF_ITERATIONS",
     "applications_per_step",
-    "hamiltonian_application_flops",
     "predict_group_cost",
     "predict_job_cost",
     "predict_scf_cost",
@@ -61,26 +61,6 @@ _DAVIDSON_APPLICATIONS_PER_ITERATION = 6.0
 #: cap on the predicted outer ground-state SCF iteration count (well-behaved
 #: systems converge long before a generous ``gs_max_scf_iterations`` bound)
 _NOMINAL_GS_ITERATIONS = 30.0
-
-
-def hamiltonian_application_flops(n_bands: int, n_grid: int, hybrid_mixing: float = 0.25) -> float:
-    """FLOPs of one ``H Psi`` application on ``n_bands`` orbitals.
-
-    The local/semi-local part costs one forward+inverse FFT plus pointwise
-    work per band; a hybrid functional adds the Fock exchange — ``N_b^2``
-    pair-density Poisson solves (Eq. 3 of the paper), the term that makes
-    hybrid groups dominate any mixed sweep. The count is the paper's (PWDFT
-    on Summit): the host engine's :mod:`repro.pw.exchange` solves only the
-    ``N_b (N_b + 1) / 2`` pair triangle, a constant factor that
-    :mod:`repro.calib` absorbs into the host's observed/predicted scale.
-    """
-    if n_bands < 1 or n_grid < 1:
-        raise ValueError("n_bands and n_grid must be >= 1")
-    per_solve = 2.0 * fft_flops(n_grid) + 6.0 * n_grid
-    local = n_bands * per_solve
-    if hybrid_mixing:
-        return local + float(n_bands) ** 2 * per_solve
-    return local
 
 
 def applications_per_step(propagator_name: str, params: dict | None = None) -> float:

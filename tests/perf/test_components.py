@@ -1,7 +1,11 @@
 """Tests of the performance model against the paper's Table 1 / Table 2."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     CPU_BASELINE_TIME_S,
@@ -11,6 +15,7 @@ from repro.analysis import (
     compare_series,
     geometric_mean_ratio,
 )
+from repro.machine import SUMMIT
 from repro.perf import PWDFTPerformanceModel, SiliconWorkload
 
 
@@ -130,6 +135,29 @@ class TestScalingShapes:
     def test_gpu_count_validation(self, model):
         with pytest.raises(ValueError):
             model.scf_component_times(5000)
+
+    def test_step_time_is_flat_past_the_knee(self, model):
+        """Past the paper's 768-GPU knee the broadcast dominates and adding
+        GPUs buys (almost) nothing: 3072 GPUs step within 5 % of 768."""
+        knee = model.step_breakdown(768).total_step_time
+        assert model.step_breakdown(3072).total_step_time == pytest.approx(knee, rel=0.05)
+
+    @given(factor=st.floats(min_value=1.01, max_value=100.0))
+    @settings(max_examples=25, deadline=None)
+    def test_faster_network_never_slows_a_step(self, model, factor):
+        """Scaling every network bandwidth up can only shrink the predicted
+        step time (the paper's closing 'scale further with improved network
+        bandwidth' expectation)."""
+        fast_system = dataclasses.replace(
+            SUMMIT,
+            bcast_rank_bandwidth_gbs=factor * SUMMIT.bcast_rank_bandwidth_gbs,
+            allreduce_rank_bandwidth_gbs=factor * SUMMIT.allreduce_rank_bandwidth_gbs,
+        )
+        fast = PWDFTPerformanceModel(model.workload, system=fast_system)
+        # deep in the saturated regime, where the broadcast is the bottleneck,
+        # and at the compute-bound end
+        for n_gpus in (1536, 72):
+            assert fast.step_breakdown(n_gpus).total_step_time <= model.step_breakdown(n_gpus).total_step_time
 
 
 class TestTable2:

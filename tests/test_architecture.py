@@ -107,8 +107,17 @@ def one_group_ledger(root):
             + _grep(root, r"(^|[^A-Za-z0-9_])Observation\(", ["src"], allowed=("src/repro/calib/",)))
 
 
+def one_pair_solve_count(root):
+    """The FLOPs of one pair solve of Eq. 3 (two FFTs plus pointwise work) are
+    counted once, by ``repro.perf.flops.pair_solve_flops``: the Fock, ``HΨ``,
+    step and CPU-baseline counts call it instead of restating it, so the
+    scheduler's relative cost and the paper's FLOP accounting cannot drift
+    apart."""
+    return _grep(root, r"2\.0 \* fft_flops\(", ["src"], allowed=("src/repro/perf/flops.py",))
+
+
 RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_fftplan_calls,
-         one_hpsi_kernel, one_density_mixer, one_group_ledger]
+         one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count]
 
 #: per rule, a tree that breaks it (the allowed sites included) and the file it must name
 BREAKS = {
@@ -130,6 +139,9 @@ BREAKS = {
     one_group_ledger: ({"src/repro/exec/scheduler.py": "rank = min(range(n), key=loads.__getitem__)\n",
                         "src/repro/service/runner.py": "rank = min(range(n), key=loads.__getitem__)\n"},
                        "src/repro/service/runner.py"),
+    one_pair_solve_count: ({"src/repro/perf/flops.py": "return 2.0 * fft_flops(n) + 6.0 * n\n",
+                            "src/repro/perf/sweep_cost.py": "per_solve = 2.0 * fft_flops(n) + 6.0 * n\n"},
+                           "src/repro/perf/sweep_cost.py"),
 }
 
 
