@@ -1,5 +1,7 @@
 """Tests for the serial Fock exchange operator (Eq. 3 of the paper)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -315,3 +317,66 @@ class TestSelfApplicationMemo:
         # re-setting the mutated array replaces the set and its memo
         operator.set_orbitals(orbitals)
         assert not np.allclose(operator.apply(orbitals.coefficients), first)
+
+
+def _digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestExactPins:
+    """The bytes of ``V_X Psi`` on each path of the pair kernel, pinned.
+
+    How the pairs are stacked through the FFT plan is a matter of speed
+    only: every pair density, potential and scatter keeps its operations and
+    their order, so regrouping the stacks must not move a bit. The 12-band
+    blocks hold 75 (triangle) and 144 (rectangle) pair densities of 16 kB,
+    the 16-band complex64 block 136 of 8 kB: one stack under a 4 MiB budget,
+    several under a few hundred KiB. The digests belong to one pocketfft
+    build; regenerate them with :func:`_digest` if a numpy/scipy upgrade
+    moves a last bit of the transforms themselves.
+    """
+
+    OCCUPATIONS = np.array([2.0] * 8 + [1.0, 0.0, 0.5, 0.0])
+    PINS = {
+        "triangle": "626e97d28f8af5fe620805c3b6f3d6aae14e350332492d243150d13faf75217e",
+        "rectangle": "3a5c351f8376d27f06f1c8e8b8a28ac579c0ce3618b894c958b928aac05e2155",
+        "uneven": "a647368d80236d60fc534459fb15ca83b527ca1ed7137f9b11fdd95df46a7c53",
+        "complex64": "b137d6a806e391ad175804752dba3f3398d635f84312976e09f00f08df6957aa",
+    }
+
+    @staticmethod
+    def _block(basis, seed, nbands=12, occupations=None):
+        coefficients = basis.random_coefficients(nbands, np.random.default_rng(seed))
+        return Wavefunction(basis, coefficients, occupations)
+
+    def test_triangle_self_application(self, h2_basis):
+        op = ExchangeOperator(h2_basis, mixing_fraction=0.25, screening_length=0.3)
+        wf = self._block(h2_basis, 1, occupations=self.OCCUPATIONS)
+        op.set_orbitals(wf)
+        out = op.apply(wf.coefficients)
+        assert op.counters.poisson_solves == 75
+        assert _digest(out) == self.PINS["triangle"]
+
+    def test_rectangle_application(self, h2_basis):
+        op = ExchangeOperator(h2_basis, mixing_fraction=0.25, screening_length=0.3)
+        op.set_orbitals(self._block(h2_basis, 2, occupations=np.full(12, 2.0)))
+        out = op.apply(self._block(h2_basis, 3).coefficients)
+        assert op.counters.poisson_solves == 12 * 12
+        assert _digest(out) == self.PINS["rectangle"]
+
+    def test_uneven_kernel_rectangle(self, h2_basis):
+        op = ExchangeOperator(h2_basis, mixing_fraction=0.25, kernel=_uneven_kernel(h2_basis.grid))
+        wf = self._block(h2_basis, 4, occupations=self.OCCUPATIONS)
+        op.set_orbitals(wf)
+        out = op.apply(wf.coefficients)
+        assert op.counters.poisson_solves == 10 * 12
+        assert _digest(out) == self.PINS["uneven"]
+
+    def test_complex64_triangle(self, h2_basis):
+        op = ExchangeOperator(h2_basis, mixing_fraction=0.25, screening_length=0.3)
+        wf = self._block(h2_basis, 5, nbands=16).astype(np.complex64)
+        op.set_orbitals(wf)
+        out = op.apply(wf.coefficients)
+        assert out.dtype == np.complex64
+        assert op.counters.poisson_solves == 136
+        assert _digest(out) == self.PINS["complex64"]
