@@ -24,6 +24,7 @@ from .observables import (
 )
 from .propagators import (
     CrankNicolsonPropagator,
+    DivergedStepError,
     ETRSPropagator,
     Propagator,
     PTCNPropagator,
@@ -46,6 +47,7 @@ __all__ = [
     "energy_drift",
     "excited_charge",
     "CrankNicolsonPropagator",
+    "DivergedStepError",
     "ETRSPropagator",
     "Propagator",
     "PTCNPropagator",

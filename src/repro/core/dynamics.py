@@ -24,7 +24,7 @@ from ..pw.ground_state import _atomic_savez
 from ..pw.hamiltonian import EnergyBreakdown, Hamiltonian
 from ..pw.laser import sawtooth_position
 from .observables import energy_drift
-from .propagators.base import Propagator, StepStatistics
+from .propagators.base import DivergedStepError, Propagator, StepStatistics
 
 __all__ = ["Trajectory", "TDDFTSimulation", "BatchedRun", "run_batched", "json_default"]
 
@@ -423,12 +423,15 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
         for j in active:
             groups.setdefault(type(runs[j].simulation.propagator), []).append(j)
         for propagator_cls, members in groups.items():
-            new_wfs, stats = propagator_cls.step_many(
-                [runs[j].simulation.propagator for j in members],
-                [wavefunctions[j] for j in members],
-                [current_times[j] for j in members],
-                [runs[j].time_step for j in members],
-            )
+            try:
+                new_wfs, stats = propagator_cls.step_many(
+                    [runs[j].simulation.propagator for j in members],
+                    [wavefunctions[j] for j in members],
+                    [current_times[j] for j in members],
+                    [runs[j].time_step for j in members],
+                )
+            except DivergedStepError as exc:  # name the run, not the stack row
+                raise DivergedStepError(members[exc.job], exc.time) from None
             for idx, j in enumerate(members):
                 wavefunctions[j] = new_wfs[idx]
                 current_times[j] += runs[j].time_step

@@ -10,7 +10,24 @@ import numpy as np
 from ...pw.basis import Wavefunction
 from ...pw.hamiltonian import Hamiltonian, stack_coefficients, update_potentials_many
 
-__all__ = ["StepStatistics", "Propagator"]
+__all__ = ["StepStatistics", "Propagator", "DivergedStepError"]
+
+
+class DivergedStepError(ArithmeticError):
+    """A step left a job's orbitals non-finite (an unstable time step, a
+    blown-up field or inner SCF). ``job`` is the job's row in the stack the
+    step was given (:func:`~repro.core.dynamics.run_batched` re-raises it
+    with the run's index), ``time`` the time the step started from."""
+
+    def __init__(self, job: int, time: float):
+        super().__init__(
+            f"job {job} diverged in the step from t = {time:.6g} a.u.: its orbitals are not finite"
+        )
+        self.job = job
+        self.time = time
+
+    def __reduce__(self):  # crosses process-pool boundaries intact
+        return type(self), (self.job, self.time)
 
 
 @dataclass
@@ -180,6 +197,16 @@ class Propagator(ABC):
                 "row": row,
                 "density": ham.density,
             }
+
+    @staticmethod
+    def _require_finite(coefficients: np.ndarray, times: list[float]) -> None:
+        """Raise :class:`DivergedStepError` for the first job of the stack
+        ``coefficients`` ``(job, band, G)`` whose accepted state is not finite
+        (the stack is only read)."""
+        finite = np.isfinite(coefficients.reshape(len(times), -1)).all(axis=1)
+        if not finite.all():
+            job = int(np.argmin(finite))
+            raise DivergedStepError(job, times[job])
 
     @staticmethod
     def _explicit_statistics(wavefunction: Wavefunction, applications: int) -> StepStatistics:

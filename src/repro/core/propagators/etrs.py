@@ -108,6 +108,7 @@ class ETRSPropagator(Propagator):
 
         # second half-steps with H_{n+1}
         final = exponential(half, half_dts)
+        cls._require_finite(final, times)
         new_wfs = [Wavefunction(basis, final[j], occs[j]) for j in range(njobs)]
 
         cls._end_of_step(propagators, new_wfs)

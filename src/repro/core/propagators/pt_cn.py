@@ -329,7 +329,9 @@ class PTCNPropagator(Propagator):
                     frozen_left[j] = _FROZEN_ITERATIONS
             active = still_active
 
-        # Line 11: orthogonalize per job
+        # Line 11: orthogonalize per job (a diverged job fails by name here,
+        # not in the Cholesky factorisation)
+        cls._require_finite(c_f, times)
         out_wfs: list[Wavefunction] = []
         ortho_errs: list[float] = []
         for j, p in enumerate(propagators):

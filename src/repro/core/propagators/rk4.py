@@ -103,6 +103,7 @@ class RK4Propagator(Propagator):
         c_new = c0 + (dt_col / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if c_new.dtype != c0.dtype:  # complex64 tier: dt_col is float64
             c_new = c_new.astype(c0.dtype)
+        cls._require_finite(c_new, times)
         new_wfs = [Wavefunction(basis, c_new[j], occs[j]) for j in range(njobs)]
 
         for j, ham in enumerate(hams):

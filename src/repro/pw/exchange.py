@@ -39,9 +39,12 @@ the target transform. Which path runs is decided from the data alone:
 * **rectangular** — any other target (eigensolver blocks) or a
   kernel that is not even: every occupied ``i`` against every target ``j``.
 
-Both run through one pair-block kernel that differs only in its index set;
-pair densities are pushed through the cached FFT plan in large stacks on a
-preallocated scratch buffer.
+Both run through one pair-block kernel that differs only in its index set.
+Pair densities are pushed through the cached FFT plan in cache-sized stacks
+on a preallocated scratch buffer (:data:`_STACK_BYTES`), cut only between the
+rows of pairs that share an ``i``: a row is split only when it alone exceeds a
+stack, so the mirror sum of each row stays one sum and the stack size moves no
+bit of ``V_X Psi``.
 
 The self-application ``V_X[Psi] Psi`` is memoised per orbital set:
 :meth:`~ExchangeOperator.set_orbitals` with value-equal coefficients and
@@ -74,9 +77,12 @@ from .poisson import CoulombKernel, bare_coulomb_kernel, screened_exchange_kerne
 __all__ = ["ExchangeOperator", "ExchangeCounters"]
 
 #: size of the pair-density scratch one operator keeps: the most pair
-#: densities sent through the FFT plan in one call (all 136 of Si8's triangle
-#: fit; larger grids go through in several stacks)
-_STACK_BYTES = 4 << 20
+#: densities sent through the FFT plan in one call. Sized so that a stack, the
+#: orbitals and the output stay in a 2 MiB per-core L2 cache together: 24 of
+#: Si8's 16 kB pairs, so its 136-pair triangle goes through in 8 row-aligned
+#: stacks. Below 16 of them Si8's longest row would be split, and its bits with
+#: it (16 to 32 pairs a stack measure the same)
+_STACK_BYTES = 384 << 10
 
 
 @dataclass
@@ -135,10 +141,14 @@ def _triangle_rows(occupied: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def _stacks(rows: list[tuple[int, int, int]], capacity: int):
-    """Cut ``rows`` into pieces ``(i, j0, j1, offset)`` and group them into
-    stacks of at most ``capacity`` pairs; yields ``(pieces, n_pairs)``."""
+    """Group ``rows`` into stacks of at most ``capacity`` pairs, cutting only
+    between rows (a row is split only when it alone exceeds ``capacity``);
+    yields ``(pieces, n_pairs)`` with pieces ``(i, j0, j1, offset)``."""
     pieces, used = [], 0
     for i, j0, j1 in rows:
+        if used and used + j1 - j0 > capacity:
+            yield pieces, used
+            pieces, used = [], 0
         while j0 < j1:
             take = min(j1 - j0, capacity - used)
             pieces.append((i, j0, j0 + take, used))
@@ -305,14 +315,15 @@ class ExchangeOperator:
         else:
             rows = [(int(i), 0, target_real.shape[0]) for i in np.flatnonzero(occupied)]
 
-        conj_psi = np.conj(psi)
         weighted = weights[:, None, None, None] * psi
         conj_weighted = np.conj(weighted) if mirror else None
         out_real = np.zeros_like(target_real)
         scratch = self._pair_scratch(np.result_type(psi.dtype, target_real.dtype))
+        row = np.empty_like(psi[0])  # conj(psi_i), then the mirror sum of row i
         for pieces, n_pairs in _stacks(rows, scratch.shape[0]):
             for i, j0, j1, offset in pieces:
-                np.multiply(conj_psi[i], target_real[j0:j1], out=scratch[offset : offset + j1 - j0])
+                conj_psi_i = np.conj(psi[i], out=row)
+                np.multiply(conj_psi_i, target_real[j0:j1], out=scratch[offset : offset + j1 - j0])
             potential = self.kernel.apply_to_density(scratch[:n_pairs], overwrite=True)
             self.counters.poisson_solves += n_pairs
             self.counters.ffts += 2 * n_pairs
@@ -323,9 +334,8 @@ class ExchangeOperator:
                     # pair is its own mirror and only scatters below
                     m = max(j0, i + 1)
                     if m < j1:
-                        out_real[i] += np.conj(
-                            np.einsum("j...,j...->...", conj_weighted[m:j1], block[m - j0 :])
-                        )
+                        np.einsum("j...,j...->...", conj_weighted[m:j1], block[m - j0 :], out=row)
+                        out_real[i] += np.conj(row, out=row)
                 if occupied[i]:
                     block *= weighted[i]  # the potential stack is scratch
                     out_real[j0:j1] += block

@@ -7,12 +7,15 @@ and (c) remain stable at time steps where the explicit schemes are useless —
 which is the entire point of the paper.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.constants import attoseconds_to_au
 from repro.core import (
     CrankNicolsonPropagator,
+    DivergedStepError,
     ETRSPropagator,
     PTCNPropagator,
     RK4Propagator,
@@ -91,18 +94,19 @@ class TestRK4:
         assert np.max(np.abs(new_wf.coefficients[0] - exact)) < 1e-6
 
     def test_unstable_at_large_time_step(self, propagation_setup):
-        """RK4 blows up at the PT-CN step size — the paper's motivation for PT."""
+        """RK4 blows up at the PT-CN step size — the paper's motivation for PT —
+        and the step whose orbitals overflow fails by name."""
         ham, wf0 = propagation_setup
         rk4 = RK4Propagator(ham)
         rk4.prepare(wf0, 0.0)
         dt = attoseconds_to_au(50.0)
         wf = wf0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for step in range(5):
-                wf, _ = rk4.step(wf, step * dt, dt)
-        norms = wf.norms()
-        blew_up = (not np.all(np.isfinite(norms))) or np.max(np.abs(norms - 1.0)) > 0.1
-        assert blew_up
+            with pytest.raises(DivergedStepError, match="job 0 diverged") as caught:
+                for step in range(5):
+                    wf, _ = rk4.step(wf, step * dt, dt)
+        assert caught.value.time == step * dt
+        assert step > 0 and np.max(np.abs(wf.norms() - 1.0)) > 0.1  # the step before had already run away
 
 
 class TestPTCN:
@@ -300,6 +304,29 @@ class TestETRS:
         ham, _ = propagation_setup
         with pytest.raises(ValueError):
             ETRSPropagator(ham, taylor_order=0)
+
+
+class TestDivergedStep:
+    """A step that leaves a job's orbitals non-finite fails by name, with the
+    job's row in the stack and the time the step started from (PT-CN before
+    line 11's Cholesky factorisation, the explicit schemes at the end of the
+    step); the check only reads the accepted state."""
+
+    @pytest.mark.parametrize("scheme", [PTCNPropagator, RK4Propagator, ETRSPropagator])
+    def test_a_nan_in_one_job_of_a_width_2_stack(self, scheme, h2_ground_state, h2_basis, h2_structure):
+        _, result = h2_ground_state
+        good = result.wavefunction
+        bad = good.copy()
+        bad.coefficients[0, 3] = np.nan
+        propagators = [scheme(Hamiltonian(h2_basis, h2_structure, hybrid_mixing=0.25)) for _ in range(2)]
+        for propagator, wavefunction, time in zip(propagators, [good, bad], [0.0, 3.0]):
+            propagator.prepare(wavefunction, time)
+        named = pytest.raises(DivergedStepError, match=r"job 1 .* t = 3 a\.u\.")
+        with np.errstate(invalid="ignore"), named as caught:
+            scheme.step_many(propagators, [good, bad], [0.0, 3.0], [0.5, 0.5])
+        assert (caught.value.job, caught.value.time) == (1, 3.0)
+        copied = pickle.loads(pickle.dumps(caught.value))  # process-pool workers re-raise it
+        assert (type(copied), str(copied), copied.job) == (DivergedStepError, str(caught.value), 1)
 
 
 @pytest.fixture()

@@ -145,6 +145,18 @@ class TestFailureAttribution:
         (jobs,) = spec.groups().values()
         return jobs
 
+    @staticmethod
+    def _assert_computes_what_it_computes_alone(result, job):
+        (alone,) = execute_group([job], None, raise_on_error=True)
+        for column in alone.trajectory._ARRAY_FIELDS:
+            assert np.array_equal(
+                getattr(result.trajectory, column), getattr(alone.trajectory, column), equal_nan=True
+            ), column
+        assert np.array_equal(
+            result.trajectory.final_wavefunction.coefficients,
+            alone.trajectory.final_wavefunction.coefficients,
+        )
+
     def test_failure_is_recorded_for_the_job_that_raised(self, jobs):
         with pytest.warns(UserWarning, match="fell back to width-1 runs: ValueError"):
             results = execute_group(jobs, None, raise_on_error=False)
@@ -153,17 +165,39 @@ class TestFailureAttribution:
         assert "scf_tolerance" in results[1].error
         # the survivors are what their one-job groups compute, bit for bit
         for index in (0, 2):
-            (alone,) = execute_group([jobs[index]], None, raise_on_error=True)
-            for column in alone.trajectory._ARRAY_FIELDS:
-                assert np.array_equal(
-                    getattr(results[index].trajectory, column),
-                    getattr(alone.trajectory, column),
-                    equal_nan=True,
-                ), column
-            assert np.array_equal(
-                results[index].trajectory.final_wavefunction.coefficients,
-                alone.trajectory.final_wavefunction.coefficients,
-            )
+            self._assert_computes_what_it_computes_alone(results[index], jobs[index])
+
+    def test_a_diverging_job_fails_by_name_and_alone(self, tiny_config, monkeypatch):
+        """A NaN injected into the field of the second job of a width-2 PT-CN
+        stack (the group's third job; an RK4 job steps in a stack of its
+        own): the lockstep step fails by name, not in PT-CN's Cholesky
+        factorisation, naming the group's job rather than the stack row; the
+        width-1 fallback records the failure on that job, and the other jobs
+        compute what they compute alone."""
+        from repro.pw.laser import GaussianLaserPulse
+
+        pulse = {"amplitude": 0.004, "omega": 0.35, "t0_as": 2.0, "sigma_as": 2.0}
+        config = tiny_config.with_overrides({"laser": {"pulse": "gaussian", "params": pulse}})
+        spec = SweepSpec(
+            config,
+            {"propagator.name": ["ptcn", "rk4", "ptcn"], "laser.params.amplitude": [0.004, 0.005, 0.006]},
+            mode="zip",
+        )
+        (jobs,) = spec.groups().values()
+        field = GaussianLaserPulse.field
+        monkeypatch.setattr(
+            GaussianLaserPulse,
+            "field",
+            lambda pulse, t: float("nan") if pulse.amplitude == 0.006 and t > 0 else field(pulse, t),
+        )
+        with np.errstate(invalid="ignore"), pytest.warns(
+            UserWarning, match="fell back to width-1 runs: DivergedStepError: job 2 diverged"
+        ):
+            results = execute_group(jobs, None, raise_on_error=False)
+        assert [r.status for r in results] == ["completed", "completed", "failed"]
+        assert results[2].error.startswith("DivergedStepError: job 0 diverged in the step from t = 0 a.u.")
+        for index in (0, 1):
+            self._assert_computes_what_it_computes_alone(results[index], jobs[index])
 
     def test_raise_on_error_checkpoints_the_jobs_before_the_failure(self, jobs, tmp_path):
         store = ResultStore(tmp_path / "store")

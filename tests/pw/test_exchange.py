@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 import repro.pw.exchange as exchange_module
 from repro.pw import ExchangeOperator, Wavefunction
@@ -228,17 +230,25 @@ class TestPairSymmetry:
         assert np.allclose(out, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
 
     def test_stacks_smaller_than_the_triangle(self, operator, orbitals, monkeypatch):
-        """Cutting the pair rows into several FFT stacks only regroups the sums
-        (the cut depends on grid and dtype alone, so it is the same for every
-        job of a lockstep group)."""
+        """Cutting the triangle's rows (3, 2 and 1 pairs) into several FFT
+        stacks only regroups the pairs: a cut between rows keeps every sum and
+        its order, so the bits. Only a row longer than a stack is split, and
+        its mirror sum with it (the cut depends on grid and dtype alone, so it
+        is the same for every job of a lockstep group)."""
         operator.set_orbitals(orbitals)
-        whole = operator.apply(orbitals.coefficients)
-        monkeypatch.setattr(exchange_module, "_STACK_BYTES", 2 * operator.grid.size * 16)
-        small = ExchangeOperator(operator.basis, mixing_fraction=0.25, screening_length=None)
-        small.set_orbitals(orbitals)
-        assert np.allclose(small.apply(orbitals.coefficients), whole, rtol=1e-12, atol=1e-15)
-        assert small._scratch.shape[0] == 2
-        assert small.counters.poisson_solves == 6
+        whole = operator.apply(orbitals.coefficients)  # 6 pairs: one stack
+        assert operator._scratch.shape[0] > 6
+        for capacity, exact in [(4, True), (3, True), (2, False)]:
+            monkeypatch.setattr(exchange_module, "_STACK_BYTES", capacity * operator.grid.size * 16)
+            small = ExchangeOperator(operator.basis, mixing_fraction=0.25, screening_length=None)
+            small.set_orbitals(orbitals)
+            cut = small.apply(orbitals.coefficients)
+            assert small._scratch.shape[0] == capacity
+            assert small.counters.poisson_solves == 6
+            if exact:
+                assert np.array_equal(cut, whole), capacity
+            else:
+                assert np.allclose(cut, whole, rtol=1e-12, atol=1e-15)
 
     def test_complex64_stays_single_precision(self, operator, orbitals):
         single = orbitals.astype(np.complex64)
@@ -380,3 +390,38 @@ class TestExactPins:
         assert out.dtype == np.complex64
         assert op.counters.poisson_solves == 136
         assert _digest(out) == self.PINS["complex64"]
+
+
+class TestStacks:
+    """The contract of :func:`~repro.pw.exchange._stacks` on the triangle rows."""
+
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(
+        occupied=st.lists(st.booleans(), min_size=1, max_size=14),
+        capacity=st.integers(min_value=1, max_value=30),
+    )
+    def test_row_aligned_stacks_cover_every_pair_once(self, occupied, capacity):
+        occupied = np.array(occupied)
+        n = occupied.size
+        rows = exchange_module._triangle_rows(occupied)
+        stacks = list(exchange_module._stacks(rows, capacity))
+        pieces = [piece for stack, _ in stacks for piece in stack]
+        # every pair i <= j with an occupied member, exactly once, in row order
+        pairs = [(i, j) for i, j0, j1, _ in pieces for j in range(j0, j1)]
+        assert pairs == [(i, j) for i in range(n) for j in range(i, n) if occupied[i] or occupied[j]]
+        for stack, n_pairs in stacks:
+            offsets = [offset for _, _, _, offset in stack]
+            sizes = [j1 - j0 for _, j0, j1, _ in stack]
+            assert offsets == list(np.cumsum([0] + sizes[:-1]))
+            assert all(size > 0 for size in sizes)
+            assert 0 < n_pairs == sum(sizes) <= capacity
+        # a row is cut only if it alone is longer than a stack
+        remaining = iter(pieces)
+        for i, j0, j1 in rows:
+            n_pieces, j = 0, j0
+            while j < j1:
+                piece = next(remaining)
+                assert piece[:2] == (i, j)
+                j, n_pieces = piece[2], n_pieces + 1
+            assert j == j1
+            assert n_pieces == 1 or j1 - j0 > capacity
