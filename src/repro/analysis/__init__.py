@@ -1,5 +1,6 @@
-"""Reporting utilities and reference data digitised from the paper."""
+"""Reporting utilities and the paper's numbers with their budgets."""
 
+from . import paper_data
 from .paper_data import (
     CPU_BASELINE_CORES,
     CPU_BASELINE_TIME_S,
@@ -20,6 +21,7 @@ from .reporting import (
 )
 
 __all__ = [
+    "paper_data",
     "CPU_BASELINE_CORES",
     "CPU_BASELINE_TIME_S",
     "FIG6_GPU_COUNTS",

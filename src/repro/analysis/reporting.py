@@ -1,8 +1,9 @@
 """Table formatting and paper-vs-model comparison helpers.
 
-The benchmarks print plain-text tables with a "paper" column next to the
+Reports print plain-text tables with a "paper" column next to the
 "model"/"measured" column; these helpers keep that formatting consistent and
-compute the relative deviations recorded in EXPERIMENTS.md.
+compute relative deviations. The budgets each paper value is held to are in
+:mod:`repro.analysis.paper_data`, checked by ``tests/paper/``.
 """
 
 from __future__ import annotations

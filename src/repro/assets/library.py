@@ -22,6 +22,7 @@ import json
 import os
 from pathlib import Path
 
+from ..durable import write_durably
 from .builtin import (
     PINNED_DIGESTS,
     build_pseudo,
@@ -228,19 +229,10 @@ class AssetLibrary:
         for ref in self.ids():
             record = self.record(ref)
             payload = self.payload(ref)
-            self._atomic_write(
-                payload_dir / f"{record.sha256}.json", canonical_payload_bytes(payload)
-            )
+            write_durably(payload_dir / f"{record.sha256}.json", canonical_payload_bytes(payload))
         manifest_bytes = json.dumps(self.manifest.as_dict(), indent=2, sort_keys=True).encode()
-        self._atomic_write(root / "manifest.json", manifest_bytes)
+        write_durably(root / "manifest.json", manifest_bytes)
         return root
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
 
     def _payload_path(self, record: AssetRecord) -> Path:
         assert self.root is not None

@@ -371,8 +371,8 @@ class SweepReport:
         from :class:`repro.cost.MachineCostModel`), the wall time its jobs
         actually took in-process, the predicted transfer cost of its sweep
         traffic, and the predicted energy of its node-seconds. The footer
-        reduces the table to the scaling-curve point the ``bench_fig7/8``
-        benchmarks consume (:func:`repro.cost.sweep_execution_point`).
+        reduces the table to the scaling-curve point of the sweep-level
+        Fig. 7/8 analogues (:func:`repro.cost.sweep_execution_point`).
         """
         from ..cost.model import _rank_records, sweep_execution_point  # deferred: keeps report import light
 
@@ -446,8 +446,8 @@ class SweepReport:
     def fig6_table(self, include_wall: bool = True) -> str:
         """The Fig. 6-style cost comparison: one row per completed run.
 
-        Matches the shape of the measured ``bench_fig6`` table — integrator
-        vs time step vs Fock-application count — plus the energy drift and
+        Matches the shape of the paper's Fig. 6 comparison — integrator vs
+        time step vs Fock-application count — plus the energy drift and
         wall time the accuracy discussion needs. ``include_wall=False`` drops
         the (run-to-run noisy) wall-clock column, making the table
         deterministic across backends and reruns.

@@ -26,6 +26,8 @@ import os
 import pathlib
 from dataclasses import asdict, dataclass
 
+from ..durable import write_durably
+
 __all__ = ["Observation", "ObservationLog", "extract_observations"]
 
 
@@ -154,8 +156,8 @@ class ObservationLog:
 
     The log lives at ``<root>/calibration/observations.jsonl`` — one
     :meth:`Observation.as_dict` JSON object per line. Appends rewrite the
-    file through a same-directory tmp file and ``os.replace`` (the object
-    store's idiom), so readers never see a torn tail; unparseable lines are
+    file with :func:`~repro.durable.write_durably` (the object store's
+    write), so readers never see a torn tail; unparseable lines are
     skipped on load, never propagated into a fit.
     """
 
@@ -188,15 +190,12 @@ class ObservationLog:
         lines = [json.dumps(obs.as_dict(), sort_keys=True) for obs in observations]
         if not lines:
             return 0
-        self.directory.mkdir(parents=True, exist_ok=True)
         existing = ""
         if self.path.exists():
             existing = self.path.read_text()
             if existing and not existing.endswith("\n"):
                 existing += "\n"
-        tmp = self.directory / f".tmp-{os.getpid()}-{self.filename}"
-        tmp.write_text(existing + "\n".join(lines) + "\n")
-        os.replace(tmp, self.path)
+        write_durably(self.path, (existing + "\n".join(lines) + "\n").encode())
         return len(lines)
 
     def load(self) -> list[Observation]:

@@ -86,13 +86,6 @@ class Propagator(ABC):
     name: str = "propagator"
     #: whether the scheme is implicit (requires an inner SCF)
     implicit: bool = False
-    #: safety margin (Hartree) added to the kinetic cutoff when estimating the
-    #: Hamiltonian spectral radius for the explicit stability bound — a crude
-    #: stand-in for the (bounded) potential terms on top of the kinetic energy
-    spectral_radius_margin: float = 10.0
-    #: recommended step for implicit PT schemes in atomic time units
-    #: (~48 attoseconds: accuracy limited, the paper's production step size)
-    implicit_recommended_step: float = 2.0
     #: the state this job's last ``step_many`` ended on, or :meth:`prepare`
     #: started it on: its coefficient block, the real-space transform of the
     #: stack it was transformed in with its row there, and the density built
@@ -222,25 +215,6 @@ class Propagator(ABC):
         )
 
     # ------------------------------------------------------------------
-    def recommended_time_step(self) -> float:
-        """A rough recommended time step in atomic units.
-
-        Explicit schemes are limited by the spectral radius of the
-        Hamiltonian (``dt <~ 2 / ||H||`` for stability), implicit PT schemes by
-        accuracy only. The default uses the kinetic-energy cutoff plus
-        :attr:`spectral_radius_margin` as a proxy for the spectral radius,
-        matching the paper's observation that RK4 needs sub-attosecond steps
-        at a 10 Ha cutoff while PT-CN can use ~50 as. Implicit schemes return
-        :attr:`implicit_recommended_step`; subclasses (or configs) may
-        override either class attribute.
-        """
-        spectral_radius = (
-            float(np.max(self.hamiltonian.kinetic_diagonal)) + self.spectral_radius_margin
-        )
-        if self.implicit:
-            return self.implicit_recommended_step
-        return 2.0 / spectral_radius
-
     def prepare(self, wavefunction: Wavefunction, time: float) -> None:
         """Hook called once before a propagation run starts.
 

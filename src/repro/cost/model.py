@@ -332,7 +332,7 @@ def sweep_execution_point(execution: dict) -> dict:
 
     Consumes the per-rank volumes and predicted/observed wall seconds the
     distributed backend logs and returns the row the sweep-level strong/weak
-    scaling benchmarks (``bench_fig7/8``) plot: rank count, predicted and
+    scaling analogues of Figs. 7 and 8 plot: rank count, predicted and
     observed makespan (the busiest rank), total communication volume and
     predicted communication seconds, and total predicted energy.
     """

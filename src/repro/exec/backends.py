@@ -27,8 +27,8 @@ implementations:
   logged the same way the distributed kernels log theirs — and a
   :class:`~repro.cost.NodePlacement` maps ranks onto modeled Summit nodes so
   every transfer is attributed to NVLink, X-Bus or InfiniBand with a
-  predicted wall cost; the ``bench_fig7/8``-style scaling analyses extend to
-  sweep traffic.
+  predicted wall cost; the Fig. 7/8-style scaling analyses extend to sweep
+  traffic (``tests/exec/test_backends.py::TestSweepDispatch``).
 
 All backends run whole groups, so the one-SCF-per-group property survives any
 placement, and all of them share the store-backed resume and ground-state

@@ -17,18 +17,17 @@ driver on top of :class:`repro.pw.hamiltonian.Hamiltonian`:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import os
 import struct
-import uuid
 import zipfile
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..durable import write_durably
 from .basis import Wavefunction
 from .density import DensityMixer, compute_density, density_error
 from .eigensolver import block_davidson
@@ -132,24 +131,14 @@ def _npz_bytes(**arrays) -> bytes:
 
 
 def _atomic_savez(path, **arrays) -> None:
-    """:func:`_npz_bytes` written through a sibling tmp file + ``os.replace``.
-
-    Atomic: a crash mid-write can never leave a torn archive at the final
-    path (checkpoint manifests assume the archive next to them is complete),
-    and an archive that fails to serialise never reaches the disk at all.
-    """
+    """:func:`_npz_bytes` written with :func:`~repro.durable.write_durably`:
+    a crash mid-write can never leave a torn archive at the final path
+    (checkpoint manifests assume the archive next to them is complete), and
+    an archive that fails to serialise never reaches the disk at all."""
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"  # np.savez appends the extension for bare paths; match it
-    data = _npz_bytes(**arrays)
-    tmp = f"{path}.{os.getpid()}-{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    write_durably(path, _npz_bytes(**arrays))
 
 
 @dataclass

@@ -57,10 +57,10 @@ import hashlib
 import json
 import os
 import pathlib
-import uuid
 from typing import TYPE_CHECKING
 
 from ..core.dynamics import Trajectory, json_default
+from ..durable import write_durably
 from ..pw.ground_state import GroundStateResult, _npz_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,28 +92,6 @@ def _fresh_stats() -> dict:
         "deduplicated": 0,
         "quarantined": 0,
     }
-
-
-def _replace_into(tmp: pathlib.Path, data: bytes, final: pathlib.Path) -> None:
-    """Write ``data`` to ``tmp`` and rename it to ``final``, so a reader sees
-    the whole file or none of it. A missing directory (``tmp/`` before the
-    first write, or one removed under a live store) is made then and only
-    then, and the tmp file is removed only when the rename did not consume
-    it."""
-    try:
-        try:
-            tmp.write_bytes(data)
-        except FileNotFoundError:
-            tmp.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
-        try:
-            os.replace(tmp, final)
-        except FileNotFoundError:
-            final.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(tmp, final)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 class ResultStore:
@@ -201,13 +179,12 @@ class ResultStore:
         if final.exists():
             self.stats["deduplicated"] += 1
         else:
-            _replace_into(self.tmp_dir / f"{os.getpid()}-{uuid.uuid4().hex}.npz", data, final)
+            write_durably(final, data, self.tmp_dir)
             self.stats["writes"] += 1
         return {"sha256": digest, "size": len(data)}
 
     def _write_manifest(self, path: pathlib.Path, manifest: dict) -> None:
-        tmp = path.with_name(f"{path.name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
-        _replace_into(tmp, json.dumps(manifest, indent=2, default=json_default).encode(), path)
+        write_durably(path, json.dumps(manifest, indent=2, default=json_default).encode())
 
     def _quarantine(self, *paths) -> None:
         """Move files aside into ``quarantine/`` (never delete evidence)."""

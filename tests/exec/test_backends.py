@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchRunner, SweepSpec
+from repro.cost import sweep_execution_point
 from repro.exec import (
     DistributedBackend,
     ExecutionSettings,
@@ -500,3 +501,73 @@ class TestDrainLedger:
         assert summary["groups"] == [group.as_dict() for group in backend.groups]
         assert [g["index"] for g in summary["groups"]] == [0, 1, 2, 3]
         assert summary["n_groups"] == 4 and summary["n_jobs"] == 8
+
+
+# ---------------------------------------------------------------------------
+# Sweep traffic and the sweep-level analogues of Figs. 7 and 8
+# ---------------------------------------------------------------------------
+
+
+class TestSweepDispatch:
+    """A balanced pack over four ranks, the process pool's export, and the
+    rank-count series that :func:`~repro.cost.sweep_execution_point` reduces
+    to predicted makespans: fixed groups over more ranks (Fig. 7's strong
+    scaling) and one equal-cost group per rank (Fig. 8's weak scaling)."""
+
+    def test_a_balanced_pack_ships_configs_not_results(self, four_group_spec):
+        report = BatchRunner(four_group_spec, settings=_distributed(4, "makespan_balanced")).run()
+        per_rank = report.execution["per_rank"]
+        assert sum(s["jobs"] for s in per_rank) == 8
+        assert all(s["groups"] >= 1 for s in per_rank)
+        assert report.execution["comm"]["calls"]["sendrecv"] == 8
+        # compute-shipping, as the paper's propagation: configs out are
+        # smaller than the observables back
+        assert sum(s["dispatch_bytes"] for s in per_rank) < sum(s["result_bytes"] for s in per_rank)
+
+    def test_the_process_pool_exports_the_serial_bytes(self, four_group_spec):
+        serial = BatchRunner(four_group_spec).run()
+        settings = ExecutionSettings(backend="process", schedule="cheapest_first", max_workers=2)
+        process = BatchRunner(four_group_spec, settings=settings).run()
+        assert process.to_json(exclude_timings=True) == serial.to_json(exclude_timings=True)
+        assert all(group["predicted_seconds"] > 0 for group in process.execution["groups"])
+
+    @pytest.mark.parametrize("schedule", ["makespan_balanced", "energy_aware"])
+    def test_four_ranks_predict_and_observe_a_makespan(self, four_group_spec, schedule):
+        serial = BatchRunner(four_group_spec).run()
+        serial_makespan = sum(group["predicted_seconds"] for group in serial.execution["groups"])
+        report = BatchRunner(four_group_spec, settings=_distributed(4, schedule)).run()
+        point = sweep_execution_point(report.execution)
+        assert 0 < point["predicted_makespan_s"]
+        assert 0 < point["observed_makespan_s"]
+        if schedule == "makespan_balanced":
+            assert point["predicted_makespan_s"] < serial_makespan
+
+    def test_fixed_groups_over_more_ranks_strong_scale(self, four_group_spec):
+        points = [
+            sweep_execution_point(
+                BatchRunner(four_group_spec, settings=_distributed(ranks, "makespan_balanced")).run().execution
+            )
+            for ranks in (1, 2, 4)
+        ]
+        assert len({point["n_jobs"] for point in points}) == 1
+        makespans = [point["predicted_makespan_s"] for point in points]
+        assert makespans[0] > makespans[1] > makespans[2]
+        assert makespans[0] / makespans[2] > 2.0
+        assert all(point["comm_seconds"] > 0 for point in points)
+
+    def test_one_group_per_rank_weak_scales(self, tiny_config):
+        bond_lengths = [1.3, 1.4, 1.5, 1.6]
+        points = {
+            ranks: sweep_execution_point(
+                BatchRunner(
+                    SweepSpec(tiny_config, {"system.params.bond_length": bond_lengths[:ranks]}),
+                    settings=_distributed(ranks, "makespan_balanced"),
+                ).run().execution
+            )
+            for ranks in (1, 2, 4)
+        }
+        assert all(point["n_groups"] == ranks for ranks, point in points.items())
+        makespans = [point["predicted_makespan_s"] for point in points.values()]
+        assert max(makespans) <= 1.2 * min(makespans)
+        energies = [point["predicted_energy_j"] for point in points.values()]
+        assert energies[0] < energies[1] < energies[2]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import PAPER_SCALARS
 from repro.machine import CPUKernelModel, GPUKernelModel, NetworkModel, fft_flops, gemm_flops
 
 
@@ -37,22 +38,18 @@ class TestGPUKernelModel:
         assert unbatched > 1.5 * batched
 
     def test_fft_bandwidth_bound_for_paper_size(self):
-        """For N_G = 648k the FFT is bandwidth bound: time ~ passes * bytes / BW."""
+        """For the paper's N_G the FFT is bandwidth bound: time ~ passes * bytes
+        / BW, at the paper's 90 % of the V100's 900 GB/s."""
         model = GPUKernelModel()
-        t = model.fft_time(648_000)
-        bw_estimate = model.fft_bandwidth_passes * 648_000 * 16 / (0.9 * 900e9)
-        assert t == pytest.approx(bw_estimate, rel=0.3)
+        ng = PAPER_SCALARS["si1536_ng"]
+        t = model.fft_time(ng)
+        bandwidth = PAPER_SCALARS["gpu_bandwidth_utilisation"] * 900e9
+        assert t == pytest.approx(model.fft_bandwidth_passes * ng * 16 / bandwidth, rel=0.3)
 
     def test_gemm_and_memcpy(self):
         model = GPUKernelModel()
         assert model.gemm_time(3072, 3072, 648_000) > model.gemm_time(100, 100, 1000)
         assert model.memcpy_time(1e9) == pytest.approx(1e9 / 50e9)
-
-    def test_cholesky_matches_paper_magnitude(self):
-        """The paper measures 0.017 s for the 3072 x 3072 Cholesky on one V100."""
-        model = GPUKernelModel()
-        t = model.cholesky_time(3072)
-        assert 0.005 < t < 0.2
 
     def test_pointwise_scaling(self):
         model = GPUKernelModel()
@@ -77,12 +74,6 @@ class TestNetworkModel:
         assert net.bcast_time(1e9, 1) == 0.0
         assert net.allreduce_time(1e9, 1) == 0.0
         assert net.alltoallv_time(1e9, 1) == 0.0
-
-    def test_bcast_matches_paper_analysis(self):
-        """15.36 GB received per rank at 2.2 GB/s is ~7 s (Section 7)."""
-        net = NetworkModel()
-        t = net.bcast_time(15.36e9, 768)
-        assert t == pytest.approx(7.0, rel=0.1)
 
     def test_allreduce_roughly_constant_in_ranks(self):
         """The paper's Allreduce times barely change from 36 to 3072 GPUs."""

@@ -1,4 +1,6 @@
-"""Tests for the Summit hardware description and power model."""
+"""Tests for the Summit hardware description and power model (its nodes,
+power and memory against the paper: ``tests/paper/test_power.py`` and
+``test_memory.py``)."""
 
 import pytest
 
@@ -6,45 +8,22 @@ from repro.machine import (
     SUMMIT,
     NodeSpec,
     PowerReport,
-    SummitSystem,
-    compare_runs,
-    cpu_run_power,
     energy_to_solution,
-    gpu_run_power,
 )
 
 
 class TestNodeSpec:
-    def test_paper_node_power(self):
-        node = NodeSpec()
-        assert node.power_cpu_only_watts == pytest.approx(380.0)
-        assert node.power_full_watts == pytest.approx(2180.0)
-
     def test_node_memory_and_cores(self):
         node = NodeSpec()
-        assert node.cpu_memory_gb == pytest.approx(512.0)
         assert node.cpu_cores == 44
         assert node.injection_bandwidth_gbs == pytest.approx(25.0)
 
 
 class TestSummitSystem:
     def test_nodes_for_gpus(self):
-        assert SUMMIT.nodes_for_gpus(72) == 12
         assert SUMMIT.nodes_for_gpus(768) == 128
         assert SUMMIT.nodes_for_gpus(1) == 1
         assert SUMMIT.nodes_for_gpus(7) == 2
-
-    def test_nodes_for_cpu_cores_matches_paper(self):
-        """The paper places 3072 CPU ranks on ~73 nodes."""
-        assert abs(SUMMIT.nodes_for_cpu_cores(3072) - 73) <= 1
-
-    def test_gpu_power_matches_paper(self):
-        """12 GPU nodes = 26160 W (Section 6)."""
-        assert gpu_run_power(72) == pytest.approx(26160.0)
-
-    def test_cpu_power_close_to_paper(self):
-        """73 nodes x 380 W = 27740 W; our node-count rounding gives within 2 %."""
-        assert cpu_run_power(3072) == pytest.approx(27740.0, rel=0.02)
 
     def test_validate_gpu_count(self):
         SUMMIT.validate_gpu_count(27648)
@@ -68,12 +47,3 @@ class TestPower:
         report = PowerReport("x", 1, 2000.0, 1800.0)
         assert report.energy_joules == pytest.approx(3.6e6)
         assert report.energy_kwh == pytest.approx(1.0)
-
-    def test_compare_runs_paper_conclusion(self):
-        """At nearly equal power, the 72-GPU run is ~7x faster -> ~7x less energy."""
-        cpu = PowerReport("cpu", 73, 27740.0, 8874.0)
-        gpu = PowerReport("gpu", 12, 26160.0, 1269.0)
-        result = compare_runs(cpu, gpu)
-        assert result["speedup"] == pytest.approx(7.0, rel=0.05)
-        assert result["power_ratio"] == pytest.approx(1.06, rel=0.05)
-        assert result["energy_ratio"] > 6.5

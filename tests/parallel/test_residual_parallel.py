@@ -40,7 +40,7 @@ class TestAgainstSerial:
         d_hpsi = distribute(chain_basis, h_wf, wf.occupations, comm)
         d_half = distribute(chain_basis, half, wf.occupations, comm)
         result = distributed_pt_residual(d_psi, d_hpsi, d_half, dt).to_wavefunction().coefficients
-        assert np.allclose(result, serial, atol=1e-10)
+        assert np.max(np.abs(result - serial)) < 1e-10
 
     def test_initial_residual(self, chain_basis, residual_inputs, n_ranks):
         wf, h_wf, _ = residual_inputs

@@ -1,9 +1,10 @@
-"""Tests for the scaling sweeps, Fig. 3 stages, FLOP accounting and reporting helpers."""
+"""Shapes of the scaling sweeps, the Fig. 3 stages and the FLOP accounting,
+and the reporting helpers (their values against the paper: ``tests/paper/``)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import PAPER_SCALARS, compare_series, format_table, geometric_mean_ratio
+from repro.analysis import WEAK_SCALING_ATOMS, compare_series, format_table, geometric_mean_ratio
 from repro.perf import (
     PWDFTPerformanceModel,
     SiliconWorkload,
@@ -12,7 +13,6 @@ from repro.perf import (
     fock_flops_per_application,
     optimization_stage_times,
     parallel_efficiency,
-    ptcn_vs_rk4,
     step_flops,
     strong_scaling,
     weak_scaling,
@@ -47,29 +47,16 @@ class TestStrongScaling:
 class TestWeakScaling:
     def test_fig8_shape(self):
         points = weak_scaling()
-        assert [p.natoms for p in points] == [48, 96, 192, 384, 768, 1536]
+        assert tuple(p.natoms for p in points) == WEAK_SCALING_ATOMS
         times = [p.time_per_50as for p in points]
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         # larger systems run below the N^2 line anchored at the smallest system
         # (the paper's "better than ideal" observation)
         assert points[-1].time_per_50as < points[-1].ideal_time_per_50as
 
-    def test_si192_close_to_paper_quote(self):
-        """Paper: 16 s per 50 as for 192 atoms on 96 GPUs (we accept 2x)."""
-        points = {p.natoms: p for p in weak_scaling()}
-        assert 5.0 < points[192].time_per_50as < 32.0
-
     def test_gpus_are_half_the_atoms(self):
         for p in weak_scaling(atom_counts=(48, 96)):
             assert p.n_gpus == p.natoms // 2
-
-
-class TestFig6:
-    def test_rows(self):
-        rows = ptcn_vs_rk4(gpu_counts=(36, 768))
-        assert rows[0]["speedup"] < rows[1]["speedup"]
-        assert 10 < rows[0]["speedup"] < 30
-        assert 20 < rows[1]["speedup"] < 40
 
 
 class TestFig3Stages:
@@ -80,34 +67,12 @@ class TestFig3Stages:
         assert totals[0] == max(totals)
         assert all(t2 <= t1 * 1.001 for t1, t2 in zip(totals[1:], totals[2:]))
 
-    def test_final_stage_speedup_vs_cpu(self, model):
-        """The paper quotes ~7x vs the 3072-core CPU run for the Fock application."""
-        stages = optimization_stage_times(model, n_gpus=72)
-        speedup = stages[0].total / stages[-1].total
-        assert 5.0 < speedup < 10.0
-
     def test_overlap_stage_hides_communication(self, model):
         stages = optimization_stage_times(model, n_gpus=72)
         assert stages[-1].communication_time < 0.2 * stages[-2].communication_time
 
 
 class TestFlops:
-    def test_step_flops_close_to_paper(self):
-        w = SiliconWorkload.from_atom_count(1536)
-        assert step_flops(w) == pytest.approx(PAPER_SCALARS["flop_per_step"], rel=0.3)
-
-    def test_fock_fraction(self):
-        w = SiliconWorkload.from_atom_count(1536)
-        assert fock_flop_fraction(w) == pytest.approx(PAPER_SCALARS["fock_flop_fraction"], abs=0.04)
-
-    def test_efficiency_drops_with_gpus(self, model):
-        w = model.workload
-        e36 = flops_efficiency(w, 36, model.step_breakdown(36).total_step_time)
-        e768 = flops_efficiency(w, 768, model.step_breakdown(768).total_step_time)
-        assert e36 == pytest.approx(PAPER_SCALARS["flops_efficiency_36gpu"], rel=0.35)
-        assert e768 == pytest.approx(PAPER_SCALARS["flops_efficiency_768gpu"], rel=0.35)
-        assert e768 < e36
-
     def test_fock_flops_quadratic_in_bands(self):
         w_small = SiliconWorkload.from_atom_count(192)
         w_large = SiliconWorkload.from_atom_count(384)

@@ -1,8 +1,9 @@
-"""Tests for the silicon workload descriptions."""
+"""Tests for the silicon workload descriptions (their sizes against the
+paper: ``tests/paper/test_fig4.py`` and ``test_memory.py``)."""
 
 import pytest
 
-from repro.analysis import PAPER_SCALARS
+from repro.analysis import WEAK_SCALING_ATOMS
 from repro.perf import SiliconWorkload, paper_workloads
 
 
@@ -11,39 +12,8 @@ class TestSi1536:
     def w(self):
         return SiliconWorkload.from_atom_count(1536)
 
-    def test_band_count(self, w):
-        assert w.n_bands == PAPER_SCALARS["si1536_wavefunctions"] == 3072
-        assert w.n_electrons == 6144
-
-    def test_grid_matches_paper(self, w):
-        assert w.wavefunction_grid == PAPER_SCALARS["si1536_wavefunction_grid"]
-        assert w.n_planewaves == PAPER_SCALARS["si1536_ng"] == 648_000
-        assert w.density_grid == PAPER_SCALARS["si1536_density_grid"]
-
-    def test_wavefunction_memory_matches_paper(self, w):
-        """10 MB per wavefunction in double precision, 5 MB in single."""
-        assert w.wavefunction_bytes() / 1e6 == pytest.approx(10.0, rel=0.05)
-        assert w.wavefunction_bytes(single_precision=True) / 1e6 == pytest.approx(5.0, rel=0.05)
-
-    def test_overlap_and_density_sizes_match_paper(self, w):
-        assert w.overlap_matrix_bytes() / 1e6 == pytest.approx(PAPER_SCALARS["overlap_matrix_mb"], rel=0.1)
-        assert w.density_bytes() / 1e6 == pytest.approx(PAPER_SCALARS["density_mb"], rel=0.1)
-
-    def test_anderson_memory_budget(self, w):
-        """Section 7: < 20 GB per rank and < 120 GB per node on 36 GPUs, under 512 GB."""
-        per_rank = w.anderson_memory_per_rank_bytes(36) / 1e9
-        per_node = w.host_memory_per_node_bytes(36) / 1e9
-        assert per_rank < 20.0
-        assert per_node < 130.0
-        assert per_node < PAPER_SCALARS["summit_node_memory_gb"]
-
-    def test_nonlocal_projector_memory(self, w):
-        assert w.nonlocal_projector_bytes() / 1e6 == pytest.approx(
-            PAPER_SCALARS["nonlocal_projector_memory_mb"], rel=0.1
-        )
-
     def test_bands_per_rank(self, w):
-        assert w.bands_per_rank(36) == pytest.approx(3072 / 36)
+        assert w.bands_per_rank(36) == pytest.approx(w.n_bands / 36)
         with pytest.raises(ValueError):
             w.bands_per_rank(4000)
         with pytest.raises(ValueError):
@@ -53,7 +23,7 @@ class TestSi1536:
 class TestSeries:
     def test_paper_workloads_cover_weak_scaling(self):
         workloads = paper_workloads()
-        assert set(workloads) == {48, 96, 192, 384, 768, 1536}
+        assert tuple(workloads) == WEAK_SCALING_ATOMS
         for natoms, w in workloads.items():
             assert w.n_bands == 2 * natoms
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.constants import FEMTOSECOND_TO_AU_TIME, wavelength_nm_to_energy_hartree
+from repro.constants import FEMTOSECOND_TO_AU_TIME
 from repro.pw.laser import DeltaKick, GaussianLaserPulse, paper_laser_pulse, sawtooth_position
 
 
@@ -69,12 +69,6 @@ class TestGaussianLaserPulse:
 
 
 class TestPaperPulse:
-    def test_photon_energy_matches_380nm(self):
-        pulse = paper_laser_pulse()
-        assert pulse.omega == pytest.approx(wavelength_nm_to_energy_hartree(380.0))
-        # 380 nm is ~3.26 eV
-        assert pulse.omega * 27.2114 == pytest.approx(3.26, abs=0.05)
-
     def test_pulse_centred_in_window(self):
         pulse = paper_laser_pulse(duration_fs=30.0)
         assert pulse.t0 == pytest.approx(15.0 * FEMTOSECOND_TO_AU_TIME)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import WEAK_SCALING_ATOMS
 from repro.constants import SILICON_LATTICE_BOHR
 from repro.pw.structures import (
     Structure,
@@ -69,12 +70,9 @@ class TestSupercell:
 
     def test_paper_series_atom_counts(self):
         series = paper_silicon_series()
-        assert set(series) == {48, 96, 192, 384, 768, 1536}
+        assert tuple(series) == WEAK_SCALING_ATOMS
         for natoms, repeats in series.items():
             assert 8 * repeats[0] * repeats[1] * repeats[2] == natoms
-
-    def test_paper_largest_system_matches_paper(self):
-        assert paper_silicon_series()[1536] == (4, 6, 8)
 
 
 class TestMolecules:
