@@ -16,7 +16,8 @@ The check is the PR's acceptance inequality: the calibrated model's median
 relative prediction error on the cold run's observations is **strictly
 below** the uncalibrated model's — while the warm re-run is served 100%
 from the store with a bit-identical physics export (calibration never
-touches group keys or config hashes).
+touches group keys or config hashes) and leaves the observation log
+byte-identical (a served job is no observation).
 
 **Phase B — drift-triggered work stealing.** The service runner re-packs a
 sweep mid-flight: with a deterministic synthetic observer (every ptcn group
@@ -202,6 +203,7 @@ def calibrated_pass(store: ResultStore) -> int:
     ):
         return 1
 
+    log_before = ObservationLog(store).path.read_bytes()
     handle, report = run_campaign(store, calibration="store")
     print(report.plan_table())
     if not check(report.ok, f"{report.n_failed} job(s) failed"):
@@ -224,7 +226,12 @@ def calibrated_pass(store: ResultStore) -> int:
         "calibrated physics export differs from the cold run",
     ):
         return 1
-    print("warm re-run: 100% store hits, physics bit-identical to the cold pass")
+    if not check(
+        ObservationLog(store).path.read_bytes() == log_before,
+        "the fully served re-run changed calibration/observations.jsonl",
+    ):
+        return 1
+    print("warm re-run: 100% store hits, physics bit-identical to the cold pass, calibration log unchanged")
 
     adaptive = adaptive_demo()
     if not check(adaptive["repacks"] >= 1, "the adaptive demo never re-packed"):

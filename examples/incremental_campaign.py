@@ -96,8 +96,11 @@ def run_pass(store: ResultStore, *, verbose: bool = True):
 
 def smoke(store_root: pathlib.Path, expect_warm: bool) -> int:
     """One CI pass; with ``--expect-warm`` it must be 100% hits, zero SCF
-    solves, zero propagation steps, and bit-identical to the cold pass."""
+    solves, zero propagation steps, bit-identical to the cold pass, and leave
+    the calibration log byte-identical (a served job is no observation)."""
     store = ResultStore(store_root)
+    log = store.observation_log().path
+    log_before = log.read_bytes() if log.exists() else None
     report, counts = run_pass(store)
     if not report.ok:
         print(f"smoke FAILED: {report.n_failed} job(s) failed", file=sys.stderr)
@@ -129,7 +132,16 @@ def smoke(store_root: pathlib.Path, expect_warm: bool) -> int:
                 file=sys.stderr,
             )
             return 1
-        print("warm pass: 100% hits, zero SCF solves, zero propagation steps, physics bit-identical")
+        if (log.read_bytes() if log.exists() else None) != log_before:
+            print(
+                "smoke FAILED: the fully served pass changed calibration/observations.jsonl",
+                file=sys.stderr,
+            )
+            return 1
+        print(
+            "warm pass: 100% hits, zero SCF solves, zero propagation steps, physics "
+            "bit-identical, calibration log unchanged"
+        )
     else:
         digest_path.write_text(json.dumps(digests, indent=2) + "\n")
         print(

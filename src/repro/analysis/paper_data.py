@@ -378,12 +378,14 @@ WHATIF: dict[str, tuple] = {
 }
 
 #: Section 2's claim, executed: PT-CN at a step 20x RK4's follows the same
-#: physics over a field-free 40 as window of the hybrid H2 molecule, in far
-#: fewer Fock applications, and both conserve energy.
+#: physics over a 40 as window of the hybrid H2 molecule after a 1e-2 delta
+#: kick, in far fewer Fock applications, and both conserve energy. Each
+#: ceiling sits at least 1.4x above the centred scheme's value; a half step
+#: taken at 1.1 dt breaks the dipole and PT-CN drift rows.
 PTCN_ACCURACY: dict[str, tuple] = {
-    "relative_density_difference": (None, Ceiling(5e-3)),
-    "dipole_difference": (None, Ceiling(5e-3)),
-    "ptcn_per_rk4_fock_applications": (None, Ceiling(0.5)),
-    "ptcn_energy_drift_ha": (None, Ceiling(1e-3)),
-    "rk4_energy_drift_ha": (None, Ceiling(1e-3)),
+    "relative_density_difference": (None, Ceiling(2e-3)),
+    "dipole_difference": (None, Ceiling(1.3e-3)),
+    "ptcn_per_rk4_fock_applications": (None, Ceiling(0.1)),
+    "ptcn_energy_drift_ha": (None, Ceiling(2e-6)),
+    "rk4_energy_drift_ha": (None, Ceiling(1e-8)),
 }

@@ -5,7 +5,8 @@ pairs for every ground-state group, and until now nothing consumed them.
 
 1. **Observe** — :func:`extract_observations` lifts self-describing
    :class:`Observation` records (machine, propagator, workload sizes, GPUs,
-   predicted vs observed seconds) out of any sweep/campaign report;
+   predicted vs observed seconds) out of any sweep/campaign report, one per
+   group the pass computed in full (a store-served pass observes nothing);
    :class:`ObservationLog` persists them append-only (atomic
    tmp-then-replace) at ``<store root>/calibration/observations.jsonl``.
 2. **Fit** — :meth:`CalibrationModel.fit` turns them into robust

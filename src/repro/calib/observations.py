@@ -15,11 +15,14 @@ records); :class:`ObservationLog` persists them under a
 :class:`~repro.store.ResultStore` root at ``calibration/observations.jsonl``
 — append-only in semantics, atomic tmp-then-``os.replace`` in mechanism,
 exactly like the object store's writes, so a crashed append can never leave
-a torn line for the next fit to trip over.
+a torn line for the next fit to trip over. Appends hold an advisory
+``flock`` on the ``calibration/`` directory, so two processes appending at
+once never drop each other's lines.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -49,8 +52,9 @@ class Observation:
     gpus:
         Modeled GPU slice the group was priced on.
     n_jobs:
-        Jobs in the group (cached hits included — a fully cached group
-        observes ~0 seconds and is dropped by :attr:`ok`).
+        Jobs in the group, every one computed by the pass that observed it: a
+        group the store served in part or in full, or with a failed job, is
+        no observation (see :func:`extract_observations`).
     predicted_seconds, observed_seconds:
         The pair a calibration consumes. Predicted is modeled-machine
         seconds; observed is whatever clock the backend stamped (in-process
@@ -105,10 +109,14 @@ def _group_observations(execution: dict, *, sweep: str | None, machine: str | No
     """Observations of one execution summary's group records — the
     :meth:`repro.exec.ScheduledGroup.as_dict` records, stamped after
     execution. The one place an :class:`Observation` is built from a group:
-    reports and the service runner's mid-sweep fits both read through it."""
+    reports and the service runner's mid-sweep fits both read through it.
+
+    A group this pass did not compute in full — a job served by the store
+    or failed — is skipped: its predicted seconds priced work that did not
+    run, so its (smaller) observed wall would pull a fit low."""
     out: list[Observation] = []
     for record in execution.get("groups") or []:
-        if not isinstance(record, dict):
+        if not isinstance(record, dict) or record.get("n_served") or record.get("n_failed"):
             continue
         obs = Observation(
             machine=record.get("machine") or machine,
@@ -135,7 +143,8 @@ def extract_observations(source, *, sweep: str | None = None) -> list[Observatio
     :class:`~repro.campaign.CampaignReport` (its sweeps contribute in
     campaign order under their own names), or a raw execution summary dict.
     Groups whose record lacks a finite positive predicted/observed pair —
-    failed predictions, fully cached groups — are skipped, never guessed.
+    failed predictions — and groups the pass did not compute in full — a job
+    served by the store or failed — are skipped, never guessed.
     """
     if isinstance(source, dict):
         return _group_observations(source, sweep=sweep, machine=None)
@@ -157,8 +166,9 @@ class ObservationLog:
     The log lives at ``<root>/calibration/observations.jsonl`` — one
     :meth:`Observation.as_dict` JSON object per line. Appends rewrite the
     file with :func:`~repro.durable.write_durably` (the object store's
-    write), so readers never see a torn tail; unparseable lines are
-    skipped on load, never propagated into a fit.
+    write), so readers never see a torn tail, under an exclusive ``flock``
+    on :attr:`directory`, so concurrent appenders serialise; unparseable
+    lines are skipped on load, never propagated into a fit.
     """
 
     filename = "observations.jsonl"
@@ -190,12 +200,19 @@ class ObservationLog:
         lines = [json.dumps(obs.as_dict(), sort_keys=True) for obs in observations]
         if not lines:
             return 0
-        existing = ""
-        if self.path.exists():
-            existing = self.path.read_text()
-            if existing and not existing.endswith("\n"):
-                existing += "\n"
-        write_durably(self.path, (existing + "\n".join(lines) + "\n").encode())
+        self.directory.mkdir(parents=True, exist_ok=True)
+        lock = os.open(self.directory, os.O_RDONLY)
+        try:
+            # read-extend-replace is one step for every appender: held until close
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            existing = ""
+            if self.path.exists():
+                existing = self.path.read_text()
+                if existing and not existing.endswith("\n"):
+                    existing += "\n"
+            write_durably(self.path, (existing + "\n".join(lines) + "\n").encode())
+        finally:
+            os.close(lock)
         return len(lines)
 
     def load(self) -> list[Observation]:

@@ -198,12 +198,13 @@ def _ground_state_through_store(session: Session, gs_store, group_key: str) -> b
 
 
 def _group_wall_seconds(results) -> float:
-    """Summed job wall seconds of one executed group — the ``observed_seconds``
-    every backend stamps on its :class:`~repro.exec.ScheduledGroup`\\ s, which
-    is what calibration observations (:mod:`repro.calib`) pair against the
-    predicted seconds. Cached hits report ~0 and failures carry no wall time,
-    so fully served groups observe nothing (and are skipped by the fit)."""
-    return sum(float(r.summary.get("wall_time") or 0.0) for r in results)
+    """Summed wall seconds of the jobs this pass computed — the
+    ``observed_seconds`` every backend stamps on its
+    :class:`~repro.exec.ScheduledGroup`\\ s, which calibration observations
+    (:mod:`repro.calib`) pair against the predicted seconds. A store-served
+    result still carries its cold ``wall_time`` and a failure carries none,
+    so neither adds anything: a fully served group observes 0 seconds."""
+    return sum(float(r.summary.get("wall_time") or 0.0) for r in results if r.status == "completed")
 
 
 def _run_group_worker(payload) -> tuple[list[dict], list[str]]:
@@ -316,8 +317,11 @@ class ExecutionBackend:
         return self._record_group(group, results)
 
     def _record_group(self, group: ScheduledGroup, results: list[JobResult]) -> list[JobResult]:
-        """Stamp a finished group's observed wall and count it as drained."""
+        """Stamp a finished group's observed wall and the jobs it did not
+        compute, and count it as drained."""
         group.observed_seconds = _group_wall_seconds(results)
+        group.n_served = sum(1 for r in results if r.status == "cached")
+        group.n_failed = sum(1 for r in results if r.status == "failed")
         self._drained_groups += 1
         return results
 

@@ -122,8 +122,14 @@ class ScheduledGroup:
         sizes from
         :func:`~repro.perf.sweep_cost.workload_sizes`.
     observed_seconds:
-        Wall seconds the group actually took, stamped by the backends after
-        execution (``nan`` until then).
+        Summed wall seconds of the jobs this pass computed, stamped by the
+        backends after execution (``nan`` until then): a job the store served
+        or that failed adds nothing.
+    n_served, n_failed:
+        How many of the group's jobs the store served and how many failed,
+        stamped with :attr:`observed_seconds`. A group with either is not an
+        observation: its predicted seconds priced work that did not run
+        (:func:`repro.calib.extract_observations` skips it).
     repriced_seconds:
         Calibration-corrected predicted seconds, stamped by an adaptive
         re-pack (:func:`repro.service.run_sweep`); ``nan`` otherwise. Kept
@@ -152,6 +158,8 @@ class ScheduledGroup:
     n_bands: int | None = None
     n_grid: int | None = None
     observed_seconds: float = float("nan")
+    n_served: int = 0
+    n_failed: int = 0
     repriced_seconds: float = float("nan")
     notes: list = field(default_factory=list, repr=False)
 
@@ -207,12 +215,15 @@ class ScheduledGroup:
             "rank": self.rank,
             # self-describing calibration identity (repro.calib): machine
             # preset, propagator, workload sizes, the observed wall run_group
-            # stamped and the service's adaptive re-price
+            # stamped (with the jobs it did not compute) and the service's
+            # adaptive re-price
             "machine": self.machine,
             "propagator": self.propagator,
             "n_bands": self.n_bands,
             "n_grid": self.n_grid,
             "observed_seconds": _finite(self.observed_seconds),
+            "n_served": self.n_served,
+            "n_failed": self.n_failed,
             "repriced_seconds": _finite(self.repriced_seconds),
             # degraded paths only: a healthy group's record has no such key
             **({"notes": list(self.notes)} if self.notes else {}),

@@ -66,10 +66,11 @@ __all__ = ["SweepOutcome", "run_sweep"]
 DEFAULT_DRIFT_THRESHOLD = 1.5
 
 
-def _fit(groups) -> CalibrationModel:
-    """The calibration fitted from executed groups' records (the fit drops
-    unusable ones — e.g. fully cached groups observing ~0 seconds)."""
-    return CalibrationModel.fit(extract_observations({"groups": [g.as_dict() for g in groups]}))
+def _observations(groups) -> list:
+    """The executed groups' observations, extracted exactly as for the
+    store's log: a group this pass did not compute in full, or that observed
+    nothing, is left out of every fit and drift test."""
+    return extract_observations({"groups": [g.as_dict() for g in groups]})
 
 
 def _elapsed_seconds(group) -> float:
@@ -87,12 +88,7 @@ def _drift_spread(groups) -> float | None:
     yields spread 1.0, which never crosses any threshold > 1: re-packing
     only triggers when it could actually move the makespan.
     """
-    ratios = [
-        float(g.observed_seconds) / float(g.predicted_seconds)
-        for g in groups
-        if np.isfinite(g.predicted_seconds) and g.predicted_seconds > 0
-        and np.isfinite(g.observed_seconds) and g.observed_seconds > 0
-    ]
+    ratios = [obs.ratio for obs in _observations(groups)]
     if len(ratios) < 2:
         return None
     return max(ratios) / min(ratios)
@@ -111,7 +107,7 @@ def _repack(completed, remaining, segment, n_ranks: int) -> CalibrationModel:
     the imbalance work stealing corrects. Completed groups keep their ranks
     and their order.
     """
-    fit = _fit(completed)
+    fit = CalibrationModel.fit(_observations(completed))
     for group in remaining:
         group.repriced_seconds = group.repriced(fit)
     remaining.sort(key=lambda g: (-g.planned_seconds, g.index))
@@ -299,7 +295,7 @@ async def run_sweep(
             "repacks": len(repack_events),
             "events": repack_events,
         }
-        final_fit = _fit(completed)
+        final_fit = CalibrationModel.fit(_observations(completed))
         if repack_events and not final_fit.is_empty:
             # the what-if the re-pack is judged by: both packings priced with
             # the final fitted (observed-corrected) seconds

@@ -121,20 +121,19 @@ class CampaignService:
         """Append the finished sweep's observations to the store's log.
 
         Best-effort by design: the calibration loop must never fail a
-        campaign whose physics succeeded."""
+        campaign whose physics succeeded. An append the filesystem refuses is
+        warned about and named in the report's execution ``notes``."""
         if store is None:
             return
+        observations = extract_observations(report, sweep=sweep_name)
+        if not observations:
+            return
         try:
-            observations = extract_observations(report, sweep=sweep_name)
-            if observations:
-                ObservationLog(store.root).append(observations)
-        except Exception as exc:  # pragma: no cover - defensive
-            warnings.warn(
-                f"could not record calibration observations for sweep "
-                f"{sweep_name!r}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            ObservationLog(store.root).append(observations)
+        except OSError as exc:
+            note = f"calibration append skipped: {type(exc).__name__}: {exc}"
+            report.execution.setdefault("notes", []).append(note)
+            warnings.warn(f"sweep {sweep_name!r}: {note}", RuntimeWarning, stacklevel=2)
 
     # ------------------------------------------------------------------
     # Admission

@@ -10,7 +10,9 @@ Layout (all under one root directory)::
       quarantine/  corrupt manifests/objects moved aside, never trusted again
       calibration/ observations.jsonl — append-only predicted-vs-observed log
                    (written by repro.calib.ObservationLog, same tmp-then-
-                   replace durability rule)
+                   replace durability rule, under a flock on the directory);
+                   one line per group a pass computed in full, so a pass
+                   this store serves appends nothing
 
 Results are keyed by *content*, not by which sweep produced them:
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -57,6 +58,20 @@ class TestExtraction:
         }
         observations = extract_observations(execution)
         assert [obs.group_index for obs in observations] == [2]
+
+    def test_groups_not_computed_in_full_are_skipped(self):
+        """A served or failed job leaves the group's wall short of the work
+        its prediction priced, so the group is no observation."""
+        pair = {"predicted_seconds": 2.0, "observed_seconds": 1.0}
+        execution = {
+            "groups": [
+                {"index": 0, "n_served": 1, "n_failed": 0, **pair},
+                {"index": 1, "n_served": 0, "n_failed": 1, **pair},
+                {"index": 2, "n_served": 0, "n_failed": 0, **pair},
+                {"index": 3, **pair},  # a record written before the counts
+            ]
+        }
+        assert [obs.group_index for obs in extract_observations(execution)] == [2, 3]
 
 
 class TestObservationLog:
@@ -114,3 +129,31 @@ class TestObservationLog:
         (loaded,) = log.load()
         assert loaded.machine == "summit"
         assert loaded.ratio == pytest.approx(2.0)
+
+
+def _append_one_at_a_time(root, machine, start, n):
+    log = ObservationLog(root)
+    start.wait()
+    for i in range(n):
+        log.append([Observation(machine=machine, predicted_seconds=1.0, observed_seconds=1.0 + i)])
+
+
+def test_two_processes_appending_at_once_keep_every_line(tmp_path):
+    """Each append reads, extends and replaces the whole file; the lock makes
+    that one step, so neither process's lines are lost to the other's."""
+    context = multiprocessing.get_context("fork")
+    start = context.Barrier(2)
+    workers = [
+        context.Process(target=_append_one_at_a_time, args=(tmp_path, machine, start, 100))
+        for machine in ("a", "b")
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert [worker.exitcode for worker in workers] == [0, 0]
+    loaded = ObservationLog(tmp_path).load()
+    assert len(loaded) == 200
+    for machine in ("a", "b"):
+        observed = [obs.observed_seconds for obs in loaded if obs.machine == machine]
+        assert observed == [1.0 + i for i in range(100)]

@@ -1,7 +1,14 @@
 """Section 2's claim, executed: PT-CN at a step 20x RK4's follows the same
-physics over a field-free 40 as window of the hybrid H2 molecule, in far
-fewer Fock applications, and both conserve energy. One zip-mode sweep runs
-both propagators from one shared ground state."""
+physics over a 40 as window of the hybrid H2 molecule, in far fewer Fock
+applications, and both conserve energy. One zip-mode sweep runs both
+propagators from one shared ground state, each opened by the registered
+``delta_kick`` (strength 1e-2): the ground state alone is stationary, and
+its density and dipole would agree to 1e-6 whatever the integrator did.
+
+After the kick, centred PT-CN reads a dipole difference of 8.9e-4 and an
+energy drift of 8.8e-7, each at least 1.4x below its ceiling in
+:data:`~repro.analysis.paper_data.PTCN_ACCURACY`; PT-CN with Alg. 1 line 2's
+half step taken at 1.1 dt reads 1.8e-3 and 6.1e-6, and fails both."""
 
 import numpy as np
 import pytest
@@ -19,6 +26,7 @@ def modelled():
         "system": {"structure": "hydrogen_molecule", "params": {"box": 10.0, "bond_length": 1.4}},
         "basis": {"ecut": 3.0, "grid_factor": 1.0},
         "xc": {"hybrid_mixing": 0.25, "screening_length": None},
+        "laser": {"pulse": "delta_kick", "params": {"strength": 1e-2}},
         "run": {"gs_scf_tolerance": 1e-7, "gs_max_scf_iterations": 50},
     })
     axes = {

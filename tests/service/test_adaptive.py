@@ -79,6 +79,29 @@ def corrected_makespan(records, rank_of, fit) -> float:
     return max(loads)
 
 
+def dt_campaign(config, time_steps, ecut=None):
+    """One sweep named ``dt``: time steps, crossed with cutoffs when given
+    (one ground-state group per cutoff)."""
+    from repro.campaign import Budget, CampaignSpec
+
+    axes = {"run.time_step_as": time_steps}
+    if ecut is not None:
+        axes = {"basis.ecut": ecut, **axes}
+    return CampaignSpec({"dt": SweepSpec(config, axes)}, budget=Budget(max_nodes=1))
+
+
+def service_pass(store, campaign, name):
+    """One campaign through a fresh service over ``store``: its report."""
+    from repro.service import CampaignService
+
+    service = CampaignService(NodePool("summit", n_nodes=1), store=store)
+
+    async def body():
+        return await service.submit(campaign, name=name).report()
+
+    return asyncio.run(body())
+
+
 class TestAdaptiveRepack:
     def test_drift_triggers_work_stealing_and_beats_the_static_plan(
         self, skewed_spec, settings
@@ -215,44 +238,88 @@ class TestServiceCalibrationLoop:
             "skewed"
         ].to_json(exclude_timings=True)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason=(
-            "ROADMAP 3(d): a store-served result carries its cold wall_time, which "
-            "_group_wall_seconds stamps as the group's observed seconds, so every warm "
-            "pass re-appends cold observations. Fixing it shortens the warm pass; that "
-            "waits for ROADMAP item 1, the re-baseline of the layered benchmark's warm "
-            "coverage gate."
-        ),
-    )
     def test_a_fully_store_served_pass_observes_nothing(self, tiny_config, tmp_path):
         from repro.calib import ObservationLog
-        from repro.campaign import Budget, CampaignSpec
-        from repro.service import CampaignService
         from repro.store import ResultStore
 
         store = ResultStore(tmp_path / "store")
-        spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        campaign = CampaignSpec({"dt": spec}, budget=Budget(max_nodes=1))
+        campaign = dt_campaign(tiny_config, [1.0, 2.0])
 
-        def run_pass(name):
-            service = CampaignService(NodePool("summit", n_nodes=1), store=store)
-
-            async def body():
-                return await service.submit(campaign, name=name).report()
-
-            return asyncio.run(body())
-
-        cold = run_pass("cold")
+        cold = service_pass(store, campaign, "cold")
         assert cold.n_cached == 0
-        cold_observations = ObservationLog(store).load()
+        log = ObservationLog(store)
+        cold_observations = log.load()
         assert len(cold_observations) == 1  # one executed group
+        cold_file = log.path.stat()
 
-        warm = run_pass("warm")
+        warm = service_pass(store, campaign, "warm")
         assert warm.n_cached == warm.n_jobs == 2
-        # nothing ran, so nothing was observed: the log is the cold pass's
-        assert ObservationLog(store).load() == cold_observations
+        (group,) = warm["dt"].execution["groups"]
+        assert group["n_served"] == 2 and group["observed_seconds"] == 0.0
+        # nothing ran, so nothing was observed: the log is the cold pass's,
+        # not even rewritten
+        assert log.load() == cold_observations
+        assert (log.path.stat().st_ino, log.path.stat().st_mtime_ns) == (
+            cold_file.st_ino, cold_file.st_mtime_ns
+        )
+
+    def test_a_partly_served_group_records_no_observation(self, tiny_config, tmp_path):
+        """A group the store served in part observes the wall of its computed
+        jobs only, against a prediction that priced them all: no observation.
+        A group computed in full in the same pass still is one."""
+        from repro.calib import ObservationLog
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        service_pass(store, dt_campaign(tiny_config, [1.0, 2.0]), "cold")
+        cold_observations = ObservationLog(store).load()
+
+        mixed = service_pass(store, dt_campaign(tiny_config, [1.0, 2.0, 3.0], ecut=[2.0, 1.5]), "mixed")
+        assert mixed.n_cached == 2 and mixed.n_jobs == 6
+        groups = mixed["dt"].execution["groups"]
+        partly = [g for g in groups if g["n_served"]]
+        computed = [g for g in groups if not g["n_served"]]
+        assert [g["n_served"] for g in partly] == [2] and len(computed) == 1
+        assert partly[0]["observed_seconds"] > 0  # the one computed job's wall
+
+        logged = ObservationLog(store).load()
+        assert logged[: len(cold_observations)] == cold_observations
+        (new,) = logged[len(cold_observations):]
+        assert (new.group_index, new.n_jobs) == (computed[0]["index"], 3)
+        assert new.observed_seconds == computed[0]["observed_seconds"]
+
+    def test_a_cold_pass_logs_every_group_at_its_predicted_seconds(self, tiny_config, tmp_path):
+        """With nothing stored, every group is computed in full, so the log
+        pairs each group's record, in execution order, exactly."""
+        from repro.calib import ObservationLog
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        cold = service_pass(store, dt_campaign(tiny_config, [1.0, 2.0], ecut=[2.0, 1.5]), "cold")
+        groups = cold["dt"].execution["groups"]
+        assert len(groups) == 2
+        logged = ObservationLog(store).load()
+        assert [(o.group_index, o.n_jobs, o.predicted_seconds, o.observed_seconds) for o in logged] == [
+            (g["index"], g["n_jobs"], g["predicted_seconds"], g["observed_seconds"]) for g in groups
+        ]
+        assert all(o.sweep == "dt" and o.ok for o in logged)
+
+    def test_a_refused_append_is_named_in_the_report(self, tiny_config, tmp_path, monkeypatch):
+        """The campaign's physics stands when the log cannot be written, and
+        the sweep's execution section says which append was skipped and why."""
+        from repro.calib import ObservationLog
+        from repro.store import ResultStore
+
+        def refused(self, observations):
+            raise PermissionError("read-only calibration directory")
+
+        monkeypatch.setattr(ObservationLog, "append", refused)
+        with pytest.warns(RuntimeWarning, match="calibration append skipped"):
+            report = service_pass(ResultStore(tmp_path / "store"), dt_campaign(tiny_config, [1.0]), "cold")
+        assert report.ok and report.n_jobs == 1
+        assert report["dt"].execution["notes"] == [
+            "calibration append skipped: PermissionError: read-only calibration directory"
+        ]
 
     def test_calibration_argument_is_validated(self):
         from repro.service import CampaignService
