@@ -113,8 +113,8 @@ def sweep(backend: str, ranks: int, schedule: str | None, smoke: bool) -> int:
             spec.base, backend=backend, ranks=ranks, schedule=schedule
         ),
     )
-    print(f"Absorption sweep: chains of {sizes} atoms, backend={runner.backend} "
-          f"(schedule: {runner.schedule})")
+    print(f"Absorption sweep: chains of {sizes} atoms, backend={runner.settings.backend} "
+          f"(schedule: {runner.settings.schedule})")
     report = runner.run()
 
     failed = [r for r in report if not r.ok]

@@ -85,7 +85,7 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
         print(f"Planned for a {budget:g} s wall budget:\n")
         print(execution_plan.plan_table())
         runner = BatchRunner.from_plan(execution_plan)
-        backend = runner.backend
+        backend = runner.settings.backend
     else:
         runner = BatchRunner(
             spec,
@@ -94,7 +94,7 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
             ),
         )
     print(f"Sweep: {spec.n_jobs} jobs over axes {spec.axis_paths}")
-    print(f"Backend: {runner.backend} (schedule: {runner.schedule})")
+    print(f"Backend: {runner.settings.backend} (schedule: {runner.settings.schedule})")
     if backend == "serial":
         print(f"Shared ground states to converge: {runner.prepare_ground_states()}")
     print()

@@ -52,25 +52,30 @@ def build_campaign() -> dict[str, SweepSpec]:
 
 
 def install_counters() -> dict:
-    """Wrap the SCF solver and the propagation loop with call counters — the
+    """Wrap the SCF solver and the propagation driver with call counters — the
     smoke's 'zero recompute on a warm store' claim is measured, not assumed."""
-    from repro.core.dynamics import TDDFTSimulation
+    import repro.api.session
+    import repro.core.dynamics
     from repro.pw.ground_state import GroundStateSolver
 
     counts = {"scf_solves": 0, "propagation_steps": 0}
     original_solve = GroundStateSolver.solve
-    original_run = TDDFTSimulation.run
+    original_run_batched = repro.core.dynamics.run_batched
 
     def counting_solve(self, *args, **kwargs):
         counts["scf_solves"] += 1
         return original_solve(self, *args, **kwargs)
 
-    def counting_run(self, initial_state, time_step, n_steps, *args, **kwargs):
-        counts["propagation_steps"] += int(n_steps)
-        return original_run(self, initial_state, time_step, n_steps, *args, **kwargs)
+    def counting_run_batched(runs):
+        counts["propagation_steps"] += sum(int(run.n_steps) for run in runs)
+        return original_run_batched(runs)
 
     GroundStateSolver.solve = counting_solve
-    TDDFTSimulation.run = counting_run
+    # every job propagates through run_batched: patch the driver module's own
+    # binding (TDDFTSimulation.run resolves it there) and the session's
+    # from-import of it
+    repro.core.dynamics.run_batched = counting_run_batched
+    repro.api.session.run_batched = counting_run_batched
     return counts
 
 
@@ -143,6 +148,15 @@ def smoke(store_root: pathlib.Path, expect_warm: bool) -> int:
             "bit-identical, calibration log unchanged"
         )
     else:
+        if report.n_cached < report.n_jobs and not counts["propagation_steps"]:
+            # a pass that computed jobs must have stepped: a dead counter
+            # would let the warm pass's zero-steps check pass vacuously
+            print(
+                f"smoke FAILED: cold pass computed {report.n_jobs - report.n_cached} "
+                "job(s) but counted 0 propagation steps",
+                file=sys.stderr,
+            )
+            return 1
         digest_path.write_text(json.dumps(digests, indent=2) + "\n")
         print(
             f"cold pass: {report.n_jobs} jobs computed "

@@ -33,8 +33,8 @@ The package is organised in layers:
 * :mod:`repro.exec` — the pluggable execution layer under the sweep engine: a
   machine-aware :class:`~repro.exec.Scheduler` (``repro.cost`` wall-clock /
   energy predictions) and the serial / process-pool / simulated-MPI-distributed
-  :class:`~repro.exec.ExecutionBackend` implementations with per-rank
-  communication accounting.
+  backends (:class:`~repro.exec.SerialBackend` and its subclasses; one
+  ``run(groups)`` entry point) with per-rank communication accounting.
 * :mod:`repro.cost` — the machine-aware cost stack joining ``repro.perf``
   workload predictions with the ``repro.machine`` hardware model: FLOPs →
   seconds through GPU throughput, transfer bytes → seconds through

@@ -159,7 +159,7 @@ class SweepReport:
         The sweep's axis paths, used as the leading table columns.
     execution:
         The executing backend's placement/communication summary (see
-        :meth:`repro.exec.ExecutionBackend.execution_summary`). Rendered by
+        :meth:`repro.exec.SerialBackend.execution_summary`). Rendered by
         :meth:`execution_table`; **not** part of :meth:`to_dict`, so the
         physics export of a sweep is identical across backends.
     settings:

@@ -14,8 +14,8 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
   :func:`~repro.batch.sweep.ground_state_group_key`; each group runs through
   one caching :class:`~repro.api.Session`, so a {propagator} x {dt} sweep
   converges its SCF exactly once no matter how many propagations fan out.
-  With a store the converged SCFs are persisted too, so a *resumed* sweep
-  skips even the first group SCF.
+  With a store the converged SCFs are always persisted too, so a *resumed*
+  sweep skips even the first group SCF.
 * **Scheduling.** A :class:`~repro.exec.Scheduler` orders (and, for the
   distributed backend, packs) the groups by predicted wall seconds / joules —
   :mod:`repro.perf.sweep_cost` workload predictions turned machine-aware by a
@@ -79,11 +79,6 @@ class BatchRunner:
         ``None`` disables persistence. A store may be shared by any number
         of sweeps and campaigns, and any of them serves a hit for an
         already-computed config.
-    machine:
-        Expert override: a concrete :class:`repro.cost.MachineCostModel`
-        predicting wall seconds and joules for the scheduler and the report
-        (defaults to the model the settings describe). Pass ``None``
-        explicitly to schedule on relative FLOPs only.
     placement:
         Expert override: a :class:`repro.cost.NodePlacement` mapping the
         distributed backend's virtual ranks onto modeled nodes; defaults to a
@@ -92,12 +87,11 @@ class BatchRunner:
         If ``True``, the first failing job re-raises (completed jobs stay
         stored, so the sweep is resumable). If ``False`` (default)
         failures are recorded as ``"failed"`` results and the sweep continues.
-    share_ground_states:
-        Persist converged SCFs in the store and adopt them on resume
-        (default ``True``; no effect without ``store``).
-    """
 
-    _DEFAULT_MACHINE = object()  # distinguishes "from the settings" from an explicit None
+    Everything about where and how the sweep runs is read from
+    :attr:`settings` (``runner.settings.backend``, ``.ranks``, ``.schedule``,
+    ``.max_workers``).
+    """
 
     def __init__(
         self,
@@ -105,10 +99,8 @@ class BatchRunner:
         *,
         settings: ExecutionSettings | dict | None = None,
         store=None,
-        machine=_DEFAULT_MACHINE,
         placement=None,
         raise_on_error: bool = False,
-        share_ground_states: bool = True,
     ):
         from ..exec import Scheduler  # deferred: repro.exec imports repro.batch
 
@@ -119,12 +111,10 @@ class BatchRunner:
         self.spec = spec
         self.settings = settings
         self.store = _as_store(store)
-        self._machine_overridden = machine is not self._DEFAULT_MACHINE
-        self.machine = settings.machine_model() if not self._machine_overridden else machine
+        self.machine = settings.machine_model()
         self.placement = placement
         self.scheduler = Scheduler(settings.schedule, machine=self.machine)
         self.raise_on_error = bool(raise_on_error)
-        self.share_ground_states = bool(share_ground_states)
         self._sessions: dict[str, Session] = {}
 
     # ------------------------------------------------------------------
@@ -136,7 +126,6 @@ class BatchRunner:
         *,
         store=None,
         raise_on_error: bool = False,
-        share_ground_states: bool = True,
     ) -> "BatchRunner":
         """The runner executing one sweep of a campaign :class:`~repro.campaign.ExecutionPlan`.
 
@@ -158,31 +147,7 @@ class BatchRunner:
             settings=plan.settings,
             store=store,
             raise_on_error=raise_on_error,
-            share_ground_states=share_ground_states,
         )
-
-    # ------------------------------------------------------------------
-    # Read-only views onto the settings
-    # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """The settings' backend name."""
-        return self.settings.backend
-
-    @property
-    def ranks(self) -> int:
-        """The settings' virtual rank count (distributed backend)."""
-        return self.settings.ranks
-
-    @property
-    def schedule(self) -> str:
-        """The settings' scheduling policy."""
-        return self.settings.schedule
-
-    @property
-    def max_workers(self) -> int | None:
-        """The settings' process-pool size (process backend)."""
-        return self.settings.max_workers
 
     # ------------------------------------------------------------------
     def groups(self) -> dict[str, list[SweepJob]]:
@@ -204,7 +169,6 @@ class BatchRunner:
         """
         from ..exec.backends import _ground_state_through_store
 
-        gs_store = self.store if self.share_ground_states else None
         count = 0
         for key, jobs in self.groups().items():
             if self.store is not None and all(self.store.has(job) for job in jobs):
@@ -212,34 +176,24 @@ class BatchRunner:
             session = self._sessions.get(key)
             if session is None:
                 session = self._sessions[key] = Session(jobs[0].config)
-            count += _ground_state_through_store(session, gs_store, key)
+            count += _ground_state_through_store(session, self.store, key)
         return count
 
     # ------------------------------------------------------------------
     def _make_backend(self):
         from ..exec import DistributedBackend, ProcessPoolBackend, SerialBackend
 
+        settings = self.settings
         common = dict(
-            store=self.store,
-            raise_on_error=self.raise_on_error,
-            share_ground_states=self.share_ground_states,
-            precision=self.settings.precision,
+            store=self.store, raise_on_error=self.raise_on_error, precision=settings.precision
         )
-        if self.backend == "process":
-            return ProcessPoolBackend(max_workers=self.max_workers, sessions=self._sessions, **common)
-        if self.backend == "distributed":
-            placement = self.placement
-            if placement is None:
-                if self._machine_overridden:
-                    # expert path: a machine model object that has no preset
-                    # name, so the settings cannot describe its placement
-                    if self.machine is not None:
-                        from ..cost import NodePlacement
-
-                        placement = NodePlacement(n_ranks=self.ranks, system=self.machine.system)
-                else:
-                    placement = self.settings.placement()
-            return DistributedBackend(ranks=self.ranks, placement=placement, **common)
+        if settings.backend == "process":
+            return ProcessPoolBackend(
+                max_workers=settings.max_workers, sessions=self._sessions, **common
+            )
+        if settings.backend == "distributed":
+            placement = settings.placement() if self.placement is None else self.placement
+            return DistributedBackend(ranks=settings.ranks, placement=placement, **common)
         return SerialBackend(sessions=self._sessions, **common)
 
     def run(self) -> SweepReport:
@@ -248,10 +202,8 @@ class BatchRunner:
 
         scheduled = self.scheduler.schedule(self.groups())
         backend = self._make_backend()
-        if self.backend == "distributed":
+        if self.settings.backend == "distributed":
             self.scheduler.pack(scheduled, backend.ranks)
-        for group in scheduled:
-            backend.submit_group(group)
         return _sweep_report(
-            backend, backend.drain(), self.spec, self.settings, self.scheduler.policy
+            backend, backend.run(scheduled), self.spec, self.settings, self.scheduler.policy
         )

@@ -79,7 +79,6 @@ def run(
     *,
     store=None,
     raise_on_error: bool = False,
-    share_ground_states: bool = True,
     on_sweep_complete=None,
     **planner_options,
 ) -> CampaignReport:
@@ -91,6 +90,5 @@ def run(
     return plan(sweeps, budget, **planner_options).execute(
         store,
         raise_on_error=raise_on_error,
-        share_ground_states=share_ground_states,
         on_sweep_complete=on_sweep_complete,
     )

@@ -157,7 +157,6 @@ class ExecutionPlan:
         store=None,
         *,
         raise_on_error: bool = False,
-        share_ground_states: bool = True,
         on_sweep_complete=None,
     ):
         """Run every planned sweep (in campaign order, blocking) and return
@@ -206,7 +205,6 @@ class ExecutionPlan:
                 name="campaign",
                 store=store,
                 raise_on_error=raise_on_error,
-                share_ground_states=share_ground_states,
                 on_sweep_complete=on_sweep_complete,
             )
             return await handle.report()

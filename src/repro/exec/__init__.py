@@ -10,7 +10,8 @@ analogue. It separates *what* a sweep computes (:mod:`repro.batch`) from
   the :class:`repro.cost.MachineCostModel` machine model (``fifo`` /
   ``cheapest_first`` / ``makespan_balanced`` / ``energy_aware``, selectable
   via ``run.schedule`` in :class:`~repro.api.SimulationConfig`);
-* an :class:`ExecutionBackend` runs them — :class:`SerialBackend` in-process,
+* a backend runs them — :class:`SerialBackend` in-process (the base class,
+  whose ``run(groups)`` is the one entry point),
   :class:`ProcessPoolBackend` over a process pool, and
   :class:`DistributedBackend` over the virtual ranks of the simulated MPI
   runtime (:class:`~repro.parallel.SimCommunicator`), with dispatch/result
@@ -29,7 +30,6 @@ about *where and how* to run is one frozen, JSON-round-trippable
 from .settings import BACKEND_NAMES, ExecutionSettings  # noqa: I001  (first: no batch deps)
 from .backends import (
     DistributedBackend,
-    ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
     execute_group,
@@ -42,7 +42,6 @@ __all__ = [
     "SCHEDULE_POLICIES",
     "ScheduledGroup",
     "Scheduler",
-    "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
     "DistributedBackend",

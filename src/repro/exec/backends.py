@@ -1,25 +1,26 @@
 """Execution backends: where and how the groups of a sweep actually run.
 
 Execution policy used to live inline in :class:`repro.batch.BatchRunner`;
-this module extracts it behind one small surface, the
-:class:`ExecutionBackend` protocol — ``submit_group`` accepts scheduled
-ground-state groups, ``run_group`` turns one of them into
-:class:`~repro.batch.JobResult`\\ s (the one place that happens:
-:func:`execute_group` and the observed-seconds stamp), ``drain`` is the loop
-over ``run_group``, ``execution_summary`` reports how the work was placed —
+this module extracts it behind one small surface, :class:`SerialBackend` and
+its subclasses — ``run(groups)`` runs a list of scheduled ground-state groups
+and returns their :class:`~repro.batch.JobResult`\\ s, ``run_group`` turns
+one group into results (the one place that happens: :func:`execute_group`
+and the observed-seconds stamp), ``groups`` lists the groups the backend ran,
+in run order, and ``execution_summary`` reports how the work was placed —
 one :meth:`~repro.exec.ScheduledGroup.as_dict` record per group.
-:meth:`repro.batch.BatchRunner.run` drains a backend;
+:meth:`repro.batch.BatchRunner.run` calls ``run``;
 :func:`repro.service.run_sweep` steps the same backend group by group between
 its ``await``\\ s, and its progress and cancellation are the service's
 (:class:`~repro.service.SweepProgress`, the campaign task). Three
 implementations:
 
-* :class:`SerialBackend` — in-process, in submission order; the only backend
+* :class:`SerialBackend` — in-process, in the given order; the only backend
   that reuses the runner's warm sessions (``prepare_ground_states``).
 * :class:`ProcessPoolBackend` — one worker task per group on a
   :class:`~concurrent.futures.ProcessPoolExecutor`; falls back to serial
   execution (with a warning naming the original error and the fallback) when
-  no pool can be created.
+  no pool can be created, and names the job ids that did not come back when
+  a worker dies.
 * :class:`DistributedBackend` — places groups onto the virtual ranks of a
   :class:`~repro.parallel.SimCommunicator`. Group dispatch and result
   collection really move serialized payloads through the communicator's
@@ -33,7 +34,8 @@ implementations:
 All backends run whole groups, so the one-SCF-per-group property survives any
 placement, and all of them share the store-backed resume and ground-state
 sharing machinery of :func:`execute_group`. Persistence is one argument
-everywhere: ``store=``, a :class:`~repro.store.ResultStore`.
+everywhere: ``store=``, a :class:`~repro.store.ResultStore`, which serves and
+receives both job results and converged SCFs.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -53,10 +56,9 @@ from ..cost.placement import NodePlacement
 from ..parallel.comm import SimCommunicator
 from ..pw.fft import configure_for_pool_worker
 from ..store.store import _as_store
-from .scheduler import ScheduledGroup
+from .scheduler import ScheduledGroup, _finite, _rank_loads
 
 __all__ = [
-    "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
     "DistributedBackend",
@@ -69,7 +71,6 @@ def execute_group(
     store,
     raise_on_error: bool,
     session: Session | None = None,
-    share_ground_states: bool = False,
     precision: str = "complex128",
     notes: list | None = None,
 ) -> list[JobResult]:
@@ -98,10 +99,9 @@ def execute_group(
     ``store`` (a :class:`~repro.store.ResultStore` or its root directory;
     ``None`` for no persistence) serves and receives the results — this is
     how sweeps, campaigns and service tenants share one content-addressed
-    store. With ``share_ground_states`` the group's converged SCF is adopted
-    from / persisted to it too (before any propagation, so even a group
-    whose propagation fails leaves its SCF behind), and a resumed sweep
-    skips even the first group SCF.
+    store. The group's converged SCF is adopted from / persisted to it too
+    (before any propagation, so even a group whose propagation fails leaves
+    its SCF behind), and a resumed sweep skips even the first group SCF.
 
     ``precision="complex64"`` selects the screening tier: those results are
     stamped in their summaries and **never** loaded from or saved to the
@@ -109,7 +109,6 @@ def execute_group(
     precision either way).
     """
     store = _as_store(store)
-    gs_store = store if share_ground_states else None
     # the store only ever holds/serves double-precision physics
     job_store = store if precision == "complex128" else None
     cached = [None if job_store is None else job_store.load(job) for job in jobs]
@@ -128,8 +127,8 @@ def execute_group(
         if session is None:
             session = Session(jobs[0].config)
         try:
-            if gs_store is not None:
-                _ground_state_through_store(session, gs_store, jobs[0].group_key)
+            if store is not None:
+                _ground_state_through_store(session, store, jobs[0].group_key)
             if len(requests) > 1:
                 session.propagate_many(list(requests.values()), precision=precision)
         except Exception as exc:
@@ -219,12 +218,9 @@ def _run_group_worker(payload) -> tuple[list[dict], list[str]]:
     ``workers * fft_threads`` ways degrades every group.
     """
     configure_for_pool_worker()
-    jobs, store, raise_on_error, share_ground_states, precision = payload
+    jobs, store, raise_on_error, precision = payload
     notes: list[str] = []
-    results = execute_group(
-        jobs, store, raise_on_error, share_ground_states=share_ground_states,
-        precision=precision, notes=notes,
-    )
+    results = execute_group(jobs, store, raise_on_error, precision=precision, notes=notes)
     return [result.to_dict() for result in results], notes
 
 
@@ -252,25 +248,26 @@ def _sweep_report(backend, results, spec, settings, schedule: str, record=()) ->
 
 
 # ---------------------------------------------------------------------------
-# The backend protocol
+# The backends
 # ---------------------------------------------------------------------------
 
 
-class ExecutionBackend:
-    """Where the groups of a sweep run: ``submit_group``, then ``drain`` (or
-    ``run_group`` one at a time).
+class SerialBackend:
+    """Where the groups of a sweep run: in-process, in the given order — the
+    base loop the other backends specialise.
+
+    ``run(groups)`` is the one entry point (a loop over :meth:`run_group`);
+    :func:`repro.service.run_sweep` calls :meth:`run_group` itself, one group
+    between each of its ``await``\\ s.
 
     Parameters
     ----------
     store:
         The :class:`~repro.store.ResultStore` (or its root directory)
-        serving/receiving results and, with ``share_ground_states``,
-        converged SCFs; ``None`` disables persistence.
+        serving/receiving results and converged SCFs; ``None`` disables
+        persistence.
     raise_on_error:
         Propagate the first job failure instead of recording it.
-    share_ground_states:
-        Persist/adopt converged SCFs through the store (no effect without
-        one).
     sessions:
         Warm :class:`~repro.api.Session`\\ s keyed by group key (from
         :meth:`repro.batch.BatchRunner.prepare_ground_states`), reused by
@@ -281,36 +278,36 @@ class ExecutionBackend:
     """
 
     #: registry name of the backend (the ``ExecutionSettings(backend=...)`` string)
-    name = "backend"
+    name = "serial"
 
     def __init__(self, *, store=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, sessions: dict | None = None,
-                 precision: str = "complex128"):
+                 sessions: dict | None = None, precision: str = "complex128"):
         self.store = _as_store(store)
         self.precision = resolve_precision(precision)
         self.raise_on_error = bool(raise_on_error)
-        self.share_ground_states = bool(share_ground_states)
         self.sessions = {} if sessions is None else sessions
+        #: the groups this backend ran, in run order
         self.groups: list[ScheduledGroup] = []
-        self._drained_groups = 0
 
     # ------------------------------------------------------------------
-    def submit_group(self, group: ScheduledGroup) -> None:
-        """Enqueue one scheduled ground-state group for execution."""
-        self.groups.append(group)
+    def run(self, groups: list[ScheduledGroup]) -> list[JobResult]:
+        """Run ``groups`` in order and return all job results."""
+        results: list[JobResult] = []
+        for group in groups:
+            results.extend(self.run_group(group))
+        return results
 
     def run_group(self, group: ScheduledGroup) -> list[JobResult]:
-        """Execute one submitted group, in-process, and return its results.
+        """Execute one group, in-process, and return its results.
 
-        The one place a scheduled group turns into results — ``drain`` loops
-        over it, the service calls it between its ``await``\\ s.
+        The one place a scheduled group turns into results — :meth:`run`
+        loops over it, the service calls it between its ``await``\\ s.
         """
         results = execute_group(
             group.jobs,
             self.store,
             self.raise_on_error,
             session=self.sessions.get(group.key),
-            share_ground_states=self.share_ground_states,
             precision=self.precision,
             notes=group.notes,
         )
@@ -318,23 +315,16 @@ class ExecutionBackend:
 
     def _record_group(self, group: ScheduledGroup, results: list[JobResult]) -> list[JobResult]:
         """Stamp a finished group's observed wall and the jobs it did not
-        compute, and count it as drained."""
+        compute, and append it to :attr:`groups`."""
         group.observed_seconds = _group_wall_seconds(results)
         group.n_served = sum(1 for r in results if r.status == "cached")
         group.n_failed = sum(1 for r in results if r.status == "failed")
-        self._drained_groups += 1
-        return results
-
-    def drain(self) -> list[JobResult]:
-        """Run every submitted group and return all job results."""
-        results: list[JobResult] = []
-        for group in self.groups:
-            results.extend(self.run_group(group))
+        self.groups.append(group)
         return results
 
     # ------------------------------------------------------------------
     def execution_summary(self) -> dict:
-        """How the submitted work was (or will be) placed, JSON-serializable."""
+        """How the work was placed, JSON-serializable."""
         return {
             "backend": self.name,
             "n_groups": len(self.groups),
@@ -343,18 +333,7 @@ class ExecutionBackend:
         }
 
 
-class SerialBackend(ExecutionBackend):
-    """In-process execution in submission order — the base loop, named.
-
-    The backend that reuses warm :class:`~repro.api.Session`\\ s (from
-    :meth:`repro.batch.BatchRunner.prepare_ground_states`): pass them as
-    ``sessions``, keyed by group key.
-    """
-
-    name = "serial"
-
-
-class ProcessPoolBackend(ExecutionBackend):
+class ProcessPoolBackend(SerialBackend):
     """One worker task per group on a process pool.
 
     Whole groups ship to workers, so the one-SCF-per-group property survives
@@ -362,7 +341,11 @@ class ProcessPoolBackend(ExecutionBackend):
     workers on fork-based platforms. A single-group sweep has nothing to
     parallelise and runs in-process; if no pool can be created the backend
     warns — naming the original error and the fallback — and runs serially.
-    Both fallbacks are the base class's loop itself.
+    Both fallbacks are the base class's loop itself. A worker that dies
+    breaks the pool: :meth:`run` raises
+    :class:`~concurrent.futures.process.BrokenProcessPool` naming the job ids
+    of the groups that did not come back (the groups before them are
+    recorded, and their results stored).
     """
 
     name = "process"
@@ -372,10 +355,10 @@ class ProcessPoolBackend(ExecutionBackend):
         self.max_workers = max_workers
         self.used_fallback = False
 
-    def drain(self) -> list[JobResult]:
-        if len(self.groups) <= 1:
-            return super().drain()
-        workers = min(self.max_workers or os.cpu_count() or 1, len(self.groups))
+    def run(self, groups: list[ScheduledGroup]) -> list[JobResult]:
+        if len(groups) <= 1:
+            return super().run(groups)
+        workers = min(self.max_workers or os.cpu_count() or 1, len(groups))
         try:
             executor = ProcessPoolExecutor(max_workers=workers)
         except (OSError, ValueError, ImportError) as exc:
@@ -384,16 +367,28 @@ class ProcessPoolBackend(ExecutionBackend):
                 f"process pool unavailable ({type(exc).__name__}: {exc}); "
                 f"falling back to the '{SerialBackend.name}' execution backend"
             )
-            return super().drain()
+            return super().run(groups)
         results: list[JobResult] = []
         with executor:
-            futures = []
-            for group in self.groups:
-                payload = (group.jobs, self.store, self.raise_on_error,
-                           self.share_ground_states, self.precision)
-                futures.append((group, executor.submit(_run_group_worker, payload)))
-            for group, future in futures:
-                dicts, notes = future.result()
+            futures = [
+                (group, executor.submit(
+                    _run_group_worker, (group.jobs, self.store, self.raise_on_error, self.precision)
+                ))
+                for group in groups
+            ]
+            for position, (group, future) in enumerate(futures):
+                try:
+                    dicts, notes = future.result()
+                except BrokenProcessPool as exc:
+                    lost = [
+                        job.job_id
+                        for lost_group, lost_future in futures[position:]
+                        if lost_future.exception() is not None
+                        for job in lost_group.jobs
+                    ]
+                    raise BrokenProcessPool(
+                        f"a process-pool worker died; these jobs did not come back: {lost}"
+                    ) from exc
                 group.notes.extend(notes)
                 group_results = [JobResult.from_dict(d) for d in dicts]
                 results.extend(self._record_group(group, group_results))
@@ -406,7 +401,7 @@ class ProcessPoolBackend(ExecutionBackend):
         return summary
 
 
-class DistributedBackend(ExecutionBackend):
+class DistributedBackend(SerialBackend):
     """Execution over the virtual ranks of a simulated MPI communicator.
 
     Groups are placed onto ranks by the scheduler (least-loaded packing,
@@ -422,6 +417,10 @@ class DistributedBackend(ExecutionBackend):
     cost. Results come back in dict form (observables only), exactly like
     process-pool workers — the report JSON is bit-identical to the serial
     backend's.
+
+    The backend counts only the traffic of each rank (bytes each way and
+    their predicted wall); what a rank ran is summed from the group ledger
+    (:attr:`groups`) when the summary is built.
 
     Parameters
     ----------
@@ -439,14 +438,9 @@ class DistributedBackend(ExecutionBackend):
     name = "distributed"
 
     def __init__(self, *, ranks: int = 4, store=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, comm: SimCommunicator | None = None,
+                 comm: SimCommunicator | None = None,
                  placement: NodePlacement | None = None, precision: str = "complex128"):
-        super().__init__(
-            store=store,
-            raise_on_error=raise_on_error,
-            share_ground_states=share_ground_states,
-            precision=precision,
-        )
+        super().__init__(store=store, raise_on_error=raise_on_error, precision=precision)
         if comm is None and ranks < 1:
             raise ValueError(
                 f"DistributedBackend needs ranks >= 1, got {ranks}; "
@@ -462,23 +456,9 @@ class DistributedBackend(ExecutionBackend):
                 f"{self.comm.size}) (or larger)"
             )
         self.placement = placement
-        self.rank_stats = [
-            {
-                "rank": rank,
-                "node": placement.node_of(rank),
-                "socket": placement.socket_of(rank),
-                "link": placement.link_between(0, rank).value,
-                "groups": 0,
-                "jobs": 0,
-                "predicted_cost": 0.0,
-                "predicted_seconds": 0.0,
-                "predicted_energy_j": 0.0,
-                "observed_seconds": 0.0,
-                "dispatch_bytes": 0,
-                "result_bytes": 0,
-                "comm_seconds": 0.0,
-            }
-            for rank in range(self.comm.size)
+        self._traffic = [
+            {"dispatch_bytes": 0, "result_bytes": 0, "comm_seconds": 0.0}
+            for _ in range(self.comm.size)
         ]
 
     # ------------------------------------------------------------------
@@ -500,9 +480,9 @@ class DistributedBackend(ExecutionBackend):
         group's rank (scheduler-assigned, or round-robin when unplaced)."""
         rank = group.rank
         if rank is None or not 0 <= rank < self.comm.size:
-            rank = self._drained_groups % self.comm.size
+            rank = len(self.groups) % self.comm.size
         group.rank = rank
-        stats = self.rank_stats[rank]
+        traffic = self._traffic[rank]
 
         # dispatch: the expanded group spec travels root -> rank
         dispatch = self._wire(
@@ -513,8 +493,8 @@ class DistributedBackend(ExecutionBackend):
             }
         )
         self.comm.sendrecv(dispatch, description=f"dispatch group {group.index} -> rank {rank}")
-        stats["dispatch_bytes"] += int(dispatch.nbytes)
-        stats["comm_seconds"] += self.placement.transfer_seconds(dispatch.nbytes, 0, rank)
+        traffic["dispatch_bytes"] += int(dispatch.nbytes)
+        traffic["comm_seconds"] += self.placement.transfer_seconds(dispatch.nbytes, 0, rank)
 
         # "remote" execution on the rank (in-process, bit-identical physics)
         group_results = super().run_group(group)
@@ -522,20 +502,43 @@ class DistributedBackend(ExecutionBackend):
         # results travel rank -> root as observables-only dicts
         wire = self._wire([result.to_dict() for result in group_results])
         received = self.comm.sendrecv(wire, description=f"results group {group.index} <- rank {rank}")
-        stats["result_bytes"] += int(wire.nbytes)
-        stats["comm_seconds"] += self.placement.transfer_seconds(wire.nbytes, rank, 0)
-        stats["groups"] += 1
-        stats["jobs"] += group.n_jobs
-        if np.isfinite(group.predicted_cost):
-            stats["predicted_cost"] += float(group.predicted_cost)
-        if np.isfinite(group.predicted_seconds):
-            stats["predicted_seconds"] += float(group.predicted_seconds)
-        if np.isfinite(group.predicted_energy_j):
-            stats["predicted_energy_j"] += float(group.predicted_energy_j)
-        stats["observed_seconds"] += group.observed_seconds
+        traffic["result_bytes"] += int(wire.nbytes)
+        traffic["comm_seconds"] += self.placement.transfer_seconds(wire.nbytes, rank, 0)
 
         decoded = json.loads(bytes(bytearray(received)).decode())
         return [JobResult.from_dict(d) for d in decoded]
+
+    def _per_rank(self) -> list[dict]:
+        """One record per rank: where the placement puts it, the sums of the
+        groups it ran (the scheduler's :func:`_rank_loads` over
+        :attr:`groups`, in run order) and the traffic it logged."""
+
+        def loads(weight) -> list[float]:
+            return _rank_loads(self.groups, self.comm.size, weight)
+
+        groups = loads(lambda g: 1)
+        jobs = loads(lambda g: g.n_jobs)
+        # an unpriced group (nan prediction) adds nothing
+        cost = loads(lambda g: _finite(g.predicted_cost) or 0.0)
+        seconds = loads(lambda g: _finite(g.predicted_seconds) or 0.0)
+        energy = loads(lambda g: _finite(g.predicted_energy_j) or 0.0)
+        observed = loads(lambda g: g.observed_seconds)
+        return [
+            {
+                "rank": rank,
+                "node": self.placement.node_of(rank),
+                "socket": self.placement.socket_of(rank),
+                "link": self.placement.link_between(0, rank).value,
+                "groups": int(groups[rank]),
+                "jobs": int(jobs[rank]),
+                "predicted_cost": cost[rank],
+                "predicted_seconds": seconds[rank],
+                "predicted_energy_j": energy[rank],
+                "observed_seconds": observed[rank],
+                **self._traffic[rank],
+            }
+            for rank in range(self.comm.size)
+        ]
 
     def execution_summary(self) -> dict:
         summary = super().execution_summary()
@@ -544,7 +547,7 @@ class DistributedBackend(ExecutionBackend):
             "ranks_per_node": self.placement.ranks_per_node,
             "n_nodes": self.placement.n_nodes,
         }
-        summary["per_rank"] = [dict(stats) for stats in self.rank_stats]
+        summary["per_rank"] = self._per_rank()
         summary["comm"] = {
             "calls": dict(self.comm.stats.calls),
             "bytes": dict(self.comm.stats.bytes),

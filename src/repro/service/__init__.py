@@ -21,9 +21,9 @@ paper's production reality of a fixed machine shared by many budgeted runs:
    ``await handle.report()`` for the final
    :class:`~repro.campaign.CampaignReport`.
 
-Physics stays bit-identical to the blocking path: the service steps the same
-:class:`~repro.exec.ExecutionBackend` a :class:`~repro.batch.BatchRunner`
-drains, group by group, so a campaign's
+Physics stays bit-identical to the blocking path: the service steps, one
+``run_group`` at a time, the same :class:`~repro.exec.SerialBackend` whose
+``run(groups)`` a :class:`~repro.batch.BatchRunner` calls, so a campaign's
 ``to_json(exclude_timings=True)`` export matches
 :meth:`~repro.campaign.ExecutionPlan.execute` exactly; concurrency lives
 only in the *modeled* calendar, where co-scheduled campaigns finish in the

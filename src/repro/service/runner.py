@@ -2,9 +2,9 @@
 
 :func:`run_sweep` is the service-side counterpart of
 :meth:`repro.batch.BatchRunner.run`: the service steps the same backend
-``BatchRunner`` drains — the same :class:`~repro.exec.Scheduler`, a
+``BatchRunner`` runs — the same :class:`~repro.exec.Scheduler`, a
 :class:`~repro.exec.SerialBackend` built from the settings, its
-:meth:`~repro.exec.ExecutionBackend.run_group` per group and the same report
+:meth:`~repro.exec.SerialBackend.run_group` per group and the same report
 builder, so the physics export stays bit-identical — but split at every
 ground-state group boundary by an ``await`` — which is where co-scheduling,
 preemption and cancellation all happen:
@@ -156,7 +156,6 @@ async def run_sweep(
     arrival: float | None = None,
     store=None,
     raise_on_error: bool = False,
-    share_ground_states: bool = True,
     progress=None,
     calibration=None,
     adaptive: bool = False,
@@ -199,15 +198,10 @@ async def run_sweep(
     # the slice size the *pricing* actually used (per-config overrides win in
     # the cost model), mirroring CampaignPlanner._occupied_nodes
     priced_gpus = max((g.n_gpus for g in scheduled), default=settings.gpus_per_group)
-    # the backend BatchRunner would drain, stepped here one group at a time
+    # the backend BatchRunner runs, stepped here one group at a time
     backend = SerialBackend(
-        store=store,
-        raise_on_error=raise_on_error,
-        share_ground_states=share_ground_states,
-        precision=settings.precision,
+        store=store, raise_on_error=raise_on_error, precision=settings.precision
     )
-    for group in scheduled:
-        backend.submit_group(group)
 
     results = []
     leases: list[Lease] = []

@@ -194,7 +194,6 @@ class CampaignService:
         name: str | None = None,
         store=None,
         raise_on_error: bool = False,
-        share_ground_states: bool = True,
         on_sweep_complete=None,
         adaptive: bool | None = None,
         drift_threshold: float | None = None,
@@ -241,7 +240,6 @@ class CampaignService:
                 handle,
                 store=store,
                 raise_on_error=raise_on_error,
-                share_ground_states=share_ground_states,
                 on_sweep_complete=on_sweep_complete,
                 adaptive=self.adaptive if adaptive is None else bool(adaptive),
                 drift_threshold=(
@@ -261,7 +259,6 @@ class CampaignService:
         *,
         store,
         raise_on_error: bool,
-        share_ground_states: bool,
         on_sweep_complete,
         adaptive: bool,
         drift_threshold: float,
@@ -283,7 +280,6 @@ class CampaignService:
                         arrival=cursor,  # a campaign's own sweeps still serialise
                         store=store,
                         raise_on_error=raise_on_error,
-                        share_ground_states=share_ground_states,
                         progress=handle._progress[sweep_name],
                         calibration=getattr(plan, "calibration", None),
                         adaptive=adaptive,

@@ -153,16 +153,16 @@ class TestBatchRunnerRedesign:
         settings = ExecutionSettings(backend="distributed", ranks=2, schedule="makespan_balanced")
         runner = BatchRunner(spec, settings=settings)
         assert runner.settings is settings
-        assert runner.backend == "distributed"
-        assert runner.ranks == 2
-        assert runner.schedule == "makespan_balanced"
+        assert runner.settings.backend == "distributed"
+        assert runner.settings.ranks == 2
+        assert runner.settings.schedule == "makespan_balanced"
         assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
 
     def test_settings_accepts_the_dict_form(self, tiny_config):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
         runner = BatchRunner(spec, settings={"backend": "process", "max_workers": 2})
-        assert runner.backend == "process"
-        assert runner.max_workers == 2
+        assert runner.settings.backend == "process"
+        assert runner.settings.max_workers == 2
 
     def test_settings_default_resolves_from_the_config(self, tiny_config, recwarn):
         config = tiny_config.with_overrides(

@@ -10,6 +10,9 @@ resumed sweeps skip every SCF.
 """
 
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -111,9 +114,7 @@ class TestDistributedBackend:
         scheduler = Scheduler("fifo")
         scheduled = scheduler.schedule(BatchRunner(four_group_spec).groups())
         backend = DistributedBackend(comm=comm)
-        for group in scheduled:
-            backend.submit_group(group)
-        results = backend.drain()
+        results = backend.run(scheduled)
         assert len(results) == 8
         assert comm.stats.total_bytes() > 0
         assert len(comm.events) == 8  # 2 sendrecvs x 4 groups
@@ -292,16 +293,6 @@ class TestGroundStateSharing:
             np.testing.assert_array_equal(warm.trajectory.energies, cold.trajectory.energies)
             np.testing.assert_array_equal(warm.trajectory.dipoles, cold.trajectory.dipoles)
 
-    def test_opt_out_reconverges(self, tiny_config, tmp_path, count_scf_solves):
-        first = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        BatchRunner(first, store=tmp_path, share_ground_states=False).run()
-        second = SweepSpec(tiny_config, {"run.time_step_as": [2.0]})
-        BatchRunner(second, store=tmp_path, share_ground_states=False).run()
-        assert len(count_scf_solves) == 2
-        assert not ResultStore(tmp_path).has_ground_state(
-            first.expand()[0].group_key
-        )
-
     def test_prepare_ground_states_adopts_persisted_scf(self, tiny_config, tmp_path, count_scf_solves):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
         warm = BatchRunner(spec, store=tmp_path)
@@ -414,9 +405,7 @@ class TestBackendSurface:
         runner = BatchRunner(spec)
         scheduled = Scheduler("fifo", cost_fn=lambda configs: float("nan")).schedule(runner.groups())
         backend = SerialBackend()
-        for group in scheduled:
-            backend.submit_group(group)
-        backend.drain()
+        backend.run(scheduled)
         text = json.dumps(backend.execution_summary(), allow_nan=False)  # strict
         assert json.loads(text)["groups"][0]["predicted_cost"] is None
 
@@ -424,10 +413,7 @@ class TestBackendSurface:
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
         runner = BatchRunner(spec)
         scheduled = Scheduler("fifo").schedule(runner.groups())
-        backend = SerialBackend()
-        for group in scheduled:
-            backend.submit_group(group)
-        results = backend.drain()
+        results = SerialBackend().run(scheduled)
         reference = runner.run()
         assert [r.job_id for r in results] == [r.job_id for r in reference]
         for a, b in zip(results, reference):
@@ -435,7 +421,7 @@ class TestBackendSurface:
 
 
 # ---------------------------------------------------------------------------
-# What drain() leaves behind: placement and the group records
+# What run() leaves behind: placement and the group records
 # ---------------------------------------------------------------------------
 
 
@@ -446,8 +432,7 @@ def _stub_execute_group(monkeypatch) -> list[int]:
 
     calls: list[int] = []
 
-    def fake(jobs, store, raise_on_error, session=None, share_ground_states=False,
-             precision="complex128", notes=None):
+    def fake(jobs, store, raise_on_error, session=None, precision="complex128", notes=None):
         calls.append(len(jobs))
         return [JobResult.from_failure(job, RuntimeError("stubbed")) for job in jobs]
 
@@ -455,10 +440,8 @@ def _stub_execute_group(monkeypatch) -> list[int]:
     return calls
 
 
-def _submit(backend, spec):
-    for group in Scheduler("fifo").schedule(BatchRunner(spec).groups()):
-        backend.submit_group(group)
-    return backend
+def _scheduled(spec):
+    return Scheduler("fifo").schedule(BatchRunner(spec).groups())
 
 
 class TestProcessPoolSingleGroup:
@@ -467,23 +450,59 @@ class TestProcessPoolSingleGroup:
         the base class's own loop in-process, and that is no fallback."""
         calls = _stub_execute_group(monkeypatch)
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        backend = _submit(ProcessPoolBackend(max_workers=2), spec)
+        backend = ProcessPoolBackend(max_workers=2)
 
-        assert len(backend.drain()) == 2
+        assert len(backend.run(_scheduled(spec))) == 2
         assert calls == [2]  # in-process: the stubbed module global was reached
         assert backend.execution_summary()["used_fallback"] is False
 
 
-class TestDrainLedger:
+class TestProcessPoolWorkerDeath:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the stubbed execute_group reaches the workers only through fork",
+    )
+    def test_a_dead_worker_is_named_and_the_store_resumes(
+        self, four_group_spec, tmp_path, monkeypatch
+    ):
+        """A worker that dies mid-group breaks the pool: the error names the
+        job ids of that group, and a serial re-run on the same store exports
+        what a clean serial run does."""
+        import repro.exec.backends as backends_module
+
+        real = backends_module.execute_group
+        groups = _scheduled(four_group_spec)
+        doomed = {job.job_id for job in groups[1].jobs}
+
+        def dies_on_one_group(jobs, *args, **kwargs):
+            if {job.job_id for job in jobs} == doomed:
+                os._exit(1)
+            return real(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(backends_module, "execute_group", dies_on_one_group)
+        with pytest.raises(BrokenProcessPool, match="did not come back") as raised:
+            ProcessPoolBackend(max_workers=2, store=tmp_path).run(groups)
+        assert isinstance(raised.value.__cause__, BrokenProcessPool)
+        assert all(job_id in str(raised.value) for job_id in doomed)
+
+        monkeypatch.undo()
+        resumed = BatchRunner(four_group_spec, store=tmp_path).run()
+        clean = BatchRunner(four_group_spec).run()
+        assert resumed.to_json(exclude_timings=True) == clean.to_json(exclude_timings=True)
+
+
+class TestRunLedger:
     def test_unplaced_groups_are_dispatched_round_robin(self, four_group_spec, monkeypatch):
         """Groups the scheduler never packed (or packed for more ranks than
-        the backend has) go round-robin in drain order, and keep that rank."""
+        the backend has) go round-robin in run order, and keep that rank."""
         calls = _stub_execute_group(monkeypatch)
-        backend = _submit(DistributedBackend(ranks=2), four_group_spec)
-        assert all(g.rank is None for g in backend.groups)
-        backend.groups[1].rank = 5  # out of range for two ranks
+        backend = DistributedBackend(ranks=2)
+        groups = _scheduled(four_group_spec)
+        assert all(g.rank is None for g in groups)
+        groups[1].rank = 5  # out of range for two ranks
 
-        assert len(backend.drain()) == 8
+        assert len(backend.run(groups)) == 8
+        assert backend.groups == groups
         assert calls == [2, 2, 2, 2]
         assert [g.rank for g in backend.groups] == [0, 1, 0, 1]
         summary = backend.execution_summary()
@@ -492,10 +511,10 @@ class TestDrainLedger:
 
     def test_execution_summary_exports_the_group_records(self, four_group_spec, monkeypatch):
         """The summary's ``groups`` are the scheduler's own records, one per
-        submitted group in submission order, stamped after the drain."""
+        group run, in run order, stamped after the run."""
         _stub_execute_group(monkeypatch)
-        backend = _submit(SerialBackend(), four_group_spec)
-        backend.drain()
+        backend = SerialBackend()
+        backend.run(_scheduled(four_group_spec))
 
         summary = json.loads(json.dumps(backend.execution_summary(), allow_nan=False))
         assert summary["groups"] == [group.as_dict() for group in backend.groups]
@@ -506,6 +525,13 @@ class TestDrainLedger:
 # ---------------------------------------------------------------------------
 # Sweep traffic and the sweep-level analogues of Figs. 7 and 8
 # ---------------------------------------------------------------------------
+
+
+def _in_order_sum(values) -> float:
+    total = 0.0
+    for value in values:
+        total += 0.0 if value is None else value
+    return total
 
 
 class TestSweepDispatch:
@@ -523,6 +549,14 @@ class TestSweepDispatch:
         # compute-shipping, as the paper's propagation: configs out are
         # smaller than the observables back
         assert sum(s["dispatch_bytes"] for s in per_rank) < sum(s["result_bytes"] for s in per_rank)
+        # each rank's ledger is the in-order sum of the group records it ran,
+        # float for float (an unpriced group adds 0)
+        for stats in per_rank:
+            ran = [g for g in report.execution["groups"] if g["rank"] == stats["rank"]]
+            assert stats["groups"] == len(ran)
+            assert stats["jobs"] == _in_order_sum(g["n_jobs"] for g in ran)
+            for key in ("predicted_cost", "predicted_seconds", "predicted_energy_j", "observed_seconds"):
+                assert stats[key] == _in_order_sum(g[key] for g in ran), key
 
     def test_the_process_pool_exports_the_serial_bytes(self, four_group_spec):
         serial = BatchRunner(four_group_spec).run()

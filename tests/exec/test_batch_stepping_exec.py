@@ -242,7 +242,7 @@ class TestFailureAttribution:
         workers_before = get_fft_workers()
         try:
             with pytest.warns(UserWarning, match="fell back"):
-                dicts, notes = _run_group_worker((jobs, None, False, False, "complex128"))
+                dicts, notes = _run_group_worker((jobs, None, False, "complex128"))
         finally:
             set_fft_workers(workers_before)
             os.environ.pop("REPRO_FFT_WORKERS", None)
@@ -260,7 +260,7 @@ class TestPoolWorkerCapping:
         set_fft_workers(4)
         try:
             (jobs,) = dt_spec.groups().values()
-            payload = (jobs, None, True, False, "complex128")
+            payload = (jobs, None, True, "complex128")
             dicts, notes = _run_group_worker(payload)
             assert notes == []
             assert get_fft_workers() == 1

@@ -364,7 +364,7 @@ class TestScheduleConfig:
 
     def test_default_policy_is_fifo(self, tiny_config):
         assert tiny_config.run.schedule_policy == "fifo"
-        assert BatchRunner(SweepSpec(tiny_config)).schedule == "fifo"
+        assert BatchRunner(SweepSpec(tiny_config)).settings.schedule == "fifo"
 
     def test_invalid_policy_raises_with_valid_choices(self):
         with pytest.raises(ConfigError, match="cheapest_first"):
@@ -396,6 +396,6 @@ class TestScheduleConfig:
     def test_runner_argument_overrides_config_policy(self, tiny_config):
         config = tiny_config.with_overrides({"run.schedule.policy": "cheapest_first"})
         runner = BatchRunner(SweepSpec(config))
-        assert runner.schedule == "cheapest_first"
+        assert runner.settings.schedule == "cheapest_first"
         override = BatchRunner(SweepSpec(config), settings=ExecutionSettings(schedule="fifo"))
-        assert override.schedule == "fifo"
+        assert override.settings.schedule == "fifo"
