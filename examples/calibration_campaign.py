@@ -19,6 +19,12 @@ from the store with a bit-identical physics export (calibration never
 touches group keys or config hashes) and leaves the observation log
 byte-identical (a served job is no observation).
 
+A last sweep at a time step the store has never seen runs under
+``calibration="store"`` too, so this pass computes: every observation it
+logs must carry the *uncalibrated* model's predicted seconds. Calibration
+re-prices the plan, never the prediction the log pairs with reality — a
+re-priced prediction fed back into the log would skew every later fit.
+
 **Phase B — drift-triggered work stealing.** The service runner re-packs a
 sweep mid-flight: with a deterministic synthetic observer (every ptcn group
 runs 3x its prediction, rk4 exactly 1x) the observed/predicted drift crosses
@@ -52,7 +58,7 @@ from repro.api import SimulationConfig
 from repro.batch import SweepSpec
 from repro.calib import CalibrationModel, ObservationLog
 from repro.campaign import Budget, CampaignSpec
-from repro.exec import ExecutionSettings
+from repro.exec import ExecutionSettings, Scheduler
 from repro.service import CampaignService, NodePool
 from repro.service.runner import run_sweep
 from repro.store import ResultStore
@@ -64,6 +70,9 @@ BASE = {
     "xc": {"hybrid_mixing": 0.0},
     "run": {"time_step_as": 1.0, "n_steps": 2, "gs_scf_tolerance": 1e-6},
 }
+
+#: the time step of the calibrated pass's computing sweep (no other pass uses it)
+NEW_DT = 2.0
 
 #: Phase B's synthetic truth — ptcn groups run 3x their prediction
 SKEW = {"ptcn": 3.0, "rk4": 1.0}
@@ -86,17 +95,53 @@ def build_campaign() -> CampaignSpec:
     )
 
 
-def run_campaign(store: ResultStore, *, calibration=None):
-    """One campaign pass through a CampaignService over ``store``."""
+def run_campaign(store: ResultStore, *, calibration=None, campaign=None):
+    """One campaign pass (default: :func:`build_campaign`) through a
+    CampaignService over ``store``."""
     service = CampaignService(
         NodePool("summit", n_nodes=1), store=store, calibration=calibration
     )
 
     async def body():
-        handle = service.submit(build_campaign(), name="calibration-demo")
+        handle = service.submit(campaign or build_campaign(), name="calibration-demo")
         return handle, await handle.report()
 
     return asyncio.run(body())
+
+
+def computing_calibrated_pass(store: ResultStore) -> int:
+    """One sweep at :data:`NEW_DT` under ``calibration="store"``: it computes
+    every job, and each observation it logs must carry the uncalibrated
+    scheduler's predicted seconds for its group."""
+    spec = SweepSpec(
+        SimulationConfig.from_dict(BASE),
+        {"basis.ecut": [1.5, 1.8], "run.time_step_as": [NEW_DT]},
+    )
+    campaign = CampaignSpec({"new-dt": spec}, budget=Budget(max_nodes=1))
+    n_logged = len(ObservationLog(store).load())
+    handle, report = run_campaign(store, calibration="store", campaign=campaign)
+    if not check(report.ok and report.n_cached == 0, "the new-dt sweep did not compute every job"):
+        return 1
+    if not check("calibration" in handle.plan.as_dict(), "the new-dt sweep was planned uncalibrated"):
+        return 1
+    settings = handle.plan.settings
+    model = Scheduler(settings.schedule, machine=settings.machine_model())
+    predicted = {g.index: g.predicted_seconds for g in model.schedule(spec.groups())}
+    logged = ObservationLog(store).load()[n_logged:]
+    if not check(len(logged) == len(predicted), f"{len(logged)} observations logged, not {len(predicted)}"):
+        return 1
+    for obs in logged:
+        if not check(
+            obs.predicted_seconds == predicted[obs.group_index],
+            f"group {obs.group_index} logged predicted_seconds {obs.predicted_seconds!r}, "
+            f"the uncalibrated model predicts {predicted[obs.group_index]!r}",
+        ):
+            return 1
+    print(
+        f"calibrated computing pass: {len(logged)} observations logged at the "
+        "uncalibrated model's predicted seconds"
+    )
+    return 0
 
 
 def physics_digests(report) -> dict[str, str]:
@@ -241,7 +286,7 @@ def calibrated_pass(store: ResultStore) -> int:
         "re-packing did not beat the static plan's modeled makespan",
     ):
         return 1
-    return 0
+    return computing_calibrated_pass(store)
 
 
 def main(store_root: pathlib.Path | None) -> int:
@@ -268,7 +313,8 @@ if __name__ == "__main__":
     parser.add_argument(
         "--calibrated",
         action="store_true",
-        help="smoke: fit from the store's log, re-run calibrated, run the adaptive demo",
+        help="smoke: fit from the store's log, re-run calibrated, run the adaptive demo "
+        "and one calibrated sweep that computes",
     )
     args = parser.parse_args()
     if args.smoke:

@@ -12,11 +12,14 @@ pairs for every ground-state group, and until now nothing consumed them.
 2. **Fit** — :meth:`CalibrationModel.fit` turns them into robust
    per-``(machine, propagator)`` time scales (deterministic, fixed point on
    perfect predictions, exactly monotone under uniform slowdown).
-3. **Re-plan** — :meth:`repro.cost.MachineCostModel.calibrated` re-prices a
-   cost model; ``calibration=`` on :class:`~repro.exec.Scheduler`,
+3. **Re-plan** — ``calibration=`` on :class:`~repro.exec.Scheduler`,
    :class:`~repro.campaign.CampaignPlanner` and
-   :class:`~repro.service.CampaignService` threads it through planning, and
-   the service's adaptive mode re-packs the remaining groups of a running
+   :class:`~repro.service.CampaignService` re-prices each scheduled group
+   (:meth:`repro.exec.ScheduledGroup.repriced`, stamped as its
+   ``repriced_seconds``) and plans, packs and leases by that re-price; the
+   group's ``predicted_seconds`` stay the uncalibrated model's, so a
+   calibrated pass logs observations a later fit can trust. The
+   service's adaptive mode re-packs the remaining groups of a running
    sweep (LPT work stealing) when observed/predicted drift crosses a
    threshold — without ever touching group keys, ``config_hash``, or the
    physics export.

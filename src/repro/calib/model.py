@@ -8,8 +8,9 @@ accelerator (``MachineCostModel.gpu_model``). A :class:`CalibrationModel`
 replaces that act of faith with data: from the predicted-vs-observed pairs of
 :mod:`repro.calib.observations` it fits one multiplicative *time scale* per
 ``(machine, propagator)`` bucket — equivalently a re-fit multiplier (scale ×
-the constant) or sustained fraction (base efficiency / scale), see
-:meth:`CalibrationModel.parameters`.
+the constant) or sustained fraction (base efficiency / scale); which of the
+two is "true" is unidentifiable from timings alone, so the model stores only
+the scale.
 
 The fit is deliberately simple and robust: per bucket, ratios
 ``observed / predicted`` are clipped to a band around their median (outlier
@@ -19,7 +20,7 @@ Properties the hypothesis suite pins:
 
 * **deterministic**: the same observations (in any order) fit the same model;
 * **fixed point**: observations that match predictions exactly fit scale 1.0
-  everywhere, and a model calibrated by them predicts identically;
+  everywhere, and re-pricing by that fit changes no prediction;
 * **monotone**: uniformly ``c``-times-slower observations fit exactly
   ``c``-times-larger scales.
 
@@ -93,10 +94,13 @@ def _bucket_scale(ratios: list[float], clip: float) -> float:
 class CalibrationModel:
     """A fitted set of :class:`CalibrationFactor` buckets.
 
-    Build one with :meth:`fit`; apply it with
-    :meth:`repro.cost.MachineCostModel.calibrated`, or pass it to
+    Build one with :meth:`fit` and pass it to
     :class:`~repro.campaign.CampaignPlanner`\\ 's / :class:`~repro.exec.Scheduler`\\ 's
-    ``calibration=`` so every prediction downstream is re-priced.
+    ``calibration=``: each scheduled group is re-priced once,
+    :meth:`repro.exec.ScheduledGroup.repriced` (the model's seconds × the
+    bucket's scale), and ordering, packing, leases and plans read that
+    re-price, while the group's predicted seconds stay the cost model's own —
+    the only numbers a fit may be built from.
     """
 
     factors: tuple[CalibrationFactor, ...] = ()
@@ -160,26 +164,6 @@ class CalibrationModel:
     # ------------------------------------------------------------------
     # Provenance
     # ------------------------------------------------------------------
-    def parameters(self, base) -> list[dict]:
-        """The fitted buckets as re-fit cost-model parameters.
-
-        Each entry states what the bucket's scale means against ``base`` (a
-        :class:`~repro.cost.MachineCostModel`): the equivalent
-        ``step_flop_multiplier`` (base × scale — more work per step than
-        modeled) and the equivalent sustained fraction (base efficiency /
-        scale — a slower machine than modeled). Both views re-price time
-        identically; which one is "true" is unidentifiable from timings
-        alone, so the model stores the scale and derives these for reporting.
-        """
-        return [
-            {
-                **factor.as_dict(),
-                "step_flop_multiplier": base.step_flop_multiplier * factor.scale,
-                "sustained_fraction": base.gpu_model.fft_flop_efficiency / factor.scale,
-            }
-            for factor in self.factors
-        ]
-
     def describe(self) -> str:
         """One-line provenance for plan tables and footers."""
         if self.is_empty:

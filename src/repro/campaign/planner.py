@@ -30,9 +30,8 @@ binding constraint and the cheapest relaxation that would unblock it.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from ..cost.model import MACHINES, resolve_machine
 from ..exec.scheduler import Scheduler, _rank_loads
@@ -272,9 +271,10 @@ class CampaignPlanner:
         Scheduling policies to search (default ``("makespan_balanced",
         "energy_aware")`` — the two packing-aware policies).
     calibration:
-        A fitted :class:`~repro.calib.CalibrationModel`: every candidate is
-        priced with the :meth:`~repro.cost.MachineCostModel.calibrated` copy
-        of its machine model, so plans tighten as observations accumulate.
+        A fitted :class:`~repro.calib.CalibrationModel`: every candidate's
+        groups are re-priced by it (:meth:`~repro.exec.ScheduledGroup.repriced`)
+        and its wall and energy are the planned, observed-corrected numbers,
+        so plans tighten as observations accumulate.
         The chosen plan records the calibration as provenance (``as_dict()``
         / ``plan_table()``), and the service runner re-prices its pool
         accounting with the same model. Calibration never touches group keys
@@ -373,7 +373,7 @@ class CampaignPlanner:
         forecasts: dict[str, SweepPlan] = {}
         for name, priced in self._priced.items():
             scheduled = scheduler.order([replace(group, notes=list(group.notes)) for group in priced])
-            bad = [group.key for group in scheduled if not np.isfinite(group.predicted_seconds)]
+            bad = [group.key for group in scheduled if not math.isfinite(group.predicted_seconds)]
             if bad:
                 raise ValueError(
                     f"cannot plan sweep {name!r}: the cost model has no prediction for "
@@ -382,8 +382,8 @@ class CampaignPlanner:
                     "workloads"
                 )
             scheduler.pack(scheduled, settings.ranks)
-            wall = max(_rank_loads(scheduled, settings.ranks, lambda g: g.predicted_seconds))
-            energy = sum(g.predicted_energy_j for g in scheduled)
+            wall = max(_rank_loads(scheduled, settings.ranks, lambda g: g.metric_value("seconds")))
+            energy = sum(g.metric_value("energy") for g in scheduled)
             forecasts[name] = SweepPlan(
                 name=name,
                 n_groups=len(scheduled),

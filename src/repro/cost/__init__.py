@@ -7,12 +7,12 @@ speeds, whole-node power) so the sweep scheduler can pack ground-state groups
 by predicted *seconds*, the distributed backend can attribute every logged
 transfer to a modeled link with a wall cost, and reports can show predicted
 vs observed wall time and energy — the paper's Section 5/6 campaign-planning
-arithmetic, applied to our own sweeps.
+arithmetic, applied to our own sweeps. The model prices only; calibration
+re-prices scheduled groups (:meth:`repro.exec.ScheduledGroup.repriced`).
 """
 
 from .model import (
     MACHINES,
-    CalibratedCostModel,
     CostEstimate,
     MachineCostModel,
     machine_name,
@@ -23,7 +23,6 @@ from .placement import Link, NodePlacement
 
 __all__ = [
     "MACHINES",
-    "CalibratedCostModel",
     "CostEstimate",
     "MachineCostModel",
     "machine_name",

@@ -17,7 +17,11 @@ the concrete V100/NVLink/EDR numbers of Section 5:
   energy to solution.
 
 :class:`MachineCostModel` is what the :class:`~repro.exec.Scheduler` packs by
-and what the report's predicted columns come from. The paper's own silicon
+and what the report's predicted columns come from. It prices and never
+calibrates: a fitted :class:`~repro.calib.CalibrationModel` re-prices a
+scheduled group's seconds in one place,
+:meth:`repro.exec.ScheduledGroup.repriced`, so every predicted number here is
+the model's own — the number observations pair with reality. The paper's own silicon
 steps are priced per component by
 :class:`~repro.perf.components.PWDFTPerformanceModel` on any
 :data:`MACHINES` preset; :meth:`MachineCostModel.estimate` wraps such a time
@@ -33,11 +37,10 @@ from typing import ClassVar
 from ..machine.frontier import FRONTIER
 from ..machine.gpu import GPUKernelModel
 from ..machine.summit import SUMMIT, SummitSystem
-from ..perf.sweep_cost import predict_group_cost, predict_job_cost, predict_scf_cost
+from ..perf.sweep_cost import predict_group_cost
 
 __all__ = [
     "MACHINES",
-    "CalibratedCostModel",
     "CostEstimate",
     "MachineCostModel",
     "machine_name",
@@ -214,16 +217,6 @@ class MachineCostModel:
     # ------------------------------------------------------------------
     # Sweep workloads (configs → estimates)
     # ------------------------------------------------------------------
-    def job_estimate(self, config) -> CostEstimate:
-        """Predicted time/energy of one sweep job's propagation."""
-        flops = self.step_flop_multiplier * predict_job_cost(config)
-        return self.estimate(flops, self.gpus_for(config))
-
-    def scf_estimate(self, config) -> CostEstimate:
-        """Predicted time/energy of a group's shared ground-state SCF."""
-        flops = self.step_flop_multiplier * predict_scf_cost(config)
-        return self.estimate(flops, self.gpus_for(config))
-
     def group_estimate(self, configs, flops: float | None = None) -> CostEstimate:
         """Predicted time/energy of one ground-state group (SCF + all jobs).
 
@@ -237,82 +230,6 @@ class MachineCostModel:
         if flops is None:
             flops = predict_group_cost(configs)
         return self.estimate(self.step_flop_multiplier * float(flops), self.gpus_for(configs[0]))
-
-    # ------------------------------------------------------------------
-    # Online calibration
-    # ------------------------------------------------------------------
-    def calibrated(self, calibration) -> "MachineCostModel":
-        """A re-priced copy applying a fitted :class:`~repro.calib.CalibrationModel`.
-
-        The returned :class:`CalibratedCostModel` rescales every sweep
-        estimate's *seconds* by the calibration's ``(machine, propagator)``
-        time scale (energy follows automatically — modeled power is
-        unchanged); FLOP counts, GPU slices and node occupancy are untouched,
-        so packings re-balance on corrected time without changing what the
-        budget's node accounting sees. ``None`` or an empty model returns
-        ``self`` unchanged — the identity calibration costs nothing.
-        """
-        if calibration is None or getattr(calibration, "is_empty", False):
-            return self
-        return CalibratedCostModel(
-            system=self.system, gpus_per_group=self.gpus_per_group, calibration=calibration
-        )
-
-
-@dataclass(frozen=True)
-class CalibratedCostModel(MachineCostModel):
-    """A :class:`MachineCostModel` re-priced by a fitted calibration.
-
-    Built by :meth:`MachineCostModel.calibrated`. Every sweep-facing estimate
-    (job, SCF, group) is rescaled in *seconds* by the calibration's time
-    scale for this machine and the workload's propagator — the SCF uses the
-    machine-wide bucket (it is not a propagator workload), mixed-propagator
-    groups likewise.
-    """
-
-    #: a fitted :class:`repro.calib.CalibrationModel` (duck-typed: anything
-    #: with ``scale_for(machine, propagator)`` works)
-    calibration: object | None = None
-
-    @property
-    def machine_name(self) -> str | None:
-        """The preset name observations of this model are bucketed under."""
-        return machine_name(self.system)
-
-    def _scale(self, propagator: str | None) -> float:
-        if self.calibration is None:
-            return 1.0
-        return float(self.calibration.scale_for(self.machine_name, propagator))
-
-    def _rescaled(self, estimate: CostEstimate, propagator: str | None) -> CostEstimate:
-        scale = self._scale(propagator)
-        if scale == 1.0:
-            return estimate
-        return CostEstimate(
-            flops=estimate.flops,
-            seconds=estimate.seconds * scale,
-            n_gpus=estimate.n_gpus,
-            nodes=estimate.nodes,
-            power_watts=estimate.power_watts,
-        )
-
-    @staticmethod
-    def _group_propagator(configs) -> str | None:
-        names = {config.propagator.name for config in configs}
-        return names.pop() if len(names) == 1 else None
-
-    def job_estimate(self, config) -> CostEstimate:
-        return self._rescaled(super().job_estimate(config), config.propagator.name)
-
-    def scf_estimate(self, config) -> CostEstimate:
-        return self._rescaled(super().scf_estimate(config), None)
-
-    def group_estimate(self, configs, flops: float | None = None) -> CostEstimate:
-        configs = list(configs)
-        estimate = super().group_estimate(configs, flops=flops)
-        if not configs:
-            return estimate
-        return self._rescaled(estimate, self._group_propagator(configs))
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,16 @@ of a group (:meth:`ScheduledGroup.as_dict` is what execution summaries export
 and calibration reads), :func:`_least_loaded` the one greedy placement and
 :func:`_rank_loads` the one per-rank sum: :meth:`Scheduler.pack` /
 :meth:`Scheduler.makespan`, the planner's forecast and the service runner's
-lease length, adaptive re-pack and what-if all go through them.
+lease length, adaptive re-pack and what-if all go through them. A calibration
+re-prices a group in one place, :meth:`ScheduledGroup.repriced`, stamped as
+its ``repriced_seconds``; every weight above reads that planned number, while
+the predicted fields stay the uncalibrated machine model's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..api.config import SCHEDULE_POLICIES
 from ..cost.model import MachineCostModel, machine_name
@@ -64,7 +66,7 @@ _DEFAULT_MACHINE = object()
 def _finite(value) -> float | None:
     """NaN (the scheduler's cost-model-failure sentinel) is not valid strict
     JSON — export it as null instead."""
-    return float(value) if np.isfinite(value) else None
+    return float(value) if math.isfinite(value) else None
 
 
 def _least_loaded(groups, loads: list[float], weight) -> None:
@@ -106,9 +108,12 @@ class ScheduledGroup:
         (``nan`` when prediction failed, e.g. an exotic custom structure).
     predicted_seconds:
         Predicted wall-clock seconds on the modeled machine slice (``nan``
-        without a machine model or when prediction failed).
+        without a machine model or when prediction failed). Always the
+        uncalibrated cost model's number, calibrated or not: it is what
+        :meth:`as_dict` exports and what observations pair with reality.
     predicted_energy_j:
-        Predicted energy to solution in Joules (``nan`` as above).
+        Predicted energy to solution in Joules (``nan`` as above; never
+        calibrated either).
     n_gpus:
         Modeled GPUs the group occupies (``run.machine.gpus_per_group``).
     rank:
@@ -131,11 +136,14 @@ class ScheduledGroup:
         observation: its predicted seconds priced work that did not run
         (:func:`repro.calib.extract_observations` skips it).
     repriced_seconds:
-        Calibration-corrected predicted seconds, stamped by an adaptive
-        re-pack (:func:`repro.service.run_sweep`); ``nan`` otherwise. Kept
-        separate from :attr:`predicted_seconds` so observations always pair
-        the *model's* prediction with reality — re-priced accounting never
-        feeds back into the next fit.
+        The planned seconds: :meth:`repriced` by the calibration in force,
+        stamped by :meth:`Scheduler.order` under ``calibration=`` and
+        re-stamped by an adaptive re-pack (:func:`repro.service.run_sweep`);
+        ``nan`` otherwise. Ordering, packing, leases and plans read it (see
+        :meth:`metric_value`), and it is kept apart from
+        :attr:`predicted_seconds` so observations always pair the *model's*
+        prediction with reality — re-priced accounting never feeds back into
+        the next fit.
     notes:
         Degraded paths the group took, each ending in ``"<ExceptionClass>:
         <message>"``: a workload or machine model that could not price it
@@ -175,26 +183,25 @@ class ScheduledGroup:
         never mixes these units across groups — see
         :meth:`Scheduler._weight_metric`."""
         for value in (self.predicted_seconds, self.predicted_cost):
-            if np.isfinite(value) and value > 0:
+            if math.isfinite(value) and value > 0:
                 return float(value)
         return 1.0
 
     @property
     def planned_seconds(self) -> float:
         """The group's best current time estimate for pool/segment accounting:
-        calibration-repriced seconds when an adaptive re-pack stamped them,
-        else the model's prediction, else the generic :attr:`weight`."""
-        for value in (self.repriced_seconds, self.predicted_seconds):
-            if np.isfinite(value) and value > 0:
-                return float(value)
-        return self.weight
+        :attr:`repriced_seconds` when a calibration stamped them, else the
+        model's prediction (:meth:`metric_value`), else the generic
+        :attr:`weight`."""
+        seconds = self.metric_value("seconds")
+        return seconds if math.isfinite(seconds) and seconds > 0 else self.weight
 
     def repriced(self, fit) -> float:
         """The model's prediction re-priced by a fitted
         :class:`~repro.calib.CalibrationModel`: :attr:`predicted_seconds` ×
         ``fit.scale_for(machine, propagator)``; ``nan`` without a finite
         positive prediction."""
-        if np.isfinite(self.predicted_seconds) and self.predicted_seconds > 0:
+        if math.isfinite(self.predicted_seconds) and self.predicted_seconds > 0:
             return float(self.predicted_seconds) * fit.scale_for(self.machine, self.propagator)
         return float("nan")
 
@@ -230,11 +237,18 @@ class ScheduledGroup:
         }
 
     def metric_value(self, metric: str) -> float:
-        """The group's load in one named unit (``Scheduler._weight_metric``)."""
+        """The group's planned load in one named unit
+        (``Scheduler._weight_metric``): a stamped :attr:`repriced_seconds`
+        replaces the predicted seconds and scales the predicted joules by
+        the same factor (modeled power does not change)."""
         if metric == "energy":
+            repriced = self.repriced_seconds
+            if math.isfinite(repriced):
+                return float(self.predicted_energy_j) * (repriced / self.predicted_seconds)
             return float(self.predicted_energy_j)
         if metric == "seconds":
-            return float(self.predicted_seconds)
+            repriced = self.repriced_seconds
+            return float(repriced if math.isfinite(repriced) else self.predicted_seconds)
         if metric == "cost":
             return float(self.predicted_cost)
         return 1.0
@@ -260,11 +274,11 @@ class Scheduler:
         ``None`` to schedule on relative FLOPs only (no wall-clock
         predictions).
     calibration:
-        A fitted :class:`~repro.calib.CalibrationModel`: the machine model is
-        replaced by its :meth:`~repro.cost.MachineCostModel.calibrated` copy,
-        so every prediction (and therefore every ordering and packing) uses
-        observed-corrected seconds. Equivalent to passing an already
-        calibrated model as ``machine=``.
+        A fitted :class:`~repro.calib.CalibrationModel`: :meth:`order` stamps
+        each group's :attr:`~ScheduledGroup.repriced_seconds` with
+        :meth:`~ScheduledGroup.repriced`, so every ordering and packing
+        weighs observed-corrected seconds while the predicted fields stay
+        the machine model's. ``None`` or an empty fit stamps nothing.
     """
 
     def __init__(
@@ -277,8 +291,8 @@ class Scheduler:
         self.policy = policy
         self.cost_fn = predict_group_cost if cost_fn is None else cost_fn
         self.machine = MachineCostModel() if machine is _DEFAULT_MACHINE else machine
-        if calibration is not None and self.machine is not None:
-            self.machine = self.machine.calibrated(calibration)
+        # the identity calibration stamps nothing
+        self.calibration = None if getattr(calibration, "is_empty", False) else calibration
 
     # ------------------------------------------------------------------
     def predict_cost(self, jobs) -> float:
@@ -333,7 +347,7 @@ class Scheduler:
         if self.machine is None:
             return
         group.machine = machine_name(self.machine.system)
-        if not np.isfinite(group.predicted_cost):
+        if not math.isfinite(group.predicted_cost):
             return
         try:
             estimate = self.machine.group_estimate(
@@ -345,31 +359,33 @@ class Scheduler:
         group.predicted_seconds = float(estimate.seconds)
         group.predicted_energy_j = float(estimate.energy_joules)
         group.n_gpus = int(estimate.n_gpus)
+        if self.calibration is not None:
+            group.repriced_seconds = group.repriced(self.calibration)
 
     def _order_metric(self, group: ScheduledGroup) -> float:
-        """What the cost-ordered policies sort by (energy for energy-aware,
-        else predicted seconds, falling back to relative FLOPs)."""
-        candidates = (
-            (group.predicted_energy_j,) if self.policy == "energy_aware" else ()
-        ) + (group.predicted_seconds, group.predicted_cost)
-        for value in candidates:
-            if np.isfinite(value):
-                return float(value)
+        """What the cost-ordered policies sort by (planned energy for
+        energy-aware, else planned seconds, falling back to relative FLOPs)."""
+        metrics = ("energy", "seconds", "cost") if self.policy == "energy_aware" else ("seconds", "cost")
+        for metric in metrics:
+            value = group.metric_value(metric)
+            if math.isfinite(value):
+                return value
         return float("nan")
 
     def order(self, groups: list[ScheduledGroup]) -> list[ScheduledGroup]:
         """The settings-dependent half of :meth:`schedule`: convert priced
         groups through this scheduler's machine model (predicted seconds,
-        joules, GPU slice — one ``group_estimate`` each) and sort them by the
-        policy. Unpredictable (``nan``-cost) groups keep their expansion
-        position at the end of cost-ordered policies. Annotates ``groups`` in
-        place and returns them in submission order."""
+        joules, GPU slice — one ``group_estimate`` each; under a calibration,
+        the re-priced seconds too) and sort them by the policy. Unpredictable
+        (``nan``-cost) groups keep their expansion position at the end of
+        cost-ordered policies. Annotates ``groups`` in place and returns them
+        in submission order."""
         for group in groups:
             self._annotate(group)
         if self.policy == "cheapest_first":
-            groups.sort(key=lambda g: (not np.isfinite(self._order_metric(g)), self._order_metric(g), g.index))
+            groups.sort(key=lambda g: (not math.isfinite(self._order_metric(g)), self._order_metric(g), g.index))
         elif self.policy in ("makespan_balanced", "energy_aware"):
-            groups.sort(key=lambda g: (not np.isfinite(self._order_metric(g)), -self._order_metric(g), g.index))
+            groups.sort(key=lambda g: (not math.isfinite(self._order_metric(g)), -self._order_metric(g), g.index))
         return groups
 
     def schedule(self, grouped: dict[str, list]) -> list[ScheduledGroup]:
@@ -399,7 +415,7 @@ class Scheduler:
         candidates = (("energy",) if self.policy == "energy_aware" else ()) + ("seconds", "cost")
         for metric in candidates:
             values = [group.metric_value(metric) for group in groups]
-            if all(np.isfinite(v) and v > 0 for v in values):
+            if all(math.isfinite(v) and v > 0 for v in values):
                 return metric
         return "uniform"
 
@@ -407,8 +423,8 @@ class Scheduler:
         """Place ordered groups onto ``n_ranks`` virtual ranks.
 
         Greedy least-loaded assignment in the given order. The load unit
-        matches the policy (see :meth:`_weight_metric`): predicted seconds
-        for the time-aware policies, predicted joules for ``"energy_aware"``;
+        matches the policy (see :meth:`_weight_metric`): planned seconds
+        for the time-aware policies, planned joules for ``"energy_aware"``;
         under ``"fifo"`` every group weighs 1, which makes the greedy
         equivalent to round-robin. Sets each group's
         :attr:`~ScheduledGroup.rank` and returns the per-rank lists.
@@ -424,8 +440,8 @@ class Scheduler:
 
     def makespan(self, bins: list[list[ScheduledGroup]]) -> float:
         """Predicted makespan of a packing: the heaviest rank's total load,
-        in the same unit :meth:`pack` balanced — predicted seconds for the
-        time-aware policies, predicted joules under ``"energy_aware"``."""
+        in the same unit :meth:`pack` balanced — planned seconds for the
+        time-aware policies, planned joules under ``"energy_aware"``."""
         if not bins:
             return 0.0
         groups = [group for rank_groups in bins for group in rank_groups]

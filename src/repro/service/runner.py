@@ -19,7 +19,8 @@ preemption and cancellation all happen:
 * at least one group runs per lease, so mutual preemption can never livelock.
 
 Modeled time is strictly accounting: groups really run in-process, one after
-another, deterministic; their predicted seconds (the same numbers the
+another, deterministic; their planned seconds (the model's predictions,
+re-priced under a calibration — the same numbers the
 :class:`~repro.campaign.CampaignPlanner` forecast) drive the pool calendar,
 so an un-preempted sweep occupies the pool for exactly its planned wall and
 the co-scheduled makespan of a set of campaigns is a prediction comparable
@@ -31,17 +32,18 @@ calibration fits read the groups' ``as_dict`` records through
 
 **Adaptive re-planning** (``adaptive=True``) closes the calibration loop
 mid-sweep, at the same group boundaries preemption already uses: each
-executed group's observed wall is compared against its prediction, and when
-the *spread* of observed/predicted ratios across completed groups exceeds
+executed group's observed wall is compared against its planned seconds (the
+model's prediction, re-priced by the up-front ``calibration`` when there is
+one), and when the *spread* of those ratios across completed groups exceeds
 ``drift_threshold`` (some buckets mispredicted relative to others — a
 uniform bias cannot change any packing), a
-:class:`~repro.calib.CalibrationModel` is fitted from the completed groups,
-the remaining **unstarted** groups are re-priced and re-packed LPT onto the
-ranks (work stealing from over-predicted ranks), and the re-priced seconds
-flow into the lease's modeled duration — remaining leases shrink or grow
-accordingly. Completed groups are never reordered or re-run, and the
-re-pack touches only modeled accounting: group keys, ``config_hash`` and
-the physics export are untouched by construction.
+:class:`~repro.calib.CalibrationModel` is fitted from the completed groups'
+raw observations, the remaining **unstarted** groups are re-priced and
+re-packed LPT onto the ranks (work stealing from over-predicted ranks), and
+the re-priced seconds flow into the lease's modeled duration — remaining
+leases shrink or grow accordingly. Completed groups are never reordered or
+re-run, and the re-pack touches only modeled accounting: group keys,
+``config_hash`` and the physics export are untouched by construction.
 """
 
 from __future__ import annotations
@@ -80,15 +82,19 @@ def _elapsed_seconds(group) -> float:
     return float(elapsed) if np.isfinite(elapsed) and elapsed > 0 else group.planned_seconds
 
 
-def _drift_spread(groups) -> float | None:
-    """Spread (max/min) of observed/predicted ratios over executed groups.
+def _drift_spread(groups, calibration) -> float | None:
+    """Spread (max/min) of observed/planned ratios over executed groups.
 
-    ``None`` with fewer than two usable ratios — one observation cannot
-    witness *relative* misprediction, and a uniform bias (every ratio equal)
-    yields spread 1.0, which never crosses any threshold > 1: re-packing
-    only triggers when it could actually move the makespan.
+    Each observed/predicted ratio is divided by the up-front
+    ``calibration``'s scale for its bucket (when there is one), so a skew
+    that calibration already priced in is no drift. ``None`` with fewer than
+    two usable ratios — one observation cannot witness *relative*
+    misprediction, and a uniform bias (every ratio equal) yields spread 1.0,
+    which never crosses any threshold > 1: re-packing only triggers when it
+    could actually move the makespan.
     """
-    ratios = [obs.ratio for obs in _observations(groups)]
+    fit = calibration or CalibrationModel()  # the empty model scales by 1.0
+    ratios = [obs.ratio / fit.scale_for(obs.machine, obs.propagator) for obs in _observations(groups)]
     if len(ratios) < 2:
         return None
     return max(ratios) / min(ratios)
@@ -97,11 +103,13 @@ def _drift_spread(groups) -> float | None:
 def _repack(completed, remaining, segment, n_ranks: int) -> CalibrationModel:
     """Re-price and re-pack the remaining (unstarted) groups — work stealing.
 
-    Fits a :class:`~repro.calib.CalibrationModel` from the completed groups,
-    stamps each remaining group's :attr:`~repro.exec.ScheduledGroup.repriced_seconds`
-    (the model's prediction is left untouched — observations must keep
-    pairing it with reality), then re-packs LPT: remaining groups sorted by
-    descending corrected seconds, greedily placed on the least-loaded rank.
+    Fits a :class:`~repro.calib.CalibrationModel` from the completed groups'
+    raw observations (the model's predictions against reality), re-stamps
+    each remaining group's :attr:`~repro.exec.ScheduledGroup.repriced_seconds`
+    with it (the model's prediction is left untouched — observations must
+    keep pairing it with reality), then re-packs LPT: remaining groups
+    sorted by descending corrected seconds, greedily placed on the
+    least-loaded rank.
     Starting loads are the current segment's executed groups at their
     *observed* seconds — the time their ranks really spent, which is exactly
     the imbalance work stealing corrects. Completed groups keep their ranks
@@ -177,12 +185,15 @@ async def run_sweep(
     the incremental-campaign path.
 
     ``calibration`` (a fitted :class:`~repro.calib.CalibrationModel`)
-    re-prices the scheduler's machine model up front, so packing and pool
-    accounting use observed-corrected seconds — the same numbers a
-    ``CampaignPlanner(calibration=...)`` plan predicts. ``adaptive=True``
-    additionally re-fits *during* the sweep and re-packs the remaining
-    groups whenever drift on completed groups exceeds ``drift_threshold``
-    (see the module docstring). ``observe`` is a deterministic observation
+    re-prices every group up front (the scheduler stamps its
+    ``repriced_seconds``), so packing and pool accounting use
+    observed-corrected seconds — the same numbers a
+    ``CampaignPlanner(calibration=...)`` plan predicts — while the
+    exported and logged ``predicted_seconds`` stay the uncalibrated model's.
+    ``adaptive=True`` additionally re-fits *during* the sweep and re-packs
+    the remaining groups whenever drift on completed groups, measured
+    against the up-front calibration, exceeds ``drift_threshold`` (see the
+    module docstring). ``observe`` is a deterministic observation
     hook for tests and benchmarks — called with each executed
     :class:`~repro.exec.ScheduledGroup`, it returns the group's observed
     seconds; by default the real summed job wall times are used.
@@ -239,7 +250,7 @@ async def run_sweep(
                     progress.groups_done += 1
                     progress.jobs_done += group.n_jobs
                 if adaptive and remaining:
-                    drift = _drift_spread(completed)
+                    drift = _drift_spread(completed, calibration)
                     if drift is not None and drift > drift_threshold:
                         fit = _repack(completed, remaining, segment, settings.ranks)
                         repack_events.append(

@@ -50,12 +50,12 @@ class TestMonotonicity:
         """Bigger sweep workloads (more steps, larger basis) predict strictly
         more seconds."""
         seconds = [
-            model.job_estimate(tiny_config(**{"run.n_steps": n})).seconds for n in (2, 4, 8)
+            model.group_estimate([tiny_config(**{"run.n_steps": n})]).seconds for n in (2, 4, 8)
         ]
         assert all(b > a for a, b in zip(seconds, seconds[1:]))
         # cutoffs chosen to actually enlarge the FFT grid at each step
         by_ecut = [
-            model.job_estimate(tiny_config(**{"basis.ecut": e})).seconds for e in (1.5, 2.5, 4.0)
+            model.group_estimate([tiny_config(**{"basis.ecut": e})]).seconds for e in (1.5, 2.5, 4.0)
         ]
         assert all(b > a for a, b in zip(by_ecut, by_ecut[1:]))
 
@@ -106,7 +106,7 @@ class TestEstimates:
         assert model.group_estimate([]).seconds == 0.0
 
     def test_as_dict_is_json_shaped(self, model):
-        record = model.job_estimate(tiny_config()).as_dict()
+        record = model.group_estimate([tiny_config()]).as_dict()
         assert set(record) == {
             "flops", "seconds", "n_gpus", "nodes", "power_watts", "energy_joules",
         }

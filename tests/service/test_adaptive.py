@@ -90,16 +90,26 @@ def dt_campaign(config, time_steps, ecut=None):
     return CampaignSpec({"dt": SweepSpec(config, axes)}, budget=Budget(max_nodes=1))
 
 
-def service_pass(store, campaign, name):
+def service_pass(store, campaign, name, calibration=None):
     """One campaign through a fresh service over ``store``: its report."""
     from repro.service import CampaignService
 
-    service = CampaignService(NodePool("summit", n_nodes=1), store=store)
+    service = CampaignService(NodePool("summit", n_nodes=1), store=store, calibration=calibration)
 
     async def body():
         return await service.submit(campaign, name=name).report()
 
     return asyncio.run(body())
+
+
+def upfront_fit(ptcn: float) -> CalibrationModel:
+    """A fit made before the sweep: ptcn ``ptcn``x, rk4 exactly as modeled."""
+    return CalibrationModel.fit(
+        [
+            Observation(machine="summit", propagator="ptcn", predicted_seconds=1.0, observed_seconds=ptcn),
+            Observation(machine="summit", propagator="rk4", predicted_seconds=1.0, observed_seconds=1.0),
+        ]
+    )
 
 
 class TestAdaptiveRepack:
@@ -185,6 +195,32 @@ class TestAdaptiveRepack:
         outcome = asyncio.run(body())
         # every ratio equal → spread 1.0: nothing a re-pack could improve
         assert outcome.repacks == 0
+
+    def test_a_skew_the_upfront_calibration_priced_in_is_no_drift(self, tiny_config, settings):
+        """Drift is measured against the planned seconds: with ptcn already
+        calibrated 3x, observing ptcn 3x does not re-pack, 9x still does,
+        and the re-pack still beats the (calibrated) static pack. One
+        mid-cost ptcn group among three rk4 groups: at 9x it outweighs the
+        rank the calibrated pack gave it."""
+        spec = SweepSpec(
+            tiny_config,
+            {"basis.ecut": [2.4, 2.1, 1.8, 1.5], "propagator.name": ["rk4", "rk4", "ptcn", "rk4"]},
+            mode="zip",
+        )
+        calibration = upfront_fit(ptcn=3.0)
+        priced_in = run_adaptive(spec, settings, adaptive=True, calibration=calibration)
+        assert priced_in.repacks == 0
+
+        def slower(group):
+            return group.predicted_seconds * (9.0 if group.propagator == "ptcn" else 1.0)
+
+        outcome = run_adaptive(spec, settings, observe=slower, adaptive=True, calibration=calibration)
+        assert outcome.repacks >= 1
+        record = outcome.report.execution["adaptive"]
+        assert record["adaptive_modeled_makespan_s"] < record["static_modeled_makespan_s"]
+        # the re-pack fit reads the raw observations: the model's seconds
+        # against reality, ptcn 9x
+        assert record["events"][0]["scales"]["summit/ptcn"] == pytest.approx(9.0)
 
     def test_adaptive_off_by_default(self, skewed_spec, settings):
         outcome = run_adaptive(skewed_spec, settings)
@@ -320,6 +356,33 @@ class TestServiceCalibrationLoop:
         assert report["dt"].execution["notes"] == [
             "calibration append skipped: PermissionError: read-only calibration directory"
         ]
+
+    def test_a_calibrated_pass_logs_the_models_predictions(self, tiny_config, tmp_path):
+        """A calibration='store' pass that computes new jobs logs the
+        uncalibrated model's predicted seconds, not the re-priced ones: a
+        later fit must pair the model with reality."""
+        from repro.calib import ObservationLog
+        from repro.exec import Scheduler
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        service_pass(store, dt_campaign(tiny_config, [1.0, 2.0], ecut=[2.0, 1.5]), "cold")
+        cold_observations = ObservationLog(store).load()
+        fitted = CalibrationModel.fit(cold_observations)
+        assert fitted.scale_for("summit", "ptcn") != pytest.approx(1.0)  # a real re-price
+
+        campaign = dt_campaign(tiny_config, [3.0, 4.0], ecut=[2.0, 1.5])  # not in the store
+        warm = service_pass(store, campaign, "warm", calibration="store")
+        assert warm.n_cached == 0 and warm.ok
+        assert "calibration" in warm.plan
+
+        settings = ExecutionSettings.from_dict(warm.plan["settings"])
+        model = Scheduler(settings.schedule, machine=settings.machine_model())
+        predicted = {g.index: g.predicted_seconds for g in model.schedule(campaign.sweeps["dt"].groups())}
+        logged = ObservationLog(store).load()[len(cold_observations):]
+        assert len(logged) == len(predicted) == 2
+        for obs in logged:
+            assert obs.predicted_seconds == predicted[obs.group_index]
 
     def test_calibration_argument_is_validated(self):
         from repro.service import CampaignService

@@ -351,6 +351,41 @@ class TestHandle:
         assert partial.pending_sweeps == ["dt"]
         assert service.pool.active == []  # no leaked leases
 
+    def test_an_exception_in_on_sweep_complete_fails_the_campaign_cleanly(
+        self, cutoff_campaign, dt_campaign, tmp_path
+    ):
+        """The callback runs after the sweep's report and observations are
+        recorded: its exception fails the campaign, keeps the finished sweep
+        (and its log entries), never starts the next one and leaks no lease."""
+        from repro.calib import ObservationLog
+
+        store = ResultStore(tmp_path / "store")
+        service = CampaignService(NodePool("summit", n_nodes=1), store=store)
+        campaign = CampaignSpec(
+            dict(cutoff_campaign.sweeps, **dt_campaign.sweeps), budget=Budget(max_nodes=1)
+        )
+
+        def callback(name, report):
+            raise KeyError(f"callback broke after {name}")
+
+        async def body():
+            handle = service.submit(campaign, on_sweep_complete=callback)
+            with pytest.raises(KeyError, match="callback broke after cutoff") as excinfo:
+                await handle.report()
+            return handle, excinfo.value
+
+        handle, error = run(body())
+        assert handle.status() == "failed"
+        partial = error.partial_report
+        assert partial.sweep_names == ["cutoff"]
+        assert partial.pending_sweeps == ["dt"]
+        assert len(partial["cutoff"]) == 4 and not partial["cutoff"].failed
+        logged = ObservationLog(store).load()
+        assert len(logged) == 4 and {obs.sweep for obs in logged} == {"cutoff"}
+        assert handle.progress()["sweeps"]["dt"]["state"] == "pending"
+        assert service.pool.active == []
+        assert service.pool.free_nodes == service.pool.n_nodes
+
 
 # ---------------------------------------------------------------------------
 # The ExecutionPlan.execute() sync shim

@@ -98,12 +98,17 @@ def one_density_mixer(root):
 
 def one_group_ledger(root):
     """``repro.exec.scheduler`` owns the arithmetic of a scheduled group: one
-    greedy least-loaded loop and the one place a cost model is calibrated
-    (``Scheduler(calibration=...)``); observations are built only by
-    ``repro.calib``, from ``ScheduledGroup.as_dict`` records."""
+    greedy least-loaded loop and the one machine-model pricing of a group's
+    predicted fields. A calibration re-prices a group only by stamping its
+    ``repriced_seconds`` (``Scheduler.order`` under ``calibration=``, and the
+    service runner's adaptive re-pack), so predictions stay the model's;
+    observations are built only by ``repro.calib``, from
+    ``ScheduledGroup.as_dict`` records."""
     scheduler = ("src/repro/exec/scheduler.py",)
     return (_grep(root, r"min\(range\(", ["src"], allowed=scheduler)
-            + _grep(root, r"\.calibrated\(", ["src"], allowed=scheduler)
+            + _grep(root, r"\.predicted_(seconds|energy_j)\s*=(?!=)", ["src"], allowed=scheduler)
+            + _grep(root, r"\.repriced_seconds\s*=(?!=)", ["src"],
+                    allowed=scheduler + ("src/repro/service/runner.py",))
             + _grep(root, r"(^|[^A-Za-z0-9_])Observation\(", ["src"], allowed=("src/repro/calib/",)))
 
 
@@ -119,7 +124,7 @@ def one_pair_solve_count(root):
 RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_fftplan_calls,
          one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count]
 
-#: per rule, a tree that breaks it (the allowed sites included) and the file it must name
+#: per rule, a tree that breaks it (the allowed sites included) and the file(s) it must name
 BREAKS = {
     no_shim_names: ({"README.md": "Pass `checkpoint_dir=` to resume.\n"}, "README.md"),
     no_rayleigh_ritz: ({"src/repro/pw/eigensolver.py": "def _rayleigh_ritz(h, v):\n    pass\n"},
@@ -136,9 +141,15 @@ BREAKS = {
                          "src/repro/core/anderson.py": "class AndersonMixer:\n    pass\n",
                          "src/repro/pw/linear.py": "class LinearMixer:\n    pass\n"},
                         "src/repro/pw/linear.py"),
-    one_group_ledger: ({"src/repro/exec/scheduler.py": "rank = min(range(n), key=loads.__getitem__)\n",
-                        "src/repro/service/runner.py": "rank = min(range(n), key=loads.__getitem__)\n"},
-                       "src/repro/service/runner.py"),
+    one_group_ledger: ({"src/repro/exec/scheduler.py": "rank = min(range(n), key=loads.__getitem__)\n"
+                                                       "group.predicted_seconds = estimate.seconds\n"
+                                                       "group.repriced_seconds = group.repriced(fit)\n",
+                        "src/repro/exec/backends.py": "rank = min(range(n), key=loads.__getitem__)\n",
+                        "src/repro/service/runner.py": "group.repriced_seconds = group.repriced(fit)\n"
+                                                       "group.predicted_seconds = seconds * scale\n",
+                        "src/repro/campaign/planner.py": "group.repriced_seconds = wall * scale\n"},
+                       ("src/repro/exec/backends.py", "src/repro/service/runner.py",
+                        "src/repro/campaign/planner.py")),
     one_pair_solve_count: ({"src/repro/perf/flops.py": "return 2.0 * fft_flops(n) + 6.0 * n\n",
                             "src/repro/perf/sweep_cost.py": "per_solve = 2.0 * fft_flops(n) + 6.0 * n\n"},
                            "src/repro/perf/sweep_cost.py"),
@@ -153,10 +164,11 @@ def test_rule_holds(rule):
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
 def test_rule_detects_a_break(rule, tmp_path):
-    files, offender = BREAKS[rule]
+    files, offenders = BREAKS[rule]
     for name, text in files.items():
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     found = rule(tmp_path)
-    assert any(line.startswith(f"{offender}:") for line in found), found
+    for offender in (offenders,) if isinstance(offenders, str) else offenders:
+        assert any(line.startswith(f"{offender}:") for line in found), found
