@@ -13,7 +13,6 @@ from .paper_data import (
 )
 from .reporting import (
     ComparisonRow,
-    Timer,
     compare_series,
     format_table,
     geometric_mean_ratio,
@@ -31,7 +30,6 @@ __all__ = [
     "TABLE2",
     "WEAK_SCALING_ATOMS",
     "ComparisonRow",
-    "Timer",
     "compare_series",
     "format_table",
     "geometric_mean_ratio",

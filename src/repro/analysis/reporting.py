@@ -18,7 +18,6 @@ __all__ = [
     "ComparisonRow",
     "compare_series",
     "geometric_mean_ratio",
-    "Timer",
 ]
 
 
@@ -123,20 +122,3 @@ def geometric_mean_ratio(rows: list[ComparisonRow]) -> float:
         return float("nan")
     return float(np.exp(np.mean(np.log(ratios))))
 
-
-class Timer:
-    """Minimal wall-clock timer used by examples and benchmarks."""
-
-    def __init__(self):
-        import time
-
-        self._time = time.perf_counter
-        self._start = None
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = self._time()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = self._time() - self._start

@@ -29,11 +29,13 @@ inside a propagation run.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
+from ..core.precision import DEFAULT_PRECISION, PRECISIONS, resolve_precision
 from . import registry as _registry
 
 __all__ = [
@@ -71,6 +73,95 @@ def _require_mapping(section: str, name: str, value) -> None:
         raise ConfigError(
             f"{section}.{name} must be a dict of keyword arguments, got {type(value).__name__}"
         )
+
+
+def positive_integer(label: str, value) -> int:
+    """``value`` as an ``int`` >= 1: an integral float (JSON's ``6.0``) is
+    coerced, a bool or anything else raises ``ValueError`` naming ``label``."""
+    try:
+        integral = not isinstance(value, bool) and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or value < 1:
+        raise ValueError(f"{label} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _policy(label: str, value) -> str:
+    if value not in SCHEDULE_POLICIES:
+        raise ValueError(f"{label} must be one of {list(SCHEDULE_POLICIES)}, got {value!r}")
+    return value
+
+
+def _flag(label: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{label} must be a bool, got {value!r}")
+    return value
+
+
+def _precision(label: str, value) -> str:
+    try:
+        return resolve_precision(value)  # None is the default tier
+    except ValueError:
+        raise ValueError(f"{label} must be one of {list(PRECISIONS)}, got {value!r}") from None
+
+
+@functools.cache
+def _machines() -> dict:
+    from ..cost.model import MACHINES  # deferred, once: keeps ``import repro.api`` light
+
+    return MACHINES
+
+
+def _machine(label: str, value) -> str | None:
+    if value is not None and value not in _machines():
+        raise ValueError(f"{label} must be one of {sorted(_machines())} or None, got {value!r}")
+    return value  # None: no machine model
+
+
+#: the five execution fields, by :class:`~repro.exec.ExecutionSettings` name:
+#: the ``run.<section>.<key>`` that sets each one in a config, its default,
+#: and the check that owns its domain and coercion
+EXECUTION_FIELDS = {
+    "schedule": ("schedule", "policy", "fifo", _policy),
+    "batch_stepping": ("schedule", "batch_stepping", False, _flag),
+    "precision": ("schedule", "precision", DEFAULT_PRECISION, _precision),
+    "machine": ("machine", "name", "summit", _machine),
+    "gpus_per_group": ("machine", "gpus_per_group", 1, positive_integer),
+}
+
+_DEFAULTS = {name: default for name, (_, _, default, _) in EXECUTION_FIELDS.items()}
+
+#: per section, its keys and the field each one sets
+_SECTION_KEYS = {
+    section: {key: name for name, (where, key, _, _) in EXECUTION_FIELDS.items() if where == section}
+    for section in ("schedule", "machine")
+}
+
+
+def execution_fields(run=None, **given) -> dict:
+    """The five execution fields, checked, coerced and defaulted in one place.
+
+    Each field takes its :data:`EXECUTION_FIELDS` default, overridden by
+    ``run``'s (a :class:`RunConfig`) ``run.schedule`` / ``run.machine``
+    section, overridden by a value ``given`` under its
+    :class:`~repro.exec.ExecutionSettings` name. Domains:
+    :data:`SCHEDULE_POLICIES`; :data:`repro.core.precision.PRECISIONS`
+    (``None`` is the default tier); :data:`repro.cost.MACHINES` or ``None``
+    (no machine model); a bool; a positive integer (integral floats coerced,
+    bools rejected). Returns all five by settings name. A bad value raises
+    ``ValueError`` naming where it came from: ``run.machine.name`` for a
+    section key, ``machine`` for a given field.
+    """
+    resolved = dict(_DEFAULTS)
+    if run is not None:
+        for section, keys in _SECTION_KEYS.items():
+            for key, value in getattr(run, section).items():
+                name = keys[key]
+                resolved[name] = EXECUTION_FIELDS[name][3](f"run.{section}.{key}", value)
+    for name, value in given.items():
+        resolved[name] = EXECUTION_FIELDS[name][3](name, value)
+    return resolved
 
 
 class _ParamsSection:
@@ -257,26 +348,24 @@ class RunConfig:
         Density-change convergence threshold of the ground-state SCF.
     gs_max_scf_iterations:
         Outer-iteration bound of the ground-state SCF.
-    schedule:
-        Sweep-level scheduling section consumed by :mod:`repro.exec` (it never
-        affects the physics of a single run). Keys: ``policy``, one of
-        :data:`SCHEDULE_POLICIES` (default ``"fifo"``), e.g.
-        ``{"schedule": {"policy": "cheapest_first"}}``; ``precision``,
-        ``"complex128"`` (default) or ``"complex64"`` selecting the screening
-        precision tier; and ``batch_stepping``, a bool that is accepted and
-        validated but has **no effect** (a ground-state group's jobs always
-        propagate in lockstep; the key stays so stored configs keep loading).
-        ``precision`` *does* change the numbers, so complex64 results are
-        stamped and kept out of the result store — but the key still lives
-        here because it selects *how* the sweep executes, not *what* physics
-        it describes.
-    machine:
-        Machine-model section consumed by :mod:`repro.cost` / :mod:`repro.exec`
-        (like ``schedule``, it never affects the physics of a single run —
-        both are excluded from group keys and config hashes). Keys:
-        ``name`` — a :data:`repro.cost.MACHINES` preset (default
-        ``"summit"``) — and ``gpus_per_group`` — the modeled GPUs each
-        ground-state group occupies (default 1), e.g.
+    schedule, machine:
+        The execution sections: *how* a sweep runs, never the physics of a
+        single run, so both are excluded from group keys and config hashes.
+        They hold the five :data:`EXECUTION_FIELDS` and accept exactly what
+        :class:`~repro.exec.ExecutionSettings` accepts — one validator,
+        :func:`execution_fields`, checks both, and
+        ``ExecutionSettings.from_config`` reads the sections through it.
+        ``schedule`` keys: ``policy``, one of :data:`SCHEDULE_POLICIES`
+        (default ``"fifo"``), e.g. ``{"schedule": {"policy": "cheapest_first"}}``;
+        ``precision``, ``"complex128"`` (default) or the ``"complex64"``
+        screening tier — it *does* change the numbers, so complex64 results
+        are stamped and kept out of the result store; and ``batch_stepping``,
+        a bool accepted with **no effect** (a group's jobs always propagate in
+        lockstep; the key stays so stored configs keep loading). ``machine``
+        keys: ``name``, a :data:`repro.cost.MACHINES` preset (default
+        ``"summit"``) or ``None`` for no machine model, and
+        ``gpus_per_group``, the modeled GPUs each ground-state group occupies
+        (default 1; an integral float such as ``6.0`` counts), e.g.
         ``{"machine": {"name": "summit", "gpus_per_group": 6}}``.
     """
 
@@ -289,78 +378,21 @@ class RunConfig:
     schedule: dict = field(default_factory=dict)
     machine: dict = field(default_factory=dict)
 
-    @property
-    def schedule_policy(self) -> str:
-        """The configured scheduling policy (default ``"fifo"``)."""
-        return self.schedule.get("policy", "fifo")
-
-    @property
-    def schedule_batch_stepping(self) -> bool:
-        """The inert ``batch_stepping`` key as stored (default False); lockstep
-        propagation is always on, whatever this says."""
-        return bool(self.schedule.get("batch_stepping", False))
-
-    @property
-    def schedule_precision(self) -> str:
-        """The configured precision tier (default ``"complex128"``)."""
-        return self.schedule.get("precision", "complex128")
-
-    @property
-    def machine_name(self) -> str:
-        """The configured machine preset (default ``"summit"``)."""
-        return self.machine.get("name", "summit")
-
-    @property
-    def machine_gpus_per_group(self) -> int:
-        """Modeled GPUs each ground-state group occupies (default 1)."""
-        return int(self.machine.get("gpus_per_group", 1))
-
     def __post_init__(self) -> None:
         _require_positive("run", "time_step_as", self.time_step_as)
         _require_positive("run", "gs_scf_tolerance", self.gs_scf_tolerance)
-        _require_mapping("run", "schedule", self.schedule)
-        unknown = sorted(set(self.schedule) - {"policy", "batch_stepping", "precision"})
-        if unknown:
-            raise ConfigError(
-                f"unknown key(s) {unknown} in run.schedule; "
-                "valid keys: ['batch_stepping', 'policy', 'precision']"
-            )
-        policy = self.schedule.get("policy", "fifo")
-        if policy not in SCHEDULE_POLICIES:
-            raise ConfigError(
-                f"run.schedule.policy must be one of {list(SCHEDULE_POLICIES)}, got {policy!r}"
-            )
-        batch_stepping = self.schedule.get("batch_stepping", False)
-        if not isinstance(batch_stepping, bool):
-            raise ConfigError(
-                f"run.schedule.batch_stepping must be a bool, got {batch_stepping!r}"
-            )
-        precision = self.schedule.get("precision", "complex128")
-        if precision not in ("complex128", "complex64"):
-            raise ConfigError(
-                "run.schedule.precision must be one of ['complex128', 'complex64'], "
-                f"got {precision!r}"
-            )
-        _require_mapping("run", "machine", self.machine)
-        unknown = sorted(set(self.machine) - {"name", "gpus_per_group"})
-        if unknown:
-            raise ConfigError(
-                f"unknown key(s) {unknown} in run.machine; valid keys: ['name', 'gpus_per_group']"
-            )
-        machine_name = self.machine.get("name", "summit")
-        # deferred: repro.cost.MACHINES stays the single source of machine
-        # presets (a preset added there is immediately valid in configs)
-        from ..cost.model import MACHINES
-
-        if machine_name not in MACHINES:
-            raise ConfigError(
-                f"run.machine.name must be one of {sorted(MACHINES)}, got {machine_name!r}"
-            )
-        gpus = self.machine.get("gpus_per_group", 1)
-        if not isinstance(gpus, int) or isinstance(gpus, bool) or gpus < 1:
-            raise ConfigError(
-                f"run.machine.gpus_per_group must be a positive integer, got {gpus!r}"
-            )
+        for section, keys in _SECTION_KEYS.items():
+            values = getattr(self, section)
+            _require_mapping("run", section, values)
+            if not values.keys() <= keys.keys():
+                raise ConfigError(
+                    f"unknown key(s) {sorted(set(values) - set(keys))} in run.{section}; "
+                    f"valid keys: {sorted(keys)}"
+                )
+        try:
+            execution_fields(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for name in ("n_steps", "gs_max_scf_iterations"):
             value = getattr(self, name)
             try:

@@ -199,11 +199,6 @@ class Session:
             )
         self._ground_state = result
 
-    def initial_wavefunction(self) -> Wavefunction:
-        """The propagation starting state: the ground state, kicked if the
-        configured pulse is a :class:`~repro.pw.laser.DeltaKick`."""
-        return self._initial_state(self.pulse)
-
     def _initial_state(self, pulse) -> Wavefunction:
         """The ground state, kicked if ``pulse`` is a delta kick."""
         wavefunction = self.ground_state().wavefunction

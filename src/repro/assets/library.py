@@ -19,10 +19,9 @@ links (digest pin + element ↔ species symbol consistency).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
-from ..durable import write_durably
+from ..durable import quarantine, write_durably
 from .builtin import (
     PINNED_DIGESTS,
     build_pseudo,
@@ -266,18 +265,7 @@ class AssetLibrary:
         delete); returns the new path, or None for in-memory libraries."""
         if self.root is None:
             return None
-        source = self._payload_path(record)
-        if not source.exists():
-            return None
-        quarantine_dir = self.root / "quarantine"
-        quarantine_dir.mkdir(parents=True, exist_ok=True)
-        target = quarantine_dir / source.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = quarantine_dir / f"{source.name}.{suffix}"
-        os.replace(source, target)
-        return target
+        return quarantine(self._payload_path(record), self.root / "quarantine")
 
 
 _DEFAULT_LIBRARY: AssetLibrary | None = None

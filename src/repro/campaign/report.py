@@ -25,22 +25,27 @@ __all__ = ["CampaignReport"]
 
 def _observed_wall_seconds(report: SweepReport) -> float:
     """The sweep's observed makespan: the busiest simulated rank's in-process
-    wall time when per-rank accounting exists, else the summed job wall
-    times (serial/process backends run one group after another).
+    wall time when per-rank accounting exists, else the group ledger's summed
+    ``observed_seconds`` (serial/process backends run one group after
+    another). Both count only the jobs this pass computed: a store-served
+    job carries its archived cold ``wall_time``, which this pass did not
+    spend, so a fully served sweep observes 0.
 
     Per-rank entries are tolerated missing or malformed — a crashed rank may
     never have reported its stats dict — in which case the makespan degrades
-    to the summed-job rule instead of raising on a partial report.
+    to the summed-ledger rule instead of raising on a partial report.
     """
     try:
         return sweep_execution_point(report.execution)["observed_makespan_s"]
     except ValueError:  # no per-rank accounting
-        return sum(float(r.summary.get("wall_time") or 0.0) for r in report.results)
+        groups = report.execution.get("groups") or []
+        return sum(float(g.get("observed_seconds") or 0.0) for g in groups if isinstance(g, dict))
 
 
 def _drift(predicted, observed) -> str:
     """The per-sweep drift cell: ``observed / predicted`` as the calibration
-    layer measures it (``"-"`` without a usable prediction). Large values are
+    layer measures it (``"-"`` without a usable prediction, or when the pass
+    computed nothing and so observed no time). Large values are
     expected here — predictions are modeled-machine seconds, observations
     in-process wall time — the *spread across sweeps* is what flags a
     miscalibrated bucket."""
@@ -49,7 +54,7 @@ def _drift(predicted, observed) -> str:
         observed = float(observed)
     except (TypeError, ValueError):
         return "-"
-    if not (predicted > 0.0) or observed < 0.0:
+    if not (predicted > 0.0 and observed > 0.0):
         return "-"
     return f"{observed / predicted:.3g}x"
 

@@ -134,7 +134,9 @@ class MachineCostModel:
         The modeled machine (bandwidths, node power, capacity).
     gpus_per_group:
         Default GPUs each sweep group occupies; per-config
-        ``run.machine.gpus_per_group`` overrides it.
+        ``run.machine.gpus_per_group`` overrides it (:meth:`gpus_for`).
+
+    A config's own model is ``ExecutionSettings.from_config(config).machine_model()``.
 
     The kernel roofline (:attr:`gpu_model`) that sets the sustained FLOP
     throughput is built on the modeled system's own accelerator, so a preset
@@ -160,21 +162,13 @@ class MachineCostModel:
         object.__setattr__(self, "gpu_model", GPUKernelModel(gpu=self.system.node.gpu))
 
     # ------------------------------------------------------------------
-    # Construction from configs
+    # The per-config slice
     # ------------------------------------------------------------------
-    @classmethod
-    def from_config(cls, config) -> "MachineCostModel":
-        """Build the model a config's ``run.machine`` section asks for."""
-        machine = dict(getattr(config.run, "machine", {}) or {})
-        return cls(
-            system=resolve_machine(machine.get("name", "summit")),
-            gpus_per_group=int(machine.get("gpus_per_group", 1)),
-        )
-
     def gpus_for(self, config) -> int:
-        """GPUs a config's group occupies (``run.machine`` override or default)."""
-        machine = dict(getattr(config.run, "machine", {}) or {})
-        return int(machine.get("gpus_per_group", self.gpus_per_group))
+        """GPUs a config's group occupies: its (checked)
+        ``run.machine.gpus_per_group``, else this model's default — the
+        per-config slice that lets ``energy_aware`` differ from time order."""
+        return int(config.run.machine.get("gpus_per_group", self.gpus_per_group))
 
     # ------------------------------------------------------------------
     # The core conversion layers

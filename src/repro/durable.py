@@ -1,8 +1,11 @@
-"""The one durable file write: tmp file, then ``os.replace``.
+"""The one durable file write: tmp file, then ``os.replace``; and the one
+quarantine move.
 
 Every writer that must never leave a torn file at its final path — the result
 store's objects and manifests, ``.npz`` archives, the calibration log, the
-asset library — goes through :func:`write_durably`. It imports nothing from
+asset library — goes through :func:`write_durably`, and every reader that
+finds a corrupt file moves it aside with :func:`quarantine` (the result store
+and the asset library; evidence is never deleted). It imports nothing from
 the package, so every layer can use it.
 """
 
@@ -12,7 +15,7 @@ import os
 import pathlib
 import uuid
 
-__all__ = ["write_durably"]
+__all__ = ["quarantine", "write_durably"]
 
 
 def write_durably(final, data: bytes, tmp_dir=None) -> None:
@@ -37,3 +40,26 @@ def write_durably(final, data: bytes, tmp_dir=None) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def quarantine(path, directory) -> pathlib.Path | None:
+    """Move ``path`` into ``directory`` (made when needed) under its own name,
+    or ``<name>.<n>`` with the first free ``n``, never overwriting. Returns
+    the new path, or ``None`` when there was nothing to move: ``path`` is
+    absent, or a racing quarantiner moved it first (``os.replace`` raised
+    ``OSError``)."""
+    path = pathlib.Path(path)
+    if not path.exists():
+        return None
+    directory = pathlib.Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    target = directory / path.name
+    n = 1
+    while target.exists():
+        target = directory / f"{path.name}.{n}"
+        n += 1
+    try:
+        os.replace(path, target)
+    except OSError:
+        return None
+    return target

@@ -30,14 +30,17 @@ Resolution order (what :class:`~repro.batch.BatchRunner` applies):
 
 A caller building the ``settings=`` object itself layers per-field values
 over 2 and 3 as ``from_config`` keyword overrides.
+
+The five fields a config section can also set are checked, coerced and
+defaulted for this class and ``RunConfig`` alike by one function,
+:func:`repro.api.config.execution_fields`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from ..api.config import SCHEDULE_POLICIES
-from ..core.precision import resolve_precision
+from ..api.config import EXECUTION_FIELDS, execution_fields, positive_integer
 from ..cost.model import MachineCostModel, resolve_machine
 from ..cost.placement import NodePlacement
 
@@ -46,6 +49,9 @@ __all__ = ["BACKEND_NAMES", "ExecutionSettings"]
 #: the ``backend=`` names accepted by :class:`ExecutionSettings` /
 #: :class:`~repro.batch.BatchRunner`
 BACKEND_NAMES = ("serial", "process", "distributed")
+
+#: the five execution fields' defaults, as :data:`EXECUTION_FIELDS` states them
+_DEFAULT = execution_fields()
 
 
 @dataclass(frozen=True)
@@ -60,13 +66,15 @@ class ExecutionSettings:
     ranks:
         Virtual MPI ranks of the distributed backend (ignored by the others).
     schedule:
-        Scheduling policy, one of :data:`repro.api.SCHEDULE_POLICIES`.
+        Scheduling policy, one of :data:`repro.api.SCHEDULE_POLICIES`
+        (``run.schedule.policy``).
     machine:
-        A :data:`repro.cost.MACHINES` preset name; ``None`` disables the
-        machine model entirely (relative-FLOP scheduling, no wall-clock or
-        energy predictions).
+        A :data:`repro.cost.MACHINES` preset name (``run.machine.name``);
+        ``None`` disables the machine model entirely (relative-FLOP
+        scheduling, no wall-clock or energy predictions).
     gpus_per_group:
-        Modeled GPUs each ground-state group occupies on the machine.
+        Modeled GPUs each ground-state group occupies on the machine
+        (``run.machine.gpus_per_group``; an integral float is coerced).
     max_workers:
         Process-pool size (process backend only; ``None`` = CPU count).
     batch_stepping:
@@ -86,12 +94,12 @@ class ExecutionSettings:
 
     backend: str = "serial"
     ranks: int = 4
-    schedule: str = "fifo"
-    machine: str | None = "summit"
-    gpus_per_group: int = 1
+    schedule: str = _DEFAULT["schedule"]
+    machine: str | None = _DEFAULT["machine"]
+    gpus_per_group: int = _DEFAULT["gpus_per_group"]
     max_workers: int | None = None
-    batch_stepping: bool = False
-    precision: str = "complex128"
+    batch_stepping: bool = _DEFAULT["batch_stepping"]
+    precision: str = _DEFAULT["precision"]
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_NAMES:
@@ -101,28 +109,12 @@ class ExecutionSettings:
             )
         # integral floats are coerced (the pre-settings BatchRunner accepted
         # ranks=4.0, and JSON-sourced settings dicts may carry 4.0 too)
-        for name in ("ranks", "gpus_per_group"):
-            value = getattr(self, name)
-            try:
-                is_integral = not isinstance(value, bool) and value == int(value)
-            except (TypeError, ValueError):
-                is_integral = False
-            if not is_integral:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-            if int(value) < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.schedule not in SCHEDULE_POLICIES:
-            raise ValueError(
-                f"schedule policy must be one of {list(SCHEDULE_POLICIES)}, got {self.schedule!r}"
-            )
-        if self.machine is not None:
-            resolve_machine(self.machine)  # raises listing the presets
+        object.__setattr__(self, "ranks", positive_integer("ranks", self.ranks))
+        given = {name: getattr(self, name) for name in EXECUTION_FIELDS}
+        for name, value in execution_fields(**given).items():
+            object.__setattr__(self, name, value)
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1 or None, got {self.max_workers}")
-        if not isinstance(self.batch_stepping, bool):
-            raise ValueError(f"batch_stepping must be a bool, got {self.batch_stepping!r}")
-        object.__setattr__(self, "precision", resolve_precision(self.precision))
 
     # ------------------------------------------------------------------
     # Construction: from configs, with explicit overrides layered on top
@@ -133,20 +125,12 @@ class ExecutionSettings:
         describe, with any keyword overrides applied on top.
 
         ``None`` means "not given": the value falls through to the config's
-        sections, then to the dataclass defaults — what a CLI with optional
-        ``--backend`` / ``--ranks`` / ``--schedule`` flags wants.
+        sections, then to the defaults — what a CLI with optional
+        ``--backend`` / ``--ranks`` / ``--schedule`` flags wants. (A section's
+        ``machine.name: null`` is given: it turns the machine model off.)
         """
-        machine = dict(getattr(config.run, "machine", {}) or {})
-        schedule = dict(getattr(config.run, "schedule", {}) or {})
-        resolved = {
-            "schedule": config.run.schedule_policy,
-            "machine": machine.get("name", "summit"),
-            "gpus_per_group": int(machine.get("gpus_per_group", 1)),
-            "batch_stepping": bool(schedule.get("batch_stepping", False)),
-            "precision": schedule.get("precision", "complex128"),
-        }
-        resolved.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**resolved)
+        given = {name: value for name, value in overrides.items() if value is not None}
+        return cls(**{**execution_fields(config.run), **given})
 
     # ------------------------------------------------------------------
     # The objects the settings describe
@@ -185,7 +169,7 @@ class ExecutionSettings:
         schedule_section = {"policy": self.schedule}
         if self.batch_stepping:
             schedule_section["batch_stepping"] = True
-        if self.precision != "complex128":
+        if self.precision != _DEFAULT["precision"]:
             schedule_section["precision"] = self.precision
         overrides = {"run.schedule": schedule_section}
         if self.machine is not None:

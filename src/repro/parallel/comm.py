@@ -74,10 +74,6 @@ class CommStats:
         return int(self.calls.get(kind.value, 0))
 
 
-def _payload_bytes(array: np.ndarray) -> int:
-    return int(np.asarray(array).nbytes)
-
-
 class SimCommunicator:
     """In-process stand-in for an MPI communicator over ``size`` virtual ranks.
 

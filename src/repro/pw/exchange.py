@@ -210,11 +210,6 @@ class ExchangeOperator:
         self._scratch: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def has_orbitals(self) -> bool:
-        """Whether exchange orbitals have been set."""
-        return self._orbitals is not None
-
     def holds(self, coefficients: np.ndarray, occupations: np.ndarray | None = None) -> bool:
         """Whether the exchange orbitals are ``coefficients`` (and
         ``occupations``) by value: :meth:`self_application` is then

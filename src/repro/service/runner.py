@@ -38,7 +38,8 @@ one), and when the *spread* of those ratios across completed groups exceeds
 ``drift_threshold`` (some buckets mispredicted relative to others — a
 uniform bias cannot change any packing), a
 :class:`~repro.calib.CalibrationModel` is fitted from the completed groups'
-raw observations, the remaining **unstarted** groups are re-priced and
+raw observations (a bucket they did not observe keeps the up-front
+calibration's scale), the remaining **unstarted** groups are re-priced and
 re-packed LPT onto the ranks (work stealing from over-predicted ranks), and
 the re-priced seconds flow into the lease's modeled duration — remaining
 leases shrink or grow accordingly. Completed groups are never reordered or
@@ -100,22 +101,35 @@ def _drift_spread(groups, calibration) -> float | None:
     return max(ratios) / min(ratios)
 
 
-def _repack(completed, remaining, segment, n_ranks: int) -> CalibrationModel:
+def _refit(completed, calibration) -> CalibrationModel:
+    """The completed groups' fit over the up-front ``calibration``.
+
+    The buckets come from the completed groups' raw observations (the
+    model's predictions against reality); a ``(machine, propagator)`` or
+    machine-wide bucket none of them observed keeps its up-front scale
+    rather than falling back to the fresh machine-wide one (or to 1.0).
+    """
+    fit = CalibrationModel.fit(_observations(completed))
+    upfront = calibration.factors if calibration is not None else ()
+    buckets = {(f.machine, f.propagator): f for f in (*upfront, *fit.factors)}
+    return replace(fit, factors=tuple(buckets.values()))
+
+
+def _repack(completed, remaining, segment, n_ranks: int, calibration) -> CalibrationModel:
     """Re-price and re-pack the remaining (unstarted) groups — work stealing.
 
-    Fits a :class:`~repro.calib.CalibrationModel` from the completed groups'
-    raw observations (the model's predictions against reality), re-stamps
-    each remaining group's :attr:`~repro.exec.ScheduledGroup.repriced_seconds`
-    with it (the model's prediction is left untouched — observations must
-    keep pairing it with reality), then re-packs LPT: remaining groups
-    sorted by descending corrected seconds, greedily placed on the
-    least-loaded rank.
+    Re-fits (:func:`_refit`: the completed groups' observations over the
+    up-front ``calibration``), re-stamps each remaining group's
+    :attr:`~repro.exec.ScheduledGroup.repriced_seconds` with it (the model's
+    prediction is left untouched — observations must keep pairing it with
+    reality), then re-packs LPT: remaining groups sorted by descending
+    corrected seconds, greedily placed on the least-loaded rank.
     Starting loads are the current segment's executed groups at their
     *observed* seconds — the time their ranks really spent, which is exactly
     the imbalance work stealing corrects. Completed groups keep their ranks
     and their order.
     """
-    fit = CalibrationModel.fit(_observations(completed))
+    fit = _refit(completed, calibration)
     for group in remaining:
         group.repriced_seconds = group.repriced(fit)
     remaining.sort(key=lambda g: (-g.planned_seconds, g.index))
@@ -252,7 +266,7 @@ async def run_sweep(
                 if adaptive and remaining:
                     drift = _drift_spread(completed, calibration)
                     if drift is not None and drift > drift_threshold:
-                        fit = _repack(completed, remaining, segment, settings.ranks)
+                        fit = _repack(completed, remaining, segment, settings.ranks, calibration)
                         repack_events.append(
                             {
                                 "after_groups": len(completed),
@@ -300,7 +314,7 @@ async def run_sweep(
             "repacks": len(repack_events),
             "events": repack_events,
         }
-        final_fit = CalibrationModel.fit(_observations(completed))
+        final_fit = _refit(completed, calibration)
         if repack_events and not final_fit.is_empty:
             # the what-if the re-pack is judged by: both packings priced with
             # the final fitted (observed-corrected) seconds

@@ -62,7 +62,7 @@ import pathlib
 from typing import TYPE_CHECKING
 
 from ..core.dynamics import Trajectory, json_default
-from ..durable import write_durably
+from ..durable import quarantine, write_durably
 from ..pw.ground_state import GroundStateResult, _npz_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -190,22 +190,8 @@ class ResultStore:
 
     def _quarantine(self, *paths) -> None:
         """Move files aside into ``quarantine/`` (never delete evidence)."""
-        moved = False
-        for path in paths:
-            if path is None or not path.exists():
-                continue
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            target = self.quarantine_dir / path.name
-            n = 1
-            while target.exists():
-                target = self.quarantine_dir / f"{path.name}.{n}"
-                n += 1
-            try:
-                os.replace(path, target)
-                moved = True
-            except OSError:
-                pass  # racing quarantiner already moved it
-        if moved:
+        moved = [quarantine(path, self.quarantine_dir) for path in paths if path is not None]
+        if any(target is not None for target in moved):
             self.stats["quarantined"] += 1
 
     def _read_json(self, path: pathlib.Path) -> dict | None:

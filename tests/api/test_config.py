@@ -1,6 +1,10 @@
 """SimulationConfig: dict/JSON round-trips, validation, registry errors."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +18,8 @@ from repro.api import (
     UnknownNameError,
     register_propagator,
 )
+from repro.cost import MachineCostModel
+from repro.exec import ExecutionSettings
 
 QUICKSTART_DICT = {
     "system": {"structure": "hydrogen_molecule", "params": {"box": 10.0, "bond_length": 1.4}},
@@ -220,12 +226,12 @@ def test_register_propagator_decorator_plugs_into_configs():
 # ---------------------------------------------------------------------------
 
 
-def test_machine_section_round_trips_and_exposes_properties():
+def test_machine_section_round_trips_and_resolves():
     config = SimulationConfig.from_dict(
         {"run": {"machine": {"name": "summit", "gpus_per_group": 6}}}
     )
-    assert config.run.machine_name == "summit"
-    assert config.run.machine_gpus_per_group == 6
+    settings = ExecutionSettings.from_config(config)
+    assert (settings.machine, settings.gpus_per_group) == ("summit", 6)
     again = SimulationConfig.from_dict(config.to_dict())
     assert again.run.machine == {"name": "summit", "gpus_per_group": 6}
 
@@ -233,8 +239,8 @@ def test_machine_section_round_trips_and_exposes_properties():
 def test_machine_defaults_are_summit_one_gpu():
     config = SimulationConfig.from_dict({})
     assert config.run.machine == {}
-    assert config.run.machine_name == "summit"
-    assert config.run.machine_gpus_per_group == 1
+    settings = ExecutionSettings.from_config(config)
+    assert (settings.machine, settings.gpus_per_group) == ("summit", 1)
 
 
 def test_unknown_machine_key_lists_valid_keys():
@@ -248,7 +254,7 @@ def test_unknown_machine_name_lists_presets():
     # both registered presets are valid machine names
     for name in ("summit", "frontier"):
         config = SimulationConfig.from_dict({"run": {"machine": {"name": name}}})
-        assert config.run.machine_name == name
+        assert ExecutionSettings.from_config(config).machine == name
 
 
 @pytest.mark.parametrize("gpus", [0, -1, 1.5, True, "six"])
@@ -260,3 +266,74 @@ def test_bad_gpus_per_group_rejected(gpus):
 def test_machine_must_be_a_mapping():
     with pytest.raises(ConfigError, match="run.machine"):
         SimulationConfig.from_dict({"run": {"machine": "summit"}})
+
+
+# ---------------------------------------------------------------------------
+# One validator: a section accepts exactly what ExecutionSettings accepts
+# ---------------------------------------------------------------------------
+
+
+def test_integral_float_gpus_per_group_is_accepted_as_settings_accept_it():
+    """JSON writes 6 as 6.0; ``ExecutionSettings`` always coerced it, and the
+    section now goes through the same check."""
+    config = SimulationConfig.from_dict({"run": {"machine": {"gpus_per_group": 6.0}}})
+    settings = ExecutionSettings.from_config(config)
+    assert settings.gpus_per_group == 6 and isinstance(settings.gpus_per_group, int)
+    assert settings == ExecutionSettings(gpus_per_group=6.0)
+    assert MachineCostModel().gpus_for(config) == 6
+
+
+def test_a_null_machine_name_turns_the_machine_model_off():
+    config = SimulationConfig.from_dict({"run": {"machine": {"name": None, "gpus_per_group": 6}}})
+    settings = ExecutionSettings.from_config(config)
+    assert settings.machine is None and settings.machine_model() is None
+    assert settings == ExecutionSettings(machine=None, gpus_per_group=6)
+
+
+def test_a_null_precision_is_the_default_tier_as_in_settings():
+    config = SimulationConfig.from_dict({"run": {"schedule": {"precision": None}}})
+    assert ExecutionSettings.from_config(config).precision == "complex128"
+    assert ExecutionSettings(precision=None).precision == "complex128"
+
+
+_FIELDS = {
+    "schedule": ("schedule", "policy"),
+    "batch_stepping": ("schedule", "batch_stepping"),
+    "precision": ("schedule", "precision"),
+    "machine": ("machine", "name"),
+    "gpus_per_group": ("machine", "gpus_per_group"),
+}
+_VALUES = ["fifo", "energy_aware", "complex64", "float32", "frontier", "perlmutter", "", "6",
+           0, 1, 6, -1, 6.0, 1.5, float("nan"), float("inf"), True, False, None]
+
+
+@pytest.mark.parametrize("name", sorted(_FIELDS))
+def test_a_section_key_and_its_settings_field_agree(name):
+    """Every value is accepted by both or rejected by both (``ConfigError``
+    naming ``run.<section>.<key>`` / ``ValueError`` naming the field), and an
+    accepted value resolves to the same settings."""
+    section, key = _FIELDS[name]
+    for value in _VALUES:
+        try:
+            expected = ExecutionSettings(**{name: value})
+        except ValueError as exc:
+            assert name in str(exc)
+            with pytest.raises(ConfigError, match=f"run\\.{section}\\.{key}"):
+                SimulationConfig.from_dict({"run": {section: {key: value}}})
+            continue
+        config = SimulationConfig.from_dict({"run": {section: {key: value}}})
+        assert ExecutionSettings.from_config(config) == expected, value
+
+
+def test_building_a_config_does_not_import_the_execution_layer():
+    """The validator lives in ``repro.api.config``: checking a section must
+    not pull in ``repro.exec`` (``ExecutionSettings`` imports the config
+    layer, not the other way round)."""
+    import repro
+
+    code = ("import sys; from repro.api import SimulationConfig; "
+            "SimulationConfig.from_dict({'run': {'schedule': {'policy': 'fifo'}, "
+            "'machine': {'name': 'frontier', 'gpus_per_group': 8}}}); "
+            "assert 'repro.exec' not in sys.modules, sorted(m for m in sys.modules if m.startswith('repro'))")
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

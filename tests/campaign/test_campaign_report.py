@@ -275,4 +275,29 @@ class TestDriftColumn:
         assert _drift("-", 1.0) == "-"
         assert _drift(0.0, 1.0) == "-"
         assert _drift(2.0, -1.0) == "-"
+        assert _drift(2.0, 0.0) == "-"
         assert _drift(2.0, 5.0) == "2.5x"
+
+    def test_a_fully_served_sweep_observes_no_time(self, tiny_config, tmp_path):
+        """A warm pass reads the group ledger, not the served jobs' archived
+        cold walls: it computed nothing, so it observes 0 s and its drift
+        cell is a dash (the cold pass's own time stays its own)."""
+        campaign = CampaignSpec(
+            {"dt": SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})},
+            budget=Budget(max_ranks=1),
+        )
+        execution_plan = plan(campaign)
+        cold = execution_plan.execute(store=tmp_path)
+        warm = execution_plan.execute(store=tmp_path)
+        assert [r.status for r in warm["dt"]] == ["cached", "cached"]
+        assert "per_rank" not in warm["dt"].execution  # the summed-ledger rule
+        assert cold.observed_wall_seconds("dt") == pytest.approx(
+            sum(float(r.summary["wall_time"]) for r in cold["dt"].results)
+        )
+        assert warm.observed_wall_seconds("dt") == 0.0
+
+        def row(report):
+            return next(line for line in report.plan_table().splitlines() if line.startswith("dt")).split()
+
+        assert row(cold)[6].endswith("x")
+        assert row(warm)[5:7] == ["0", "-"]  # observed wall, drift

@@ -139,8 +139,9 @@ class TestIdentityPreservation:
             gpus_per_group=gpus,
         )
         stamped = settings.apply_to(spec)
-        assert stamped.base.run.machine_name == machine
-        assert stamped.base.run.schedule_policy == policy
+        restored = ExecutionSettings.from_config(stamped.base)
+        assert restored.machine == machine
+        assert restored.schedule == policy
         for original, restamped in zip(spec.expand(), stamped.expand()):
             assert original.job_id == restamped.job_id
             assert original.group_key == restamped.group_key

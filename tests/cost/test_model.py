@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.api import SimulationConfig
 from repro.cost import MachineCostModel, resolve_machine, sweep_execution_point
+from repro.exec import ExecutionSettings
 from repro.machine import SUMMIT, SummitSystem
 
 
@@ -90,7 +91,7 @@ class TestEstimates:
 
     def test_from_config_reads_the_machine_section(self):
         config = tiny_config(**{"run.machine": {"name": "summit", "gpus_per_group": 3}})
-        model = MachineCostModel.from_config(config)
+        model = ExecutionSettings.from_config(config).machine_model()
         assert model.system is SUMMIT
         assert model.gpus_per_group == 3
 

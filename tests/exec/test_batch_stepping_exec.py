@@ -319,10 +319,12 @@ class TestSettingsPlumbing:
         flagged = tiny_config.with_overrides(
             {"run.schedule": {"batch_stepping": True, "precision": "complex64"}}
         )
-        assert flagged.run.schedule_batch_stepping is True
-        assert flagged.run.schedule_precision == "complex64"
-        assert tiny_config.run.schedule_batch_stepping is False
-        assert tiny_config.run.schedule_precision == "complex128"
+        flagged_settings = ExecutionSettings.from_config(flagged)
+        assert flagged_settings.batch_stepping is True
+        assert flagged_settings.precision == "complex64"
+        plain_settings = ExecutionSettings.from_config(tiny_config)
+        assert plain_settings.batch_stepping is False
+        assert plain_settings.precision == "complex128"
 
 
 class TestCostAmortization:

@@ -308,7 +308,7 @@ class TestMachineAwareness:
         def cost_fn(configs):
             # 50 units of work on 12 GPUs (2 nodes): 4.17 s-units, 2x watts;
             # 5 units on 1 GPU (1 node): 5 s-units — shorter wins flip
-            return 50.0 if configs[0].run.machine_gpus_per_group == 12 else 5.0
+            return 50.0 if MachineCostModel().gpus_for(configs[0]) == 12 else 5.0
 
         by_time = Scheduler("makespan_balanced", cost_fn=cost_fn).schedule(grouped)
         by_energy = Scheduler("energy_aware", cost_fn=cost_fn).schedule(grouped)
@@ -359,11 +359,12 @@ class TestMachineAwareness:
 class TestScheduleConfig:
     def test_policy_round_trips_and_validates(self):
         config = SimulationConfig.from_dict({"run": {"schedule": {"policy": "cheapest_first"}}})
-        assert config.run.schedule_policy == "cheapest_first"
-        assert SimulationConfig.from_dict(config.to_dict()).run.schedule_policy == "cheapest_first"
+        assert ExecutionSettings.from_config(config).schedule == "cheapest_first"
+        again = SimulationConfig.from_dict(config.to_dict())
+        assert ExecutionSettings.from_config(again).schedule == "cheapest_first"
 
     def test_default_policy_is_fifo(self, tiny_config):
-        assert tiny_config.run.schedule_policy == "fifo"
+        assert ExecutionSettings.from_config(tiny_config).schedule == "fifo"
         assert BatchRunner(SweepSpec(tiny_config)).settings.schedule == "fifo"
 
     def test_invalid_policy_raises_with_valid_choices(self):

@@ -222,6 +222,33 @@ class TestAdaptiveRepack:
         # against reality, ptcn 9x
         assert record["events"][0]["scales"]["summit/ptcn"] == pytest.approx(9.0)
 
+    def test_a_repack_keeps_the_upfront_buckets_it_did_not_observe(self, tiny_config):
+        """Up-front ptcn 0.5x / rk4 1x; the two rk4 groups that run first
+        observe 1x then 2x, which drifts and re-packs. The ptcn group nothing
+        observed yet keeps its up-front 0.5x, not the fresh machine-wide
+        sqrt(2)x of the rk4 observations."""
+        spec = SweepSpec(
+            tiny_config,
+            {"basis.ecut": [2.4, 2.1, 1.8, 1.5], "propagator.name": ["rk4", "rk4", "ptcn", "rk4"]},
+            mode="zip",
+        )
+        calibration = upfront_fit(ptcn=0.5)
+        seen = []
+
+        def observe(group):
+            seen.append(group.propagator)
+            scale = 0.5 if group.propagator == "ptcn" else (1.0 if seen.count("rk4") == 1 else 2.0)
+            return group.predicted_seconds * scale
+
+        fifo = ExecutionSettings(machine="summit", ranks=2, schedule="fifo")
+        outcome = run_adaptive(spec, fifo, observe=observe, adaptive=True, calibration=calibration)
+        record = outcome.report.execution["adaptive"]
+        assert record["events"][0]["after_groups"] == 2
+        assert record["events"][0]["scales"]["summit/rk4"] == pytest.approx(2.0**0.5)
+        assert record["events"][0]["scales"]["summit/ptcn"] == calibration.scale_for("summit", "ptcn")
+        (ptcn,) = [g for g in outcome.report.execution["groups"] if g["propagator"] == "ptcn"]
+        assert ptcn["repriced_seconds"] == ptcn["predicted_seconds"] * calibration.scale_for("summit", "ptcn")
+
     def test_adaptive_off_by_default(self, skewed_spec, settings):
         outcome = run_adaptive(skewed_spec, settings)
         assert outcome.repacks == 0

@@ -8,6 +8,7 @@ whose pattern stops matching anything fails too (as
 ``tests/pw/test_layering.py`` tests its import scanner).
 """
 
+import ast
 import pathlib
 import re
 
@@ -121,8 +122,32 @@ def one_pair_solve_count(root):
     return _grep(root, r"2\.0 \* fft_flops\(", ["src"], allowed=("src/repro/perf/flops.py",))
 
 
+def _function_lines(path: pathlib.Path, name: str) -> range:
+    """The line numbers of the first function ``name`` defined in ``path``."""
+    if path.is_file():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                return range(node.lineno, node.end_lineno + 1)
+    return range(0)
+
+
+def one_execution_settings_reader(root):
+    """The five execution fields of ``run.schedule`` / ``run.machine`` are
+    checked, coerced and defaulted by one function,
+    ``repro.api.config.execution_fields``, which ``RunConfig`` and
+    ``ExecutionSettings`` both call: a second reader of a section would
+    restate a default or a domain. The one other read is the per-config slice
+    override, ``MachineCostModel.gpus_for``."""
+    model = "src/repro/cost/model.py"
+    gpus_for = _function_lines(root / model, "gpus_for")
+    hits = _grep(root, r'(schedule|machine)\.get\(|getattr\([\w.]+\.run, "(schedule|machine)"',
+                 ["src", "examples"], allowed=("src/repro/api/config.py",))
+    return [hit for hit in hits if not (hit.startswith(f"{model}:") and int(hit.split(":")[1]) in gpus_for)]
+
+
 RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_fftplan_calls,
-         one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count]
+         one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count,
+         one_execution_settings_reader]
 
 #: per rule, a tree that breaks it (the allowed sites included) and the file(s) it must name
 BREAKS = {
@@ -153,6 +178,15 @@ BREAKS = {
     one_pair_solve_count: ({"src/repro/perf/flops.py": "return 2.0 * fft_flops(n) + 6.0 * n\n",
                             "src/repro/perf/sweep_cost.py": "per_solve = 2.0 * fft_flops(n) + 6.0 * n\n"},
                            "src/repro/perf/sweep_cost.py"),
+    one_execution_settings_reader: (
+        {"src/repro/api/config.py": 'policy = self.schedule.get("policy", "fifo")\n',
+         "src/repro/cost/model.py": "class MachineCostModel:\n"
+                                    "    def gpus_for(self, config):\n"
+                                    '        return int(config.run.machine.get("gpus_per_group", 1))\n'
+                                    "    def from_config(cls, config):\n"
+                                    '        return cls(config.run.machine.get("name", "summit"))\n',
+         "src/repro/exec/scheduler.py": 'machine = getattr(config.run, "machine", {})\n'},
+        ("src/repro/exec/scheduler.py", "src/repro/cost/model.py")),
 }
 
 
