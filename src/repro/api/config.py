@@ -19,8 +19,9 @@ a dict, not a script.
     })
     trajectory = repro.api.run_tddft(config)
 
-Every section validates its numeric fields eagerly in ``__post_init__`` and
-:meth:`SimulationConfig.validate` additionally resolves all registry names, so
+Every section coerces each value to its declared type and validates it
+eagerly in ``__post_init__``, and :meth:`SimulationConfig.validate`
+additionally resolves all registry names, so
 a malformed config fails at construction time with an error naming the bad
 field (and, for registry keys, listing the valid names) rather than deep
 inside a propagation run.
@@ -30,10 +31,14 @@ from __future__ import annotations
 
 import copy
 import functools
+import inspect
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
+
+import numpy as np
 
 from ..core.precision import DEFAULT_PRECISION, PRECISIONS, resolve_precision
 from . import registry as _registry
@@ -70,16 +75,20 @@ def _require_positive(section: str, name: str, value) -> None:
 
 def _require_mapping(section: str, name: str, value) -> None:
     if not isinstance(value, Mapping):
-        raise ConfigError(
-            f"{section}.{name} must be a dict of keyword arguments, got {type(value).__name__}"
-        )
+        raise ConfigError(f"{section}.{name} must be a dict of keyword arguments, got {type(value).__name__}")
+
+
+def _is_bool(value) -> bool:
+    """Python's and numpy's bools, which are never a number in a config."""
+    return isinstance(value, (bool, np.bool_))
 
 
 def positive_integer(label: str, value) -> int:
     """``value`` as an ``int`` >= 1: an integral float (JSON's ``6.0``) is
-    coerced, a bool or anything else raises ``ValueError`` naming ``label``."""
+    coerced, a bool (Python's or numpy's) or anything else raises
+    ``ValueError`` naming ``label``."""
     try:
-        integral = not isinstance(value, bool) and value == int(value)
+        integral = not _is_bool(value) and value == int(value)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral or value < 1:
@@ -164,31 +173,82 @@ def execution_fields(run=None, **given) -> dict:
     return resolved
 
 
-class _ParamsSection:
-    """What the sections holding a ``params`` mapping share: configs are
-    values, so the mapping is deep-copied at construction and handed out
-    read-only. Identity derived from a config (``config_hash``, the
-    ground-state group key, store keys) is computed once, at sweep expansion,
-    and carried — a ``params`` that could be edited afterwards would silently
-    disagree with it. ``job.config.system.params["box"] = 9`` raises
-    ``TypeError``; :meth:`SimulationConfig.with_overrides` is the way to
-    derive a changed config, :meth:`SimulationConfig.to_dict` the way to get a
-    mutable copy. (Containers nested *inside* ``params`` are copied but not
-    frozen.)"""
+#: an annotation, as written, -> the type of the numbers it declares
+_NUMBER_TYPES = {"float": float, "float | None": float, "int": int, "int | None": int,
+                 "tuple[int, int, int]": int}
 
-    def _freeze_params(self, section: str) -> None:
-        _require_mapping(section, "params", self.params)
-        object.__setattr__(self, "params", MappingProxyType(copy.deepcopy(dict(self.params))))
+
+@functools.cache
+def _param_types(factory) -> dict:
+    """Parameter name -> declared number type, from a registered factory's
+    signature; looked up once per factory."""
+    try:
+        parameters = inspect.signature(factory).parameters.values()
+    except (TypeError, ValueError):
+        return {}
+    return {p.name: _NUMBER_TYPES.get(getattr(p.annotation, "__name__", str(p.annotation)))
+            for p in parameters}
+
+
+def _canonical(path: str, value, number=None):
+    """``value`` as the one JSON value a config holds: numpy scalars and
+    arrays become Python scalars and lists, tuples lists; where ``number``
+    (for a mapping, a dict of them by key) declares a float an int becomes a
+    float, where it declares an int an integral float becomes an int; a bool
+    is never a number. A value JSON cannot spell raises naming ``path``."""
+    if _is_bool(value):
+        return bool(value)
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return float(value) if number is float else value
+    if isinstance(value, float) and math.isfinite(value):
+        return int(value) if number is int and value.is_integer() else value
+    if isinstance(value, (list, tuple)):
+        return [_canonical(f"{path}[{i}]", item, number) for i, item in enumerate(value)]
+    if isinstance(value, Mapping) and all(isinstance(key, str) for key in value):
+        types = number if isinstance(number, dict) else {}
+        return {key: _canonical(f"{path}.{key}", item, types.get(key)) for key, item in value.items()}
+    raise ConfigError(f"{path} must be a string, a finite number, a bool, None, or a list or "
+                      f"string-keyed dict of them, got {value!r}")
+
+
+class _Section:
+    """What the config sections share: a config is a value, spelled one way.
+    Each field is coerced to its annotation (:func:`_canonical`), ``params``
+    to the signature of the factory its registry name resolves to (the
+    ``params`` of an ``asset:`` reference keep their values), so configs that
+    compare ``==`` hash alike. Mappings are copied and handed out read-only: a config's
+    identity (``config_hash``, group key, store keys) is computed once, at
+    sweep expansion, and carried, so ``params["box"] = 9`` raises
+    ``TypeError``; :meth:`SimulationConfig.with_overrides` derives a changed
+    config, :meth:`SimulationConfig.to_dict` gives a mutable copy."""
+
+    def _coerce(self, section: str, registry=None, name: str = "") -> None:
+        for f in fields(self):
+            value, path = getattr(self, f.name), f"{section}.{f.name}"
+            if f.name == "params":
+                _require_mapping(section, "params", value)
+                types = _param_types(registry.get(name)) if name in registry else {}
+                value = MappingProxyType(_canonical(path, value, types))
+            elif f.name not in _SECTION_KEYS:  # ``run.schedule`` / ``run.machine``: RunConfig's
+                value = _canonical(path, value, _NUMBER_TYPES.get(f.type))
+            object.__setattr__(self, f.name, value)
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled or deep-copied; the constructor
         # arguments can (process-pool workers receive whole jobs)
-        state = {f.name: getattr(self, f.name) for f in fields(self)}
-        return type(self), tuple({**state, "params": dict(self.params)}.values())
+        return type(self), tuple(_plain_value(getattr(self, f.name)) for f in fields(self))
+
+
+def _plain_value(value):
+    return dict(value) if isinstance(value, MappingProxyType) else value
 
 
 @dataclass(frozen=True)
-class SystemConfig(_ParamsSection):
+class SystemConfig(_Section):
     """Which atomic structure to build.
 
     Attributes
@@ -211,11 +271,11 @@ class SystemConfig(_ParamsSection):
     def __post_init__(self) -> None:
         if not isinstance(self.structure, str) or not self.structure:
             raise ConfigError(f"system.structure must be a non-empty string, got {self.structure!r}")
-        self._freeze_params("system")
+        self._coerce("system", _registry.STRUCTURES, self.structure)
 
 
 @dataclass(frozen=True)
-class BasisConfig:
+class BasisConfig(_Section):
     """Plane-wave basis parameters.
 
     Attributes
@@ -232,12 +292,13 @@ class BasisConfig:
     grid_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        self._coerce("basis")
         _require_positive("basis", "ecut", self.ecut)
         _require_positive("basis", "grid_factor", self.grid_factor)
 
 
 @dataclass(frozen=True)
-class XCConfig:
+class XCConfig(_Section):
     """Exchange-correlation / Hamiltonian treatment.
 
     Attributes
@@ -264,21 +325,17 @@ class XCConfig:
     gs_hybrid_mixing: float | None = None
 
     def __post_init__(self) -> None:
-        for name, value in (("hybrid_mixing", self.hybrid_mixing), ("gs_hybrid_mixing", self.gs_hybrid_mixing)):
-            if value is None:
-                continue
-            if (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or not 0.0 <= value <= 1.0
-            ):
+        self._coerce("xc")
+        for name in ("hybrid_mixing", "gs_hybrid_mixing"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, float) or not 0.0 <= value <= 1.0):
                 raise ConfigError(f"xc.{name} must be a number in [0, 1], got {value!r}")
         if self.screening_length is not None:
             _require_positive("xc", "screening_length", self.screening_length)
 
 
 @dataclass(frozen=True)
-class LaserConfig(_ParamsSection):
+class LaserConfig(_Section):
     """External field driving the dynamics.
 
     Attributes
@@ -302,11 +359,11 @@ class LaserConfig(_ParamsSection):
     def __post_init__(self) -> None:
         if not isinstance(self.pulse, str) or not self.pulse:
             raise ConfigError(f"laser.pulse must be a non-empty string, got {self.pulse!r}")
-        self._freeze_params("laser")
+        self._coerce("laser", _registry.PULSES, self.pulse)
 
 
 @dataclass(frozen=True)
-class PropagatorConfig(_ParamsSection):
+class PropagatorConfig(_Section):
     """Which time integrator to use.
 
     Attributes
@@ -326,11 +383,11 @@ class PropagatorConfig(_ParamsSection):
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(f"propagator.name must be a non-empty string, got {self.name!r}")
-        self._freeze_params("propagator")
+        self._coerce("propagator", _registry.PROPAGATORS, self.name)
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Section):
     """Propagation-run and ground-state-preparation parameters.
 
     Attributes
@@ -350,23 +407,21 @@ class RunConfig:
         Outer-iteration bound of the ground-state SCF.
     schedule, machine:
         The execution sections: *how* a sweep runs, never the physics of a
-        single run, so both are excluded from group keys and config hashes.
-        They hold the five :data:`EXECUTION_FIELDS` and accept exactly what
-        :class:`~repro.exec.ExecutionSettings` accepts — one validator,
-        :func:`execution_fields`, checks both, and
-        ``ExecutionSettings.from_config`` reads the sections through it.
-        ``schedule`` keys: ``policy``, one of :data:`SCHEDULE_POLICIES`
-        (default ``"fifo"``), e.g. ``{"schedule": {"policy": "cheapest_first"}}``;
-        ``precision``, ``"complex128"`` (default) or the ``"complex64"``
-        screening tier — it *does* change the numbers, so complex64 results
-        are stamped and kept out of the result store; and ``batch_stepping``,
-        a bool accepted with **no effect** (a group's jobs always propagate in
-        lockstep; the key stays so stored configs keep loading). ``machine``
-        keys: ``name``, a :data:`repro.cost.MACHINES` preset (default
-        ``"summit"``) or ``None`` for no machine model, and
+        run, so config hashes and group keys exclude them. They hold the five
+        :data:`EXECUTION_FIELDS`, accept exactly what
+        :class:`~repro.exec.ExecutionSettings` accepts (one validator,
+        :func:`execution_fields`, checks both) and keep the checked values,
+        read-only (``gpus_per_group`` 6.0 is held as 6, ``precision`` None
+        as the default tier). ``schedule``: ``policy``, one of
+        :data:`SCHEDULE_POLICIES` (default ``"fifo"``); ``precision``,
+        ``"complex128"`` (default) or the ``"complex64"`` screening tier,
+        which *does* change the numbers, so its results are stamped and kept
+        out of the result store; ``batch_stepping``, a bool with **no
+        effect** (jobs always step in lockstep; the key stays so stored
+        configs load). ``machine``: ``name``, a :data:`repro.cost.MACHINES`
+        preset (default ``"summit"``) or ``None`` for no machine model, and
         ``gpus_per_group``, the modeled GPUs each ground-state group occupies
-        (default 1; an integral float such as ``6.0`` counts), e.g.
-        ``{"machine": {"name": "summit", "gpus_per_group": 6}}``.
+        (default 1), e.g. ``{"machine": {"name": "summit", "gpus_per_group": 6}}``.
     """
 
     time_step_as: float = 50.0
@@ -375,52 +430,42 @@ class RunConfig:
     record_dipole: bool = True
     gs_scf_tolerance: float = 1e-6
     gs_max_scf_iterations: int = 60
-    schedule: dict = field(default_factory=dict)
-    machine: dict = field(default_factory=dict)
+    schedule: Mapping = field(default_factory=dict)
+    machine: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._coerce("run")
         _require_positive("run", "time_step_as", self.time_step_as)
         _require_positive("run", "gs_scf_tolerance", self.gs_scf_tolerance)
+        for name in ("n_steps", "gs_max_scf_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or _is_bool(value) or value < 1:
+                raise ConfigError(f"run.{name} must be an integer >= 1, got {value!r}")
         for section, keys in _SECTION_KEYS.items():
             values = getattr(self, section)
             _require_mapping("run", section, values)
             if not values.keys() <= keys.keys():
-                raise ConfigError(
-                    f"unknown key(s) {sorted(set(values) - set(keys))} in run.{section}; "
-                    f"valid keys: {sorted(keys)}"
-                )
+                raise ConfigError(f"unknown key(s) {sorted(set(values) - set(keys))} in run.{section}; "
+                                  f"valid keys: {sorted(keys)}")
         try:
-            execution_fields(self)
+            resolved = execution_fields(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for name in ("n_steps", "gs_max_scf_iterations"):
-            value = getattr(self, name)
-            try:
-                is_integral = value == int(value)
-            except (TypeError, ValueError):
-                is_integral = False
-            if not is_integral:
-                raise ConfigError(f"run.{name} must be an integer, got {value!r}")
-            # coerce (e.g. JSON-sourced 8.0) so downstream range()/loops get ints
-            object.__setattr__(self, name, int(value))
-            if int(value) < 1:
-                raise ConfigError(f"run.{name} must be >= 1, got {value!r}")
+        for section, keys in _SECTION_KEYS.items():  # the checked values, read-only
+            values = {key: resolved[keys[key]] for key in getattr(self, section)}
+            object.__setattr__(self, section, MappingProxyType(_canonical(f"run.{section}", values)))
 
 
-def _section_from_dict(cls, data: dict, section: str):
+def _section_from_dict(cls, data, section: str):
     """Build one config section, rejecting unknown keys with the valid set."""
     if isinstance(data, cls):
         return data
     if not isinstance(data, dict):
-        raise ConfigError(
-            f"section '{section}' must be a dict, got {type(data).__name__}"
-        )
+        raise ConfigError(f"section '{section}' must be a dict, got {type(data).__name__}")
     valid = [f.name for f in fields(cls)]
-    unknown = sorted(set(data) - set(valid))
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {unknown} in section '{section}'; valid keys: {valid}"
-        )
+    if not data.keys() <= set(valid):
+        raise ConfigError(f"unknown key(s) {sorted(set(data) - set(valid))} in section '{section}'; "
+                          f"valid keys: {valid}")
     return cls(**data)
 
 
@@ -452,19 +497,15 @@ class SimulationConfig:
         ``__post_init__``; this adds the cross-module checks that need the
         registries. Returns ``self`` so it chains.
         """
-        for reg, name in (
-            (_registry.STRUCTURES, self.system.structure),
-            (_registry.PULSES, self.laser.pulse),
-            (_registry.PROPAGATORS, self.propagator.name),
-        ):
-            reg.get(name)
+        _registry.STRUCTURES.get(self.system.structure)
+        _registry.PULSES.get(self.laser.pulse)
+        _registry.PROPAGATORS.get(self.propagator.name)
         return self
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """A plain-dict deep copy of the config (JSON-serializable if the
-        ``params`` dicts are), independent of the config and of every other
-        copy."""
+        """A plain-dict (and JSON) deep copy of the config, independent of the
+        config and of every other copy."""
         return copy.deepcopy(self._plain())
 
     def _plain(self) -> dict:
@@ -475,9 +516,7 @@ class SimulationConfig:
         out: dict = {}
         for section in self._SECTIONS:
             value = getattr(self, section)
-            out[section] = {f.name: getattr(value, f.name) for f in fields(value)}
-            if isinstance(value, _ParamsSection):
-                out[section]["params"] = dict(value.params)
+            out[section] = {f.name: _plain_value(getattr(value, f.name)) for f in fields(value)}
         return out
 
     @classmethod
@@ -495,18 +534,8 @@ class SimulationConfig:
             raise ConfigError(
                 f"unknown config section(s) {unknown}; valid sections: {list(cls._SECTIONS)}"
             )
-        section_types = {
-            "system": SystemConfig,
-            "basis": BasisConfig,
-            "xc": XCConfig,
-            "laser": LaserConfig,
-            "propagator": PropagatorConfig,
-            "run": RunConfig,
-        }
-        kwargs = {
-            name: _section_from_dict(section_types[name], data[name], name)
-            for name in data
-        }
+        section_types = {f.name: f.default_factory for f in fields(cls)}
+        kwargs = {name: _section_from_dict(section_types[name], data[name], name) for name in data}
         return cls(**kwargs).validate()
 
     # ------------------------------------------------------------------
@@ -527,41 +556,32 @@ class SimulationConfig:
         expansion hook :mod:`repro.batch` sweeps are built on.
         """
         if not isinstance(overrides, dict):
-            raise ConfigError(
-                f"overrides must be a dict of path -> value, got {type(overrides).__name__}"
-            )
-        data = self.to_dict()
+            raise ConfigError(f"overrides must be a dict of path -> value, got {type(overrides).__name__}")
+        data = self.to_dict()  # the constructors copy what they keep
         for path, value in overrides.items():
             if not isinstance(path, str) or not path:
                 raise ConfigError(f"override path must be a non-empty string, got {path!r}")
             keys = path.split(".")
             if keys[0] not in self._SECTIONS:
-                raise ConfigError(
-                    f"unknown config section {keys[0]!r} in override path {path!r}; "
-                    f"valid sections: {list(self._SECTIONS)}"
-                )
-            if len(keys) == 1:
+                raise ConfigError(f"unknown config section {keys[0]!r} in override path {path!r}; "
+                                  f"valid sections: {list(self._SECTIONS)}")
+            *parents, last = keys
+            if not parents:
                 if not isinstance(value, dict):
-                    raise ConfigError(
-                        f"override for whole section {path!r} must be a dict, "
-                        f"got {type(value).__name__}"
-                    )
-                data[path].update(copy.deepcopy(value))
+                    raise ConfigError(f"override for whole section {path!r} must be a dict, "
+                                      f"got {type(value).__name__}")
+                data[path].update(value)
                 continue
-            node = data[keys[0]]
-            for depth, key in enumerate(keys[1:-1], start=1):
+            node = data
+            for depth, key in enumerate(parents, start=1):
                 if not isinstance(node, dict) or key not in node:
-                    raise ConfigError(
-                        f"override path {path!r} does not exist in the config "
-                        f"(no {'.'.join(keys[: depth + 1])!r})"
-                    )
+                    raise ConfigError(f"override path {path!r} does not exist in the config "
+                                      f"(no {'.'.join(parents[:depth])!r})")
                 node = node[key]
             if not isinstance(node, dict):
-                raise ConfigError(
-                    f"override path {path!r} does not address a dict "
-                    f"({'.'.join(keys[:-1])!r} is {type(node).__name__})"
-                )
-            node[keys[-1]] = copy.deepcopy(value)
+                raise ConfigError(f"override path {path!r} does not address a dict "
+                                  f"({'.'.join(parents)!r} is {type(node).__name__})")
+            node[last] = value
         return SimulationConfig.from_dict(data)
 
     # ------------------------------------------------------------------

@@ -233,12 +233,7 @@ def register_propagator(name: str, *, aliases: tuple[str, ...] = (), overwrite: 
 STRUCTURES.register("hydrogen_molecule", hydrogen_molecule, aliases=("h2",))
 STRUCTURES.register("hydrogen_chain", hydrogen_chain)
 STRUCTURES.register("diamond_silicon", diamond_silicon, aliases=("si8",))
-
-
-@register_structure("silicon_supercell")
-def _build_silicon_supercell(repeats=(1, 1, 1), **params):
-    """Diamond-silicon supercell; ``repeats`` may arrive as a JSON list."""
-    return silicon_supercell(tuple(int(r) for r in repeats), **params)
+STRUCTURES.register("silicon_supercell", silicon_supercell)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ never half-understood silently.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
+
+from ..canonical import canonical_json
 
 __all__ = [
     "ASSET_KINDS",
@@ -81,21 +82,20 @@ class AssetIntegrityError(AssetError):
 
 
 def canonical_payload_bytes(payload: dict) -> bytes:
-    """The canonical byte encoding of a payload dict.
+    """The canonical byte encoding of a payload dict: the package's one
+    encoder, :func:`repro.canonical.canonical_json`, compact.
 
     Keys sorted at every nesting level, minimal separators, no NaN/Infinity,
-    floats in Python's shortest-round-trip ``repr`` (what :func:`json.dumps`
-    emits) — so two payloads that compare equal encode identically, and a
-    payload survives any number of JSON round-trips with the same digest.
+    floats in Python's shortest-round-trip ``repr`` — so a payload survives
+    any number of JSON round-trips with the same digest.
     Non-JSON-serialisable values raise :class:`AssetError` naming the type.
     """
     if not isinstance(payload, dict):
         raise AssetError(f"payload must be a dict, got {type(payload).__name__}")
     try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return canonical_json(payload, compact=True).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise AssetError(f"payload is not canonically JSON-serialisable: {exc}") from None
-    return text.encode("utf-8")
 
 
 def payload_digest(payload: dict) -> str:

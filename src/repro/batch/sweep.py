@@ -38,11 +38,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import itertools
-import json
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from ..api.config import ConfigError, SimulationConfig
+from ..canonical import canonical_json
 
 __all__ = ["SweepJob", "SweepSpec", "ground_state_group_key", "config_hash"]
 
@@ -70,26 +71,25 @@ def _asset_digests(names) -> dict:
 
 
 def _asset_digest_overlay(data: dict) -> dict:
-    """Map ``asset:`` reference -> content digest for every asset a config
-    dict names, or ``{}`` when it names none.
+    """:func:`_asset_digests` of the structure and pulse a config dict names.
 
-    Overlaying these digests onto the hashed payload keeps
-    :func:`config_hash` (and hence store keys and checkpoint ids)
-    *content-true* for asset-driven configs: an asset version whose payload
-    changes produces new hashes even though the config text is unchanged.
-    Configs without ``asset:`` references hash exactly as before.
+    Folded into :func:`config_hash` and :func:`ground_state_group_key`, they
+    keep store keys *content-true*: an asset whose payload changes gives new
+    keys though the config text is unchanged. Configs without ``asset:``
+    references hash exactly as before.
     """
-    system, laser = data.get("system"), data.get("laser")
-    return _asset_digests(
-        [
-            system.get("structure") if isinstance(system, dict) else None,
-            laser.get("pulse") if isinstance(laser, dict) else None,
-        ]
-    )
+    sections = zip((data.get("system"), data.get("laser")), ("structure", "pulse"))
+    return _asset_digests([section.get(key) for section, key in sections if isinstance(section, dict)])
 
 
 def config_hash(config: SimulationConfig | dict) -> str:
     """Short stable hash of a config (dict form), for checkpoint staleness checks.
+
+    The hash is of :func:`repro.canonical.canonical_json` of the config's
+    values, which are coerced to their declared types when the config is
+    built, so configs that compare ``==`` hash alike: ``ecut`` 2, 2.0 and
+    ``np.int64(2)`` are one key, the float-spelled one stores have always
+    used. A dict is hashed as given (a :meth:`~repro.api.SimulationConfig.to_dict`).
 
     The ``run.schedule`` and ``run.machine`` sections are excluded: scheduling
     and machine modeling only decide *when* and *on what modeled hardware* a
@@ -104,16 +104,12 @@ def config_hash(config: SimulationConfig | dict) -> str:
     (:attr:`SweepJob.config_hash`), which is what every layer reads.
     """
     data = config._plain() if isinstance(config, SimulationConfig) else config
-    if isinstance(data.get("run"), dict) and set(data["run"]) & set(_EXECUTION_ONLY_RUN_FIELDS):
-        data = {
-            **data,
-            "run": {k: v for k, v in data["run"].items() if k not in _EXECUTION_ONLY_RUN_FIELDS},
-        }
+    if isinstance(data.get("run"), dict):
+        data = {**data, "run": {k: v for k, v in data["run"].items() if k not in _EXECUTION_ONLY_RUN_FIELDS}}
     assets = _asset_digest_overlay(data)
     if assets:
         data = {**data, "assets": assets}
-    text = json.dumps(data, sort_keys=True, default=str)
-    return hashlib.sha1(text.encode()).hexdigest()[:12]
+    return hashlib.sha1(canonical_json(data).encode()).hexdigest()[:12]
 
 
 #: bumped whenever the meaning of :func:`ground_state_group_key` changes, so a
@@ -140,8 +136,9 @@ def ground_state_group_key(config: SimulationConfig) -> str:
     SCF, one :class:`~repro.api.Session` and one lockstep stack, whatever
     their pulses, integrators and time steps; the same string keys the
     scheduling group and the store's ground-state object. The structure
-    asset's content digest is folded in like :func:`config_hash` does.
-    Carried by every job as :attr:`SweepJob.group_key`.
+    asset's content digest is folded in like :func:`config_hash` does, and
+    the text is the same canonical encoding, so configs that compare ``==``
+    share a key. Carried by every job as :attr:`SweepJob.group_key`.
     """
     data = config._plain()
     data.pop("propagator")
@@ -152,7 +149,7 @@ def ground_state_group_key(config: SimulationConfig) -> str:
     if assets:
         data["assets"] = assets
     data["ground_state_key_version"] = _GROUND_STATE_KEY_VERSION
-    return json.dumps(data, sort_keys=True, default=str)
+    return canonical_json(data)
 
 
 @dataclass(frozen=True)
@@ -226,9 +223,7 @@ class SweepSpec:
         if isinstance(base, dict):
             base = SimulationConfig.from_dict(base)
         if not isinstance(base, SimulationConfig):
-            raise ConfigError(
-                f"base must be a SimulationConfig or config dict, got {type(base).__name__}"
-            )
+            raise ConfigError(f"base must be a SimulationConfig or config dict, got {type(base).__name__}")
         if mode not in ("product", "zip"):
             raise ConfigError(f"mode must be 'product' or 'zip', got {mode!r}")
         axes = {} if axes is None else dict(axes)
@@ -278,15 +273,8 @@ class SweepSpec:
     @property
     def n_jobs(self) -> int:
         """Number of jobs the spec expands to."""
-        if not self.axes:
-            return 1
         lengths = [len(values) for values in self.axes.values()]
-        if self.mode == "zip":
-            return lengths[0]
-        product = 1
-        for length in lengths:
-            product *= length
-        return product
+        return lengths[0] if lengths and self.mode == "zip" else math.prod(lengths)
 
     def __len__(self) -> int:
         return self.n_jobs
@@ -294,16 +282,9 @@ class SweepSpec:
     # ------------------------------------------------------------------
     def points(self):
         """Yield the axis-override dict of every job, in expansion order."""
-        if not self.axes:
-            yield {}
-            return
-        paths = list(self.axes)
-        if self.mode == "zip":
-            for values in zip(*self.axes.values()):
-                yield dict(zip(paths, values))
-        else:
-            for values in itertools.product(*self.axes.values()):
-                yield dict(zip(paths, values))
+        combine = zip if self.mode == "zip" and self.axes else itertools.product  # product() is one ()
+        for values in combine(*self.axes.values()):
+            yield dict(zip(self.axes, values))
 
     def expand(self) -> list[SweepJob]:
         """The full, validated job list (a fresh list of the shared jobs).

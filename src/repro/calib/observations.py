@@ -29,6 +29,7 @@ import os
 import pathlib
 from dataclasses import asdict, dataclass
 
+from ..canonical import canonical_json
 from ..durable import write_durably
 
 __all__ = ["Observation", "ObservationLog", "extract_observations"]
@@ -197,7 +198,7 @@ class ObservationLog:
         Returns the number of records appended (0 is a no-op: the file is
         not rewritten, so an empty extraction never churns mtimes).
         """
-        lines = [json.dumps(obs.as_dict(), sort_keys=True) for obs in observations]
+        lines = [canonical_json(obs.as_dict()) for obs in observations]
         if not lines:
             return 0
         self.directory.mkdir(parents=True, exist_ok=True)

@@ -19,8 +19,7 @@ semi-local part.
 
 from __future__ import annotations
 
-import json
-
+from ..canonical import canonical_json
 from .flops import hamiltonian_application_flops
 
 __all__ = [
@@ -121,10 +120,7 @@ def workload_sizes(config) -> tuple[int, int]:
         resolved = default_library().digest(name[len(ASSET_PREFIX):])
     else:
         resolved = STRUCTURES.get(name)
-    key = (
-        resolved,
-        json.dumps([name, dict(system.params), basis.ecut, basis.grid_factor], sort_keys=True, default=str),
-    )
+    key = (resolved, canonical_json([name, dict(system.params), basis.ecut, basis.grid_factor]))
     sizes = _WORKLOAD_SIZES.get(key)
     if sizes is None:
         structure = STRUCTURES.create(name, **system.params)

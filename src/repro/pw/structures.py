@@ -165,7 +165,7 @@ def diamond_silicon(
 
 
 def silicon_supercell(
-    repeats: tuple[int, int, int],
+    repeats: tuple[int, int, int] = (1, 1, 1),
     lattice_constant: float = SILICON_LATTICE_BOHR,
     empirical: bool = False,
     include_nonlocal: bool = True,
@@ -176,21 +176,8 @@ def silicon_supercell(
     (4,6,8)=1536 atoms.
     """
     base = diamond_silicon(lattice_constant, empirical=empirical, include_nonlocal=include_nonlocal)
-    nx, ny, nz = repeats
-    if min(nx, ny, nz) < 1:
-        raise ValueError(f"repeats must be positive integers, got {repeats}")
-    supercell = base.cell.supercell(repeats)
-    base_positions = base.positions_by_species[0]
-    shifts = []
-    lat = base.cell.lattice_vectors
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                shifts.append(ix * lat[0] + iy * lat[1] + iz * lat[2])
-    shifts = np.asarray(shifts)
-    positions = (base_positions[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
-    name = f"Si{positions.shape[0]}"
-    return Structure(supercell, list(base.species_list), [positions], name=name)
+    supercell, positions = _replicate(base.cell, base.positions_by_species[0], repeats)
+    return Structure(supercell, list(base.species_list), [positions], name=f"Si{positions.shape[0]}")
 
 
 def paper_silicon_series() -> dict[int, tuple[int, int, int]]:

@@ -1,11 +1,14 @@
 """SimulationConfig: dict/JSON round-trips, validation, registry errors."""
 
+import copy
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -257,15 +260,94 @@ def test_unknown_machine_name_lists_presets():
         assert ExecutionSettings.from_config(config).machine == name
 
 
-@pytest.mark.parametrize("gpus", [0, -1, 1.5, True, "six"])
+@pytest.mark.parametrize("gpus", [0, -1, 1.5, True, np.True_, "six"])
 def test_bad_gpus_per_group_rejected(gpus):
-    with pytest.raises(ConfigError, match="gpus_per_group"):
+    with pytest.raises(ConfigError, match=r"run\.machine\.gpus_per_group"):
         SimulationConfig.from_dict({"run": {"machine": {"gpus_per_group": gpus}}})
 
 
 def test_machine_must_be_a_mapping():
     with pytest.raises(ConfigError, match="run.machine"):
         SimulationConfig.from_dict({"run": {"machine": "summit"}})
+
+
+def test_execution_sections_are_read_only_values():
+    """``run.schedule`` / ``run.machine`` are frozen like ``params``: a checked
+    config cannot be edited around the validator, and what it holds is the
+    checked value (an integral float count is an int)."""
+    source = {"schedule": {"policy": "cheapest_first"}, "machine": {"name": "summit", "gpus_per_group": 6.0}}
+    config = SimulationConfig.from_dict({"run": source})
+    with pytest.raises(TypeError):
+        config.run.machine["name"] = "perlmutter"
+    with pytest.raises(TypeError):
+        config.run.schedule["policy"] = "fifo"
+    source["machine"]["name"] = "frontier"  # the config holds a copy
+    assert config.run.machine == {"name": "summit", "gpus_per_group": 6}
+    assert type(config.run.machine["gpus_per_group"]) is int
+    plain = config.to_dict()["run"]
+    assert type(plain["machine"]) is dict and type(plain["schedule"]) is dict
+    for clone in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+        assert clone == config
+
+
+@pytest.mark.parametrize("name", ["ranks", "gpus_per_group"])
+def test_numpy_bools_are_not_counts_in_settings(name):
+    with pytest.raises(ValueError, match=name):
+        ExecutionSettings(**{name: np.True_})
+
+
+# ---------------------------------------------------------------------------
+# One canonical value per field
+# ---------------------------------------------------------------------------
+
+
+def test_values_are_coerced_to_their_declared_types():
+    config = SimulationConfig.from_dict({
+        "system": {"structure": "hydrogen_chain", "params": {"n_atoms": 2.0, "spacing": 2, "box": np.int64(6)}},
+        "basis": {"ecut": np.float64(2.0), "grid_factor": 1},
+        "xc": {"hybrid_mixing": 0, "include_nonlocal": np.False_},
+        "laser": {"pulse": "gaussian", "params": {"amplitude": np.float32(0.5), "omega": 1,
+                                                  "t0_as": 150, "sigma_as": 60.0,
+                                                  "polarization": np.array([1, 0, 0])}},
+        "propagator": {"name": "ptcn", "params": {"max_scf_iterations": 30.0, "scf_tolerance": 1e-6}},
+        "run": {"time_step_as": np.int32(50), "n_steps": np.float64(8.0)},
+    })
+    plain = config.to_dict()
+    assert plain["system"]["params"] == {"n_atoms": 2, "spacing": 2.0, "box": 6.0}
+    assert plain["laser"]["params"]["polarization"] == [1, 0, 0]  # no usable annotation: kept
+    assert plain["propagator"]["params"]["max_scf_iterations"] == 30
+    assert (plain["run"]["time_step_as"], plain["run"]["n_steps"]) == (50.0, 8)
+    expected = {"n_atoms": int, "spacing": float, "box": float}
+    assert {key: type(value) for key, value in plain["system"]["params"].items()} == expected
+    for section in plain.values():
+        for value in [*section.values(), *section.get("params", {}).values()]:
+            assert type(value) in (str, int, float, bool, list, dict, type(None)), value
+    assert type(plain["xc"]["include_nonlocal"]) is bool
+    assert SimulationConfig.from_json(config.to_json()) == config
+
+
+def test_a_bool_is_never_a_number():
+    with pytest.raises(ConfigError, match="basis.ecut"):
+        SimulationConfig.from_dict({"basis": {"ecut": np.True_}})
+    with pytest.raises(ConfigError, match="run.n_steps"):
+        SimulationConfig.from_dict({"run": {"n_steps": True}})
+    config = SimulationConfig.from_dict({"system": {"params": {"box": True}}})
+    assert config.system.params["box"] is True  # kept as a bool, for the factory to refuse
+
+
+@pytest.mark.parametrize("path,value", [
+    ("laser.params.amplitude", object()),
+    ("laser.params.amplitude", 1j),
+    ("laser.params.amplitude", float("nan")),
+    ("laser.params.polarization", {1: 2.0}),
+    ("basis.ecut", float("inf")),
+    ("system.params.box", {3.0}),
+])
+def test_a_value_json_cannot_spell_fails_at_construction(path, value):
+    base = SimulationConfig.from_dict({"laser": {"pulse": "gaussian", "params": {
+        "amplitude": 0.01, "omega": 0.35, "t0_as": 150.0, "sigma_as": 60.0}}})
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        base.with_overrides({path: value})
 
 
 # ---------------------------------------------------------------------------

@@ -160,3 +160,44 @@ class TestSolvePoisson:
         expected = 4.0 * np.pi / float(g_vector @ g_vector) * rho
         v = hartree_potential(grid, rho)
         assert np.max(np.abs(v - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+class TestScreenedKernelPhysics:
+    """The erfc-screened kernel against closed forms, not against itself.
+
+    For a normalised Gaussian charge ``rho = (a/pi)^{3/2} exp(-a r^2)`` the
+    self-energy under ``erfc(mu r)/r`` is ``sqrt(a/2pi) (1 - mu/sqrt(mu^2 +
+    a/2))``: the bare Gaussian self-energy minus its ``erf(mu r)/r`` part. In
+    a 16-bohr cell the periodic images sit where ``erfc`` is ~1e-29, and on a
+    48^3 mesh the Gaussians below are resolved to round-off, so the mesh
+    value must match the closed form to ~1e-10 relative. A kernel screened
+    with the wrong width (``4 mu^2`` written ``2 mu^2``) is off by 11-31 %.
+    """
+
+    @pytest.fixture(scope="class")
+    def big_grid(self):
+        return FFTGrid(Cell.cubic(16.0), (48, 48, 48))
+
+    @pytest.mark.parametrize("a,mu", [(1.0, 0.5), (2.0, 0.3)])
+    def test_gaussian_self_energy_matches_the_closed_form(self, big_grid, a, mu):
+        r = big_grid.real_space_points - 0.5 * np.array(big_grid.cell.lengths)
+        rho = (a / np.pi) ** 1.5 * np.exp(-a * np.sum(r * r, axis=-1))
+        potential = screened_exchange_kernel(big_grid, mu).apply_to_density(rho)
+        energy = 0.5 * float(np.real(big_grid.integrate(rho * potential)))
+        exact = np.sqrt(a / (2.0 * np.pi)) * (1.0 - mu / np.sqrt(mu * mu + 0.5 * a))
+        assert energy == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 1.0])
+    def test_kernel_is_continuous_at_g0(self, big_grid, mu):
+        """``K(G) = pi/mu^2 (1 - x/2 + x^2/6 - ...)`` with ``x = G^2/(4mu^2)``:
+        an alternating series, so at the smallest nonzero ``G`` the kernel lies
+        between ``pi/mu^2 (1 - x/2)`` and its ``G = 0`` value ``pi/mu^2``."""
+        values = screened_exchange_kernel(big_grid, mu).values
+        g2 = big_grid.g_squared
+        limit = np.pi / mu**2
+        assert values[0, 0, 0] == pytest.approx(limit, rel=1e-14)
+        smallest = np.min(g2[g2 > 1e-12])
+        x = smallest / (4.0 * mu * mu)
+        near = values[np.isclose(g2, smallest)]
+        assert np.all(near <= limit * (1.0 + 1e-14))
+        assert np.all(near >= limit * (1.0 - 0.5 * x) * (1.0 - 1e-14))

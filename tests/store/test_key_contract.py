@@ -2,19 +2,22 @@
 
 The whole store rests on :func:`repro.batch.sweep.config_hash` being a
 *canonical* key: invariant under dict key order, dict-vs-SimulationConfig
-input and JSON round-trips, blind to execution-only run fields, and
-injective over distinct physics. Hypothesis hunts for counterexamples.
+input and JSON round-trips, blind to execution-only run fields, injective
+over distinct physics, and equal for configs that compare ``==`` however
+their numbers are spelled. Hypothesis hunts for counterexamples.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SimulationConfig
-from repro.batch.sweep import config_hash
+from repro.batch import SweepSpec
+from repro.batch.sweep import config_hash, ground_state_group_key
 from repro.store import ground_state_hash
 
 #: tiny H2 base (mirrors the root conftest's TINY_API_DICT; restated so the
@@ -90,3 +93,69 @@ def test_execution_only_run_fields_do_not_change_the_key():
 def test_ground_state_hash_is_stable_and_injective(key1, key2):
     assert ground_state_hash(key1) == ground_state_hash(key1)
     assert (ground_state_hash(key1) == ground_state_hash(key2)) == (key1 == key2)
+
+
+#: every numeric field of a config with a gaussian pulse and PT-CN — the
+#: dataclass fields and the ``params`` the registered factories declare —
+#: with the integral values it may take, so each has an int spelling
+_INTEGRAL_FIELDS = {
+    "system.params.box": st.integers(6, 12),
+    "system.params.bond_length": st.integers(1, 3),
+    "basis.ecut": st.integers(1, 4),
+    "basis.grid_factor": st.integers(1, 2),
+    "xc.hybrid_mixing": st.integers(0, 1),
+    "xc.screening_length": st.integers(1, 3),
+    "xc.gs_hybrid_mixing": st.integers(0, 1),
+    "laser.params.amplitude": st.integers(1, 3),
+    "laser.params.omega": st.integers(1, 3),
+    "laser.params.t0_as": st.integers(1, 300),
+    "laser.params.sigma_as": st.integers(1, 100),
+    "laser.params.phase": st.integers(0, 3),
+    "propagator.params.scf_tolerance": st.integers(1, 2),
+    "propagator.params.max_scf_iterations": st.integers(1, 50),
+    "propagator.params.anderson_history": st.integers(1, 20),
+    "propagator.params.anderson_beta": st.integers(1, 2),
+    "run.time_step_as": st.integers(1, 100),
+    "run.n_steps": st.integers(1, 20),
+    "run.gs_scf_tolerance": st.integers(1, 2),
+    "run.gs_max_scf_iterations": st.integers(1, 100),
+}
+_SPELLINGS = (int, float, np.int64, np.float64)
+
+
+def _config_dict(values: dict) -> dict:
+    data = {"system": {"structure": "hydrogen_molecule", "params": {}},
+            "laser": {"pulse": "gaussian", "params": {}}, "propagator": {"name": "ptcn", "params": {}}}
+    for path, value in values.items():
+        *parents, key = path.split(".")
+        node = data
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return data
+
+
+_spellings = st.lists(st.sampled_from(_SPELLINGS), min_size=len(_INTEGRAL_FIELDS), max_size=len(_INTEGRAL_FIELDS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.fixed_dictionaries(_INTEGRAL_FIELDS), built=_spellings, overridden=_spellings, swept=_spellings)
+def test_equal_configs_have_equal_keys_however_numbers_are_spelled(values, built, overridden, swept):
+    """int, float, ``np.int64`` and ``np.float64`` spellings of every numeric
+    field, ``params`` value and sweep-axis value: built directly, through
+    :meth:`~repro.api.SimulationConfig.with_overrides` and as a sweep axis,
+    the configs compare ``==`` and share ``config_hash`` and group key."""
+    paths = list(values)
+
+    def spelled(spellings):
+        return {path: spell(values[path]) for path, spell in zip(paths, spellings)}
+
+    direct = SimulationConfig.from_dict(_config_dict(spelled(built)))
+    shifted = {path: float(value) + 1.0 for path, value in values.items()}
+    other = SimulationConfig.from_dict(_config_dict({**shifted, "xc.hybrid_mixing": 0.5, "xc.gs_hybrid_mixing": 0.5}))
+    (job,) = SweepSpec(other, {path: [value] for path, value in spelled(swept).items()}).expand()
+    for config in (other.with_overrides(spelled(overridden)), job.config):
+        assert config == direct
+        assert config_hash(config) == config_hash(direct)
+        assert ground_state_group_key(config) == ground_state_group_key(direct)
+    assert (job.config_hash, job.group_key) == (config_hash(direct), ground_state_group_key(direct))

@@ -145,9 +145,20 @@ def one_execution_settings_reader(root):
     return [hit for hit in hits if not (hit.startswith(f"{model}:") and int(hit.split(":")[1]) in gpus_for)]
 
 
+def one_canonical_encoder(root):
+    """Store keys, group keys, the sweep-cost memo key, calibration log lines
+    and asset digests are ``repro.canonical.canonical_json``: a second
+    ``sort_keys=True`` encoding could spell a value another way, and
+    ``default=str`` spells what JSON cannot (configs are coerced to JSON at
+    construction instead). The asset library's manifest file and the asset
+    CLI's output are sorted for people, not keyed."""
+    allowed = ("src/repro/canonical.py", "src/repro/assets/library.py", "src/repro/assets/cli.py")
+    return _grep(root, r"sort_keys=True", ["src"], allowed=allowed) + _grep(root, r"default=str", ["src"])
+
+
 RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_fftplan_calls,
          one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count,
-         one_execution_settings_reader]
+         one_execution_settings_reader, one_canonical_encoder]
 
 #: per rule, a tree that breaks it (the allowed sites included) and the file(s) it must name
 BREAKS = {
@@ -187,6 +198,11 @@ BREAKS = {
                                     '        return cls(config.run.machine.get("name", "summit"))\n',
          "src/repro/exec/scheduler.py": 'machine = getattr(config.run, "machine", {})\n'},
         ("src/repro/exec/scheduler.py", "src/repro/cost/model.py")),
+    one_canonical_encoder: (
+        {"src/repro/canonical.py": "return json.dumps(data, sort_keys=True, allow_nan=False)\n",
+         "src/repro/assets/cli.py": "print(json.dumps(report, indent=2, sort_keys=True))\n",
+         "src/repro/batch/sweep.py": "text = json.dumps(data, sort_keys=True, default=str)\n"},
+        "src/repro/batch/sweep.py"),
 }
 
 
