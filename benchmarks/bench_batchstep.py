@@ -8,16 +8,17 @@ jobs, the end-of-step transform and potential reused by the next step's first
 stage, record observables evaluated from the already-consistent densities,
 with every job getting exactly the floats it gets alone. This benchmark
 measures what stacking buys on the silicon reference system: the same w jobs
-on one shared ground state, advanced as w width-1 ``propagate_many`` calls
-("solo") vs one width-w call ("batched"), checks on every repetition that the
-two give bit-identical trajectories, and emits the ``BENCH_batchstep.json``
-perf artifact uploaded by CI.
+on one shared ground state, run as w one-job groups ("solo", w width-1
+``propagate_many`` calls) vs one w-job group ("batched", one width-w call),
+checks on every repetition that the two give bit-identical trajectories, and
+emits the ``BENCH_batchstep.json`` perf artifact uploaded by CI.
 
 Measurement protocol: the two sides alternate inside one process and each
-takes its best-of-N per-step wall clock — per-step wall is the sum of the
-jobs' trajectory wall times over the total steps taken, so both sides are
-charged exactly for their propagation loops (the shared ground state is
-converged once, outside the timing, and adopted by every session).
+takes its best-of-N per-step wall clock — per-step wall is the groups'
+``observed_seconds`` on the backend's group ledger over the total steps
+taken, so both sides are charged for their groups' passes alone (the shared
+ground state is converged once, outside the timing, and adopted by every
+session).
 """
 
 import hashlib
@@ -26,6 +27,8 @@ import os
 
 from repro.analysis import format_table
 from repro.api import Session, SimulationConfig
+from repro.batch import SweepSpec
+from repro.exec import ScheduledGroup, SerialBackend
 from repro.perf.sweep_cost import BATCH_STEPPING_EFFICIENCY
 
 #: the silicon reference system: the 8-atom diamond cell with the empirical
@@ -47,8 +50,8 @@ _WIDTHS = (1, 4) if _SMOKE else (1, 2, 4, 8)
 _N_STEPS = 12 if _SMOKE else 40
 
 
-def _jobs(width: int, propagator: str, n_steps: int) -> tuple[SimulationConfig, list[dict]]:
-    """The group's shared config and its ``width`` propagation requests (a dt sweep)."""
+def _jobs(width: int, propagator: str, n_steps: int) -> list:
+    """The ``width`` jobs of one ground-state group (a dt sweep)."""
     config = json.loads(json.dumps(_SI_BASE))
     config["propagator"] = {"name": propagator}
     config["run"]["n_steps"] = n_steps
@@ -56,12 +59,7 @@ def _jobs(width: int, propagator: str, n_steps: int) -> tuple[SimulationConfig, 
         config["run"]["time_step_as"] = 10.0
     base_dt = config["run"]["time_step_as"]
     dts = [round(base_dt * (1.0 + 0.02 * k), 6) for k in range(width)]
-    return SimulationConfig.from_dict(config), [{"time_step_as": dt} for dt in dts]
-
-
-def _per_step_wall(trajectories) -> float:
-    """Seconds of propagation wall clock per job-step across the group."""
-    return sum(t.wall_time for t in trajectories) / sum(t.n_steps for t in trajectories)
+    return SweepSpec(SimulationConfig.from_dict(config), {"run.time_step_as": dts}).expand()
 
 
 def _export(trajectories) -> str:
@@ -69,7 +67,6 @@ def _export(trajectories) -> str:
     rows = []
     for trajectory in trajectories:
         row = trajectory.to_dict()
-        del row["wall_time"]
         coefficients = trajectory.final_wavefunction.coefficients
         row["final_coefficients"] = hashlib.sha256(coefficients.tobytes()).hexdigest()
         rows.append(row)
@@ -79,27 +76,33 @@ def _export(trajectories) -> str:
 def _measure(width: int, propagator: str = "rk4", n_steps: int = _N_STEPS) -> dict:
     """One artifact row: interleaved best-of-N per-step walls of ``width``
     width-1 calls vs one width-``width`` call."""
-    config, requests = _jobs(width, propagator, n_steps)
-    ground_state = Session(config).ground_state()
+    jobs = _jobs(width, propagator, n_steps)
+    key = jobs[0].group_key
+    ground_state = Session(jobs[0].config).ground_state()
 
-    def session() -> Session:
-        fresh = Session(config)  # sessions cache trajectories: a new one per run
-        fresh.adopt_ground_state(ground_state)
-        return fresh
+    def run(groups) -> tuple[list, float]:
+        """The groups' trajectories and their seconds per job-step, read from
+        the group ledger of a backend whose one session (sessions cache
+        trajectories: a new one per run) holds the shared ground state."""
+        session = Session(jobs[0].config)
+        session.adopt_ground_state(ground_state)
+        backend = SerialBackend(sessions={key: session}, raise_on_error=True)
+        trajectories = [result.trajectory for result in backend.run(groups)]
+        seconds = sum(group.observed_seconds for group in backend.groups)
+        return trajectories, seconds / sum(t.n_steps for t in trajectories)
 
     def solo():
-        one = session()
-        return [one.propagate_many([request])[0] for request in requests]
+        return run([ScheduledGroup(key, index, [job]) for index, job in enumerate(jobs)])
 
     def batched():
-        return session().propagate_many(requests)
+        return run([ScheduledGroup(key, 0, list(jobs))])
 
     solo_walls, batched_walls = [], []
     identical = True
     for _ in range(_REPEATS + 1):  # the first pair warms FFT plans, memoised operators, BLAS
-        alone, together = solo(), batched()
-        solo_walls.append(_per_step_wall(alone))
-        batched_walls.append(_per_step_wall(together))
+        (alone, solo_wall), (together, batched_wall) = solo(), batched()
+        solo_walls.append(solo_wall)
+        batched_walls.append(batched_wall)
         identical = identical and _export(alone) == _export(together)
 
     solo_best = min(solo_walls)

@@ -45,7 +45,7 @@ def test_traced_lockstep_group_enters_every_layer_and_counts_each_job_step_once(
     with tracing() as tracer:
         with tracer.record(HARNESS_SPAN):
             traced = BatchRunner(_h2_spec(), store=tmp_path / "traced").run()
-    assert traced.to_json(exclude_timings=True) == untraced.to_json(exclude_timings=True)
+    assert traced.to_json() == untraced.to_json()
     totals = tracer.totals()
     # the layers under the runner were entered, through from-imported names too
     for name in ("batch.runner.run", "exec.backends.execute_group", "api.session.propagate",

@@ -147,7 +147,7 @@ def computing_calibrated_pass(store: ResultStore) -> int:
 def physics_digests(report) -> dict[str, str]:
     """Per-sweep sha256 of the deterministic physics export."""
     return {
-        name: hashlib.sha256(report[name].to_json(exclude_timings=True).encode()).hexdigest()
+        name: hashlib.sha256(report[name].to_json().encode()).hexdigest()
         for name in report.sweep_names
     }
 

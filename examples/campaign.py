@@ -104,7 +104,7 @@ def smoke(machine: str | None) -> int:
     # 4. physics is bit-identical to a hand-configured BatchRunner
     for name, spec in build_campaign(smoke=True).items():
         hand = BatchRunner(spec).run()
-        if report[name].to_json(exclude_timings=True) != hand.to_json(exclude_timings=True):
+        if report[name].to_json() != hand.to_json():
             print(
                 f"smoke FAILED: sweep {name!r}: planned execution differs from a "
                 "hand-configured BatchRunner",

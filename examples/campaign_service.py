@@ -123,7 +123,7 @@ def smoke(machine: str) -> int:
         for sweep_name, sweep in spec.sweeps.items():
             hand = BatchRunner(sweep).run()
             ours = reports[name][sweep_name]
-            if ours.to_json(exclude_timings=True) != hand.to_json(exclude_timings=True):
+            if ours.to_json() != hand.to_json():
                 print(
                     f"smoke FAILED: {name}/{sweep_name}: service execution differs "
                     "from a hand-configured BatchRunner",

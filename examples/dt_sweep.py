@@ -160,7 +160,7 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
             print(report.execution_table())
             print(report.scaling_table())
             serial = BatchRunner(spec).run()
-            if report.to_json(exclude_timings=True) != serial.to_json(exclude_timings=True):
+            if report.to_json() != serial.to_json():
                 print(
                     f"smoke FAILED: {backend} report export differs from serial",
                     file=sys.stderr,

@@ -83,7 +83,7 @@ def physics_digests(report) -> dict[str, str]:
     """Per-sweep sha256 of the physics export (timings/provenance excluded) —
     what 'bit-identical across cold and warm' is checked against."""
     return {
-        name: hashlib.sha256(report[name].to_json(exclude_timings=True).encode()).hexdigest()
+        name: hashlib.sha256(report[name].to_json().encode()).hexdigest()
         for name in report.sweep_names
     }
 

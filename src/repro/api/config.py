@@ -218,8 +218,8 @@ def _canonical(path: str, value, number=None):
 class _Section:
     """What the config sections share: a config is a value, spelled one way.
     Each field is coerced to its annotation (:func:`_canonical`), ``params``
-    to the signature of the factory its registry name resolves to (the
-    ``params`` of an ``asset:`` reference keep their values), so configs that
+    to the signature of the factory its registry name resolves to (for an
+    ``asset:`` reference, of the builder the asset forwards them to), so configs that
     compare ``==`` hash alike. Mappings are copied and handed out read-only: a config's
     identity (``config_hash``, group key, store keys) is computed once, at
     sweep expansion, and carried, so ``params["box"] = 9`` raises
@@ -231,7 +231,7 @@ class _Section:
             value, path = getattr(self, f.name), f"{section}.{f.name}"
             if f.name == "params":
                 _require_mapping(section, "params", value)
-                types = _param_types(registry.get(name)) if name in registry else {}
+                types = _param_types(registry.declared(name))
                 value = MappingProxyType(_canonical(path, value, types))
             elif f.name not in _SECTION_KEYS:  # ``run.schedule`` / ``run.machine``: RunConfig's
                 value = _canonical(path, value, _NUMBER_TYPES.get(f.type))

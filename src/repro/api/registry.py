@@ -164,6 +164,20 @@ class Registry:
         except KeyError:
             raise UnknownNameError(self._missing_message(name)) from None
 
+    def declared(self, name: str) -> Callable | None:
+        """The callable whose signature declares ``name``'s params: its
+        factory or, for an ``asset:`` reference, the builder the asset
+        forwards them to; ``None`` if there is none (:meth:`get` says why)."""
+        if name in self._factories or self.asset_kind is None:
+            return self._factories.get(name)
+        try:
+            asset = self._asset_factory(name)
+            from ..assets import default_library
+
+            return None if asset is None else default_library().builder(asset.asset_ref)
+        except (UnknownNameError, ValueError):  # an AssetError is a ValueError
+            return None
+
     def create(self, name: str, *args, **kwargs):
         """Instantiate the component registered under ``name``."""
         return self.get(name)(*args, **kwargs)

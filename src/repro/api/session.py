@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .. import __version__ as _repro_version
 from ..analysis import format_table
+from ..canonical import canonical_json
 from ..constants import attoseconds_to_au
 from ..core.dynamics import BatchedRun, TDDFTSimulation, Trajectory, run_batched
 from ..core.precision import DEFAULT_PRECISION, precision_dtype, resolve_precision
@@ -21,15 +22,15 @@ from ..pw.grid import FFTGrid, PlaneWaveBasis, choose_grid_shape
 from ..pw.ground_state import GroundStateResult, GroundStateSolver
 from ..pw.hamiltonian import Hamiltonian
 from ..pw.laser import DeltaKick
-from .config import LaserConfig, SimulationConfig
+from .config import LaserConfig, SimulationConfig, _canonical, _param_types
 from .registry import PROPAGATORS, PULSES, STRUCTURES
 
 __all__ = ["Session", "run_tddft", "compare_propagators"]
 
 
-def _params_key(params: dict) -> tuple:
-    """A hashable, order-independent cache key of a ``params`` dict."""
-    return tuple(sorted((k, repr(v)) for k, v in params.items()))
+def _params_key(params) -> str:
+    """The cache key of a coerced ``params`` mapping: its canonical JSON."""
+    return canonical_json(dict(params))
 
 
 class Session:
@@ -229,6 +230,8 @@ class Session:
             # (e.g. "pt-cn" for "ptcn") pick up the configured params too
             configured = factory is PROPAGATORS.get(cfg.propagator.name)
             params = dict(cfg.propagator.params) if configured else {}
+        # coerced as the config coerces them, so 30 and 30.0 are one request
+        params = _canonical("params", params, _param_types(factory))
         dt_as = cfg.run.time_step_as if time_step_as is None else float(time_step_as)
         steps = cfg.run.n_steps if n_steps is None else int(n_steps)
         precision = resolve_precision(precision)
@@ -445,7 +448,9 @@ class Session:
 
     # ------------------------------------------------------------------
     def performance_report(self) -> str:
-        """A plain-text table summarising every propagation of this session.
+        """A plain-text table summarising every propagation of this session
+        (no wall time: a session keeps no clock; a
+        :class:`~repro.batch.BatchRunner` report reads it from its ledger).
 
         Runs the configured default propagation first if nothing has been
         propagated yet, so the one-liner
@@ -459,8 +464,8 @@ class Session:
             "dt [as]",
             "Fock applies",
             "avg SCF/step",
+            "unconverged",
             "energy drift [Ha]",
-            "wall [s]",
         ]
         rows = []
         for key, trajectory in self._trajectories.items():
@@ -471,8 +476,8 @@ class Session:
                     key[1],
                     trajectory.total_hamiltonian_applications,
                     trajectory.average_scf_iterations,
+                    trajectory.unconverged_steps,
                     trajectory.energy_drift,
-                    trajectory.wall_time,
                 ]
             )
         gs = self._ground_state

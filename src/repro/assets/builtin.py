@@ -397,6 +397,19 @@ def _resolve_species(entry: dict, library):
     return species
 
 
+def forwarded_builder(kind: str, generator):
+    """The :mod:`repro.pw` function a structure or pulse payload's
+    ``generator`` forwards its parameters to (a structure recipe takes the
+    species first); ``None`` for a pseudo or an unknown generator."""
+    from ..pw import laser, structures
+
+    recipes = ("diamond_crystal", "zincblende_crystal", "diatomic_molecule", "atom_chain")
+    pulses = ("pump_probe_pulse", "fluence_gaussian_pulse", "paper_laser_pulse")
+    builders = {"structure": {name: getattr(structures, name) for name in recipes},
+                "pulse": {name: getattr(laser, name) for name in pulses} | {"delta_kick": laser.DeltaKick}}
+    return builders.get(kind, {}).get(generator)
+
+
 def build_structure(payload: dict, library, **overrides):
     """Build a :class:`~repro.pw.structures.Structure` from a structure
     payload, resolving its pseudo links through ``library``.
@@ -405,8 +418,6 @@ def build_structure(payload: dict, library, **overrides):
     ``n_atoms``, ...) — that is what makes ``system.params`` sweep axes
     compose with assets — but never the species links.
     """
-    from ..pw import structures as recipes
-
     generator = payload.get("generator")
     species = [_resolve_species(entry, library) for entry in payload.get("species", [])]
     if not species:
@@ -425,25 +436,17 @@ def build_structure(payload: dict, library, **overrides):
     params.update(overrides)
     if "repeats" in params:
         params["repeats"] = tuple(int(r) for r in params["repeats"])
-    if generator == "diamond_crystal":
-        return recipes.diamond_crystal(species[0], **params)
-    if generator == "zincblende_crystal":
-        if len(species) != 2:
-            raise AssetError("zincblende_crystal payloads need exactly two species")
-        return recipes.zincblende_crystal(species[0], species[1], **params)
-    if generator == "diatomic_molecule":
-        species_b = species[1] if len(species) > 1 else None
-        return recipes.diatomic_molecule(species[0], species_b, **params)
-    if generator == "atom_chain":
-        return recipes.atom_chain(species[0], **params)
-    raise AssetError(f"unknown structure generator {generator!r}")
+    recipe = forwarded_builder("structure", generator)
+    if recipe is None:
+        raise AssetError(f"unknown structure generator {generator!r}")
+    if generator == "zincblende_crystal" and len(species) != 2:
+        raise AssetError("zincblende_crystal payloads need exactly two species")
+    return recipe(*species, **params)
 
 
 def build_pulse(payload: dict, **overrides):
     """Build a pulse object from a pulse payload; ``overrides`` merge over the
     payload's ``params`` (e.g. ``fluence`` / ``delay_as`` sweep values)."""
-    from ..pw import laser
-
     generator = payload.get("generator")
     params = dict(payload.get("params", {}))
     # amplitude and fluence are exclusive ways to set pulse strength: an
@@ -454,13 +457,7 @@ def build_pulse(payload: dict, **overrides):
         if "fluence" in overrides and "amplitude" not in overrides:
             params.pop("amplitude", None)
     params.update(overrides)
-    builders = {
-        "pump_probe_pulse": laser.pump_probe_pulse,
-        "fluence_gaussian_pulse": laser.fluence_gaussian_pulse,
-        "paper_laser_pulse": laser.paper_laser_pulse,
-        "delta_kick": laser.DeltaKick,
-    }
-    builder = builders.get(generator)
+    builder = forwarded_builder("pulse", generator)
     if builder is None:
         raise AssetError(f"unknown pulse generator {generator!r}")
     try:

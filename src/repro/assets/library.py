@@ -29,6 +29,7 @@ from .builtin import (
     build_structure,
     builtin_manifest,
     builtin_payloads,
+    forwarded_builder,
 )
 from .manifest import (
     AssetError,
@@ -66,6 +67,7 @@ class AssetLibrary:
         self.manifest = manifest
         self._payloads = payloads
         self.root = None if root is None else Path(root)
+        self._builders: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -153,6 +155,14 @@ class AssetLibrary:
         if kind == "structure":
             return build_structure(payload, self, **params)
         return build_pulse(payload, **params)
+
+    def builder(self, ref: str):
+        """The builder ``ref``'s ``params`` are forwarded to (``None`` for
+        a pseudo): its signature declares their types."""
+        if ref not in self._builders:
+            generator = self.payload(ref).get("generator")
+            self._builders[ref] = forwarded_builder(self.record(ref).asset_id.kind, generator)
+        return self._builders[ref]
 
     def factory(self, ref: str, expected_kind: str | None = None):
         """A ``(**params) -> object`` factory for ``ref``, validated eagerly.

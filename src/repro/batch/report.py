@@ -39,8 +39,8 @@ class JobResult:
         ``"completed"`` (ran in this sweep), ``"cached"`` (loaded from a
         checkpoint) or ``"failed"``.
     summary:
-        Scalar metrics of the run (Fock applications, SCF statistics, energy
-        drift, final observables, wall time).
+        Scalar physics of the run (Fock applications, SCF statistics,
+        unconverged steps, energy drift, final observables).
     trajectory:
         The recorded observables; ``None`` for failed jobs. Loaded/worker
         results carry observables only (no final wavefunction).
@@ -74,8 +74,8 @@ class JobResult:
             "n_steps": int(trajectory.n_steps),
             "hamiltonian_applications": trajectory.total_hamiltonian_applications,
             "average_scf_iterations": trajectory.average_scf_iterations,
+            "unconverged_steps": trajectory.unconverged_steps,
             "energy_drift": trajectory.energy_drift,
-            "wall_time": trajectory.wall_time,
             "final_energy": float(trajectory.energies[-1]),
             "final_electron_number": float(trajectory.electron_numbers[-1]),
             "final_dipole": [float(x) for x in trajectory.dipoles[-1]],
@@ -158,16 +158,11 @@ class SweepReport:
     axes:
         The sweep's axis paths, used as the leading table columns.
     execution:
-        The executing backend's placement/communication summary (see
-        :meth:`repro.exec.SerialBackend.execution_summary`). Rendered by
-        :meth:`execution_table`; **not** part of :meth:`to_dict`, so the
-        physics export of a sweep is identical across backends.
-    settings:
-        The :meth:`repro.exec.ExecutionSettings.as_dict` record the sweep ran
-        under (machine preset, schedule policy, backend, ranks). Exported by
-        :meth:`to_dict` so a report on disk says how it was produced —
-        *except* under ``exclude_timings``, which stays pure deterministic
-        physics (bit-identical across backends and settings).
+        Every execution fact, none of which is in :meth:`to_dict`: the
+        backend's group ledger and placement summary
+        (:meth:`repro.exec.SerialBackend.execution_summary`), ``"settings"``,
+        ``"n_cached"`` and, per job id under ``"jobs"``, its status and its
+        share of its group's ``observed_seconds`` (the tables' wall column).
     """
 
     def __init__(
@@ -175,12 +170,10 @@ class SweepReport:
         results: list[JobResult],
         axes: list[str] | None = None,
         execution: dict | None = None,
-        settings: dict | None = None,
     ):
         self.results = sorted(results, key=lambda r: r.index)
         self.axes = list(axes or [])
         self.execution = dict(execution or {})
-        self.settings = dict(settings) if settings is not None else None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -209,6 +202,20 @@ class SweepReport:
         """Jobs that raised."""
         return [r for r in self.results if r.status == "failed"]
 
+    @property
+    def n_unconverged_steps(self) -> int:
+        """Implicit steps, over every job, that stopped unconverged at their
+        iteration cap."""
+        return sum(r.trajectory.unconverged_steps for r in self.completed if r.trajectory is not None)
+
+    @property
+    def settings(self) -> dict | None:
+        """The settings record in :attr:`execution` (``None`` if absent)."""
+        return self.execution.get("settings")
+
+    def _job_record(self, result: JobResult) -> dict:
+        return self.execution.get("jobs", {}).get(result.job_id, {})
+
     def result_for(self, job_id: str) -> JobResult:
         """The result with the given ``job_id``."""
         for result in self.results:
@@ -220,44 +227,24 @@ class SweepReport:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def to_dict(self, exclude_timings: bool = False) -> dict:
-        """A JSON-serializable summary of the whole sweep.
-
-        With ``exclude_timings`` the measured wall-clock times are zeroed out
-        and cache provenance is normalised (``"cached"`` reads as
-        ``"completed"`` — whether a job was recomputed or served by a store
-        is execution history, not physics), leaving only deterministic
-        physics: that export is bit-identical across execution backends,
-        across reruns, and across cold/warm stores, which is how the
-        backend-equivalence and incremental-campaign tests compare runs.
+    def to_dict(self) -> dict:
+        """The physics export of the sweep, JSON-serializable: bit-identical
+        across backends, settings, reruns and cold/warm stores. A served job
+        exports as ``"completed"`` (its :attr:`JobResult.status` stays
+        ``"cached"`` in memory); execution facts are in :attr:`execution`.
         """
         jobs = [r.to_dict() for r in self.results]
-        if exclude_timings:
-            for job in jobs:
-                if job.get("status") == "cached":
-                    job["status"] = "completed"
-                if isinstance(job.get("summary"), dict):
-                    job["summary"].pop("wall_time", None)
-                trajectory = job.get("trajectory")
-                if isinstance(trajectory, dict):
-                    trajectory.pop("wall_time", None)
-        data = {
+        for job in jobs:
+            if job["status"] == "cached":
+                job["status"] = "completed"
+        return {
             "axes": list(self.axes),
             "n_jobs": len(self.results),
             "n_completed": len(self.completed),
             "n_failed": len(self.failed),
+            "n_unconverged_steps": self.n_unconverged_steps,
             "jobs": jobs,
         }
-        if not exclude_timings:
-            # cached-vs-computed provenance rides with the full export only;
-            # the deterministic physics export must not depend on the store
-            data["n_cached"] = self.n_cached
-        if self.settings is not None and not exclude_timings:
-            # how the sweep was produced (machine preset, schedule, backend);
-            # left out of the deterministic physics export, which must stay
-            # bit-identical across backends and settings
-            data["settings"] = copy.deepcopy(self.settings)
-        return data
 
     def to_json(
         self,
@@ -267,12 +254,12 @@ class SweepReport:
     ) -> str:
         """JSON text of :meth:`to_dict` (numpy axis values coerced).
 
-        The default export contains the physics only; with ``exclude_timings``
-        it is bit-identical across execution backends.
-        ``include_execution=True`` appends the backend's placement /
-        communication summary under an ``"execution"`` key.
+        ``include_execution=True`` appends :attr:`execution` under an
+        ``"execution"`` key.
         """
-        data = self.to_dict(exclude_timings=exclude_timings)
+        # ``exclude_timings`` has no effect (the export holds no clock); it is
+        # accepted because benchmarks/layers/workloads.py still passes it
+        data = self.to_dict()
         if include_execution:
             data["execution"] = copy.deepcopy(self.execution)
         return json.dumps(data, indent=indent, default=json_default)
@@ -282,9 +269,9 @@ class SweepReport:
         """Rebuild a report from its :meth:`to_dict` / :meth:`to_json` form.
 
         Restores the per-job results (trajectories included when exported),
-        the axes, and — when present — the execution summary and the
-        :class:`~repro.exec.ExecutionSettings` record the sweep ran under, so
-        an exported report round-trips: ``SweepReport.from_json(r.to_json(
+        the axes, and — when present — the execution section, whose per-job
+        records mark the jobs a store served (``"cached"`` again), so an
+        exported report round-trips: ``SweepReport.from_json(r.to_json(
         include_execution=True)).to_json(include_execution=True)`` is
         identical to the original.
         """
@@ -297,12 +284,11 @@ class SweepReport:
                 "report data carries no 'jobs' key; expected the export of "
                 "SweepReport.to_dict()/to_json()"
             ) from None
-        return cls(
-            [JobResult.from_dict(job) for job in jobs],
-            axes=data.get("axes"),
-            execution=data.get("execution"),
-            settings=data.get("settings"),
-        )
+        report = cls([JobResult.from_dict(job) for job in jobs], axes=data.get("axes"),
+                     execution=data.get("execution"))
+        for result in report.results:
+            result.status = report._job_record(result).get("status", result.status)
+        return report
 
     @classmethod
     def from_json(cls, text: str) -> "SweepReport":
@@ -423,7 +409,8 @@ class SweepReport:
         headers = (
             ["job"]
             + self.axes
-            + ["status", "steps", "dt [as]", "Fock applies", "avg SCF/step", "energy drift [Ha]", "wall [s]"]
+            + ["status", "steps", "dt [as]", "Fock applies", "avg SCF/step", "unconverged",
+               "energy drift [Ha]", "wall [s]"]
         )
         rows = []
         for r in self.results:
@@ -437,8 +424,9 @@ class SweepReport:
                     s.get("time_step_as", "-"),
                     s.get("hamiltonian_applications", "-"),
                     s.get("average_scf_iterations", "-"),
+                    s.get("unconverged_steps", "-"),
                     s.get("energy_drift", "-"),
-                    s.get("wall_time", "-"),
+                    self._job_record(r).get("observed_seconds", "-"),
                 ]
             )
         return format_table(headers, rows)
@@ -448,9 +436,9 @@ class SweepReport:
 
         Matches the shape of the paper's Fig. 6 comparison — integrator vs
         time step vs Fock-application count — plus the energy drift and
-        wall time the accuracy discussion needs. ``include_wall=False`` drops
-        the (run-to-run noisy) wall-clock column, making the table
-        deterministic across backends and reruns.
+        wall time the accuracy discussion needs (from :attr:`execution`).
+        ``include_wall=False`` drops the (run-to-run noisy) wall-clock column,
+        making the table deterministic across backends and reruns.
         """
         headers = ["integrator", "time step [as]", "steps", "Fock applications", "energy drift [Ha]"]
         if include_wall:
@@ -465,7 +453,7 @@ class SweepReport:
                 r.summary.get("energy_drift", "-"),
             ]
             if include_wall:
-                row.append(r.summary.get("wall_time", "-"))
+                row.append(self._job_record(r).get("observed_seconds", "-"))
             rows.append(row)
         return format_table(headers, rows)
 

@@ -178,7 +178,7 @@ class ExecutionPlan:
         sweep finishes — mid-campaign feedback without the service API. With
         ``raise_on_error`` the raised exception carries a ``partial_report``
         attribute (the :class:`~repro.campaign.CampaignReport` of the sweeps
-        that did finish, per-sweep elapsed timings included).
+        that did finish).
 
         Must be called without a running event loop (it blocks); from async
         code, submit the plan to a :class:`repro.service.CampaignService`

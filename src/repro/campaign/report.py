@@ -1,12 +1,12 @@
 """Aggregated campaign results: per-sweep reports plus the plan they ran under.
 
 A :class:`CampaignReport` is what :meth:`repro.campaign.ExecutionPlan.execute`
-returns: the :class:`~repro.batch.SweepReport` of every named sweep, the
-plan's JSON record (chosen settings, budget, per-sweep predictions), and the
-elapsed wall time of each sweep. :meth:`plan_table` renders the campaign's
-accounting — predicted vs observed wall time and predicted energy per sweep —
-the way the paper's Table 1 / Fig. 7 compare modeled and measured times; the
-JSON export round-trips through :meth:`from_json`.
+returns: the :class:`~repro.batch.SweepReport` of every named sweep and the
+plan's JSON record (chosen settings, budget, per-sweep predictions).
+:meth:`plan_table` renders the campaign's accounting — predicted vs observed
+wall time and predicted energy per sweep — the way the paper's Table 1 /
+Fig. 7 compare modeled and measured times; the JSON export round-trips
+through :meth:`from_json`.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ def _observed_wall_seconds(report: SweepReport) -> float:
     """The sweep's observed makespan: the busiest simulated rank's in-process
     wall time when per-rank accounting exists, else the group ledger's summed
     ``observed_seconds`` (serial/process backends run one group after
-    another). Both count only the jobs this pass computed: a store-served
-    job carries its archived cold ``wall_time``, which this pass did not
-    spend, so a fully served sweep observes 0.
+    another). A fully served sweep observes 0.
 
     Per-rank entries are tolerated missing or malformed — a crashed rank may
     never have reported its stats dict — in which case the makespan degrades
@@ -70,21 +68,15 @@ class CampaignReport:
         converted).
     reports:
         Mapping of sweep name → :class:`~repro.batch.SweepReport`.
-    elapsed_seconds:
-        Optional mapping of sweep name → in-process elapsed seconds measured
-        around each sweep (recorded by ``execute``; derived observed times
-        come from the reports themselves, so loaded campaigns work without
-        it).
     """
 
-    def __init__(self, plan, reports: dict[str, SweepReport], elapsed_seconds: dict | None = None):
+    def __init__(self, plan, reports: dict[str, SweepReport]):
         if hasattr(plan, "as_dict"):
             plan = plan.as_dict()
         if not isinstance(plan, dict):
             raise ValueError(f"plan must be an ExecutionPlan or its dict form, got {type(plan).__name__}")
         self.plan = copy.deepcopy(plan)
         self.reports: dict[str, SweepReport] = dict(reports)
-        self.elapsed_seconds = dict(elapsed_seconds or {})
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -124,6 +116,11 @@ class CampaignReport:
         incremental-execution metric (0 on a cold store, ``n_jobs`` on a
         fully warm re-run)."""
         return sum(report.n_cached for report in self.reports.values())
+
+    @property
+    def n_unconverged_steps(self) -> int:
+        """Unconverged implicit steps across every sweep."""
+        return sum(report.n_unconverged_steps for report in self.reports.values())
 
     @property
     def ok(self) -> bool:
@@ -168,7 +165,7 @@ class CampaignReport:
         """
         planned = self.plan.get("sweeps", {})
         headers = [
-            "sweep", "jobs", "failed", "cached",
+            "sweep", "jobs", "failed", "cached", "unconverged",
             "predicted wall [s]", "observed wall [s]", "drift", "predicted energy [J]",
         ]
         rows = []
@@ -181,6 +178,7 @@ class CampaignReport:
                     len(report),
                     len(report.failed),
                     report.n_cached,
+                    report.n_unconverged_steps,
                     prediction.get("predicted_wall_seconds", "-"),
                     observed,
                     _drift(prediction.get("predicted_wall_seconds"), observed),
@@ -194,6 +192,7 @@ class CampaignReport:
                 [
                     name,
                     prediction.get("n_jobs", "-"),
+                    "-",
                     "-",
                     "-",
                     prediction.get("predicted_wall_seconds", "-"),
@@ -231,7 +230,6 @@ class CampaignReport:
         (execution summaries included, so observed times survive)."""
         return {
             "plan": copy.deepcopy(self.plan),
-            "elapsed_seconds": copy.deepcopy(self.elapsed_seconds),
             "sweeps": {
                 name: {**report.to_dict(), "execution": copy.deepcopy(report.execution)}
                 for name, report in self.reports.items()
@@ -254,7 +252,6 @@ class CampaignReport:
         return cls(
             data.get("plan", {}),
             {name: SweepReport.from_dict(sweep) for name, sweep in data["sweeps"].items()},
-            elapsed_seconds=data.get("elapsed_seconds"),
         )
 
     @classmethod

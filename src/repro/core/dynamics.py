@@ -15,7 +15,6 @@ import copy
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
-import time as _wallclock
 
 import numpy as np
 
@@ -50,7 +49,9 @@ class Trajectory:
     """Recorded history of an rt-TDDFT run.
 
     All arrays have one entry per recorded state, including the initial state,
-    so their length is ``n_steps + 1``.
+    so their length is ``n_steps + 1``; ``converged`` is ``False`` for an
+    implicit step that stopped at its iteration cap. A trajectory holds
+    physics only, no clock, so two runs of one job archive the same bytes.
 
     ``metadata`` carries free-form, JSON-serializable provenance: the driver
     that produced the trajectory records what was run (propagator, step size,
@@ -66,7 +67,7 @@ class Trajectory:
     scf_iterations: np.ndarray
     hamiltonian_applications: np.ndarray
     density_errors: np.ndarray
-    wall_time: float
+    converged: np.ndarray
     final_wavefunction: Wavefunction | None
     step_statistics: list[StepStatistics] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
@@ -86,6 +87,11 @@ class Trajectory:
     def total_hamiltonian_applications(self) -> int:
         """Total ``H Psi`` (and hence Fock exchange) evaluations of the run."""
         return int(np.sum(self.hamiltonian_applications))
+
+    @property
+    def unconverged_steps(self) -> int:
+        """Steps whose inner iteration stopped at its cap unconverged."""
+        return int(np.count_nonzero(~self.converged))
 
     @property
     def average_scf_iterations(self) -> float:
@@ -113,7 +119,18 @@ class Trajectory:
         "scf_iterations",
         "hamiltonian_applications",
         "density_errors",
+        "converged",
     )
+
+    @classmethod
+    def _arrays(cls, data) -> dict:
+        """The recorded arrays of a dict or an open npz. Older exports and
+        archives have no ``converged`` (their steps were accepted as
+        converged, and read so) and a wall time, which is not read."""
+        arrays = {name: np.asarray(data[name]) for name in cls._ARRAY_FIELDS[:-1]}
+        recorded = data["converged"] if "converged" in data else [True] * len(arrays["times"])
+        arrays["converged"] = np.asarray(recorded)
+        return arrays
 
     def to_dict(self) -> dict:
         """A JSON-serializable summary of the recorded observables.
@@ -122,7 +139,6 @@ class Trajectory:
         :meth:`save_npz` when the full state is needed.
         """
         out = {name: np.asarray(getattr(self, name)).tolist() for name in self._ARRAY_FIELDS}
-        out["wall_time"] = float(self.wall_time)
         out["metadata"] = copy.deepcopy(self.metadata)
         return out
 
@@ -134,8 +150,7 @@ class Trajectory:
         wavefunction and per-step statistics are not part of the dict form.
         """
         return cls(
-            **{name: np.asarray(data[name]) for name in cls._ARRAY_FIELDS},
-            wall_time=float(data.get("wall_time", 0.0)),
+            **cls._arrays(data),
             final_wavefunction=None,
             step_statistics=[],
             metadata=copy.deepcopy(data.get("metadata", {})),
@@ -158,7 +173,6 @@ class Trajectory:
                 "(trajectory was loaded without a basis)"
             )
         return {
-            "wall_time": np.float64(self.wall_time),
             "metadata_json": json.dumps(self.metadata, default=json_default),
             "final_coefficients": self.final_wavefunction.coefficients,
             "final_occupations": self.final_wavefunction.occupations,
@@ -179,7 +193,6 @@ class Trajectory:
             ``None`` and only the observable arrays are restored.
         """
         with np.load(path) as data:
-            kwargs = {name: data[name] for name in cls._ARRAY_FIELDS}
             wavefunction = None
             if basis is not None:
                 wavefunction = Wavefunction(
@@ -189,11 +202,10 @@ class Trajectory:
             if "metadata_json" in data.files:  # archives predating metadata lack it
                 metadata = json.loads(str(data["metadata_json"][()]))
             return cls(
-                wall_time=float(data["wall_time"]),
+                **cls._arrays(data),
                 final_wavefunction=wavefunction,
                 step_statistics=[],
                 metadata=metadata,
-                **kwargs,
             )
 
 
@@ -370,9 +382,7 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
 
     Returns one :class:`Trajectory` per run, in order — for ``complex128``
     jobs bit-identical to the trajectory the same job gets in a group of any
-    other width. Per-job ``wall_time`` is the job's share of the lockstep
-    wall clock (each iteration's elapsed time split evenly over the jobs
-    stepped in it).
+    other width.
     """
     if not runs:
         return []
@@ -394,7 +404,6 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
 
     current_times = [run.start_time for run in runs]
     steps_done = [0] * njobs
-    wall_times = [0.0] * njobs
     records: list[dict] = []
     statistics: list[list[StepStatistics]] = [[] for _ in runs]
     energies0, dipoles0, electrons0 = _group_records(
@@ -410,12 +419,12 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
                 "scf_iters": [0],
                 "h_apps": [0],
                 "density_errors": [0.0],
+                "converged": [True],
             }
         )
 
     active = list(range(njobs))
     while active:
-        iteration_start = _wallclock.perf_counter()
         # group the running jobs by propagator class: each class advances as
         # one stacked step_many call (CN shares PT-CN's batched kernel but is
         # a distinct class, hence a distinct stack)
@@ -450,12 +459,9 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
                 record["scf_iters"].append(stats[idx].scf_iterations)
                 record["h_apps"].append(stats[idx].hamiltonian_applications)
                 record["density_errors"].append(stats[idx].density_error)
+                record["converged"].append(bool(stats[idx].converged))
                 if runs[j].callback is not None:
                     runs[j].callback(steps_done[j] - 1, current_times[j], wavefunctions[j], stats[idx])
-        elapsed = _wallclock.perf_counter() - iteration_start
-        share = elapsed / len(active)
-        for j in active:
-            wall_times[j] += share
         active = [j for j in active if steps_done[j] < runs[j].n_steps]
 
     trajectories = []
@@ -470,7 +476,7 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
                 scf_iterations=np.asarray(record["scf_iters"]),
                 hamiltonian_applications=np.asarray(record["h_apps"]),
                 density_errors=np.asarray(record["density_errors"]),
-                wall_time=wall_times[j],
+                converged=np.asarray(record["converged"]),
                 final_wavefunction=wavefunctions[j],
                 step_statistics=statistics[j],
                 metadata=copy.deepcopy(run.metadata) if run.metadata else {},

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -196,20 +197,10 @@ def _ground_state_through_store(session: Session, gs_store, group_key: str) -> b
     return converged_here
 
 
-def _group_wall_seconds(results) -> float:
-    """Summed wall seconds of the jobs this pass computed — the
-    ``observed_seconds`` every backend stamps on its
-    :class:`~repro.exec.ScheduledGroup`\\ s, which calibration observations
-    (:mod:`repro.calib`) pair against the predicted seconds. A store-served
-    result still carries its cold ``wall_time`` and a failure carries none,
-    so neither adds anything: a fully served group observes 0 seconds."""
-    return sum(float(r.summary.get("wall_time") or 0.0) for r in results if r.status == "completed")
-
-
-def _run_group_worker(payload) -> tuple[list[dict], list[str]]:
-    """Process-pool entry point: run a group, return JSON-able result dicts
-    and the group's degraded-path notes (a worker's warnings never reach the
-    parent's stderr).
+def _run_group_worker(payload) -> tuple[list[dict], list[str], float]:
+    """Process-pool entry point: run a group, return JSON-able result dicts,
+    the group's degraded-path notes (a worker's warnings never reach the
+    parent's stderr) and its wall seconds.
 
     Results cross the process boundary in dict form (observables only) to
     avoid pickling wavefunctions and grids; results stored inside the worker
@@ -220,8 +211,9 @@ def _run_group_worker(payload) -> tuple[list[dict], list[str]]:
     configure_for_pool_worker()
     jobs, store, raise_on_error, precision = payload
     notes: list[str] = []
+    start = time.perf_counter()
     results = execute_group(jobs, store, raise_on_error, precision=precision, notes=notes)
-    return [result.to_dict() for result in results], notes
+    return [result.to_dict() for result in results], notes, time.perf_counter() - start
 
 
 def _sweep_report(backend, results, spec, settings, schedule: str, record=()) -> SweepReport:
@@ -229,22 +221,28 @@ def _sweep_report(backend, results, spec, settings, schedule: str, record=()) ->
     builder behind :meth:`repro.batch.BatchRunner.run` and
     :func:`repro.service.run_sweep`: the backend's execution summary, the
     scheduling policy, the caller's own ``record`` keys (the service's
-    lease/adaptive accounting) and the store provenance."""
+    lease/adaptive accounting), the settings and, per job, whether it was
+    served and its share of its group's observed wall."""
     execution = backend.execution_summary()
     execution["schedule"] = schedule
     execution.update(record)
+    execution["settings"] = settings.as_dict()
+    execution["n_cached"] = sum(1 for r in results if r.status == "cached")
+    status = {r.job_id: r.status for r in results}
+    execution["jobs"] = jobs = {}
+    for group in backend.groups:
+        computed = [job.job_id for job in group.jobs if status.get(job.job_id) == "completed"]
+        for job in group.jobs:
+            share = group.observed_seconds / len(computed) if job.job_id in computed else 0.0
+            jobs[job.job_id] = {"status": status.get(job.job_id), "observed_seconds": share}
     if backend.store is not None:
-        # cached-vs-computed provenance; execution summaries are already
-        # excluded from the deterministic physics export
         execution["store"] = {
             "root": str(backend.store.root),
-            "hits": sum(1 for r in results if r.status == "cached"),
+            "hits": execution["n_cached"],
             "computed": sum(1 for r in results if r.status == "completed"),
             "failed": sum(1 for r in results if r.status == "failed"),
         }
-    return SweepReport(
-        results, axes=spec.axis_paths, execution=execution, settings=settings.as_dict()
-    )
+    return SweepReport(results, axes=spec.axis_paths, execution=execution)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +301,7 @@ class SerialBackend:
         The one place a scheduled group turns into results — :meth:`run`
         loops over it, the service calls it between its ``await``\\ s.
         """
+        start = time.perf_counter()  # the group's wall: the one clock of a pass
         results = execute_group(
             group.jobs,
             self.store,
@@ -311,14 +310,15 @@ class SerialBackend:
             precision=self.precision,
             notes=group.notes,
         )
-        return self._record_group(group, results)
+        return self._record_group(group, results, time.perf_counter() - start)
 
-    def _record_group(self, group: ScheduledGroup, results: list[JobResult]) -> list[JobResult]:
-        """Stamp a finished group's observed wall and the jobs it did not
-        compute, and append it to :attr:`groups`."""
-        group.observed_seconds = _group_wall_seconds(results)
+    def _record_group(self, group: ScheduledGroup, results: list[JobResult],
+                      seconds: float) -> list[JobResult]:
+        """Stamp a finished group's wall ``seconds`` (0 if it computed no job)
+        and the jobs it did not compute, and append it to :attr:`groups`."""
         group.n_served = sum(1 for r in results if r.status == "cached")
         group.n_failed = sum(1 for r in results if r.status == "failed")
+        group.observed_seconds = seconds if group.n_served + group.n_failed < len(results) else 0.0
         self.groups.append(group)
         return results
 
@@ -378,7 +378,7 @@ class ProcessPoolBackend(SerialBackend):
             ]
             for position, (group, future) in enumerate(futures):
                 try:
-                    dicts, notes = future.result()
+                    dicts, notes, seconds = future.result()
                 except BrokenProcessPool as exc:
                     lost = [
                         job.job_id
@@ -391,7 +391,7 @@ class ProcessPoolBackend(SerialBackend):
                     ) from exc
                 group.notes.extend(notes)
                 group_results = [JobResult.from_dict(d) for d in dicts]
-                results.extend(self._record_group(group, group_results))
+                results.extend(self._record_group(group, group_results, seconds))
         return results
 
     def execution_summary(self) -> dict:

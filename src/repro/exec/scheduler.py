@@ -127,9 +127,9 @@ class ScheduledGroup:
         sizes from
         :func:`~repro.perf.sweep_cost.workload_sizes`.
     observed_seconds:
-        Summed wall seconds of the jobs this pass computed, stamped by the
-        backends after execution (``nan`` until then): a job the store served
-        or that failed adds nothing.
+        The group's wall seconds in this pass, measured around
+        :func:`~repro.exec.execute_group` by the backends (``nan`` until
+        then; 0 when the pass computed none of its jobs).
     n_served, n_failed:
         How many of the group's jobs the store served and how many failed,
         stamped with :attr:`observed_seconds`. A group with either is not an

@@ -24,7 +24,7 @@ paper's production reality of a fixed machine shared by many budgeted runs:
 Physics stays bit-identical to the blocking path: the service steps, one
 ``run_group`` at a time, the same :class:`~repro.exec.SerialBackend` whose
 ``run(groups)`` a :class:`~repro.batch.BatchRunner` calls, so a campaign's
-``to_json(exclude_timings=True)`` export matches
+physics export (``to_json()``) matches
 :meth:`~repro.campaign.ExecutionPlan.execute` exactly; concurrency lives
 only in the *modeled* calendar, where co-scheduled campaigns finish in the
 pool's makespan instead of the serial sum of their plans.

@@ -94,7 +94,6 @@ class CampaignHandle:
         self.priority = int(priority)
         self._state = "queued"
         self._reports: dict = {}
-        self._elapsed: dict[str, float] = {}
         self._progress = {
             sweep_name: SweepProgress(
                 name=sweep_name,
@@ -140,9 +139,7 @@ class CampaignHandle:
         """A :class:`~repro.campaign.CampaignReport` over the sweeps finished
         so far — pending sweeps show as prediction-only rows in its
         :meth:`~repro.campaign.CampaignReport.plan_table`."""
-        return CampaignReport(
-            self.plan.as_dict(), dict(self._reports), elapsed_seconds=dict(self._elapsed)
-        )
+        return CampaignReport(self.plan.as_dict(), dict(self._reports))
 
     async def report(self) -> CampaignReport:
         """Wait for the campaign and return its full report (re-raising the

@@ -210,7 +210,7 @@ async def run_sweep(
     module docstring). ``observe`` is a deterministic observation
     hook for tests and benchmarks — called with each executed
     :class:`~repro.exec.ScheduledGroup`, it returns the group's observed
-    seconds; by default the real summed job wall times are used.
+    seconds; by default the group's measured wall is used.
     """
     scheduler = Scheduler(
         settings.schedule, machine=settings.machine_model(), calibration=calibration

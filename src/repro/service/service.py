@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import time
 import warnings
 
 from ..calib import CalibrationModel, ObservationLog, extract_observations
@@ -268,27 +267,21 @@ class CampaignService:
         cursor = self.pool.start_time
         try:
             for sweep_name in plan.sweep_names:
-                start = time.perf_counter()
-                try:
-                    outcome = await run_sweep(
-                        plan.sweep_spec(sweep_name),
-                        plan.settings,
-                        self.pool,
-                        tenant=handle.name,
-                        name=sweep_name,
-                        priority=handle.priority,
-                        arrival=cursor,  # a campaign's own sweeps still serialise
-                        store=store,
-                        raise_on_error=raise_on_error,
-                        progress=handle._progress[sweep_name],
-                        calibration=getattr(plan, "calibration", None),
-                        adaptive=adaptive,
-                        drift_threshold=drift_threshold,
-                    )
-                finally:
-                    # elapsed survives a mid-sweep failure, so partial reports
-                    # keep the timings of everything that ran
-                    handle._elapsed[sweep_name] = time.perf_counter() - start
+                outcome = await run_sweep(
+                    plan.sweep_spec(sweep_name),
+                    plan.settings,
+                    self.pool,
+                    tenant=handle.name,
+                    name=sweep_name,
+                    priority=handle.priority,
+                    arrival=cursor,  # a campaign's own sweeps still serialise
+                    store=store,
+                    raise_on_error=raise_on_error,
+                    progress=handle._progress[sweep_name],
+                    calibration=getattr(plan, "calibration", None),
+                    adaptive=adaptive,
+                    drift_threshold=drift_threshold,
+                )
                 handle._reports[sweep_name] = outcome.report
                 self._record_observations(outcome.report, sweep_name, store)
                 cursor = outcome.modeled_end
@@ -303,6 +296,4 @@ class CampaignService:
             exc.partial_report = handle.partial_report()
             raise
         handle._state = "done"
-        return CampaignReport(
-            plan.as_dict(), dict(handle._reports), elapsed_seconds=dict(handle._elapsed)
-        )
+        return CampaignReport(plan.as_dict(), dict(handle._reports))

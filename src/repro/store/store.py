@@ -59,6 +59,7 @@ import hashlib
 import json
 import os
 import pathlib
+import zipfile
 from typing import TYPE_CHECKING
 
 from ..core.dynamics import Trajectory, json_default
@@ -77,6 +78,10 @@ _JOB_PREFIX = "job-"
 _GS_PREFIX = "gs-"
 
 _DIGEST_CHUNK = 1 << 20
+
+#: what decoding a digest-valid archive that was corrupt when written raises:
+#: not a zip, a missing member, a bad ``.npy`` header or JSON, a short read
+_CORRUPT_ARCHIVE = (zipfile.BadZipFile, KeyError, ValueError, EOFError, OSError)
 
 
 def ground_state_hash(group_key: str) -> str:
@@ -258,10 +263,10 @@ class ResultStore:
         Cheap existence check (no digest verification — :meth:`load` does
         that); used to diff sweeps against the store before executing.
         """
-        manifest, _ = self._read_result_manifest(job)
-        if manifest is None:
-            return False
-        artifact = manifest.get("artifact")
+        return self._names_an_object(self._read_result_manifest(job)[0])
+
+    def _names_an_object(self, manifest: dict | None) -> bool:
+        artifact = (manifest or {}).get("artifact")
         return (
             isinstance(artifact, dict)
             and isinstance(artifact.get("sha256"), str)
@@ -273,9 +278,9 @@ class ResultStore:
 
         The object is re-verified against the manifest's size and sha256;
         corruption quarantines the pair and returns ``None`` so the caller
-        recomputes. Point/config come from the *requesting* job (the stored
-        physics is the same by key construction, but the requesting sweep's
-        axes and execution-only fields may differ).
+        recomputes. The result is built from the archived physics for the
+        *requesting* job (the stored physics is the same by key construction,
+        but the requesting sweep's axes and execution-only fields may differ).
         """
         # deferred: repro.batch.runner imports this module, so it must not
         # import repro.batch at import time
@@ -291,22 +296,14 @@ class ResultStore:
             return None
         try:
             trajectory = Trajectory.load_npz(object_path)  # observables only, no basis
-        except Exception:
+        except _CORRUPT_ARCHIVE:
             # digest-valid yet unreadable: the archive was corrupt when
             # written; quarantine so the next run rewrites it
             self._quarantine(path, object_path)
             self.stats["misses"] += 1
             return None
         self.stats["hits"] += 1
-        return JobResult(
-            index=job.index,
-            job_id=job.job_id,
-            point=dict(job.point),
-            config=job.config.to_dict(),
-            status="cached",
-            summary=manifest.get("summary", {}),
-            trajectory=trajectory,
-        )
+        return JobResult.from_trajectory(job, trajectory, status="cached")
 
     def save(self, result: JobResult) -> None:
         """Persist a completed result (object first, manifest last)."""
@@ -328,7 +325,6 @@ class ResultStore:
             "config": result.config,
             "config_hash": key,
             "status": "completed",
-            "summary": result.summary,
             "artifact": artifact,
         }
         self._write_manifest(self.job_manifest_path(key), manifest)
@@ -349,15 +345,7 @@ class ResultStore:
 
     def has_ground_state(self, group_key: str) -> bool:
         """Whether a complete shared ground state exists for ``group_key``."""
-        manifest, _ = self._read_gs_manifest(group_key)
-        if manifest is None:
-            return False
-        artifact = manifest.get("artifact")
-        return (
-            isinstance(artifact, dict)
-            and isinstance(artifact.get("sha256"), str)
-            and self.object_path(artifact["sha256"]).exists()
-        )
+        return self._names_an_object(self._read_gs_manifest(group_key)[0])
 
     def load_ground_state(self, group_key: str, basis=None) -> GroundStateResult | None:
         """The persisted ground state of a group, or ``None`` if absent.
@@ -377,7 +365,7 @@ class ResultStore:
             return None
         try:
             result = GroundStateResult.load_npz(object_path, basis=basis)
-        except Exception:
+        except _CORRUPT_ARCHIVE:
             self._quarantine(path, object_path)
             self.stats["gs_misses"] += 1
             return None

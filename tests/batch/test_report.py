@@ -21,7 +21,6 @@ def _trajectory(dt: float, n_steps: int, energy: float = -1.0, slope: float = 0.
             "scf_iterations": [0] + [3] * n_steps,
             "hamiltonian_applications": [0] + [4] * n_steps,
             "density_errors": [0.0] * (n_steps + 1),
-            "wall_time": 0.5,
             "metadata": {"integrator": "FAKE"},
         }
     )
@@ -39,7 +38,6 @@ def _result(index, propagator, dt, n_steps, *, status="completed", slope=0.0) ->
             "hamiltonian_applications": 4 * n_steps,
             "average_scf_iterations": 3.0,
             "energy_drift": abs(slope) * dt * n_steps,
-            "wall_time": 0.5,
             "final_energy": float(traj.energies[-1]),
             "final_electron_number": 2.0,
             "final_dipole": [float(x) for x in traj.dipoles[-1]],
@@ -219,7 +217,6 @@ def _kick_result(index, n_atoms, omega, *, pulse="delta_kick", strength=0.01) ->
             "scf_iterations": [0] + [3] * n_steps,
             "hamiltonian_applications": [0] + [4] * n_steps,
             "density_errors": [0.0] * (n_steps + 1),
-            "wall_time": 0.1,
             "metadata": {"integrator": "PT-CN"},
         }
     )
@@ -231,7 +228,7 @@ def _kick_result(index, n_atoms, omega, *, pulse="delta_kick", strength=0.01) ->
             "laser": {"pulse": pulse, "params": {"strength": strength, "polarization": [1, 0, 0]}},
         },
         status="completed",
-        summary={"time_step_as": 10.0, "n_steps": n_steps, "wall_time": 0.1},
+        summary={"time_step_as": 10.0, "n_steps": n_steps},
         trajectory=traj,
     )
 

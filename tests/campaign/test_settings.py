@@ -200,7 +200,6 @@ class TestBatchRunnerRedesign:
         settings = ExecutionSettings(backend="distributed", ranks=2, machine="frontier")
         report = BatchRunner(spec, settings=settings).run()
         assert report.settings == settings.as_dict()
-        data = report.to_dict()
-        assert data["settings"] == settings.as_dict()
-        # ... but never in the deterministic physics export
-        assert "settings" not in report.to_dict(exclude_timings=True)
+        # in the execution section, never in the physics export
+        assert report.execution["settings"] == settings.as_dict()
+        assert "settings" not in report.to_dict()

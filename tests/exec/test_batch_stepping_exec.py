@@ -7,7 +7,7 @@ through every backend; ``batch_stepping`` is still accepted, validated and
 round-tripped there but selects nothing. Invariants:
 
 * physics exports do not depend on the inert flag or the backend
-  (``to_json(exclude_timings=True)``);
+  (``to_json()``);
 * both settings are execution-only for job identity: ``config_hash`` and
   group keys ignore them, so a warm store re-run under different settings is
   served 100 % from cache with zero propagation steps;
@@ -55,7 +55,7 @@ class TestBitIdentity:
         solo = BatchRunner(dt_spec).run()
         batched = BatchRunner(dt_spec, settings=BATCHED).run()
         assert [r.status for r in batched.results] == ["completed"] * 4
-        assert batched.to_json(exclude_timings=True) == solo.to_json(exclude_timings=True)
+        assert batched.to_json() == solo.to_json()
 
     def test_process_pool_batched_sweep_matches_serial(self, tiny_config):
         # two ground-state groups so the pool actually forks; inside each
@@ -68,7 +68,7 @@ class TestBitIdentity:
         pooled = BatchRunner(
             spec, settings=ExecutionSettings(backend="process", batch_stepping=True, max_workers=2)
         ).run()
-        assert pooled.to_json(exclude_timings=True) == serial.to_json(exclude_timings=True)
+        assert pooled.to_json() == serial.to_json()
 
 
 class TestIdentityExclusion:
@@ -242,12 +242,13 @@ class TestFailureAttribution:
         workers_before = get_fft_workers()
         try:
             with pytest.warns(UserWarning, match="fell back"):
-                dicts, notes = _run_group_worker((jobs, None, False, "complex128"))
+                dicts, notes, seconds = _run_group_worker((jobs, None, False, "complex128"))
         finally:
             set_fft_workers(workers_before)
             os.environ.pop("REPRO_FFT_WORKERS", None)
         assert [d["status"] for d in dicts] == ["completed", "failed", "completed"]
         assert len(notes) == 1 and jobs[1].job_id in notes[0]
+        assert seconds > 0.0  # the group's wall, for the parent's ledger
 
 
 class TestPoolWorkerCapping:
@@ -261,7 +262,7 @@ class TestPoolWorkerCapping:
         try:
             (jobs,) = dt_spec.groups().values()
             payload = (jobs, None, True, "complex128")
-            dicts, notes = _run_group_worker(payload)
+            dicts, notes, _ = _run_group_worker(payload)
             assert notes == []
             assert get_fft_workers() == 1
             assert os.environ["REPRO_FFT_WORKERS"] == "1"

@@ -297,9 +297,9 @@ class TestServiceCalibrationLoop:
         assert "calibrated from" in warm_report.plan_table()
         # warm re-run is fully served from the store: identical physics
         assert warm_report.n_cached == warm_report.n_jobs == 4
-        assert warm_report["skewed"].to_json(exclude_timings=True) == cold_report[
+        assert warm_report["skewed"].to_json() == cold_report[
             "skewed"
-        ].to_json(exclude_timings=True)
+        ].to_json()
 
     def test_a_fully_store_served_pass_observes_nothing(self, tiny_config, tmp_path):
         from repro.calib import ObservationLog
@@ -437,9 +437,7 @@ class TestAdaptivePhysicsSafety:
         assert len(count_scf_solves) == scfs_adaptive
         assert sum(count_propagation_steps) == steps_adaptive
 
-        assert outcome.report.to_json(exclude_timings=True) == hand.to_json(
-            exclude_timings=True
-        )
+        assert outcome.report.to_json() == hand.to_json()
 
     def test_completed_groups_keep_rank_and_order(self, skewed_spec, settings):
         """The groups executed before the re-pack are untouched by it."""

@@ -107,7 +107,7 @@ def test_a_store_served_pass_derives_identity_once_and_prices_each_group_twice(
     # converts it) and one by each executed sweep's scheduler
     assert calls["predict_group_cost"] == 2 * n_groups
     for name in warm.sweep_names:
-        assert warm[name].to_json(exclude_timings=True) == cold[name].to_json(exclude_timings=True)
+        assert warm[name].to_json() == cold[name].to_json()
 
     # --- the same campaign from specs built afresh: one hash and one key per job
     for name in calls:
@@ -117,4 +117,4 @@ def test_a_store_served_pass_derives_identity_once_and_prices_each_group_twice(
     assert calls["config_hash"] + calls["ground_state_group_key"] <= 2 * n_jobs
     assert calls["predict_group_cost"] <= 2 * n_groups
     for name in again.sweep_names:
-        assert again[name].to_json(exclude_timings=True) == cold[name].to_json(exclude_timings=True)
+        assert again[name].to_json() == cold[name].to_json()

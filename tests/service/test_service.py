@@ -64,9 +64,7 @@ class TestCoScheduling:
         for campaign, report in [(cutoff_campaign, report_a), (dt_campaign, report_b)]:
             for name, spec in campaign.sweeps.items():
                 hand = BatchRunner(spec).run()
-                assert report[name].to_json(exclude_timings=True) == hand.to_json(
-                    exclude_timings=True
-                )
+                assert report[name].to_json() == hand.to_json()
                 for ours, theirs in zip(report[name], hand):
                     assert ours.job_id == theirs.job_id
                     np.testing.assert_array_equal(
@@ -86,9 +84,9 @@ class TestCoScheduling:
 
         service_report = run(body())
         for name in serial_report.sweep_names:
-            assert service_report[name].to_json(exclude_timings=True) == serial_report[
+            assert service_report[name].to_json() == serial_report[
                 name
-            ].to_json(exclude_timings=True)
+            ].to_json()
 
     def test_an_idle_pool_leases_exactly_the_planned_wall(self, cutoff_campaign):
         """Un-preempted and uncalibrated, a sweep holds one lease for exactly
@@ -200,9 +198,7 @@ class TestPreemption:
         for campaign, report in [(cutoff_campaign, low_report), (dt_campaign, high_report)]:
             for name, spec in campaign.sweeps.items():
                 hand = BatchRunner(spec).run()
-                assert report[name].to_json(exclude_timings=True) == hand.to_json(
-                    exclude_timings=True
-                )
+                assert report[name].to_json() == hand.to_json()
 
     def test_preempted_sweep_resumes_from_checkpoints(
         self, cutoff_campaign, dt_campaign, tmp_path, count_scf_solves
@@ -411,8 +407,8 @@ class TestExecuteShim:
         assert report.ok
 
     def test_failed_campaign_attaches_partial_report_with_timings(self, tiny_config):
-        """The satellite fix: a sweep crashing under raise_on_error must not
-        lose the completed sweeps' reports or the per-sweep elapsed timings."""
+        """A sweep crashing under raise_on_error must not lose the completed
+        sweeps' reports, nor the time on their group ledgers."""
 
         def explode(hamiltonian, **params):
             raise RuntimeError("simulated mid-campaign crash")
@@ -435,8 +431,6 @@ class TestExecuteShim:
         partial = excinfo.value.partial_report
         assert partial.sweep_names == ["good"]
         assert partial.pending_sweeps == ["bad"]
-        assert partial["good"].to_json(exclude_timings=True)  # real, exportable report
-        # elapsed was recorded in a finally: even the crashed sweep has one
-        assert set(partial.elapsed_seconds) == {"good", "bad"}
-        assert all(value >= 0.0 for value in partial.elapsed_seconds.values())
+        assert partial["good"].to_json()  # real, exportable report
+        assert partial.observed_wall_seconds("good") > 0.0
         assert "partial: 1 of 2" in partial.plan_table()

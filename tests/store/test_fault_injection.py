@@ -76,7 +76,7 @@ class TestCorruptJobEntries:
         self, scenario, warm_report, dt_spec, store, job_entry, flip_byte, truncate
     ):
         corrupt, expects_quarantine = SCENARIOS[scenario]
-        baseline = warm_report.to_json(exclude_timings=True)
+        baseline = warm_report.to_json()
         manifest_path, object_path = job_entry(store, dt_spec.expand()[0])
         corrupt(manifest_path, object_path, {"flip_byte": flip_byte, "truncate": truncate})
 
@@ -84,7 +84,7 @@ class TestCorruptJobEntries:
         report = BatchRunner(dt_spec, store=rerun_store).run()
         # damaged entry recomputed, intact sibling still served from the store
         assert [r.status for r in report.results] == ["completed", "cached"]
-        assert report.to_json(exclude_timings=True) == baseline
+        assert report.to_json() == baseline
         if expects_quarantine:
             assert rerun_store.stats["quarantined"] >= 1
             quarantined = list(rerun_store.quarantine_dir.iterdir())
@@ -94,7 +94,7 @@ class TestCorruptJobEntries:
         # the recompute healed the store: a further re-run is all hits
         healed = BatchRunner(dt_spec, store=ResultStore(store.root)).run()
         assert [r.status for r in healed.results] == ["cached", "cached"]
-        assert healed.to_json(exclude_timings=True) == baseline
+        assert healed.to_json() == baseline
 
     def test_entry_vanishing_between_has_and_load_is_a_miss(
         self, warm_report, dt_spec, store, job_entry
@@ -172,7 +172,7 @@ class TestCorruptGroundStates:
     ):
         # end to end: gs archive rotted AND one job entry lost — the re-run
         # reconverges one SCF, recomputes one propagation, physics unchanged
-        baseline = warm_report.to_json(exclude_timings=True)
+        baseline = warm_report.to_json()
         jobs = dt_spec.expand()
         _, gs_object = gs_entry(store, jobs[0].group_key)
         flip_byte(gs_object)
@@ -182,4 +182,4 @@ class TestCorruptGroundStates:
         report = BatchRunner(dt_spec, store=ResultStore(store.root)).run()
         assert [r.status for r in report.results] == ["completed", "cached"]
         assert len(count_scf_solves) == 1
-        assert report.to_json(exclude_timings=True) == baseline
+        assert report.to_json() == baseline

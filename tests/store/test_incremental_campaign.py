@@ -33,7 +33,7 @@ def campaign(tiny_config) -> CampaignSpec:
 
 
 def _physics_export(report) -> dict:
-    return {name: report[name].to_json(exclude_timings=True) for name in report.sweep_names}
+    return {name: report[name].to_json() for name in report.sweep_names}
 
 
 class TestIncrementalExecute:

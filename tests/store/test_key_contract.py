@@ -159,3 +159,67 @@ def test_equal_configs_have_equal_keys_however_numbers_are_spelled(values, built
         assert config_hash(config) == config_hash(direct)
         assert ground_state_group_key(config) == ground_state_group_key(direct)
     assert (job.config_hash, job.group_key) == (config_hash(direct), ground_state_group_key(direct))
+
+
+#: ``asset:`` references and the integral values their ``params`` may take:
+#: each is coerced by the signature of the builder the asset forwards to (the
+#: structure recipe or pulse generator its payload names)
+_ASSET_FIELDS = {
+    "asset:structure/h4-chain@1": {"n_atoms": st.integers(2, 6), "spacing": st.integers(1, 3),
+                                   "box": st.integers(8, 12)},
+    "asset:structure/si-diamond-1x1x1@1": {"lattice_constant": st.integers(9, 11),
+                                           "repeats": st.lists(st.integers(1, 2), min_size=3, max_size=3)},
+    "asset:pulse/pump-probe-380+760@1": {"fluence": st.integers(1, 3), "delay_as": st.integers(0, 500),
+                                         "duration_fs": st.integers(1, 30), "probe_ratio": st.integers(0, 1),
+                                         "pump_wavelength_nm": st.integers(300, 400)},
+    "asset:pulse/fluence-gaussian-380@1": {"fluence": st.integers(1, 3), "omega": st.integers(1, 2),
+                                           "t0": st.integers(100, 700), "sigma": st.integers(50, 250)},
+    "asset:pulse/kick-z@1": {"strength": st.integers(1, 2)},
+}
+
+
+def _spell(value, spelling):
+    return [spelling(item) for item in value] if isinstance(value, list) else spelling(value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_asset_params_are_coerced_by_the_builder_they_forward_to(data):
+    """An ``asset:`` reference's ``params`` spelled as int, float, ``np.int64``
+    or ``np.float64`` give one config and one key, built directly, through
+    :meth:`~repro.api.SimulationConfig.with_overrides` and as sweep axes
+    (``laser.params.fluence`` on the pump-probe asset is the fluence axis of
+    ``examples/spectra_service.py``)."""
+    structure = data.draw(st.sampled_from([ref for ref in _ASSET_FIELDS if "structure/" in ref]))
+    pulse = data.draw(st.sampled_from([ref for ref in _ASSET_FIELDS if "pulse/" in ref]))
+    values = {("system", structure): data.draw(st.fixed_dictionaries(_ASSET_FIELDS[structure])),
+              ("laser", pulse): data.draw(st.fixed_dictionaries(_ASSET_FIELDS[pulse]))}
+
+    def spelled():
+        return {section: {key: _spell(value, data.draw(st.sampled_from(_SPELLINGS)))
+                          for key, value in params.items()}
+                for (section, _), params in values.items()}
+
+    def built(params):
+        return SimulationConfig.from_dict({"system": {"structure": structure, "params": params["system"]},
+                                           "laser": {"pulse": pulse, "params": params["laser"]}})
+
+    direct = built(spelled())
+    overridden = built({"system": {}, "laser": {}}).with_overrides(
+        {"system": {"params": spelled()["system"]}, "laser": {"params": spelled()["laser"]}})
+    axes = {f"{section}.params.{key}": [value] for section, params in spelled().items()
+            for key, value in params.items()}
+    (job,) = SweepSpec(built({"system": {}, "laser": {}}), axes).expand()
+    for config in (built(spelled()), overridden, job.config):
+        assert config == direct
+        assert config_hash(config) == config_hash(direct)
+        assert ground_state_group_key(config) == ground_state_group_key(direct)
+    assert (job.config_hash, job.group_key) == (config_hash(direct), ground_state_group_key(direct))
+
+
+def test_the_fluence_axis_of_the_pump_probe_asset_keys_one_way():
+    pulse = "asset:pulse/pump-probe-380+760@1"
+    one = SimulationConfig.from_dict({"laser": {"pulse": pulse, "params": {"fluence": 1}}})
+    other = SimulationConfig.from_dict({"laser": {"pulse": pulse, "params": {"fluence": 1.0}}})
+    assert one.laser.params["fluence"] == 1.0 and isinstance(one.laser.params["fluence"], float)
+    assert config_hash(one) == config_hash(other)

@@ -48,9 +48,9 @@ class TestLayoutAndRoundTrip:
         assert report.execution["store"]["computed"] == 0
 
     def test_warm_export_is_bit_identical_to_cold(self, warm_report, dt_spec, store):
-        cold = warm_report.to_json(exclude_timings=True)
+        cold = warm_report.to_json()
         warm = BatchRunner(dt_spec, store=store).run()
-        assert warm.to_json(exclude_timings=True) == cold
+        assert warm.to_json() == cold
 
     def test_ledger_counts_session_hits_and_writes(self, warm_report, dt_spec, store):
         BatchRunner(dt_spec, store=store).run()
@@ -267,6 +267,20 @@ class TestParentWrittenStore:
         (result,) = BatchRunner(spec, store=parent_store).run().results
         assert result.status == "cached"
         assert count_scf_solves == [] and count_propagation_steps == []
+        assert parent_store.stats["quarantined"] == 0
+
+    def test_parent_written_trajectory_is_served_as_physics_only(self, tiny_config, parent_store):
+        """Its archive still carries a ``wall_time`` member and no per-step
+        ``converged``: the wall time is not read, the steps read as converged
+        (they were accepted so), and the summary is rebuilt from the archive
+        for the requesting job."""
+        spec = SweepSpec(tiny_config.with_overrides({"laser": self.GAUSSIAN}), {"run.time_step_as": [1.0]})
+        (result,) = BatchRunner(spec, store=parent_store).run().results
+        assert result.status == "cached"
+        assert "wall_time" not in result.summary and "wall_time" not in result.trajectory.to_dict()
+        assert result.trajectory.converged.tolist() == [True, True, True]
+        assert result.summary["unconverged_steps"] == 0
+        assert result.summary["hamiltonian_applications"] == 4  # what the parent's manifest recorded
         assert parent_store.stats["quarantined"] == 0
 
     def test_the_carried_hash_is_the_key_the_parent_filed_the_result_under(self, tiny_config, parent_store):

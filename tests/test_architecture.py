@@ -156,9 +156,23 @@ def one_canonical_encoder(root):
     return _grep(root, r"sort_keys=True", ["src"], allowed=allowed) + _grep(root, r"default=str", ["src"])
 
 
+def results_carry_no_clock(root):
+    """Trajectories, their archives and the physics export hold no wall time,
+    so nothing strips one out again: ``exclude_timings`` survives only as
+    ``SweepReport.to_json``'s inert keyword, which no caller passes. Time is
+    measured once, around a group (``repro.exec.backends``), and stamped on
+    the group ledger; reports, tables and calibration read it from there."""
+    report = ("src/repro/batch/report.py", "tests/test_architecture.py")
+    return (_grep(root, r"exclude_timings", ["src", "examples", "tests"], allowed=report)
+            + _grep(root, r"exclude_timings\s*=", ["src"])
+            + _grep(root, r"\bwall_time\b", ["src"])
+            + _grep(root, r"perf_counter|time\.time\(|monotonic\(", ["src"],
+                    allowed=("src/repro/exec/backends.py",)))
+
+
 RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_fftplan_calls,
          one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count,
-         one_execution_settings_reader, one_canonical_encoder]
+         one_execution_settings_reader, one_canonical_encoder, results_carry_no_clock]
 
 #: per rule, a tree that breaks it (the allowed sites included) and the file(s) it must name
 BREAKS = {
@@ -203,6 +217,16 @@ BREAKS = {
          "src/repro/assets/cli.py": "print(json.dumps(report, indent=2, sort_keys=True))\n",
          "src/repro/batch/sweep.py": "text = json.dumps(data, sort_keys=True, default=str)\n"},
         "src/repro/batch/sweep.py"),
+    results_carry_no_clock: (
+        {"src/repro/batch/report.py": "    def to_json(self, indent=2, exclude_timings: bool = False):\n"
+                                      "        data = self.to_dict(exclude_timings=exclude_timings)\n",
+         "src/repro/exec/backends.py": "start = time.perf_counter()\n",
+         "examples/sweep.py": "text = report.to_json(exclude_timings=True)\n",
+         "src/repro/core/dynamics.py": 'out["wall_time"] = float(self.wall_time)\n',
+         "src/repro/calib/observations.py": "observed = time.perf_counter() - start\n",
+         "src/repro/service/service.py": "start = time.perf_counter()\n"},
+        ("src/repro/batch/report.py", "examples/sweep.py", "src/repro/core/dynamics.py",
+         "src/repro/calib/observations.py", "src/repro/service/service.py")),
 }
 
 
