@@ -100,13 +100,6 @@ class ComparisonRow:
             return float("nan")
         return self.model / self.paper
 
-    @property
-    def relative_error(self) -> float:
-        """``|model - paper| / |paper|``."""
-        if self.paper == 0:
-            return float("nan")
-        return abs(self.model - self.paper) / abs(self.paper)
-
 
 def compare_series(labels: list, paper: list[float], model: list[float]) -> list[ComparisonRow]:
     """Pair up a paper series and a model series into comparison rows."""

@@ -134,12 +134,6 @@ class Registry:
             return _store(factory)
         return _store
 
-    def unregister(self, name: str) -> None:
-        """Remove a registered name (aliases must be removed individually)."""
-        if name not in self._factories:
-            raise UnknownNameError(self._missing_message(name))
-        del self._factories[name]
-
     # ------------------------------------------------------------------
     def names(self) -> list[str]:
         """Sorted list of all registered names (including aliases)."""

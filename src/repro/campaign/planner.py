@@ -139,9 +139,7 @@ class ExecutionPlan:
         The chosen settings are *not* stamped into the configs: the physics
         export of a planned run must stay bit-identical to a hand-configured
         run of the same sweeps (provenance travels in
-        :attr:`repro.batch.SweepReport.settings` instead; use
-        :meth:`repro.exec.ExecutionSettings.apply_to` explicitly if you want
-        self-describing configs — it provably leaves job identity untouched).
+        :attr:`repro.batch.SweepReport.settings` instead).
         """
         try:
             return self.campaign.sweeps[name]

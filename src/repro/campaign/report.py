@@ -148,10 +148,6 @@ class CampaignReport:
         """Whether every planned sweep has reported."""
         return not self.pending_sweeps
 
-    def observed_wall_seconds(self, name: str) -> float:
-        """One sweep's observed makespan (see module docstring for the rule)."""
-        return _observed_wall_seconds(self[name])
-
     # ------------------------------------------------------------------
     # The campaign accounting table
     # ------------------------------------------------------------------

@@ -66,11 +66,6 @@ class Budget:
                 raise ValueError(f"Budget.{name} must be an integer, got {value!r}")
 
     # ------------------------------------------------------------------
-    @property
-    def unconstrained(self) -> bool:
-        """Whether no dimension is limited."""
-        return all(getattr(self, f.name) is None for f in fields(self))
-
     def limits(self) -> dict[str, float]:
         """The constrained dimensions only, name → limit."""
         return {

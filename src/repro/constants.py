@@ -96,13 +96,6 @@ def wavelength_nm_to_energy_hartree(wavelength_nm: float) -> float:
     return HC_HARTREE_NM / wavelength_nm
 
 
-def energy_hartree_to_wavelength_nm(energy_hartree: float) -> float:
-    """Convert a photon energy in Hartree to a wavelength in nanometres."""
-    if energy_hartree <= 0:
-        raise ValueError(f"energy must be positive, got {energy_hartree}")
-    return HC_HARTREE_NM / energy_hartree
-
-
 def attoseconds_to_au(t_as: float) -> float:
     """Convert a time in attoseconds to atomic units."""
     return t_as * ATTOSECOND_TO_AU_TIME

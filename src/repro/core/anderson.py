@@ -62,20 +62,6 @@ class AndersonMixer:
         self._residuals: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
-    @property
-    def history_length(self) -> int:
-        """Number of (iterate, residual) pairs currently stored."""
-        return len(self._iterates)
-
-    @property
-    def memory_copies(self) -> int:
-        """Number of wavefunction-sized arrays held (iterates + residuals).
-
-        This is the quantity behind the paper's memory-budget discussion: the
-        Anderson history is by far the largest consumer of host memory.
-        """
-        return len(self._iterates) + len(self._residuals)
-
     def reset(self) -> None:
         """Drop all history (called at the start of every PT-CN time step)."""
         self._iterates.clear()

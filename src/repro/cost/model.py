@@ -107,11 +107,6 @@ class CostEstimate:
         """Predicted energy to solution in Joules."""
         return self.power_watts * self.seconds
 
-    @property
-    def energy_kwh(self) -> float:
-        """Predicted energy to solution in kWh."""
-        return self.energy_joules / 3.6e6
-
     def as_dict(self) -> dict:
         """JSON-able record (used by execution summaries and benchmarks)."""
         return {

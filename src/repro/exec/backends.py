@@ -129,20 +129,18 @@ def execute_group(
             session = Session(jobs[0].config)
         try:
             if store is not None:
-                _ground_state_through_store(session, store, jobs[0].group_key)
+                _ground_state_through_store(session, store, jobs[0].group_key, notes)
             if len(requests) > 1:
                 session.propagate_many(list(requests.values()), precision=precision)
         except Exception as exc:
             # fall through: the loop below re-runs job by job (width 1), so
             # a failure (of the SCF or of one job's propagation) is attributed
             # to (and recorded for) the right job
-            note = (
+            _degraded(
                 f"lockstep pass of jobs {[jobs[index].job_id for index in requests]} "
-                f"fell back to width-1 runs: {type(exc).__name__}: {exc}"
+                f"fell back to width-1 runs: {type(exc).__name__}: {exc}",
+                notes,
             )
-            warnings.warn(note)
-            if notes is not None:
-                notes.append(note)
     results: list[JobResult] = []
     for index, job in enumerate(jobs):
         if cached[index] is not None:
@@ -170,7 +168,16 @@ def execute_group(
     return results
 
 
-def _ground_state_through_store(session: Session, gs_store, group_key: str) -> bool:
+def _degraded(note: str, notes: list | None) -> None:
+    """Warn about a degraded path and append it to ``notes`` (the report's
+    execution section; a pool worker's warnings never reach the parent)."""
+    warnings.warn(note)
+    if notes is not None:
+        notes.append(note)
+
+
+def _ground_state_through_store(session: Session, gs_store, group_key: str,
+                                notes: list | None = None) -> bool:
     """Adopt the group's stored SCF, or converge it here and persist it.
 
     The one spelling of ground-state sharing, used by :func:`execute_group`
@@ -178,7 +185,8 @@ def _ground_state_through_store(session: Session, gs_store, group_key: str) -> b
     may be ``None`` (converge only). Returns ``True`` when an SCF ran. The
     write is best-effort — it never aborts the sweep — and is skipped when
     the store already holds the group's SCF (the orbital archive is the
-    largest file in the store).
+    largest file in the store); a failed write is warned about and noted in
+    ``notes``.
     """
     converged_here = False
     if not session.ground_state_ready:
@@ -193,7 +201,7 @@ def _ground_state_through_store(session: Session, gs_store, group_key: str) -> b
             if not gs_store.has_ground_state(group_key):
                 gs_store.save_ground_state(group_key, session.ground_state())
         except Exception as exc:
-            warnings.warn(f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}")
+            _degraded(f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}", notes)
     return converged_here
 
 

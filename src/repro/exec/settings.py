@@ -152,34 +152,6 @@ class ExecutionSettings:
         return NodePlacement(n_ranks=self.ranks, system=resolve_machine(self.machine))
 
     # ------------------------------------------------------------------
-    # Provenance: stamping the chosen settings back into configs
-    # ------------------------------------------------------------------
-    def apply_to(self, spec):
-        """A copy of a :class:`~repro.batch.SweepSpec` whose base config
-        carries these settings in its ``run.schedule`` / ``run.machine``
-        sections.
-
-        Both sections are excluded from group keys and ``config_hash``, so
-        stamping is pure provenance: every job id, group key and checkpoint of
-        the spec is unchanged — reports become self-describing without
-        touching identity.
-        """
-        from ..batch.sweep import SweepSpec  # deferred: batch imports this module
-
-        schedule_section = {"policy": self.schedule}
-        if self.batch_stepping:
-            schedule_section["batch_stepping"] = True
-        if self.precision != _DEFAULT["precision"]:
-            schedule_section["precision"] = self.precision
-        overrides = {"run.schedule": schedule_section}
-        if self.machine is not None:
-            overrides["run.machine"] = {
-                "name": self.machine,
-                "gpus_per_group": self.gpus_per_group,
-            }
-        return SweepSpec(spec.base.with_overrides(overrides), axes=spec.axes, mode=spec.mode)
-
-    # ------------------------------------------------------------------
     # Round-trip
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:

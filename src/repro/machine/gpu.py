@@ -52,8 +52,6 @@ class GPUKernelModel:
     sustained_bandwidth_fraction:
         Fraction of the HBM bandwidth sustained by the batched kernels
         (paper: ~90 %).
-    gemm_efficiency:
-        Fraction of peak sustained by CUBLAS GEMM on the overlap-matrix shapes.
     kernel_launch_latency_s:
         Per-kernel-launch overhead; matters for the band-by-band (unbatched)
         variant of the Fock loop, which is exactly why the paper batches.
@@ -65,7 +63,6 @@ class GPUKernelModel:
     fft_flop_efficiency: float = 0.11
     fft_bandwidth_passes: float = 10.0
     sustained_bandwidth_fraction: float = 0.90
-    gemm_efficiency: float = 0.60
     kernel_launch_latency_s: float = 10e-6
     pcie_bandwidth_gbs: float = 50.0
 
@@ -92,14 +89,6 @@ class GPUKernelModel:
             effective_bw *= 0.35
         launches = batch if not batched else max(1, batch // 16)
         return bytes_moved / effective_bw + launches * self.kernel_launch_latency_s
-
-    def gemm_time(self, m: int, n: int, k: int) -> float:
-        """Wall time of a complex GEMM on one GPU."""
-        flops = gemm_flops(m, n, k)
-        flop_time = flops / (self.gemm_efficiency * self.gpu.peak_flops)
-        bytes_moved = 16.0 * (m * k + k * n + m * n)
-        bw_time = bytes_moved / (self.sustained_bandwidth_fraction * self.gpu.memory_bandwidth_gbs * 1e9)
-        return max(flop_time, bw_time) + self.kernel_launch_latency_s
 
     def memcpy_time(self, n_bytes: float) -> float:
         """Host <-> device copy time."""
@@ -139,9 +128,3 @@ class CPUKernelModel:
         sockets = max(1, n_cores // self.socket.cores)
         bandwidth = sockets * self.socket.memory_bandwidth_gbs * 1e9
         return bytes_moved / bandwidth
-
-    def gemm_time(self, m: int, n: int, k: int, n_cores: int = 1) -> float:
-        """Complex GEMM time on ``n_cores`` cores."""
-        flops = gemm_flops(m, n, k)
-        rate = 2.0 * self.socket.sustained_gflops_per_core * 1e9 * max(1, n_cores)
-        return flops / rate

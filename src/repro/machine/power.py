@@ -29,11 +29,6 @@ class PowerReport:
         """Energy to solution in Joules."""
         return self.power_watts * self.wall_time_s
 
-    @property
-    def energy_kwh(self) -> float:
-        """Energy to solution in kWh."""
-        return self.energy_joules / 3.6e6
-
 
 def cpu_run_power(n_cores: int, system: SummitSystem = SUMMIT) -> float:
     """Total power (W) of a CPU-only run using ``n_cores`` cores."""

@@ -74,11 +74,6 @@ class NodeSpec:
         return self.sockets * self.cpu_socket.cores
 
     @property
-    def cpu_memory_gb(self) -> float:
-        """Host memory per node (512 GB on Summit)."""
-        return self.sockets * self.cpu_socket.memory_gb
-
-    @property
     def injection_bandwidth_gbs(self) -> float:
         """Total NIC bandwidth per node (25 GB/s on Summit)."""
         return self.nics * self.nic_bandwidth_gbs

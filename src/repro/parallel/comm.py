@@ -65,14 +65,6 @@ class CommStats:
         """Total bytes moved across all operations."""
         return int(sum(self.bytes.values()))
 
-    def bytes_for(self, kind: CollectiveKind) -> int:
-        """Bytes moved by one kind of operation."""
-        return int(self.bytes.get(kind.value, 0))
-
-    def calls_for(self, kind: CollectiveKind) -> int:
-        """Number of calls of one kind of operation."""
-        return int(self.calls.get(kind.value, 0))
-
 
 class SimCommunicator:
     """In-process stand-in for an MPI communicator over ``size`` virtual ranks.
@@ -104,11 +96,6 @@ class SimCommunicator:
         self.events: list[CommEvent] = []
 
     # ------------------------------------------------------------------
-    def reset_statistics(self) -> None:
-        """Clear all logged events and counters."""
-        self.stats = CommStats()
-        self.events = []
-
     def _log(self, kind: CollectiveKind, bytes_total: int, bytes_per_rank_max: int, description: str) -> None:
         event = CommEvent(kind, int(bytes_total), int(bytes_per_rank_max), description)
         self.stats.record(event)

@@ -48,11 +48,6 @@ class BlockDistribution:
     counts: tuple[int, ...]
     offsets: tuple[int, ...]
 
-    @property
-    def max_count(self) -> int:
-        """Largest per-rank block (load-imbalance metric)."""
-        return max(self.counts)
-
     def owner_of(self, index: int) -> int:
         """Rank owning global item ``index``."""
         if not 0 <= index < self.total:

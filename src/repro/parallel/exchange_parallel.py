@@ -86,20 +86,6 @@ class DistributedExchangeOperator:
         self.work = _ExchangeWorkCounters()
 
     # ------------------------------------------------------------------
-    def expected_bcast_volume_bytes(self, exchange: DistributedWavefunction) -> int:
-        """The paper's communication-volume formula for one application.
-
-        Every rank must receive all ``N_e`` wavefunctions except the ones it
-        already owns; with the broadcast implementation the wire carries each
-        wavefunction once per non-owning rank, i.e.
-        ``(N_p - 1) * N_e * N_G`` complex numbers in the transfer precision.
-        (The paper quotes the receiving-side total ``N_p * N_G * N_e`` which
-        counts the owner's copy as well.)
-        """
-        itemsize = 8 if self.comm.single_precision else 16
-        return (self.comm.size - 1) * exchange.nbands * exchange.npw * itemsize
-
-    # ------------------------------------------------------------------
     def apply(
         self,
         target: DistributedWavefunction,

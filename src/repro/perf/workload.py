@@ -3,9 +3,9 @@
 Maps an atom count to the quantities that drive cost: number of occupied
 wavefunctions (``N_e = 2 N_atom`` for 4-valence-electron silicon with doubly
 occupied bands), number of plane-wave grid points per wavefunction (``N_G``,
-648 000 for 1536 atoms at the paper's 10 Ha cutoff), the density grid, memory
-footprints (including the 20-deep Anderson history of Section 7) and the
-per-rank band counts for a given GPU count.
+648 000 for 1536 atoms at the paper's 10 Ha cutoff), the density grid, the
+sizes of the density and overlap matrix the collectives move and the per-rank
+band counts for a given GPU count.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.paper_data import PAPER_SCALARS
 from ..pw.structures import paper_silicon_series
 
 __all__ = ["SiliconWorkload", "paper_workloads"]
@@ -90,10 +89,6 @@ class SiliconWorkload:
     # ------------------------------------------------------------------
     # Memory footprints
     # ------------------------------------------------------------------
-    def wavefunction_bytes(self, single_precision: bool = False) -> int:
-        """Size of one wavefunction (complex) in bytes."""
-        return self.n_planewaves * (8 if single_precision else 16)
-
     def density_bytes(self) -> int:
         """Size of the real-space charge density (double precision real)."""
         return self.n_density_points * 8
@@ -111,22 +106,6 @@ class SiliconWorkload:
                 f"band-index parallelization limited to {self.n_bands} ranks for {self.natoms} atoms"
             )
         return self.n_bands / n_ranks
-
-    def anderson_memory_per_rank_bytes(self, n_ranks: int, history: int | None = None) -> int:
-        """Host memory needed per rank for the Anderson wavefunction history.
-
-        Section 7 of the paper: for Si1536 on 36 GPUs each rank holds < 100
-        wavefunctions (< 1 GB) and the 20-deep history needs < 20 GB per rank,
-        i.e. < 120 GB per node — comfortably inside the 512 GB of a Summit
-        node.
-        """
-        history = PAPER_SCALARS["anderson_history"] if history is None else history
-        per_copy = int(np.ceil(self.bands_per_rank(n_ranks))) * self.wavefunction_bytes()
-        return int(history) * per_copy
-
-    def host_memory_per_node_bytes(self, n_ranks: int, ranks_per_node: int = 6, history: int | None = None) -> int:
-        """Host memory per node for the Anderson history."""
-        return ranks_per_node * self.anderson_memory_per_rank_bytes(n_ranks, history)
 
     def nonlocal_projector_bytes(self, projectors_per_atom: int = 8, sparsity: float = 0.0034) -> int:
         """Memory of the real-space nonlocal projectors stored on every rank.

@@ -123,25 +123,6 @@ class Wavefunction:
         """Per-band L2 norms of the coefficient vectors."""
         return np.linalg.norm(self.coefficients, axis=1)
 
-    def is_orthonormal(self, tol: float = 1e-8) -> bool:
-        """True if ``Psi^* Psi`` is the identity to within ``tol``."""
-        s = self.overlap()
-        return bool(np.max(np.abs(s - np.eye(self.nbands))) < tol)
-
-    def rotate(self, matrix: np.ndarray) -> "Wavefunction":
-        """Return ``Psi @ U`` for an ``(nbands, nbands)`` matrix ``U``.
-
-        In the column convention of the paper this is the gauge transformation
-        ``Psi U``; with our row storage the result rows are
-        ``sum_i U[i, j] psi_i`` for output band ``j``.
-        """
-        matrix = np.asarray(matrix, dtype=self.coefficients.dtype)
-        if matrix.shape != (self.nbands, self.nbands):
-            raise ValueError(
-                f"rotation matrix must be ({self.nbands}, {self.nbands}), got {matrix.shape}"
-            )
-        return Wavefunction(self.basis, matrix.T @ self.coefficients, self.occupations)
-
     # ------------------------------------------------------------------
     # Real-space access
     # ------------------------------------------------------------------
@@ -159,20 +140,6 @@ class Wavefunction:
         """Build a wavefunction by projecting real-space orbitals onto the sphere."""
         coeffs = basis.from_real_space(np.asarray(psi_real, dtype=np.complex128))
         return cls(basis, coeffs, occupations)
-
-    # ------------------------------------------------------------------
-    # Density matrix utilities (gauge invariance checks)
-    # ------------------------------------------------------------------
-    def density_matrix(self) -> np.ndarray:
-        """The (plane-wave representation of the) density matrix ``P = Psi Psi^*``.
-
-        Returned as an ``(npw, npw)`` matrix; only suitable for small bases,
-        used in tests to verify gauge invariance of the parallel transport
-        dynamics (P is the physical, gauge-invariant object).
-        """
-        c = self.coefficients
-        occ = self.occupations
-        return (c.T * occ) @ c.conj()
 
     @classmethod
     def random(

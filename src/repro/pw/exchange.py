@@ -364,12 +364,3 @@ class ExchangeOperator:
         # evaluation has no side effects
         self._orbitals = previous
         return energy
-
-    def expected_poisson_solves(self, n_target_bands: int) -> int:
-        """Poisson solves of one application to a general block of
-        ``n_target_bands``: every *occupied* orbital against every target
-        (paper: ``N_e^2`` for the full occupied set; the self-application of
-        an even kernel needs only ``N_e (N_e + 1) / 2``)."""
-        if self._orbitals is None:
-            raise RuntimeError("exchange orbitals not set")
-        return int(np.count_nonzero(self._orbitals.occupations)) * int(n_target_bands)

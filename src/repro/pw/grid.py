@@ -121,7 +121,7 @@ class FFTGrid:
 
     @cached_property
     def _fourier_scale(self) -> float:
-        """Cached ``sqrt(V) / N`` factor of :meth:`to_fourier`."""
+        """Cached ``sqrt(V) / N`` factor of the forward orbital transform."""
         return float(np.sqrt(self.cell.volume)) / self.size
 
     # ------------------------------------------------------------------
@@ -174,34 +174,6 @@ class FFTGrid:
         plan = get_plan(self, plan_dtype(coeff_grid.dtype))
         out = plan.ifftn(coeff_grid)
         out *= self._real_scale  # in-place: the transform output is owned here
-        return out
-
-    def to_fourier(self, psi_real: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Inverse of :meth:`to_real`: real-space orbital values to coefficients.
-
-        ``overwrite=True`` allows ``psi_real`` to be destroyed (pass only for
-        temporaries); the returned coefficients are bit-identical either way.
-        """
-        psi_real = np.asarray(psi_real)
-        plan = get_plan(self, plan_dtype(psi_real.dtype))
-        out = plan.fftn(psi_real, overwrite=overwrite)
-        out *= self._fourier_scale
-        return out
-
-    def density_to_fourier(self, rho_real: np.ndarray) -> np.ndarray:
-        """Fourier components ``rho~(G)`` of a real-space density."""
-        rho_real = np.asarray(rho_real)
-        plan = get_plan(self, plan_dtype(rho_real.dtype))
-        out = plan.fftn(rho_real)
-        out /= self.size
-        return out
-
-    def density_to_real(self, rho_g: np.ndarray) -> np.ndarray:
-        """Real-space density from Fourier components ``rho~(G)``."""
-        rho_g = np.asarray(rho_g)
-        plan = get_plan(self, plan_dtype(rho_g.dtype))
-        out = plan.ifftn(rho_g)
-        out *= self.size
         return out
 
     # ------------------------------------------------------------------
@@ -368,8 +340,8 @@ class PlaneWaveBasis:
         ``overwrite=True`` allows ``psi_real`` to be used as FFT scratch; pass
         it only for arrays the caller discards (e.g. a ``V psi`` product).
         The transform computes only the pencils that reach the sphere, and
-        only the gathered ``npw`` values are scaled: the bits of
-        ``from_grid(grid.to_fourier(psi_real))``.
+        only the gathered ``npw`` values are scaled: the bits of ``from_grid``
+        of a full-mesh forward transform times ``sqrt(V) / N``.
         """
         psi_real = np.asarray(psi_real)
         coeffs = self.from_grid(self._forward_plan(psi_real.dtype).fftn(psi_real, overwrite=overwrite))

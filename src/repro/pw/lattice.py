@@ -82,55 +82,6 @@ class Cell:
         """Lengths of the three lattice vectors (Bohr)."""
         return np.linalg.norm(self.lattice_vectors, axis=1)
 
-    def is_orthorhombic(self, tol: float = 1e-10) -> bool:
-        """Return True if the lattice vectors are mutually orthogonal."""
-        lat = self.lattice_vectors
-        gram = lat @ lat.T
-        off = gram - np.diag(np.diag(gram))
-        return bool(np.max(np.abs(off)) < tol)
-
-    # ------------------------------------------------------------------
-    # Coordinate transformations
-    # ------------------------------------------------------------------
-    def fractional_to_cartesian(self, frac: np.ndarray) -> np.ndarray:
-        """Convert fractional coordinates to Cartesian (Bohr).
-
-        Parameters
-        ----------
-        frac:
-            Array of shape ``(..., 3)`` of fractional coordinates.
-        """
-        frac = np.asarray(frac, dtype=float)
-        return frac @ self.lattice_vectors
-
-    def cartesian_to_fractional(self, cart: np.ndarray) -> np.ndarray:
-        """Convert Cartesian coordinates (Bohr) to fractional coordinates."""
-        cart = np.asarray(cart, dtype=float)
-        return cart @ np.linalg.inv(self.lattice_vectors)
-
-    def wrap_fractional(self, frac: np.ndarray) -> np.ndarray:
-        """Wrap fractional coordinates into ``[0, 1)``."""
-        frac = np.asarray(frac, dtype=float)
-        return frac - np.floor(frac)
-
-    def minimum_image_distance(self, r1: np.ndarray, r2: np.ndarray) -> float:
-        """Minimum-image distance between two Cartesian points (Bohr).
-
-        Only exact for orthorhombic cells; for general cells it searches the
-        27 neighbouring images, which is sufficient for cells that are not
-        extremely skewed.
-        """
-        d_frac = self.cartesian_to_fractional(np.asarray(r2) - np.asarray(r1))
-        d_frac -= np.round(d_frac)
-        best = np.inf
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    shift = np.array([dx, dy, dz], dtype=float)
-                    cart = self.fractional_to_cartesian(d_frac + shift)
-                    best = min(best, float(np.linalg.norm(cart)))
-        return best
-
     # ------------------------------------------------------------------
     # Supercells
     # ------------------------------------------------------------------

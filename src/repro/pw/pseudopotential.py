@@ -165,11 +165,6 @@ class PseudopotentialSpecies:
         out = out + np.sqrt(8.0 * np.pi**3) * self.r_loc**3 * gauss * poly
         return out
 
-    @property
-    def n_projector_functions(self) -> int:
-        """Total number of projector functions including m degeneracy."""
-        return sum(2 * p.l + 1 for p in self.projectors)
-
 
 def hydrogen_species() -> PseudopotentialSpecies:
     """HGH-LDA hydrogen pseudopotential (local only)."""
@@ -449,11 +444,6 @@ class NonlocalPotential:
     def n_projectors(self) -> int:
         """Total number of projector functions (all atoms, channels, m)."""
         return self._projector_matrix.shape[0]
-
-    @property
-    def projector_matrix(self) -> np.ndarray:
-        """Dense ``(n_projectors, npw)`` complex matrix of ``<G|beta>`` values."""
-        return self._projector_matrix
 
     @property
     def couplings(self) -> np.ndarray:

@@ -105,19 +105,6 @@ class Structure:
             return n
         return int(round(electrons))
 
-    def perturbed(self, amplitude: float, rng: np.random.Generator | None = None) -> "Structure":
-        """Return a copy with positions randomly displaced by up to ``amplitude`` Bohr.
-
-        Useful to break symmetry so that degenerate eigenvalue clusters do not
-        stall the iterative eigensolver in tests.
-        """
-        rng = np.random.default_rng(12345) if rng is None else rng
-        new_positions = [
-            pos + amplitude * (rng.random(pos.shape) - 0.5) * 2.0
-            for pos in self.positions_by_species
-        ]
-        return Structure(self.cell, list(self.species_list), new_positions, name=self.name + "-perturbed")
-
 
 # ---------------------------------------------------------------------------
 # Silicon

@@ -101,22 +101,6 @@ class Lease:
         grow: the released segment is charged its re-priced seconds."""
         return None if self.end is None else self.end - self.start
 
-    @property
-    def rank_ids(self) -> tuple[int, ...]:
-        """The disjoint global rank slots of this lease.
-
-        Every node exposes ``gpus_per_node`` GPU slots (globally numbered
-        ``node * gpus_per_node + gpu``); each of the lease's ``ranks`` virtual
-        ranks anchors on the first slot of its ``gpus_per_group``-GPU slice.
-        Disjoint node sets make these disjoint across active leases.
-        """
-        slots = [
-            node * self.gpus_per_node + gpu
-            for node in self.nodes
-            for gpu in range(self.gpus_per_node)
-        ]
-        return tuple(slots[i * self.gpus_per_group] for i in range(self.ranks))
-
     def as_dict(self) -> dict:
         """JSON-able accounting record (progress views and benchmarks)."""
         return {

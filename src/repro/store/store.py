@@ -131,12 +131,6 @@ class ResultStore:
     def tmp_dir(self) -> pathlib.Path:
         return self.root / "tmp"
 
-    @property
-    def calibration_dir(self) -> pathlib.Path:
-        """Where the calibration observation log lives (see
-        :meth:`observation_log`)."""
-        return self.root / "calibration"
-
     def observation_log(self):
         """The store's :class:`~repro.calib.ObservationLog` — the append-only
         predicted-vs-observed record every sweep executed against this store
@@ -391,16 +385,6 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Index / provenance
     # ------------------------------------------------------------------
-    def completed_ids(self) -> set[str]:
-        """Job ids recorded by the stored result manifests (ground-state
-        entries are tracked separately)."""
-        ids = set()
-        for path in sorted(self.manifests_dir.glob(f"{_JOB_PREFIX}*.json")):
-            manifest = self._read_json(path)
-            if manifest is not None and manifest.get("status") == "completed":
-                ids.add(manifest.get("job_id", path.stem))
-        return ids
-
     def diff(self, jobs) -> tuple[list[SweepJob], list[SweepJob]]:
         """Split ``jobs`` into ``(hits, misses)`` against the stored index.
 

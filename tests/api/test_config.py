@@ -210,18 +210,14 @@ def test_builtin_registry_contents():
         assert name in PROPAGATORS
 
 
-def test_register_propagator_decorator_plugs_into_configs():
+def test_register_propagator_decorator_plugs_into_configs(registries):
     @register_propagator("test_prop_xyz")
     def build(hamiltonian, **params):
         return ("built", hamiltonian, params)
 
-    try:
-        config = SimulationConfig.from_dict({"propagator": {"name": "test_prop_xyz"}})
-        assert config.propagator.name == "test_prop_xyz"
-        assert PROPAGATORS.create("test_prop_xyz", None, a=1) == ("built", None, {"a": 1})
-    finally:
-        PROPAGATORS.unregister("test_prop_xyz")
-    assert "test_prop_xyz" not in PROPAGATORS
+    config = SimulationConfig.from_dict({"propagator": {"name": "test_prop_xyz"}})
+    assert config.propagator.name == "test_prop_xyz"
+    assert PROPAGATORS.create("test_prop_xyz", None, a=1) == ("built", None, {"a": 1})
 
 
 # ---------------------------------------------------------------------------

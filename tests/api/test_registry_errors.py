@@ -57,11 +57,6 @@ def test_unknown_name_error_message_is_unquoted():
         pytest.fail("lookup should have raised")
 
 
-def test_unregister_unknown_name_raises_with_listing():
-    with pytest.raises(UnknownNameError, match="registered propagators"):
-        PROPAGATORS.unregister("never_registered")
-
-
 # ---------------------------------------------------------------------------
 # Did-you-mean suggestions
 # ---------------------------------------------------------------------------

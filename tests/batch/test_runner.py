@@ -88,40 +88,70 @@ def _register_exploding_propagator(name="exploding_prop"):
 
 
 class TestCheckpointResume:
-    def test_resume_after_simulated_crash(self, tiny_config, tmp_path, count_scf_solves):
+    def test_resume_after_simulated_crash(self, tiny_config, tmp_path, count_scf_solves, registries):
         name = _register_exploding_propagator()
-        try:
-            spec = SweepSpec(
-                tiny_config,
-                {"propagator.name": ["ptcn", name], "run.time_step_as": [1.0, 2.0]},
-            )
-            runner = BatchRunner(spec, store=tmp_path, raise_on_error=True)
-            with pytest.raises(RuntimeError, match="simulated mid-sweep crash"):
-                runner.run()
-            store = ResultStore(tmp_path)
-            assert len(store.completed_ids()) == 2  # both ptcn jobs got checkpointed
-            first_energies = {
-                job.job_id: store.load(job).trajectory.energies
-                for job in spec.expand()
-                if store.has(job)
-            }
-            scf_after_crash = len(count_scf_solves)
-            assert scf_after_crash == 1
+        spec = SweepSpec(
+            tiny_config,
+            {"propagator.name": ["ptcn", name], "run.time_step_as": [1.0, 2.0]},
+        )
+        runner = BatchRunner(spec, store=tmp_path, raise_on_error=True)
+        with pytest.raises(RuntimeError, match="simulated mid-sweep crash"):
+            runner.run()
+        store = ResultStore(tmp_path)
+        first_energies = {
+            job.job_id: store.load(job).trajectory.energies
+            for job in spec.expand()
+            if store.has(job)
+        }
+        assert len(first_energies) == 2  # both ptcn jobs got checkpointed
+        scf_after_crash = len(count_scf_solves)
+        assert scf_after_crash == 1
 
-            # "fix the bug" and resume: finished jobs load, only the rest runs —
-            # and the crashed run persisted the group's converged SCF, so the
-            # resumed half adopts it instead of reconverging (zero new SCFs)
-            PROPAGATORS.register(name, PROPAGATORS.get("rk4"), overwrite=True)
-            report = BatchRunner(spec, store=tmp_path, raise_on_error=True).run()
-            assert [r.status for r in report] == ["cached", "cached", "completed", "completed"]
-            assert len(count_scf_solves) == scf_after_crash  # shared SCF adopted from the store
-            for result in report:
-                if result.status == "cached":
-                    np.testing.assert_array_equal(
-                        result.trajectory.energies, first_energies[result.job_id]
-                    )
-        finally:
-            PROPAGATORS.unregister(name)
+        # "fix the bug" and resume: finished jobs load, only the rest runs —
+        # and the crashed run persisted the group's converged SCF, so the
+        # resumed half adopts it instead of reconverging (zero new SCFs)
+        PROPAGATORS.register(name, PROPAGATORS.get("rk4"), overwrite=True)
+        report = BatchRunner(spec, store=tmp_path, raise_on_error=True).run()
+        assert [r.status for r in report] == ["cached", "cached", "completed", "completed"]
+        assert len(count_scf_solves) == scf_after_crash  # shared SCF adopted from the store
+        for result in report:
+            if result.status == "cached":
+                np.testing.assert_array_equal(
+                    result.trajectory.energies, first_energies[result.job_id]
+                )
+
+    def test_a_kill_in_a_lockstep_pass_loses_only_that_group(
+        self, tiny_config, tmp_path, monkeypatch, count_scf_solves
+    ):
+        """A hard kill (``KeyboardInterrupt`` is no ``Exception``, so no
+        width-1 fallback catches it) inside the second group's lockstep
+        ``propagate_many`` leaves that group with no stored job and the first
+        group stored; the resume serves the first group and computes only the
+        killed one, on the SCF the killed pass had already persisted."""
+        spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0], "run.time_step_as": [1.0, 2.0]})
+        first, second = spec.groups().values()
+        lockstep_passes = []
+        real = Session.propagate_many
+
+        def killed_in_the_second_pass(self, requests, **kwargs):
+            if len(requests) > 1:
+                lockstep_passes.append(len(requests))
+                if len(lockstep_passes) == 2:
+                    raise KeyboardInterrupt
+            return real(self, requests, **kwargs)
+
+        monkeypatch.setattr(Session, "propagate_many", killed_in_the_second_pass)
+        with pytest.raises(KeyboardInterrupt):
+            BatchRunner(spec, store=tmp_path).run()
+        store = ResultStore(tmp_path)
+        assert [store.has(job) for job in first + second] == [True, True, False, False]
+        assert len(count_scf_solves) == 2
+
+        monkeypatch.setattr(Session, "propagate_many", real)
+        report = BatchRunner(spec, store=tmp_path).run()
+        assert [r.job_id for r in report] == [job.job_id for job in first + second]
+        assert [r.status for r in report] == ["cached", "cached", "completed", "completed"]
+        assert len(count_scf_solves) == 2  # the killed group's SCF was stored before its propagation
 
     def test_full_rerun_is_all_cached_with_zero_scf(self, ptcn_rk4_spec, tmp_path, count_scf_solves):
         BatchRunner(ptcn_rk4_spec, store=tmp_path).run()
@@ -195,13 +225,10 @@ class TestCheckpointResume:
 
 
 class TestFailureCapture:
-    def test_failed_jobs_are_recorded_and_the_rest_completes(self, tiny_config):
+    def test_failed_jobs_are_recorded_and_the_rest_completes(self, tiny_config, registries):
         name = _register_exploding_propagator()
-        try:
-            spec = SweepSpec(tiny_config, {"propagator.name": ["ptcn", name]})
-            report = BatchRunner(spec).run()
-        finally:
-            PROPAGATORS.unregister(name)
+        spec = SweepSpec(tiny_config, {"propagator.name": ["ptcn", name]})
+        report = BatchRunner(spec).run()
         assert [r.status for r in report] == ["completed", "failed"]
         failed = report.failed[0]
         assert "RuntimeError" in failed.error and "crash" in failed.error

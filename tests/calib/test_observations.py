@@ -96,7 +96,7 @@ class TestObservationLog:
         store = ResultStore(tmp_path / "store")
         log = store.observation_log()
         assert isinstance(log, ObservationLog)
-        assert log.path.parent == store.calibration_dir
+        assert log.path.parent == store.root / "calibration"
         log.append([Observation(machine="summit", predicted_seconds=1.0,
                                 observed_seconds=1.5)])
         # a second handle over the same store reads the same log

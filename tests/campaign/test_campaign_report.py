@@ -10,6 +10,7 @@ import pytest
 from repro.api import PROPAGATORS
 from repro.batch import BatchRunner, SweepSpec, config_hash
 from repro.campaign import Budget, CampaignReport, CampaignSpec, plan, run
+from repro.campaign.report import _observed_wall_seconds
 from repro.store import ResultStore
 
 
@@ -134,7 +135,7 @@ class TestRoundTrips:
         assert rebuilt.sweep_names == report.sweep_names
         assert rebuilt.settings == report.settings
         for name in report.sweep_names:
-            assert rebuilt.observed_wall_seconds(name) == report.observed_wall_seconds(name)
+            assert _observed_wall_seconds(rebuilt[name]) == _observed_wall_seconds(report[name])
 
     def test_sweep_report_round_trips_with_settings_and_execution(self, small_campaign):
         report = plan(small_campaign).execute()["cutoff"]
@@ -165,14 +166,14 @@ class TestRoundTrips:
 
 
 @pytest.fixture()
-def failing_campaign(tiny_config) -> CampaignSpec:
+def failing_campaign(tiny_config, registries) -> CampaignSpec:
     """One healthy dt sweep plus one sweep whose second job always fails."""
 
     def explode(hamiltonian, **params):
         raise RuntimeError("simulated campaign-level crash")
 
     PROPAGATORS.register("campaign_exploding_prop", explode)
-    yield CampaignSpec(
+    return CampaignSpec(
         {
             "dt": SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]}),
             "mixed": SweepSpec(
@@ -180,7 +181,6 @@ def failing_campaign(tiny_config) -> CampaignSpec:
             ),
         }
     )
-    PROPAGATORS.unregister("campaign_exploding_prop")
 
 
 class TestFailurePaths:
@@ -205,7 +205,7 @@ class TestFailurePaths:
         failed = rebuilt["mixed"].failed[0]
         assert "RuntimeError" in failed.error and failed.trajectory is None
         for name in report.sweep_names:
-            assert rebuilt.observed_wall_seconds(name) == report.observed_wall_seconds(name)
+            assert _observed_wall_seconds(rebuilt[name]) == _observed_wall_seconds(report[name])
 
     def test_partial_report_renders_pending_sweeps_prediction_only(self, failing_campaign):
         executed = plan(failing_campaign, machines=["summit"]).execute()
@@ -231,12 +231,12 @@ class TestFailurePaths:
 
         for per_rank in ([], [None], [None, "not-a-dict"], None):
             report.execution["per_rank"] = per_rank
-            assert executed.observed_wall_seconds("cutoff") == pytest.approx(summed)
+            assert _observed_wall_seconds(executed["cutoff"]) == pytest.approx(summed)
             assert executed.plan_table()  # renders, never raises
 
         # partially-present stats still use the surviving rank entries
         report.execution["per_rank"] = [None, {"observed_seconds": 123.0}]
-        assert executed.observed_wall_seconds("cutoff") == pytest.approx(123.0)
+        assert _observed_wall_seconds(executed["cutoff"]) == pytest.approx(123.0)
 
 
 class TestDriftColumn:
@@ -275,10 +275,10 @@ class TestDriftColumn:
         warm = execution_plan.execute(store=tmp_path)
         assert [r.status for r in warm["dt"]] == ["cached", "cached"]
         assert "per_rank" not in warm["dt"].execution  # the summed-ledger rule
-        assert cold.observed_wall_seconds("dt") == pytest.approx(
+        assert _observed_wall_seconds(cold["dt"]) == pytest.approx(
             sum(group["observed_seconds"] for group in cold["dt"].execution["groups"])
-        ) and cold.observed_wall_seconds("dt") > 0.0
-        assert warm.observed_wall_seconds("dt") == 0.0
+        ) and _observed_wall_seconds(cold["dt"]) > 0.0
+        assert _observed_wall_seconds(warm["dt"]) == 0.0
 
         def row(report):
             return next(line for line in report.plan_table().splitlines() if line.startswith("dt")).split()

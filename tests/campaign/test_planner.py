@@ -33,13 +33,11 @@ from repro.exec import Scheduler
 class TestBudget:
     def test_unconstrained_by_default(self):
         budget = Budget()
-        assert budget.unconstrained
         assert budget.limits() == {}
 
     def test_limits_collects_only_set_dimensions(self):
         budget = Budget(max_wall_seconds=10.0, max_ranks=4)
         assert budget.limits() == {"max_wall_seconds": 10.0, "max_ranks": 4}
-        assert not budget.unconstrained
 
     @pytest.mark.parametrize("field", ["max_wall_seconds", "max_energy_joules", "max_ranks", "max_nodes"])
     def test_nonpositive_limits_rejected(self, field):
@@ -94,7 +92,7 @@ class TestCampaignSpec:
         )
         assert spec.budget == Budget(max_ranks=4)
         relaxed = spec.with_budget(Budget())
-        assert relaxed.budget.unconstrained
+        assert relaxed.budget.limits() == {}
         assert relaxed.names == ["a"]
 
 

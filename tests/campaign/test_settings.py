@@ -1,13 +1,11 @@
-"""ExecutionSettings: validation, config resolution, identity preservation,
-and the BatchRunner redesign around it (settings= is the only path).
+"""ExecutionSettings: validation, config resolution and the BatchRunner
+redesign around it (settings= is the only path).
 """
 
 import pytest
-from hypothesis import given, settings as hyp_settings
-from hypothesis import strategies as st
 
 from repro.api import SimulationConfig
-from repro.batch import BatchRunner, SweepSpec, config_hash
+from repro.batch import BatchRunner, SweepSpec
 from repro.cost import MACHINES, MachineCostModel, NodePlacement
 from repro.exec import BACKEND_NAMES, ExecutionSettings
 
@@ -115,37 +113,6 @@ class TestDescribedObjects:
         assert isinstance(placement, NodePlacement)
         assert placement.n_ranks == 8
         assert placement.ranks_per_node == 8  # frontier: one rank per GCD
-
-
-class TestIdentityPreservation:
-    """Settings must never touch what a job computes: group keys, job ids and
-    config hashes are invariant under any settings stamping."""
-
-    @given(
-        machine=st.sampled_from(sorted(MACHINES)),
-        gpus=st.integers(min_value=1, max_value=8),
-        policy=st.sampled_from(["fifo", "cheapest_first", "makespan_balanced", "energy_aware"]),
-        ranks=st.integers(min_value=1, max_value=16),
-    )
-    @hyp_settings(max_examples=20, deadline=None)
-    def test_apply_to_leaves_job_identity_untouched(self, machine, gpus, policy, ranks):
-        config = SimulationConfig.from_dict({"basis": {"ecut": 2.0}})
-        spec = SweepSpec(config, {"basis.ecut": [1.5, 2.0], "run.time_step_as": [1.0, 2.0]})
-        settings = ExecutionSettings(
-            backend="serial" if ranks == 1 else "distributed",
-            ranks=ranks,
-            schedule=policy,
-            machine=machine,
-            gpus_per_group=gpus,
-        )
-        stamped = settings.apply_to(spec)
-        restored = ExecutionSettings.from_config(stamped.base)
-        assert restored.machine == machine
-        assert restored.schedule == policy
-        for original, restamped in zip(spec.expand(), stamped.expand()):
-            assert original.job_id == restamped.job_id
-            assert original.group_key == restamped.group_key
-            assert config_hash(original.config) == config_hash(restamped.config)
 
 
 class TestBatchRunnerRedesign:

@@ -148,6 +148,19 @@ def count_propagation_steps(monkeypatch):
 
 
 @pytest.fixture()
+def registries():
+    """Restore the structure, pulse and propagator registries to their
+    entries at the start of the test: register freely while active."""
+    from repro.api import PROPAGATORS, PULSES, STRUCTURES
+
+    saved = [(registry, dict(registry._factories)) for registry in (STRUCTURES, PULSES, PROPAGATORS)]
+    yield
+    for registry, factories in saved:
+        registry._factories.clear()
+        registry._factories.update(factories)
+
+
+@pytest.fixture()
 def rng():
     """A deterministic random generator."""
     return np.random.default_rng(20260615)

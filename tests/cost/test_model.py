@@ -78,7 +78,6 @@ class TestEstimates:
         assert estimate.nodes == 1
         assert estimate.power_watts == SUMMIT.node.power_full_watts
         assert estimate.energy_joules == pytest.approx(estimate.power_watts * estimate.seconds)
-        assert estimate.energy_kwh == pytest.approx(estimate.energy_joules / 3.6e6)
 
     def test_run_machine_gpus_override_flows_through(self, model):
         config = tiny_config(**{"run.machine": {"gpus_per_group": 6}})

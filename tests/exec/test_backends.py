@@ -12,6 +12,7 @@ resumed sweeps skip every SCF.
 import json
 import multiprocessing
 import os
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -351,7 +352,7 @@ class TestGroundStateSharing:
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
         BatchRunner(spec, store=tmp_path).run()
         store = ResultStore(tmp_path)
-        assert store.completed_ids() == {spec.expand()[0].job_id}
+        assert store.diff(spec.expand()) == (spec.expand(), [])
         assert store.has_ground_state(spec.expand()[0].group_key)
 
     def test_warm_run_does_not_rewrite_persisted_ground_state(self, tiny_config, tmp_path):
@@ -390,6 +391,31 @@ class TestGroundStateSharing:
         report = BatchRunner(follow_up, store=tmp_path, settings=_distributed(2)).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert len(count_scf_solves) == 2  # adopted on the simulated ranks
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_a_failed_ground_state_write_reaches_the_report(self, tiny_config, tmp_path, monkeypatch, backend):
+        """A ground-state checkpoint the store cannot write (a full disk)
+        leaves every job completed and stored, and each group's execution
+        record says so, also from a pool worker, whose warnings stay there."""
+        if backend == "process" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched store reaches the workers only through fork")
+
+        def full_disk(self, group_key, result):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ResultStore, "save_ground_state", full_disk)
+        spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})  # two groups: the pool runs both
+        settings = ExecutionSettings(backend=backend, max_workers=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = BatchRunner(spec, store=tmp_path, settings=settings).run()
+        assert [r.status for r in report] == ["completed", "completed"]
+        assert all(ResultStore(tmp_path).has(job) for job in spec.expand())
+        note = "ground-state checkpoint write failed: OSError: [Errno 28] No space left on device"
+        assert [group.get("notes") for group in report.execution["groups"]] == [[note], [note]]
+        assert note in json.dumps(report.execution)
+        warned = [str(w.message) for w in caught if "checkpoint" in str(w.message)]
+        assert warned == ([note, note] if backend == "serial" else [])
 
 
 # ---------------------------------------------------------------------------

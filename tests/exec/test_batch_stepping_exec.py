@@ -295,19 +295,6 @@ class TestSettingsPlumbing:
         assert settings.batch_stepping is True
         assert settings.precision == "complex64"
 
-    def test_apply_to_stamps_only_non_defaults(self, tiny_config):
-        spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        plain = ExecutionSettings().apply_to(spec)
-        assert plain.base.run.schedule == {"policy": "fifo"}
-        stamped = ExecutionSettings(batch_stepping=True, precision="complex64").apply_to(spec)
-        assert stamped.base.run.schedule == {
-            "policy": "fifo",
-            "batch_stepping": True,
-            "precision": "complex64",
-        }
-        # stamping is pure provenance: identity unchanged
-        assert config_hash(stamped.base) == config_hash(tiny_config)
-
     def test_run_config_validates_the_new_schedule_keys(self, tiny_config):
         from repro.api.config import ConfigError
 

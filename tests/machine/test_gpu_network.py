@@ -46,9 +46,8 @@ class TestGPUKernelModel:
         bandwidth = PAPER_SCALARS["gpu_bandwidth_utilisation"] * 900e9
         assert t == pytest.approx(model.fft_bandwidth_passes * ng * 16 / bandwidth, rel=0.3)
 
-    def test_gemm_and_memcpy(self):
+    def test_memcpy(self):
         model = GPUKernelModel()
-        assert model.gemm_time(3072, 3072, 648_000) > model.gemm_time(100, 100, 1000)
         assert model.memcpy_time(1e9) == pytest.approx(1e9 / 50e9)
 
     def test_pointwise_scaling(self):
@@ -62,10 +61,6 @@ class TestCPUKernelModel:
         assert model.fft_time(648_000, n_cores=3072) == pytest.approx(
             model.fft_time(648_000, n_cores=1536) / 2.0
         )
-
-    def test_gemm_positive(self):
-        model = CPUKernelModel()
-        assert model.gemm_time(100, 100, 1000, n_cores=4) > 0
 
 
 class TestNetworkModel:

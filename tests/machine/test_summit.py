@@ -46,4 +46,3 @@ class TestPower:
     def test_power_report(self):
         report = PowerReport("x", 1, 2000.0, 1800.0)
         assert report.energy_joules == pytest.approx(3.6e6)
-        assert report.energy_kwh == pytest.approx(1.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.paper_data import FIG4, WEAK_SCALING_ATOMS
-from repro.constants import AU_TIME_TO_FEMTOSECOND, HARTREE_TO_EV, energy_hartree_to_wavelength_nm
+from repro.constants import AU_TIME_TO_FEMTOSECOND, HARTREE_TO_EV, HC_HARTREE_NM
 from repro.perf import SiliconWorkload
 from repro.pw import paper_laser_pulse, silicon_supercell
 from repro.pw.structures import paper_silicon_series
@@ -30,7 +30,7 @@ def modelled():
         "planewaves": workload.n_planewaves,
         "wavefunction_grid": workload.wavefunction_grid,
         "density_grid": workload.density_grid,
-        "laser_wavelength_nm": energy_hartree_to_wavelength_nm(pulse.omega),
+        "laser_wavelength_nm": HC_HARTREE_NM / pulse.omega,
         "photon_energy_ev": pulse.omega * HARTREE_TO_EV,
         "window_fs": 2.0 * pulse.t0 * AU_TIME_TO_FEMTOSECOND,
     }

@@ -11,13 +11,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimCommunicator(0)
 
-    def test_reset_statistics(self):
-        comm = SimCommunicator(2)
-        comm.bcast([np.ones(4), None], root=0)
-        comm.reset_statistics()
-        assert comm.stats.total_bytes() == 0
-        assert comm.events == []
-
 
 class TestBcast:
     def test_all_ranks_receive_root_payload(self):
@@ -32,8 +25,8 @@ class TestBcast:
         comm = SimCommunicator(4)
         payload = np.zeros(100, dtype=np.complex128)
         comm.bcast([payload, None, None, None], root=0)
-        assert comm.stats.bytes_for(CollectiveKind.BCAST) == 3 * payload.nbytes
-        assert comm.stats.calls_for(CollectiveKind.BCAST) == 1
+        assert comm.stats.bytes[CollectiveKind.BCAST] == 3 * payload.nbytes
+        assert comm.stats.calls[CollectiveKind.BCAST] == 1
 
     def test_single_precision_halves_volume(self):
         full = SimCommunicator(3)
@@ -79,7 +72,7 @@ class TestAllreduce:
         comm = SimCommunicator(4)
         data = [np.zeros(10) for _ in range(4)]
         comm.allreduce(data)
-        assert comm.stats.bytes_for(CollectiveKind.ALLREDUCE) == 4 * 80
+        assert comm.stats.bytes[CollectiveKind.ALLREDUCE] == 4 * 80
 
 
 class TestAlltoallv:
@@ -96,7 +89,7 @@ class TestAlltoallv:
         send = [[np.zeros(8), np.zeros(8)] for _ in range(2)]
         comm.alltoallv(send)
         # only the two off-diagonal blocks travel
-        assert comm.stats.bytes_for(CollectiveKind.ALLTOALLV) == 2 * 64
+        assert comm.stats.bytes[CollectiveKind.ALLTOALLV] == 2 * 64
 
     def test_validation(self):
         comm = SimCommunicator(2)
@@ -133,4 +126,4 @@ class TestAllgathervAndSendrecv:
         comm = SimCommunicator(2, keep_event_log=False)
         comm.sendrecv(np.zeros(4))
         assert comm.events == []
-        assert comm.stats.calls_for(CollectiveKind.SENDRECV) == 1
+        assert comm.stats.calls[CollectiveKind.SENDRECV] == 1

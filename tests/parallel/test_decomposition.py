@@ -25,7 +25,6 @@ class TestBlockDistribution:
     def test_remainder_spread(self):
         dist = band_distribution(10, 4)
         assert dist.counts == (3, 3, 2, 2)
-        assert dist.max_count == 3
 
     def test_owner_of(self):
         dist = band_distribution(10, 4)
@@ -92,7 +91,7 @@ class TestTransposes:
         itemsize = 16
         total = n_bands * npw * itemsize
         diagonal = sum(bands.counts[r] * gspace.counts[r] * itemsize for r in range(n_ranks))
-        assert comm.stats.bytes_for(CollectiveKind.ALLTOALLV) == total - diagonal
+        assert comm.stats.bytes[CollectiveKind.ALLTOALLV] == total - diagonal
 
     def test_shape_validation(self):
         comm = SimCommunicator(2)

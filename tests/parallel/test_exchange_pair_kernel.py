@@ -26,4 +26,3 @@ def test_partially_occupied_exchange_set(chain_basis, rng, n_ranks, strategy):
     assert np.allclose(result.to_wavefunction().coefficients, expected, atol=1e-10)
     # two occupied orbitals against four targets, on every rank count
     assert op.work.poisson_solves == serial.counters.poisson_solves == 2 * 4
-    assert op.work.poisson_solves == serial.expected_poisson_solves(target.nbands)

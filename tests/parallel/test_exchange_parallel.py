@@ -40,8 +40,7 @@ class TestCommunicationAccounting:
         op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25)
         op.apply(dwf)
         expected = (n_ranks - 1) * orbitals.nbands * orbitals.npw * 16
-        assert comm.stats.bytes_for(CollectiveKind.BCAST) == expected
-        assert comm.stats.bytes_for(CollectiveKind.BCAST) == op.expected_bcast_volume_bytes(dwf)
+        assert comm.stats.bytes[CollectiveKind.BCAST] == expected
 
     def test_single_precision_halves_bcast_volume(self, chain_basis, orbitals):
         double = SimCommunicator(4)
@@ -49,7 +48,7 @@ class TestCommunicationAccounting:
         for comm in (double, single):
             dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
             DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25).apply(dwf)
-        assert single.stats.bytes_for(CollectiveKind.BCAST) == double.stats.bytes_for(CollectiveKind.BCAST) // 2
+        assert single.stats.bytes[CollectiveKind.BCAST] == double.stats.bytes[CollectiveKind.BCAST] // 2
 
     def test_single_precision_accuracy(self, chain_basis, orbitals, serial_reference):
         """The paper's single-precision MPI changes the result only at the 1e-7 level."""
@@ -67,7 +66,7 @@ class TestCommunicationAccounting:
         dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
         op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25)
         op.apply(dwf)
-        assert comm.stats.calls_for(CollectiveKind.BCAST) == orbitals.nbands
+        assert comm.stats.calls[CollectiveKind.BCAST] == orbitals.nbands
         assert op.work.broadcasts == orbitals.nbands
 
     def test_poisson_solve_count(self, chain_basis, orbitals):

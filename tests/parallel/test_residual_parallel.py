@@ -10,7 +10,7 @@ from repro.parallel import (
     distributed_initial_residual,
     distributed_pt_residual,
 )
-from repro.parallel.comm import CollectiveKind
+from repro.parallel.comm import CollectiveKind, CommStats
 from repro.pw import Hamiltonian, Wavefunction
 
 
@@ -60,11 +60,11 @@ class TestCommunicationPattern:
         d_psi = DistributedWavefunction.from_wavefunction(wf, comm)
         d_hpsi = distribute(chain_basis, h_wf, wf.occupations, comm)
         d_half = distribute(chain_basis, half, wf.occupations, comm)
-        comm.reset_statistics()
+        comm.stats = CommStats()
         distributed_pt_residual(d_psi, d_hpsi, d_half, 1.0)
-        assert comm.stats.calls_for(CollectiveKind.ALLTOALLV) == 4
-        assert comm.stats.calls_for(CollectiveKind.ALLREDUCE) == 1
-        assert comm.stats.calls_for(CollectiveKind.BCAST) == 0
+        assert comm.stats.calls[CollectiveKind.ALLTOALLV] == 4
+        assert comm.stats.calls[CollectiveKind.ALLREDUCE] == 1
+        assert CollectiveKind.BCAST not in comm.stats.calls
 
     def test_allreduce_payload_is_overlap_matrix(self, chain_basis, residual_inputs):
         wf, h_wf, half = residual_inputs
@@ -72,10 +72,10 @@ class TestCommunicationPattern:
         d_psi = DistributedWavefunction.from_wavefunction(wf, comm)
         d_hpsi = distribute(chain_basis, h_wf, wf.occupations, comm)
         d_half = distribute(chain_basis, half, wf.occupations, comm)
-        comm.reset_statistics()
+        comm.stats = CommStats()
         distributed_pt_residual(d_psi, d_hpsi, d_half, 1.0)
         overlap_bytes = wf.nbands * wf.nbands * 16
-        assert comm.stats.bytes_for(CollectiveKind.ALLREDUCE) == 3 * overlap_bytes
+        assert comm.stats.bytes[CollectiveKind.ALLREDUCE] == 3 * overlap_bytes
 
     def test_mismatched_communicators_rejected(self, chain_basis, residual_inputs):
         wf, h_wf, half = residual_inputs

@@ -71,20 +71,17 @@ class TestWorkloadSizes:
         workload_sizes(base_config.with_overrides({"system.structure": "h2"}))  # an alias is its own entry
         assert len(count_structure_builds) == 4
 
-    def test_memo_follows_a_re_registered_factory(self, base_config, count_structure_builds):
+    def test_memo_follows_a_re_registered_factory(self, base_config, count_structure_builds, registries):
         from repro.api import STRUCTURES
         from repro.pw import hydrogen_chain
 
         STRUCTURES.register("memo-probe", lambda: hydrogen_chain(n_atoms=2, spacing=2.0, box=7.0))
-        try:
-            config = base_config.with_overrides({"system": {"structure": "memo-probe", "params": {}}})
-            two_atoms = workload_sizes(config)
-            STRUCTURES.register(
-                "memo-probe", lambda: hydrogen_chain(n_atoms=4, spacing=2.0, box=7.0), overwrite=True
-            )
-            assert workload_sizes(config)[0] == 2 * two_atoms[0]
-        finally:
-            STRUCTURES.unregister("memo-probe")
+        config = base_config.with_overrides({"system": {"structure": "memo-probe", "params": {}}})
+        two_atoms = workload_sizes(config)
+        STRUCTURES.register(
+            "memo-probe", lambda: hydrogen_chain(n_atoms=4, spacing=2.0, box=7.0), overwrite=True
+        )
+        assert workload_sizes(config)[0] == 2 * two_atoms[0]
 
     def test_asset_structures_are_keyed_by_content_digest(self, count_structure_builds):
         config = SimulationConfig.from_dict(
@@ -123,14 +120,11 @@ class TestApplicationsPerStep:
     def test_implicit_bound_respects_scf_cap(self):
         assert applications_per_step("ptcn", {"max_scf_iterations": 2}) == 3.0
 
-    def test_unknown_propagator_falls_back(self):
+    def test_unknown_propagator_falls_back(self, registries):
         assert applications_per_step("no_such_integrator") == DEFAULT_APPLICATIONS_PER_STEP
         name = "constant_cost_prop"
         PROPAGATORS.register(name, lambda ham, **kw: None, overwrite=name in PROPAGATORS)
-        try:
-            assert applications_per_step(name) == DEFAULT_APPLICATIONS_PER_STEP
-        finally:
-            PROPAGATORS.unregister(name)
+        assert applications_per_step(name) == DEFAULT_APPLICATIONS_PER_STEP
 
 
 class TestJobAndGroupCost:

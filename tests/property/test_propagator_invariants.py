@@ -21,7 +21,7 @@ from repro.api import PROPAGATORS
 from repro.constants import attoseconds_to_au
 from repro.core.gauge import density_matrix_distance
 from repro.core.observables import dipole_moment, electron_number
-from repro.pw import Hamiltonian
+from repro.pw import Hamiltonian, Wavefunction
 
 SETTINGS = dict(max_examples=5, deadline=None)
 
@@ -148,7 +148,7 @@ class TestGaugeCovariance:
         n = wf0.coefficients.shape[0]
         random = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         u, _ = np.linalg.qr(random)
-        rotated = wf0.rotate(u)
+        rotated = Wavefunction(wf0.basis, u.T @ wf0.coefficients, wf0.occupations)
 
         dt = attoseconds_to_au(5.0)
         outputs = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pw import PlaneWaveBasis, Wavefunction
-from repro.pw.orthogonalization import lowdin_orthonormalize
+from repro.pw.orthogonalization import orthonormality_error
 
 
 class TestConstruction:
@@ -37,7 +37,7 @@ class TestConstruction:
 
 class TestLinearAlgebra:
     def test_random_is_orthonormal(self, random_wavefunction):
-        assert random_wavefunction.is_orthonormal(tol=1e-10)
+        assert orthonormality_error(random_wavefunction) < 1e-10
 
     def test_overlap_hermitian(self, random_wavefunction):
         s = random_wavefunction.overlap()
@@ -52,20 +52,6 @@ class TestLinearAlgebra:
 
     def test_norms(self, random_wavefunction):
         assert np.allclose(random_wavefunction.norms(), 1.0)
-
-    def test_rotate_preserves_density_matrix(self, random_wavefunction, rng):
-        """A unitary rotation is a pure gauge change: P = Psi Psi^* is unchanged."""
-        n = random_wavefunction.nbands
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, _ = np.linalg.qr(a)
-        rotated = random_wavefunction.rotate(q)
-        p1 = random_wavefunction.density_matrix()
-        p2 = rotated.density_matrix()
-        assert np.allclose(p1, p2, atol=1e-10)
-
-    def test_rotate_wrong_shape(self, random_wavefunction):
-        with pytest.raises(ValueError):
-            random_wavefunction.rotate(np.eye(random_wavefunction.nbands + 1))
 
     def test_copy_is_independent(self, random_wavefunction):
         copy = random_wavefunction.copy()
@@ -89,21 +75,3 @@ class TestRealSpace:
         psi_r = wf.to_real_space()
         norm = np.sum(np.abs(psi_r[0]) ** 2) * h2_basis.grid.volume_element
         assert norm == pytest.approx(1.0)
-
-
-class TestDensityMatrix:
-    def test_trace_equals_total_occupation(self, h2_basis, rng):
-        wf = Wavefunction.random(h2_basis, 2, rng=rng)
-        p = wf.density_matrix()
-        assert np.trace(p).real == pytest.approx(np.sum(wf.occupations))
-
-    def test_hermitian(self, h2_basis, rng):
-        wf = Wavefunction.random(h2_basis, 2, rng=rng)
-        p = wf.density_matrix()
-        assert np.allclose(p, p.conj().T)
-
-    def test_idempotent_for_unit_occupation(self, h2_basis, rng):
-        wf = Wavefunction.random(h2_basis, 2, rng=rng, occupations=np.ones(2))
-        wf = lowdin_orthonormalize(wf)
-        p = wf.density_matrix()
-        assert np.allclose(p @ p, p, atol=1e-10)

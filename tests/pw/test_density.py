@@ -33,7 +33,7 @@ class TestComputeDensity:
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         q, _ = np.linalg.qr(a)
         rho1 = compute_density(wf)
-        rho2 = compute_density(wf.rotate(q))
+        rho2 = compute_density(Wavefunction(wf.basis, q.T @ wf.coefficients, wf.occupations))
         assert np.allclose(rho1, rho2, atol=1e-10)
 
     def test_density_on_denser_grid(self, h2_basis, rng):

@@ -103,7 +103,7 @@ class TestOperatorProperties:
         out1 = operator.apply(target.coefficients)
         n = orbitals.nbands
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        operator.set_orbitals(orbitals.rotate(q))
+        operator.set_orbitals(Wavefunction(orbitals.basis, q.T @ orbitals.coefficients, orbitals.occupations))
         out2 = operator.apply(target.coefficients)
         assert np.allclose(out1, out2, atol=1e-10)
 
@@ -142,11 +142,7 @@ class TestEnergyAndCounters:
         operator.set_orbitals(orbitals)
         operator.counters.reset()
         operator.apply(target.coefficients)
-        assert operator.counters.poisson_solves == operator.expected_poisson_solves(2)
-
-    def test_expected_poisson_solves(self, operator, orbitals):
-        operator.set_orbitals(orbitals)
-        assert operator.expected_poisson_solves(5) == orbitals.nbands * 5
+        assert operator.counters.poisson_solves == orbitals.nbands * 2
 
     def test_zero_occupation_orbital_skipped(self, h2_basis, rng):
         op = ExchangeOperator(h2_basis, mixing_fraction=0.25)
@@ -166,7 +162,6 @@ class TestEnergyAndCounters:
         op.counters.reset()
         op.apply(target.coefficients)
         assert op.counters.poisson_solves == 5
-        assert op.expected_poisson_solves(5) == 5
 
 
 def _rectangular_reference(basis, kernel, wavefunction, mixing):

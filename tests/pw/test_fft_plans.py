@@ -251,11 +251,8 @@ class TestTransforms:
     def test_grid_transforms_preserve_dtype(self, rng):
         grid = _grid()
         values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        assert grid.to_fourier(grid.to_real(values)).dtype == np.complex128
-        single = values.astype(np.complex64)
-        assert grid.to_real(single).dtype == np.complex64
-        assert grid.to_fourier(single).dtype == np.complex64
-        np.testing.assert_allclose(grid.to_fourier(grid.to_real(values)), values, atol=1e-10)
+        assert grid.to_real(values).dtype == np.complex128
+        assert grid.to_real(values.astype(np.complex64)).dtype == np.complex64
 
 
 class TestWorkers:

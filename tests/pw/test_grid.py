@@ -67,12 +67,6 @@ class TestFFTGrid:
         expected = np.exp(1j * (r @ g)) / np.sqrt(cubic_grid.cell.volume)
         assert np.allclose(psi, expected)
 
-    def test_transform_round_trip(self, cubic_grid):
-        rng = np.random.default_rng(2)
-        coeffs = rng.standard_normal(cubic_grid.shape) + 1j * rng.standard_normal(cubic_grid.shape)
-        back = cubic_grid.to_fourier(cubic_grid.to_real(coeffs))
-        assert np.allclose(coeffs, back)
-
     def test_normalization_parseval(self, cubic_grid):
         """sum_G |c_G|^2 = 1 implies the real-space orbital integrates to 1."""
         rng = np.random.default_rng(3)
@@ -81,18 +75,6 @@ class TestFFTGrid:
         psi = cubic_grid.to_real(coeffs)
         norm = np.sum(np.abs(psi) ** 2) * cubic_grid.volume_element
         assert norm == pytest.approx(1.0)
-
-    def test_density_transform_round_trip(self, cubic_grid):
-        rng = np.random.default_rng(4)
-        rho = rng.random(cubic_grid.shape)
-        rho_g = cubic_grid.density_to_fourier(rho)
-        back = cubic_grid.density_to_real(rho_g)
-        assert np.allclose(rho, back.real, atol=1e-12)
-
-    def test_density_g0_is_average(self, cubic_grid):
-        rho = np.full(cubic_grid.shape, 2.5)
-        rho_g = cubic_grid.density_to_fourier(rho)
-        assert rho_g[0, 0, 0] == pytest.approx(2.5)
 
     def test_integrate_constant(self, cubic_grid):
         value = cubic_grid.integrate(np.ones(cubic_grid.shape))

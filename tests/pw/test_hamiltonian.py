@@ -152,7 +152,10 @@ class TestEnergy:
         n = random_wavefunction.nbands
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         e1 = hybrid_hamiltonian.total_energy(random_wavefunction)
-        e2 = hybrid_hamiltonian.total_energy(random_wavefunction.rotate(q))
+        e2 = hybrid_hamiltonian.total_energy(
+            Wavefunction(random_wavefunction.basis, q.T @ random_wavefunction.coefficients,
+                         random_wavefunction.occupations)
+        )
         assert e1 == pytest.approx(e2, rel=1e-10)
 
     def test_preconditioner_positive(self, lda_hamiltonian):

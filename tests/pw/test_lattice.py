@@ -54,36 +54,6 @@ class TestReciprocalLattice:
         cell = Cell.orthorhombic(2.0, 3.0, 4.0)
         assert np.allclose(cell.lengths, [2.0, 3.0, 4.0])
 
-    def test_is_orthorhombic(self):
-        assert Cell.cubic(2.0).is_orthorhombic()
-        skew = np.array([[2.0, 0.5, 0], [0, 2.0, 0], [0, 0, 2.0]])
-        assert not Cell(skew).is_orthorhombic()
-
-
-class TestCoordinates:
-    def test_round_trip(self):
-        cell = Cell.orthorhombic(3.0, 4.0, 5.0)
-        rng = np.random.default_rng(1)
-        frac = rng.random((10, 3))
-        cart = cell.fractional_to_cartesian(frac)
-        back = cell.cartesian_to_fractional(cart)
-        assert np.allclose(frac, back)
-
-    def test_fractional_to_cartesian_cubic(self):
-        cell = Cell.cubic(2.0)
-        cart = cell.fractional_to_cartesian([0.5, 0.25, 0.0])
-        assert np.allclose(cart, [1.0, 0.5, 0.0])
-
-    def test_wrap_fractional(self):
-        cell = Cell.cubic(2.0)
-        wrapped = cell.wrap_fractional([1.25, -0.25, 0.5])
-        assert np.allclose(wrapped, [0.25, 0.75, 0.5])
-
-    def test_minimum_image_distance(self):
-        cell = Cell.cubic(10.0)
-        d = cell.minimum_image_distance([0.5, 0, 0], [9.5, 0, 0])
-        assert d == pytest.approx(1.0)
-
 
 class TestSupercell:
     def test_supercell_volume(self):

@@ -12,6 +12,7 @@ import pytest
 from repro.api import PROPAGATORS
 from repro.batch import BatchRunner, SweepSpec, config_hash
 from repro.campaign import Budget, CampaignSpec, InfeasibleBudgetError, plan
+from repro.campaign.report import _observed_wall_seconds
 from repro.exec import ExecutionSettings
 from repro.service import CampaignService, NodePool, run_sweep
 from repro.store import ResultStore
@@ -406,7 +407,7 @@ class TestExecuteShim:
         assert seen == [("dt", 2)]
         assert report.ok
 
-    def test_failed_campaign_attaches_partial_report_with_timings(self, tiny_config):
+    def test_failed_campaign_attaches_partial_report_with_timings(self, tiny_config, registries):
         """A sweep crashing under raise_on_error must not lose the completed
         sweeps' reports, nor the time on their group ledgers."""
 
@@ -414,23 +415,20 @@ class TestExecuteShim:
             raise RuntimeError("simulated mid-campaign crash")
 
         PROPAGATORS.register("service_exploding_prop", explode)
-        try:
-            campaign = CampaignSpec(
-                {
-                    "good": SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]}),
-                    "bad": SweepSpec(
-                        tiny_config, {"propagator.name": ["service_exploding_prop"]}
-                    ),
-                }
-            )
-            with pytest.raises(RuntimeError, match="mid-campaign crash") as excinfo:
-                plan(campaign).execute(raise_on_error=True)
-        finally:
-            PROPAGATORS.unregister("service_exploding_prop")
+        campaign = CampaignSpec(
+            {
+                "good": SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]}),
+                "bad": SweepSpec(
+                    tiny_config, {"propagator.name": ["service_exploding_prop"]}
+                ),
+            }
+        )
+        with pytest.raises(RuntimeError, match="mid-campaign crash") as excinfo:
+            plan(campaign).execute(raise_on_error=True)
 
         partial = excinfo.value.partial_report
         assert partial.sweep_names == ["good"]
         assert partial.pending_sweeps == ["bad"]
         assert partial["good"].to_json()  # real, exportable report
-        assert partial.observed_wall_seconds("good") > 0.0
+        assert _observed_wall_seconds(partial["good"]) > 0.0
         assert "partial: 1 of 2" in partial.plan_table()

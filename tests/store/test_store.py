@@ -103,9 +103,6 @@ class TestContentAddressing:
         assert [job.job_id for job in hits] == [job.job_id for job in known]
         assert [job.job_id for job in misses] == [job.job_id for job in fresh]
 
-    def test_completed_ids_reports_recorded_job_ids(self, warm_report, dt_spec, store):
-        assert store.completed_ids() == {job.job_id for job in dt_spec.expand()}
-
 
 class TestObjectWrites:
     """An object is serialised once, in memory, and written once: its bytes

@@ -170,9 +170,114 @@ def results_carry_no_clock(root):
                     allowed=("src/repro/exec/backends.py",)))
 
 
+#: definitions under ``src/`` kept although no shipped caller names them, each with its reason
+CALLED_FROM_OUTSIDE = {
+    "src/repro/core/dynamics.py:Trajectory.save_npz":
+        "the user-facing trajectory writer README names; it writes the bytes the store archives",
+    "src/repro/pw/ground_state.py:GroundStateResult.save_npz":
+        "the user-facing ground-state writer README names; it writes the bytes the store archives",
+    "src/repro/analysis/paper_data.py:Budget.admits":
+        "the paper tables' own check, kept beside the rows it judges (tests/paper calls it per row)",
+    "src/repro/analysis/paper_data.py:Ceiling.admits":
+        "the same check for rows the paper states as an upper bound",
+    "src/repro/parallel/distributed_wavefunction.py:DistributedWavefunction.from_wavefunction":
+        "the scatter into Alg. 2/3's band distribution; ROADMAP item 5 decides whether ranks execute it",
+    "src/repro/parallel/distributed_wavefunction.py:DistributedWavefunction.to_wavefunction":
+        "the gather out of Alg. 2/3's band distribution; ROADMAP item 5 decides whether ranks execute it",
+    "src/repro/service/handle.py:CampaignHandle.cancel":
+        "the caller's control over a submitted campaign; the service's `cancelled` path exists for it",
+}
+
+
+def _python_files(root: pathlib.Path, tops: list[str]):
+    for top in tops:
+        for path in sorted((root / top).rglob("*.py")) if (root / top).is_dir() else ():
+            if "__pycache__" not in path.parts:
+                yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """The ids of the docstring constants of ``tree``'s module, classes and functions."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, owners) and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant) and isinstance(node.body[0].value.value, str)}
+
+
+def _names_referenced(tree: ast.AST):
+    """``(name, line)`` for every name ``tree``'s code refers to: a ``Name``, an
+    ``Attribute``, an import alias, or a string constant spelled as a (dotted)
+    identifier, as ``getattr``, ``__all__`` and tracer targets spell one.
+    Docstrings and comments refer to nothing."""
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for name in filter(None, (node.name.rsplit(".", 1)[-1], node.asname)):
+                yield name, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+              and all(part.isidentifier() for part in node.value.split(".") if part)):
+            for part in filter(None, node.value.split(".")):
+                yield part, node.lineno
+
+
+def _registered(node) -> bool:
+    """Whether a ``@register_*(...)`` decorator registers ``node`` (the registry's builders)."""
+    calls = [d.func for d in node.decorator_list if isinstance(d, ast.Call)]
+    return any(getattr(func, "id", getattr(func, "attr", "")).startswith("register_") for func in calls)
+
+
+def src_holds_what_the_system_calls(root):
+    """Every function, method, property and class under ``src/`` is there
+    because the system calls it: shipped code (``src/``, ``examples/``,
+    ``benchmarks/``) names it outside its own body, a ``@register_*``
+    decorator registers it, or it is on ``CALLED_FROM_OUTSIDE`` with its
+    reason. A definition only tests call belongs in ``tests/``; a mention in a
+    docstring is not a call. Dunders are the language's. The allowlist stays
+    short (at most 10 entries) and current: an entry whose definition is
+    called, or gone from its file, leaves it."""
+    definitions = []
+    references: dict[str, list[tuple[str, int]]] = {}
+    for relative, tree in _python_files(root, ["src", "examples", "benchmarks"]):
+        for name, line in _names_referenced(tree):
+            references.setdefault(name, []).append((relative, line))
+        if not relative.startswith("src/"):
+            continue
+        scopes = [(tree, "")]
+        while scopes:
+            scope, prefix = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    definitions.append((relative, f"{prefix}{node.name}", node))
+                    scopes.append((node, f"{prefix}{node.name}."))
+                elif not isinstance(node, ast.expr):
+                    scopes.append((node, prefix))
+    found, kept = [], set()
+    for relative, qualname, node in definitions:
+        name = node.name
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        if (name.startswith("__") and name.endswith("__")) or _registered(node) \
+                or any(path != relative or not first <= line <= node.end_lineno
+                       for path, line in references.get(name, ())):
+            continue
+        if f"{relative}:{qualname}" in CALLED_FROM_OUTSIDE:
+            kept.add(f"{relative}:{qualname}")
+        else:
+            found.append(f"{relative}:{node.lineno}: {qualname}")
+    found += [f"{key}: on CALLED_FROM_OUTSIDE, but called or gone" for key in CALLED_FROM_OUTSIDE
+              if (root / key.split(":")[0]).is_file() and key not in kept]
+    if len(CALLED_FROM_OUTSIDE) > 10:
+        found.append(f"CALLED_FROM_OUTSIDE: {len(CALLED_FROM_OUTSIDE)} entries, more than 10")
+    return found
+
+
 RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_fftplan_calls,
          one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count,
-         one_execution_settings_reader, one_canonical_encoder, results_carry_no_clock]
+         one_execution_settings_reader, one_canonical_encoder, results_carry_no_clock,
+         src_holds_what_the_system_calls]
 
 #: per rule, a tree that breaks it (the allowed sites included) and the file(s) it must name
 BREAKS = {
@@ -227,6 +332,27 @@ BREAKS = {
          "src/repro/service/service.py": "start = time.perf_counter()\n"},
         ("src/repro/batch/report.py", "examples/sweep.py", "src/repro/core/dynamics.py",
          "src/repro/calib/observations.py", "src/repro/service/service.py")),
+    src_holds_what_the_system_calls: (
+        {"src/repro/pw/basis.py": "class Wavefunction:\n    def rotate(self, matrix):\n        return self\n",
+         "tests/pw/test_basis.py": "def test_rotate(wavefunction):\n    assert wavefunction.rotate(None)\n",
+         "src/repro/store/store.py": "class ResultStore:\n"
+                                     "    def completed_ids(self):\n"
+                                     "        return set()\n"
+                                     "    def has(self, job):\n"
+                                     '        """Whether ``job`` is stored (see ``completed_ids``)."""\n'
+                                     "        return False\n",
+         "src/repro/api/registry.py": '@register_pulse("none")\ndef _build_no_pulse():\n    return None\n',
+         "src/repro/pw/lattice.py": "class Cell:\n    pass\n",
+         "src/repro/pw/__init__.py": '__all__ = ["Cell"]\n',
+         "src/repro/core/dynamics.py": "class Trajectory:\n    def save_npz(self, path):\n        pass\n",
+         "src/repro/service/handle.py": "class CampaignHandle:\n    def cancel(self):\n        pass\n",
+         "examples/quickstart.py": "from repro.core.dynamics import Trajectory\n"
+                                   "from repro.pw.basis import Wavefunction\n"
+                                   "from repro.service.handle import CampaignHandle\n"
+                                   "from repro.store.store import ResultStore\n"
+                                   "served = ResultStore().has(Trajectory(Wavefunction()))\n"
+                                   "CampaignHandle().cancel()\n"},
+        ("src/repro/pw/basis.py", "src/repro/store/store.py", "src/repro/service/handle.py")),
 }
 
 
@@ -236,13 +362,30 @@ def test_rule_holds(rule):
     assert not found, f"{rule.__name__}: {rule.__doc__}\n" + "\n".join(found)
 
 
+def _plant(root: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
 def test_rule_detects_a_break(rule, tmp_path):
     files, offenders = BREAKS[rule]
-    for name, text in files.items():
-        path = tmp_path / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    found = rule(tmp_path)
+    found = rule(_plant(tmp_path, files))
     for offender in (offenders,) if isinstance(offenders, str) else offenders:
         assert any(line.startswith(f"{offender}:") for line in found), found
+
+
+def test_uncalled_definitions_are_the_only_ones_flagged(tmp_path):
+    """In its break tree, ``src_holds_what_the_system_calls`` flags the helper
+    only a test calls, the method only a docstring names and the allowlist
+    entry an example now calls, and passes the registered builder, the
+    ``__all__`` export and the allowlisted writer."""
+    found = src_holds_what_the_system_calls(_plant(tmp_path, BREAKS[src_holds_what_the_system_calls][0]))
+    assert sorted(found) == [
+        "src/repro/pw/basis.py:2: Wavefunction.rotate",
+        "src/repro/service/handle.py:CampaignHandle.cancel: on CALLED_FROM_OUTSIDE, but called or gone",
+        "src/repro/store/store.py:2: ResultStore.completed_ids",
+    ]
