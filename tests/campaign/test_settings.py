@@ -3,9 +3,11 @@ redesign around it (settings= is the only path).
 """
 
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from repro.api import SimulationConfig
-from repro.batch import BatchRunner, SweepSpec
+from repro.batch import BatchRunner, SweepSpec, config_hash
 from repro.cost import MACHINES, MachineCostModel, NodePlacement
 from repro.exec import BACKEND_NAMES, ExecutionSettings
 
@@ -113,6 +115,37 @@ class TestDescribedObjects:
         assert isinstance(placement, NodePlacement)
         assert placement.n_ranks == 8
         assert placement.ranks_per_node == 8  # frontier: one rank per GCD
+
+
+class TestIdentityPreservation:
+    """The ``run.schedule`` / ``run.machine`` sections never touch what a job
+    computes: group keys, job ids and config hashes are invariant under any
+    settings written into them."""
+
+    @given(
+        machine=st.sampled_from(sorted(MACHINES)),
+        gpus=st.integers(min_value=1, max_value=8),
+        policy=st.sampled_from(["fifo", "cheapest_first", "makespan_balanced", "energy_aware"]),
+        batch_stepping=st.booleans(),
+    )
+    @hyp_settings(max_examples=20, deadline=None)
+    def test_execution_sections_leave_job_identity_untouched(self, machine, gpus, policy, batch_stepping):
+        config = SimulationConfig.from_dict({"basis": {"ecut": 2.0}})
+        spec = SweepSpec(config, {"basis.ecut": [1.5, 2.0], "run.time_step_as": [1.0, 2.0]})
+        stamped = SweepSpec(
+            config.with_overrides({
+                "run.schedule": {"policy": policy, "batch_stepping": batch_stepping},
+                "run.machine": {"name": machine, "gpus_per_group": gpus},
+            }),
+            axes=spec.axes,
+        )
+        restored = ExecutionSettings.from_config(stamped.base)
+        assert (restored.machine, restored.gpus_per_group) == (machine, gpus)
+        assert (restored.schedule, restored.batch_stepping) == (policy, batch_stepping)
+        for original, restamped in zip(spec.expand(), stamped.expand(), strict=True):
+            assert original.job_id == restamped.job_id
+            assert original.group_key == restamped.group_key
+            assert config_hash(original.config) == config_hash(restamped.config)
 
 
 class TestBatchRunnerRedesign:

@@ -42,9 +42,9 @@ class TestSpecies:
         si = silicon_species(include_nonlocal=False)
         assert si.projectors == ()
 
-    def test_one_s_and_one_p_channel(self):
-        si = silicon_species()
-        assert [p.l for p in si.projectors] == [0, 1]
+    def test_projector_count_with_m_degeneracy(self, small_basis):
+        nonlocal_potential = NonlocalPotential(small_basis, [silicon_species()], [np.array([[5.0, 5.0, 5.0]])])
+        assert nonlocal_potential.n_projectors == 1 + 3  # one s + three p
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,23 @@ class TestContentAddressing:
         assert [job.job_id for job in hits] == [job.job_id for job in known]
         assert [job.job_id for job in misses] == [job.job_id for job in fresh]
 
+    def test_every_recorded_job_loads_under_its_own_id(self, warm_report, dt_spec, store):
+        for job, cold in zip(dt_spec.expand(), warm_report.results):
+            assert store.has(job)
+            loaded = store.load(job)
+            assert loaded.status == "cached"
+            assert loaded.job_id == cold.job_id == job.job_id
+
+    def test_a_manifest_not_marked_completed_serves_nothing(self, warm_report, dt_spec, store):
+        first, second = dt_spec.expand()
+        path = store.job_manifest_path(first.config_hash)
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "status": "failed"}))
+        assert not store.has(first) and store.load(first) is None
+        hits, misses = store.diff([first, second])
+        assert [job.job_id for job in hits] == [second.job_id]
+        assert [job.job_id for job in misses] == [first.job_id]
+
 
 class TestObjectWrites:
     """An object is serialised once, in memory, and written once: its bytes

@@ -389,3 +389,76 @@ def test_uncalled_definitions_are_the_only_ones_flagged(tmp_path):
         "src/repro/service/handle.py:CampaignHandle.cancel: on CALLED_FROM_OUTSIDE, but called or gone",
         "src/repro/store/store.py:2: ResultStore.completed_ids",
     ]
+
+
+_CALLER = "examples/run.py"
+
+#: one definition each, judged alone: the tree and what the rule must report for it
+DEFINITION_CASES = {
+    "a_helper_only_a_test_calls": (
+        {"src/repro/pw/grid.py": "def wrap(x):\n    return x\n",
+         "tests/pw/test_grid.py": "from repro.pw.grid import wrap\nassert wrap(1) == 1\n"},
+        ["src/repro/pw/grid.py:1: wrap"]),
+    "a_method_only_a_docstring_names": (
+        {"src/repro/store/store.py": "class ResultStore:\n"
+                                     "    def ids(self):\n"
+                                     "        return set()\n",
+         _CALLER: '"""ResultStore.ids"""\ndef main():\n    """ids"""\n# ids\nmain()\n'},
+        ["src/repro/store/store.py:1: ResultStore", "src/repro/store/store.py:2: ResultStore.ids"]),
+    "a_function_only_its_own_body_calls": (
+        {"src/repro/pw/lattice.py": "def depth(n):\n    return 0 if n == 0 else depth(n - 1)\n"},
+        ["src/repro/pw/lattice.py:1: depth"]),
+    "a_string_that_is_not_an_identifier": (
+        {"src/repro/pw/lattice.py": "def volume():\n    return 1.0\n",
+         _CALLER: 'print("cell volume ()")\n'},
+        ["src/repro/pw/lattice.py:1: volume"]),
+    "a_function_an_example_calls": (
+        {"src/repro/pw/lattice.py": "def volume():\n    return 1.0\n",
+         _CALLER: "from repro.pw.lattice import volume\nprint(volume())\n"},
+        []),
+    "a_method_a_benchmark_calls": (
+        {"src/repro/pw/lattice.py": "class Cell:\n    def volume(self):\n        return 1.0\n",
+         "benchmarks/bench_cell.py": "from repro.pw.lattice import Cell\nCell().volume()\n"},
+        []),
+    "a_method_named_by_a_getattr_string": (
+        {"src/repro/pw/lattice.py": "class Cell:\n    def volume(self):\n        return 1.0\n",
+         _CALLER: 'from repro.pw.lattice import Cell\nprint(getattr(Cell(), "volume")())\n'},
+        []),
+    "a_registered_builder": (
+        {"src/repro/api/registry.py": '@register_pulse("none")\ndef _build_no_pulse():\n    return None\n'},
+        []),
+    "an_all_export": (
+        {"src/repro/pw/lattice.py": "class Cell:\n    pass\n",
+         "src/repro/pw/__init__.py": '__all__ = ["Cell"]\n'},
+        []),
+    "a_dunder": (
+        {"src/repro/pw/lattice.py": "class Cell:\n    def __len__(self):\n        return 3\n",
+         _CALLER: "from repro.pw.lattice import Cell\nprint(len(Cell()))\n"},
+        []),
+    "an_allowlisted_writer": (
+        {"src/repro/core/dynamics.py": "class Trajectory:\n    def save_npz(self, path):\n        pass\n",
+         _CALLER: "from repro.core.dynamics import Trajectory\n"},
+        []),
+    "an_allowlisted_writer_an_example_calls": (
+        {"src/repro/core/dynamics.py": "class Trajectory:\n    def save_npz(self, path):\n        pass\n",
+         _CALLER: "from repro.core.dynamics import Trajectory\nTrajectory().save_npz('t.npz')\n"},
+        ["src/repro/core/dynamics.py:Trajectory.save_npz: on CALLED_FROM_OUTSIDE, but called or gone"]),
+    "an_allowlisted_writer_gone_from_its_file": (
+        {"src/repro/core/dynamics.py": "class Trajectory:\n    pass\n",
+         _CALLER: "from repro.core.dynamics import Trajectory\n"},
+        ["src/repro/core/dynamics.py:Trajectory.save_npz: on CALLED_FROM_OUTSIDE, but called or gone"]),
+}
+
+
+@pytest.mark.parametrize("case", DEFINITION_CASES)
+def test_each_definition_is_judged_by_its_callers(case, tmp_path):
+    files, expected = DEFINITION_CASES[case]
+    assert sorted(src_holds_what_the_system_calls(_plant(tmp_path, files))) == expected
+
+
+def test_the_allowlist_stays_short(tmp_path, monkeypatch):
+    """An eleventh ``CALLED_FROM_OUTSIDE`` entry fails the rule, however good its reason."""
+    for n in range(11 - len(CALLED_FROM_OUTSIDE)):
+        monkeypatch.setitem(CALLED_FROM_OUTSIDE, f"src/repro/extra.py:helper_{n}", "a reason")
+    found = src_holds_what_the_system_calls(_plant(tmp_path, {_CALLER: "print()\n"}))
+    assert found == ["CALLED_FROM_OUTSIDE: 11 entries, more than 10"]
