@@ -2,11 +2,11 @@
 
 Orchestrates propagation runs: :func:`run_batched` repeatedly advances a
 group of jobs through their propagators' ``step_many``, records observables
-(energy, dipole, electron number, SCF statistics) and returns one
-:class:`Trajectory` per job that the examples and benchmarks consume;
-:meth:`TDDFTSimulation.run` is the one-job call. This is the Python-level
-counterpart of the outer time loop of the paper's runs (600 PT-CN steps of
-50 as for the 30 fs silicon simulations).
+(energy, dipole and electron number, each through its one stacked body, and
+SCF statistics) and returns one :class:`Trajectory` per job that the examples
+and benchmarks consume; :meth:`TDDFTSimulation.run` is the one-job call. This
+is the Python-level counterpart of the outer time loop of the paper's runs
+(600 PT-CN steps of 50 as for the 30 fs silicon simulations).
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import numpy as np
 
 from ..pw.basis import Wavefunction
 from ..pw.ground_state import _atomic_savez
-from ..pw.hamiltonian import EnergyBreakdown, Hamiltonian
-from ..pw.laser import sawtooth_position
-from .observables import energy_drift
+from ..pw.hamiltonian import Hamiltonian, energies_many
+from .observables import dipoles_many, electron_numbers_many, energy_drift
 from .propagators.base import DivergedStepError, Propagator, StepStatistics
 
 __all__ = ["Trajectory", "TDDFTSimulation", "BatchedRun", "run_batched", "json_default"]
@@ -310,61 +309,34 @@ def _group_records(
 
     ``prepare()`` and every ``step_many`` leave each Hamiltonian holding the
     density, Hartree potential and xc energy of the state they return, so the
-    records need no orbital transform, Poisson solve or xc pass of their own.
-    The grid integrals run once over the stacked densities — only the
-    GEMM-shaped terms (nonlocal, exact exchange) stay per job — and every
-    stacked expression reduces each job's contiguous grid slice exactly as
-    the per-job observables reduce the whole array, so a job's recorded
-    floats do not depend on the width of its group.
+    records need no orbital transform, Poisson solve or xc pass of their own:
+    they are the stacked observables (:func:`energies_many`,
+    :func:`dipoles_many`, :func:`electron_numbers_many`) of those densities,
+    over the jobs that record each one (NaN for the others).
     """
-    n = len(sims)
     hams = [sim.hamiltonian for sim in sims]
     grid = hams[0].grid
     rho = np.stack([ham.density for ham in hams])
-    electron_counts = np.real(grid.integrate(rho))
-    electrons = [float(electron_counts[i]) for i in range(n)]
+    electrons = [float(n) for n in electron_numbers_many(grid, rho)]
 
-    dipoles: list[np.ndarray] = [np.full(3, np.nan) for _ in range(n)]
-    d_rows = [i for i in range(n) if sims[i].record_dipole]
-    if d_rows:
-        sub = rho[d_rows] if len(d_rows) != n else rho
-        components = []
-        for direction in np.eye(3):
-            position = sawtooth_position(grid, direction)
-            components.append(np.real(grid.integrate(sub * position)))
-        for k, i in enumerate(d_rows):
-            dipoles[i] = np.array([float(c[k]) for c in components])
+    dipoles = [np.full(3, np.nan) for _ in sims]
+    rows = [i for i, sim in enumerate(sims) if sim.record_dipole]
+    if rows:
+        for i, dipole in zip(rows, dipoles_many(grid, rho[rows])):
+            dipoles[i] = dipole
 
-    energies: list[float] = [float("nan")] * n
-    e_rows = [i for i in range(n) if sims[i].record_energy]
-    if e_rows:
-        sub = rho[e_rows] if len(e_rows) != n else rho
-        v_hartree = np.stack([hams[i].v_hartree for i in e_rows])
-        xc_energies = [hams[i]._xc_energy for i in e_rows]
-        coeff = np.stack([wfs[i].coefficients for i in e_rows])
-        occ = np.stack([wfs[i].occupations for i in e_rows])
-        kin = np.stack([hams[i].kinetic_diagonal for i in e_rows])
-        kinetic = np.real(
-            np.sum(occ[:, :, None] * (np.abs(coeff) ** 2) * kin[:, None, :], axis=(-2, -1))
+    energies = [float("nan")] * len(sims)
+    rows = [i for i, sim in enumerate(sims) if sim.record_energy]
+    if rows:
+        breakdowns = energies_many(
+            [hams[i] for i in rows],
+            [wfs[i] for i in rows],
+            rho[rows],
+            np.stack([hams[i].v_hartree for i in rows]),
+            [hams[i]._xc_energy for i in rows],
         )
-        e_hartree = 0.5 * np.real(grid.integrate(sub * v_hartree))
-        v_ionic = np.stack([hams[i].v_ionic for i in e_rows])
-        e_external = np.real(grid.integrate(sub * v_ionic))
-        v_laser = np.stack([hams[i]._v_external_t for i in e_rows])
-        e_laser = np.real(grid.integrate(sub * v_laser))
-        for k, i in enumerate(e_rows):
-            ham = hams[i]
-            wf = wfs[i]
-            energies[i] = EnergyBreakdown(
-                kinetic=float(kinetic[k]),
-                external=float(e_external[k]),
-                nonlocal_psp=ham.nonlocal_psp.energy(wf.coefficients, wf.occupations),
-                hartree=float(e_hartree[k]),
-                xc=float(xc_energies[k]),
-                exact_exchange=ham.exchange.energy(wf) if ham.exchange is not None else 0.0,
-                ewald=ham._ewald,
-                laser=float(e_laser[k]),
-            ).total
+        for i, breakdown in zip(rows, breakdowns):
+            energies[i] = breakdown.total
     return energies, dipoles, electrons
 
 

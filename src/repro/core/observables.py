@@ -7,6 +7,12 @@ number (norm conservation), and the projection of the propagated orbitals onto
 the ground-state bands (carrier excitation). All observables are functions of
 the gauge-invariant density matrix, so they agree between propagators that use
 different gauges — which is exactly the check the PT formulation relies on.
+
+The dipole and the electron number have one body each, stacked over a group's
+densities (:func:`dipoles_many`, :func:`electron_numbers_many`), as the energy
+has in :func:`repro.pw.hamiltonian.energies_many`: the trajectory records call
+them on a stepped group, and :func:`dipole_moment` / :func:`electron_number`
+are their width-1 calls on one wavefunction.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ import numpy as np
 from ..pw.basis import Wavefunction
 from ..pw.density import compute_density
 from ..pw.grid import FFTGrid
-from ..pw.hamiltonian import Hamiltonian
 from ..pw.laser import sawtooth_position
 
 __all__ = [
+    "dipoles_many",
+    "electron_numbers_many",
     "dipole_moment",
     "electron_number",
     "band_occupations",
@@ -31,38 +38,39 @@ __all__ = [
 ]
 
 
-def dipole_moment(
-    wavefunction: Wavefunction,
-    grid: FFTGrid | None = None,
-    density: np.ndarray | None = None,
-) -> np.ndarray:
-    """Electronic dipole moment ``d_k = integral r_k rho(r) dr`` (sawtooth convention).
+def dipoles_many(grid: FFTGrid, densities: np.ndarray) -> np.ndarray:
+    """Electronic dipole moments ``d_k = integral r_k rho(r) dr`` of a stack of
+    densities, shape ``(njobs, 3)`` (sawtooth convention).
 
     For periodic cells the position operator is defined through the sawtooth
     coordinate (see :func:`repro.pw.laser.sawtooth_position`); only *changes*
     of the dipole are physically meaningful, which is all the absorption
-    spectrum needs. ``density`` may carry the precomputed density of
-    ``wavefunction`` so callers that already hold it (the batched record
-    keeping) skip the orbital transform.
+    spectrum needs. Each job's density slice is reduced alone, so its dipole
+    does not depend on the width of the stack.
     """
-    grid = wavefunction.basis.grid if grid is None else grid
-    rho = compute_density(wavefunction, grid) if density is None else density
-    dipole = np.empty(3)
-    for axis, direction in enumerate(np.eye(3)):
-        position = sawtooth_position(grid, direction)
-        dipole[axis] = float(np.real(grid.integrate(rho * position)))
-    return dipole
+    components = [np.real(grid.integrate(densities * sawtooth_position(grid, direction)))
+                  for direction in np.eye(3)]
+    return np.stack(components, axis=-1)
 
 
-def electron_number(
-    wavefunction: Wavefunction,
-    grid: FFTGrid | None = None,
-    density: np.ndarray | None = None,
-) -> float:
-    """Total electron number ``integral rho(r) dr`` (norm-conservation check)."""
-    grid = wavefunction.basis.grid if grid is None else grid
-    rho = compute_density(wavefunction, grid) if density is None else density
-    return float(np.real(grid.integrate(rho)))
+def electron_numbers_many(grid: FFTGrid, densities: np.ndarray) -> np.ndarray:
+    """Total electron numbers ``integral rho(r) dr`` of a stack of densities
+    (norm-conservation check), shape ``(njobs,)``."""
+    return np.real(grid.integrate(densities))
+
+
+def dipole_moment(wavefunction: Wavefunction) -> np.ndarray:
+    """Dipole moment of ``wavefunction``'s density: the width-1 call of
+    :func:`dipoles_many`."""
+    grid = wavefunction.basis.grid
+    return dipoles_many(grid, compute_density(wavefunction, grid)[None])[0]
+
+
+def electron_number(wavefunction: Wavefunction) -> float:
+    """Electron number of ``wavefunction``'s density: the width-1 call of
+    :func:`electron_numbers_many`."""
+    grid = wavefunction.basis.grid
+    return float(electron_numbers_many(grid, compute_density(wavefunction, grid)[None])[0])
 
 
 def band_occupations(wavefunction: Wavefunction, reference: Wavefunction) -> np.ndarray:

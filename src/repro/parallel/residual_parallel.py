@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .comm import SimCommunicator
 from .distributed_wavefunction import DistributedWavefunction
 
 __all__ = ["distributed_pt_residual", "distributed_initial_residual"]

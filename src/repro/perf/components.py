@@ -23,7 +23,7 @@ trend* is produced by the model, not copied from the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

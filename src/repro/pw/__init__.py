@@ -26,7 +26,6 @@ from .orthogonalization import (
 from .poisson import (
     CoulombKernel,
     bare_coulomb_kernel,
-    hartree_energy,
     hartree_potential,
     screened_exchange_kernel,
     solve_poisson,
@@ -75,7 +74,6 @@ __all__ = [
     "orthonormality_error",
     "CoulombKernel",
     "bare_coulomb_kernel",
-    "hartree_energy",
     "hartree_potential",
     "screened_exchange_kernel",
     "solve_poisson",

@@ -232,12 +232,6 @@ class GroundStateSolver:
         outer exchange loop is performed.
     nbands:
         Number of occupied bands (defaults to electrons/2).
-    mixing_beta:
-        Step of the linear density updates: the first three of every SCF loop
-        (of every exchange round, for a hybrid). Later updates are Anderson
-        extrapolations (:class:`~repro.pw.density.DensityMixer`), so an SCF
-        that stops within three iterations is the linear-mixing SCF bit for
-        bit and a longer one reaches the same fixed point in fewer iterations.
     scf_tolerance:
         Convergence threshold on the density change (the paper's rt-TDDFT SCF
         uses 1e-6; the ground state solver defaults to the same).
@@ -257,7 +251,6 @@ class GroundStateSolver:
         self,
         hamiltonian: Hamiltonian,
         nbands: int | None = None,
-        mixing_beta: float = 0.4,
         scf_tolerance: float = 1e-6,
         max_scf_iterations: int = 60,
         exchange_outer_iterations: int = 4,
@@ -269,7 +262,9 @@ class GroundStateSolver:
         self.nbands = structure.n_occupied_bands() if nbands is None else int(nbands)
         if self.nbands < 1:
             raise ValueError("nbands must be >= 1")
-        self.mixer = DensityMixer(mixing_beta)
+        # linear steps of 0.4 for the first three updates of every SCF loop (of
+        # every exchange round, for a hybrid), Anderson extrapolations after
+        self.mixer = DensityMixer(beta=0.4)
         self.scf_tolerance = float(scf_tolerance)
         self.max_scf_iterations = int(max_scf_iterations)
         self.exchange_outer_iterations = int(exchange_outer_iterations)

@@ -10,25 +10,30 @@
 * ``V_X`` is the (screened) Fock exchange integral operator depending on the
   full density matrix.
 
-The class below assembles these pieces. The two operations the propagators
-and the ground-state solver need have one body each, the stacked kernels at
-the end of this module: :func:`update_potentials_many` (recompute ``V_Hxc``
-and the exchange orbitals, Alg. 1 line 5) and :func:`apply_many` (``H Psi``,
-the kernel whose cost dominates the paper's runtime breakdown: kinetic, local
-FFT, nonlocal, and the Fock pair loop of Alg. 2). A lockstep group calls them
-on a stack of jobs; :meth:`Hamiltonian.update_potential` and
-:meth:`Hamiltonian.apply` are their width-1 calls.
+The class below assembles these pieces. The three operations the propagators,
+the trajectory records and the ground-state solver need have one body each,
+the stacked kernels at the end of this module: :func:`update_potentials_many`
+(recompute ``V_Hxc`` and the exchange orbitals, Alg. 1 line 5),
+:func:`apply_many` (``H Psi``, the kernel whose cost dominates the paper's
+runtime breakdown: kinetic, local FFT, nonlocal, and the Fock pair loop of
+Alg. 2) and :func:`energies_many` (the total-energy breakdown a trajectory
+records). A lockstep group calls them on a stack of jobs;
+:meth:`Hamiltonian.update_potential`, :meth:`Hamiltonian.apply` and
+:meth:`Hamiltonian.energy` are their width-1 calls.
 
 Bit-identity contract
 ---------------------
 The kernels must produce, per job, exactly the floats of the same job in a
 stack of any other width — a stack of one included. That holds because only
-two kinds of operation are batched across jobs:
+three kinds of operation are batched across jobs:
 
 * FFTs — pocketfft transforms every leading-axis slice independently, so a
   stacked transform equals J single-job transforms bit for bit;
 * elementwise/broadcast arithmetic — each slice sees the same multiplier
-  values in the same expression order at every width.
+  values in the same expression order at every width;
+* sums over the trailing axes (the energy's kinetic sum and grid integrals) —
+  each job's slice is contiguous and is reduced alone, in the same order at
+  every width.
 
 Everything GEMM-shaped (nonlocal projectors, exchange, subspace overlaps,
 Anderson extrapolation, Cholesky) stays a per-job loop on per-job slices:
@@ -40,7 +45,7 @@ same call at every stack width) and never across jobs.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,13 +54,8 @@ from .basis import Wavefunction
 from .density import compute_density, compute_density_many
 from .exchange import ExchangeOperator
 from .grid import FFTGrid, PlaneWaveBasis
-from .poisson import hartree_energy, hartree_potential
-from .pseudopotential import (
-    LocalPotentialBuilder,
-    NonlocalPotential,
-    PseudopotentialSpecies,
-    ewald_energy,
-)
+from .poisson import hartree_potential
+from .pseudopotential import LocalPotentialBuilder, NonlocalPotential, ewald_energy
 from .structures import Structure
 from .xc import LDAFunctional
 
@@ -66,6 +66,7 @@ __all__ = [
     "stack_coefficients",
     "apply_many",
     "update_potentials_many",
+    "energies_many",
 ]
 
 
@@ -151,7 +152,6 @@ class Hamiltonian:
         screening_length: float | None = 0.106,
         external_field: Callable[[float], np.ndarray] | None = None,
         include_nonlocal: bool = True,
-        xc_functional: LDAFunctional | None = None,
     ):
         self.basis = basis
         self.grid: FFTGrid = basis.grid
@@ -171,9 +171,7 @@ class Hamiltonian:
         else:
             self.nonlocal_psp = NonlocalPotential(basis, [], [])
 
-        if xc_functional is None:
-            xc_functional = LDAFunctional(exchange_scale=max(0.0, 1.0 - self.hybrid_mixing))
-        self.xc = xc_functional
+        self.xc = LDAFunctional(exchange_scale=max(0.0, 1.0 - self.hybrid_mixing))
 
         if self.hybrid_mixing > 0:
             self.exchange: ExchangeOperator | None = ExchangeOperator(
@@ -325,62 +323,24 @@ class Hamiltonian:
     # ------------------------------------------------------------------
     # Energies
     # ------------------------------------------------------------------
-    def energy(
-        self,
-        wavefunction: Wavefunction,
-        density: np.ndarray | None = None,
-        v_hartree: np.ndarray | None = None,
-        xc_result: "XCResult | None" = None,
-    ) -> EnergyBreakdown:
-        """Total energy breakdown for a wavefunction set.
+    def energy(self, wavefunction: Wavefunction) -> EnergyBreakdown:
+        """Total energy breakdown for a wavefunction set: the width-1 call of
+        :func:`energies_many`.
 
         The density-dependent terms are evaluated from the density of
-        ``wavefunction`` (not from the cached SCF density) so the method can be
-        used both during SCF and for reporting along a trajectory. ``density``,
-        ``v_hartree`` and ``xc_result`` may be passed precomputed — the batched
-        record keeping reuses the end-of-step density and evaluates Hartree/xc
-        for a whole job stack at once.
+        ``wavefunction`` (not from the density the Hamiltonian holds, which
+        after an SCF is the mixed one), so the method serves both the ground
+        state and a propagated state. Side-effect free: the exchange orbitals
+        and the potentials are left as they were.
         """
-        if density is None:
-            density = compute_density(wavefunction, self.grid)
-        occ = wavefunction.occupations
-        coeff = wavefunction.coefficients
+        density = compute_density(wavefunction, self.grid)
+        v_hartree = hartree_potential(self.grid, density)
+        xc_energy = self.xc.evaluate(density, self.grid.volume_element).energy
+        return energies_many([self], [wavefunction], density[None], v_hartree[None], [xc_energy])[0]
 
-        kinetic = float(
-            np.real(
-                np.sum(occ[:, None] * (np.abs(coeff) ** 2) * self.kinetic_diagonal[None, :])
-            )
-        )
-        v_h = hartree_potential(self.grid, density) if v_hartree is None else v_hartree
-        e_hartree = hartree_energy(self.grid, density, v_h)
-        e_external = float(np.real(self.grid.integrate(density * self.v_ionic)))
-        e_laser = float(np.real(self.grid.integrate(density * self._v_external_t)))
-        if xc_result is None:
-            xc_result = self.xc.evaluate(density, self.grid.volume_element)
-        e_nl = self.nonlocal_psp.energy(coeff, occ)
-        e_x = self.exchange.energy(wavefunction) if self.exchange is not None else 0.0
-        return EnergyBreakdown(
-            kinetic=kinetic,
-            external=e_external,
-            nonlocal_psp=e_nl,
-            hartree=e_hartree,
-            xc=xc_result.energy,
-            exact_exchange=e_x,
-            ewald=self._ewald,
-            laser=e_laser,
-        )
-
-    def total_energy(
-        self,
-        wavefunction: Wavefunction,
-        density: np.ndarray | None = None,
-        v_hartree: np.ndarray | None = None,
-        xc_result: "XCResult | None" = None,
-    ) -> float:
+    def total_energy(self, wavefunction: Wavefunction) -> float:
         """Total energy (Hartree) for a wavefunction set."""
-        return self.energy(
-            wavefunction, density=density, v_hartree=v_hartree, xc_result=xc_result
-        ).total
+        return self.energy(wavefunction).total
 
     # ------------------------------------------------------------------
     def preconditioner(self, shift: float = 1.0) -> np.ndarray:
@@ -495,3 +455,45 @@ def update_potentials_many(
             ham.exchange.set_orbitals(wavefunctions[j], psi_real=None if psi_real is None else psi_real[j])
         ham.counters.potential_updates += 1
     return densities
+
+
+def energies_many(
+    hamiltonians: list[Hamiltonian],
+    wavefunctions: list[Wavefunction],
+    densities: np.ndarray,
+    v_hartree: np.ndarray,
+    xc_energies: Sequence[float],
+) -> list[EnergyBreakdown]:
+    """Every job's :class:`EnergyBreakdown`, the grid integrals batched.
+
+    ``densities[j]`` is the density of ``wavefunctions[j]``, and
+    ``v_hartree[j]`` / ``xc_energies[j]`` the Hartree potential and xc energy
+    of that density: a stepped group's Hamiltonians hold them already (see
+    :func:`update_potentials_many`), :meth:`Hamiltonian.energy` computes them
+    for its one job. The kinetic sum and the grid integrals run over the
+    stack, each job reducing its own contiguous slice, so a job's energy does
+    not depend on the width of its stack; the GEMM-shaped terms (nonlocal,
+    exact exchange) stay per job.
+    """
+    grid = hamiltonians[0].grid
+    coeff = stack_coefficients(wavefunctions)
+    occ = np.stack([wf.occupations for wf in wavefunctions])
+    kinetic = np.real(
+        np.sum(occ[:, :, None] * (np.abs(coeff) ** 2) * hamiltonians[0].kinetic_diagonal, axis=(-2, -1))
+    )
+    hartree = 0.5 * np.real(grid.integrate(densities * v_hartree))
+    external = np.real(grid.integrate(densities * np.stack([ham.v_ionic for ham in hamiltonians])))
+    laser = np.real(grid.integrate(densities * np.stack([ham._v_external_t for ham in hamiltonians])))
+    return [
+        EnergyBreakdown(
+            kinetic=float(kinetic[j]),
+            external=float(external[j]),
+            nonlocal_psp=ham.nonlocal_psp.energy(wf.coefficients, wf.occupations),
+            hartree=float(hartree[j]),
+            xc=float(xc_energies[j]),
+            exact_exchange=ham.exchange.energy(wf) if ham.exchange is not None else 0.0,
+            ewald=ham._ewald,
+            laser=float(laser[j]),
+        )
+        for j, (ham, wf) in enumerate(zip(hamiltonians, wavefunctions))
+    ]

@@ -23,7 +23,6 @@ __all__ = [
     "screened_exchange_kernel",
     "solve_poisson",
     "hartree_potential",
-    "hartree_energy",
 ]
 
 
@@ -178,10 +177,3 @@ def hartree_potential(grid: FFTGrid, rho_real: np.ndarray) -> np.ndarray:
     """Hartree potential of a real electron density (real output)."""
     v = solve_poisson(grid, rho_real)
     return np.real(v)
-
-
-def hartree_energy(grid: FFTGrid, rho_real: np.ndarray, v_hartree: np.ndarray | None = None) -> float:
-    """Hartree energy ``1/2 int rho(r) V_H(r) dr``."""
-    if v_hartree is None:
-        v_hartree = hartree_potential(grid, rho_real)
-    return 0.5 * float(np.real(grid.integrate(np.asarray(rho_real) * v_hartree)))

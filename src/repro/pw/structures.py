@@ -9,11 +9,11 @@ simple-cubic conventional cell with lattice constant 5.43 Angstrom, replicated
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..constants import ANGSTROM_TO_BOHR, SILICON_LATTICE_BOHR
+from ..constants import SILICON_LATTICE_BOHR
 from .lattice import Cell
 from .pseudopotential import (
     PseudopotentialSpecies,

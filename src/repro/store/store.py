@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import zipfile
 from typing import TYPE_CHECKING

@@ -8,7 +8,6 @@ from repro.pw.lattice import Cell
 from repro.pw.poisson import (
     CoulombKernel,
     bare_coulomb_kernel,
-    hartree_energy,
     hartree_potential,
     screened_exchange_kernel,
     solve_poisson,
@@ -28,6 +27,11 @@ def gaussian_density(grid, width, charge=1.0):
     rho = np.exp(-r2 / (2.0 * width**2))
     rho *= charge / (np.sum(rho) * grid.volume_element)
     return rho, np.sqrt(r2)
+
+
+def hartree_energy(grid, rho):
+    """``1/2 int rho V_H dr``, as ``repro.pw.hamiltonian.energies_many`` integrates it."""
+    return 0.5 * float(np.real(grid.integrate(rho * hartree_potential(grid, rho))))
 
 
 class TestKernels:

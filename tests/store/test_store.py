@@ -192,7 +192,7 @@ class TestObjectWrites:
         def refused(source, target):
             raise PermissionError("read-only objects/")
 
-        monkeypatch.setattr("repro.store.store.os.replace", refused)
+        monkeypatch.setattr("repro.durable.os.replace", refused)
         with pytest.raises(PermissionError):
             store.save_ground_state("group", ground_state)
         assert list(store.tmp_dir.iterdir()) == []
