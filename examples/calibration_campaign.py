@@ -175,7 +175,7 @@ def adaptive_demo(*, verbose: bool = True) -> dict:
     spec = SweepSpec(
         base,
         {
-            "basis.ecut": [2.4, 2.1, 1.8, 1.5],
+            "basis.ecut": [2.6, 2.1, 1.8, 1.5],  # four distinct plane-wave sets
             "propagator.name": ["rk4", "ptcn", "ptcn", "rk4"],
         },
         mode="zip",

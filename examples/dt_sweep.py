@@ -142,7 +142,8 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
     )
     # four distinct ground-state groups x two time steps: enough structure to
     # exercise scheduling and to give every one of 4 simulated ranks a group
-    spec = SweepSpec(base, {"basis.ecut": [1.5, 1.7, 2.0, 2.2], "run.time_step_as": [1.0, 2.0]})
+    # (each cutoff selects its own plane-wave set; 2.2 Ha would select 2.0's)
+    spec = SweepSpec(base, {"basis.ecut": [1.5, 1.7, 2.0, 2.6], "run.time_step_as": [1.0, 2.0]})
     n_jobs = spec.n_jobs
     settings = ExecutionSettings.from_config(base, backend=backend, ranks=ranks, schedule=schedule)
     with tempfile.TemporaryDirectory() as store_root:

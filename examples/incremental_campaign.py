@@ -42,8 +42,10 @@ BASE = {
 
 
 def build_campaign() -> dict[str, SweepSpec]:
-    """Two sweeps, five jobs, four ground-state groups; the axes avoid the
-    base-config point so the sweeps do not overlap and a cold run is 0 hits."""
+    """Two sweeps, five jobs, four ground-state groups on three SCFs (2.2 Ha
+    selects the base's 2.0 Ha plane waves, so the dt sweep adopts that SCF);
+    the axes avoid the base-config point so the sweeps do not overlap and a
+    cold run is 0 hits."""
     base = SimulationConfig.from_dict(BASE)
     return {
         "cutoff-scan": SweepSpec(base, {"basis.ecut": [1.5, 1.8, 2.2]}),

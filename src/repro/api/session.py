@@ -264,7 +264,9 @@ class Session:
         """Provenance stamped on a trajectory: the *effective* config of the
         run (overrides folded in), not the session's base config, so archived
         trajectories can be reproduced from their own metadata even when a
-        batch driver ran many variants through one shared session."""
+        batch driver ran many variants through one shared session. Its basis
+        section is the session's; :func:`~repro.exec.execute_group` stamps a
+        job whose spelled cutoff selects the same plane waves with its own."""
         laser = request["laser"]
         effective = self.config.with_overrides(
             {

@@ -44,6 +44,7 @@ from types import MappingProxyType
 
 from ..api.config import ConfigError, SimulationConfig
 from ..canonical import canonical_json
+from ..perf.sweep_cost import discretisation
 
 __all__ = ["SweepJob", "SweepSpec", "ground_state_group_key", "config_hash"]
 
@@ -120,31 +121,47 @@ def config_hash(config: SimulationConfig | dict) -> str:
 #: solve at the level of ``gs_scf_tolerance``; 4: densities are Anderson-mixed
 #: after a three-iteration linear warm-up; an SCF that needs more than three
 #: iterations ends on orbitals that differ from a version-3 solve at the level
-#: of ``gs_scf_tolerance``)
-_GROUND_STATE_KEY_VERSION = 4
+#: of ``gs_scf_tolerance``; 5: discretisation — the key carries the grid shape
+#: and plane-wave set a cutoff selects, not the spelled ``ecut`` /
+#: ``grid_factor``, so a store written under version 4 still serves its
+#: trajectories, keyed by :func:`config_hash`, but not its ground states)
+_GROUND_STATE_KEY_VERSION = 5
 
 
 def ground_state_group_key(config: SimulationConfig) -> str:
     """Canonical key identifying the ground state a config propagates from.
 
     The ground state is field-free — the laser is switched on by the
-    propagation — so the key carries the structure, basis, XC treatment, the
-    ``run`` fields a group's session reads once (the ``gs_*`` SCF parameters
-    and the recording flags) and :data:`_GROUND_STATE_KEY_VERSION`, and
-    nothing of the ``laser`` or ``propagator`` sections or the
-    propagation-only run fields. Jobs with equal keys share one converged
-    SCF, one :class:`~repro.api.Session` and one lockstep stack, whatever
-    their pulses, integrators and time steps; the same string keys the
-    scheduling group and the store's ground-state object. The structure
-    asset's content digest is folded in like :func:`config_hash` does, and
-    the text is the same canonical encoding, so configs that compare ``==``
-    share a key. Carried by every job as :attr:`SweepJob.group_key`.
+    propagation — so the key carries the structure, the discretisation, the
+    XC treatment, the ``run`` fields a group's session reads once (the
+    ``gs_*`` SCF parameters and the recording flags) and
+    :data:`_GROUND_STATE_KEY_VERSION`, and nothing of the ``laser`` or
+    ``propagator`` sections or the propagation-only run fields. The
+    discretisation is what the physics reads of the ``basis`` section: the
+    grid shape and plane-wave set of :func:`~repro.perf.sweep_cost.discretisation`,
+    so two cutoffs that select the same plane waves on the same mesh are one
+    ground state. A config that cannot be discretised — a cutoff too small
+    to build a basis, a structure that cannot be built or occupied — keeps its spelled
+    ``basis`` section, and its jobs fail at execution, as a group of their
+    own. Jobs with equal keys share one converged SCF, one
+    :class:`~repro.api.Session` and one lockstep stack, whatever their
+    pulses, integrators, time steps and spelled cutoffs; the same string
+    keys the scheduling group and the store's ground-state object. The
+    structure asset's content digest is folded in like :func:`config_hash`
+    does, and the text is the same canonical encoding, so configs that
+    compare ``==`` share a key. Carried by every job as :attr:`SweepJob.group_key`.
     """
     data = config._plain()
     data.pop("propagator")
     data.pop("laser")
     for name in _PROPAGATION_ONLY_RUN_FIELDS:
         data["run"].pop(name)
+    try:
+        _, shape, plane_waves = discretisation(config)
+    except ValueError:  # a structure that cannot be built or occupied
+        plane_waves = None
+    if plane_waves is not None:
+        data["basis"] = {"grid_shape": list(shape), "plane_waves": plane_waves}
     assets = _asset_digest_overlay(data)
     if assets:
         data["assets"] = assets

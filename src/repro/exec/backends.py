@@ -40,6 +40,7 @@ receives both job results and converged SCFs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -154,18 +155,32 @@ def execute_group(
                 raise
             results.append(JobResult.from_failure(job, exc))
             continue
-        result = JobResult.from_trajectory(job, trajectory)
+        result = JobResult.from_trajectory(job, _with_own_config(trajectory, job.config))
         if job_store is not None:
             try:
                 job_store.save(result)
-            except Exception as exc:
+            except OSError as exc:
                 # a persistence failure (full disk, unwritable dir) must not
                 # discard finished physics or abort the sweep: the job stays
                 # completed but unsaved, and a rerun recomputes it
                 result.error = f"checkpoint write failed: {type(exc).__name__}: {exc}"
-                warnings.warn(f"job {job.job_id}: {result.error}")
+                _degraded(f"job {job.job_id}: {result.error}", notes)
         results.append(result)
     return results
+
+
+def _with_own_config(trajectory, config):
+    """``trajectory`` with ``config`` as its provenance.
+
+    A group's session is built from its first job's config, and jobs whose
+    spelled cutoffs differ but select the same plane waves share its
+    trajectories (one computation per equal request), so a job's result is
+    stamped with its own config here: a copy of the trajectory, arrays
+    shared, when the session's stamp differs, else the trajectory itself.
+    """
+    if trajectory.metadata.get("config") == config._plain():
+        return trajectory
+    return dataclasses.replace(trajectory, metadata={**trajectory.metadata, "config": config.to_dict()})
 
 
 def _degraded(note: str, notes: list | None) -> None:
@@ -200,7 +215,7 @@ def _ground_state_through_store(session: Session, gs_store, group_key: str,
         try:
             if not gs_store.has_ground_state(group_key):
                 gs_store.save_ground_state(group_key, session.ground_state())
-        except Exception as exc:
+        except OSError as exc:
             _degraded(f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}", notes)
     return converged_here
 

@@ -19,6 +19,8 @@ semi-local part.
 
 from __future__ import annotations
 
+import hashlib
+
 from ..canonical import canonical_json
 from .flops import hamiltonian_application_flops
 
@@ -93,26 +95,35 @@ def applications_per_step(propagator_name: str, params: dict | None = None) -> f
     return DEFAULT_APPLICATIONS_PER_STEP
 
 
-#: memo of :func:`workload_sizes`; two ints per distinct (system, basis), and
-#: emptied at the cap so a long-lived service cannot grow it without bound
-_WORKLOAD_SIZES: dict[tuple, tuple[int, int]] = {}
-_WORKLOAD_SIZES_CAP = 4096
+#: memo of :func:`discretisation`; per distinct (system, basis) a band count,
+#: a grid shape and a digest, emptied at the cap so a long-lived service
+#: cannot grow it without bound
+_DISCRETISATIONS: dict[tuple, tuple] = {}
+_DISCRETISATIONS_CAP = 4096
 
 
-def workload_sizes(config) -> tuple[int, int]:
-    """``(n_bands, n_grid_points)`` of a :class:`~repro.api.SimulationConfig`.
+def discretisation(config) -> tuple[int, tuple[int, int, int], str | None]:
+    """``(n_bands, grid_shape, plane_waves)`` of a :class:`~repro.api.SimulationConfig`.
 
-    Built from the cheap layers only — the structure factory and the FFT grid
-    choice — and memoised on what those read: the canonical ``system`` and
-    ``basis`` sections plus what the structure name resolves to (the
-    registered factory, or the content digest of an ``asset:`` reference).
-    Scheduling, planning and re-pricing ask for the same few materials
-    hundreds of times a campaign, so predicting a whole sweep costs
-    microseconds per group.
+    ``plane_waves`` is a digest of the :class:`~repro.pw.grid.PlaneWaveBasis`
+    index set on that grid, ``None`` when the cutoff is too small to build a
+    basis. Grid shape and index set are all of the basis section that the
+    physics reads, so two cutoffs (or grid factors) that select the same
+    plane waves on the same mesh discretise a structure identically: this is
+    what :func:`repro.batch.sweep.ground_state_group_key` keys on, and what
+    :func:`workload_sizes` prices.
+
+    Built from the cheap layers only — the structure factory, the FFT grid
+    choice and the sphere's index set, never an SCF — and memoised on what
+    those read: the canonical ``system`` and ``basis`` sections plus what the
+    structure name resolves to (the registered factory, or the content digest
+    of an ``asset:`` reference). Expansion, scheduling, planning and
+    re-pricing ask for the same few materials hundreds of times a campaign,
+    so a repeat costs one canonical encoding and a lookup.
     """
     from ..api.registry import STRUCTURES  # deferred: avoids a perf -> api cycle
     from ..assets import ASSET_PREFIX, default_library
-    from ..pw.grid import choose_grid_shape
+    from ..pw.grid import FFTGrid, PlaneWaveBasis, choose_grid_shape
 
     system, basis = config.system, config.basis
     name = system.structure
@@ -121,15 +132,28 @@ def workload_sizes(config) -> tuple[int, int]:
     else:
         resolved = STRUCTURES.get(name)
     key = (resolved, canonical_json([name, dict(system.params), basis.ecut, basis.grid_factor]))
-    sizes = _WORKLOAD_SIZES.get(key)
-    if sizes is None:
+    found = _DISCRETISATIONS.get(key)
+    if found is None:
         structure = STRUCTURES.create(name, **system.params)
-        shape = choose_grid_shape(structure.cell, basis.ecut, factor=basis.grid_factor)
-        sizes = (int(structure.n_occupied_bands()), int(shape[0]) * int(shape[1]) * int(shape[2]))
-        if len(_WORKLOAD_SIZES) >= _WORKLOAD_SIZES_CAP:
-            _WORKLOAD_SIZES.clear()
-        _WORKLOAD_SIZES[key] = sizes
-    return sizes
+        shape = tuple(int(n) for n in choose_grid_shape(structure.cell, basis.ecut, factor=basis.grid_factor))
+        try:
+            indices = PlaneWaveBasis(FFTGrid(structure.cell, shape), basis.ecut).indices
+        except ValueError:  # fewer than two plane waves: no basis to name
+            plane_waves = None
+        else:
+            plane_waves = hashlib.sha1(indices.astype("<i8").tobytes()).hexdigest()[:16]
+        found = (int(structure.n_occupied_bands()), shape, plane_waves)
+        if len(_DISCRETISATIONS) >= _DISCRETISATIONS_CAP:
+            _DISCRETISATIONS.clear()
+        _DISCRETISATIONS[key] = found
+    return found
+
+
+def workload_sizes(config) -> tuple[int, int]:
+    """``(n_bands, n_grid_points)`` of a :class:`~repro.api.SimulationConfig`,
+    read from its memoised :func:`discretisation`."""
+    n_bands, (n1, n2, n3), _ = discretisation(config)
+    return n_bands, n1 * n2 * n3
 
 
 def predict_job_cost(config) -> float:

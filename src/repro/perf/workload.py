@@ -107,15 +107,15 @@ class SiliconWorkload:
             )
         return self.n_bands / n_ranks
 
-    def nonlocal_projector_bytes(self, projectors_per_atom: int = 8, sparsity: float = 0.0034) -> int:
+    def nonlocal_projector_bytes(self) -> int:
         """Memory of the real-space nonlocal projectors stored on every rank.
 
         The paper quotes 432 MB for Si1536; real-space projectors are sparse
-        (non-zero only near their atom), so the default sparsity is calibrated
+        (non-zero only near their atom), so the sparsity 0.0034 is calibrated
         to reproduce that figure with 8 projectors per silicon atom.
         """
-        dense = self.natoms * projectors_per_atom * self.n_planewaves * 16
-        return int(dense * sparsity)
+        dense = self.natoms * 8 * self.n_planewaves * 16
+        return int(dense * 0.0034)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -192,6 +192,29 @@ class FFTGrid:
         return hash((self.shape, self.cell))
 
 
+def _sphere_indices(grid: FFTGrid, ecut: float) -> np.ndarray:
+    """Ascending flat indices, into the raveled mesh of ``grid``, of its
+    G-vectors with ``|G|^2/2 <= E_cut`` (to 1e-12 Ha).
+
+    Only the frequencies within reach of the sphere are visited: a G-vector's
+    frequency along axis ``i`` is ``G . a_i / 2 pi``, at most
+    ``|G|_max |a_i| / 2 pi`` in size. So the cost follows the sphere, not the
+    mesh, and a basis is cheap to build before anything asks for the mesh's
+    G-vectors (the sweep layer names a config's basis by its index set).
+    """
+    limit = ecut + 1e-12
+    reach = np.sqrt(2.0 * limit) * grid.cell.lengths / (2.0 * np.pi) + 1.0  # a margin of one
+    positions = [np.nonzero(np.abs(f) <= r)[0] for f, r in zip(grid.frequencies, reach)]
+    f1, f2, f3 = (f[p] for f, p in zip(grid.frequencies, positions))
+    m1, m2, m3 = np.meshgrid(f1, f2, f3, indexing="ij")
+    g = np.stack([m1, m2, m3], axis=-1).astype(float) @ grid.cell.reciprocal_vectors
+    kinetic = 0.5 * np.einsum("...i,...i->...", g, g)
+    _, n2, n3 = grid.shape
+    p1, p2, p3 = positions
+    flat = (p1[:, None, None] * n2 + p2[None, :, None]) * n3 + p3[None, None, :]
+    return flat[kinetic <= limit]
+
+
 class PlaneWaveBasis:
     """The set of plane waves with ``|G|^2/2 <= E_cut`` on an FFT grid.
 
@@ -213,10 +236,7 @@ class PlaneWaveBasis:
             raise ValueError(f"ecut must be positive, got {ecut}")
         self.grid = grid
         self.ecut = float(ecut)
-        kinetic = 0.5 * grid.g_squared
-        mask = kinetic <= self.ecut + 1e-12
-        self._mask = mask
-        self._indices = np.nonzero(mask.ravel())[0]
+        self._indices = _sphere_indices(grid, self.ecut)
         if self._indices.size < 2:
             raise ValueError(
                 "plane-wave basis contains fewer than 2 G-vectors; "
@@ -229,10 +249,12 @@ class PlaneWaveBasis:
         """Number of plane waves in the sphere (paper notation: N_G)."""
         return int(self._indices.size)
 
-    @property
+    @cached_property
     def mask(self) -> np.ndarray:
         """Boolean mask of sphere membership on the FFT mesh."""
-        return self._mask
+        mask = np.zeros(self.grid.size, dtype=bool)
+        mask[self._indices] = True
+        return mask.reshape(self.grid.shape)
 
     @property
     def indices(self) -> np.ndarray:
@@ -288,7 +310,7 @@ class PlaneWaveBasis:
         memo = plan_memo(self, "_bound_transforms")
         plan = memo.get(dtype)
         if plan is None:
-            plan = memo[dtype] = FFTPlan(self.grid, plan_dtype(dtype), support=self._mask)
+            plan = memo[dtype] = FFTPlan(self.grid, plan_dtype(dtype), support=self.mask)
         return plan
 
     def _workspace(self, dtype: np.dtype, lead: tuple):

@@ -93,17 +93,15 @@ class Structure:
         """Total number of valence electrons."""
         return float(np.sum(self.valence_charges))
 
-    def n_occupied_bands(self, spin_degenerate: bool = True) -> int:
+    def n_occupied_bands(self) -> int:
         """Number of doubly occupied bands (paper: N_e orbitals = electrons/2)."""
         electrons = self.n_electrons
-        if spin_degenerate:
-            n = int(round(electrons / 2.0))
-            if abs(n * 2.0 - electrons) > 1e-8:
-                raise ValueError(
-                    f"odd electron count {electrons}; spin-degenerate occupation impossible"
-                )
-            return n
-        return int(round(electrons))
+        n = int(round(electrons / 2.0))
+        if abs(n * 2.0 - electrons) > 1e-8:
+            raise ValueError(
+                f"odd electron count {electrons}; spin-degenerate occupation impossible"
+            )
+        return n
 
 
 # ---------------------------------------------------------------------------

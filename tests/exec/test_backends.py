@@ -40,7 +40,7 @@ def four_group_spec(tiny_config):
     """A sweep with four distinct ground-state groups x two dts (8 jobs)."""
     return SweepSpec(
         tiny_config,
-        {"basis.ecut": [1.5, 1.8, 2.0, 2.2], "run.time_step_as": [1.0, 2.0]},
+        {"basis.ecut": [1.5, 1.8, 2.0, 2.6], "run.time_step_as": [1.0, 2.0]},
     )
 
 

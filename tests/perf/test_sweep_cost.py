@@ -44,7 +44,7 @@ class TestWorkloadSizes:
         from repro.api import STRUCTURES
         from repro.perf import sweep_cost
 
-        monkeypatch.setattr(sweep_cost, "_WORKLOAD_SIZES", {})
+        monkeypatch.setattr(sweep_cost, "_DISCRETISATIONS", {})
         builds = []
         original = STRUCTURES.create
 

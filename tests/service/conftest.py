@@ -17,7 +17,8 @@ from repro.campaign import Budget, CampaignSpec
 
 @pytest.fixture()
 def cutoff_campaign(tiny_config) -> CampaignSpec:
-    """Four cutoff groups (one job each) — something to preempt mid-flight."""
+    """Four cutoffs (one job each) in three ground-state groups — 2.0 and 2.2 Ha
+    select one plane-wave set — something to preempt mid-flight."""
     return CampaignSpec(
         {"cutoff": SweepSpec(tiny_config, {"basis.ecut": [1.5, 1.8, 2.0, 2.2]})},
         budget=Budget(max_nodes=1),

@@ -36,7 +36,7 @@ def skewed_spec(tiny_config) -> SweepSpec:
     return SweepSpec(
         tiny_config,
         {
-            "basis.ecut": [2.4, 2.1, 1.8, 1.5],
+            "basis.ecut": [2.6, 2.1, 1.8, 1.5],
             "propagator.name": ["rk4", "ptcn", "ptcn", "rk4"],
         },
         mode="zip",
@@ -204,7 +204,7 @@ class TestAdaptiveRepack:
         rank the calibrated pack gave it."""
         spec = SweepSpec(
             tiny_config,
-            {"basis.ecut": [2.4, 2.1, 1.8, 1.5], "propagator.name": ["rk4", "rk4", "ptcn", "rk4"]},
+            {"basis.ecut": [2.6, 2.1, 1.8, 1.5], "propagator.name": ["rk4", "rk4", "ptcn", "rk4"]},
             mode="zip",
         )
         calibration = upfront_fit(ptcn=3.0)
@@ -229,7 +229,7 @@ class TestAdaptiveRepack:
         sqrt(2)x of the rk4 observations."""
         spec = SweepSpec(
             tiny_config,
-            {"basis.ecut": [2.4, 2.1, 1.8, 1.5], "propagator.name": ["rk4", "rk4", "ptcn", "rk4"]},
+            {"basis.ecut": [2.6, 2.1, 1.8, 1.5], "propagator.name": ["rk4", "rk4", "ptcn", "rk4"]},
             mode="zip",
         )
         calibration = upfront_fit(ptcn=0.5)

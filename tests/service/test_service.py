@@ -127,7 +127,7 @@ class TestSharedGroupCore:
         return run(body()).report
 
     def test_group_records_and_store_provenance_match_the_runner(self, cutoff_campaign, tmp_path):
-        (spec,) = cutoff_campaign.sweeps.values()  # four ground-state groups
+        (spec,) = cutoff_campaign.sweeps.values()  # four cutoffs, three ground-state groups
         settings = ExecutionSettings()
         store = ResultStore(tmp_path / "store")
         cold = BatchRunner(spec, settings=settings, store=store).run().execution
@@ -139,7 +139,7 @@ class TestSharedGroupCore:
         assert ours["store"] == {"root": str(store.root), "hits": 4, "computed": 0, "failed": 0}
         assert ours["schedule"] == theirs["schedule"] == "fifo"
         assert ours["backend"] == "service" and theirs["backend"] == "serial"
-        assert len(ours["groups"]) == len(cold["groups"]) == 4
+        assert len(ours["groups"]) == len(cold["groups"]) == 3
         for mine, runner_cold, runner_warm in zip(ours["groups"], cold["groups"], theirs["groups"]):
             assert list(mine) == list(runner_cold) == list(runner_warm)  # same keys, same order
             for key in ("index", "n_jobs", "n_gpus", "machine", "propagator", "n_bands", "n_grid",
@@ -206,8 +206,8 @@ class TestPreemption:
     ):
         """Preemption must never redo finished work, however the leases
         interleave — and both tenants share the service's one store: the dt
-        group is the cutoff sweep's ecut=2.0 ground state, so the 4 + 1 groups
-        converge 4 SCFs (5 with the per-sweep directories this replaced), and
+        group is the cutoff sweep's ecut=2.0 ground state, so the 3 + 1 groups
+        converge 3 SCFs (4 with the per-sweep directories this replaced), and
         every job has its manifest in the one store root."""
         service = CampaignService(NodePool("summit", n_nodes=1), store=tmp_path)
 
@@ -218,7 +218,7 @@ class TestPreemption:
             return await asyncio.gather(low.report(), high.report())
 
         run(body())
-        assert len(count_scf_solves) == 4
+        assert len(count_scf_solves) == 3
         jobs = [
             job
             for campaign in (cutoff_campaign, dt_campaign)
@@ -312,7 +312,7 @@ class TestHandle:
             progress = handle.progress()
             assert progress["sweeps"]["cutoff"]["state"] == "done"
             assert progress["jobs_done"] == progress["n_jobs"] == 4
-            assert progress["sweeps"]["cutoff"]["groups_done"] == 4
+            assert progress["sweeps"]["cutoff"]["groups_done"] == 3
             assert handle.partial_report().complete
             return report
 
@@ -378,7 +378,7 @@ class TestHandle:
         assert partial.pending_sweeps == ["dt"]
         assert len(partial["cutoff"]) == 4 and not partial["cutoff"].failed
         logged = ObservationLog(store).load()
-        assert len(logged) == 4 and {obs.sweep for obs in logged} == {"cutoff"}
+        assert len(logged) == 3 and {obs.sweep for obs in logged} == {"cutoff"}
         assert handle.progress()["sweeps"]["dt"]["state"] == "pending"
         assert service.pool.active == []
         assert service.pool.free_nodes == service.pool.n_nodes

@@ -8,10 +8,13 @@ incremental re-execution — happens at the store layer on top of it.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
+import repro.store.store as store_module
 from repro.batch import BatchRunner, SweepSpec
 from repro.batch.sweep import config_hash
 from repro.store import ResultStore
@@ -81,3 +84,25 @@ def truncate():
         path.write_bytes(path.read_bytes()[:keep])
 
     return _truncate
+
+
+@pytest.fixture()
+def disk_full(monkeypatch):
+    """Make one :class:`ResultStore` writer (``"save"`` for job results,
+    ``"save_ground_state"`` for shared SCFs) meet a full disk: each of its
+    durable writes raises ``ENOSPC``, as the kernel does, and nothing lands."""
+
+    def enospc(final, data, tmp_dir=None):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def _fill(writer: str):
+        original = getattr(ResultStore, writer)
+
+        def full(self, *args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(store_module, "write_durably", enospc)
+                return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, writer, full)
+
+    return _fill

@@ -183,3 +183,50 @@ class TestCorruptGroundStates:
         assert [r.status for r in report.results] == ["completed", "cached"]
         assert len(count_scf_solves) == 1
         assert report.to_json() == baseline
+
+
+_ENOSPC = "OSError: [Errno 28] No space left on device"
+
+
+class TestFullDisk:
+    """A checkpoint write that meets a full disk never discards finished
+    physics or aborts the sweep: the job stays completed, and the group's
+    record names what was not saved (a rerun recomputes it)."""
+
+    def test_a_full_disk_under_job_checkpoints_leaves_them_unsaved_and_named(self, dt_spec, store, disk_full):
+        disk_full("save")
+        jobs = dt_spec.expand()
+        with pytest.warns(UserWarning, match="checkpoint write failed"):
+            report = BatchRunner(dt_spec, store=store).run()
+        assert [r.status for r in report.results] == ["completed", "completed"]
+        assert all(r.trajectory is not None for r in report.results)
+        assert not any(store.has(job) for job in jobs)
+        assert list(store.objects_dir.iterdir()) != []  # the SCF's own checkpoint landed
+        (group,) = report.execution["groups"]
+        assert group["notes"] == [f"job {job.job_id}: checkpoint write failed: {_ENOSPC}" for job in jobs]
+        assert [r.error for r in report.results] == [f"checkpoint write failed: {_ENOSPC}"] * 2
+
+    def test_a_full_disk_under_the_ground_state_checkpoint_leaves_it_unsaved_and_named(
+        self, dt_spec, store, disk_full
+    ):
+        disk_full("save_ground_state")
+        jobs = dt_spec.expand()
+        with pytest.warns(UserWarning, match="ground-state checkpoint write failed"):
+            report = BatchRunner(dt_spec, store=store).run()
+        assert [r.status for r in report.results] == ["completed", "completed"]
+        assert all(r.error is None for r in report.results)
+        assert all(store.has(job) for job in jobs)
+        assert not store.has_ground_state(jobs[0].group_key)
+        (group,) = report.execution["groups"]
+        assert group["notes"] == [f"ground-state checkpoint write failed: {_ENOSPC}"]
+
+    def test_a_fault_that_is_no_disk_error_propagates(self, dt_spec, store, monkeypatch):
+        """Only ``OSError`` is a persistence failure; anything else a save
+        raises is a bug, and is not recorded as an unsaved job."""
+
+        def broken(self, result):
+            raise TypeError("an array the archive cannot hold")
+
+        monkeypatch.setattr(ResultStore, "save", broken)
+        with pytest.raises(TypeError, match="archive cannot hold"):
+            BatchRunner(dt_spec, store=store).run()

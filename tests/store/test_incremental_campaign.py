@@ -66,7 +66,9 @@ class TestIncrementalExecute:
         assert report["dt"].n_cached == 2
         assert report["cutoff"].n_cached == 0
         assert report.n_cached == 2
-        assert len(count_scf_solves) == 3  # the three new cutoff groups only
+        # the new cutoff groups only: 2.2 Ha selects the plane waves of the
+        # base 2.0 Ha, whose ground state the dt sweep already stored
+        assert len(count_scf_solves) == 2
         rows = {
             line.split()[0]: line.split()
             for line in report.plan_table().splitlines()

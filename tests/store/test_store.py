@@ -18,6 +18,7 @@ import repro.pw.ground_state as ground_state_module
 from repro.api import Session
 from repro.batch import BatchRunner, SweepSpec
 from repro.batch.sweep import ground_state_group_key
+from repro.canonical import canonical_json
 from repro.store import ResultStore, ground_state_hash
 
 
@@ -334,12 +335,15 @@ class TestParentWrittenStore:
     def test_ground_state_of_the_previous_key_version_is_a_one_time_miss(
         self, tiny_config, tmp_path, count_scf_solves
     ):
-        """Version 3 (PRs 19/20: every density update the linear step) to 4
-        (Anderson-mixed after a three-iteration warm-up): same rule as above
-        for a ground state written under the version-3 key."""
+        """Version 4 (the spelled ``ecut`` / ``grid_factor``) to 5 (the grid
+        shape and plane-wave set they select): same rule as above for a ground
+        state written under the version-4 key."""
         key = ground_state_group_key(tiny_config)
-        assert '"ground_state_key_version": 4' in key
-        old_key = key.replace('"ground_state_key_version": 4', '"ground_state_key_version": 3')
+        assert '"ground_state_key_version": 5' in key
+        old = json.loads(key)
+        old["basis"] = {"ecut": 2.0, "grid_factor": 1.0}
+        old["ground_state_key_version"] = 4
+        old_key = canonical_json(old)
         store = ResultStore(tmp_path / "store")
         store.save_ground_state(old_key, Session(tiny_config).ground_state())
         del count_scf_solves[:]
