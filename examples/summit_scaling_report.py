@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.analysis import (
     CPU_BASELINE_TIME_S,
+    FIG6_GPU_COUNTS,
     TABLE1,
     TABLE1_GPU_COUNTS,
     TABLE2,
@@ -77,12 +78,12 @@ def main() -> None:
     print(format_table(["stage", "compute", "visible MPI", "memcpy", "total [s]"], rows))
 
     section("Fig. 6 — PT-CN vs RK4 wall time per 50 as")
-    rows = [[r["n_gpus"], r["rk4_time"], r["ptcn_time"], r["speedup"]] for r in ptcn_vs_rk4()]
+    rows = [[r["n_gpus"], r["rk4_time"], r["ptcn_time"], r["speedup"]] for r in ptcn_vs_rk4(FIG6_GPU_COUNTS)]
     print(format_table(["#GPUs", "RK4 [s]", "PT-CN [s]", "speedup"], rows))
 
     section("Fig. 7 / Fig. 9 / Fig. 10 — strong scaling")
     rows = []
-    for p in strong_scaling():
+    for p in strong_scaling(TABLE1_GPU_COUNTS):
         rows.append([p.n_gpus, p.total_step_time, p.per_scf_total, p.hpsi_percentage,
                      p.communication["bcast"], p.communication["compute"]])
     print(format_table(["#GPUs", "step [s]", "per-SCF [s]", "HPsi %", "bcast [s]", "compute [s]"], rows))

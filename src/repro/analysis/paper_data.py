@@ -81,7 +81,7 @@ class Ceiling:
 
     limit: float
 
-    def admits(self, value, paper=None) -> bool:
+    def admits(self, value, paper) -> bool:
         return value < self.limit
 
 

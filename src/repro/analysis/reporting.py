@@ -21,14 +21,15 @@ __all__ = [
 ]
 
 
-def format_table(headers: list[str], rows: list[list], float_format: str = "{:.3g}") -> str:
-    """Render a list of rows as an aligned plain-text table."""
+def format_table(headers: list[str], rows: list[list]) -> str:
+    """Render a list of rows as an aligned plain-text table, floats to three
+    significant digits."""
     formatted_rows = []
     for row in rows:
         formatted = []
         for value in row:
             if isinstance(value, (float, np.floating)):
-                formatted.append(float_format.format(value))
+                formatted.append(f"{value:.3g}")
             else:
                 formatted.append(str(value))
         formatted_rows.append(formatted)
@@ -50,13 +51,11 @@ def pivot_table(
     index: str,
     columns: str,
     value: str,
-    float_format: str = "{:.3g}",
-    missing: str = "-",
 ) -> str:
     """Render flat record dicts as an ``index`` x ``columns`` pivot of ``value``.
 
     Row and column headers appear in first-seen order; cells without a record
-    show ``missing``; when several records land in the same cell the last one
+    show ``-``; when several records land in the same cell the last one
     wins. Used by :class:`repro.batch.SweepReport` for dt-vs-propagator grids.
     """
     row_keys: list = []
@@ -70,16 +69,14 @@ def pivot_table(
             row_keys.append(r)
         if c not in col_keys:
             col_keys.append(c)
-        cells[(r, c)] = record.get(value, missing)
+        cells[(r, c)] = record.get(value, "-")
 
     def _fmt(cell) -> str:
-        if isinstance(cell, (float, np.floating)):
-            return float_format.format(cell)
-        return str(cell)
+        return f"{cell:.3g}" if isinstance(cell, (float, np.floating)) else str(cell)
 
     headers = [f"{index} \\ {columns}"] + [_fmt(c) for c in col_keys]
     rows = [
-        [_fmt(r)] + [_fmt(cells[(r, c)]) if (r, c) in cells else missing for c in col_keys]
+        [_fmt(r)] + [_fmt(cells[(r, c)]) if (r, c) in cells else "-" for c in col_keys]
         for r in row_keys
     ]
     return format_table(headers, rows)

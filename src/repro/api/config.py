@@ -585,9 +585,9 @@ class SimulationConfig:
         return SimulationConfig.from_dict(data)
 
     # ------------------------------------------------------------------
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON text of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        """JSON text of :meth:`to_dict`, indented by two spaces."""
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":

@@ -17,8 +17,8 @@ point without touching the session driver:
 Unknown names raise :class:`UnknownNameError` whose message lists every
 registered name plus did-you-mean suggestions, so typos in configs fail with
 an actionable error. Registering a name (or alias) that is already taken
-raises :class:`DuplicateNameError` unless ``overwrite=True`` is passed, so
-two plugins cannot silently shadow each other.
+raises :class:`DuplicateNameError`, so two plugins cannot silently shadow
+each other or a built-in.
 
 Beyond registered names, the structure and pulse registries resolve
 ``asset:<kind>/<name>@<version>`` references through the
@@ -107,25 +107,20 @@ class Registry:
         factory: Callable | None = None,
         *,
         aliases: tuple[str, ...] = (),
-        overwrite: bool = False,
     ):
         """Register ``factory`` under ``name`` (and optional aliases).
 
         Usable directly (``REG.register("x", build_x)``) or as a decorator
         (``@REG.register("x")``). Registering a name or alias that is already
-        taken raises :class:`DuplicateNameError`; pass ``overwrite=True`` to
-        deliberately replace a built-in.
+        taken raises :class:`DuplicateNameError`, so a built-in is never
+        replaced.
         """
 
         def _store(func: Callable) -> Callable:
             keys = [str(key) for key in (name, *aliases)]
-            if not overwrite:
-                taken = sorted(key for key in keys if key in self._factories)
-                if taken:
-                    raise DuplicateNameError(
-                        f"{self.kind} name(s) {taken} already registered; "
-                        "pass overwrite=True to replace"
-                    )
+            taken = sorted(key for key in keys if key in self._factories)
+            if taken:
+                raise DuplicateNameError(f"{self.kind} name(s) {taken} already registered")
             for key in keys:
                 self._factories[key] = func
             return func
@@ -219,19 +214,19 @@ PULSES = Registry("laser pulse", asset_kind="pulse")
 PROPAGATORS = Registry("propagator")
 
 
-def register_structure(name: str, *, aliases: tuple[str, ...] = (), overwrite: bool = False):
+def register_structure(name: str):
     """Decorator registering a structure factory ``(**params) -> Structure``."""
-    return STRUCTURES.register(name, aliases=aliases, overwrite=overwrite)
+    return STRUCTURES.register(name)
 
 
-def register_pulse(name: str, *, aliases: tuple[str, ...] = (), overwrite: bool = False):
+def register_pulse(name: str):
     """Decorator registering a pulse factory ``(**params) -> pulse | None``."""
-    return PULSES.register(name, aliases=aliases, overwrite=overwrite)
+    return PULSES.register(name)
 
 
-def register_propagator(name: str, *, aliases: tuple[str, ...] = (), overwrite: bool = False):
+def register_propagator(name: str):
     """Decorator registering a propagator factory ``(hamiltonian, **params)``."""
-    return PROPAGATORS.register(name, aliases=aliases, overwrite=overwrite)
+    return PROPAGATORS.register(name)
 
 
 # ---------------------------------------------------------------------------

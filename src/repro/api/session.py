@@ -322,47 +322,17 @@ class Session:
             suffix += 1
         self._trajectory_labels[request["key"]] = label
 
-    def propagate(
-        self,
-        propagator: str | None = None,
-        *,
-        time_step_as: float | None = None,
-        n_steps: int | None = None,
-        params: dict | None = None,
-        precision: str | None = None,
-    ) -> Trajectory:
+    def propagate(self, propagator: str | None = None) -> Trajectory:
         """Run (or return the cached) propagation: :meth:`propagate_many` of
         this one request, so it too runs on a clone and leaves
         :attr:`hamiltonian` (state and counters) untouched.
 
-        Parameters
-        ----------
-        propagator:
-            Registry name of the integrator; defaults to the configured one.
-            When the configured name is used, the configured propagator params
-            apply as well (explicit ``params`` always win).
-        time_step_as, n_steps:
-            Optional overrides of the configured run parameters — useful for
-            comparing integrators at their own natural step sizes.
-        params:
-            Optional propagator keyword arguments overriding the configured
-            ones.
-        precision:
-            Precision tier of the orbital algebra: ``"complex128"`` (default)
-            or the opt-in ``"complex64"`` screening tier (see
-            :mod:`repro.core.precision`). Tiers cache separately.
+        ``propagator`` is the registry name of the integrator and defaults to
+        the configured one, whose configured params then apply as well. The
+        configured step, step count and precision tier apply; a request that
+        overrides them is a :meth:`propagate_many` request.
         """
-        (trajectory,) = self.propagate_many(
-            [
-                {
-                    "propagator": propagator,
-                    "time_step_as": time_step_as,
-                    "n_steps": n_steps,
-                    "params": params,
-                    "precision": precision,
-                }
-            ]
-        )
+        (trajectory,) = self.propagate_many([{"propagator": propagator}])
         return trajectory
 
     def propagate_many(
@@ -377,9 +347,9 @@ class Session:
         ----------
         requests:
             One dict per job with any of the keys ``propagator``,
-            ``time_step_as``, ``n_steps``, ``params``, ``precision`` — the
-            same arguments (and defaulting, ``None`` meaning "as configured")
-            as :meth:`propagate` — and ``laser``, the job's own
+            ``time_step_as``, ``n_steps``, ``params``, ``precision`` — each
+            defaulting to the configured value when absent or ``None`` — and
+            ``laser``, the job's own
             :class:`~repro.api.LaserConfig` (or its dict form) in place of the
             configured one: its field drives the job's clone, a
             :class:`~repro.pw.laser.DeltaKick` kicks the job's initial state.

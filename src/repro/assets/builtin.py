@@ -93,11 +93,11 @@ def _diamond_payload(symbol: str, lattice_bohr: float, repeats=(1, 1, 1)) -> dic
     }
 
 
-def _zincblende_payload(cation: str, anion: str, lattice_bohr: float, repeats=(1, 1, 1)) -> dict:
+def _zincblende_payload(cation: str, anion: str, lattice_bohr: float) -> dict:
     return {
         "generator": "zincblende_crystal",
         "lattice_constant": float(lattice_bohr),
-        "repeats": [int(r) for r in repeats],
+        "repeats": [1, 1, 1],
         "species": [_species_entry(cation), _species_entry(anion)],
     }
 

@@ -237,7 +237,7 @@ class AssetRecord:
 class AssetManifest:
     """The versioned id → :class:`AssetRecord` index of one asset library."""
 
-    def __init__(self, records: dict[str, AssetRecord] | None = None, version: int = MANIFEST_VERSION):
+    def __init__(self, version: int = MANIFEST_VERSION):
         if version != MANIFEST_VERSION:
             raise AssetError(
                 f"unsupported manifest version {version!r}; this build reads "
@@ -245,8 +245,6 @@ class AssetManifest:
             )
         self.version = version
         self._records: dict[str, AssetRecord] = {}
-        for record in (records or {}).values():
-            self.add(record)
 
     # ------------------------------------------------------------------
     def add(self, record: AssetRecord) -> None:

@@ -246,23 +246,12 @@ class SweepReport:
             "jobs": jobs,
         }
 
-    def to_json(
-        self,
-        indent: int | None = 2,
-        include_execution: bool = False,
-        exclude_timings: bool = False,
-    ) -> str:
-        """JSON text of :meth:`to_dict` (numpy axis values coerced).
-
-        ``include_execution=True`` appends :attr:`execution` under an
-        ``"execution"`` key.
-        """
+    def to_json(self, exclude_timings: bool = False) -> str:
+        """JSON text of :meth:`to_dict` (numpy axis values coerced), indented
+        by two spaces: the physics export, without :attr:`execution`."""
         # ``exclude_timings`` has no effect (the export holds no clock); it is
         # accepted because benchmarks/layers/workloads.py still passes it
-        data = self.to_dict()
-        if include_execution:
-            data["execution"] = copy.deepcopy(self.execution)
-        return json.dumps(data, indent=indent, default=json_default)
+        return json.dumps(self.to_dict(), indent=2, default=json_default)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepReport":
@@ -270,10 +259,8 @@ class SweepReport:
 
         Restores the per-job results (trajectories included when exported),
         the axes, and — when present — the execution section, whose per-job
-        records mark the jobs a store served (``"cached"`` again), so an
-        exported report round-trips: ``SweepReport.from_json(r.to_json(
-        include_execution=True)).to_json(include_execution=True)`` is
-        identical to the original.
+        records mark the jobs a store served (``"cached"`` again), so
+        ``{**r.to_dict(), "execution": r.execution}`` round-trips.
         """
         if not isinstance(data, dict):
             raise ValueError(f"report data must be a dict, got {type(data).__name__}")
@@ -431,41 +418,33 @@ class SweepReport:
             )
         return format_table(headers, rows)
 
-    def fig6_table(self, include_wall: bool = True) -> str:
+    def fig6_table(self) -> str:
         """The Fig. 6-style cost comparison: one row per completed run.
 
         Matches the shape of the paper's Fig. 6 comparison — integrator vs
         time step vs Fock-application count — plus the energy drift and
         wall time the accuracy discussion needs (from :attr:`execution`).
-        ``include_wall=False`` drops the (run-to-run noisy) wall-clock column,
-        making the table deterministic across backends and reruns.
         """
-        headers = ["integrator", "time step [as]", "steps", "Fock applications", "energy drift [Ha]"]
-        if include_wall:
-            headers.append("wall [s]")
-        rows = []
-        for r in self.completed:
-            row = [
+        headers = ["integrator", "time step [as]", "steps", "Fock applications", "energy drift [Ha]", "wall [s]"]
+        rows = [
+            [
                 r.summary.get("integrator", r.summary.get("propagator", "?")),
                 r.summary.get("time_step_as", "-"),
                 r.summary.get("n_steps", "-"),
                 r.summary.get("hamiltonian_applications", "-"),
                 r.summary.get("energy_drift", "-"),
+                self._job_record(r).get("observed_seconds", "-"),
             ]
-            if include_wall:
-                row.append(self._job_record(r).get("observed_seconds", "-"))
-            rows.append(row)
+            for r in self.completed
+        ]
         return format_table(headers, rows)
 
-    def pivot(self, value: str, index: str = "propagator", columns: str = "time_step_as") -> str:
-        """Pivot a summary metric over two summary keys (completed jobs only).
-
-        ``value``/``index``/``columns`` address :attr:`JobResult.summary`
-        keys, e.g. ``pivot("hamiltonian_applications")`` for the
-        propagator-x-dt Fock-cost grid.
-        """
+    def pivot(self, value: str) -> str:
+        """Pivot a summary metric over propagator x time step (completed jobs
+        only): ``value`` addresses a :attr:`JobResult.summary` key, e.g.
+        ``pivot("hamiltonian_applications")`` for the Fock-cost grid."""
         records = [r.summary for r in self.completed]
-        return pivot_table(records, index=index, columns=columns, value=value)
+        return pivot_table(records, index="propagator", columns="time_step_as", value=value)
 
     # ------------------------------------------------------------------
     # Accuracy vs a reference job
@@ -518,9 +497,10 @@ class SweepReport:
             errors[r.job_id] = {"energy_error": energy_error, "dipole_error": dipole_error}
         return errors
 
-    def accuracy_table(self, reference_job_id: str | None = None) -> str:
-        """The dt-vs-accuracy table: deviation of each run from the reference."""
-        reference = self.reference_result(reference_job_id)
+    def accuracy_table(self) -> str:
+        """The dt-vs-accuracy table: deviation of each run from the
+        smallest-dt run."""
+        reference = self.reference_result()
         errors = self.accuracy_errors(reference.job_id)
         headers = ["integrator", "dt [as]", "steps", "max |dE| [Ha]", "max |dD| [a.u.]", "note"]
         rows = []
@@ -565,7 +545,6 @@ class SweepReport:
         self,
         damping: float = 0.01,
         max_energy: float = 1.5,
-        n_frequencies: int = 400,
     ) -> dict[str, AbsorptionSpectrum]:
         """Absorption spectra of every completed delta-kick job.
 
@@ -589,7 +568,6 @@ class SweepReport:
                 kick_strength=float(params.get("strength", 1.0)),
                 damping=damping,
                 max_energy=max_energy,
-                n_frequencies=n_frequencies,
             )
         return spectra
 
@@ -597,7 +575,6 @@ class SweepReport:
         self,
         damping: float = 0.01,
         max_energy: float = 1.5,
-        n_frequencies: int = 400,
     ) -> str:
         """The absorption-spectrum sweep view: one row per delta-kick run.
 
@@ -607,7 +584,7 @@ class SweepReport:
         values that produced it. Raises with an actionable message when the
         sweep contains no completed delta-kick runs.
         """
-        spectra = self.spectra(damping=damping, max_energy=max_energy, n_frequencies=n_frequencies)
+        spectra = self.spectra(damping=damping, max_energy=max_energy)
         if not spectra:
             raise ValueError(
                 "no completed delta-kick jobs to build spectra from; sweep a config "

@@ -79,14 +79,9 @@ class BatchRunner:
         ``None`` disables persistence. A store may be shared by any number
         of sweeps and campaigns, and any of them serves a hit for an
         already-computed config.
-    placement:
-        Expert override: a :class:`repro.cost.NodePlacement` mapping the
-        distributed backend's virtual ranks onto modeled nodes; defaults to a
-        dense placement of ``settings.ranks`` ranks on the settings' machine.
-    raise_on_error:
-        If ``True``, the first failing job re-raises (completed jobs stay
-        stored, so the sweep is resumable). If ``False`` (default)
-        failures are recorded as ``"failed"`` results and the sweep continues.
+
+    A failing job is recorded as a ``"failed"`` result and the sweep
+    continues; completed jobs stay stored, so the sweep is resumable.
 
     Everything about where and how the sweep runs is read from
     :attr:`settings` (``runner.settings.backend``, ``.ranks``, ``.schedule``,
@@ -99,8 +94,6 @@ class BatchRunner:
         *,
         settings: ExecutionSettings | dict | None = None,
         store=None,
-        placement=None,
-        raise_on_error: bool = False,
     ):
         from ..exec import Scheduler  # deferred: repro.exec imports repro.batch
 
@@ -112,42 +105,22 @@ class BatchRunner:
         self.settings = settings
         self.store = _as_store(store)
         self.machine = settings.machine_model()
-        self.placement = placement
         self.scheduler = Scheduler(settings.schedule, machine=self.machine)
-        self.raise_on_error = bool(raise_on_error)
         self._sessions: dict[str, Session] = {}
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_plan(
-        cls,
-        plan,
-        name: str | None = None,
-        *,
-        store=None,
-        raise_on_error: bool = False,
-    ) -> "BatchRunner":
-        """The runner executing one sweep of a campaign :class:`~repro.campaign.ExecutionPlan`.
+    def from_plan(cls, plan) -> "BatchRunner":
+        """The runner executing the one sweep of a campaign :class:`~repro.campaign.ExecutionPlan`.
 
-        ``name`` selects the sweep (optional when the plan holds exactly one);
-        the runner gets the plan's chosen :class:`~repro.exec.ExecutionSettings`,
+        The runner gets the plan's chosen :class:`~repro.exec.ExecutionSettings`,
         so its report records the provenance the planner decided on while the
         physics export stays bit-identical to a hand-configured run.
         """
         names = list(plan.sweep_names)
-        if name is None:
-            if len(names) != 1:
-                raise ValueError(
-                    f"the plan holds {len(names)} sweeps {names}; "
-                    "pass name= to pick the one to run"
-                )
-            name = names[0]
-        return cls(
-            plan.sweep_spec(name),
-            settings=plan.settings,
-            store=store,
-            raise_on_error=raise_on_error,
-        )
+        if len(names) != 1:
+            raise ValueError(f"the plan holds {len(names)} sweeps {names}; a runner runs one")
+        return cls(plan.sweep_spec(names[0]), settings=plan.settings)
 
     # ------------------------------------------------------------------
     def groups(self) -> dict[str, list[SweepJob]]:
@@ -167,7 +140,7 @@ class BatchRunner:
         warm sessions (process/distributed workers rebuild their own); the
         one-SCF-per-group property holds either way.
         """
-        from ..exec.backends import _ground_state_through_store
+        from ..exec.backends import _adopt_or_converge, _persist_ground_state
 
         count = 0
         for key, jobs in self.groups().items():
@@ -176,7 +149,10 @@ class BatchRunner:
             session = self._sessions.get(key)
             if session is None:
                 session = self._sessions[key] = Session(jobs[0].config)
-            count += _ground_state_through_store(session, self.store, key)
+            source = _adopt_or_converge(session, self.store, key)
+            count += source == "converged"
+            if self.store is not None and source != "adopted":
+                _persist_ground_state(session, self.store, key)
         return count
 
     # ------------------------------------------------------------------
@@ -184,16 +160,13 @@ class BatchRunner:
         from ..exec import DistributedBackend, ProcessPoolBackend, SerialBackend
 
         settings = self.settings
-        common = dict(
-            store=self.store, raise_on_error=self.raise_on_error, precision=settings.precision
-        )
+        common = dict(store=self.store, precision=settings.precision)
         if settings.backend == "process":
             return ProcessPoolBackend(
                 max_workers=settings.max_workers, sessions=self._sessions, **common
             )
         if settings.backend == "distributed":
-            placement = settings.placement() if self.placement is None else self.placement
-            return DistributedBackend(ranks=settings.ranks, placement=placement, **common)
+            return DistributedBackend(ranks=settings.ranks, placement=settings.placement(), **common)
         return SerialBackend(sessions=self._sessions, **common)
 
     def run(self) -> SweepReport:

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 __all__ = ["CalibrationFactor", "CalibrationModel"]
 
-#: outlier band: ratios beyond ``median / clip .. median * clip`` are clipped
+#: outlier band: ratios beyond ``median / CLIP .. median * CLIP`` are clipped
 #: to the band edge before the log-space mean
-DEFAULT_CLIP = 4.0
+CLIP = 4.0
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,16 @@ def _median(values: list[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def _bucket_scale(ratios: list[float], clip: float) -> float:
+def _bucket_scale(ratios: list[float]) -> float:
     """Robust scale of one bucket: median-clipped geometric mean.
 
-    Clipping to ``median/clip .. median*clip`` bounds any single outlier's
+    Clipping to ``median/CLIP .. median*CLIP`` bounds any single outlier's
     pull; the geometric mean of the clipped ratios is the least-squares fit
     in log space. Both steps commute with a uniform rescaling of every
     ratio, which is what makes the fit exactly monotone.
     """
     med = _median(ratios)
-    lo, hi = med / clip, med * clip
+    lo, hi = med / CLIP, med * CLIP
     # sorted before summing so the float accumulation — and therefore the
     # fitted scale — is bit-identical no matter the observation order
     clipped = sorted(min(max(r, lo), hi) for r in ratios)
@@ -110,15 +110,13 @@ class CalibrationModel:
     # Fitting
     # ------------------------------------------------------------------
     @classmethod
-    def fit(cls, observations, *, clip: float = DEFAULT_CLIP) -> "CalibrationModel":
+    def fit(cls, observations) -> "CalibrationModel":
         """Fit scales from observations (see the module docstring).
 
         Unusable records (non-finite or non-positive on either side) are
         dropped, never guessed at; with nothing usable the model is empty —
         the identity calibration.
         """
-        if clip < 1.0:
-            raise ValueError(f"clip must be >= 1 (1 disables clipping), got {clip}")
         usable = [obs for obs in observations if obs.ok]
         buckets: dict[tuple[str | None, str | None], list[float]] = {}
         for obs in usable:
@@ -130,7 +128,7 @@ class CalibrationModel:
             CalibrationFactor(
                 machine=machine,
                 propagator=propagator,
-                scale=_bucket_scale(ratios, clip),
+                scale=_bucket_scale(ratios),
                 n_observations=len(ratios),
             )
             for (machine, propagator), ratios in sorted(

@@ -73,22 +73,8 @@ def plan(sweeps, budget: Budget | dict | None = None, **planner_options) -> Exec
     return CampaignPlanner(spec, **planner_options).plan()
 
 
-def run(
-    sweeps,
-    budget: Budget | dict | None = None,
-    *,
-    store=None,
-    raise_on_error: bool = False,
-    on_sweep_complete=None,
-    **planner_options,
-) -> CampaignReport:
-    """Plan and execute a campaign in one call; returns the
-    :class:`CampaignReport` (see :func:`plan` for the arguments; ``store`` —
-    a :class:`~repro.store.ResultStore` or its root directory — makes the run
-    incremental; ``on_sweep_complete(name, report)`` is called after each
-    sweep)."""
-    return plan(sweeps, budget, **planner_options).execute(
-        store,
-        raise_on_error=raise_on_error,
-        on_sweep_complete=on_sweep_complete,
-    )
+def run(sweeps, budget: Budget | dict | None = None, **planner_options) -> CampaignReport:
+    """Plan and execute a campaign in one call, without a store; returns the
+    :class:`CampaignReport` (see :func:`plan` for the arguments). An
+    incremental run is ``plan(...).execute(store)``."""
+    return plan(sweeps, budget, **planner_options).execute()

@@ -149,13 +149,7 @@ class ExecutionPlan:
             ) from None
 
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        store=None,
-        *,
-        raise_on_error: bool = False,
-        on_sweep_complete=None,
-    ):
+    def execute(self, store=None):
         """Run every planned sweep (in campaign order, blocking) and return
         the aggregated :class:`~repro.campaign.CampaignReport`.
 
@@ -171,12 +165,8 @@ class ExecutionPlan:
         against one content-addressed index, so re-executing a crashed or
         finished plan runs only new/changed configs (zero SCFs, zero
         propagation steps for a fully warm store) and the hits are stamped
-        as ``"cached"`` provenance in the reports.
-        ``on_sweep_complete(name, report)``, when given, is called after each
-        sweep finishes — mid-campaign feedback without the service API. With
-        ``raise_on_error`` the raised exception carries a ``partial_report``
-        attribute (the :class:`~repro.campaign.CampaignReport` of the sweeps
-        that did finish).
+        as ``"cached"`` provenance in the reports. A failing job is recorded
+        as a failed result; the campaign goes on.
 
         Must be called without a running event loop (it blocks); from async
         code, submit the plan to a :class:`repro.service.CampaignService`
@@ -197,13 +187,7 @@ class ExecutionPlan:
         async def _run():
             pool = NodePool(self.settings.machine or "summit")
             service = CampaignService(pool)
-            handle = service.submit(
-                self,
-                name="campaign",
-                store=store,
-                raise_on_error=raise_on_error,
-                on_sweep_complete=on_sweep_complete,
-            )
+            handle = service.submit(self, name="campaign", store=store)
             return await handle.report()
 
         return asyncio.run(_run())

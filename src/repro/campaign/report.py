@@ -232,9 +232,9 @@ class CampaignReport:
             },
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON text of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, default=json_default)
+    def to_json(self) -> str:
+        """JSON text of :meth:`to_dict`, indented by two spaces."""
+        return json.dumps(self.to_dict(), indent=2, default=json_default)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignReport":

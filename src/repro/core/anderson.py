@@ -31,33 +31,26 @@ class AndersonMixer:
     ----------
     history_size:
         Maximum number of stored previous iterates (the paper uses 20).
-    mixing_parameter:
-        The relaxation parameter ``beta`` applied to the residual
-        (1.0 reproduces the classic Anderson update; smaller values damp).
     per_band:
         If True (paper behaviour), solve an independent least-squares problem
         for each row (band) of the iterate — all bands in one stacked solve;
         if False, treat the whole array as one vector.
-    regularization:
-        Tikhonov regularisation added to the normal equations for numerical
-        robustness when residual differences become nearly linearly dependent.
+
+    The update is the classic, undamped Anderson step (relaxation 1 on the
+    residual). The least-squares solve is
+    :func:`repro.pw.density.anderson_extrapolation`, Tikhonov-regularised for
+    residual differences that are nearly linearly dependent.
     """
 
     def __init__(
         self,
         history_size: int = 20,
-        mixing_parameter: float = 1.0,
         per_band: bool = True,
-        regularization: float = 1e-12,
     ):
         if history_size < 1:
             raise ValueError("history_size must be >= 1")
-        if not 0.0 < mixing_parameter <= 1.0:
-            raise ValueError("mixing_parameter must be in (0, 1]")
         self.history_size = int(history_size)
-        self.mixing_parameter = float(mixing_parameter)
         self.per_band = bool(per_band)
-        self.regularization = float(regularization)
         self._iterates: list[np.ndarray] = []
         self._residuals: list[np.ndarray] = []
 
@@ -99,8 +92,7 @@ class AndersonMixer:
             self._iterates.pop(0)
             self._residuals.pop(0)
 
-        beta = self.mixing_parameter
         if len(self._iterates) == 1:
-            return iterate - beta * residual
-        x_bar, f_bar = anderson_extrapolation(self._iterates, self._residuals, self.regularization)
-        return (x_bar - beta * f_bar).reshape(iterate.shape)
+            return iterate - residual
+        x_bar, f_bar = anderson_extrapolation(self._iterates, self._residuals)
+        return (x_bar - f_bar).reshape(iterate.shape)

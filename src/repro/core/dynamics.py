@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import json
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,47 +237,12 @@ class TDDFTSimulation:
         self.record_dipole = bool(record_dipole)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        initial_state: Wavefunction,
-        time_step: float,
-        n_steps: int,
-        start_time: float = 0.0,
-        callback=None,
-        metadata: dict | None = None,
-    ) -> Trajectory:
-        """Propagate ``initial_state`` for ``n_steps`` steps of ``time_step``:
-        :func:`run_batched` of this one job.
-
-        Parameters
-        ----------
-        initial_state:
-            Starting orbitals (not modified).
-        time_step:
-            Step size in atomic time units.
-        n_steps:
-            Number of steps.
-        start_time:
-            Initial simulation time.
-        callback:
-            Optional callable ``(step_index, time, wavefunction, stats)``
-            invoked after every step (used by examples for progress output).
-        metadata:
-            Optional JSON-serializable provenance dict attached verbatim to
-            the returned :class:`Trajectory`.
-        """
+    def run(self, initial_state: Wavefunction, time_step: float, n_steps: int) -> Trajectory:
+        """Propagate ``initial_state`` (not modified) from t = 0 for
+        ``n_steps`` steps of ``time_step`` atomic time units:
+        :func:`run_batched` of this one job."""
         (trajectory,) = run_batched(
-            [
-                BatchedRun(
-                    simulation=self,
-                    initial_state=initial_state,
-                    time_step=time_step,
-                    n_steps=n_steps,
-                    start_time=start_time,
-                    metadata=metadata,
-                    callback=callback,
-                )
-            ]
+            [BatchedRun(simulation=self, initial_state=initial_state, time_step=time_step, n_steps=n_steps)]
         )
         return trajectory
 
@@ -287,19 +251,19 @@ class TDDFTSimulation:
 class BatchedRun:
     """One job of a lockstep propagation (see :func:`run_batched`).
 
-    Mirrors the arguments of :meth:`TDDFTSimulation.run` (``callback`` is
-    invoked after every step of this job); the simulation carries the job's
-    own propagator and Hamiltonian (jobs of one group must not share mutable
-    Hamiltonian state — use :meth:`~repro.pw.hamiltonian.Hamiltonian.clone`).
+    Mirrors the arguments of :meth:`TDDFTSimulation.run`, plus the
+    provenance ``metadata`` the job's :class:`Trajectory` carries verbatim;
+    the simulation carries the job's own propagator and Hamiltonian (jobs of
+    one group must not share mutable Hamiltonian state — use
+    :meth:`~repro.pw.hamiltonian.Hamiltonian.clone`). Every job starts at
+    t = 0.
     """
 
     simulation: TDDFTSimulation
     initial_state: Wavefunction
     time_step: float
     n_steps: int
-    start_time: float = 0.0
     metadata: dict | None = None
-    callback: Callable | None = None
 
 
 def _group_records(
@@ -371,10 +335,10 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
     wavefunctions = []
     for run in runs:
         wavefunction = run.initial_state.copy()
-        run.simulation.propagator.prepare(wavefunction, run.start_time)
+        run.simulation.propagator.prepare(wavefunction, 0.0)
         wavefunctions.append(wavefunction)
 
-    current_times = [run.start_time for run in runs]
+    current_times = [0.0] * len(runs)
     steps_done = [0] * njobs
     records: list[dict] = []
     statistics: list[list[StepStatistics]] = [[] for _ in runs]
@@ -384,7 +348,7 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
     for j, run in enumerate(runs):
         records.append(
             {
-                "times": [run.start_time],
+                "times": [0.0],
                 "energies": [energies0[j]],
                 "dipoles": [dipoles0[j]],
                 "electrons": [electrons0[j]],
@@ -432,8 +396,6 @@ def run_batched(runs: list[BatchedRun]) -> list[Trajectory]:
                 record["h_apps"].append(stats[idx].hamiltonian_applications)
                 record["density_errors"].append(stats[idx].density_error)
                 record["converged"].append(bool(stats[idx].converged))
-                if runs[j].callback is not None:
-                    runs[j].callback(steps_done[j] - 1, current_times[j], wavefunctions[j], stats[idx])
         active = [j for j in active if steps_done[j] < runs[j].n_steps]
 
     trajectories = []

@@ -122,7 +122,6 @@ def absorption_spectrum(
     kick_strength: float = 1.0,
     damping: float = 0.2,
     max_energy: float = 2.0,
-    n_frequencies: int = 400,
 ) -> AbsorptionSpectrum:
     """Dipole strength function from a delta-kick dipole trajectory.
 
@@ -139,9 +138,7 @@ def absorption_spectrum(
         Exponential window decay rate (Ha) applied before the transform to
         emulate finite lifetime / avoid ringing.
     max_energy:
-        Largest frequency (Ha) in the returned grid.
-    n_frequencies:
-        Number of frequency samples.
+        Largest frequency (Ha) in the returned grid of 400 samples.
     """
     times = np.asarray(times, dtype=float)
     dipole = np.asarray(dipole, dtype=float)
@@ -151,7 +148,7 @@ def absorption_spectrum(
         raise ValueError("need at least 4 samples for a spectrum")
     signal = dipole - dipole[0]
     window = np.exp(-damping * (times - times[0]))
-    freqs = np.linspace(0.0, max_energy, n_frequencies)
+    freqs = np.linspace(0.0, max_energy, 400)
     dt = times[1] - times[0]
     # direct (slow) Fourier transform; trajectories are short so this is fine
     phases = np.exp(1j * np.outer(freqs, times - times[0]))

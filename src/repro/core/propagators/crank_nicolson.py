@@ -28,15 +28,11 @@ class CrankNicolsonPropagator(PTCNPropagator):
         scf_tolerance: float = 1e-6,
         max_scf_iterations: int = 30,
         anderson_history: int = 20,
-        anderson_beta: float = 1.0,
-        orthogonalize: bool = True,
     ):
         super().__init__(
             hamiltonian,
             scf_tolerance=scf_tolerance,
             max_scf_iterations=max_scf_iterations,
             anderson_history=anderson_history,
-            anderson_beta=anderson_beta,
-            orthogonalize=orthogonalize,
             parallel_transport=False,
         )

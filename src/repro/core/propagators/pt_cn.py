@@ -94,12 +94,9 @@ class PTCNPropagator(Propagator):
         there on Si8 HSE06 at a tolerance of 1e-5 (3 of them with an exact
         Fock application) and 10-11 at 1e-6 (4-5).
     anderson_history:
-        Maximum Anderson mixing dimension (paper: 20).
-    anderson_beta:
-        Anderson relaxation parameter.
-    orthogonalize:
-        Whether to re-orthonormalize the orbitals at the end of each step
-        (Alg. 1 line 11). Disabling is only useful for diagnostics.
+        Maximum Anderson mixing dimension (paper: 20). The mixer takes the
+        classic full step (no relaxation), and every step ends by
+        re-orthonormalising the orbitals (Alg. 1 line 11).
     parallel_transport:
         If True (default) the projection term ``Psi (Psi^* H Psi)`` is
         included, i.e. the dynamics use the PT gauge; if False the scheme
@@ -116,8 +113,6 @@ class PTCNPropagator(Propagator):
         scf_tolerance: float = 1e-6,
         max_scf_iterations: int = 30,
         anderson_history: int = 20,
-        anderson_beta: float = 1.0,
-        orthogonalize: bool = True,
         parallel_transport: bool = True,
     ):
         super().__init__(hamiltonian)
@@ -126,8 +121,6 @@ class PTCNPropagator(Propagator):
         self.scf_tolerance = float(scf_tolerance)
         self.max_scf_iterations = int(max_scf_iterations)
         self.anderson_history = int(anderson_history)
-        self.anderson_beta = float(anderson_beta)
-        self.orthogonalize = bool(orthogonalize)
         self.parallel_transport = bool(parallel_transport)
 
     # ------------------------------------------------------------------
@@ -226,11 +219,7 @@ class PTCNPropagator(Propagator):
         rho_f = compute_density_many(basis, c_f, occ_stack, psi_real=psi_cache)
 
         mixers = [
-            AndersonMixer(
-                history_size=p.anderson_history,
-                mixing_parameter=p.anderson_beta,
-                per_band=True,
-            )
+            AndersonMixer(history_size=p.anderson_history, per_band=True)
             for p in propagators
         ]
 
@@ -334,13 +323,12 @@ class PTCNPropagator(Propagator):
         cls._require_finite(c_f, times)
         out_wfs: list[Wavefunction] = []
         ortho_errs: list[float] = []
-        for j, p in enumerate(propagators):
+        for j in range(njobs):
             wf_f = Wavefunction(basis, c_f[j], occs[j])
             ortho_errs.append(orthonormality_error(wf_f))
-            if p.orthogonalize:
-                wf_f = cholesky_orthonormalize(wf_f)
-                if wf_f.coefficients.dtype != c_n.dtype:  # complex64 tier: the
-                    wf_f = wf_f.astype(c_n.dtype)  # triangular solve promotes
+            wf_f = cholesky_orthonormalize(wf_f)
+            if wf_f.coefficients.dtype != c_n.dtype:  # complex64 tier: the
+                wf_f = wf_f.astype(c_n.dtype)  # triangular solve promotes
             out_wfs.append(wf_f)
 
         cls._end_of_step(propagators, out_wfs)

@@ -210,8 +210,7 @@ class MachineCostModel:
         """Predicted time/energy of one ground-state group (SCF + all jobs).
 
         ``flops`` lets a caller that already holds the group's relative-FLOP
-        prediction (possibly from a custom scheduler ``cost_fn``) reuse it
-        instead of re-deriving the default.
+        prediction reuse it instead of re-deriving it.
         """
         configs = list(configs)
         if not configs:

@@ -103,7 +103,10 @@ def execute_group(
     how sweeps, campaigns and service tenants share one content-addressed
     store. The group's converged SCF is adopted from / persisted to it too
     (before any propagation, so even a group whose propagation fails leaves
-    its SCF behind), and a resumed sweep skips even the first group SCF.
+    its SCF behind), and a resumed sweep skips even the first group SCF. A
+    failed SCF falls through to the width-1 runs like a failed propagation;
+    a failed SCF *write* is a note when it is an ``OSError`` and propagates
+    otherwise.
 
     ``precision="complex64"`` selects the screening tier: those results are
     stamped in their summaries and **never** loaded from or saved to the
@@ -128,20 +131,24 @@ def execute_group(
     if requests:
         if session is None:
             session = Session(jobs[0].config)
+        # fall through on an exception: the loop below re-runs job by job
+        # (width 1), so a failure (of the SCF or of one job's propagation) is
+        # attributed to (and recorded for) the right job
+        job_ids = [jobs[index].job_id for index in requests]
+        fallback = f"lockstep pass of jobs {job_ids} fell back to width-1 runs"
         try:
-            if store is not None:
-                _ground_state_through_store(session, store, jobs[0].group_key, notes)
-            if len(requests) > 1:
-                session.propagate_many(list(requests.values()), precision=precision)
+            source = None if store is None else _adopt_or_converge(session, store, jobs[0].group_key)
         except Exception as exc:
-            # fall through: the loop below re-runs job by job (width 1), so
-            # a failure (of the SCF or of one job's propagation) is attributed
-            # to (and recorded for) the right job
-            _degraded(
-                f"lockstep pass of jobs {[jobs[index].job_id for index in requests]} "
-                f"fell back to width-1 runs: {type(exc).__name__}: {exc}",
-                notes,
-            )
+            _degraded(f"{fallback}: {type(exc).__name__}: {exc}", notes)
+        else:
+            # outside the fall-through: only an OSError of the write is a note
+            if source in ("held", "converged"):
+                _persist_ground_state(session, store, jobs[0].group_key, notes)
+            if len(requests) > 1:
+                try:
+                    session.propagate_many(list(requests.values()), precision=precision)
+                except Exception as exc:
+                    _degraded(f"{fallback}: {type(exc).__name__}: {exc}", notes)
     results: list[JobResult] = []
     for index, job in enumerate(jobs):
         if cached[index] is not None:
@@ -191,33 +198,38 @@ def _degraded(note: str, notes: list | None) -> None:
         notes.append(note)
 
 
-def _ground_state_through_store(session: Session, gs_store, group_key: str,
-                                notes: list | None = None) -> bool:
-    """Adopt the group's stored SCF, or converge it here and persist it.
+def _adopt_or_converge(session: Session, gs_store, group_key: str) -> str:
+    """Give ``session`` the group's SCF: its own (``"held"``), the one
+    ``gs_store`` holds (``"adopted"``; ``gs_store`` may be ``None``), or one
+    converged here (``"converged"``). Returns where it came from.
 
-    The one spelling of ground-state sharing, used by :func:`execute_group`
-    and :meth:`repro.batch.BatchRunner.prepare_ground_states`; ``gs_store``
-    may be ``None`` (converge only). Returns ``True`` when an SCF ran. The
-    write is best-effort — it never aborts the sweep — and is skipped when
-    the store already holds the group's SCF (the orbital archive is the
-    largest file in the store); a failed write is warned about and noted in
-    ``notes``.
+    With :func:`_persist_ground_state`, the one spelling of ground-state
+    sharing, used by :func:`execute_group` and
+    :meth:`repro.batch.BatchRunner.prepare_ground_states`.
     """
-    converged_here = False
-    if not session.ground_state_ready:
-        shared = None if gs_store is None else gs_store.load_ground_state(group_key, basis=session.basis)
-        if shared is not None:
-            session.adopt_ground_state(shared)
-            return False
-        session.ground_state()
-        converged_here = True
-    if gs_store is not None:
-        try:
-            if not gs_store.has_ground_state(group_key):
-                gs_store.save_ground_state(group_key, session.ground_state())
-        except OSError as exc:
-            _degraded(f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}", notes)
-    return converged_here
+    if session.ground_state_ready:
+        return "held"
+    shared = None if gs_store is None else gs_store.load_ground_state(group_key, basis=session.basis)
+    if shared is not None:
+        session.adopt_ground_state(shared)
+        return "adopted"
+    session.ground_state()
+    return "converged"
+
+
+def _persist_ground_state(session: Session, gs_store, group_key: str, notes: list | None = None) -> None:
+    """Write the session's SCF to ``gs_store`` unless it already holds the
+    group's (the orbital archive is the largest file in the store).
+
+    The write is best-effort against the filesystem: an ``OSError`` never
+    aborts the sweep and is warned about and noted in ``notes``; any other
+    exception is a bug and propagates.
+    """
+    try:
+        if not gs_store.has_ground_state(group_key):
+            gs_store.save_ground_state(group_key, session.ground_state())
+    except OSError as exc:
+        _degraded(f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}", notes)
 
 
 def _run_group_worker(payload) -> tuple[list[dict], list[str], float]:

@@ -261,13 +261,6 @@ class Scheduler:
     ----------
     policy:
         One of :data:`SCHEDULE_POLICIES`.
-    cost_fn:
-        Override for the workload model: a callable taking the list of
-        expanded :class:`~repro.api.SimulationConfig`\\ s of one group and
-        returning a relative cost. Defaults to
-        :func:`repro.perf.sweep_cost.predict_group_cost`. The machine model
-        converts whatever this returns into seconds, so a custom workload
-        model keeps machine-aware packing.
     machine:
         The :class:`repro.cost.MachineCostModel` turning relative costs into
         predicted seconds and joules. Defaults to the Summit model; pass
@@ -282,22 +275,23 @@ class Scheduler:
     """
 
     def __init__(
-        self, policy: str = "fifo", cost_fn=None, machine=_DEFAULT_MACHINE, calibration=None,
+        self, policy: str = "fifo", machine=_DEFAULT_MACHINE, calibration=None,
     ):
         if policy not in SCHEDULE_POLICIES:
             raise ValueError(
                 f"schedule policy must be one of {list(SCHEDULE_POLICIES)}, got {policy!r}"
             )
         self.policy = policy
-        self.cost_fn = predict_group_cost if cost_fn is None else cost_fn
         self.machine = MachineCostModel() if machine is _DEFAULT_MACHINE else machine
         # the identity calibration stamps nothing
         self.calibration = None if getattr(calibration, "is_empty", False) else calibration
 
     # ------------------------------------------------------------------
     def predict_cost(self, jobs) -> float:
-        """Predicted relative cost of one group, from the workload model alone."""
-        return float(self.cost_fn([job.config for job in jobs]))
+        """Predicted relative cost of one group, from the workload model alone
+        (:func:`repro.perf.sweep_cost.predict_group_cost`; the machine model
+        turns it into seconds)."""
+        return float(predict_group_cost([job.config for job in jobs]))
 
     def price(self, grouped: dict[str, list]) -> list[ScheduledGroup]:
         """The settings-independent half of :meth:`schedule`: one

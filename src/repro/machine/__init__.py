@@ -1,14 +1,13 @@
 """Summit machine model: hardware specs, kernel rooflines, network collectives, power."""
 
 from .frontier import FRONTIER
-from .gpu import CPUKernelModel, GPUKernelModel, fft_flops, gemm_flops
+from .gpu import GPUKernelModel, fft_flops, gemm_flops
 from .network import NetworkModel
 from .power import PowerReport, compare_runs, cpu_run_power, energy_to_solution, gpu_run_power
 from .summit import SUMMIT, CPUSocketSpec, GPUSpec, NodeSpec, SummitSystem
 
 __all__ = [
     "FRONTIER",
-    "CPUKernelModel",
     "GPUKernelModel",
     "fft_flops",
     "gemm_flops",

@@ -1,4 +1,4 @@
-"""Roofline-style kernel cost models for the V100 GPUs (and the CPU baseline).
+"""Roofline-style kernel cost models for the V100 GPUs.
 
 The paper's own analysis (Section 7) establishes that the GPU execution is
 *memory-bandwidth bound*: the batched CUFFT + custom kernels sustain roughly
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .summit import CPUSocketSpec, GPUSpec
+from .summit import GPUSpec
 
-__all__ = ["GPUKernelModel", "CPUKernelModel", "fft_flops", "gemm_flops"]
+__all__ = ["GPUKernelModel", "fft_flops", "gemm_flops"]
 
 
 def fft_flops(n_points: int, batch: int = 1) -> float:
@@ -29,10 +29,9 @@ def fft_flops(n_points: int, batch: int = 1) -> float:
     return float(batch) * 5.0 * n_points * np.log2(n_points)
 
 
-def gemm_flops(m: int, n: int, k: int, complex_valued: bool = True) -> float:
-    """Floating point operations of a (complex) matrix-matrix multiplication."""
-    factor = 8.0 if complex_valued else 2.0
-    return factor * float(m) * float(n) * float(k)
+def gemm_flops(m: int, n: int, k: int) -> float:
+    """Floating point operations of a complex matrix-matrix multiplication."""
+    return 8.0 * float(m) * float(n) * float(k)
 
 
 @dataclass(frozen=True)
@@ -102,29 +101,3 @@ class GPUKernelModel:
         """
         flops = (1.0 / 3.0) * float(n) ** 3 * 4.0  # complex
         return flops / (0.15 * self.gpu.peak_flops) + 10 * self.kernel_launch_latency_s
-
-
-@dataclass(frozen=True)
-class CPUKernelModel:
-    """Cost model of the CPU (POWER9) execution used for the baseline.
-
-    The CPU version of PWDFT distributes bands over cores (at most one band
-    per core); its Fock loop is FLOP/bandwidth bound on the socket. A single
-    sustained-GFLOP/s-per-core parameter, calibrated against the paper's
-    3072-core measurement, is enough for the speedup and power comparisons.
-    """
-
-    socket: CPUSocketSpec = CPUSocketSpec()
-
-    def fft_time(self, n_points: int, batch: int = 1, n_cores: int = 1) -> float:
-        """Wall time of ``batch`` FFTs spread over ``n_cores`` cores."""
-        flops = fft_flops(n_points, batch)
-        rate = self.socket.sustained_gflops_per_core * 1e9 * max(1, n_cores)
-        return flops / rate
-
-    def pointwise_time(self, n_points: int, batch: int = 1, reads_writes: int = 3, n_cores: int = 1) -> float:
-        """Element-wise kernel time on ``n_cores`` cores (bandwidth shared per socket)."""
-        bytes_moved = reads_writes * batch * n_points * 16.0
-        sockets = max(1, n_cores // self.socket.cores)
-        bandwidth = sockets * self.socket.memory_bandwidth_gbs * 1e9
-        return bytes_moved / bandwidth

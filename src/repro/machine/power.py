@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .summit import SummitSystem, SUMMIT
+from .summit import SUMMIT
 
 __all__ = ["PowerReport", "cpu_run_power", "gpu_run_power", "energy_to_solution", "compare_runs"]
 
@@ -30,14 +30,14 @@ class PowerReport:
         return self.power_watts * self.wall_time_s
 
 
-def cpu_run_power(n_cores: int, system: SummitSystem = SUMMIT) -> float:
-    """Total power (W) of a CPU-only run using ``n_cores`` cores."""
-    return system.cpu_run_power_watts(n_cores)
+def cpu_run_power(n_cores: int) -> float:
+    """Total power (W) of a CPU-only run using ``n_cores`` Summit cores."""
+    return SUMMIT.cpu_run_power_watts(n_cores)
 
 
-def gpu_run_power(n_gpus: int, system: SummitSystem = SUMMIT) -> float:
-    """Total power (W) of a GPU run using ``n_gpus`` GPUs (whole nodes)."""
-    return system.gpu_run_power_watts(n_gpus)
+def gpu_run_power(n_gpus: int) -> float:
+    """Total power (W) of a GPU run using ``n_gpus`` Summit GPUs (whole nodes)."""
+    return SUMMIT.gpu_run_power_watts(n_gpus)
 
 
 def energy_to_solution(power_watts: float, wall_time_s: float) -> float:

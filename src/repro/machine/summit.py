@@ -69,11 +69,6 @@ class NodeSpec:
     usable_cpu_cores_per_node: int = 42
 
     @property
-    def cpu_cores(self) -> int:
-        """Physical CPU cores per node."""
-        return self.sockets * self.cpu_socket.cores
-
-    @property
     def injection_bandwidth_gbs(self) -> float:
         """Total NIC bandwidth per node (25 GB/s on Summit)."""
         return self.nics * self.nic_bandwidth_gbs

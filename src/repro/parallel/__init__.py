@@ -3,7 +3,7 @@
 Implements the paper's parallelization scheme on an in-process simulated MPI
 communicator: band-index and G-space wavefunction distributions with
 ``MPI_Alltoallv`` transposes (Fig. 1), the broadcast-based distributed Fock
-exchange operator (Alg. 2, plus the round-robin variant), the distributed
+exchange operator (Alg. 2), the distributed
 PT-CN residual (Alg. 3), distributed density/overlap/orthogonalization, and
 byte-accurate communication accounting that feeds the Summit network model.
 """

@@ -4,9 +4,10 @@ The paper's implementation relies on five MPI operations (Section 3 and
 Table 2): ``MPI_Bcast`` (Fock exchange wavefunction broadcast),
 ``MPI_Alltoallv`` (band-index <-> G-space transposes), ``MPI_Allreduce``
 (overlap matrices and charge density), ``MPI_AllGatherv`` (exchange-correlation
-potential assembly) and point-to-point ``MPI_Send/Recv`` (the round-robin
-alternative to the broadcast). Because this reproduction runs on one machine,
-we provide an in-process *simulated* communicator: the collectives really move
+potential assembly) and point-to-point ``MPI_Send/Recv`` (the paper's
+round-robin alternative to the broadcast; here the distributed sweep
+backend's group dispatch and results). Because this reproduction runs on one
+machine, we provide an in-process *simulated* communicator: the collectives really move
 NumPy data between per-rank buffers (so every distributed kernel can be checked
 bit-for-bit against its serial reference), and every operation is logged with
 its byte volume so the machine model can attach wall-clock costs and the
@@ -188,7 +189,7 @@ class SimCommunicator:
         self._log(CollectiveKind.ALLTOALLV, total_bytes, max_per_rank, description)
         return recv
 
-    def allgatherv(self, data_by_rank: list, description: str = "") -> list:
+    def allgatherv(self, data_by_rank: list) -> list:
         """``MPI_Allgatherv``: every rank receives the list of all contributions."""
         self._check_rank_list(data_by_rank, "data_by_rank")
         gathered = []
@@ -199,11 +200,11 @@ class SimCommunicator:
             gathered.append(data)
             total_bytes += nbytes * (self.size - 1)
             max_per_rank = max(max_per_rank, nbytes)
-        self._log(CollectiveKind.ALLGATHERV, total_bytes, max_per_rank, description)
+        self._log(CollectiveKind.ALLGATHERV, total_bytes, max_per_rank, "")
         return [list(gathered) for _ in range(self.size)]
 
     def sendrecv(self, payload: np.ndarray, description: str = "") -> np.ndarray:
-        """One point-to-point message (used by the round-robin exchange variant)."""
+        """One point-to-point message (the distributed backend's group dispatch and results)."""
         data, nbytes = self._transfer(np.asarray(payload))
         self._log(CollectiveKind.SENDRECV, nbytes, nbytes, description)
         return data

@@ -131,11 +131,7 @@ class DistributedWavefunction:
 # ---------------------------------------------------------------------------
 
 
-def distributed_overlap(
-    left: DistributedWavefunction,
-    right: DistributedWavefunction,
-    description: str = "overlap allreduce",
-) -> np.ndarray:
+def distributed_overlap(left: DistributedWavefunction, right: DistributedWavefunction) -> np.ndarray:
     """Overlap matrix ``S = Psi_left^* Psi_right`` via the G-space distribution.
 
     This is the paper's pattern for all ``N_e x N_e`` matrix products: transpose
@@ -148,14 +144,11 @@ def distributed_overlap(
     left_g = left.to_gspace_blocks()
     right_g = right.to_gspace_blocks()
     partials = [lg.conj() @ rg.T for lg, rg in zip(left_g, right_g)]
-    reduced = left.comm.allreduce(partials, description=description)
+    reduced = left.comm.allreduce(partials, description="overlap allreduce")
     return reduced[0]
 
 
-def distributed_density(
-    wavefunction: DistributedWavefunction,
-    description: str = "density allreduce",
-) -> np.ndarray:
+def distributed_density(wavefunction: DistributedWavefunction) -> np.ndarray:
     """Electron density via per-rank partial sums and an ``MPI_Allreduce``.
 
     Each rank transforms its own bands to the real-space grid (band-index
@@ -172,5 +165,5 @@ def distributed_density(
         psi_r = basis.to_real_space(block)
         occ = wavefunction.occupations[list(wavefunction.local_band_indices(rank))]
         partials.append(np.sum(occ[:, None, None, None] * np.abs(psi_r) ** 2, axis=0))
-    reduced = wavefunction.comm.allreduce(partials, description=description)
+    reduced = wavefunction.comm.allreduce(partials, description="density allreduce")
     return reduced[0]

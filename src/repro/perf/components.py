@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.paper_data import CPU_BASELINE_CORES
-from ..machine.gpu import CPUKernelModel, GPUKernelModel
+from ..machine.gpu import GPUKernelModel
 from ..machine.network import NetworkModel
 from ..machine.summit import SUMMIT, SummitSystem
 from .flops import EXTRA_FOCK_APPLICATIONS, SCF_ITERATIONS_PER_STEP, fock_pair_solves, pair_solve_flops
@@ -232,50 +232,27 @@ class PWDFTPerformanceModel:
     workload:
         Problem sizes (atom count, bands, grids).
     system:
-        Machine description.
-    gpu_model, cpu_model, network:
-        Kernel and network cost models; defaults use the paper's hardware
-        parameters.
-    calibration:
-        Calibration multipliers for the host-side components.
-    n_scf_iterations, extra_fock_applications:
-        Inner SCF iterations per PT-CN step and Fock applications outside the
-        SCF loop; default to the paper's schedule
-        (:data:`~repro.perf.flops.SCF_ITERATIONS_PER_STEP` and
-        :data:`~repro.perf.flops.EXTRA_FOCK_APPLICATIONS`).
-    single_precision_mpi:
-        Whether wavefunction communication uses single precision (the paper's
-        production configuration).
+        Machine description; its GPU and network give the kernel and
+        collective models.
+
+    The host-side components take the :class:`ComponentCalibration`
+    multipliers, a step is the paper's schedule
+    (:data:`~repro.perf.flops.SCF_ITERATIONS_PER_STEP` inner SCF iterations
+    and :data:`~repro.perf.flops.EXTRA_FOCK_APPLICATIONS` Fock applications
+    outside them), and wavefunctions travel in single precision (the paper's
+    production configuration).
     """
 
-    def __init__(
-        self,
-        workload: SiliconWorkload,
-        system: SummitSystem = SUMMIT,
-        gpu_model: GPUKernelModel | None = None,
-        cpu_model: CPUKernelModel | None = None,
-        network: NetworkModel | None = None,
-        calibration: ComponentCalibration | None = None,
-        n_scf_iterations: int = SCF_ITERATIONS_PER_STEP,
-        extra_fock_applications: int = EXTRA_FOCK_APPLICATIONS,
-        single_precision_mpi: bool = True,
-    ):
+    def __init__(self, workload: SiliconWorkload, system: SummitSystem = SUMMIT):
         self.workload = workload
         self.system = system
-        self.gpu = GPUKernelModel(system.node.gpu) if gpu_model is None else gpu_model
-        self.cpu = CPUKernelModel(system.node.cpu_socket) if cpu_model is None else cpu_model
-        self.network = NetworkModel(system) if network is None else network
-        self.cal = ComponentCalibration() if calibration is None else calibration
-        self.n_scf_iterations = int(n_scf_iterations)
-        self.extra_fock_applications = int(extra_fock_applications)
-        self.single_precision_mpi = bool(single_precision_mpi)
+        self.gpu = GPUKernelModel(system.node.gpu)
+        self.network = NetworkModel(system)
+        self.cal = ComponentCalibration()
 
     # ------------------------------------------------------------------
     # Elementary quantities
     # ------------------------------------------------------------------
-    @property
-    def _wire_itemsize(self) -> int:
-        return 8 if self.single_precision_mpi else 16
 
     def poisson_solve_time(self, batched: bool = True) -> float:
         """GPU time of one Poisson-like solve of Eq. 3 (two FFTs + pointwise)."""
@@ -297,11 +274,10 @@ class PWDFTPerformanceModel:
         t += self.gpu.fft_time(w.n_planewaves, batch=int(np.ceil(2 * w.bands_per_rank(n_gpus))), batched=batched)
         return t
 
-    def fock_bcast_time(self, n_gpus: int, single_precision: bool | None = None) -> float:
+    def fock_bcast_time(self, n_gpus: int, single_precision: bool = True) -> float:
         """Un-overlapped wall time of the wavefunction broadcast of one Fock application."""
         w = self.workload
-        single = self.single_precision_mpi if single_precision is None else single_precision
-        itemsize = 8 if single else 16
+        itemsize = 8 if single_precision else 16
         bytes_per_rank = w.n_bands * w.n_planewaves * itemsize
         return self.network.bcast_time(bytes_per_rank, n_gpus)
 
@@ -332,7 +308,7 @@ class PWDFTPerformanceModel:
     def residual_alltoallv_time(self, n_gpus: int) -> float:
         """Four band<->G transposes of the local wavefunction block (Alg. 3)."""
         w = self.workload
-        bytes_per_rank = 4.0 * w.bands_per_rank(n_gpus) * w.n_planewaves * self._wire_itemsize
+        bytes_per_rank = 4.0 * w.bands_per_rank(n_gpus) * w.n_planewaves * 8
         return self.network.alltoallv_time(bytes_per_rank, n_gpus)
 
     def residual_allreduce_time(self, n_gpus: int) -> float:
@@ -430,15 +406,15 @@ class PWDFTPerformanceModel:
         """Per-TDDFT-step totals (Table 1 bottom rows)."""
         scf = self.scf_component_times(n_gpus)
         total = (
-            self.n_scf_iterations * scf.per_scf_total
-            + self.extra_fock_applications * scf.hpsi_total
+            SCF_ITERATIONS_PER_STEP * scf.per_scf_total
+            + EXTRA_FOCK_APPLICATIONS * scf.hpsi_total
             + self.cholesky_time()
         )
         return StepBreakdown(
             n_gpus=n_gpus,
             scf_components=scf,
-            n_scf_iterations=self.n_scf_iterations,
-            extra_fock_applications=self.extra_fock_applications,
+            n_scf_iterations=SCF_ITERATIONS_PER_STEP,
+            extra_fock_applications=EXTRA_FOCK_APPLICATIONS,
             cholesky_time=self.cholesky_time(),
             total_step_time=total,
             cpu_reference_time=self.cpu_step_time(CPU_BASELINE_CORES),
@@ -447,8 +423,8 @@ class PWDFTPerformanceModel:
     def communication_breakdown(self, n_gpus: int) -> CommunicationBreakdown:
         """Per-step MPI / memcpy / compute split (Table 2 rows)."""
         scf = self.scf_component_times(n_gpus)
-        n_scf = self.n_scf_iterations
-        n_fock = n_scf + self.extra_fock_applications
+        n_scf = SCF_ITERATIONS_PER_STEP
+        n_fock = n_scf + EXTRA_FOCK_APPLICATIONS
         w = self.workload
         fock_memcpy = (
             self.cal.fock_memcpy_passes
@@ -482,12 +458,12 @@ class PWDFTPerformanceModel:
         """CPU time of one Fock exchange application on ``n_cores`` cores."""
         w = self.workload
         n_cores = min(n_cores, w.n_bands)  # band-parallel limit (Section 5)
-        rate = self.cpu.socket.sustained_gflops_per_core * 1e9 * n_cores
+        rate = self.system.node.cpu_socket.sustained_gflops_per_core * 1e9 * n_cores
         return fock_pair_solves(w.n_bands) * pair_solve_flops(w.n_planewaves) / rate
 
     def cpu_step_time(self, n_cores: int) -> float:
         """CPU-only time of one PT-CN step (Fock-dominated, paper: 8874 s)."""
-        n_fock = self.n_scf_iterations + self.extra_fock_applications
+        n_fock = SCF_ITERATIONS_PER_STEP + EXTRA_FOCK_APPLICATIONS
         fock = n_fock * self.cpu_fock_application_time(n_cores)
         # the paper states the Fock part is ~95% of the CPU runtime
         return fock / 0.95
@@ -497,12 +473,10 @@ class PWDFTPerformanceModel:
         scf = self.scf_component_times(n_gpus)
         return scf.hpsi_total + scf.density_total + scf.others + self.cal.rk4_stage_overhead
 
-    def rk4_time_per_window(self, n_gpus: int, window_as: float = 50.0, rk4_step_as: float = 0.5) -> float:
-        """RK4 wall time to cover ``window_as`` attoseconds (Fig. 6 bars)."""
-        n_steps = int(round(window_as / rk4_step_as))
-        return n_steps * 4.0 * self.rk4_stage_time(n_gpus)
+    def rk4_time_per_window(self, n_gpus: int) -> float:
+        """RK4 wall time to cover a 50 as window: 100 steps of 0.5 as (Fig. 6 bars)."""
+        return 100 * 4.0 * self.rk4_stage_time(n_gpus)
 
-    def ptcn_time_per_window(self, n_gpus: int, window_as: float = 50.0, ptcn_step_as: float = 50.0) -> float:
-        """PT-CN wall time to cover ``window_as`` attoseconds."""
-        n_steps = window_as / ptcn_step_as
-        return n_steps * self.step_breakdown(n_gpus).total_step_time
+    def ptcn_time_per_window(self, n_gpus: int) -> float:
+        """PT-CN wall time to cover a 50 as window: one step of 50 as."""
+        return self.step_breakdown(n_gpus).total_step_time

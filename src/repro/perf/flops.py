@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..analysis.paper_data import PAPER_SCALARS
 from ..machine.gpu import fft_flops
-from ..machine.summit import SUMMIT, SummitSystem
+from ..machine.summit import SUMMIT
 from .workload import SiliconWorkload
 
 __all__ = [
@@ -79,12 +79,10 @@ def fock_flops_per_application(workload: SiliconWorkload) -> float:
     return fock_pair_solves(workload.n_bands) * pair_solve_flops(workload.n_planewaves) + orbital_ffts
 
 
-def step_flops(
-    workload: SiliconWorkload,
-    fock_applications: int = FOCK_APPLICATIONS_PER_STEP,
-    n_scf_iterations: int = SCF_ITERATIONS_PER_STEP,
-) -> float:
-    """Total FLOPs of one PT-CN step (paper: 3.87e16 for Si-1536).
+def step_flops(workload: SiliconWorkload) -> float:
+    """Total FLOPs of one PT-CN step of the paper's schedule (paper: 3.87e16
+    for Si-1536): :data:`FOCK_APPLICATIONS_PER_STEP` Fock applications over
+    :data:`SCF_ITERATIONS_PER_STEP` inner iterations.
 
     Besides the Fock applications this includes the subspace GEMMs of the
     residual evaluation, the Anderson history GEMMs, the density FFTs and the
@@ -92,11 +90,11 @@ def step_flops(
     """
     ne = workload.n_bands
     ng = workload.n_planewaves
-    fock = fock_applications * fock_flops_per_application(workload)
-    residual = n_scf_iterations * 2.0 * 8.0 * ne * ne * ng
-    anderson = n_scf_iterations * 8.0 * (2 * 20) ** 2 * ng * ne / (2 * 20)
-    density = n_scf_iterations * ne * fft_flops(workload.n_density_points)
-    local = (fock_applications * ne) * pair_solve_flops(ng)
+    fock = FOCK_APPLICATIONS_PER_STEP * fock_flops_per_application(workload)
+    residual = SCF_ITERATIONS_PER_STEP * 2.0 * 8.0 * ne * ne * ng
+    anderson = SCF_ITERATIONS_PER_STEP * 8.0 * (2 * 20) ** 2 * ng * ne / (2 * 20)
+    density = SCF_ITERATIONS_PER_STEP * ne * fft_flops(workload.n_density_points)
+    local = (FOCK_APPLICATIONS_PER_STEP * ne) * pair_solve_flops(ng)
     return fock + residual + anderson + density + local
 
 
@@ -107,14 +105,9 @@ def fock_flop_fraction(workload: SiliconWorkload) -> float:
     return fock / total
 
 
-def flops_efficiency(
-    workload: SiliconWorkload,
-    n_gpus: int,
-    step_wall_time_s: float,
-    system: SummitSystem = SUMMIT,
-) -> float:
-    """Achieved fraction of aggregate GPU peak for one step (paper: 5.5 % at 36 GPUs)."""
+def flops_efficiency(workload: SiliconWorkload, n_gpus: int, step_wall_time_s: float) -> float:
+    """Achieved fraction of aggregate Summit GPU peak for one step (paper: 5.5 % at 36 GPUs)."""
     if step_wall_time_s <= 0:
         raise ValueError("step_wall_time_s must be positive")
     achieved = step_flops(workload) / (n_gpus * step_wall_time_s)
-    return achieved / system.node.gpu.peak_flops
+    return achieved / SUMMIT.node.gpu.peak_flops

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.paper_data import TABLE1_GPU_COUNTS, WEAK_SCALING_ATOMS
-from ..machine.summit import SUMMIT, SummitSystem
+from ..analysis.paper_data import WEAK_SCALING_ATOMS
 from .components import PWDFTPerformanceModel
 from .workload import SiliconWorkload
 
@@ -49,15 +48,9 @@ class WeakScalingPoint:
     ideal_time_per_50as: float
 
 
-def strong_scaling(
-    natoms: int = 1536,
-    gpu_counts: tuple[int, ...] = TABLE1_GPU_COUNTS,
-    system: SummitSystem = SUMMIT,
-    model: PWDFTPerformanceModel | None = None,
-) -> list[StrongScalingPoint]:
-    """Strong scaling of the Si-``natoms`` system over ``gpu_counts`` (Table 1 / Fig. 7)."""
-    if model is None:
-        model = PWDFTPerformanceModel(SiliconWorkload.from_atom_count(natoms), system=system)
+def strong_scaling(gpu_counts: tuple[int, ...]) -> list[StrongScalingPoint]:
+    """Strong scaling of Si-1536 on Summit over ``gpu_counts`` (Table 1 / Fig. 7)."""
+    model = PWDFTPerformanceModel(SiliconWorkload.from_atom_count(1536))
     points = []
     for n in gpu_counts:
         breakdown = model.step_breakdown(n)
@@ -76,11 +69,9 @@ def strong_scaling(
     return points
 
 
-def weak_scaling(
-    atom_counts: tuple[int, ...] = WEAK_SCALING_ATOMS,
-    system: SummitSystem = SUMMIT,
-) -> list[WeakScalingPoint]:
-    """Weak scaling (Fig. 8): time per 50 as with GPUs = atoms / 2.
+def weak_scaling() -> list[WeakScalingPoint]:
+    """Weak scaling on Summit (Fig. 8): time per 50 as with GPUs = atoms / 2,
+    over :data:`~repro.analysis.paper_data.WEAK_SCALING_ATOMS`.
 
     The "ideal" curve follows the paper's ``O(N_atom^2)`` line (the
     ``O(N^3 log N)`` total work divided by ``O(N)`` GPUs, dropping the
@@ -90,9 +81,9 @@ def weak_scaling(
     """
     points: list[WeakScalingPoint] = []
     raw: list[tuple[int, int, float]] = []
-    for natoms in atom_counts:
+    for natoms in WEAK_SCALING_ATOMS:
         workload = SiliconWorkload.from_atom_count(natoms)
-        model = PWDFTPerformanceModel(workload, system=system)
+        model = PWDFTPerformanceModel(workload)
         n_gpus = max(1, natoms // 2)
         raw.append((natoms, n_gpus, model.step_breakdown(n_gpus).total_step_time))
     smallest_atoms, _, smallest_time = min(raw, key=lambda r: r[0])
@@ -102,18 +93,14 @@ def weak_scaling(
     return points
 
 
-def ptcn_vs_rk4(
-    natoms: int = 1536,
-    gpu_counts: tuple[int, ...] = (36, 72, 144, 288, 384, 768),
-    window_as: float = 50.0,
-    system: SummitSystem = SUMMIT,
-) -> list[dict]:
-    """Fig. 6: wall time of a 50 as window with PT-CN (50 as step) vs RK4 (0.5 as step)."""
-    model = PWDFTPerformanceModel(SiliconWorkload.from_atom_count(natoms), system=system)
+def ptcn_vs_rk4(gpu_counts: tuple[int, ...]) -> list[dict]:
+    """Fig. 6: wall time of a 50 as window of Si-1536 on Summit with PT-CN
+    (50 as step) vs RK4 (0.5 as step)."""
+    model = PWDFTPerformanceModel(SiliconWorkload.from_atom_count(1536))
     rows = []
     for n in gpu_counts:
-        ptcn = model.ptcn_time_per_window(n, window_as=window_as)
-        rk4 = model.rk4_time_per_window(n, window_as=window_as)
+        ptcn = model.ptcn_time_per_window(n)
+        rk4 = model.rk4_time_per_window(n)
         rows.append(
             {
                 "n_gpus": n,

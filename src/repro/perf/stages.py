@@ -40,12 +40,9 @@ class StageResult:
         return self.compute_time + self.communication_time + self.memcpy_time
 
 
-def optimization_stage_times(
-    model: PWDFTPerformanceModel,
-    n_gpus: int = 72,
-    cpu_cores: int = 3072,
-) -> list[StageResult]:
-    """Fig. 3: Fock-application wall time for the CPU baseline and the 5 GPU stages."""
+def optimization_stage_times(model: PWDFTPerformanceModel, n_gpus: int = 72) -> list[StageResult]:
+    """Fig. 3: Fock-application wall time for the CPU baseline (3072 cores)
+    and the 5 GPU stages."""
     w = model.workload
     gpu = model.gpu
     cal = model.cal
@@ -65,7 +62,7 @@ def optimization_stage_times(
         StageResult(
             name="CPU (3072 cores)",
             description="best CPU-only PWDFT configuration",
-            compute_time=model.cpu_fock_application_time(cpu_cores),
+            compute_time=model.cpu_fock_application_time(3072),
             communication_time=0.0,
             memcpy_time=0.0,
         ),

@@ -147,17 +147,11 @@ class Wavefunction:
         basis: PlaneWaveBasis,
         nbands: int,
         rng: np.random.Generator | None = None,
-        orthonormal: bool = True,
-        occupations: np.ndarray | None = None,
     ) -> "Wavefunction":
-        """Random wavefunction set, orthonormalised by default."""
-        coeffs = basis.random_coefficients(nbands, rng)
-        wf = cls(basis, coeffs, occupations)
-        if orthonormal:
-            from .orthogonalization import lowdin_orthonormalize
+        """Random orthonormal wavefunction set with the default occupations."""
+        from .orthogonalization import lowdin_orthonormalize
 
-            wf = lowdin_orthonormalize(wf)
-        return wf
+        return lowdin_orthonormalize(cls(basis, basis.random_coefficients(nbands, rng)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Wavefunction(nbands={self.nbands}, npw={self.npw})"

@@ -17,7 +17,7 @@ from .grid import FFTGrid
 __all__ = ["compute_density", "compute_density_many", "density_error", "DensityMixer"]
 
 
-def compute_density(wavefunction: Wavefunction, grid: FFTGrid | None = None, psi_real=None) -> np.ndarray:
+def compute_density(wavefunction: Wavefunction, grid: FFTGrid | None = None) -> np.ndarray:
     """Real-space electron density from a wavefunction set.
 
     Parameters
@@ -29,9 +29,6 @@ def compute_density(wavefunction: Wavefunction, grid: FFTGrid | None = None, psi
         own grid. (The paper evaluates the Fock exchange on the wavefunction
         grid but accumulates the density on a denser grid; both are supported
         by passing the appropriate ``grid``.)
-    psi_real:
-        Optional precomputed ``wavefunction.to_real_space()`` (own grid only):
-        the caller's transform is accumulated instead of a second one.
 
     Returns
     -------
@@ -41,9 +38,8 @@ def compute_density(wavefunction: Wavefunction, grid: FFTGrid | None = None, psi
     """
     basis = wavefunction.basis
     if grid is None or grid is basis.grid or grid == basis.grid:
-        if psi_real is None:
-            psi_real = wavefunction.to_real_space()
         # the one-job call of the stacked kernel
+        psi_real = wavefunction.to_real_space()
         return compute_density_many(basis, None, wavefunction.occupations[None], psi_real[None])[0]
     # interpolate onto a denser grid by zero-padding in Fourier space
     psi_r = _resample_to_grid(basis.grid, grid, basis.to_grid(wavefunction.coefficients))
@@ -140,7 +136,7 @@ def density_error(rho_new: np.ndarray, rho_old: np.ndarray, grid: FFTGrid) -> fl
 
 
 def anderson_extrapolation(
-    iterates: list[np.ndarray], residuals: list[np.ndarray], regularization: float
+    iterates: list[np.ndarray], residuals: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Type-II Anderson / Pulay extrapolation over a history [Anderson, J. ACM
     12, 547]: the combination of the stored iterates whose residual is
@@ -159,12 +155,13 @@ def anderson_extrapolation(
     dx = np.diff(np.stack(iterates, axis=1), axis=1)
     df = np.diff(np.stack(residuals, axis=1), axis=1)
     # solve min_gamma || f_k - dF gamma || for every row at once, via the
-    # stacked normal equations, each regularised on its own Gram scale
+    # stacked normal equations, each regularised by _REGULARIZATION on its
+    # own Gram scale
     df_h = df.conj()
     gram = df_h @ df.transpose(0, 2, 1)
     scale = np.maximum(1.0, np.abs(gram).max(axis=(1, 2)))
     diagonal = np.arange(gram.shape[1])
-    gram[:, diagonal, diagonal] += regularization * scale[:, None]
+    gram[:, diagonal, diagonal] += _REGULARIZATION * scale[:, None]
     rhs = df_h @ f_k[:, :, None]
     try:
         gamma = np.linalg.solve(gram, rhs)
@@ -234,5 +231,5 @@ class DensityMixer:
             del self._densities[:-_HISTORY_DEPTH], self._residuals[:-_HISTORY_DEPTH]
         if len(self._densities) < 2:
             return rho_in + self.beta * residual
-        rho_bar, residual_bar = anderson_extrapolation(self._densities, self._residuals, _REGULARIZATION)
+        rho_bar, residual_bar = anderson_extrapolation(self._densities, self._residuals)
         return (rho_bar + residual_bar).reshape(rho_in.shape)

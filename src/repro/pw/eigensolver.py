@@ -21,6 +21,11 @@ import scipy.linalg as sla
 
 __all__ = ["EigenResult", "block_davidson", "dense_eigensolve"]
 
+#: outer iterations of a block Davidson solve before it stops unconverged
+_MAX_ITERATIONS = 60
+#: the search space restarts from the Ritz vectors past this many vectors per band
+_SUBSPACE_FACTOR = 4
+
 
 @dataclass
 class EigenResult:
@@ -57,9 +62,7 @@ def block_davidson(
     initial_guess: np.ndarray,
     nbands: int,
     preconditioner: np.ndarray | None = None,
-    max_iterations: int = 60,
     tolerance: float = 1e-7,
-    max_subspace_factor: int = 4,
 ) -> EigenResult:
     """Preconditioned block Davidson solver for the lowest ``nbands`` eigenpairs.
 
@@ -81,12 +84,12 @@ def block_davidson(
     preconditioner:
         Positive diagonal preconditioner of shape ``(npw,)`` (e.g.
         ``1 / (|G|^2/2 + shift)``); identity if omitted.
-    max_iterations:
-        Maximum outer iterations.
     tolerance:
         Convergence threshold on the residual 2-norms.
-    max_subspace_factor:
-        Restart the search space when it exceeds ``factor * nbands`` vectors.
+
+    The solve stops after ``_MAX_ITERATIONS`` outer iterations, and the
+    search space restarts when it exceeds ``_SUBSPACE_FACTOR * nbands``
+    vectors.
     """
     guess = np.asarray(initial_guess, dtype=np.complex128)
     if guess.ndim != 2 or guess.shape[0] < nbands:
@@ -103,7 +106,7 @@ def block_davidson(
     residual_norms = np.full(nbands, np.inf)
     iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         h_sub = basis.conj() @ h_basis.T
         h_sub = 0.5 * (h_sub + h_sub.conj().T)
         eigval, eigvec = np.linalg.eigh(h_sub)
@@ -116,7 +119,7 @@ def block_davidson(
         unconverged = residual_norms >= tolerance
         if not unconverged.any():
             return EigenResult(eigval, ritz, iterations, residual_norms, True)
-        if iterations == max_iterations:
+        if iterations == _MAX_ITERATIONS:
             break  # no Rayleigh-Ritz left to use another block
         # preconditioned correction vectors for unconverged bands
         denom = inverse_preconditioner[None, :] - eigval[unconverged, None]
@@ -128,7 +131,7 @@ def block_davidson(
         corrections = corrections[usable] / norms[usable, None]
         if not len(corrections):
             break
-        if len(basis) + len(corrections) > max_subspace_factor * nbands:
+        if len(basis) + len(corrections) > _SUBSPACE_FACTOR * nbands:
             basis, h_basis = ritz, h_ritz
         # orthonormalise the new block only: Gram-Schmidt against the kept
         # rows (twice, so a correction almost inside their span stays

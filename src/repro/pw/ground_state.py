@@ -43,6 +43,12 @@ __all__ = ["GroundStateResult", "GroundStateSolver"]
 #: update can use (Kresse & Furthmueller, PRB 54, 11169).
 _DAVIDSON_TOLERANCE_RATIO = 1e-2
 _DAVIDSON_TOLERANCE_CAP = 1e-3
+#: the tightest Davidson tolerance an SCF iteration asks for
+_DAVIDSON_TOLERANCE_FLOOR = 1e-7
+#: exact-exchange refreshes of a hybrid ground state (the first round is semi-local)
+_EXCHANGE_ROUNDS = 4
+#: seed of the random starting orbitals
+_SEED = 7
 
 
 #: the stored-zip records ``zipfile`` writes: local header, central-directory
@@ -237,14 +243,14 @@ class GroundStateSolver:
         uses 1e-6; the ground state solver defaults to the same).
     max_scf_iterations:
         Maximum outer iterations.
-    exchange_outer_iterations:
-        Number of exchange-orbital refreshes for hybrid functionals.
-    davidson_tolerance:
-        Tightest eigensolver residual tolerance. An SCF iteration is
-        diagonalised to ``max(davidson_tolerance, min(1e-3, 1e-2 * e))`` with
-        ``e`` the previous iteration's density error (1e-3 on the first), so
-        the returned orbitals' residual is two orders below the last-but-one
-        density error, and ``davidson_tolerance`` once that is below 1e-5.
+
+    A hybrid ground state runs ``_EXCHANGE_ROUNDS`` exchange-orbital
+    refreshes. An SCF iteration is diagonalised to ``max(1e-7, min(1e-3,
+    1e-2 * e))`` with ``e`` the previous iteration's density error (1e-3 on
+    the first), so the returned orbitals' residual is two orders below the
+    last-but-one density error, and 1e-7 (``_DAVIDSON_TOLERANCE_FLOOR``) once
+    that is below 1e-5. The starting orbitals are random, seeded with
+    ``_SEED``.
     """
 
     def __init__(
@@ -253,9 +259,6 @@ class GroundStateSolver:
         nbands: int | None = None,
         scf_tolerance: float = 1e-6,
         max_scf_iterations: int = 60,
-        exchange_outer_iterations: int = 4,
-        davidson_tolerance: float = 1e-7,
-        seed: int = 7,
     ):
         self.hamiltonian = hamiltonian
         structure = hamiltonian.structure
@@ -267,14 +270,11 @@ class GroundStateSolver:
         self.mixer = DensityMixer(beta=0.4)
         self.scf_tolerance = float(scf_tolerance)
         self.max_scf_iterations = int(max_scf_iterations)
-        self.exchange_outer_iterations = int(exchange_outer_iterations)
-        self.davidson_tolerance = float(davidson_tolerance)
-        self.seed = seed
 
     # ------------------------------------------------------------------
     def initial_guess(self) -> Wavefunction:
         """Random smooth orthonormal starting orbitals."""
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(_SEED)
         wf = Wavefunction.random(self.hamiltonian.basis, self.nbands, rng=rng)
         return lowdin_orthonormalize(wf)
 
@@ -283,10 +283,10 @@ class GroundStateSolver:
     ) -> tuple[np.ndarray, Wavefunction]:
         """Lowest ``nbands`` eigenpairs of the current Hamiltonian, to a residual
         two orders below the previous SCF iteration's density error (no tighter
-        than ``davidson_tolerance``, no looser than the cap)."""
+        than the floor, no looser than the cap)."""
         ham = self.hamiltonian
         tolerance = max(
-            self.davidson_tolerance,
+            _DAVIDSON_TOLERANCE_FLOOR,
             min(_DAVIDSON_TOLERANCE_CAP, _DAVIDSON_TOLERANCE_RATIO * previous_error),
         )
 
@@ -320,7 +320,7 @@ class GroundStateSolver:
         converged = False
         iterations = 0
 
-        exchange_rounds = self.exchange_outer_iterations if use_hybrid else 1
+        exchange_rounds = _EXCHANGE_ROUNDS if use_hybrid else 1
         for exchange_round in range(exchange_rounds):
             include_exchange = use_hybrid and exchange_round > 0
             if include_exchange and ham.exchange is not None:

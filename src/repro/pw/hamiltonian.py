@@ -343,13 +343,13 @@ class Hamiltonian:
         return self.energy(wavefunction).total
 
     # ------------------------------------------------------------------
-    def preconditioner(self, shift: float = 1.0) -> np.ndarray:
+    def preconditioner(self) -> np.ndarray:
         """Simple Tetter–Payne–Allan-style diagonal preconditioner.
 
         Returns a positive array of shape ``(npw,)`` approximating
-        ``1 / (|G|^2/2 + shift)``; used by the iterative eigensolver.
+        ``1 / (|G|^2/2 + 1)``; used by the iterative eigensolver.
         """
-        return 1.0 / (self.kinetic_diagonal + shift)
+        return 1.0 / (self.kinetic_diagonal + 1.0)
 
 
 # ----------------------------------------------------------------------

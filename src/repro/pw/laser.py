@@ -308,7 +308,6 @@ def pump_probe_pulse(
     fluence: float | None = None,
     probe_ratio: float = 0.1,
     polarization: np.ndarray | None = None,
-    probe_polarization: np.ndarray | None = None,
 ) -> PumpProbePulse:
     """A pump–probe pair built in the :func:`paper_laser_pulse` geometry.
 
@@ -317,7 +316,7 @@ def pump_probe_pulse(
     attoseconds). The pump strength is set by exactly one of ``amplitude``
     (peak field, a.u.) or ``fluence`` (Hartree/Bohr², converted through
     :func:`fluence_to_amplitude`); the probe's peak field is ``probe_ratio``
-    times the pump's.
+    times the pump's, along the same ``polarization``.
     """
     if (amplitude is None) == (fluence is None):
         raise ValueError("give exactly one of 'amplitude' (a.u.) or 'fluence' (Ha/Bohr^2)")
@@ -340,7 +339,7 @@ def pump_probe_pulse(
         omega=wavelength_nm_to_energy_hartree(probe_wavelength_nm),
         t0=t0,
         sigma=sigma,
-        polarization=probe_polarization if probe_polarization is not None else polarization,
+        polarization=polarization,
     )
     return PumpProbePulse(pump=pump, probe=probe, delay=delay_as * ATTOSECOND_TO_AU_TIME)
 

@@ -164,13 +164,13 @@ def screened_exchange_kernel(grid: FFTGrid, screening_length: float) -> CoulombK
     return CoulombKernel(grid, values, name="erfc-screened")
 
 
-def solve_poisson(grid: FFTGrid, rho_real: np.ndarray, kernel: CoulombKernel | None = None) -> np.ndarray:
-    """Solve one Poisson-like equation ``V = K * rho`` on the grid.
+def solve_poisson(grid: FFTGrid, rho_real: np.ndarray) -> np.ndarray:
+    """Solve one Poisson equation ``V = K * rho`` on the grid with the bare
+    Coulomb kernel.
 
     This is the elementary operation of Eq. 3 / Alg. 2 line 8 in the paper.
     """
-    kernel = bare_coulomb_kernel(grid) if kernel is None else kernel
-    return kernel.apply_to_density(rho_real)
+    return bare_coulomb_kernel(grid).apply_to_density(rho_real)
 
 
 def hartree_potential(grid: FFTGrid, rho_real: np.ndarray) -> np.ndarray:

@@ -219,7 +219,7 @@ GTH_PARAMETERS: dict[str, tuple] = {
 }
 
 
-def gth_species(symbol: str, include_nonlocal: bool = True) -> PseudopotentialSpecies:
+def gth_species(symbol: str) -> PseudopotentialSpecies:
     """A GTH/HGH-style species for any element in :data:`GTH_PARAMETERS`.
 
     ``gth_species("Si")`` is identical to :func:`silicon_species` and
@@ -234,11 +234,7 @@ def gth_species(symbol: str, include_nonlocal: bool = True) -> PseudopotentialSp
             f"supported elements: {sorted(GTH_PARAMETERS)}"
         )
     valence, r_loc, local_coefficients, channels = GTH_PARAMETERS[key]
-    projectors: tuple[ProjectorChannel, ...] = ()
-    if include_nonlocal:
-        projectors = tuple(
-            ProjectorChannel(l=l, i=1, r_l=r_l, h=h) for l, r_l, h in channels
-        )
+    projectors = tuple(ProjectorChannel(l=l, i=1, r_l=r_l, h=h) for l, r_l, h in channels)
     return PseudopotentialSpecies(
         symbol=key,
         valence_charge=valence,
@@ -406,6 +402,9 @@ def _memoised(cache: OrderedDict, size: int, key: tuple, build):
 # build produced, marked read-only because every holder shares them.
 _PROJECTOR_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _PROJECTOR_CACHE_SIZE = 4
+#: the radial grid of the projector transforms: points on [0, cutoff] Bohr
+_RADIAL_POINTS = 400
+_RADIAL_CUTOFF = 10.0
 
 
 class NonlocalPotential:
@@ -427,16 +426,12 @@ class NonlocalPotential:
         basis: PlaneWaveBasis,
         species_list: list[PseudopotentialSpecies],
         positions_list: list[np.ndarray],
-        radial_points: int = 400,
-        radial_cutoff: float = 10.0,
     ):
         self.basis = basis
         self.species_list = list(species_list)
         self.positions_list = [np.atleast_2d(np.asarray(p, float)) for p in positions_list]
         if len(self.species_list) != len(self.positions_list):
             raise ValueError("species_list and positions_list must have equal length")
-        self._radial_points = int(radial_points)
-        self._radial_cutoff = float(radial_cutoff)
         self._projector_matrix, self._couplings = self._build()
 
     # ------------------------------------------------------------------
@@ -452,7 +447,7 @@ class NonlocalPotential:
 
     # ------------------------------------------------------------------
     def _radial_transform(self, channel: ProjectorChannel, g_norm: np.ndarray) -> np.ndarray:
-        r = np.linspace(0.0, self._radial_cutoff, self._radial_points)
+        r = np.linspace(0.0, _RADIAL_CUTOFF, _RADIAL_POINTS)
         dr = r[1] - r[0]
         p_r = channel.radial_function(r)
         # trapezoid weights
@@ -474,14 +469,12 @@ class NonlocalPotential:
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
         """The projector matrix and couplings, memoised (bounded LRU on the
         bytes of the basis G-vectors, lattice and positions plus the projector
-        channels and the two radial parameters)."""
+        channels)."""
         key = (
             self.basis.g_vectors.tobytes(),
             self.basis.grid.cell.lattice_vectors.tobytes(),
             tuple(species.projectors for species in self.species_list),
             tuple(positions.tobytes() for positions in self.positions_list),
-            self._radial_points,
-            self._radial_cutoff,
         )
         return _memoised(_PROJECTOR_CACHE, _PROJECTOR_CACHE_SIZE, key, self._build_read_only)
 
@@ -575,6 +568,8 @@ def _lattice_points(basis: np.ndarray, nmax: np.ndarray) -> np.ndarray:
 # very float the sum produced.
 _EWALD_CACHE: OrderedDict[tuple, float] = OrderedDict()
 _EWALD_CACHE_SIZE = 16
+#: real- and reciprocal-space cutoffs of the Ewald lattice sums
+_EWALD_CUTOFF = 10.0
 
 
 def ewald_energy(
@@ -582,8 +577,6 @@ def ewald_energy(
     positions: np.ndarray,
     charges: np.ndarray,
     eta: float | None = None,
-    real_space_cutoff: float = 10.0,
-    reciprocal_cutoff: float = 10.0,
 ) -> float:
     """Ewald summation of the ion–ion interaction energy of a neutral-ised cell.
 
@@ -603,8 +596,9 @@ def ewald_energy(
     eta:
         Ewald splitting parameter; chosen automatically if omitted.
 
+    The lattice sums run to ``_EWALD_CUTOFF`` in real and reciprocal space.
     The result is memoised per structure (bounded LRU on the bytes of the
-    lattice, positions and charges plus the three parameters).
+    lattice, positions and charges plus ``eta``).
     """
     positions = np.atleast_2d(np.asarray(positions, float))
     charges = np.asarray(charges, float)
@@ -616,14 +610,12 @@ def ewald_energy(
         positions.tobytes(),
         charges.tobytes(),
         None if eta is None else float(eta),
-        float(real_space_cutoff),
-        float(reciprocal_cutoff),
     )
     return _memoised(
         _EWALD_CACHE,
         _EWALD_CACHE_SIZE,
         key,
-        lambda: _ewald_sum(cell, positions, charges, eta, real_space_cutoff, reciprocal_cutoff),
+        lambda: _ewald_sum(cell, positions, charges, eta, _EWALD_CUTOFF, _EWALD_CUTOFF),
     )
 
 

@@ -128,11 +128,10 @@ class LDAFunctional:
     exchange).
     """
 
-    def __init__(self, exchange_scale: float = 1.0, correlation: bool = True):
+    def __init__(self, exchange_scale: float = 1.0):
         if exchange_scale < 0.0:
             raise ValueError("exchange_scale must be non-negative")
         self.exchange_scale = float(exchange_scale)
-        self.correlation = bool(correlation)
 
     def evaluate(self, rho: np.ndarray, volume_element: float) -> XCResult:
         """Energy density, potential, and integrated energy of one density:
@@ -162,8 +161,7 @@ class LDAFunctional:
         if self.exchange_scale != 1.0:  # scaling by 1.0 would copy the same floats
             eps = self.exchange_scale * eps
             pot = self.exchange_scale * pot
-        if self.correlation:
-            eps_c, v_c = _pz81(rho)
-            eps += eps_c  # both terms are fresh arrays of this evaluation
-            pot += v_c
+        eps_c, v_c = _pz81(rho)
+        eps += eps_c  # both terms are fresh arrays of this evaluation
+        pot += v_c
         return eps, pot

@@ -149,11 +149,11 @@ class NodePool:
         Nodes in the pool (default: the whole modeled machine). Must not
         exceed the preset's node count — the pool is a partition of the
         machine the cost stack priced, not a bigger one.
-    start_time:
-        Modeled epoch of the pool's calendar (default ``0.0``).
+
+    The pool's modeled calendar starts at 0.
     """
 
-    def __init__(self, machine: str = "summit", n_nodes: int | None = None, *, start_time: float = 0.0):
+    def __init__(self, machine: str = "summit", n_nodes: int | None = None):
         self.machine = machine
         self.system = resolve_machine(machine)
         total = self.system.n_nodes if n_nodes is None else int(n_nodes)
@@ -163,9 +163,8 @@ class NodePool:
                 f"{self.system.n_nodes} nodes, got {total}"
             )
         self.n_nodes = total
-        self.start_time = float(start_time)
         self._free: set[int] = set(range(total))
-        self._free_time: list[float] = [self.start_time] * total
+        self._free_time: list[float] = [0.0] * total
         self._waiters: list[_Waiter] = []
         self._seq = itertools.count()
         self.active: list[Lease] = []
@@ -216,7 +215,7 @@ class NodePool:
             ranks=int(ranks),
             gpus_per_group=int(gpus_per_group),
             priority=int(priority),
-            arrival=self.start_time if arrival is None else float(arrival),
+            arrival=0.0 if arrival is None else float(arrival),
             tenant=tenant,
             sweep=sweep,
             seq=next(self._seq),
@@ -307,9 +306,9 @@ class NodePool:
     # Accounting
     # ------------------------------------------------------------------
     def makespan(self) -> float:
-        """Modeled makespan of everything the pool has completed so far:
-        the latest lease end, relative to the pool's epoch."""
-        return max((lease.end for lease in self.history), default=self.start_time) - self.start_time
+        """Modeled makespan of everything the pool has completed so far: the
+        latest lease end (the calendar starts at 0)."""
+        return max((lease.end for lease in self.history), default=0.0)
 
     def busy_node_seconds(self) -> float:
         """Total modeled node-seconds of released leases (utilisation numerator)."""

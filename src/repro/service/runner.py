@@ -35,7 +35,7 @@ mid-sweep, at the same group boundaries preemption already uses: each
 executed group's observed wall is compared against its planned seconds (the
 model's prediction, re-priced by the up-front ``calibration`` when there is
 one), and when the *spread* of those ratios across completed groups exceeds
-``drift_threshold`` (some buckets mispredicted relative to others — a
+``DRIFT_THRESHOLD`` (some buckets mispredicted relative to others — a
 uniform bias cannot change any packing), a
 :class:`~repro.calib.CalibrationModel` is fitted from the completed groups'
 raw observations (a bucket they did not observe keeps the up-front
@@ -64,9 +64,9 @@ from .pool import Lease, NodePool
 
 __all__ = ["SweepOutcome", "run_sweep"]
 
-#: default observed/predicted ratio spread (max/min over completed groups)
-#: beyond which the adaptive runner re-packs the remaining groups
-DEFAULT_DRIFT_THRESHOLD = 1.5
+#: observed/predicted ratio spread (max/min over completed groups) beyond
+#: which the adaptive runner re-packs the remaining groups
+DRIFT_THRESHOLD = 1.5
 
 
 def _observations(groups) -> list:
@@ -177,11 +177,9 @@ async def run_sweep(
     priority: int = 0,
     arrival: float | None = None,
     store=None,
-    raise_on_error: bool = False,
     progress=None,
     calibration=None,
     adaptive: bool = False,
-    drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
     observe=None,
 ) -> SweepOutcome:
     """Execute one sweep under leases from ``pool``; see the module docstring.
@@ -196,7 +194,8 @@ async def run_sweep(
     ``store`` is a shared :class:`~repro.store.ResultStore`: every job whose
     config is already stored is served as a hit (status ``"cached"``) instead
     of recomputed, no matter which sweep, campaign or tenant computed it —
-    the incremental-campaign path.
+    the incremental-campaign path. A failing job is recorded as a failed
+    result and the sweep goes on.
 
     ``calibration`` (a fitted :class:`~repro.calib.CalibrationModel`)
     re-prices every group up front (the scheduler stamps its
@@ -206,7 +205,7 @@ async def run_sweep(
     exported and logged ``predicted_seconds`` stay the uncalibrated model's.
     ``adaptive=True`` additionally re-fits *during* the sweep and re-packs
     the remaining groups whenever drift on completed groups, measured
-    against the up-front calibration, exceeds ``drift_threshold`` (see the
+    against the up-front calibration, exceeds ``DRIFT_THRESHOLD`` (see the
     module docstring). ``observe`` is a deterministic observation
     hook for tests and benchmarks — called with each executed
     :class:`~repro.exec.ScheduledGroup`, it returns the group's observed
@@ -224,16 +223,14 @@ async def run_sweep(
     # the cost model), mirroring CampaignPlanner._occupied_nodes
     priced_gpus = max((g.n_gpus for g in scheduled), default=settings.gpus_per_group)
     # the backend BatchRunner runs, stepped here one group at a time
-    backend = SerialBackend(
-        store=store, raise_on_error=raise_on_error, precision=settings.precision
-    )
+    backend = SerialBackend(store=store, precision=settings.precision)
 
     results = []
     leases: list[Lease] = []
     completed = []
     repack_events: list[dict] = []
     preemptions = 0
-    cursor = pool.start_time if arrival is None else float(arrival)
+    cursor = 0.0 if arrival is None else float(arrival)
     remaining = list(scheduled)
     while remaining:
         if progress is not None:
@@ -265,7 +262,7 @@ async def run_sweep(
                     progress.jobs_done += group.n_jobs
                 if adaptive and remaining:
                     drift = _drift_spread(completed, calibration)
-                    if drift is not None and drift > drift_threshold:
+                    if drift is not None and drift > DRIFT_THRESHOLD:
                         fit = _repack(completed, remaining, segment, settings.ranks, calibration)
                         repack_events.append(
                             {
@@ -310,7 +307,7 @@ async def run_sweep(
     if adaptive:
         record = {
             "enabled": True,
-            "drift_threshold": float(drift_threshold),
+            "drift_threshold": DRIFT_THRESHOLD,
             "repacks": len(repack_events),
             "events": repack_events,
         }

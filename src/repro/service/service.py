@@ -21,8 +21,8 @@ record is distilled into observations appended to the store's
 ``calibration/observations.jsonl``, and ``calibration="store"`` fits a
 :class:`~repro.calib.CalibrationModel` from that log at admission time, so
 each new campaign is planned, priced and leased with observed-corrected
-seconds. ``adaptive=True`` additionally re-packs sweeps mid-flight when
-drift crosses the threshold (see :func:`repro.service.run_sweep`).
+seconds. Mid-flight re-packing on observed drift is
+:func:`repro.service.run_sweep`'s ``adaptive=True``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..campaign.spec import Budget, CampaignSpec, InfeasibleBudgetError
 from ..store.store import _as_store
 from .handle import CampaignHandle
 from .pool import NodePool
-from .runner import DEFAULT_DRIFT_THRESHOLD, run_sweep
+from .runner import run_sweep
 
 __all__ = ["CampaignService"]
 
@@ -65,14 +65,6 @@ class CampaignService:
         the service prices new campaigns with everything it has observed so
         far. ``"store"`` without a store (or with an empty log) degrades to
         uncalibrated.
-    adaptive:
-        Default for per-submission ``adaptive``: re-pack sweeps mid-flight
-        when observed/predicted drift crosses ``drift_threshold`` (see
-        :func:`repro.service.run_sweep`). Physics-safe — re-packing moves
-        modeled accounting only, never group contents or order of completed
-        work.
-    drift_threshold:
-        Default observed/predicted ratio spread that triggers a re-pack.
     """
 
     def __init__(
@@ -81,8 +73,6 @@ class CampaignService:
         *,
         store=None,
         calibration=None,
-        adaptive: bool = False,
-        drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
     ):
         self.pool = NodePool() if pool is None else pool
         self.store = _as_store(store)
@@ -94,8 +84,6 @@ class CampaignService:
                 f"'store', got {calibration!r}"
             )
         self.calibration = calibration
-        self.adaptive = bool(adaptive)
-        self.drift_threshold = float(drift_threshold)
         self.handles: list[CampaignHandle] = []
         self._names = itertools.count(1)
 
@@ -192,10 +180,7 @@ class CampaignService:
         priority: int = 0,
         name: str | None = None,
         store=None,
-        raise_on_error: bool = False,
         on_sweep_complete=None,
-        adaptive: bool | None = None,
-        drift_threshold: float | None = None,
         **planner_options,
     ) -> CampaignHandle:
         """Admit a campaign and start it; returns its handle immediately.
@@ -213,19 +198,15 @@ class CampaignService:
         ``priority`` orders lease grants (higher first) and arms preemption:
         a submission outranking running work reclaims nodes at the next group
         boundary. ``on_sweep_complete(name, report)`` is called after each
-        sweep finishes, like the :meth:`~repro.campaign.ExecutionPlan.execute`
-        callback. Must be called from a running event loop (the campaign runs
+        sweep finishes. Must be called from a running event loop (the campaign runs
         as a task on it).
 
         ``store`` (a :class:`~repro.store.ResultStore` or its root directory)
         makes the submission incremental: each sweep is diffed against the
         store and only new/changed configs execute, with the hits stamped as
         ``"cached"`` provenance in the reports. It overrides the service-level
-        store for this submission.
-
-        ``adaptive`` / ``drift_threshold`` override the service defaults for
-        this submission's sweeps (mid-flight re-packing on observed drift;
-        see :func:`repro.service.run_sweep`).
+        store for this submission. A failing job is recorded as a failed
+        result; the campaign goes on.
         """
         loop = asyncio.get_running_loop()  # raises RuntimeError outside a loop
         calibration = self._resolve_calibration()
@@ -238,13 +219,7 @@ class CampaignService:
             self._run_campaign(
                 handle,
                 store=store,
-                raise_on_error=raise_on_error,
                 on_sweep_complete=on_sweep_complete,
-                adaptive=self.adaptive if adaptive is None else bool(adaptive),
-                drift_threshold=(
-                    self.drift_threshold if drift_threshold is None
-                    else float(drift_threshold)
-                ),
             ),
             name=f"repro.service:{name}",
         )
@@ -257,14 +232,11 @@ class CampaignService:
         handle: CampaignHandle,
         *,
         store,
-        raise_on_error: bool,
         on_sweep_complete,
-        adaptive: bool,
-        drift_threshold: float,
     ) -> CampaignReport:
         plan = handle.plan
         handle._state = "running"
-        cursor = self.pool.start_time
+        cursor = 0.0
         try:
             for sweep_name in plan.sweep_names:
                 outcome = await run_sweep(
@@ -276,11 +248,8 @@ class CampaignService:
                     priority=handle.priority,
                     arrival=cursor,  # a campaign's own sweeps still serialise
                     store=store,
-                    raise_on_error=raise_on_error,
                     progress=handle._progress[sweep_name],
                     calibration=getattr(plan, "calibration", None),
-                    adaptive=adaptive,
-                    drift_threshold=drift_threshold,
                 )
                 handle._reports[sweep_name] = outcome.report
                 self._record_observations(outcome.report, sweep_name, store)

@@ -44,7 +44,7 @@ TINY_API_DICT = {
 def tiers():
     """One warm session with the tiny H2 run at both precision tiers."""
     session = Session(SimulationConfig.from_dict(TINY_API_DICT))
-    return session, session.propagate(), session.propagate(precision="complex64")
+    return session, session.propagate(), session.propagate_many([dict(precision="complex64")])[0]
 
 
 class TestResolution:
@@ -96,14 +96,14 @@ class TestProvenance:
     def test_tiers_cache_separately_with_distinct_labels(self, tiers):
         session, reference, screened = tiers
         assert session.propagate() is reference
-        assert session.propagate(precision="complex64") is screened
+        assert session.propagate_many([dict(precision="complex64")])[0] is screened
         labels = set(session._trajectory_labels.values())
         assert any("(complex64)" in label for label in labels)
 
     def test_invalid_precision_raises(self, tiers):
         session, _, _ = tiers
         with pytest.raises(ValueError, match="precision"):
-            session.propagate(precision="float32")
+            session.propagate_many([dict(precision="float32")])[0]
 
 
 class TestStoreIsolation:

@@ -97,7 +97,7 @@ class TestDuplicateRegistration:
     def test_duplicate_name_raises_cleanly(self):
         registry = Registry("thing")
         registry.register("x", lambda: 1)
-        with pytest.raises(DuplicateNameError, match=r"\['x'\].*overwrite=True"):
+        with pytest.raises(DuplicateNameError, match=r"\['x'\] already registered"):
             registry.register("x", lambda: 2)
         assert registry.create("x") == 1  # original untouched
 
@@ -108,12 +108,6 @@ class TestDuplicateRegistration:
             registry.register("y", lambda: 2, aliases=("x",))
         assert "y" not in registry  # the clash aborted the whole registration
 
-    def test_overwrite_true_replaces(self):
-        registry = Registry("thing")
-        registry.register("x", lambda: 1)
-        registry.register("x", lambda: 2, overwrite=True)
-        assert registry.create("x") == 2
-
     def test_builtin_propagator_names_are_protected(self):
         with pytest.raises(DuplicateNameError, match="ptcn"):
             PROPAGATORS.register("ptcn", lambda ham: None)
@@ -122,19 +116,6 @@ class TestDuplicateRegistration:
             @register_propagator("rk4")
             def build(hamiltonian, **params):  # pragma: no cover - never registered
                 return None
-
-    def test_decorator_overwrite_roundtrip(self):
-        sentinel = PROPAGATORS.get("rk4")
-
-        @register_propagator("rk4", overwrite=True)
-        def build(hamiltonian, **params):
-            return ("replacement", hamiltonian)
-
-        try:
-            assert PROPAGATORS.create("rk4", None) == ("replacement", None)
-        finally:
-            PROPAGATORS.register("rk4", sentinel, overwrite=True)
-        assert PROPAGATORS.get("rk4") is sentinel
 
     def test_builtin_structures_and_pulses_protected(self):
         with pytest.raises(DuplicateNameError):

@@ -137,13 +137,13 @@ def test_propagate_is_propagate_many_of_one_request(api_session):
     assert api_session.propagate_many([{}])[0] is configured
     short, again = api_session.propagate_many([{"n_steps": 1}, {}])
     assert again is configured
-    assert api_session.propagate(n_steps=1) is short
+    assert api_session.propagate_many([dict(n_steps=1)])[0] is short
 
 
 def test_propagate_overrides_create_distinct_cache_entries(api_session):
-    short = api_session.propagate(n_steps=1)
+    short = api_session.propagate_many([dict(n_steps=1)])[0]
     assert short.n_steps == 1
-    assert short is api_session.propagate(n_steps=1)
+    assert short is api_session.propagate_many([dict(n_steps=1)])[0]
     assert short is not api_session.propagate()
     assert len(api_session.trajectories) == 2
 
@@ -158,17 +158,17 @@ def test_params_spelled_as_int_or_float_are_one_cached_propagation(tiny_config, 
     key the cache, as a config's are: ``max_scf_iterations`` 30 and 30.0 are
     one request."""
     session = Session(tiny_config.with_overrides({"propagator": {"name": "ptcn"}}))
-    first = session.propagate(params={"max_scf_iterations": 30, "scf_tolerance": 1e-6})
-    assert session.propagate(params={"max_scf_iterations": 30.0, "scf_tolerance": 1e-6}) is first
-    assert session.propagate(params={"max_scf_iterations": np.int64(30), "scf_tolerance": 1e-6}) is first
+    first = session.propagate_many([dict(params={"max_scf_iterations": 30, "scf_tolerance": 1e-6})])[0]
+    assert session.propagate_many([dict(params={"max_scf_iterations": 30.0, "scf_tolerance": 1e-6})])[0] is first
+    assert session.propagate_many([dict(params={"max_scf_iterations": np.int64(30), "scf_tolerance": 1e-6})])[0] is first
     assert count_propagation_steps == [2]
     assert first.metadata["propagator_params"] == {"max_scf_iterations": 30, "scf_tolerance": 1e-6}
 
 
 def test_duplicate_labels_never_shadow_trajectories(api_session):
     before = len(api_session._trajectories)
-    api_session.propagate(n_steps=1, params={"scf_tolerance": 1e-7})
-    api_session.propagate(n_steps=1, params={"scf_tolerance": 1e-5})
+    api_session.propagate_many([dict(n_steps=1, params={"scf_tolerance": 1e-7})])[0]
+    api_session.propagate_many([dict(n_steps=1, params={"scf_tolerance": 1e-5})])[0]
     assert len(api_session.trajectories) == len(api_session._trajectories) == before + 2
 
 

@@ -128,8 +128,8 @@ class TestAccuracy:
         assert errors["job0003-aaaa"]["energy_error"] == pytest.approx(8e-3)
         assert errors["job0003-aaaa"]["dipole_error"] == pytest.approx(8e-3)
 
-    def test_explicit_reference_and_table_marker(self, report):
-        table = report.accuracy_table(reference_job_id="job0002-aaaa")
+    def test_table_marks_the_reference(self, report):
+        table = report.accuracy_table()
         assert "(reference)" in table
         assert len(table.splitlines()) == 2 + 4
 
@@ -241,7 +241,7 @@ class TestSpectra:
             [_kick_result(0, 2, omega=0.3), _kick_result(1, 4, omega=0.6)],
             axes=["system.params.n_atoms"],
         )
-        spectra = report.spectra(damping=0.005, max_energy=1.0, n_frequencies=800)
+        spectra = report.spectra(damping=0.005, max_energy=1.0)
         assert set(spectra) == {"job0000-kick", "job0001-kick"}
         for job_id, omega in (("job0000-kick", 0.3), ("job0001-kick", 0.6)):
             s = spectra[job_id]

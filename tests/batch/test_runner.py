@@ -44,7 +44,7 @@ class TestSharedGroundState:
         # the same four runs, hand-driven through one session
         session = Session(tiny_config)
         reference = {
-            (name, dt): session.propagate(name, time_step_as=dt)
+            (name, dt): session.propagate_many([dict(propagator=name, time_step_as=dt)])[0]
             for name in ("ptcn", "rk4")
             for dt in (1.0, 2.0)
         }
@@ -80,23 +80,29 @@ class TestSharedGroundState:
 
 
 def _register_exploding_propagator(name="exploding_prop"):
-    def explode(hamiltonian, **params):
-        raise RuntimeError("simulated mid-sweep crash")
+    """Register ``name`` as a propagator that crashes while its returned
+    switch is on, and steps as RK4 once it is cleared."""
+    crashing = [True]
 
-    PROPAGATORS.register(name, explode, overwrite=name in PROPAGATORS)
-    return name
+    def explode(hamiltonian, **params):
+        if crashing[0]:
+            raise RuntimeError("simulated mid-sweep crash")
+        return PROPAGATORS.get("rk4")(hamiltonian, **params)
+
+    PROPAGATORS.register(name, explode)
+    return name, crashing
 
 
 class TestCheckpointResume:
     def test_resume_after_simulated_crash(self, tiny_config, tmp_path, count_scf_solves, registries):
-        name = _register_exploding_propagator()
+        name, crashing = _register_exploding_propagator()
         spec = SweepSpec(
             tiny_config,
             {"propagator.name": ["ptcn", name], "run.time_step_as": [1.0, 2.0]},
         )
-        runner = BatchRunner(spec, store=tmp_path, raise_on_error=True)
-        with pytest.raises(RuntimeError, match="simulated mid-sweep crash"):
-            runner.run()
+        crashed = BatchRunner(spec, store=tmp_path).run()
+        assert [r.status for r in crashed] == ["completed", "completed", "failed", "failed"]
+        assert all("simulated mid-sweep crash" in r.error for r in crashed.failed)
         store = ResultStore(tmp_path)
         first_energies = {
             job.job_id: store.load(job).trajectory.energies
@@ -110,8 +116,8 @@ class TestCheckpointResume:
         # "fix the bug" and resume: finished jobs load, only the rest runs —
         # and the crashed run persisted the group's converged SCF, so the
         # resumed half adopts it instead of reconverging (zero new SCFs)
-        PROPAGATORS.register(name, PROPAGATORS.get("rk4"), overwrite=True)
-        report = BatchRunner(spec, store=tmp_path, raise_on_error=True).run()
+        crashing[0] = False
+        report = BatchRunner(spec, store=tmp_path).run()
         assert [r.status for r in report] == ["cached", "cached", "completed", "completed"]
         assert len(count_scf_solves) == scf_after_crash  # shared SCF adopted from the store
         for result in report:
@@ -220,13 +226,13 @@ class TestCheckpointResume:
 
 
 # ---------------------------------------------------------------------------
-# Failure capture (raise_on_error=False)
+# Failure capture
 # ---------------------------------------------------------------------------
 
 
 class TestFailureCapture:
     def test_failed_jobs_are_recorded_and_the_rest_completes(self, tiny_config, registries):
-        name = _register_exploding_propagator()
+        name, _ = _register_exploding_propagator()
         spec = SweepSpec(tiny_config, {"propagator.name": ["ptcn", name]})
         report = BatchRunner(spec).run()
         assert [r.status for r in report] == ["completed", "failed"]

@@ -95,10 +95,6 @@ class TestFitBasics:
         assert clean == pytest.approx(2.0)
         assert dirty < 2.0 * 4.0 ** (1 / 10) * 1.1
 
-    def test_clip_below_one_rejected(self):
-        with pytest.raises(ValueError, match="clip"):
-            CalibrationModel.fit([obs()], clip=0.5)
-
     def test_round_trip(self):
         model = CalibrationModel.fit([obs(), obs(propagator="rk4", observed=10.0)])
         again = CalibrationModel.from_dict(model.as_dict())

@@ -89,19 +89,6 @@ class TestExecution:
         assert report.ok
         assert report.settings["ranks"] <= 2  # the campaign's own budget applied
 
-    def test_run_facade_is_incremental_through_store(
-        self, small_campaign, tmp_path, count_scf_solves, count_propagation_steps
-    ):
-        cold = run(small_campaign, store=tmp_path)
-        assert cold.ok and count_scf_solves and count_propagation_steps
-        count_scf_solves.clear()
-        count_propagation_steps.clear()
-        warm = run(small_campaign, small_campaign.budget, store=tmp_path)
-        assert warm.n_cached == warm.n_jobs == 4
-        assert count_scf_solves == [] and count_propagation_steps == []
-        for name in cold.sweep_names:
-            assert warm[name].to_json() == cold[name].to_json()
-
     def test_campaign_checkpoints_resume_per_sweep(self, small_campaign, tmp_path, count_scf_solves):
         execution_plan = plan(small_campaign)
         execution_plan.execute(tmp_path)
@@ -118,13 +105,12 @@ class TestExecution:
             assert [r.status for r in resumed[name]] == ["cached"] * 2
 
     def test_from_plan_builds_the_equivalent_runner(self, small_campaign, tiny_config):
-        execution_plan = plan(small_campaign)
-        runner = BatchRunner.from_plan(execution_plan, "cutoff")
-        assert runner.settings == execution_plan.settings
-        with pytest.raises(ValueError, match="pass name="):
-            BatchRunner.from_plan(execution_plan)  # two sweeps: ambiguous
+        with pytest.raises(ValueError, match="a runner runs one"):
+            BatchRunner.from_plan(plan(small_campaign))  # two sweeps: ambiguous
         single = plan(SweepSpec(tiny_config, {"run.time_step_as": [1.0]}))
-        assert BatchRunner.from_plan(single).spec.n_jobs == 1
+        runner = BatchRunner.from_plan(single)
+        assert runner.settings == single.settings
+        assert runner.spec.n_jobs == 1
 
 
 class TestRoundTrips:
@@ -139,9 +125,9 @@ class TestRoundTrips:
 
     def test_sweep_report_round_trips_with_settings_and_execution(self, small_campaign):
         report = plan(small_campaign).execute()["cutoff"]
-        text = report.to_json(include_execution=True)
-        rebuilt = type(report).from_json(text)
-        assert rebuilt.to_json(include_execution=True) == text
+        data = {**json.loads(report.to_json()), "execution": json.loads(json.dumps(report.execution))}
+        rebuilt = type(report).from_dict(data)
+        assert rebuilt.to_json() == report.to_json()
         assert rebuilt.settings == report.settings
         assert rebuilt.execution == report.execution
         # and the deterministic export stays settings-free either way

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.pw.density as density
 from repro.core.anderson import AndersonMixer
 
 
@@ -20,12 +21,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             AndersonMixer(history_size=0)
 
-    def test_invalid_beta(self):
-        with pytest.raises(ValueError):
-            AndersonMixer(mixing_parameter=0.0)
-        with pytest.raises(ValueError):
-            AndersonMixer(mixing_parameter=1.5)
-
     def test_shape_mismatch(self):
         mixer = AndersonMixer()
         with pytest.raises(ValueError):
@@ -34,11 +29,11 @@ class TestValidation:
 
 class TestBasicBehaviour:
     def test_first_step_is_simple_relaxation(self):
-        mixer = AndersonMixer(mixing_parameter=0.5)
+        mixer = AndersonMixer()
         x = np.array([1.0 + 0j, 2.0])
         f = np.array([0.2 + 0j, -0.4])
         out = mixer.update(x, f)
-        assert np.allclose(out, x - 0.5 * f)
+        assert np.allclose(out, x - f)
 
     def test_history_bounded(self):
         mixer = AndersonMixer(history_size=3)
@@ -67,7 +62,7 @@ class TestBasicBehaviour:
 class TestConvergence:
     def test_linear_problem_faster_than_plain_relaxation(self):
         """Anderson must solve a stiff linear system in far fewer iterations than
-        plain damped relaxation at the same beta."""
+        plain damped relaxation."""
         rng = np.random.default_rng(42)
         n = 20
         a = np.diag(np.linspace(0.2, 1.8, n)) + 0.05 * rng.standard_normal((n, n))
@@ -78,7 +73,7 @@ class TestConvergence:
 
         def solve(use_anderson, beta=0.4, iters=60):
             x = np.zeros(n, dtype=complex)
-            mixer = AndersonMixer(history_size=10, mixing_parameter=beta, per_band=False)
+            mixer = AndersonMixer(history_size=10, per_band=False)
             history = []
             for _ in range(iters):
                 f = residual(x)
@@ -168,15 +163,15 @@ def reference_update(iterates, residuals, history_size, beta, regularization, pe
     )
 
 
-def _assert_matches_reference(mixer, iterates, residuals):
+def _assert_matches_reference(mixer, iterates, residuals, regularization=1e-12):
     for k in range(len(iterates)):
         out = mixer.update(iterates[k], residuals[k])
         expected = reference_update(
             iterates[: k + 1],
             residuals[: k + 1],
             mixer.history_size,
-            mixer.mixing_parameter,
-            mixer.regularization,
+            1.0,
+            regularization,  # the Tikhonov term of repro.pw.density.anderson_extrapolation
             mixer.per_band,
         )
         assert out.shape == iterates[k].shape
@@ -204,7 +199,7 @@ class TestBandBatchedUpdate:
     def test_equals_per_band_reference(self, nbands):
         rng = np.random.default_rng(nbands)
         iterates, residuals = _history(rng, nbands, 40, 7)
-        mixer = AndersonMixer(history_size=20, mixing_parameter=0.7, per_band=True)
+        mixer = AndersonMixer(history_size=20, per_band=True)
         _assert_matches_reference(mixer, iterates, residuals)
 
     def test_history_truncation(self):
@@ -215,15 +210,16 @@ class TestBandBatchedUpdate:
         _assert_matches_reference(mixer, iterates, residuals)
         assert len(mixer._iterates) == 4
 
-    def test_regularisation_is_per_band(self):
+    def test_regularisation_is_per_band(self, monkeypatch):
         """Bands whose Gram matrices differ by 1e6 in scale are each
         regularised on their own scale, not on the largest band's."""
         rng = np.random.default_rng(11)
         scales = np.array([1.0, 1e3, 1e-3])  # Gram scales 1, 1e6, 1e-6
         iterates, residuals = _history(rng, 3, 30, 6, row_scale=scales)
         # a regularisation large enough that sharing one scale would show
-        mixer = AndersonMixer(history_size=10, per_band=True, regularization=1e-4)
-        _assert_matches_reference(mixer, iterates, residuals)
+        monkeypatch.setattr(density, "_REGULARIZATION", 1e-4)
+        mixer = AndersonMixer(history_size=10, per_band=True)
+        _assert_matches_reference(mixer, iterates, residuals, regularization=1e-4)
 
     def test_band_with_zero_residual_differences(self):
         """A band whose residual never changes has a zero Gram matrix: the
@@ -233,17 +229,17 @@ class TestBandBatchedUpdate:
         iterates, residuals = _history(rng, 3, 20, 5)
         for f in residuals:
             f[1] = residuals[0][1]
-        mixer = AndersonMixer(history_size=10, mixing_parameter=0.5, per_band=True)
+        mixer = AndersonMixer(history_size=10, per_band=True)
         _assert_matches_reference(mixer, iterates, residuals)
         mixer.reset()
         for x, f in zip(iterates, residuals):
             out = mixer.update(x, f)
-        np.testing.assert_allclose(out[1], iterates[-1][1] - 0.5 * residuals[-1][1], rtol=1e-12)
+        np.testing.assert_allclose(out[1], iterates[-1][1] - residuals[-1][1], rtol=1e-12)
 
     def test_whole_array_is_the_one_row_case(self):
         rng = np.random.default_rng(17)
         iterates, residuals = _history(rng, 4, 15, 6)
-        mixer = AndersonMixer(history_size=5, mixing_parameter=0.9, per_band=False)
+        mixer = AndersonMixer(history_size=5, per_band=False)
         _assert_matches_reference(mixer, iterates, residuals)
 
     def test_one_dimensional_iterate_with_per_band(self):
@@ -254,7 +250,7 @@ class TestBandBatchedUpdate:
         mixer = AndersonMixer(history_size=5, per_band=True)
         for k in range(4):
             out = mixer.update(iterates[k], residuals[k])
-        expected = reference_update(iterates, residuals, 5, 1.0, mixer.regularization, False)
+        expected = reference_update(iterates, residuals, 5, 1.0, 1e-12, False)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
 
     def test_stored_history_does_not_alias_the_caller(self):

@@ -262,7 +262,7 @@ class TestRunBatched:
         solo = []
         for name, dt, n_steps, params in jobs:
             simulation = self._simulation(base_ham, name, **params)
-            solo.append(simulation.run(wf0, dt, n_steps, metadata={"dt": dt}))
+            solo.append(run_batched([BatchedRun(simulation, wf0, dt, n_steps, metadata={"dt": dt})])[0])
 
         runs = [
             BatchedRun(

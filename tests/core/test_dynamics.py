@@ -47,13 +47,6 @@ class TestRun:
         traj = sim.run(wf0, attoseconds_to_au(25.0), 3)
         assert traj.energy_drift < 1e-4
 
-    def test_callback_invoked(self, driver_setup):
-        ham, prop, wf0 = driver_setup
-        sim = TDDFTSimulation(ham, prop)
-        calls = []
-        sim.run(wf0, attoseconds_to_au(25.0), 2, callback=lambda i, t, wf, st: calls.append(i))
-        assert calls == [0, 1]
-
     def test_initial_state_not_modified(self, driver_setup):
         ham, prop, wf0 = driver_setup
         before = wf0.coefficients.copy()
@@ -121,7 +114,7 @@ class TestRunIsRunBatchedOfOneJob:
             )
 
         alone_sim = simulation(**params)
-        alone = alone_sim.run(wf0, dt, 2, metadata={"name": name})
+        (alone,) = run_batched([BatchedRun(alone_sim, wf0, dt, 2, metadata={"name": name})])
         # the same job third in a group of four: a same-scheme neighbour at
         # another step size (and default parameters, so ETRS mixes Taylor
         # orders in one stack) that outlives it, one that finishes first, and
@@ -170,9 +163,8 @@ class TestRunIsRunBatchedOfOneJob:
         wf0 = chain_ground_state[1].wavefunction
         ham = chain_hybrid_hamiltonian.clone()
         sim = TDDFTSimulation(ham, PTCNPropagator(ham))
-        seen = []
-        traj = sim.run(wf0, 1.0, 2, callback=lambda i, t, wf, stats: seen.append(wf))
-        final = seen[-1]
+        traj = sim.run(wf0, 1.0, 2)
+        final = traj.final_wavefunction
         assert traj.energies[-1] == ham.total_energy(final)
         assert np.array_equal(traj.dipoles[-1], dipole_moment(final))
         assert traj.electron_numbers[-1] == electron_number(final)

@@ -95,7 +95,7 @@ class TestAbsorptionSpectrum:
 
     def test_frequency_grid(self):
         times = np.linspace(0, 10, 50)
-        spec = absorption_spectrum(times, np.zeros(50), max_energy=2.0, n_frequencies=100)
-        assert spec.frequencies.shape == (100,)
+        spec = absorption_spectrum(times, np.zeros(50), max_energy=2.0)
+        assert spec.frequencies.shape == (400,)
         assert spec.frequencies[-1] == pytest.approx(2.0)
         assert np.allclose(spec.strength, 0.0)

@@ -57,7 +57,6 @@ def reference_ptcn_step(
     scf_tolerance=1e-6,
     max_scf_iterations=30,
     anderson_history=20,
-    anderson_beta=1.0,
 ):
     """Alg. 1 of the paper for one job, line by line."""
     basis, occ, c_n = wavefunction.basis, wavefunction.occupations, wavefunction.coefficients
@@ -89,9 +88,7 @@ def reference_ptcn_step(
     c_f = c_half.copy()
     # Line 3: the Hamiltonian at t_{n+1}
     ham.set_time(time + dt)
-    mixer = AndersonMixer(
-        history_size=anderson_history, mixing_parameter=anderson_beta, per_band=True
-    )
+    mixer = AndersonMixer(history_size=anderson_history, per_band=True)
     err, iterations, converged = float("inf"), 0, False
     for iterations in range(1, max_scf_iterations + 1):
         # Line 5: potential (and exchange orbitals) from the current iterate
@@ -124,7 +121,6 @@ def reference_hybrid_ptcn_step(
     scf_tolerance=1e-6,
     max_scf_iterations=30,
     anderson_history=20,
-    anderson_beta=1.0,
 ):
     """Alg. 1 for one job with exact exchange, the Fock term refreshed rather
     than recomputed every inner iteration.
@@ -162,9 +158,7 @@ def reference_hybrid_ptcn_step(
     c_half = c_n - 0.5j * dt * r_n
     c_f = c_half.copy()
     ham.set_time(time + dt)
-    mixer = AndersonMixer(
-        history_size=anderson_history, mixing_parameter=anderson_beta, per_band=True
-    )
+    mixer = AndersonMixer(history_size=anderson_history, per_band=True)
     err, iterations, converged = float("inf"), 0, False
     exact_applications, frozen_iterations = 1, 0
     # the iterations to come that keep the exchange term w
@@ -250,7 +244,7 @@ SCHEMES = {
     "ptcn": (PTCNPropagator, reference_ptcn_step, {}, {"scf_tolerance": 1e-7}, 1.0),
     "ptcn-loose-capped": (
         PTCNPropagator, reference_ptcn_step, {},
-        {"scf_tolerance": 1e-12, "max_scf_iterations": 4, "anderson_history": 2, "anderson_beta": 0.7},
+        {"scf_tolerance": 1e-12, "max_scf_iterations": 4, "anderson_history": 2},
         1.0,
     ),
     "cn": (

@@ -56,7 +56,7 @@ class TestDistributedBackend:
 
         assert [r.status for r in distributed] == ["completed"] * 8
         assert distributed.to_json() == serial.to_json()
-        assert distributed.fig6_table(include_wall=False) == serial.fig6_table(include_wall=False)
+        assert [r.summary for r in distributed] == [r.summary for r in serial]
         for a, b in zip(serial, distributed):
             assert a.job_id == b.job_id
             np.testing.assert_array_equal(a.trajectory.energies, b.trajectory.energies)
@@ -105,13 +105,12 @@ class TestDistributedBackend:
         assert len(table.splitlines()) == 2 + 4 + 1
         assert "dispatch" in table and "distributed" in table
 
-    def test_execution_summary_json_exports_on_request(self, four_group_spec):
+    def test_execution_summary_is_json_beside_the_export(self, four_group_spec):
         report = BatchRunner(four_group_spec, settings=_distributed(2)).run()
-        plain = json.loads(report.to_json())
-        assert "execution" not in plain
-        full = json.loads(report.to_json(include_execution=True))
-        assert full["execution"]["ranks"] == 2
-        assert full["execution"]["schedule"] == "fifo"
+        assert "execution" not in json.loads(report.to_json())
+        execution = json.loads(json.dumps(report.execution))
+        assert execution["ranks"] == 2
+        assert execution["schedule"] == "fifo"
 
     def test_makespan_balanced_packing_assigns_ranks(self, tiny_config):
         spec = SweepSpec(
@@ -202,17 +201,14 @@ class TestPlacementCosting:
             assert stats["observed_seconds"] > 0
         assert report.execution["placement"] == {"ranks_per_node": 6, "n_nodes": 2}
 
-    def test_sparse_placement_moves_traffic_to_infiniband(self, four_group_spec):
+    def test_sparse_placement_moves_traffic_to_infiniband(self, four_group_spec, monkeypatch):
         """A 2-ranks-per-node placement puts rank 2+ on other nodes: the same
         sweep's traffic crosses IB instead of NVLink and costs more wall."""
         from repro.cost import NodePlacement
 
         dense = BatchRunner(four_group_spec, settings=_distributed(4)).run()
-        sparse = BatchRunner(
-            four_group_spec,
-            settings=_distributed(4),
-            placement=NodePlacement(n_ranks=4, ranks_per_node=2),
-        ).run()
+        monkeypatch.setattr(ExecutionSettings, "placement", lambda self: NodePlacement(n_ranks=4, ranks_per_node=2))
+        sparse = BatchRunner(four_group_spec, settings=_distributed(4)).run()
         dense_links = [s["link"] for s in dense.execution["per_rank"]]
         sparse_links = [s["link"] for s in sparse.execution["per_rank"]]
         assert dense_links == ["nvlink", "nvlink", "nvlink", "xbus"]
@@ -223,19 +219,17 @@ class TestPlacementCosting:
         assert total(sparse, "dispatch_bytes") == total(dense, "dispatch_bytes")
         assert total(sparse, "comm_seconds") > total(dense, "comm_seconds")
 
-    def test_exports_identical_across_placements_and_policies(self, four_group_spec):
+    def test_exports_identical_across_placements_and_policies(self, four_group_spec, monkeypatch):
         """Acceptance: the deterministic export is bit-identical across
         backends, placements and scheduling policies."""
         from repro.cost import NodePlacement
 
         serial = BatchRunner(four_group_spec).run()
-        variants = [
-            BatchRunner(four_group_spec, settings=_distributed(4)).run(),
-            BatchRunner(
-                four_group_spec,
-                settings=_distributed(4),
-                placement=NodePlacement(n_ranks=4, ranks_per_node=1),
-            ).run(),
+        variants = [BatchRunner(four_group_spec, settings=_distributed(4)).run()]
+        with monkeypatch.context() as patch:
+            patch.setattr(ExecutionSettings, "placement", lambda self: NodePlacement(n_ranks=4, ranks_per_node=1))
+            variants.append(BatchRunner(four_group_spec, settings=_distributed(4)).run())
+        variants += [
             BatchRunner(
                 four_group_spec, settings=_distributed(3, "energy_aware")
             ).run(),
@@ -443,12 +437,15 @@ class TestBackendSurface:
         assert serial.execution["schedule"] == "fifo"
         assert "serial" in serial.execution_table()
 
-    def test_unknown_costs_export_as_null_not_nan(self, tiny_config):
+    def test_unknown_costs_export_as_null_not_nan(self, tiny_config, monkeypatch):
         """A failing cost model leaves NaN sentinels on the scheduled groups;
         the execution export must stay strict JSON (null, not NaN)."""
+        from repro.exec import scheduler as scheduler_module
+
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
         runner = BatchRunner(spec)
-        scheduled = Scheduler("fifo", cost_fn=lambda configs: float("nan")).schedule(runner.groups())
+        monkeypatch.setattr(scheduler_module, "predict_group_cost", lambda configs: float("nan"))
+        scheduled = Scheduler("fifo").schedule(runner.groups())
         backend = SerialBackend()
         backend.run(scheduled)
         text = json.dumps(backend.execution_summary(), allow_nan=False)  # strict

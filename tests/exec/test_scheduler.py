@@ -17,6 +17,7 @@ from repro.batch import BatchRunner, SweepSpec, config_hash, ground_state_group_
 from repro.calib import CalibrationModel, Observation, extract_observations
 from repro.cost import MachineCostModel
 from repro.exec import SCHEDULE_POLICIES, ExecutionSettings, ScheduledGroup, Scheduler
+from repro.exec import scheduler as scheduler_module
 from repro.exec.scheduler import _least_loaded, _rank_loads
 from repro.perf import predict_group_cost
 
@@ -75,12 +76,13 @@ class TestOrdering:
         with pytest.raises(ValueError, match="fifo"):
             Scheduler("random")
 
-    def test_failing_cost_model_degrades_to_expansion_order(self, heterogeneous_runner):
+    def test_failing_cost_model_degrades_to_expansion_order(self, heterogeneous_runner, monkeypatch):
         def broken(configs):
             raise KeyError("no cost model for this structure")
 
         grouped = heterogeneous_runner.groups()
-        scheduled = Scheduler("cheapest_first", cost_fn=broken).schedule(grouped)
+        monkeypatch.setattr(scheduler_module, "predict_group_cost", broken)
+        scheduled = Scheduler("cheapest_first").schedule(grouped)
         assert [g.index for g in scheduled] == list(range(len(grouped)))
         assert all(np.isnan(g.predicted_cost) for g in scheduled)
         # ... and says so: the degraded group is visible, not only a nan
@@ -88,12 +90,13 @@ class TestOrdering:
             (note,) = group.notes
             assert note.endswith("KeyError: 'no cost model for this structure'")
 
-    def test_a_degraded_group_shows_in_the_report_execution_section(self, tiny_config):
+    def test_a_degraded_group_shows_in_the_report_execution_section(self, tiny_config, monkeypatch):
         def broken(configs):
             raise ArithmeticError("workload overflows the model")
 
         runner = BatchRunner(SweepSpec(tiny_config.with_overrides({"run.n_steps": 1})))
-        runner.scheduler = Scheduler("cheapest_first", cost_fn=broken)
+        runner.scheduler = Scheduler("cheapest_first")
+        monkeypatch.setattr(scheduler_module, "predict_group_cost", broken)
         (record,) = runner.run().execution["groups"]
         assert record["predicted_cost"] is None
         assert record["notes"] == [
@@ -101,15 +104,17 @@ class TestOrdering:
             "ArithmeticError: workload overflows the model"
         ]
 
-    def test_a_bug_in_the_cost_model_is_not_swallowed(self, heterogeneous_runner):
+    def test_a_bug_in_the_cost_model_is_not_swallowed(self, heterogeneous_runner, monkeypatch):
         """Only the failures a model raises for a workload it cannot price
         degrade the schedule; anything else propagates."""
 
         def buggy(configs):
             raise RuntimeError("a bug, not an unpriceable workload")
 
+        grouped = heterogeneous_runner.groups()
+        monkeypatch.setattr(scheduler_module, "predict_group_cost", buggy)
         with pytest.raises(RuntimeError, match="a bug"):
-            Scheduler("cheapest_first", cost_fn=buggy).schedule(heterogeneous_runner.groups())
+            Scheduler("cheapest_first").schedule(grouped)
 
     def test_failing_machine_estimate_is_noted(self, heterogeneous_runner):
         class NoEstimate(MachineCostModel):
@@ -290,7 +295,7 @@ class TestMachineAwareness:
         # 1 s groups share rank 1 (FLOP weighting would interleave them)
         assert [g.rank for g in groups] == [0, 1, 1, 1]
 
-    def test_energy_aware_orders_by_joules_not_seconds(self, tiny_config):
+    def test_energy_aware_orders_by_joules_not_seconds(self, tiny_config, monkeypatch):
         """A big group on a large slice finishes *sooner* but burns *more*
         joules (more nodes): energy_aware and makespan_balanced order the two
         groups oppositely."""
@@ -310,19 +315,21 @@ class TestMachineAwareness:
             # 5 units on 1 GPU (1 node): 5 s-units — shorter wins flip
             return 50.0 if MachineCostModel().gpus_for(configs[0]) == 12 else 5.0
 
-        by_time = Scheduler("makespan_balanced", cost_fn=cost_fn).schedule(grouped)
-        by_energy = Scheduler("energy_aware", cost_fn=cost_fn).schedule(grouped)
+        monkeypatch.setattr(scheduler_module, "predict_group_cost", cost_fn)
+        by_time = Scheduler("makespan_balanced").schedule(grouped)
+        by_energy = Scheduler("energy_aware").schedule(grouped)
         assert [g.index for g in by_time] == [0, 1]  # 1-GPU group is slower
         assert [g.index for g in by_energy] == [1, 0]  # 12-GPU group burns more
         assert by_energy[0].n_gpus == 12
         assert by_energy[0].predicted_energy_j > by_energy[1].predicted_energy_j
         assert by_energy[0].predicted_seconds < by_energy[1].predicted_seconds
 
-    def test_custom_cost_fn_flows_into_wall_predictions(self, heterogeneous_runner):
-        """The machine converts whatever the workload model returns, so a
-        custom cost_fn keeps machine-aware packing."""
-        scheduler = Scheduler("makespan_balanced", cost_fn=lambda configs: 7.0)
-        scheduled = scheduler.schedule(heterogeneous_runner.groups())
+    def test_custom_cost_fn_flows_into_wall_predictions(self, heterogeneous_runner, monkeypatch):
+        """The machine converts whatever the workload model returns into
+        wall predictions."""
+        grouped = heterogeneous_runner.groups()
+        monkeypatch.setattr(scheduler_module, "predict_group_cost", lambda configs: 7.0)
+        scheduled = Scheduler("makespan_balanced").schedule(grouped)
         expected = MachineCostModel().group_estimate(
             [job.config for job in scheduled[0].jobs], flops=7.0
         )
@@ -339,14 +346,16 @@ class TestMachineAwareness:
         costs = [g.predicted_cost for g in scheduled]
         assert costs == sorted(costs)
 
-    def test_broken_cost_fn_keeps_wall_predictions_nan(self, heterogeneous_runner):
+    def test_broken_cost_fn_keeps_wall_predictions_nan(self, heterogeneous_runner, monkeypatch):
         """A deliberately failing workload model must not be resurrected by
         the machine layer's default."""
 
         def broken(configs):
             raise ValueError("no model")
 
-        scheduled = Scheduler("energy_aware", cost_fn=broken).schedule(heterogeneous_runner.groups())
+        grouped = heterogeneous_runner.groups()
+        monkeypatch.setattr(scheduler_module, "predict_group_cost", broken)
+        scheduled = Scheduler("energy_aware").schedule(grouped)
         assert all(np.isnan(g.predicted_seconds) for g in scheduled)
         assert [g.index for g in scheduled] == list(range(len(scheduled)))
 

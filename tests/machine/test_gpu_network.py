@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import PAPER_SCALARS
-from repro.machine import CPUKernelModel, GPUKernelModel, NetworkModel, fft_flops, gemm_flops
+from repro.machine import GPUKernelModel, NetworkModel, fft_flops, gemm_flops
 
 
 class TestFlopCounts:
@@ -16,7 +16,6 @@ class TestFlopCounts:
 
     def test_gemm_flops(self):
         assert gemm_flops(2, 3, 4) == pytest.approx(8 * 24)
-        assert gemm_flops(2, 3, 4, complex_valued=False) == pytest.approx(2 * 24)
 
     def test_invalid_fft_size(self):
         with pytest.raises(ValueError):
@@ -53,14 +52,6 @@ class TestGPUKernelModel:
     def test_pointwise_scaling(self):
         model = GPUKernelModel()
         assert model.pointwise_time(1000, reads_writes=6) > model.pointwise_time(1000, reads_writes=3)
-
-
-class TestCPUKernelModel:
-    def test_scales_with_cores(self):
-        model = CPUKernelModel()
-        assert model.fft_time(648_000, n_cores=3072) == pytest.approx(
-            model.fft_time(648_000, n_cores=1536) / 2.0
-        )
 
 
 class TestNetworkModel:

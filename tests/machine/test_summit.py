@@ -15,7 +15,7 @@ from repro.machine import (
 class TestNodeSpec:
     def test_node_memory_and_cores(self):
         node = NodeSpec()
-        assert node.cpu_cores == 44
+        assert node.sockets * node.cpu_socket.cores == 44  # physical CPU cores
         assert node.injection_bandwidth_gbs == pytest.approx(25.0)
 
 

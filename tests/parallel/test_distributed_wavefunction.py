@@ -60,7 +60,7 @@ class TestDistributedKernels:
 
     def test_orthogonalization_matches_serial(self, chain_basis, rng, n_ranks):
         # build a deliberately non-orthonormal set
-        wf = Wavefunction.random(chain_basis, 4, rng=rng, orthonormal=False)
+        wf = Wavefunction(chain_basis, chain_basis.random_coefficients(4, rng))
         comm = SimCommunicator(n_ranks)
         dwf = DistributedWavefunction.from_wavefunction(wf, comm)
         ortho_dist = distributed_cholesky_orthonormalize(dwf).to_wavefunction()

@@ -21,12 +21,11 @@ def serial_reference(chain_basis, orbitals):
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 4])
-@pytest.mark.parametrize("strategy", ["bcast", "round_robin"])
 class TestCorrectness:
-    def test_matches_serial(self, chain_basis, orbitals, serial_reference, n_ranks, strategy):
+    def test_matches_serial(self, chain_basis, orbitals, serial_reference, n_ranks):
         comm = SimCommunicator(n_ranks)
         dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
-        op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25, strategy=strategy)
+        op = DistributedExchangeOperator(chain_basis, comm)
         result = op.apply(dwf).to_wavefunction().coefficients
         assert np.max(np.abs(result - serial_reference)) < 1e-10
 
@@ -37,7 +36,7 @@ class TestCommunicationAccounting:
         n_ranks = 4
         comm = SimCommunicator(n_ranks)
         dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
-        op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25)
+        op = DistributedExchangeOperator(chain_basis, comm)
         op.apply(dwf)
         expected = (n_ranks - 1) * orbitals.nbands * orbitals.npw * 16
         assert comm.stats.bytes[CollectiveKind.BCAST] == expected
@@ -47,14 +46,14 @@ class TestCommunicationAccounting:
         single = SimCommunicator(4, single_precision=True)
         for comm in (double, single):
             dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
-            DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25).apply(dwf)
+            DistributedExchangeOperator(chain_basis, comm).apply(dwf)
         assert single.stats.bytes[CollectiveKind.BCAST] == double.stats.bytes[CollectiveKind.BCAST] // 2
 
     def test_single_precision_accuracy(self, chain_basis, orbitals, serial_reference):
         """The paper's single-precision MPI changes the result only at the 1e-7 level."""
         comm = SimCommunicator(4, single_precision=True)
         dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
-        op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25)
+        op = DistributedExchangeOperator(chain_basis, comm)
         result = op.apply(dwf).to_wavefunction().coefficients
         err = np.max(np.abs(result - serial_reference))
         assert err < 1e-5
@@ -64,7 +63,7 @@ class TestCommunicationAccounting:
         """Alg. 2 broadcasts every one of the N_e wavefunctions exactly once."""
         comm = SimCommunicator(2)
         dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
-        op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25)
+        op = DistributedExchangeOperator(chain_basis, comm)
         op.apply(dwf)
         assert comm.stats.calls[CollectiveKind.BCAST] == orbitals.nbands
         assert op.work.broadcasts == orbitals.nbands
@@ -74,32 +73,12 @@ class TestCommunicationAccounting:
         for n_ranks in (1, 2, 4):
             comm = SimCommunicator(n_ranks)
             dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
-            op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25)
+            op = DistributedExchangeOperator(chain_basis, comm)
             op.apply(dwf)
             assert op.work.poisson_solves == orbitals.nbands**2
 
-    def test_round_robin_messages(self, chain_basis, orbitals):
-        comm = SimCommunicator(4)
-        dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
-        op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25, strategy="round_robin")
-        op.apply(dwf)
-        # N_p messages per shift, N_p - 1 shifts
-        assert op.work.point_to_point_messages == 4 * 3
-
 
 class TestEdgeCases:
-    def test_zero_mixing(self, chain_basis, orbitals):
-        comm = SimCommunicator(2)
-        dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
-        op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.0)
-        result = op.apply(dwf).to_wavefunction().coefficients
-        assert np.allclose(result, 0.0)
-        assert comm.stats.total_bytes() == 0
-
-    def test_unknown_strategy(self, chain_basis):
-        with pytest.raises(ValueError):
-            DistributedExchangeOperator(chain_basis, SimCommunicator(2), strategy="gossip")
-
     def test_separate_exchange_orbitals(self, chain_basis, orbitals, rng):
         """V_X[P] applied to a different target block matches the serial operator."""
         target = Wavefunction.random(chain_basis, 4, rng=rng)
@@ -110,16 +89,6 @@ class TestEdgeCases:
         comm = SimCommunicator(2)
         d_target = DistributedWavefunction.from_wavefunction(target, comm)
         d_orbitals = DistributedWavefunction.from_wavefunction(orbitals, comm)
-        op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25)
+        op = DistributedExchangeOperator(chain_basis, comm)
         result = op.apply(d_target, exchange_orbitals=d_orbitals).to_wavefunction().coefficients
-        assert np.allclose(result, expected, atol=1e-10)
-
-    def test_screened_kernel(self, chain_basis, orbitals):
-        serial_op = ExchangeOperator(chain_basis, mixing_fraction=0.25, screening_length=0.4)
-        serial_op.set_orbitals(orbitals)
-        expected = serial_op.apply(orbitals.coefficients)
-        comm = SimCommunicator(3)
-        dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
-        op = DistributedExchangeOperator(chain_basis, comm, mixing_fraction=0.25, screening_length=0.4)
-        result = op.apply(dwf).to_wavefunction().coefficients
         assert np.allclose(result, expected, atol=1e-10)

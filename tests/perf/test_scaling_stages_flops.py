@@ -55,7 +55,7 @@ class TestWeakScaling:
         assert points[-1].time_per_50as < points[-1].ideal_time_per_50as
 
     def test_gpus_are_half_the_atoms(self):
-        for p in weak_scaling(atom_counts=(48, 96)):
+        for p in weak_scaling():
             assert p.n_gpus == p.natoms // 2
 
 

@@ -78,9 +78,8 @@ class TestWorkloadSizes:
         STRUCTURES.register("memo-probe", lambda: hydrogen_chain(n_atoms=2, spacing=2.0, box=7.0))
         config = base_config.with_overrides({"system": {"structure": "memo-probe", "params": {}}})
         two_atoms = workload_sizes(config)
-        STRUCTURES.register(
-            "memo-probe", lambda: hydrogen_chain(n_atoms=4, spacing=2.0, box=7.0), overwrite=True
-        )
+        # a registry never replaces a name; the registries fixture restores this one
+        STRUCTURES._factories["memo-probe"] = lambda: hydrogen_chain(n_atoms=4, spacing=2.0, box=7.0)
         assert workload_sizes(config)[0] == 2 * two_atoms[0]
 
     def test_asset_structures_are_keyed_by_content_digest(self, count_structure_builds):
@@ -123,7 +122,7 @@ class TestApplicationsPerStep:
     def test_unknown_propagator_falls_back(self, registries):
         assert applications_per_step("no_such_integrator") == DEFAULT_APPLICATIONS_PER_STEP
         name = "constant_cost_prop"
-        PROPAGATORS.register(name, lambda ham, **kw: None, overwrite=name in PROPAGATORS)
+        PROPAGATORS.register(name, lambda ham, **kw: None)
         assert applications_per_step(name) == DEFAULT_APPLICATIONS_PER_STEP
 
 

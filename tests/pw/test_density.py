@@ -22,7 +22,7 @@ class TestComputeDensity:
         assert n == pytest.approx(np.sum(wf.occupations), rel=1e-10)
 
     def test_occupation_weighting(self, h2_basis, rng):
-        wf = Wavefunction.random(h2_basis, 2, rng=rng, occupations=np.array([2.0, 0.0]))
+        wf = Wavefunction(h2_basis, Wavefunction.random(h2_basis, 2, rng=rng).coefficients, np.array([2.0, 0.0]))
         rho = compute_density(wf)
         n = np.sum(rho) * h2_basis.grid.volume_element
         assert n == pytest.approx(2.0, rel=1e-10)

@@ -5,7 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.pw import eigensolver
 from repro.pw.eigensolver import EigenResult, block_davidson, dense_eigensolve
+
+
+def capped_davidson(monkeypatch, apply_h, guess, nbands, max_iterations=60, max_subspace_factor=4, **keywords):
+    """``block_davidson`` with its iteration cap and restart size set, as
+    the written-out reference takes them."""
+    monkeypatch.setattr(eigensolver, "_MAX_ITERATIONS", max_iterations)
+    monkeypatch.setattr(eigensolver, "_SUBSPACE_FACTOR", max_subspace_factor)
+    return block_davidson(apply_h, guess, nbands, **keywords)
 
 
 def make_hermitian_operator(n, rng, diagonal_dominance=5.0):
@@ -99,39 +108,39 @@ class TestDenseEigensolve:
 
 
 class TestBlockDavidson:
-    def test_converges_to_lowest_eigenvalues(self):
+    def test_converges_to_lowest_eigenvalues(self, monkeypatch):
         rng = np.random.default_rng(2)
         n, nbands = 120, 4
         h = make_hermitian_operator(n, rng)
         apply_h = lambda block: block @ h.T
         guess = rng.standard_normal((nbands + 2, n)) + 1j * rng.standard_normal((nbands + 2, n))
         precond = 1.0 / (np.abs(np.diag(h).real) + 1.0)
-        result = block_davidson(apply_h, guess, nbands, preconditioner=precond, tolerance=1e-8, max_iterations=200)
+        result = capped_davidson(monkeypatch, apply_h, guess, nbands, preconditioner=precond, tolerance=1e-8, max_iterations=200)
         reference = np.linalg.eigvalsh(h)[:nbands]
         assert result.converged
         assert np.allclose(result.eigenvalues, reference, atol=1e-6)
 
-    def test_eigenvectors_orthonormal(self):
+    def test_eigenvectors_orthonormal(self, monkeypatch):
         rng = np.random.default_rng(3)
         n, nbands = 80, 3
         h = make_hermitian_operator(n, rng)
         guess = rng.standard_normal((nbands, n)) + 1j * rng.standard_normal((nbands, n))
-        result = block_davidson(lambda b: b @ h.T, guess, nbands, tolerance=1e-8, max_iterations=200)
+        result = capped_davidson(monkeypatch, lambda b: b @ h.T, guess, nbands, tolerance=1e-8, max_iterations=200)
         overlap = result.eigenvectors.conj() @ result.eigenvectors.T
         assert np.allclose(overlap, np.eye(nbands), atol=1e-8)
 
-    def test_residual_norms_reported(self):
+    def test_residual_norms_reported(self, monkeypatch):
         rng = np.random.default_rng(4)
         n, nbands = 60, 2
         h = make_hermitian_operator(n, rng)
         guess = rng.standard_normal((nbands, n)) + 1j * rng.standard_normal((nbands, n))
-        result = block_davidson(lambda b: b @ h.T, guess, nbands, tolerance=1e-9, max_iterations=200)
+        result = capped_davidson(monkeypatch, lambda b: b @ h.T, guess, nbands, tolerance=1e-9, max_iterations=200)
         for k in range(nbands):
             v = result.eigenvectors[k]
             residual = np.linalg.norm(h @ v - result.eigenvalues[k] * v)
             assert residual < 1e-6
 
-    def test_degenerate_eigenvalues(self):
+    def test_degenerate_eigenvalues(self, monkeypatch):
         """Davidson must resolve a doubly degenerate lowest eigenvalue."""
         rng = np.random.default_rng(5)
         n = 50
@@ -141,14 +150,14 @@ class TestBlockDavidson:
         w[1] = w[0]
         h = (v * w) @ v.conj().T
         guess = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-        result = block_davidson(lambda b: b @ h.T, guess, 2, tolerance=1e-8, max_iterations=300)
+        result = capped_davidson(monkeypatch, lambda b: b @ h.T, guess, 2, tolerance=1e-8, max_iterations=300)
         assert np.allclose(result.eigenvalues, [w[0], w[0]], atol=1e-5)
 
     def test_insufficient_guess_raises(self):
         with pytest.raises(ValueError):
             block_davidson(lambda b: b, np.zeros((1, 10), dtype=complex), 3)
 
-    def test_on_physical_hamiltonian(self, lda_hamiltonian, h2_basis, rng):
+    def test_on_physical_hamiltonian(self, lda_hamiltonian, h2_basis, rng, monkeypatch):
         """Davidson on the real LDA Hamiltonian matches the dense reference."""
         from repro.pw import Wavefunction
 
@@ -157,7 +166,8 @@ class TestBlockDavidson:
         apply_h = lambda block: lda_hamiltonian.apply(block)
         dense = dense_eigensolve(apply_h, h2_basis.npw, 2)
         guess = Wavefunction.random(h2_basis, 4, rng=rng).coefficients
-        davidson = block_davidson(
+        davidson = capped_davidson(
+            monkeypatch,
             apply_h, guess, 2, preconditioner=lda_hamiltonian.preconditioner(), tolerance=1e-7, max_iterations=120
         )
         assert np.allclose(davidson.eigenvalues, dense.eigenvalues, atol=1e-5)
@@ -174,7 +184,7 @@ class TestIncrementalIteration:
         "restart": (150, 5, 5, 2, make_hermitian_operator),
     }
 
-    def _solve_both(self, name):
+    def _solve_both(self, name, monkeypatch):
         """One case solved by the incremental solver (through a recording
         operator) and by the reference."""
         n, nbands, rows, factor, build = self.CASES[name]
@@ -186,15 +196,15 @@ class TestIncrementalIteration:
             tolerance=1e-9, max_iterations=300, max_subspace_factor=factor,
         )
         operator = RecordingOperator(h)
-        new = block_davidson(operator, guess, nbands, **keywords)
+        new = capped_davidson(monkeypatch, operator, guess, nbands, **keywords)
         reference = reference_full_subspace_davidson(lambda b: b @ h.T, guess, nbands, **keywords)
         return SimpleNamespace(
             h=h, guess=guess, nbands=nbands, factor=factor, operator=operator, new=new, reference=reference
         )
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_matches_the_full_subspace_reference(self, name):
-        case = self._solve_both(name)
+    def test_matches_the_full_subspace_reference(self, name, monkeypatch):
+        case = self._solve_both(name, monkeypatch)
         new, reference = case.new, case.reference
         assert new.converged and reference.converged
         assert np.max(np.abs(new.eigenvalues - reference.eigenvalues)) <= 1e-10
@@ -203,18 +213,18 @@ class TestIncrementalIteration:
         overlap = new.eigenvectors.conj() @ new.eigenvectors.T
         assert np.allclose(overlap, np.eye(case.nbands), atol=1e-10)
 
-    def test_the_restart_case_restarts(self):
-        case = self._solve_both("restart")
+    def test_the_restart_case_restarts(self, monkeypatch):
+        case = self._solve_both("restart", monkeypatch)
         # without a restart the space would hold every row ever applied
         assert sum(case.operator.rows) > case.factor * case.nbands
         assert case.new.converged
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_h_is_applied_to_the_guess_and_to_each_new_direction_once(self, name):
+    def test_h_is_applied_to_the_guess_and_to_each_new_direction_once(self, name, monkeypatch):
         """rows applied == rows(guess) + new directions: one block of at most
         ``nbands`` corrections (fewer once bands lock) per iteration but the
         converged one, nothing re-applied at a restart, no vector twice."""
-        case = self._solve_both(name)
+        case = self._solve_both(name, monkeypatch)
         rows = case.operator.rows
         assert rows[0] == len(case.guess)
         assert len(rows) == case.new.iterations
@@ -224,22 +234,23 @@ class TestIncrementalIteration:
         overlaps = np.abs(applied.conj() @ applied.T) - np.eye(len(applied))
         assert overlaps.max() < 1.0 - 1e-6  # no two applied rows are the same direction
 
-    def test_stopping_at_max_iterations_applies_nothing_it_cannot_use(self):
+    def test_stopping_at_max_iterations_applies_nothing_it_cannot_use(self, monkeypatch):
         rng = np.random.default_rng(12)
         h = make_hermitian_operator(90, rng)
         operator = RecordingOperator(h)
         guess = rng.standard_normal((3, 90)) + 1j * rng.standard_normal((3, 90))
-        result = block_davidson(operator, guess, 3, tolerance=1e-12, max_iterations=4)
+        result = capped_davidson(monkeypatch, operator, guess, 3, tolerance=1e-12, max_iterations=4)
         assert not result.converged and result.iterations == 4
         assert len(operator.rows) == 4  # the guess and three blocks; none after the last Rayleigh-Ritz
 
-    def test_agrees_with_dense_eigensolve_on_the_physical_hamiltonian(self, lda_hamiltonian, h2_basis, rng):
+    def test_agrees_with_dense_eigensolve_on_the_physical_hamiltonian(self, lda_hamiltonian, h2_basis, rng, monkeypatch):
         from repro.pw import Wavefunction
 
         lda_hamiltonian.update_potential(Wavefunction.random(h2_basis, 2, rng=rng))
         dense = dense_eigensolve(lda_hamiltonian.apply, h2_basis.npw, 3)
         guess = Wavefunction.random(h2_basis, 4, rng=rng).coefficients
-        davidson = block_davidson(
+        davidson = capped_davidson(
+            monkeypatch,
             lda_hamiltonian.apply, guess, 3, preconditioner=lda_hamiltonian.preconditioner(),
             tolerance=1e-9, max_iterations=200,
         )

@@ -147,7 +147,7 @@ class TestEnergyAndCounters:
     def test_zero_occupation_orbital_skipped(self, h2_basis, rng):
         op = ExchangeOperator(h2_basis, mixing_fraction=0.25)
         occ = np.array([2.0, 0.0])
-        wf = Wavefunction.random(h2_basis, 2, rng=rng, occupations=occ)
+        wf = Wavefunction(h2_basis, Wavefunction.random(h2_basis, 2, rng=rng).coefficients, occ)
         op.set_orbitals(wf)
         op.counters.reset()
         op.apply(wf.coefficients)
@@ -157,7 +157,7 @@ class TestEnergyAndCounters:
     def test_expected_poisson_solves_counts_occupied_orbitals(self, h2_basis, rng):
         """The rectangle path pairs only occupied orbitals with the targets."""
         op = ExchangeOperator(h2_basis, mixing_fraction=0.25)
-        op.set_orbitals(Wavefunction.random(h2_basis, 2, rng=rng, occupations=np.array([2.0, 0.0])))
+        op.set_orbitals(Wavefunction(h2_basis, Wavefunction.random(h2_basis, 2, rng=rng).coefficients, np.array([2.0, 0.0])))
         target = Wavefunction.random(h2_basis, 5, rng=rng)
         op.counters.reset()
         op.apply(target.coefficients)
@@ -189,7 +189,7 @@ class TestPairSymmetry:
     def test_triangle_matches_rectangular(self, h2_basis, rng, screening_length):
         op = ExchangeOperator(h2_basis, mixing_fraction=0.25, screening_length=screening_length)
         assert op.kernel.inversion_even
-        wf = Wavefunction.random(h2_basis, 6, rng=rng, orthonormal=False, occupations=self.OCCUPATIONS)
+        wf = Wavefunction(h2_basis, h2_basis.random_coefficients(6, rng), self.OCCUPATIONS)
         op.set_orbitals(wf)
         triangle = op.apply(wf.coefficients)
         assert op.counters.poisson_solves < 6 * 3  # fewer than occupied x targets
@@ -204,7 +204,7 @@ class TestPairSymmetry:
 
     def test_pairs_of_empty_orbitals_skipped(self, h2_basis, rng):
         op = ExchangeOperator(h2_basis, mixing_fraction=0.25)
-        wf = Wavefunction.random(h2_basis, 6, rng=rng, occupations=self.OCCUPATIONS)
+        wf = Wavefunction(h2_basis, Wavefunction.random(h2_basis, 6, rng=rng).coefficients, self.OCCUPATIONS)
         op.set_orbitals(wf)
         op.apply(wf.coefficients)
         # 21 unordered pairs minus the 6 among the three empty orbitals
@@ -214,7 +214,7 @@ class TestPairSymmetry:
         kernel = _uneven_kernel(h2_basis.grid)
         assert not kernel.inversion_even
         op = ExchangeOperator(h2_basis, mixing_fraction=0.25, kernel=kernel)
-        wf = Wavefunction.random(h2_basis, 3, rng=rng, orthonormal=False)
+        wf = Wavefunction(h2_basis, h2_basis.random_coefficients(3, rng))
         op.set_orbitals(wf)
         out = op.apply(wf.coefficients)
         assert op.counters.poisson_solves == 9

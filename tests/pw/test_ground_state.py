@@ -16,6 +16,7 @@ from repro.pw import (
     orthonormality_error,
 )
 from repro.pw import density as density_module
+from repro.pw import ground_state as ground_state_module
 
 
 def _benchmark_h2_solver(ecut: float) -> GroundStateSolver:
@@ -131,11 +132,14 @@ class TestDavidsonToleranceSchedule:
     iteration's density error — no looser than 1e-3, no tighter than
     ``davidson_tolerance`` — instead of to 1e-7 from the first iteration on."""
 
-    def test_tolerances_as_called(self, h2_basis, h2_structure, recorded_davidson_calls):
+    def test_tolerances_as_called(self, h2_basis, h2_structure, recorded_davidson_calls, monkeypatch):
+        import repro.pw.ground_state as ground_state
+
         ham = Hamiltonian(h2_basis, h2_structure, hybrid_mixing=0.0)
-        # 1e-8: an Anderson-mixed SCF reaches 1e-7 from a last-but-one error
-        # above 1e-6, one iteration before its Davidson tolerance is on the floor
-        result = GroundStateSolver(ham, scf_tolerance=1e-8, davidson_tolerance=1e-8).solve()
+        # a floor of 1e-8: an Anderson-mixed SCF reaches 1e-7 from a last-but-one
+        # error above 1e-6, one iteration before its Davidson tolerance is on the floor
+        monkeypatch.setattr(ground_state, "_DAVIDSON_TOLERANCE_FLOOR", 1e-8)
+        result = GroundStateSolver(ham, scf_tolerance=1e-8).solve()
         assert result.converged
         tolerances = [tolerance for tolerance, _ in recorded_davidson_calls]
         assert len(tolerances) == result.scf_iterations
@@ -145,12 +149,14 @@ class TestDavidsonToleranceSchedule:
         assert tolerances[-1] == 1e-8
         assert any(1e-8 < tolerance < 1e-3 for tolerance in tolerances)
         assert all(residual < tolerance for tolerance, residual in recorded_davidson_calls)
-        assert GroundStateSolver(ham).davidson_tolerance == 1e-7  # the floor is still the argument
 
-    def test_schedule_spans_the_exchange_rounds(self, h2_basis, h2_structure, recorded_davidson_calls):
+    def test_schedule_spans_the_exchange_rounds(self, h2_basis, h2_structure, recorded_davidson_calls, monkeypatch):
         """A hybrid round starts from the previous round's last error, not from the cap."""
+        import repro.pw.ground_state as ground_state
+
         ham = Hamiltonian(h2_basis, h2_structure, hybrid_mixing=0.25, screening_length=None)
-        result = GroundStateSolver(ham, scf_tolerance=1e-5, exchange_outer_iterations=2).solve()
+        monkeypatch.setattr(ground_state, "_EXCHANGE_ROUNDS", 2)
+        result = GroundStateSolver(ham, scf_tolerance=1e-5).solve()
         tolerances = [tolerance for tolerance, _ in recorded_davidson_calls]
         expected = [1e-3] + [max(1e-7, min(1e-3, 1e-2 * err)) for err in result.density_errors[:-1]]
         assert tolerances == expected
@@ -300,7 +306,8 @@ class TestAndersonDensityMixing:
         resets_at = []
         original = density_module.DensityMixer.reset
         ham = Hamiltonian(h2_basis, h2_structure, hybrid_mixing=0.25, screening_length=None)
-        solver = GroundStateSolver(ham, scf_tolerance=1e-5, exchange_outer_iterations=3)
+        monkeypatch.setattr(ground_state_module, "_EXCHANGE_ROUNDS", 3)
+        solver = GroundStateSolver(ham, scf_tolerance=1e-5)
 
         def recording(self):
             resets_at.append(solver.mixer._updates)

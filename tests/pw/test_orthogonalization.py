@@ -15,7 +15,7 @@ from repro.pw.orthogonalization import (
 @pytest.fixture()
 def skewed_wavefunction(h2_basis, rng):
     """A deliberately non-orthonormal but full-rank wavefunction set."""
-    wf = Wavefunction.random(h2_basis, 3, rng=rng, orthonormal=False)
+    wf = Wavefunction(h2_basis, h2_basis.random_coefficients(3, rng))
     coeffs = wf.coefficients
     coeffs[1] = 0.7 * coeffs[0] + 0.3 * coeffs[1]
     coeffs[2] = 0.2 * coeffs[0] + 1.5 * coeffs[2]

@@ -47,8 +47,7 @@ class TestGTHSpecies:
         with pytest.raises(ValueError, match="supported elements"):
             gth_species("Xx")
 
-    def test_nonlocal_toggle(self):
-        assert gth_species("C", include_nonlocal=False).projectors == ()
+    def test_carbon_has_one_projector_channel(self):
         assert len(gth_species("C").projectors) == 1
 
 

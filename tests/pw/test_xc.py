@@ -146,17 +146,18 @@ class TestLDAFunctional:
         assert result.energy == pytest.approx(expected)
 
     def test_exchange_scale_reduces_potential(self):
+        """The scale multiplies the exchange term only: the correlation-only
+        evaluation (scale 0) is the common offset."""
         rho = np.full((2, 2, 2), 0.3)
-        full = LDAFunctional(exchange_scale=1.0, correlation=False).evaluate(rho, 1.0)
-        scaled = LDAFunctional(exchange_scale=0.75, correlation=False).evaluate(rho, 1.0)
-        assert np.allclose(scaled.potential, 0.75 * full.potential)
-        assert scaled.energy == pytest.approx(0.75 * full.energy)
+        correlation = LDAFunctional(exchange_scale=0.0).evaluate(rho, 1.0)
+        full = LDAFunctional(exchange_scale=1.0).evaluate(rho, 1.0)
+        scaled = LDAFunctional(exchange_scale=0.75).evaluate(rho, 1.0)
+        assert np.allclose(scaled.potential - correlation.potential, 0.75 * (full.potential - correlation.potential))
+        assert scaled.energy - correlation.energy == pytest.approx(0.75 * (full.energy - correlation.energy))
 
-    def test_correlation_toggle(self):
+    def test_correlation_lowers_the_energy(self):
         rho = np.full((2, 2, 2), 0.3)
-        with_c = LDAFunctional(correlation=True).evaluate(rho, 1.0)
-        without_c = LDAFunctional(correlation=False).evaluate(rho, 1.0)
-        assert with_c.energy < without_c.energy
+        assert LDAFunctional(exchange_scale=0.0).evaluate(rho, 1.0).energy < 0.0
 
     def test_negative_exchange_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -181,8 +182,6 @@ class TestLDAFunctional:
             assert result.energy_density.tobytes() == eps[j].tobytes()
             assert result.potential.tobytes() == pot[j].tobytes()
             assert result.energy == float(np.sum(clipped[j] * eps[j]) * 0.5)
-        exchange_only = LDAFunctional(exchange_scale=scale, correlation=False).evaluate(rho[0], 0.5)
-        assert exchange_only.potential.tobytes() == (scale * v_x[0]).tobytes()
 
     def test_clips_once_and_adds_up_the_public_terms(self, monkeypatch):
         """An evaluation clips the density at zero once, not once per term,

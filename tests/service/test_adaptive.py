@@ -19,6 +19,7 @@ from repro.batch import BatchRunner, SweepSpec
 from repro.calib import CalibrationModel, Observation
 from repro.exec import ExecutionSettings
 from repro.service import NodePool
+from repro.service import runner
 from repro.service.runner import run_sweep
 
 #: the synthetic truth: ptcn groups run 3x their prediction, rk4 exactly 1x
@@ -172,10 +173,9 @@ class TestAdaptiveRepack:
         assert record["static_modeled_makespan_s"] == corrected_makespan(groups, static_rank, final)
         assert record["adaptive_modeled_makespan_s"] == corrected_makespan(groups, adaptive_rank, final)
 
-    def test_no_repack_below_threshold(self, skewed_spec, settings):
-        outcome = run_adaptive(
-            skewed_spec, settings, adaptive=True, drift_threshold=10.0
-        )
+    def test_no_repack_below_threshold(self, skewed_spec, settings, monkeypatch):
+        monkeypatch.setattr(runner, "DRIFT_THRESHOLD", 10.0)
+        outcome = run_adaptive(skewed_spec, settings, adaptive=True)
         assert outcome.repacks == 0
         record = outcome.report.execution["adaptive"]
         assert record["repacks"] == 0

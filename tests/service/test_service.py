@@ -399,17 +399,10 @@ class TestExecuteShim:
 
         run(body())
 
-    def test_execute_calls_on_sweep_complete(self, dt_campaign):
-        seen = []
-        report = plan(dt_campaign).execute(
-            on_sweep_complete=lambda name, rpt: seen.append((name, len(rpt)))
-        )
-        assert seen == [("dt", 2)]
-        assert report.ok
-
-    def test_failed_campaign_attaches_partial_report_with_timings(self, tiny_config, registries):
-        """A sweep crashing under raise_on_error must not lose the completed
-        sweeps' reports, nor the time on their group ledgers."""
+    def test_a_failing_job_fails_its_result_not_the_campaign(self, tiny_config, registries):
+        """A crashing job is a failed result of its sweep: the campaign runs
+        every sweep, and the others keep their reports and the time on their
+        group ledgers."""
 
         def explode(hamiltonian, **params):
             raise RuntimeError("simulated mid-campaign crash")
@@ -423,12 +416,11 @@ class TestExecuteShim:
                 ),
             }
         )
-        with pytest.raises(RuntimeError, match="mid-campaign crash") as excinfo:
-            plan(campaign).execute(raise_on_error=True)
+        report = plan(campaign).execute()
 
-        partial = excinfo.value.partial_report
-        assert partial.sweep_names == ["good"]
-        assert partial.pending_sweeps == ["bad"]
-        assert partial["good"].to_json()  # real, exportable report
-        assert _observed_wall_seconds(partial["good"]) > 0.0
-        assert "partial: 1 of 2" in partial.plan_table()
+        assert report.sweep_names == ["good", "bad"]
+        assert [r.status for r in report["good"]] == ["completed", "completed"]
+        (failed,) = report["bad"]
+        assert failed.status == "failed" and "mid-campaign crash" in failed.error
+        assert report["good"].to_json()  # real, exportable report
+        assert _observed_wall_seconds(report["good"]) > 0.0

@@ -230,3 +230,15 @@ class TestFullDisk:
         monkeypatch.setattr(ResultStore, "save", broken)
         with pytest.raises(TypeError, match="archive cannot hold"):
             BatchRunner(dt_spec, store=store).run()
+
+    def test_a_ground_state_write_fault_that_is_no_disk_error_propagates(self, dt_spec, store, monkeypatch):
+        """The same holds for the group's SCF checkpoint: a ``save_ground_state``
+        that raises anything but an ``OSError`` fails the sweep, instead of
+        being reported as a failed lockstep pass whose jobs then run width 1."""
+
+        def broken(self, group_key, result):
+            raise TypeError("an array the archive cannot hold")
+
+        monkeypatch.setattr(ResultStore, "save_ground_state", broken)
+        with pytest.raises(TypeError, match="archive cannot hold"):
+            BatchRunner(dt_spec, store=store).run()

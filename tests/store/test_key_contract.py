@@ -114,7 +114,6 @@ _INTEGRAL_FIELDS = {
     "propagator.params.scf_tolerance": st.integers(1, 2),
     "propagator.params.max_scf_iterations": st.integers(1, 50),
     "propagator.params.anderson_history": st.integers(1, 20),
-    "propagator.params.anderson_beta": st.integers(1, 2),
     "run.time_step_as": st.integers(1, 100),
     "run.n_steps": st.integers(1, 20),
     "run.gs_scf_tolerance": st.integers(1, 2),

@@ -280,10 +280,18 @@ def _names_referenced(tree: ast.AST, imports: bool = True):
         elif isinstance(node, ast.alias) and imports:
             for name in filter(None, (node.name.rsplit(".", 1)[-1], node.asname)):
                 yield name, node.lineno
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
-              and all(part.isidentifier() for part in node.value.split(".") if part)):
-            for part in filter(None, node.value.split(".")):
+        else:
+            for part in _identifier_parts(node, docstrings):
                 yield part, node.lineno
+
+
+def _identifier_parts(node: ast.AST, docstrings: set[int]) -> list[str]:
+    """The parts of a string constant spelled as a (dotted) identifier, such as
+    ``"laser.params.amplitude"``; none for a docstring or any other node."""
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+            and all(part.isidentifier() for part in node.value.split(".") if part)):
+        return [part for part in node.value.split(".") if part]
+    return []
 
 
 def _registered(node) -> bool:
@@ -336,10 +344,143 @@ def src_holds_what_the_system_calls(root):
     return found
 
 
+#: defaulted parameters under ``src/`` kept although no shipped call passes them, each with its reason
+PASSED_FROM_OUTSIDE = {
+    "src/repro/pw/pseudopotential.py:ewald_energy(eta)":
+        "tests/pw/test_pseudopotential.py varies it to check that the Ewald energy does not depend on it",
+    "src/repro/core/propagators/rk4.py:RK4Propagator.__init__(self_consistent_stages)":
+        "the frozen-potential RK4 a physics test checks against the exact exp(-iH dt) and a written-out step",
+    "src/repro/parallel/comm.py:SimCommunicator.__init__(single_precision)":
+        "the paper's single-precision MPI: tests/parallel bound what it does to the exchange result and bytes",
+    "src/repro/pw/ground_state.py:GroundStateSolver.__init__(nbands)":
+        "ROADMAP item 12's Casida check solves for unoccupied states with nbands = n_occ + k",
+    "src/repro/perf/components.py:PWDFTPerformanceModel.__init__(system)":
+        "the paper's closing what-if (tests/paper/test_machine_whatif.py) prices the step on every preset",
+    "src/repro/cost/model.py:MachineCostModel.estimate(seconds)":
+        "the same what-if prices the component model's step wall on each preset's slice through it",
+    "src/repro/pw/structures.py:diatomic_molecule(species_b)":
+        "passed by position: the asset library's CO payload reaches it through recipe(*species, **params)",
+    "src/repro/service/service.py:CampaignService.submit(on_sweep_complete)":
+        "the sweep-boundary hook tests/service cancel and fail a campaign through (ROADMAP item 4)",
+}
+
+
+def _callees(call: ast.Call, cls: ast.ClassDef | None) -> list[str]:
+    """The names a call is judged by: ``f(...)`` and ``x.f(...)`` call ``f``;
+    inside a class, ``cls(...)`` calls the class and ``super().__init__(...)``
+    its bases."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return [cls.name if func.id == "cls" and cls is not None else func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    if func.attr == "__init__" and cls is not None and isinstance(func.value, ast.Call) \
+            and getattr(func.value.func, "id", "") == "super":
+        return [getattr(base, "id", getattr(base, "attr", "")) for base in cls.bases]
+    return [func.attr]
+
+
+def _shipped_calls(root: pathlib.Path):
+    """What shipped code (``src/``, ``examples/``, ``benchmarks/``) passes:
+    per callee name, ``(keywords, positional count, splat)`` of each call;
+    the names it dispatches by name, registered by ``<REGISTRY>.register(name,
+    fn)`` or never called by name but spelled as a plain identifier string
+    outside ``__all__`` (the asset library's generator table); and the
+    identifier parts of its strings (config ``params`` keys, sweep paths)."""
+    calls: dict[str, list[tuple[set[str], int, bool]]] = {}
+    registered, named, strings = set(), set(), set()
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                keywords = {k.arg for k in child.keywords if k.arg}
+                positional = sum(not isinstance(a, ast.Starred) for a in child.args)
+                splat = len(keywords) + positional < len(child.keywords) + len(child.args)
+                passed = (keywords, positional, splat)
+                for name in _callees(child, cls):
+                    calls.setdefault(name, []).append(passed)
+                if getattr(child.func, "attr", "") == "register" and len(child.args) >= 2:
+                    registered.add(getattr(child.args[1], "id", getattr(child.args[1], "attr", "")))
+            visit(child, child if isinstance(child, ast.ClassDef) else cls)
+
+    for _, tree in _python_files(root, ["src", "examples", "benchmarks"]):
+        docstrings = _docstrings(tree)
+        exported = {id(node) for statement in ast.walk(tree) if isinstance(statement, ast.Assign)
+                    and any(getattr(target, "id", "") == "__all__" for target in statement.targets)
+                    for node in ast.walk(statement.value)}
+        for node in ast.walk(tree):
+            parts = _identifier_parts(node, docstrings)
+            strings.update(parts)
+            if id(node) not in exported and len(parts) == 1:
+                named.update(parts)
+        visit(tree, None)
+    return calls, registered | (named - set(calls)), strings
+
+
+def _defaulted(node: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """``(parameter, position)`` of each defaulted parameter of ``node``: the
+    position counts the arguments a call spells (``self`` / ``cls`` aside),
+    ``None`` for a keyword-only one."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = method and not any(getattr(d, "id", "") == "staticmethod" for d in node.decorator_list)
+    first = len(positional) - len(args.defaults)
+    return ([(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+            + [(p.arg, None) for p, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None])
+
+
+def every_parameter_is_passed(root):
+    """Every defaulted parameter of a function or method under ``src/`` is
+    there because shipped code passes it: a call in ``src/``, ``examples/``
+    or ``benchmarks/`` to a callee of its name (the class, for ``__init__``)
+    names it as a keyword, spells enough positional arguments to reach it, or
+    unpacks ``*`` / ``**`` into it; a factory's parameter (a ``@register_*``
+    builder, one ``<REGISTRY>.register(name, fn)`` registers, or one shipped
+    code dispatches by its name) also counts as passed when a string names it,
+    as config ``params`` keys and sweep paths such as
+    ``laser.params.amplitude`` do.
+    Anything else is a setting only tests vary, which doubles what tests
+    must cover: fold it into its default, or put it on
+    ``PASSED_FROM_OUTSIDE`` with its reason. The allowlist stays short (at
+    most 10 entries) and current: an entry whose parameter is passed, or
+    gone, leaves it."""
+    calls, dispatched, strings = _shipped_calls(root)
+    found, kept = [], set()
+    for relative, tree in _python_files(root, ["src"]):
+        scopes = [(tree, "", None)]
+        while scopes:
+            scope, prefix, cls = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((node, f"{prefix}{node.name}.", node))
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scopes.append((node, f"{prefix}{node.name}.", None))
+                    callee = cls.name if cls is not None and node.name == "__init__" else node.name
+                    factory = _registered(node) or callee in dispatched
+                    for param, position in _defaulted(node, cls is not None):
+                        if any(param in keywords or splat or (position is not None and count > position)
+                               for keywords, count, splat in calls.get(callee, ())) \
+                                or (factory and param in strings):
+                            continue
+                        key = f"{relative}:{prefix}{node.name}({param})"
+                        if key in PASSED_FROM_OUTSIDE:
+                            kept.add(key)
+                        else:
+                            found.append(f"{relative}:{node.lineno}: {prefix}{node.name}({param})")
+                elif not isinstance(node, ast.expr):
+                    scopes.append((node, prefix, cls))
+    found += [f"{key}: on PASSED_FROM_OUTSIDE, but passed or gone" for key in PASSED_FROM_OUTSIDE
+              if (root / key.split(":")[0]).is_file() and key not in kept]
+    if len(PASSED_FROM_OUTSIDE) > 10:
+        found.append(f"PASSED_FROM_OUTSIDE: {len(PASSED_FROM_OUTSIDE)} entries, more than 10")
+    return found
+
+
 RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_fftplan_calls,
          one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count,
          one_execution_settings_reader, one_canonical_encoder, results_carry_no_clock,
-         src_holds_what_the_system_calls, one_observables_body, every_import_is_named]
+         src_holds_what_the_system_calls, one_observables_body, every_import_is_named,
+         every_parameter_is_passed]
 
 #: per rule, a tree that breaks it (the allowed sites included) and the file(s) it must name
 BREAKS = {
@@ -426,6 +567,19 @@ BREAKS = {
                                        "    kinetic=kinetic, nonlocal_psp=ham.nonlocal_psp.energy(wf.c, wf.f),\n"
                                        "    hartree=0.5 * grid.integrate(rho * v_h)).total\n"},
         "src/repro/core/dynamics.py"),
+    every_parameter_is_passed: (
+        {"src/repro/pw/eigensolver.py": "def block_davidson(apply_h, guess, nbands, tolerance=1e-7, max_iterations=60):\n"
+                                        "    pass\n",
+         "src/repro/pw/scf.py": "def solve(h):\n"
+                                         "    return block_davidson(h, None, 1, tolerance=1e-3)\n",
+         "tests/pw/test_eigensolver.py": "block_davidson(h, g, 2, max_iterations=200)\n",
+         "src/repro/exec/scheduler.py": "class Scheduler:\n"
+                                        "    def __init__(self, policy='fifo', cost_fn=None):\n"
+                                        "        pass\n",
+         "src/repro/batch/runner.py": "scheduler = Scheduler('fifo')\n",
+         "src/repro/pw/pseudopotential.py": "def ewald_energy(cell, positions, charges, eta=None):\n    pass\n",
+         "examples/ewald.py": "energy = ewald_energy(cell, positions, charges, eta=0.5)\n"},
+        ("src/repro/pw/eigensolver.py", "src/repro/exec/scheduler.py", "src/repro/pw/pseudopotential.py")),
     every_import_is_named: (
         {"src/repro/store/store.py": "import os\nimport json\n\ntext = json.dumps({})\n",
          "src/repro/pw/hamiltonian.py": "from dataclasses import dataclass, field\n\n\n@dataclass\nclass E:\n    pass\n",
@@ -542,3 +696,111 @@ def test_the_allowlist_stays_short(tmp_path, monkeypatch):
         monkeypatch.setitem(CALLED_FROM_OUTSIDE, f"src/repro/extra.py:helper_{n}", "a reason")
     found = src_holds_what_the_system_calls(_plant(tmp_path, {_CALLER: "print()\n"}))
     assert found == ["CALLED_FROM_OUTSIDE: 11 entries, more than 10"]
+
+
+def test_unpassed_parameters_are_the_only_ones_flagged(tmp_path):
+    """In its break tree, ``every_parameter_is_passed`` flags the keyword only
+    a test passes, the positional parameter no call reaches and the allowlist
+    entry an example now passes, and passes the keyword ``src/`` passes and
+    the positional one the call reaches."""
+    found = every_parameter_is_passed(_plant(tmp_path, BREAKS[every_parameter_is_passed][0]))
+    assert sorted(found) == [
+        "src/repro/exec/scheduler.py:2: Scheduler.__init__(cost_fn)",
+        "src/repro/pw/eigensolver.py:1: block_davidson(max_iterations)",
+        "src/repro/pw/pseudopotential.py:ewald_energy(eta): on PASSED_FROM_OUTSIDE, but passed or gone",
+    ]
+
+
+_SOURCE = "src/repro/pw/lattice.py"
+
+#: one parameter each, judged alone: the tree and what the rule must report for it
+PARAMETER_CASES = {
+    "a_keyword_a_caller_passes": (
+        {_SOURCE: "def scaled(x, factor=1.0):\n    return x * factor\n",
+         _CALLER: "print(scaled(2.0, factor=3.0))\n"},
+        []),
+    "a_keyword_only_a_test_passes": (
+        {_SOURCE: "def scaled(x, factor=1.0):\n    return x * factor\n",
+         _CALLER: "print(scaled(2.0))\n",
+         "tests/pw/test_lattice.py": "assert scaled(2.0, factor=3.0) == 6.0\n"},
+        [f"{_SOURCE}:1: scaled(factor)"]),
+    "a_keyword_passed_to_another_callee": (
+        {_SOURCE: "def scaled(x, factor=1.0):\n    return x * factor\n",
+         _CALLER: "print(scaled(2.0), shifted(2.0, factor=3.0))\n"},
+        [f"{_SOURCE}:1: scaled(factor)"]),
+    "a_positional_a_caller_reaches": (
+        {_SOURCE: "def scaled(x, factor=1.0, shift=0.0):\n    return x * factor + shift\n",
+         _CALLER: "print(scaled(2.0, 3.0))\n"},
+        [f"{_SOURCE}:1: scaled(shift)"]),
+    "a_method_reached_past_self": (
+        {_SOURCE: "class Cell:\n    def scaled(self, factor=1.0):\n        return factor\n",
+         _CALLER: "print(Cell().scaled(3.0))\n"},
+        []),
+    "an_init_reached_through_its_class": (
+        {_SOURCE: "class Cell:\n    def __init__(self, a, b=1.0):\n        self.a, self.b = a, b\n",
+         _CALLER: "print(Cell(2.0, 3.0))\n"},
+        []),
+    "an_init_reached_through_cls": (
+        {_SOURCE: "class Cell:\n"
+                  "    def __init__(self, a=1.0):\n"
+                  "        self.a = a\n"
+                  "    @classmethod\n"
+                  "    def cubic(cls, a):\n"
+                  "        return cls(a)\n"},
+        []),
+    "an_init_reached_through_super": (
+        {_SOURCE: "class Cell:\n"
+                  "    def __init__(self, a=1.0):\n"
+                  "        self.a = a\n"
+                  "class Cubic(Cell):\n"
+                  "    def __init__(self):\n"
+                  "        super().__init__(a=2.0)\n"},
+        []),
+    "a_splat_into_the_callee": (
+        {_SOURCE: "def scaled(x, factor=1.0, shift=0.0):\n    return x * factor + shift\n",
+         _CALLER: "options = {'factor': 3.0}\nprint(scaled(2.0, **options))\n"},
+        []),
+    "a_registered_factorys_parameter_named_in_a_config": (
+        {"src/repro/pw/molecules.py": "def hydrogen_molecule(box=12.0, bond_length=1.4):\n    pass\n",
+         "src/repro/api/registry.py": "STRUCTURES.register('hydrogen_molecule', hydrogen_molecule)\n",
+         _CALLER: "config = {'system': {'structure': 'hydrogen_molecule', 'params': {'box': 8.0}}}\n"},
+        ["src/repro/pw/molecules.py:1: hydrogen_molecule(bond_length)"]),
+    "a_decorated_factorys_parameter_in_a_sweep_path": (
+        {"src/repro/api/registry.py": "@register_pulse('gaussian')\n"
+                                      "def _build_gaussian_pulse(amplitude, phase=0.0):\n"
+                                      "    pass\n",
+         _CALLER: "axes = {'laser.params.phase': [0.0, 1.0]}\n"},
+        []),
+    "a_factory_dispatched_by_its_name": (
+        {"src/repro/pw/molecules.py": "def atom_chain(species, n_atoms=4, spacing=2.0):\n    pass\n",
+         "src/repro/assets/builtin.py": "payload = {'generator': 'atom_chain', 'n_atoms': 4}\n"},
+        ["src/repro/pw/molecules.py:1: atom_chain(spacing)"]),
+    "a_string_names_no_parameter_of_a_plain_function": (
+        {_SOURCE: "def scaled(x, factor=1.0):\n    return x * factor\n",
+         _CALLER: "print(scaled(2.0), 'factor')\n"},
+        [f"{_SOURCE}:1: scaled(factor)"]),
+    "an_allowlisted_parameter": (
+        {"src/repro/pw/pseudopotential.py": "def ewald_energy(cell, positions, charges, eta=None):\n    pass\n"},
+        []),
+    "an_allowlisted_parameter_a_caller_passes": (
+        {"src/repro/pw/pseudopotential.py": "def ewald_energy(cell, positions, charges, eta=None):\n    pass\n",
+         _CALLER: "print(ewald_energy(cell, positions, charges, 0.5))\n"},
+        ["src/repro/pw/pseudopotential.py:ewald_energy(eta): on PASSED_FROM_OUTSIDE, but passed or gone"]),
+    "an_allowlisted_parameter_gone_from_its_file": (
+        {"src/repro/pw/pseudopotential.py": "def ewald_energy(cell, positions, charges):\n    pass\n"},
+        ["src/repro/pw/pseudopotential.py:ewald_energy(eta): on PASSED_FROM_OUTSIDE, but passed or gone"]),
+}
+
+
+@pytest.mark.parametrize("case", PARAMETER_CASES)
+def test_each_parameter_is_judged_by_its_callers(case, tmp_path):
+    files, expected = PARAMETER_CASES[case]
+    assert sorted(every_parameter_is_passed(_plant(tmp_path, files))) == expected
+
+
+def test_the_parameter_allowlist_stays_short(tmp_path, monkeypatch):
+    """An eleventh ``PASSED_FROM_OUTSIDE`` entry fails the rule, however good its reason."""
+    for n in range(11 - len(PASSED_FROM_OUTSIDE)):
+        monkeypatch.setitem(PASSED_FROM_OUTSIDE, f"src/repro/extra.py:helper(option_{n})", "a reason")
+    found = every_parameter_is_passed(_plant(tmp_path, {_CALLER: "print()\n"}))
+    assert found == ["PASSED_FROM_OUTSIDE: 11 entries, more than 10"]
