@@ -9,10 +9,12 @@ The package is organised in layers:
 * :mod:`repro.core` — the paper's contribution: the parallel transport gauge
   rt-TDDFT propagators (PT-CN) and the explicit baselines (RK4, CN), Anderson
   mixing, observables, and the simulation driver.
-* :mod:`repro.parallel` — a simulated distributed-memory runtime: virtual MPI
-  ranks, band-index/G-space wavefunction decompositions, the distributed Fock
-  exchange (Alg. 2) and residual (Alg. 3) kernels with communication-volume
-  accounting.
+* :mod:`repro.parallel` — a simulated distributed-memory runtime. The system
+  runs its communicator (:mod:`repro.parallel.comm`: virtual MPI ranks with
+  communication-volume accounting); :mod:`repro.parallel.paper_kernels`
+  holds the reference kernels of Alg. 2/3 (band-index/G-space
+  decompositions, the distributed Fock exchange and PT-CN residual), which
+  ``tests/parallel`` checks against the serial bodies.
 * :mod:`repro.machine` — a parameterised model of the Summit supercomputer
   (V100 roofline, NVLink/NIC bandwidths, fat-tree collectives, power).
 * :mod:`repro.perf` — the PWDFT-at-scale performance model that regenerates the

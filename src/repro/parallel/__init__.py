@@ -1,35 +1,29 @@
 """Simulated distributed-memory runtime.
 
-Implements the paper's parallelization scheme on an in-process simulated MPI
-communicator: band-index and G-space wavefunction distributions with
-``MPI_Alltoallv`` transposes (Fig. 1), the broadcast-based distributed Fock
-exchange operator (Alg. 2), the distributed
-PT-CN residual (Alg. 3), distributed density/overlap/orthogonalization, and
-byte-accurate communication accounting that feeds the Summit network model.
+The system runs :mod:`repro.parallel.comm` only: an in-process simulated MPI
+communicator with byte-accurate communication accounting, over which
+:class:`~repro.exec.DistributedBackend` dispatches groups and returns their
+results.
+
+:mod:`repro.parallel.paper_kernels` holds the reference kernels of the
+paper's parallel algorithms: the band-index / G-space distributions and
+their ``MPI_Alltoallv`` transposes (Fig. 1), the broadcast-based distributed
+Fock exchange (Alg. 2), the distributed PT-CN residual (Alg. 3) and the
+distributed density, overlap and orthogonalization. They run the serial
+bodies on their blocks, and ``tests/parallel`` checks them against those
+bodies. Their names are exported here lazily (PEP 562): the module is
+imported on first access to one of them, so importing the system does not
+load it.
 """
 
-from .comm import CollectiveKind, CommEvent, CommStats, SimCommunicator
-from .decomposition import (
-    BlockDistribution,
-    band_distribution,
-    band_to_gspace,
-    gspace_distribution,
-    gspace_to_band,
-)
-from .distributed_wavefunction import (
-    DistributedWavefunction,
-    distributed_density,
-    distributed_overlap,
-)
-from .exchange_parallel import DistributedExchangeOperator
-from .orthogonalization_parallel import distributed_cholesky_orthonormalize
-from .residual_parallel import distributed_initial_residual, distributed_pt_residual
+from __future__ import annotations
 
-__all__ = [
-    "CollectiveKind",
-    "CommEvent",
-    "CommStats",
-    "SimCommunicator",
+import importlib
+
+from .comm import CollectiveKind, CommEvent, CommStats, SimCommunicator
+
+#: Names resolved lazily from :mod:`repro.parallel.paper_kernels`.
+_PAPER_KERNELS = (
     "BlockDistribution",
     "band_distribution",
     "band_to_gspace",
@@ -42,4 +36,18 @@ __all__ = [
     "distributed_cholesky_orthonormalize",
     "distributed_initial_residual",
     "distributed_pt_residual",
-]
+)
+
+__all__ = ["CollectiveKind", "CommEvent", "CommStats", "SimCommunicator", *_PAPER_KERNELS]
+
+
+def __getattr__(name: str):
+    if name in _PAPER_KERNELS:
+        value = getattr(importlib.import_module(".paper_kernels", __name__), name)
+        globals()[name] = value  # cache so __getattr__ runs once per name
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,7 +6,10 @@ Table 2): ``MPI_Bcast`` (Fock exchange wavefunction broadcast),
 (overlap matrices and charge density), ``MPI_AllGatherv`` (exchange-correlation
 potential assembly) and point-to-point ``MPI_Send/Recv`` (the paper's
 round-robin alternative to the broadcast; here the distributed sweep
-backend's group dispatch and results). Because this reproduction runs on one
+backend's group dispatch and results). No kernel here assembles the
+exchange-correlation potential, so ``MPI_AllGatherv`` exists only as the
+performance model's Table 2 term (:mod:`repro.perf.components`), and the
+communicator implements the other four. Because this reproduction runs on one
 machine, we provide an in-process *simulated* communicator: the collectives really move
 NumPy data between per-rank buffers (so every distributed kernel can be checked
 bit-for-bit against its serial reference), and every operation is logged with
@@ -35,7 +38,6 @@ class CollectiveKind(str, Enum):
     BCAST = "bcast"
     ALLTOALLV = "alltoallv"
     ALLREDUCE = "allreduce"
-    ALLGATHERV = "allgatherv"
     SENDRECV = "sendrecv"
 
 
@@ -188,20 +190,6 @@ class SimCommunicator:
             max_per_rank = max(max_per_rank, sent_by_i)
         self._log(CollectiveKind.ALLTOALLV, total_bytes, max_per_rank, description)
         return recv
-
-    def allgatherv(self, data_by_rank: list) -> list:
-        """``MPI_Allgatherv``: every rank receives the list of all contributions."""
-        self._check_rank_list(data_by_rank, "data_by_rank")
-        gathered = []
-        total_bytes = 0
-        max_per_rank = 0
-        for rank, payload in enumerate(data_by_rank):
-            data, nbytes = self._transfer(np.asarray(payload))
-            gathered.append(data)
-            total_bytes += nbytes * (self.size - 1)
-            max_per_rank = max(max_per_rank, nbytes)
-        self._log(CollectiveKind.ALLGATHERV, total_bytes, max_per_rank, "")
-        return [list(gathered) for _ in range(self.size)]
 
     def sendrecv(self, payload: np.ndarray, description: str = "") -> np.ndarray:
         """One point-to-point message (the distributed backend's group dispatch and results)."""

@@ -60,7 +60,7 @@ counted one level up (``HamiltonianCounters.fock_applications``,
 
 The pair kernel (:meth:`~ExchangeOperator._pair_sum`) is the package's one
 Fock pair loop: the physics engine applies it serially, and the distributed
-Alg. 2 of :mod:`repro.parallel.exchange_parallel` runs each rank's share of
+Alg. 2 of :mod:`repro.parallel.paper_kernels` runs each rank's share of
 the pairs through it, on the rectangle path.
 """
 

@@ -29,25 +29,32 @@ def orthonormality_error(wavefunction: Wavefunction) -> float:
     return float(np.max(np.abs(s - np.eye(wavefunction.nbands))))
 
 
-def cholesky_orthonormalize(wavefunction: Wavefunction) -> Wavefunction:
-    """Orthonormalize using the Cholesky factorisation of the overlap matrix.
+def cholesky_rotation(overlap: np.ndarray) -> np.ndarray:
+    """The row-storage rotation that orthonormalizes orbitals of overlap ``S``.
 
-    This mirrors the paper's end-of-step orthogonalization: compute
-    ``S = Psi^* Psi``, factor ``S = L L^*`` and replace ``Psi <- Psi L^{-*}``.
-    The Cholesky scheme preserves the span and is the cheapest option; it
-    requires ``S`` to be (numerically) positive definite.
+    Factor ``S = L L^*``; the orthonormal set is ``Psi L^{-*}``, i.e. columns
+    ``psi_j_new = sum_i psi_i (L^{-*})_{ij}``, which with row storage is
+    ``C_new = (L^{-*})^T C = conj(L^{-1}) C``. Returns ``conj(L^{-1})``.
+    Requires ``S`` to be (numerically) positive definite.
     """
-    s = wavefunction.overlap()
     try:
-        chol = sla.cholesky(s, lower=True)
+        chol = sla.cholesky(overlap, lower=True)
     except sla.LinAlgError as exc:  # pragma: no cover - defensive
         raise np.linalg.LinAlgError(
             "overlap matrix is not positive definite; wavefunctions are linearly dependent"
         ) from exc
-    # Psi_new = Psi L^{-*}: with row storage, coefficients_new = L^{-1} conj? Work it out:
-    # columns psi_j_new = sum_i psi_i (L^{-*})_{ij}. Row storage: C_new = (L^{-*})^T C = conj(L^{-1}) C.
-    inv_l = sla.solve_triangular(chol, np.eye(chol.shape[0]), lower=True)
-    new_coeffs = np.conj(inv_l) @ wavefunction.coefficients
+    return np.conj(sla.solve_triangular(chol, np.eye(chol.shape[0]), lower=True))
+
+
+def cholesky_orthonormalize(wavefunction: Wavefunction) -> Wavefunction:
+    """Orthonormalize using the Cholesky factorisation of the overlap matrix.
+
+    This mirrors the paper's end-of-step orthogonalization: compute
+    ``S = Psi^* Psi``, factor ``S = L L^*`` and replace ``Psi <- Psi L^{-*}``
+    (:func:`cholesky_rotation`). The Cholesky scheme preserves the span and is
+    the cheapest option.
+    """
+    new_coeffs = cholesky_rotation(wavefunction.overlap()) @ wavefunction.coefficients
     return Wavefunction(wavefunction.basis, new_coeffs, wavefunction.occupations)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.comm import SimCommunicator
-from repro.parallel.decomposition import (
+from repro.parallel.paper_kernels import (
     band_distribution,
     band_to_gspace,
     gspace_distribution,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from band_layout import gather, scatter
 
 from repro.parallel import (
     DistributedWavefunction,
@@ -23,37 +24,37 @@ def serial_wavefunction(chain_basis, rng):
 class TestScatterGather:
     def test_round_trip(self, serial_wavefunction, n_ranks):
         comm = SimCommunicator(n_ranks)
-        dwf = DistributedWavefunction.from_wavefunction(serial_wavefunction, comm)
-        back = dwf.to_wavefunction()
+        dwf = scatter(serial_wavefunction, comm)
+        back = gather(dwf)
         assert np.allclose(back.coefficients, serial_wavefunction.coefficients)
         assert np.allclose(back.occupations, serial_wavefunction.occupations)
 
     def test_block_shapes(self, serial_wavefunction, n_ranks):
         comm = SimCommunicator(n_ranks)
-        dwf = DistributedWavefunction.from_wavefunction(serial_wavefunction, comm)
+        dwf = scatter(serial_wavefunction, comm)
         assert len(dwf.band_blocks) == n_ranks
         assert sum(b.shape[0] for b in dwf.band_blocks) == serial_wavefunction.nbands
 
     def test_gspace_round_trip(self, serial_wavefunction, n_ranks):
         comm = SimCommunicator(n_ranks)
-        dwf = DistributedWavefunction.from_wavefunction(serial_wavefunction, comm)
+        dwf = scatter(serial_wavefunction, comm)
         g_blocks = dwf.to_gspace_blocks()
         rebuilt = DistributedWavefunction.from_gspace_blocks(dwf, g_blocks)
-        assert np.allclose(rebuilt.to_wavefunction().coefficients, serial_wavefunction.coefficients)
+        assert np.allclose(gather(rebuilt).coefficients, serial_wavefunction.coefficients)
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 4])
 class TestDistributedKernels:
     def test_overlap_matches_serial(self, serial_wavefunction, n_ranks):
         comm = SimCommunicator(n_ranks)
-        dwf = DistributedWavefunction.from_wavefunction(serial_wavefunction, comm)
+        dwf = scatter(serial_wavefunction, comm)
         s_dist = distributed_overlap(dwf, dwf)
         s_serial = serial_wavefunction.overlap()
         assert np.allclose(s_dist, s_serial, atol=1e-12)
 
     def test_density_matches_serial(self, serial_wavefunction, n_ranks):
         comm = SimCommunicator(n_ranks)
-        dwf = DistributedWavefunction.from_wavefunction(serial_wavefunction, comm)
+        dwf = scatter(serial_wavefunction, comm)
         rho_dist = distributed_density(dwf)
         rho_serial = compute_density(serial_wavefunction)
         assert np.allclose(rho_dist, rho_serial, atol=1e-12)
@@ -62,8 +63,8 @@ class TestDistributedKernels:
         # build a deliberately non-orthonormal set
         wf = Wavefunction(chain_basis, chain_basis.random_coefficients(4, rng))
         comm = SimCommunicator(n_ranks)
-        dwf = DistributedWavefunction.from_wavefunction(wf, comm)
-        ortho_dist = distributed_cholesky_orthonormalize(dwf).to_wavefunction()
+        dwf = scatter(wf, comm)
+        ortho_dist = gather(distributed_cholesky_orthonormalize(dwf))
         ortho_serial = cholesky_orthonormalize(wf)
         assert orthonormality_error(ortho_dist) < 1e-10
         assert np.allclose(ortho_dist.coefficients, ortho_serial.coefficients, atol=1e-10)
@@ -72,15 +73,15 @@ class TestDistributedKernels:
 class TestSinglePrecisionComm:
     def test_single_precision_transposes_introduce_small_error_only(self, serial_wavefunction):
         comm = SimCommunicator(4, single_precision=True)
-        dwf = DistributedWavefunction.from_wavefunction(serial_wavefunction, comm)
+        dwf = scatter(serial_wavefunction, comm)
         g_blocks = dwf.to_gspace_blocks()
-        rebuilt = DistributedWavefunction.from_gspace_blocks(dwf, g_blocks).to_wavefunction()
+        rebuilt = gather(DistributedWavefunction.from_gspace_blocks(dwf, g_blocks))
         err = np.max(np.abs(rebuilt.coefficients - serial_wavefunction.coefficients))
         assert 0.0 < err < 1e-6  # single precision rounding, nothing worse
 
     def test_local_band_indices(self, serial_wavefunction):
         comm = SimCommunicator(3)
-        dwf = DistributedWavefunction.from_wavefunction(serial_wavefunction, comm)
+        dwf = scatter(serial_wavefunction, comm)
         all_indices = []
         for r in range(3):
             all_indices.extend(list(dwf.local_band_indices(r)))
@@ -88,7 +89,7 @@ class TestSinglePrecisionComm:
 
     def test_copy_independent(self, serial_wavefunction):
         comm = SimCommunicator(2)
-        dwf = DistributedWavefunction.from_wavefunction(serial_wavefunction, comm)
+        dwf = scatter(serial_wavefunction, comm)
         copy = dwf.copy()
         copy.band_blocks[0][0, 0] += 1.0
         assert dwf.band_blocks[0][0, 0] != copy.band_blocks[0][0, 0]

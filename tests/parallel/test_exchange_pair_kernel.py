@@ -3,8 +3,9 @@ on every rank exactly as the serial rectangle path skips them."""
 
 import numpy as np
 import pytest
+from band_layout import gather, scatter
 
-from repro.parallel import DistributedExchangeOperator, DistributedWavefunction, SimCommunicator
+from repro.parallel import DistributedExchangeOperator, SimCommunicator
 from repro.pw import ExchangeOperator, Wavefunction
 
 
@@ -19,9 +20,9 @@ def test_partially_occupied_exchange_set(chain_basis, rng, n_ranks):
     comm = SimCommunicator(n_ranks)
     op = DistributedExchangeOperator(chain_basis, comm)
     result = op.apply(
-        DistributedWavefunction.from_wavefunction(target, comm),
-        exchange_orbitals=DistributedWavefunction.from_wavefunction(orbitals, comm),
+        scatter(target, comm),
+        exchange_orbitals=scatter(orbitals, comm),
     )
-    assert np.allclose(result.to_wavefunction().coefficients, expected, atol=1e-10)
+    assert np.allclose(gather(result).coefficients, expected, atol=1e-10)
     # two occupied orbitals against four targets, on every rank count
     assert op.work.poisson_solves == serial.counters.poisson_solves == 2 * 4

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from band_layout import gather, scatter
 
-from repro.parallel import DistributedExchangeOperator, DistributedWavefunction, SimCommunicator
+from repro.parallel import DistributedExchangeOperator, SimCommunicator
 from repro.parallel.comm import CollectiveKind
 from repro.pw import ExchangeOperator, Wavefunction
 
@@ -24,9 +25,9 @@ def serial_reference(chain_basis, orbitals):
 class TestCorrectness:
     def test_matches_serial(self, chain_basis, orbitals, serial_reference, n_ranks):
         comm = SimCommunicator(n_ranks)
-        dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
+        dwf = scatter(orbitals, comm)
         op = DistributedExchangeOperator(chain_basis, comm)
-        result = op.apply(dwf).to_wavefunction().coefficients
+        result = gather(op.apply(dwf)).coefficients
         assert np.max(np.abs(result - serial_reference)) < 1e-10
 
 
@@ -35,7 +36,7 @@ class TestCommunicationAccounting:
         """Wire volume equals (N_p - 1) * N_e * N_G * 16 bytes in double precision."""
         n_ranks = 4
         comm = SimCommunicator(n_ranks)
-        dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
+        dwf = scatter(orbitals, comm)
         op = DistributedExchangeOperator(chain_basis, comm)
         op.apply(dwf)
         expected = (n_ranks - 1) * orbitals.nbands * orbitals.npw * 16
@@ -45,16 +46,16 @@ class TestCommunicationAccounting:
         double = SimCommunicator(4)
         single = SimCommunicator(4, single_precision=True)
         for comm in (double, single):
-            dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
+            dwf = scatter(orbitals, comm)
             DistributedExchangeOperator(chain_basis, comm).apply(dwf)
         assert single.stats.bytes[CollectiveKind.BCAST] == double.stats.bytes[CollectiveKind.BCAST] // 2
 
     def test_single_precision_accuracy(self, chain_basis, orbitals, serial_reference):
         """The paper's single-precision MPI changes the result only at the 1e-7 level."""
         comm = SimCommunicator(4, single_precision=True)
-        dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
+        dwf = scatter(orbitals, comm)
         op = DistributedExchangeOperator(chain_basis, comm)
-        result = op.apply(dwf).to_wavefunction().coefficients
+        result = gather(op.apply(dwf)).coefficients
         err = np.max(np.abs(result - serial_reference))
         assert err < 1e-5
         assert err > 0.0
@@ -62,7 +63,7 @@ class TestCommunicationAccounting:
     def test_number_of_broadcasts(self, chain_basis, orbitals):
         """Alg. 2 broadcasts every one of the N_e wavefunctions exactly once."""
         comm = SimCommunicator(2)
-        dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
+        dwf = scatter(orbitals, comm)
         op = DistributedExchangeOperator(chain_basis, comm)
         op.apply(dwf)
         assert comm.stats.calls[CollectiveKind.BCAST] == orbitals.nbands
@@ -72,7 +73,7 @@ class TestCommunicationAccounting:
         """Total Poisson solves across all ranks is N_e^2 regardless of N_p."""
         for n_ranks in (1, 2, 4):
             comm = SimCommunicator(n_ranks)
-            dwf = DistributedWavefunction.from_wavefunction(orbitals, comm)
+            dwf = scatter(orbitals, comm)
             op = DistributedExchangeOperator(chain_basis, comm)
             op.apply(dwf)
             assert op.work.poisson_solves == orbitals.nbands**2
@@ -87,8 +88,8 @@ class TestEdgeCases:
         expected = serial_op.apply(target.coefficients)
 
         comm = SimCommunicator(2)
-        d_target = DistributedWavefunction.from_wavefunction(target, comm)
-        d_orbitals = DistributedWavefunction.from_wavefunction(orbitals, comm)
+        d_target = scatter(target, comm)
+        d_orbitals = scatter(orbitals, comm)
         op = DistributedExchangeOperator(chain_basis, comm)
-        result = op.apply(d_target, exchange_orbitals=d_orbitals).to_wavefunction().coefficients
+        result = gather(op.apply(d_target, exchange_orbitals=d_orbitals)).coefficients
         assert np.allclose(result, expected, atol=1e-10)

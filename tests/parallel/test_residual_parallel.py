@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from band_layout import gather, scatter
 
 from repro.core.gauge import pt_residual
 from repro.parallel import (
-    DistributedWavefunction,
     SimCommunicator,
     distributed_initial_residual,
     distributed_pt_residual,
@@ -26,7 +26,7 @@ def residual_inputs(chain_basis, chain_structure, rng):
 
 
 def distribute(basis, coeffs, occupations, comm):
-    return DistributedWavefunction.from_wavefunction(Wavefunction(basis, coeffs, occupations), comm)
+    return scatter(Wavefunction(basis, coeffs, occupations), comm)
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
@@ -36,19 +36,19 @@ class TestAgainstSerial:
         dt = 2.0
         serial = wf.coefficients + 0.5j * dt * pt_residual(wf.coefficients, h_wf) - half
         comm = SimCommunicator(n_ranks)
-        d_psi = DistributedWavefunction.from_wavefunction(wf, comm)
+        d_psi = scatter(wf, comm)
         d_hpsi = distribute(chain_basis, h_wf, wf.occupations, comm)
         d_half = distribute(chain_basis, half, wf.occupations, comm)
-        result = distributed_pt_residual(d_psi, d_hpsi, d_half, dt).to_wavefunction().coefficients
+        result = gather(distributed_pt_residual(d_psi, d_hpsi, d_half, dt)).coefficients
         assert np.max(np.abs(result - serial)) < 1e-10
 
     def test_initial_residual(self, chain_basis, residual_inputs, n_ranks):
         wf, h_wf, _ = residual_inputs
         serial = pt_residual(wf.coefficients, h_wf)
         comm = SimCommunicator(n_ranks)
-        d_psi = DistributedWavefunction.from_wavefunction(wf, comm)
+        d_psi = scatter(wf, comm)
         d_hpsi = distribute(chain_basis, h_wf, wf.occupations, comm)
-        result = distributed_initial_residual(d_psi, d_hpsi).to_wavefunction().coefficients
+        result = gather(distributed_initial_residual(d_psi, d_hpsi)).coefficients
         assert np.allclose(result, serial, atol=1e-10)
 
 
@@ -57,7 +57,7 @@ class TestCommunicationPattern:
         """Alg. 3 uses exactly 4 Alltoallv transposes and 1 Allreduce."""
         wf, h_wf, half = residual_inputs
         comm = SimCommunicator(4)
-        d_psi = DistributedWavefunction.from_wavefunction(wf, comm)
+        d_psi = scatter(wf, comm)
         d_hpsi = distribute(chain_basis, h_wf, wf.occupations, comm)
         d_half = distribute(chain_basis, half, wf.occupations, comm)
         comm.stats = CommStats()
@@ -69,7 +69,7 @@ class TestCommunicationPattern:
     def test_allreduce_payload_is_overlap_matrix(self, chain_basis, residual_inputs):
         wf, h_wf, half = residual_inputs
         comm = SimCommunicator(3)
-        d_psi = DistributedWavefunction.from_wavefunction(wf, comm)
+        d_psi = scatter(wf, comm)
         d_hpsi = distribute(chain_basis, h_wf, wf.occupations, comm)
         d_half = distribute(chain_basis, half, wf.occupations, comm)
         comm.stats = CommStats()
@@ -79,7 +79,7 @@ class TestCommunicationPattern:
 
     def test_mismatched_communicators_rejected(self, chain_basis, residual_inputs):
         wf, h_wf, half = residual_inputs
-        d_psi = DistributedWavefunction.from_wavefunction(wf, SimCommunicator(2))
+        d_psi = scatter(wf, SimCommunicator(2))
         d_hpsi = distribute(chain_basis, h_wf, wf.occupations, SimCommunicator(2))
         d_half = distribute(chain_basis, half, wf.occupations, SimCommunicator(2))
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.anderson import AndersonMixer
 from repro.core.gauge import density_matrix_distance
 from repro.parallel.comm import CollectiveKind, SimCommunicator
-from repro.parallel.decomposition import (
+from repro.parallel.paper_kernels import (
     band_distribution,
     band_to_gspace,
     gspace_distribution,

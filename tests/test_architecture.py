@@ -242,10 +242,6 @@ CALLED_FROM_OUTSIDE = {
         "the paper tables' own check, kept beside the rows it judges (tests/paper calls it per row)",
     "src/repro/analysis/paper_data.py:Ceiling.admits":
         "the same check for rows the paper states as an upper bound",
-    "src/repro/parallel/distributed_wavefunction.py:DistributedWavefunction.from_wavefunction":
-        "the scatter into Alg. 2/3's band distribution; ROADMAP item 5 decides whether ranks execute it",
-    "src/repro/parallel/distributed_wavefunction.py:DistributedWavefunction.to_wavefunction":
-        "the gather out of Alg. 2/3's band distribution; ROADMAP item 5 decides whether ranks execute it",
     "src/repro/service/handle.py:CampaignHandle.cancel":
         "the caller's control over a submitted campaign; the service's `cancelled` path exists for it",
 }
@@ -258,20 +254,27 @@ def _python_files(root: pathlib.Path, tops: list[str]):
                 yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
 
 
-def _docstrings(tree: ast.AST) -> set[int]:
-    """The ids of the docstring constants of ``tree``'s module, classes and functions."""
+def _inert_strings(tree: ast.AST) -> set[int]:
+    """The ids of the string constants of ``tree`` that name nothing: the
+    docstrings of its module, classes and functions, and the values of its
+    ``Enum`` members (``ALLGATHERV = "allgatherv"`` calls no ``allgatherv``)."""
     owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-    return {id(node.body[0].value) for node in ast.walk(tree)
-            if isinstance(node, owners) and node.body and isinstance(node.body[0], ast.Expr)
-            and isinstance(node.body[0].value, ast.Constant) and isinstance(node.body[0].value.value, str)}
+    inert = {id(node.body[0].value) for node in ast.walk(tree)
+             if isinstance(node, owners) and node.body and isinstance(node.body[0], ast.Expr)
+             and isinstance(node.body[0].value, ast.Constant) and isinstance(node.body[0].value.value, str)}
+    enums = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             and any(getattr(base, "id", getattr(base, "attr", "")).endswith("Enum") for base in node.bases)]
+    return inert | {id(member.value) for enum in enums for member in enum.body
+                    if isinstance(member, ast.Assign) and isinstance(member.value, ast.Constant)}
 
 
 def _names_referenced(tree: ast.AST, imports: bool = True):
     """``(name, line)`` for every name ``tree``'s code refers to: a ``Name``, an
     ``Attribute``, an import alias (unless ``imports`` is false), or a string
     constant spelled as a (dotted) identifier, as ``getattr``, ``__all__`` and
-    tracer targets spell one. Docstrings and comments refer to nothing."""
-    docstrings = _docstrings(tree)
+    tracer targets spell one. Docstrings, comments and ``Enum`` member values
+    refer to nothing."""
+    inert = _inert_strings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -281,14 +284,15 @@ def _names_referenced(tree: ast.AST, imports: bool = True):
             for name in filter(None, (node.name.rsplit(".", 1)[-1], node.asname)):
                 yield name, node.lineno
         else:
-            for part in _identifier_parts(node, docstrings):
+            for part in _identifier_parts(node, inert):
                 yield part, node.lineno
 
 
-def _identifier_parts(node: ast.AST, docstrings: set[int]) -> list[str]:
+def _identifier_parts(node: ast.AST, inert: set[int]) -> list[str]:
     """The parts of a string constant spelled as a (dotted) identifier, such as
-    ``"laser.params.amplitude"``; none for a docstring or any other node."""
-    if (isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    ``"laser.params.amplitude"``; none for a string in ``inert``
+    (:func:`_inert_strings`) or any other node."""
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in inert
             and all(part.isidentifier() for part in node.value.split(".") if part)):
         return [part for part in node.value.split(".") if part]
     return []
@@ -404,12 +408,12 @@ def _shipped_calls(root: pathlib.Path):
             visit(child, child if isinstance(child, ast.ClassDef) else cls)
 
     for _, tree in _python_files(root, ["src", "examples", "benchmarks"]):
-        docstrings = _docstrings(tree)
+        inert = _inert_strings(tree)
         exported = {id(node) for statement in ast.walk(tree) if isinstance(statement, ast.Assign)
                     and any(getattr(target, "id", "") == "__all__" for target in statement.targets)
                     for node in ast.walk(statement.value)}
         for node in ast.walk(tree):
-            parts = _identifier_parts(node, docstrings)
+            parts = _identifier_parts(node, inert)
             strings.update(parts)
             if id(node) not in exported and len(parts) == 1:
                 named.update(parts)
@@ -482,6 +486,10 @@ RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_ff
          src_holds_what_the_system_calls, one_observables_body, every_import_is_named,
          every_parameter_is_passed]
 
+#: a method whose name only an ``Enum`` member's value spells
+_ENUM_NAMED_METHOD = ('class CollectiveKind(str, Enum):\n    GATHER = "gather"\n\n\n'
+                      "class SimCommunicator:\n    def gather(self, data):\n        return data\n")
+
 #: per rule, a tree that breaks it (the allowed sites included) and the file(s) it must name
 BREAKS = {
     no_shim_names: ({"README.md": "Pass `checkpoint_dir=` to resume.\n"}, "README.md"),
@@ -549,13 +557,16 @@ BREAKS = {
          "src/repro/pw/__init__.py": '__all__ = ["Cell"]\n',
          "src/repro/core/dynamics.py": "class Trajectory:\n    def save_npz(self, path):\n        pass\n",
          "src/repro/service/handle.py": "class CampaignHandle:\n    def cancel(self):\n        pass\n",
+         "src/repro/parallel/comm.py": _ENUM_NAMED_METHOD,
          "examples/quickstart.py": "from repro.core.dynamics import Trajectory\n"
+                                   "from repro.parallel.comm import CollectiveKind, SimCommunicator\n"
                                    "from repro.pw.basis import Wavefunction\n"
                                    "from repro.service.handle import CampaignHandle\n"
                                    "from repro.store.store import ResultStore\n"
                                    "served = ResultStore().has(Trajectory(Wavefunction()))\n"
                                    "CampaignHandle().cancel()\n"},
-        ("src/repro/pw/basis.py", "src/repro/store/store.py", "src/repro/service/handle.py")),
+        ("src/repro/pw/basis.py", "src/repro/store/store.py", "src/repro/service/handle.py",
+         "src/repro/parallel/comm.py")),
     one_observables_body: (
         {"src/repro/pw/hamiltonian.py": "def energies_many(hams, wfs):\n"
                                         "    nl = [h.nonlocal_psp.energy(wf.c, wf.f) for h, wf in zip(hams, wfs)]\n"
@@ -614,11 +625,13 @@ def test_rule_detects_a_break(rule, tmp_path):
 
 def test_uncalled_definitions_are_the_only_ones_flagged(tmp_path):
     """In its break tree, ``src_holds_what_the_system_calls`` flags the helper
-    only a test calls, the method only a docstring names and the allowlist
-    entry an example now calls, and passes the registered builder, the
-    ``__all__`` export and the allowlisted writer."""
+    only a test calls, the method only a docstring names, the method only an
+    ``Enum`` member's value spells and the allowlist entry an example now
+    calls, and passes the registered builder, the ``__all__`` export and the
+    allowlisted writer."""
     found = src_holds_what_the_system_calls(_plant(tmp_path, BREAKS[src_holds_what_the_system_calls][0]))
     assert sorted(found) == [
+        "src/repro/parallel/comm.py:6: SimCommunicator.gather",
         "src/repro/pw/basis.py:2: Wavefunction.rotate",
         "src/repro/service/handle.py:CampaignHandle.cancel: on CALLED_FROM_OUTSIDE, but called or gone",
         "src/repro/store/store.py:2: ResultStore.completed_ids",
@@ -642,6 +655,10 @@ DEFINITION_CASES = {
     "a_function_only_its_own_body_calls": (
         {"src/repro/pw/lattice.py": "def depth(n):\n    return 0 if n == 0 else depth(n - 1)\n"},
         ["src/repro/pw/lattice.py:1: depth"]),
+    "a_method_only_an_enum_value_names": (
+        {"src/repro/parallel/comm.py": _ENUM_NAMED_METHOD,
+         _CALLER: "from repro.parallel.comm import CollectiveKind, SimCommunicator\n"},
+        ["src/repro/parallel/comm.py:6: SimCommunicator.gather"]),
     "a_string_that_is_not_an_identifier": (
         {"src/repro/pw/lattice.py": "def volume():\n    return 1.0\n",
          _CALLER: 'print("cell volume ()")\n'},
