@@ -56,7 +56,6 @@ from ..core.dynamics import json_default
 from ..core.precision import resolve_precision
 from ..cost.placement import NodePlacement
 from ..parallel.comm import SimCommunicator
-from ..pw.fft import configure_for_pool_worker
 from ..store.store import _as_store
 from .scheduler import ScheduledGroup, _finite, _rank_loads
 
@@ -239,11 +238,8 @@ def _run_group_worker(payload) -> tuple[list[dict], list[str], float]:
 
     Results cross the process boundary in dict form (observables only) to
     avoid pickling wavefunctions and grids; results stored inside the worker
-    keep the full trajectories on disk. FFT threading is capped to one
-    worker first — the pool already owns the cores, and oversubscribing
-    ``workers * fft_threads`` ways degrades every group.
+    keep the full trajectories on disk.
     """
-    configure_for_pool_worker()
     jobs, store, raise_on_error, precision = payload
     notes: list[str] = []
     start = time.perf_counter()

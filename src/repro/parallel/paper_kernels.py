@@ -272,10 +272,6 @@ class DistributedWavefunction:
             gspace_to_band(template.comm, gspace_blocks, template.bands, template.gspace, description)
         )
 
-    def copy(self) -> "DistributedWavefunction":
-        """Deep copy of the coefficient blocks."""
-        return self._with_blocks([b.copy() for b in self.band_blocks])
-
 
 def distributed_overlap(left: DistributedWavefunction, right: DistributedWavefunction) -> np.ndarray:
     """Overlap matrix ``S = Psi_left^* Psi_right`` via the G-space distribution.

@@ -36,8 +36,6 @@ from .pseudopotential import (
     PseudopotentialSpecies,
     cohen_bergstresser_silicon_species,
     ewald_energy,
-    hydrogen_species,
-    silicon_species,
     structure_factor,
 )
 from .structures import (
@@ -82,8 +80,6 @@ __all__ = [
     "PseudopotentialSpecies",
     "cohen_bergstresser_silicon_species",
     "ewald_energy",
-    "hydrogen_species",
-    "silicon_species",
     "structure_factor",
     "Structure",
     "diamond_silicon",

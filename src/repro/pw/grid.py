@@ -305,8 +305,7 @@ class PlaneWaveBasis:
     def _forward_plan(self, dtype: np.dtype):
         """The plan whose forward transforms of ``dtype`` arrays compute only
         what this sphere reads (see :class:`~repro.pw.fft.FFTPlan`), built
-        once per basis and dtype (and again after
-        :func:`~repro.pw.fft.clear_plan_cache`)."""
+        once per basis and dtype."""
         memo = plan_memo(self, "_bound_transforms")
         plan = memo.get(dtype)
         if plan is None:
@@ -315,21 +314,20 @@ class PlaneWaveBasis:
 
     def _workspace(self, dtype: np.dtype, lead: tuple):
         """``(plan, flat, mesh)`` for scattering ``lead``-shaped stacks of
-        ``dtype`` coefficients: the plan-owned workspace (flat, and as the
-        mesh view the transform takes), resolved once per basis and shape.
+        ``dtype`` coefficients: this basis's workspace (flat, and as the mesh
+        view the transform takes), allocated once per dtype and shape.
 
         Reusing the buffer is sound because this basis always writes the same
-        sphere positions (``fill_indices`` keys the workspace to this index
-        set) and every other mesh position stays zero from the initial
-        allocation. It is scratch: valid only until the next call with the
-        same leading shape, so only :meth:`to_real_space` — whose FFT
+        sphere positions and every other mesh position stays zero from the
+        initial allocation. It is scratch: valid only until the next call with
+        the same leading shape, so only :meth:`to_real_space` — whose FFT
         immediately copies out of it — may use it.
         """
         memo = plan_memo(self, "_bound_transforms")
         bound = memo.get((dtype, lead))
         if bound is None:
-            plan = get_plan(self.grid, plan_dtype(dtype))
-            flat = plan.workspace(lead, fill_indices=self._indices)
+            flat = np.zeros(lead + (self.grid.size,), dtype=plan_dtype(dtype))
+            plan = get_plan(self.grid, flat.dtype)
             bound = memo[(dtype, lead)] = (plan, flat, flat.reshape(lead + self.grid.shape))
         return bound
 

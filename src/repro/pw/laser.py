@@ -10,7 +10,6 @@ provided, which is the standard way to compute absorption spectra in rt-TDDFT).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from ..constants import (
     SPEED_OF_LIGHT_AU,
     wavelength_nm_to_energy_hartree,
 )
+from .fft import plan_memo
 from .grid import FFTGrid
 
 __all__ = [
@@ -35,17 +35,6 @@ __all__ = [
     "sawtooth_position",
 ]
 
-# (id(grid), direction bytes) -> (grid, read-only position array); the grid
-# reference keeps the id stable, the array is shared between dipole recording
-# and length-gauge coupling, both of which rebuild it every call otherwise.
-# A small LRU (recently-used entries re-ranked on every hit, oldest evicted
-# beyond _SAWTOOTH_CACHE_SIZE) keeps the footprint bounded across many-asset
-# campaigns that create a fresh grid per job, while one job's repeated
-# lookups — the case the cache exists for — always stay resident.
-_SAWTOOTH_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
-_SAWTOOTH_CACHE_SIZE = 16
-
-
 def sawtooth_position(grid: FFTGrid, direction: np.ndarray) -> np.ndarray:
     """The periodic ("sawtooth") position operator ``r . e_hat`` on the grid.
 
@@ -53,30 +42,23 @@ def sawtooth_position(grid: FFTGrid, direction: np.ndarray) -> np.ndarray:
     conventional length-gauge treatment uses the fractional coordinate along
     the polarisation direction, centred so the discontinuity sits at the cell
     boundary. Returns a real **read-only** array of shape ``grid.shape`` in
-    Bohr (the array is memoised per grid and direction — it is evaluated at
-    every recorded step and every length-gauge field update).
+    Bohr (the array is memoised on the grid instance per direction — it is
+    evaluated at every recorded step and every length-gauge field update).
     """
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
     if norm < 1e-12:
         raise ValueError("direction must be a nonzero vector")
     direction = direction / norm
-    key = (id(grid), direction.tobytes())
-    hit = _SAWTOOTH_CACHE.get(key)
-    if hit is not None and hit[0] is grid:
-        _SAWTOOTH_CACHE.move_to_end(key)
-        return hit[1]
-    if hit is not None:
-        # id() was reused by a new grid object: the entry is stale, drop it
-        del _SAWTOOTH_CACHE[key]
-    points = grid.real_space_points  # (n1, n2, n3, 3)
-    projection = points @ direction
-    # centre around zero: subtract the mean so the sawtooth ramps from -L/2 to L/2
-    position = projection - float(np.mean(projection))
-    position.flags.writeable = False
-    _SAWTOOTH_CACHE[key] = (grid, position)
-    while len(_SAWTOOTH_CACHE) > _SAWTOOTH_CACHE_SIZE:
-        _SAWTOOTH_CACHE.popitem(last=False)
+    memo = plan_memo(grid, "_sawtooth")
+    position = memo.get(direction.tobytes())
+    if position is None:
+        points = grid.real_space_points  # (n1, n2, n3, 3)
+        projection = points @ direction
+        # centre around zero: subtract the mean so the sawtooth ramps from -L/2 to L/2
+        position = projection - float(np.mean(projection))
+        position.flags.writeable = False
+        memo[direction.tobytes()] = position
     return position
 
 

@@ -96,16 +96,17 @@ class Cell:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cell):
             return NotImplemented
-        # hash-keyed caches look a grid's cell up on every Hartree solve, and
-        # the hit is the same object or byte-equal vectors: skip the allclose
+        # a match is almost always the same object or byte-equal vectors:
+        # skip the allclose
         if self is other or self.lattice_vectors.tobytes() == other.lattice_vectors.tobytes():
             return True
         return bool(np.allclose(self.lattice_vectors, other.lattice_vectors))
 
     def __hash__(self) -> int:  # needed because __eq__ is overridden
         # NOTE: hashes the exact bytes while __eq__ is an allclose, so two
-        # cells can compare equal and hash differently. Hash-keyed caches
-        # (FFT plans, bare kernels) therefore share entries only between
-        # cells equal *by bytes* — which is what builders of one structure
-        # produce; an allclose-but-not-identical cell gets its own entry.
+        # cells can compare equal and hash differently. A hash-keyed table
+        # therefore shares entries only between cells equal *by bytes* —
+        # which is what builders of one structure produce; derived transform
+        # state (plans, kernels) lives on the grid instance, not in such a
+        # table.
         return hash(self.lattice_vectors.tobytes())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fft import get_plan, plan_dtype
+from .fft import get_plan, plan_dtype, plan_memo
 from .grid import FFTGrid
 
 __all__ = [
@@ -105,9 +105,6 @@ class CoulombKernel:
         return cached
 
 
-_BARE_KERNELS: dict[FFTGrid, CoulombKernel] = {}
-
-
 def bare_coulomb_kernel(grid: FFTGrid) -> CoulombKernel:
     """The bare Coulomb kernel ``4 pi / G^2`` with the ``G = 0`` term removed.
 
@@ -116,20 +113,22 @@ def bare_coulomb_kernel(grid: FFTGrid) -> CoulombKernel:
     periodic sub-problems; the paper's silicon systems are neutral so the
     total Hartree problem is well defined.
 
-    Kernels are cached per grid (value equality) — every Hartree solve of
-    every SCF iteration asks for the same deterministic array, and rebuilding
-    it dominated small-grid Poisson solves.
+    The values are built once per grid instance and kept in its memo — every
+    Hartree solve of every SCF iteration asks for the same deterministic
+    array, and rebuilding it dominated small-grid Poisson solves. Only the
+    values are kept: a kernel holds its grid, and a grid holding its kernel
+    would be a reference cycle that keeps a dropped Session's grid alive
+    until the next full collection.
     """
-    cached = _BARE_KERNELS.get(grid)
-    if cached is not None:
-        return cached
-    g2 = grid.g_squared
-    values = np.zeros_like(g2)
-    nonzero = g2 > 1e-12
-    values[nonzero] = 4.0 * np.pi / g2[nonzero]
-    kernel = CoulombKernel(grid, values, name="bare")
-    _BARE_KERNELS[grid] = kernel
-    return kernel
+    memo = plan_memo(grid, "_kernels")
+    values = memo.get("bare")
+    if values is None:
+        g2 = grid.g_squared
+        values = np.zeros_like(g2)
+        nonzero = g2 > 1e-12
+        values[nonzero] = 4.0 * np.pi / g2[nonzero]
+        memo["bare"] = values
+    return CoulombKernel(grid, values, name="bare")
 
 
 def screened_exchange_kernel(grid: FFTGrid, screening_length: float) -> CoulombKernel:

@@ -35,8 +35,6 @@ from .lattice import Cell
 __all__ = [
     "ProjectorChannel",
     "PseudopotentialSpecies",
-    "hydrogen_species",
-    "silicon_species",
     "gth_species",
     "GTH_PARAMETERS",
     "cohen_bergstresser_silicon_species",
@@ -166,46 +164,13 @@ class PseudopotentialSpecies:
         return out
 
 
-def hydrogen_species() -> PseudopotentialSpecies:
-    """HGH-LDA hydrogen pseudopotential (local only)."""
-    return PseudopotentialSpecies(
-        symbol="H",
-        valence_charge=1.0,
-        r_loc=0.2,
-        local_coefficients=(-4.180237, 0.725075),
-    )
-
-
-def silicon_species(include_nonlocal: bool = True) -> PseudopotentialSpecies:
-    """HGH-LDA-style silicon pseudopotential (4 valence electrons).
-
-    The local parameters and the first s/p projector parameters follow the
-    published HGH values; the second radial projectors and the off-diagonal
-    ``h_{12}`` couplings are omitted (documented simplification — this shifts
-    eigenvalues but keeps the operator structure and cost identical).
-    """
-    projectors: tuple[ProjectorChannel, ...] = ()
-    if include_nonlocal:
-        projectors = (
-            ProjectorChannel(l=0, i=1, r_l=0.422738, h=5.906928),
-            ProjectorChannel(l=1, i=1, r_l=0.484278, h=2.727013),
-        )
-    return PseudopotentialSpecies(
-        symbol="Si",
-        valence_charge=4.0,
-        r_loc=0.44,
-        local_coefficients=(-7.336103,),
-        projectors=projectors,
-    )
-
-
 #: GTH/HGH-LDA-style parameter sets, one per supported element. Each entry is
 #: ``(valence_charge, r_loc, local_coefficients, ((l, r_l, h), ...))`` in the
-#: conventions of :class:`PseudopotentialSpecies`. As for silicon, only the
-#: first radial projector of each angular-momentum channel is kept and the
-#: off-diagonal ``h_{12}`` couplings are omitted (documented simplification:
-#: eigenvalues shift, operator structure and cost stay faithful). The local
-#: parts follow the published HGH-LDA values; together with
+#: conventions of :class:`PseudopotentialSpecies`. Only the first radial
+#: projector of each angular-momentum channel is kept and the off-diagonal
+#: ``h_{12}`` couplings are omitted (documented simplification: eigenvalues
+#: shift, operator structure and cost stay faithful). The local parts and the
+#: kept projectors follow the published HGH-LDA values; together with
 #: :func:`gth_species` this is the generator behind the ``pseudo/`` assets of
 #: :mod:`repro.assets`.
 GTH_PARAMETERS: dict[str, tuple] = {
@@ -222,9 +187,10 @@ GTH_PARAMETERS: dict[str, tuple] = {
 def gth_species(symbol: str) -> PseudopotentialSpecies:
     """A GTH/HGH-style species for any element in :data:`GTH_PARAMETERS`.
 
-    ``gth_species("Si")`` is identical to :func:`silicon_species` and
-    ``gth_species("H")`` to :func:`hydrogen_species`; the remaining elements
-    (C, N, O, Al, Ge) extend the material coverage of the asset library.
+    ``gth_species("H")`` (local only) and ``gth_species("Si")`` (4 valence
+    electrons, an s and a p projector) are the species of the paper's
+    systems; the remaining elements (C, N, O, Al, Ge) extend the material
+    coverage of the asset library.
     Unknown symbols raise :class:`ValueError` listing the supported elements.
     """
     key = str(symbol).capitalize()

@@ -9,7 +9,7 @@ simple-cubic conventional cell with lattice constant 5.43 Angstrom, replicated
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .pseudopotential import (
     PseudopotentialSpecies,
     cohen_bergstresser_silicon_species,
     gth_species,
-    hydrogen_species,
-    silicon_species,
 )
 
 __all__ = [
@@ -145,7 +143,9 @@ def diamond_silicon(
     if empirical:
         species = cohen_bergstresser_silicon_species(lattice_constant)
     else:
-        species = silicon_species(include_nonlocal=include_nonlocal)
+        species = gth_species("Si")
+        if not include_nonlocal:
+            species = replace(species, projectors=())
     return Structure(cell, [species], [positions], name="Si8")
 
 
@@ -324,7 +324,7 @@ def hydrogen_molecule(box: float = 12.0, bond_length: float = 1.4) -> Structure:
     centre = 0.5 * np.array([box, box, box])
     half = 0.5 * bond_length
     positions = np.array([centre - [half, 0, 0], centre + [half, 0, 0]])
-    return Structure(cell, [hydrogen_species()], [positions], name="H2")
+    return Structure(cell, [gth_species("H")], [positions], name="H2")
 
 
 def hydrogen_chain(n_atoms: int = 4, spacing: float = 2.0, box: float = 10.0) -> Structure:
@@ -336,4 +336,4 @@ def hydrogen_chain(n_atoms: int = 4, spacing: float = 2.0, box: float = 10.0) ->
     positions = np.array(
         [[i * spacing, box / 2.0, box / 2.0] for i in range(n_atoms)], dtype=float
     )
-    return Structure(cell, [hydrogen_species()], [positions], name=f"H{n_atoms}-chain")
+    return Structure(cell, [gth_species("H")], [positions], name=f"H{n_atoms}-chain")

@@ -6,6 +6,9 @@ assert bit-level equality of the two paths, caching behaviour, propagator
 comparison and npz round-trips.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -322,3 +325,25 @@ def test_dipole_along_rejects_zero_direction(api_session):
         trajectory.dipole_along([0.0, 0.0, 0.0])
     projected = trajectory.dipole_along([2.0, 0.0, 0.0])  # normalised internally
     np.testing.assert_allclose(projected, trajectory.dipoles[:, 0])
+
+
+def test_a_dropped_session_frees_its_grid_and_basis():
+    """A Session's transform state (FFT plans, scatter workspaces, the bare
+    Coulomb kernel, the sawtooth positions its field and dipoles read) lives
+    on its grid and basis, so nothing process-wide keeps them alive once the
+    Session is dropped, however many boxes a campaign visits."""
+    owners = []
+    for box in (7.0, 7.5, 8.0):
+        session = Session(SimulationConfig.from_dict({
+            "system": {"structure": "hydrogen_molecule", "params": {"box": box}},
+            "basis": {"ecut": 2.0},
+            "laser": QUICKSTART_DICT["laser"],
+            "run": {"time_step_as": 10.0, "n_steps": 2},
+            "propagator": {"name": "ptcn"},
+        }))
+        (trajectory,) = session.propagate_many([{}])
+        assert np.any(trajectory.dipoles != 0.0)
+        owners += [weakref.ref(session.grid), weakref.ref(session.basis)]
+        del session, trajectory
+    gc.collect()
+    assert [owner() for owner in owners] == [None] * len(owners)

@@ -23,7 +23,6 @@ round-tripped there but selects nothing. Invariants:
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -238,39 +237,12 @@ class TestFailureAttribution:
 
     def test_pool_worker_returns_the_note_to_the_parent(self, jobs):
         from repro.exec.backends import _run_group_worker
-        from repro.pw.fft import get_fft_workers, set_fft_workers
 
-        workers_before = get_fft_workers()
-        try:
-            with pytest.warns(UserWarning, match="fell back"):
-                dicts, notes, seconds = _run_group_worker((jobs, None, False, "complex128"))
-        finally:
-            set_fft_workers(workers_before)
-            os.environ.pop("REPRO_FFT_WORKERS", None)
+        with pytest.warns(UserWarning, match="fell back"):
+            dicts, notes, seconds = _run_group_worker((jobs, None, False, "complex128"))
         assert [d["status"] for d in dicts] == ["completed", "failed", "completed"]
         assert len(notes) == 1 and jobs[1].job_id in notes[0]
         assert seconds > 0.0  # the group's wall, for the parent's ledger
-
-
-class TestPoolWorkerCapping:
-    def test_run_group_worker_caps_fft_threads_to_one(self, dt_spec, monkeypatch):
-        from repro.exec.backends import _run_group_worker
-        from repro.pw.fft import get_fft_workers, set_fft_workers
-
-        monkeypatch.delenv("REPRO_FFT_WORKERS", raising=False)
-        workers_before = get_fft_workers()
-        set_fft_workers(4)
-        try:
-            (jobs,) = dt_spec.groups().values()
-            payload = (jobs, None, True, "complex128")
-            dicts, notes, _ = _run_group_worker(payload)
-            assert notes == []
-            assert get_fft_workers() == 1
-            assert os.environ["REPRO_FFT_WORKERS"] == "1"
-            assert [d["status"] for d in dicts] == ["completed"] * 4
-        finally:
-            set_fft_workers(workers_before)
-            os.environ.pop("REPRO_FFT_WORKERS", None)
 
 
 class TestSettingsPlumbing:

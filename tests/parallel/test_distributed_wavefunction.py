@@ -87,9 +87,3 @@ class TestSinglePrecisionComm:
             all_indices.extend(list(dwf.local_band_indices(r)))
         assert all_indices == list(range(serial_wavefunction.nbands))
 
-    def test_copy_independent(self, serial_wavefunction):
-        comm = SimCommunicator(2)
-        dwf = scatter(serial_wavefunction, comm)
-        copy = dwf.copy()
-        copy.band_blocks[0][0, 0] += 1.0
-        assert dwf.band_blocks[0][0, 0] != copy.band_blocks[0][0, 0]

@@ -1,16 +1,15 @@
-"""The FFT plan cache: key contracts, backends, workers and workspaces.
+"""FFT plans and workspaces: who owns them, and the bits they compute.
 
-The plan cache (:mod:`repro.pw.fft`) is keyed on ``(FFTGrid, dtype)``, so its
-safety rests entirely on the value semantics of ``FFTGrid.__eq__`` /
-``__hash__`` (shape + cell) and ``Cell.__eq__`` / ``__hash__`` (lattice
-vectors). These tests pin that contract, the scipy/numpy backend behaviour
+A plan (:mod:`repro.pw.fft`) lives in its grid instance's memo and a scatter
+workspace in its basis's, so both are freed with their owner. These tests pin
+that ownership, the kernel's bit identity with :mod:`scipy.fft`, the property
 the batched stepping engine relies on (leading-axis batches bit-identical to
-per-slice transforms), the dtype tiers, and the pool-worker thread cap.
+per-slice transforms), the dtype tiers and the sphere-aware forward transform.
 """
 
 from __future__ import annotations
 
-import os
+import copy
 import pickle
 
 import numpy as np
@@ -20,30 +19,10 @@ from hypothesis import strategies as st
 
 from repro.pw import FFTGrid, PlaneWaveBasis, choose_grid_shape, diamond_silicon, hydrogen_molecule
 from repro.pw import fft as fft_mod
-from repro.pw.fft import (
-    clear_plan_cache,
-    configure_for_pool_worker,
-    get_fft_workers,
-    get_plan,
-    plan_cache_info,
-    plan_dtype,
-    scipy_fft_available,
-    set_fft_workers,
-)
+from repro.pw.fft import get_plan, plan_cache_info, plan_dtype
+from repro.pw.laser import sawtooth_position
 from repro.pw.lattice import Cell
-
-
-@pytest.fixture(autouse=True)
-def _restore_fft_config():
-    """Restore the module-wide worker count and env var after every test."""
-    workers = get_fft_workers()
-    env = os.environ.get("REPRO_FFT_WORKERS")
-    yield
-    set_fft_workers(workers)
-    if env is None:
-        os.environ.pop("REPRO_FFT_WORKERS", None)
-    else:
-        os.environ["REPRO_FFT_WORKERS"] = env
+from repro.pw.poisson import bare_coulomb_kernel
 
 
 def _grid(box: float = 6.0, ecut: float = 2.0) -> FFTGrid:
@@ -51,7 +30,7 @@ def _grid(box: float = 6.0, ecut: float = 2.0) -> FFTGrid:
     return FFTGrid(structure.cell, choose_grid_shape(structure.cell, ecut, factor=1.0))
 
 
-class TestPlanCacheKeyContract:
+class TestPlanOwnership:
     def test_cell_equality_is_by_value(self):
         assert Cell(np.eye(3) * 6.0) == Cell(np.eye(3) * 6)
         assert hash(Cell(np.eye(3) * 6.0)) == hash(Cell(np.eye(3) * 6))
@@ -64,48 +43,56 @@ class TestPlanCacheKeyContract:
         assert a != _grid(box=7.0)  # different cell
         assert a != FFTGrid(a.cell, tuple(n + 2 for n in a.shape))  # different shape
 
-    def test_equal_grids_share_one_plan(self):
-        a, b = _grid(), _grid()
-        assert get_plan(a) is get_plan(b)
-        assert get_plan(a) is not get_plan(_grid(box=7.0))
-
-    def test_cells_equal_by_bytes_share_one_plan(self):
+    def test_cell_hash_is_by_bytes(self):
         """Cell.__eq__ is an allclose but Cell.__hash__ hashes the bytes: only
-        byte-equal cells are guaranteed to meet in a hash-keyed cache."""
+        byte-equal cells are guaranteed to meet in a hash-keyed table."""
         lattice = np.eye(3) * 6.0
         a, b = FFTGrid(Cell(lattice.copy()), (8, 8, 8)), FFTGrid(Cell(lattice.copy()), (8, 8, 8))
         assert hash(a) == hash(b)
-        assert get_plan(a) is get_plan(b)
         nudged = FFTGrid(Cell(lattice * (1.0 + 1e-13)), (8, 8, 8))
         assert nudged == a and hash(nudged) != hash(a)  # the documented disagreement
 
-    def test_resolved_plan_is_remembered_on_the_grid_instance(self, monkeypatch):
-        registered, later = _grid(), _grid()
-        plan = get_plan(registered)
-        assert get_plan(later) is plan  # resolved by value, once
+    def test_each_grid_instance_builds_its_own_plan(self, monkeypatch):
+        """A plan lives in its grid's memo: equal grids do not share one, and
+        a grid's later lookups neither compare nor hash a grid or cell."""
+        grid, twin = _grid(), _grid()
+        plan = get_plan(grid)
+        assert get_plan(twin) is not plan
 
-        def no_compare(self, other):
-            raise AssertionError("plan lookup fell back to a value compare")
+        def refuse(*args):
+            raise AssertionError("plan lookup compared or hashed a cell")
 
-        monkeypatch.setattr(Cell, "__eq__", no_compare)
-        assert get_plan(later) is plan
-        assert get_plan(registered) is plan
+        monkeypatch.setattr(Cell, "__eq__", refuse)
+        monkeypatch.setattr(Cell, "__hash__", refuse)
+        assert get_plan(grid) is plan
 
-    def test_clear_invalidates_remembered_plans(self):
+    def test_memos_do_not_travel_with_a_pickled_owner(self, h2_basis, rng):
         grid = _grid()
-        stale = get_plan(grid)
-        clear_plan_cache()
-        fresh = get_plan(grid)
-        assert fresh is not stale
-        assert plan_cache_info()["n_plans"] == 1
-
-    def test_remembered_plans_do_not_travel_with_a_pickled_grid(self):
-        grid = _grid()
-        get_plan(grid).workspace((2,))
+        get_plan(grid)
         clone = pickle.loads(pickle.dumps(grid))
         assert clone == grid
-        assert not clone.__dict__.get("_resolved_plans")
-        assert get_plan(clone) is get_plan(grid)
+        assert not clone.__dict__.get("_plans")
+        assert get_plan(clone) is not get_plan(grid)
+        coeffs = rng.standard_normal((2, h2_basis.npw)) + 0j
+        expected = h2_basis.to_real_space(coeffs)
+        basis = pickle.loads(pickle.dumps(h2_basis))
+        assert not basis.__dict__.get("_bound_transforms")
+        assert np.array_equal(basis.to_real_space(coeffs), expected)
+
+    def test_memos_do_not_travel_with_a_deep_copied_owner(self, h2_basis, rng):
+        """A deep copy (as a pickle) starts with empty memos — plans, kernel,
+        sawtooth positions, workspaces — and rebuilds the same bits."""
+        grid = h2_basis.grid
+        coeffs = rng.standard_normal((3, h2_basis.npw)) + 1j * rng.standard_normal((3, h2_basis.npw))
+        expected = h2_basis.to_real_space(coeffs)
+        kernel = bare_coulomb_kernel(grid)
+        position = sawtooth_position(grid, [0.0, 0.0, 1.0])
+        basis = copy.deepcopy(h2_basis)
+        for owner, memos in ((basis.grid, ("_plans", "_kernels", "_sawtooth")), (basis, ("_bound_transforms",))):
+            assert all(not owner.__dict__.get(memo) for memo in memos)
+        assert np.array_equal(basis.to_real_space(coeffs), expected)
+        assert np.array_equal(bare_coulomb_kernel(basis.grid).values, kernel.values)
+        assert np.array_equal(sawtooth_position(basis.grid, [0.0, 0.0, 1.0]), position)
 
     def test_dtype_tiers_get_distinct_plans(self):
         grid = _grid()
@@ -120,17 +107,8 @@ class TestPlanCacheKeyContract:
         assert plan_dtype(np.complex128) == np.dtype(np.complex128)
         assert plan_dtype(np.float64) == np.dtype(np.complex128)
 
-    def test_cache_info_and_clear(self):
-        clear_plan_cache()
-        grid = _grid()
-        get_plan(grid)
-        info = plan_cache_info()
-        assert info["n_plans"] == 1
-        assert info["keys"] == [(grid.shape, "complex128")]
-        assert info["backend"] in ("scipy", "numpy")
-        assert info["workers"] == get_fft_workers()
-        clear_plan_cache()
-        assert plan_cache_info()["n_plans"] == 0
+    def test_cache_info_names_the_backend(self):
+        assert plan_cache_info() == {"backend": "scipy"}
 
 
 class TestTransforms:
@@ -153,38 +131,6 @@ class TestTransforms:
             for j in range(2):
                 assert np.array_equal(forward[i, j], plan.fftn(stack[i, j]))
                 assert np.array_equal(backward[i, j], plan.ifftn(stack[i, j]))
-
-    def test_worker_count_does_not_change_the_bits(self, rng):
-        if not scipy_fft_available():
-            pytest.skip("workers are a scipy-backend feature")
-        grid = _grid()
-        plan = get_plan(grid)
-        values = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal(
-            (3,) + grid.shape
-        )
-        set_fft_workers(1)
-        single = plan.fftn(values)
-        set_fft_workers(2)
-        assert np.array_equal(plan.fftn(values), single)
-
-    def test_numpy_fallback_matches_scipy(self, rng, monkeypatch):
-        grid = _grid()
-        values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        reference = get_plan(grid).fftn(values)
-        monkeypatch.setattr(fft_mod, "_scipy_fft", None)
-        assert not scipy_fft_available()
-        assert plan_cache_info()["backend"] == "numpy"
-        np.testing.assert_allclose(get_plan(grid).fftn(values), reference, atol=1e-10)
-
-    def test_numpy_fallback_keeps_complex64(self, rng, monkeypatch):
-        grid = _grid()
-        values = (
-            rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        ).astype(np.complex64)
-        monkeypatch.setattr(fft_mod, "_scipy_fft", None)
-        plan = get_plan(grid, np.complex64)
-        assert plan.fftn(values).dtype == np.complex64
-        assert plan.ifftn(values).dtype == np.complex64
 
     @pytest.mark.parametrize("overwrite", [False, True], ids=["keep", "overwrite"])
     @pytest.mark.parametrize("width", [1, 2, 64])
@@ -238,16 +184,6 @@ class TestTransforms:
         assert np.array_equal(plan.fftn(half), expected)
         assert public == ["fftn"]
 
-    def test_numpy_fallback_transforms_every_dtype(self, rng, monkeypatch):
-        grid = _grid()
-        values = rng.standard_normal((2,) + grid.shape)
-        monkeypatch.setattr(fft_mod, "_scipy_fft", None)
-        for dtype in (np.complex128, np.float64):
-            plan = get_plan(grid, plan_dtype(dtype))
-            data = values.astype(dtype)
-            np.testing.assert_allclose(plan.fftn(data), np.fft.fftn(data, axes=(-3, -2, -1)))
-            np.testing.assert_allclose(plan.ifftn(plan.fftn(data), overwrite=True), data, atol=1e-12)
-
     def test_grid_transforms_preserve_dtype(self, rng):
         grid = _grid()
         values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
@@ -255,42 +191,27 @@ class TestTransforms:
         assert grid.to_real(values.astype(np.complex64)).dtype == np.complex64
 
 
-class TestWorkers:
-    def test_set_fft_workers_validates(self):
-        with pytest.raises(ValueError, match="workers"):
-            set_fft_workers(0)
-
-    def test_configure_for_pool_worker_caps_to_one(self):
-        set_fft_workers(4)
-        configure_for_pool_worker()
-        assert get_fft_workers() == 1
-        assert os.environ["REPRO_FFT_WORKERS"] == "1"
-
-
 class TestWorkspace:
     def test_workspace_is_reused_per_lead_shape(self):
-        grid = _grid()
-        plan = get_plan(grid)
-        indices = np.arange(3)
-        first = plan.workspace((2, 3), fill_indices=indices)
+        basis = PlaneWaveBasis(_grid(), 2.0)
+        grid = basis.grid
+        dtype = np.dtype(np.complex128)
+        first = basis._workspace(dtype, (2, 3))[1]
         assert first.shape == (2, 3, grid.size)
-        assert plan.workspace((2, 3), fill_indices=indices) is first
-        assert plan.workspace((4,), fill_indices=indices) is not first
+        assert basis._workspace(dtype, (2, 3))[1] is first
+        assert basis._workspace(dtype, (4,))[1] is not first
 
-    def test_equal_index_sets_share_one_buffer(self, h2_basis, rng):
-        """Every Session builds its own basis: the table must not grow by one
-        buffer per basis instance (it did while keyed on the array's id)."""
+    def test_each_basis_owns_its_buffers(self, h2_basis, rng):
+        """Every Session builds its own basis, and its workspaces go with it:
+        a twin on the same grid scatters into buffers of its own and gets the
+        same bits."""
         twin = PlaneWaveBasis(h2_basis.grid, h2_basis.ecut)
-        assert twin.indices is not h2_basis.indices
         coeffs = rng.standard_normal((2, h2_basis.npw)) + 0j
-        plan = get_plan(h2_basis.grid)
-        h2_basis.to_real_space(coeffs)
-        n_buffers = len(plan._workspaces)
-        assert np.array_equal(twin.to_real_space(coeffs), h2_basis.to_real_space(coeffs))
-        assert len(plan._workspaces) == n_buffers
-        smaller = PlaneWaveBasis(h2_basis.grid, 0.5 * h2_basis.ecut)  # other positions: own buffer
-        smaller.to_real_space(coeffs[:, : smaller.npw])
-        assert len(plan._workspaces) == n_buffers + 1
+        expected = h2_basis.to_real_space(coeffs)
+        assert np.array_equal(twin.to_real_space(coeffs), expected)
+        lead = (np.dtype(np.complex128), (2,))
+        assert twin._workspace(*lead)[1] is not h2_basis._workspace(*lead)[1]
+        assert twin._workspace(*lead)[0] is h2_basis._workspace(*lead)[0]  # the grid's one plan
 
     def test_scatter_reuse_is_sound_across_calls(self, h2_basis, rng):
         # repeated transforms through the shared scratch buffer must keep
@@ -305,6 +226,18 @@ class TestWorkspace:
             via_workspace = h2_basis.to_real_space(coeffs)
             fresh = h2_basis.grid.to_real(h2_basis.to_grid(coeffs))
             assert np.array_equal(via_workspace, fresh)
+
+    def test_single_precision_scatter_reuse_is_sound_across_calls(self, h2_basis, rng):
+        """The complex64 tier scatters into a workspace of its own, which
+        keeps every off-sphere position zero too."""
+        for _ in range(3):
+            coeffs = (rng.standard_normal((2, h2_basis.npw)) + 1j * rng.standard_normal((2, h2_basis.npw)))
+            coeffs = coeffs.astype(np.complex64)
+            via_workspace = h2_basis.to_real_space(coeffs)
+            assert via_workspace.dtype == np.complex64
+            assert np.array_equal(via_workspace, h2_basis.grid.to_real(h2_basis.to_grid(coeffs)))
+        single, double = (h2_basis._workspace(np.dtype(t), (2,))[1] for t in (np.complex64, np.complex128))
+        assert single.dtype == np.complex64 and single is not double
 
     def test_batched_to_real_space_matches_per_band(self, h2_basis, rng):
         coeffs = rng.standard_normal((3, 2, h2_basis.npw)) + 1j * rng.standard_normal(
@@ -436,14 +369,10 @@ class TestSphereAwareForward:
         assert si8.from_real_space(values).tobytes() == expected.tobytes()
         assert len(kernel_calls) == 1
 
-    def test_real_input_and_the_numpy_fallback_transform_the_whole_mesh(self, rng, monkeypatch):
+    def test_real_input_transforms_the_whole_mesh(self, rng):
         si8 = SPHERES["si8"]()
         real = rng.standard_normal((16,) + si8.grid.shape)
         assert si8.from_real_space(real).tobytes() == _single_call_coefficients(si8, real).tobytes()
-        complex_values = _stack(rng, (16,), si8)
-        expected = _single_call_coefficients(si8, complex_values)
-        monkeypatch.setattr(fft_mod, "_scipy_fft", None)
-        np.testing.assert_allclose(si8.from_real_space(complex_values), expected, atol=1e-12)
 
     def test_plans_without_a_support_never_prune(self, kernel_calls, rng):
         si8 = SPHERES["si8"]()
@@ -456,8 +385,6 @@ class TestSphereAwareForward:
         assert basis._forward_plan(np.dtype(np.complex64)) is single
         assert basis._forward_plan(np.dtype(np.complex128)) is not single
         assert single.dtype == np.dtype(np.complex64)
-        clear_plan_cache()
-        assert basis._forward_plan(np.dtype(np.complex64)) is not single
 
 
 def test_plane_wave_basis_rejects_wrong_npw(h2_basis):

@@ -1,9 +1,13 @@
 """Tests for the Poisson solver and Coulomb kernels."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.pw.grid import FFTGrid
+from repro.pw.grid import FFTGrid, PlaneWaveBasis
+from repro.pw.laser import sawtooth_position
 from repro.pw.lattice import Cell
 from repro.pw.poisson import (
     CoulombKernel,
@@ -44,6 +48,32 @@ class TestKernels:
         g2 = grid.g_squared
         mask = g2 > 1e-12
         assert np.allclose(kernel.values[mask], 4.0 * np.pi / g2[mask])
+
+    def test_bare_kernel_lives_on_its_grid(self, grid):
+        """Built once per grid instance; an equal grid builds its own, equal one."""
+        values = bare_coulomb_kernel(grid).values
+        assert bare_coulomb_kernel(grid).values is values
+        twin = FFTGrid(Cell.cubic(14.0), (30, 30, 30))
+        assert twin == grid and bare_coulomb_kernel(twin).values is not values
+        assert np.array_equal(bare_coulomb_kernel(twin).values, values)
+
+    def test_a_grid_is_freed_without_a_collection(self, rng):
+        """Nothing a grid memoises (plans, kernel values, sawtooth positions)
+        refers back to it, so its last reference frees it at once, not at the
+        next full collection."""
+        grid = FFTGrid(Cell.cubic(8.0), (8, 8, 8))
+        basis = PlaneWaveBasis(grid, 1.0)
+        rho = rng.standard_normal(grid.shape)
+        hartree_potential(grid, rho)
+        sawtooth_position(grid, [0.0, 0.0, 1.0])
+        basis.from_real_space(basis.to_real_space(basis.random_coefficients(2, rng)))
+        owners = [weakref.ref(grid), weakref.ref(basis)]
+        gc.disable()
+        try:
+            del grid, basis
+            assert [owner() for owner in owners] == [None, None]
+        finally:
+            gc.enable()
 
     def test_screened_kernel_finite_at_g0(self, grid):
         mu = 0.3

@@ -1,10 +1,12 @@
 """Tests for the model pseudopotentials, structure factor and Ewald sum."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro.pw.pseudopotential as psp_module
-from repro.pw import FFTGrid, PlaneWaveBasis
+from repro.pw import FFTGrid, PlaneWaveBasis, diamond_silicon
 from repro.pw.lattice import Cell
 from repro.pw.pseudopotential import (
     LocalPotentialBuilder,
@@ -13,8 +15,7 @@ from repro.pw.pseudopotential import (
     PseudopotentialSpecies,
     cohen_bergstresser_silicon_species,
     ewald_energy,
-    hydrogen_species,
-    silicon_species,
+    gth_species,
     structure_factor,
 )
 
@@ -28,22 +29,23 @@ def small_basis():
 
 class TestSpecies:
     def test_hydrogen_parameters(self):
-        h = hydrogen_species()
+        h = gth_species("H")
         assert h.valence_charge == 1.0
         assert h.projectors == ()
 
     def test_silicon_has_projectors(self):
-        si = silicon_species()
+        si = gth_species("Si")
         assert si.valence_charge == 4.0
         assert len(si.projectors) == 2
         assert {p.l for p in si.projectors} == {0, 1}
 
     def test_silicon_without_nonlocal(self):
-        si = silicon_species(include_nonlocal=False)
+        (si,) = diamond_silicon(include_nonlocal=False).species_list
         assert si.projectors == ()
+        assert si == replace(gth_species("Si"), projectors=())
 
     def test_projector_count_with_m_degeneracy(self, small_basis):
-        nonlocal_potential = NonlocalPotential(small_basis, [silicon_species()], [np.array([[5.0, 5.0, 5.0]])])
+        nonlocal_potential = NonlocalPotential(small_basis, [gth_species("Si")], [np.array([[5.0, 5.0, 5.0]])])
         assert nonlocal_potential.n_projectors == 1 + 3  # one s + three p
 
     def test_invalid_parameters(self):
@@ -58,18 +60,18 @@ class TestSpecies:
 
     def test_local_form_coulomb_tail(self):
         """At small G the local form factor approaches -4 pi Z / G^2."""
-        h = hydrogen_species()
+        h = gth_species("H")
         g = np.array([1e-3])
         value = h.local_potential_g(g)
         assert value[0] == pytest.approx(-4.0 * np.pi * 1.0 / g[0] ** 2, rel=1e-3)
 
     def test_local_form_g0_finite(self):
-        h = hydrogen_species()
+        h = gth_species("H")
         value = h.local_potential_g(np.array([0.0]))
         assert np.isfinite(value[0])
 
     def test_local_form_decays_at_large_g(self):
-        si = silicon_species()
+        si = gth_species("Si")
         small = abs(si.local_potential_g(np.array([1.0]))[0])
         large = abs(si.local_potential_g(np.array([20.0]))[0])
         assert large < 1e-3 * small
@@ -97,14 +99,14 @@ class TestLocalPotential:
     def test_real_and_correct_shape(self, small_basis):
         builder = LocalPotentialBuilder(small_basis.grid)
         st_positions = np.array([[5.0, 5.0, 5.0]])
-        v = builder.build([hydrogen_species()], [st_positions])
+        v = builder.build([gth_species("H")], [st_positions])
         assert v.shape == small_basis.grid.shape
         assert np.isrealobj(v)
 
     def test_attractive_near_nucleus(self, small_basis):
         builder = LocalPotentialBuilder(small_basis.grid)
         pos = np.array([[5.0, 5.0, 5.0]])
-        v = builder.build([hydrogen_species()], [pos])
+        v = builder.build([gth_species("H")], [pos])
         r = small_basis.grid.real_space_points - pos[0]
         r2 = np.sum(r * r, axis=-1)
         near = v[r2 < 1.0]
@@ -115,15 +117,15 @@ class TestLocalPotential:
         builder = LocalPotentialBuilder(small_basis.grid)
         p1 = np.array([[3.0, 5.0, 5.0]])
         p2 = np.array([[7.0, 5.0, 5.0]])
-        v1 = builder.build([hydrogen_species()], [p1])
-        v2 = builder.build([hydrogen_species()], [p2])
-        v12 = builder.build([hydrogen_species()], [np.vstack([p1, p2])])
+        v1 = builder.build([gth_species("H")], [p1])
+        v2 = builder.build([gth_species("H")], [p2])
+        v12 = builder.build([gth_species("H")], [np.vstack([p1, p2])])
         assert np.allclose(v12, v1 + v2, atol=1e-10)
 
     def test_mismatched_lists_raise(self, small_basis):
         builder = LocalPotentialBuilder(small_basis.grid)
         with pytest.raises(ValueError):
-            builder.build([hydrogen_species()], [])
+            builder.build([gth_species("H")], [])
 
     def test_cohen_bergstresser_form_factor(self):
         species = cohen_bergstresser_silicon_species(10.26)
@@ -134,19 +136,19 @@ class TestLocalPotential:
 
 class TestNonlocalPotential:
     def test_no_projectors_is_zero(self, small_basis):
-        nl = NonlocalPotential(small_basis, [hydrogen_species()], [np.array([[5.0, 5.0, 5.0]])])
+        nl = NonlocalPotential(small_basis, [gth_species("H")], [np.array([[5.0, 5.0, 5.0]])])
         assert nl.n_projectors == 0
         c = np.random.default_rng(0).standard_normal((2, small_basis.npw)).astype(complex)
         assert np.allclose(nl.apply(c), 0.0)
 
     def test_projector_count(self, small_basis):
-        si = silicon_species()
+        si = gth_species("Si")
         positions = np.array([[2.0, 2.0, 2.0], [6.0, 6.0, 6.0]])
         nl = NonlocalPotential(small_basis, [si], [positions])
         assert nl.n_projectors == 2 * (1 + 3)
 
     def test_hermiticity(self, small_basis):
-        si = silicon_species()
+        si = gth_species("Si")
         nl = NonlocalPotential(small_basis, [si], [np.array([[5.0, 5.0, 5.0]])])
         rng = np.random.default_rng(1)
         a = rng.standard_normal(small_basis.npw) + 1j * rng.standard_normal(small_basis.npw)
@@ -156,7 +158,7 @@ class TestNonlocalPotential:
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_energy_real_and_matches_expectation(self, small_basis):
-        si = silicon_species()
+        si = gth_species("Si")
         nl = NonlocalPotential(small_basis, [si], [np.array([[5.0, 5.0, 5.0]])])
         rng = np.random.default_rng(2)
         c = rng.standard_normal((2, small_basis.npw)) + 1j * rng.standard_normal((2, small_basis.npw))
@@ -170,7 +172,7 @@ class TestNonlocalPotential:
     def test_translation_invariance_of_spectrum(self, small_basis):
         """Moving the atom changes the projectors only by phases; the coupling
         strengths (and thus the operator norm) are unchanged."""
-        si = silicon_species()
+        si = gth_species("Si")
         nl1 = NonlocalPotential(small_basis, [si], [np.array([[5.0, 5.0, 5.0]])])
         nl2 = NonlocalPotential(small_basis, [si], [np.array([[2.0, 3.0, 4.0]])])
         norms1 = np.linalg.norm(nl1._projector_matrix, axis=1)
@@ -192,10 +194,10 @@ class TestNonlocalPotential:
 
         monkeypatch.setattr(NonlocalPotential, "_build_uncached", counting)
         monkeypatch.setattr(psp_module, "_PROJECTOR_CACHE", type(psp_module._PROJECTOR_CACHE)())
-        si = silicon_species()
+        si = gth_species("Si")
         positions = np.array([[2.0, 2.0, 2.0], [6.0, 6.0, 6.0]])
         first = NonlocalPotential(small_basis, [si], [positions])
-        again = NonlocalPotential(small_basis, [silicon_species()], [positions.copy()])
+        again = NonlocalPotential(small_basis, [gth_species("Si")], [positions.copy()])
         assert len(builds) == 1
         assert again._projector_matrix is first._projector_matrix and again.couplings is first.couplings
         matrix, couplings = uncached(first)
@@ -206,7 +208,7 @@ class TestNonlocalPotential:
         assert np.array_equal(first.apply(c), (matrix.T @ ((matrix.conj() @ c.T) * couplings[:, None])).T)
         # anything that enters the tables is part of the key
         NonlocalPotential(small_basis, [si], [positions + 0.25])
-        NonlocalPotential(small_basis, [silicon_species(include_nonlocal=False)], [positions])
+        NonlocalPotential(small_basis, [replace(gth_species("Si"), projectors=())], [positions])
         NonlocalPotential(small_basis, [si], [positions + 0.5])
         NonlocalPotential(PlaneWaveBasis(small_basis.grid, 0.8 * small_basis.ecut), [si], [positions])
         assert len(builds) == 5

@@ -1,4 +1,4 @@
-"""Pump-probe pulses, fluence parameterisation, and the sawtooth LRU cache."""
+"""Pump-probe pulses, fluence parameterisation, and the sawtooth memo."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from repro.pw.grid import FFTGrid
 from repro.pw.laser import (
     GaussianLaserPulse,
     PumpProbePulse,
-    _SAWTOOTH_CACHE,
-    _SAWTOOTH_CACHE_SIZE,
     fluence_gaussian_pulse,
     fluence_to_amplitude,
     pump_probe_pulse,
@@ -121,35 +119,19 @@ class TestPumpProbeFactory:
         )
 
 
-class TestSawtoothLRUCache:
+class TestSawtoothMemo:
     def _fresh_grid(self, n=4):
         return FFTGrid(Cell.cubic(6.0), (n, n, n))
 
-    def test_cache_is_bounded(self):
-        _SAWTOOTH_CACHE.clear()
-        grids = [self._fresh_grid() for _ in range(_SAWTOOTH_CACHE_SIZE + 8)]
-        for grid in grids:
-            sawtooth_position(grid, [0, 0, 1])
-        assert len(_SAWTOOTH_CACHE) == _SAWTOOTH_CACHE_SIZE
-
-    def test_hit_returns_same_array_and_refreshes_rank(self):
-        _SAWTOOTH_CACHE.clear()
-        hot = self._fresh_grid()
-        first = sawtooth_position(hot, [0, 0, 1])
-        # fill the cache almost to capacity with other grids...
-        others = [self._fresh_grid() for _ in range(_SAWTOOTH_CACHE_SIZE - 1)]
-        for grid in others:
-            sawtooth_position(grid, [0, 0, 1])
-        # ...touch the hot grid so it is most-recent, then overflow by one
-        assert sawtooth_position(hot, [0, 0, 1]) is first
-        overflow = self._fresh_grid()
-        sawtooth_position(overflow, [0, 0, 1])
-        # the hot entry survived the eviction; the oldest other was dropped
-        assert sawtooth_position(hot, [0, 0, 1]) is first
-        assert len(_SAWTOOTH_CACHE) == _SAWTOOTH_CACHE_SIZE
+    def test_hit_returns_same_array(self):
+        grid = self._fresh_grid()
+        first = sawtooth_position(grid, [0, 0, 1])
+        assert sawtooth_position(grid, [0, 0, 2]) is first  # one direction, normalised
+        twin = self._fresh_grid()  # an equal grid holds its own, equal array
+        assert sawtooth_position(twin, [0, 0, 1]) is not first
+        assert np.array_equal(sawtooth_position(twin, [0, 0, 1]), first)
 
     def test_distinct_directions_cached_separately(self):
-        _SAWTOOTH_CACHE.clear()
         grid = self._fresh_grid()
         rz = sawtooth_position(grid, [0, 0, 1])
         rx = sawtooth_position(grid, [1, 0, 0])

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import SILICON_LATTICE_BOHR
-from repro.pw.pseudopotential import (
-    GTH_PARAMETERS,
-    gth_species,
-    hydrogen_species,
-    silicon_species,
-)
+from repro.pw.pseudopotential import GTH_PARAMETERS, ProjectorChannel, PseudopotentialSpecies, gth_species
 from repro.pw.structures import (
     atom_chain,
     diamond_crystal,
@@ -17,6 +12,7 @@ from repro.pw.structures import (
     diatomic_molecule,
     hydrogen_chain,
     hydrogen_molecule,
+    silicon_supercell,
     zincblende_crystal,
 )
 
@@ -24,20 +20,6 @@ from repro.pw.structures import (
 class TestGTHSpecies:
     def test_table_covers_required_elements(self):
         assert {"H", "C", "N", "O", "Al", "Si", "Ge"} <= set(GTH_PARAMETERS)
-
-    def test_si_matches_existing_species(self):
-        generic = gth_species("Si")
-        reference = silicon_species()
-        assert generic.valence_charge == reference.valence_charge
-        assert generic.r_loc == reference.r_loc
-        assert generic.local_coefficients == reference.local_coefficients
-        assert len(generic.projectors) == len(reference.projectors)
-
-    def test_h_matches_existing_species(self):
-        generic = gth_species("H")
-        reference = hydrogen_species()
-        assert generic.valence_charge == reference.valence_charge
-        assert generic.r_loc == reference.r_loc
 
     def test_case_insensitive_symbol(self):
         assert gth_species("si").symbol == "Si"
@@ -49,6 +31,31 @@ class TestGTHSpecies:
 
     def test_carbon_has_one_projector_channel(self):
         assert len(gth_species("C").projectors) == 1
+
+
+#: the HGH-LDA parameters of the paper's species, as the recipes carried them
+#: before they were read from ``GTH_PARAMETERS``
+_HYDROGEN = dict(symbol="H", valence_charge=1.0, r_loc=0.2, local_coefficients=(-4.180237, 0.725075))
+_SILICON = dict(symbol="Si", valence_charge=4.0, r_loc=0.44, local_coefficients=(-7.336103,))
+_SILICON_PROJECTORS = ((0, 1, 0.422738, 5.906928), (1, 1, 0.484278, 2.727013))
+
+
+@pytest.mark.parametrize(
+    "recipe, expected, projectors",
+    [
+        (hydrogen_molecule, _HYDROGEN, ()),
+        (hydrogen_chain, _HYDROGEN, ()),
+        (diamond_silicon, _SILICON, _SILICON_PROJECTORS),
+        (lambda: diamond_silicon(include_nonlocal=False), _SILICON, ()),
+        (lambda: silicon_supercell((1, 1, 2)), _SILICON, _SILICON_PROJECTORS),
+    ],
+    ids=["hydrogen_molecule", "hydrogen_chain", "diamond_silicon", "diamond_silicon_local", "silicon_supercell"],
+)
+def test_recipes_carry_the_hgh_species(recipe, expected, projectors):
+    (species,) = recipe().species_list
+    assert species == PseudopotentialSpecies(
+        **expected, projectors=tuple(ProjectorChannel(l=l, i=i, r_l=r, h=h) for l, i, r, h in projectors)
+    )
 
 
 class TestDiamondCrystal:

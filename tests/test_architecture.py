@@ -480,11 +480,83 @@ def every_parameter_is_passed(root):
     return found
 
 
+#: module-level names under ``src/repro/pw/`` and ``src/repro/core/`` that a
+#: function mutates, each with its reason
+PROCESS_WIDE = {
+    "src/repro/pw/pseudopotential.py:_PROJECTOR_CACHE":
+        "keyed on the bytes of its inputs and bounded (4): carries Si8's ~5 ms projector tables across Sessions",
+    "src/repro/pw/pseudopotential.py:_EWALD_CACHE":
+        "keyed on the bytes of its inputs and bounded (16): carries the Ewald sum across Sessions",
+}
+
+#: the method calls that change the container they are made on
+_MUTATING_METHODS = {"clear", "pop", "popitem", "move_to_end", "setdefault", "update", "append"}
+
+
+def _mutations(nodes, names: set[str]) -> set[tuple[str, int]]:
+    """``(name, line)`` of each place inside ``nodes`` that changes one of
+    ``names``: a subscript store or ``del``, a ``global`` rebinding, or a
+    mutating method call."""
+    found = set()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        if isinstance(sub, ast.Global):
+            found |= {(name, sub.lineno) for name in sub.names if name in names}
+            continue
+        if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, (ast.Store, ast.Del)):
+            target = sub.value
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr in _MUTATING_METHODS:
+            target = sub.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id in names:
+            found.add((target.id, sub.lineno))
+    return found
+
+
+def transform_state_lives_on_its_owner(root):
+    """Derived state lives on the object it is derived from and is freed with
+    it: a grid holds its FFT plans, bare Coulomb kernel and sawtooth
+    positions, a basis its scatter workspaces. A module-level name under
+    ``src/repro/pw/`` or ``src/repro/core/`` that a function mutates (see
+    ``_mutations``; passing it to a module function that mutates that
+    parameter counts too) outlives every Session that filled it, so it is on
+    ``PROCESS_WIDE`` with its reason. The allowlist stays short (at most 4
+    entries) and current: an entry whose name is gone, or no longer mutated,
+    leaves it."""
+    found, kept = [], set()
+    for relative, tree in _python_files(root, ["src/repro/pw", "src/repro/core"]):
+        module = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                  if isinstance(target, ast.Name)}
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        mutated_parameters = {}  # module function -> positions of the parameters it mutates
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                params = [arg.arg for arg in node.args.posonlyargs + node.args.args]
+                changed = {name for name, _ in _mutations(node.body, set(params))}
+                mutated_parameters[node.name] = [i for i, name in enumerate(params) if name in changed]
+        sites = _mutations([statement for node in functions for statement in node.body], module)
+        for call in (sub for node in functions for sub in ast.walk(node) if isinstance(sub, ast.Call)):
+            for i in mutated_parameters.get(getattr(call.func, "id", None), ()):
+                if i < len(call.args) and isinstance(call.args[i], ast.Name) and call.args[i].id in module:
+                    sites.add((call.args[i].id, call.lineno))
+        for name, line in sorted(sites, key=lambda site: site[1]):
+            if f"{relative}:{name}" in PROCESS_WIDE:
+                kept.add(f"{relative}:{name}")
+            else:
+                found.append(f"{relative}:{line}: {name}")
+    found += [f"{key}: on PROCESS_WIDE, but not mutated or gone" for key in PROCESS_WIDE
+              if (root / key.split(":")[0]).is_file() and key not in kept]
+    if len(PROCESS_WIDE) > 4:
+        found.append(f"PROCESS_WIDE: {len(PROCESS_WIDE)} entries, more than 4")
+    return found
+
+
 RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_fftplan_calls,
          one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count,
          one_execution_settings_reader, one_canonical_encoder, results_carry_no_clock,
          src_holds_what_the_system_calls, one_observables_body, every_import_is_named,
-         every_parameter_is_passed]
+         every_parameter_is_passed, transform_state_lives_on_its_owner]
 
 #: a method whose name only an ``Enum`` member's value spells
 _ENUM_NAMED_METHOD = ('class CollectiveKind(str, Enum):\n    GATHER = "gather"\n\n\n'
@@ -598,6 +670,27 @@ BREAKS = {
          "src/repro/core/batching.py": "from ..pw.hamiltonian import apply_many, update_potentials_many\n",
          "src/repro/core/propagators/pt_cn.py": "from ...pw.density import compute_density\n"},
         ("src/repro/store/store.py", "src/repro/pw/hamiltonian.py")),
+    transform_state_lives_on_its_owner: (
+        {"src/repro/pw/fft.py": "_PLANS = {}\n_generation = 0\n_workers = 1\n_AXES = (-3, -2, -1)\n\n\n"
+                                "def set_fft_workers(n):\n    global _workers\n    _workers = n\n\n\n"
+                                "def get_plan(grid):\n    plan = _PLANS.get(grid, _AXES)\n"
+                                "    _PLANS[grid] = plan\n    return plan\n\n\n"
+                                "def clear_plan_cache():\n    global _generation\n    _PLANS.clear()\n",
+         "src/repro/pw/poisson.py": "_BARE_KERNELS = {}\n\n\n"
+                                    "def bare_coulomb_kernel(grid):\n    _BARE_KERNELS[grid] = grid\n",
+         "src/repro/pw/laser.py": "_SAWTOOTH_CACHE = OrderedDict()\n\n\n"
+                                  "def sawtooth_position(grid):\n    del _SAWTOOTH_CACHE[grid]\n",
+         "src/repro/pw/pseudopotential.py": "_PROJECTOR_CACHE = {}\n_EWALD_CACHE = {}\n\n\n"
+                                            "def _memoised(cache, key, build):\n"
+                                            "    cache[key] = build()\n    return cache[key]\n\n\n"
+                                            "def ewald_energy(cell):\n"
+                                            "    return _memoised(_EWALD_CACHE, cell, float)\n",
+         "src/repro/core/observables.py": "_SEEN = []\n\n\nclass Recorder:\n"
+                                          "    def record(self, value):\n        _SEEN.append(value)\n",
+         "src/repro/perf/sweep_cost.py": "_DISCRETISATIONS = {}\n\n\n"
+                                         "def discretisation(config):\n    _DISCRETISATIONS[config] = 1\n"},
+        ("src/repro/pw/fft.py", "src/repro/pw/poisson.py", "src/repro/pw/laser.py",
+         "src/repro/pw/pseudopotential.py", "src/repro/core/observables.py")),
 }
 
 
@@ -636,6 +729,34 @@ def test_uncalled_definitions_are_the_only_ones_flagged(tmp_path):
         "src/repro/service/handle.py:CampaignHandle.cancel: on CALLED_FROM_OUTSIDE, but called or gone",
         "src/repro/store/store.py:2: ResultStore.completed_ids",
     ]
+
+
+def test_unowned_state_is_the_only_state_flagged(tmp_path):
+    """In its break tree, ``transform_state_lives_on_its_owner`` flags the
+    parent commit's process-wide transform state (``_PLANS``, ``_generation``,
+    ``_workers``, ``_BARE_KERNELS``, ``_SAWTOOTH_CACHE``), a list a method
+    appends to and the allowlisted table nothing mutates any more, and passes
+    a module constant only read, the allowlisted table a helper mutates
+    through its parameter, and a memo outside ``pw`` and ``core``."""
+    found = transform_state_lives_on_its_owner(_plant(tmp_path, BREAKS[transform_state_lives_on_its_owner][0]))
+    assert sorted(found) == [
+        "src/repro/core/observables.py:6: _SEEN",
+        "src/repro/pw/fft.py:14: _PLANS",
+        "src/repro/pw/fft.py:19: _generation",
+        "src/repro/pw/fft.py:20: _PLANS",
+        "src/repro/pw/fft.py:8: _workers",
+        "src/repro/pw/laser.py:5: _SAWTOOTH_CACHE",
+        "src/repro/pw/poisson.py:5: _BARE_KERNELS",
+        "src/repro/pw/pseudopotential.py:_PROJECTOR_CACHE: on PROCESS_WIDE, but not mutated or gone",
+    ]
+
+
+def test_the_process_wide_allowlist_stays_short(tmp_path, monkeypatch):
+    """A fifth ``PROCESS_WIDE`` entry fails the rule, however good its reason."""
+    for n in range(5 - len(PROCESS_WIDE)):
+        monkeypatch.setitem(PROCESS_WIDE, f"src/repro/pw/extra.py:_TABLE_{n}", "a reason")
+    found = transform_state_lives_on_its_owner(_plant(tmp_path, {_CALLER: "print()\n"}))
+    assert found == ["PROCESS_WIDE: 5 entries, more than 4"]
 
 
 _CALLER = "examples/run.py"
