@@ -21,11 +21,15 @@ from repro.analysis import (
     TABLE2,
     format_table,
 )
+from repro.analysis.paper_data import FIG7, SECTION7
 from repro.machine import PowerReport, SUMMIT, compare_runs, cpu_run_power, gpu_run_power
 from repro.perf import (
     PWDFTPerformanceModel,
     SiliconWorkload,
+    flops_efficiency,
+    fock_flop_fraction,
     optimization_stage_times,
+    parallel_efficiency,
     ptcn_vs_rk4,
     strong_scaling,
     weak_scaling,
@@ -83,10 +87,22 @@ def main() -> None:
 
     section("Fig. 7 / Fig. 9 / Fig. 10 — strong scaling")
     rows = []
-    for p in strong_scaling(TABLE1_GPU_COUNTS):
+    points = strong_scaling(TABLE1_GPU_COUNTS)
+    for p in points:
         rows.append([p.n_gpus, p.total_step_time, p.per_scf_total, p.hpsi_percentage,
                      p.communication["bcast"], p.communication["compute"]])
     print(format_table(["#GPUs", "step [s]", "per-SCF [s]", "HPsi %", "bcast [s]", "compute [s]"], rows))
+
+    section("Fig. 7 / Section 7 — parallel and FLOP efficiency")
+    efficiency = parallel_efficiency(points)[TABLE1_GPU_COUNTS.index(288)]
+    print(f"strong-scaling parallel efficiency, 36 -> 288 GPUs: model {efficiency:.2f}, "
+          f"paper {FIG7['parallel_efficiency_288gpu'][0]:.2f}")
+    for n in (36, 768):
+        achieved = flops_efficiency(workload, n, model.step_breakdown(n).total_step_time)
+        print(f"fraction of GPU peak FLOPS at {n} GPUs: model {achieved:.1%}, "
+              f"paper {SECTION7[f'flops_efficiency_{n}gpu'][0]:.1%}")
+    print(f"Fock exchange share of a step's FLOPs: model {fock_flop_fraction(workload):.0%}, "
+          f"paper {SECTION7['fock_flop_fraction'][0]:.0%}")
 
     section("Fig. 8 — weak scaling (GPUs = atoms / 2)")
     rows = [[p.natoms, p.n_gpus, p.time_per_50as, p.ideal_time_per_50as] for p in weak_scaling()]

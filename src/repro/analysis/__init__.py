@@ -11,13 +11,7 @@ from .paper_data import (
     TABLE2,
     WEAK_SCALING_ATOMS,
 )
-from .reporting import (
-    ComparisonRow,
-    compare_series,
-    format_table,
-    geometric_mean_ratio,
-    pivot_table,
-)
+from .reporting import format_table, pivot_table
 
 __all__ = [
     "paper_data",
@@ -29,9 +23,6 @@ __all__ = [
     "TABLE1_GPU_COUNTS",
     "TABLE2",
     "WEAK_SCALING_ATOMS",
-    "ComparisonRow",
-    "compare_series",
     "format_table",
-    "geometric_mean_ratio",
     "pivot_table",
 ]

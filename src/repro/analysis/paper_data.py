@@ -63,15 +63,11 @@ __all__ = [
 @dataclass(frozen=True)
 class Budget:
     """The relative deviation ``value / paper - 1`` a check admits: at least
-    ``-under``, at most ``over``. ``Budget()`` admits the paper's value only."""
+    ``-under``, at most ``over``. ``Budget()`` admits the paper's value only
+    (``tests/paper/conftest.py`` holds the check)."""
 
     under: float = 0.0
     over: float = 0.0
-
-    def admits(self, value, paper) -> bool:
-        if self.under == self.over == 0.0:
-            return value == paper
-        return -self.under <= value / paper - 1.0 <= self.over
 
 
 @dataclass(frozen=True)
@@ -80,9 +76,6 @@ class Ceiling:
     makes without a number."""
 
     limit: float
-
-    def admits(self, value, paper) -> bool:
-        return value < self.limit
 
 
 def within(rel: float) -> Budget:

@@ -1,24 +1,16 @@
-"""Table formatting and paper-vs-model comparison helpers.
+"""Plain-text table formatting.
 
 Reports print plain-text tables with a "paper" column next to the
-"model"/"measured" column; these helpers keep that formatting consistent and
-compute relative deviations. The budgets each paper value is held to are in
-:mod:`repro.analysis.paper_data`, checked by ``tests/paper/``.
+"model"/"measured" column; these helpers keep that formatting consistent. The
+budgets each paper value is held to are in :mod:`repro.analysis.paper_data`,
+checked by ``tests/paper/``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "format_table",
-    "pivot_table",
-    "ComparisonRow",
-    "compare_series",
-    "geometric_mean_ratio",
-]
+__all__ = ["format_table", "pivot_table"]
 
 
 def format_table(headers: list[str], rows: list[list]) -> str:
@@ -80,35 +72,4 @@ def pivot_table(
         for r in row_keys
     ]
     return format_table(headers, rows)
-
-
-@dataclass
-class ComparisonRow:
-    """One paper-vs-model comparison entry."""
-
-    label: str
-    paper: float
-    model: float
-
-    @property
-    def ratio(self) -> float:
-        """Model / paper ratio (1.0 is a perfect match)."""
-        if self.paper == 0:
-            return float("nan")
-        return self.model / self.paper
-
-
-def compare_series(labels: list, paper: list[float], model: list[float]) -> list[ComparisonRow]:
-    """Pair up a paper series and a model series into comparison rows."""
-    if not (len(labels) == len(paper) == len(model)):
-        raise ValueError("labels, paper and model must have equal lengths")
-    return [ComparisonRow(str(l), float(p), float(m)) for l, p, m in zip(labels, paper, model)]
-
-
-def geometric_mean_ratio(rows: list[ComparisonRow]) -> float:
-    """Geometric mean of the model/paper ratios (overall bias of a series)."""
-    ratios = [r.ratio for r in rows if np.isfinite(r.ratio) and r.ratio > 0]
-    if not ratios:
-        return float("nan")
-    return float(np.exp(np.mean(np.log(ratios))))
 

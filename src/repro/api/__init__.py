@@ -60,7 +60,7 @@ from .registry import (
     register_pulse,
     register_structure,
 )
-from .session import Session, compare_propagators, run_tddft
+from .session import Session, run_tddft
 
 #: names resolved lazily from :mod:`repro.campaign` (PEP 562) — the campaign
 #: layer sits *above* the api/batch/exec stack, so importing it eagerly here
@@ -116,7 +116,6 @@ __all__ = [
     "register_pulse",
     "register_structure",
     "Session",
-    "compare_propagators",
     "run_tddft",
     # campaign layer (lazy, PEP 562)
     "Budget",

@@ -32,7 +32,6 @@ from __future__ import annotations
 import copy
 import functools
 import inspect
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -583,13 +582,3 @@ class SimulationConfig:
                                   f"({'.'.join(parents)!r} is {type(node).__name__})")
             node[last] = value
         return SimulationConfig.from_dict(data)
-
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        """JSON text of :meth:`to_dict`, indented by two spaces."""
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationConfig":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))

@@ -4,9 +4,9 @@
 live object graph (structure → grid → basis → pulse → Hamiltonian) lazily and
 caches every intermediate result, so a batch driver can ask for the ground
 state once and then fan out propagation runs, or request a performance report
-without recomputing physics. The one-call conveniences :func:`run_tddft` and
-:func:`compare_propagators` cover the two workflows every example and
-benchmark in this repository used to hand-wire.
+without recomputing physics. The one-call convenience :func:`run_tddft` runs
+a config's ground state and propagation; several integrators on one ground
+state are one :class:`Session` and one :meth:`Session.propagate_many` call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..pw.laser import DeltaKick
 from .config import LaserConfig, SimulationConfig, _canonical, _param_types
 from .registry import PROPAGATORS, PULSES, STRUCTURES
 
-__all__ = ["Session", "run_tddft", "compare_propagators"]
+__all__ = ["Session", "run_tddft"]
 
 
 def _params_key(params) -> str:
@@ -192,7 +192,7 @@ class Session:
                 "cannot adopt ground state: result has no wavefunction "
                 "(load it with the session's basis)"
             )
-        npw = result.wavefunction.coefficients.shape[1]
+        npw = result.wavefunction.npw
         if npw != self.basis.npw:
             raise ValueError(
                 f"cannot adopt ground state: orbitals have {npw} plane-wave "
@@ -322,17 +322,13 @@ class Session:
             suffix += 1
         self._trajectory_labels[request["key"]] = label
 
-    def propagate(self, propagator: str | None = None) -> Trajectory:
-        """Run (or return the cached) propagation: :meth:`propagate_many` of
-        this one request, so it too runs on a clone and leaves
-        :attr:`hamiltonian` (state and counters) untouched.
-
-        ``propagator`` is the registry name of the integrator and defaults to
-        the configured one, whose configured params then apply as well. The
-        configured step, step count and precision tier apply; a request that
-        overrides them is a :meth:`propagate_many` request.
-        """
-        (trajectory,) = self.propagate_many([{"propagator": propagator}])
+    def propagate(self) -> Trajectory:
+        """Run (or return the cached) configured propagation: :meth:`propagate_many`
+        of the empty request, so it too runs on a clone and leaves
+        :attr:`hamiltonian` (state and counters) untouched. Another
+        integrator, step, step count or precision tier is a
+        :meth:`propagate_many` request."""
+        (trajectory,) = self.propagate_many([{}])
         return trajectory
 
     def propagate_many(
@@ -411,13 +407,6 @@ class Session:
                 self._store_trajectory(request, scheme, trajectory)
         return [self._trajectories[request["key"]] for request in resolved]
 
-    @property
-    def trajectories(self) -> dict[str, Trajectory]:
-        """All propagations run so far, keyed by a human-readable label."""
-        return {
-            self._trajectory_labels[key]: traj for key, traj in self._trajectories.items()
-        }
-
     # ------------------------------------------------------------------
     def performance_report(self) -> str:
         """A plain-text table summarising every propagation of this session
@@ -471,14 +460,3 @@ def run_tddft(config: SimulationConfig) -> Trajectory:
     """Ground state + propagation in one call, per the config. Returns the
     :class:`~repro.core.dynamics.Trajectory`."""
     return Session(config).propagate()
-
-
-def compare_propagators(config: SimulationConfig, names: list[str]) -> dict[str, Trajectory]:
-    """Propagate the same system/ground state with several integrators.
-
-    The ground state and Hamiltonian are shared across all runs (one SCF
-    total); every integrator uses the config's run parameters. Returns a
-    mapping from registry name to trajectory, in the order given.
-    """
-    session = Session(config)
-    return {name: session.propagate(name) for name in names}

@@ -9,7 +9,7 @@ provides ``inventory`` / ``verify`` / ``describe`` / ``materialize``.
 """
 
 from .builtin import BUILTIN_ASSETS, PINNED_DIGESTS, builtin_manifest, builtin_payloads
-from .library import ASSET_PREFIX, AssetLibrary, default_library, split_asset_ref
+from .library import ASSET_PREFIX, AssetLibrary, default_library
 from .manifest import (
     ASSET_KINDS,
     MANIFEST_VERSION,
@@ -41,5 +41,4 @@ __all__ = [
     "canonical_payload_bytes",
     "default_library",
     "payload_digest",
-    "split_asset_ref",
 ]

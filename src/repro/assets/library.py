@@ -40,17 +40,10 @@ from .manifest import (
     payload_digest,
 )
 
-__all__ = ["AssetLibrary", "default_library", "ASSET_PREFIX", "split_asset_ref"]
+__all__ = ["AssetLibrary", "default_library", "ASSET_PREFIX"]
 
 #: Prefix marking an asset reference in a config field: ``asset:pulse/...@1``.
 ASSET_PREFIX = "asset:"
-
-
-def split_asset_ref(name: str) -> str | None:
-    """The asset id if ``name`` is an ``asset:`` reference, else ``None``."""
-    if isinstance(name, str) and name.startswith(ASSET_PREFIX):
-        return name[len(ASSET_PREFIX):]
-    return None
 
 
 class AssetLibrary:

@@ -277,11 +277,6 @@ class SweepReport:
             result.status = report._job_record(result).get("status", result.status)
         return report
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepReport":
-        """Inverse of :meth:`to_json` (see :meth:`from_dict`)."""
-        return cls.from_dict(json.loads(text))
-
     # ------------------------------------------------------------------
     # Execution placement / communication accounting
     # ------------------------------------------------------------------

@@ -85,12 +85,6 @@ class Budget:
             raise ValueError(f"unknown Budget key(s) {unknown}; valid keys: {sorted(valid)}")
         return cls(**data)
 
-    def replace(self, **changes) -> "Budget":
-        """A copy with the given limits replaced (``None`` lifts a limit)."""
-        data = self.as_dict()
-        data.update(changes)
-        return Budget(**data)
-
 
 class InfeasibleBudgetError(ValueError):
     """No candidate execution plan fits the campaign budget.
@@ -163,11 +157,6 @@ class CampaignSpec:
         self.budget = budget
 
     # ------------------------------------------------------------------
-    @property
-    def names(self) -> list[str]:
-        """The sweep names, in campaign order."""
-        return list(self.sweeps)
-
     @property
     def n_jobs(self) -> int:
         """Total jobs across every sweep of the campaign."""

@@ -10,16 +10,11 @@ equation of motion
 
 whose right-hand side is the *residual* ``R = H Psi - Psi (Psi^* H Psi)``: the
 component of ``H Psi`` orthogonal to the occupied subspace. This module
-collects the small pieces of linear algebra used by the PT propagators and the
-gauge-invariance tests:
+collects the small pieces of linear algebra the PT propagators use:
 
 * :func:`subspace_hamiltonian` — the ``N_e x N_e`` matrix ``Psi^* H Psi``;
-* :func:`pt_residual` — the residual above;
-* :func:`density_matrix_distance` — gauge-invariant distance between orbital
-  sets;
-* :func:`parallel_transport_align` — rotate an orbital set into the gauge that
-  minimises its distance to a reference set (the explicit solution of the
-  parallel transport condition for a finite step).
+* :func:`apply_subspace_projection` — ``Psi M`` for row-stored orbitals;
+* :func:`pt_residual` — the residual above.
 """
 
 from __future__ import annotations
@@ -30,9 +25,6 @@ __all__ = [
     "subspace_hamiltonian",
     "pt_residual",
     "apply_subspace_projection",
-    "density_matrix_distance",
-    "parallel_transport_align",
-    "unitary_defect",
 ]
 
 
@@ -72,52 +64,3 @@ def pt_residual(coefficients: np.ndarray, h_coefficients: np.ndarray) -> np.ndar
     s = subspace_hamiltonian(coefficients, h_coefficients)
     return h_coefficients - apply_subspace_projection(coefficients, s)
 
-
-def density_matrix_distance(coeff_a: np.ndarray, coeff_b: np.ndarray) -> float:
-    """Frobenius distance between the density matrices of two orbital sets.
-
-    ``P = Psi Psi^*`` is gauge invariant, so this distance vanishes exactly
-    when the two sets span the same occupied subspace — regardless of any
-    unitary rotation between them. Computed without forming the ``npw x npw``
-    matrices explicitly:
-
-    ``|P_a - P_b|_F^2 = tr(P_a^2) + tr(P_b^2) - 2 Re tr(P_a P_b)``
-    with ``tr(P_a P_b) = |Psi_a^* Psi_b|_F^2`` for orthonormal sets.
-    """
-    a = np.asarray(coeff_a)
-    b = np.asarray(coeff_b)
-    s_aa = a.conj() @ a.T
-    s_bb = b.conj() @ b.T
-    s_ab = a.conj() @ b.T
-    tr_aa = float(np.real(np.sum(s_aa * s_aa.conj().T)))
-    tr_bb = float(np.real(np.sum(s_bb * s_bb.conj().T)))
-    tr_ab = float(np.real(np.sum(s_ab * s_ab.conj())))
-    value = tr_aa + tr_bb - 2.0 * tr_ab
-    return float(np.sqrt(max(value, 0.0)))
-
-
-def parallel_transport_align(coefficients: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rotate ``coefficients`` into the gauge closest to ``reference``.
-
-    Solves ``min_U || Psi U - Psi_ref ||_F`` over unitary ``U`` (the orthogonal
-    Procrustes problem); the solution is ``U = W V^*`` from the SVD of the
-    overlap ``Psi^* Psi_ref = W Sigma V^*``. For orbital sets that span the
-    same subspace this realises the parallel transport of ``reference``'s gauge
-    onto ``coefficients``; it is used by tests to compare PT-CN trajectories
-    against explicitly propagated (RK4) ones in a gauge-independent yet
-    orbital-resolved way.
-    """
-    coefficients = np.asarray(coefficients)
-    reference = np.asarray(reference)
-    overlap = coefficients.conj() @ reference.T  # <psi_i | ref_j>
-    w, _, vh = np.linalg.svd(overlap)
-    u = w @ vh
-    # Psi U in column convention -> U.T @ coefficients in row storage
-    return u.T @ coefficients
-
-
-def unitary_defect(matrix: np.ndarray) -> float:
-    """Max-norm deviation of ``U^* U`` from the identity (diagnostic helper)."""
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(n))))

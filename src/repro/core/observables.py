@@ -2,17 +2,16 @@
 
 The quantities a user of the paper's method actually cares about: total
 energy (whose conservation is the standard accuracy check), the dipole moment
-(whose Fourier transform gives the absorption spectrum), the total electron
-number (norm conservation), and the projection of the propagated orbitals onto
-the ground-state bands (carrier excitation). All observables are functions of
+(whose Fourier transform gives the absorption spectrum) and the total electron
+number (norm conservation). All observables are functions of
 the gauge-invariant density matrix, so they agree between propagators that use
 different gauges — which is exactly the check the PT formulation relies on.
 
 The dipole and the electron number have one body each, stacked over a group's
 densities (:func:`dipoles_many`, :func:`electron_numbers_many`), as the energy
 has in :func:`repro.pw.hamiltonian.energies_many`: the trajectory records call
-them on a stepped group, and :func:`dipole_moment` / :func:`electron_number`
-are their width-1 calls on one wavefunction.
+them on a stepped group, and :func:`dipole_moment` is the dipole's width-1
+call on one wavefunction.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ __all__ = [
     "dipoles_many",
     "electron_numbers_many",
     "dipole_moment",
-    "electron_number",
-    "band_occupations",
-    "excited_charge",
     "absorption_spectrum",
     "energy_drift",
 ]
@@ -64,32 +60,6 @@ def dipole_moment(wavefunction: Wavefunction) -> np.ndarray:
     :func:`dipoles_many`."""
     grid = wavefunction.basis.grid
     return dipoles_many(grid, compute_density(wavefunction, grid)[None])[0]
-
-
-def electron_number(wavefunction: Wavefunction) -> float:
-    """Electron number of ``wavefunction``'s density: the width-1 call of
-    :func:`electron_numbers_many`."""
-    grid = wavefunction.basis.grid
-    return float(electron_numbers_many(grid, compute_density(wavefunction, grid)[None])[0])
-
-
-def band_occupations(wavefunction: Wavefunction, reference: Wavefunction) -> np.ndarray:
-    """Occupation of each reference (ground-state) band in the propagated state.
-
-    ``n_j = sum_i f_i |<phi_j | psi_i(t)>|^2`` where ``phi_j`` are the
-    reference orbitals. At ``t=0`` this returns the reference occupations; the
-    deficit from the initial values measures excited carriers.
-    """
-    overlap = reference.coefficients.conj() @ wavefunction.coefficients.T  # (nref, nprop)
-    weights = wavefunction.occupations[None, :]
-    return np.real(np.sum(weights * np.abs(overlap) ** 2, axis=1))
-
-
-def excited_charge(wavefunction: Wavefunction, reference: Wavefunction) -> float:
-    """Number of electrons promoted out of the reference occupied subspace."""
-    occupations = band_occupations(wavefunction, reference)
-    total = float(np.sum(wavefunction.occupations))
-    return max(total - float(np.sum(occupations)), 0.0)
 
 
 def energy_drift(energies: np.ndarray) -> float:

@@ -107,17 +107,6 @@ class CostEstimate:
         """Predicted energy to solution in Joules."""
         return self.power_watts * self.seconds
 
-    def as_dict(self) -> dict:
-        """JSON-able record (used by execution summaries and benchmarks)."""
-        return {
-            "flops": self.flops,
-            "seconds": self.seconds,
-            "n_gpus": self.n_gpus,
-            "nodes": self.nodes,
-            "power_watts": self.power_watts,
-            "energy_joules": self.energy_joules,
-        }
-
 
 @dataclass(frozen=True)
 class MachineCostModel:

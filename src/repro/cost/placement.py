@@ -137,12 +137,3 @@ class NodePlacement:
             raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
         link = self.link_between(rank_a, rank_b)
         return self.message_latency_s + float(n_bytes) / (self.link_bandwidth_gbs(link) * 1e9)
-
-    def describe(self, rank: int) -> dict:
-        """JSON-able placement record of one rank (node, socket, root link)."""
-        return {
-            "rank": int(rank),
-            "node": self.node_of(rank),
-            "socket": self.socket_of(rank),
-            "link_from_root": self.link_between(0, rank).value,
-        }

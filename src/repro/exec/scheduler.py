@@ -32,9 +32,9 @@ Policies (``run.schedule.policy`` in :class:`~repro.api.SimulationConfig`, or
 This module owns the group ledger. :class:`ScheduledGroup` is the one record
 of a group (:meth:`ScheduledGroup.as_dict` is what execution summaries export
 and calibration reads), :func:`_least_loaded` the one greedy placement and
-:func:`_rank_loads` the one per-rank sum: :meth:`Scheduler.pack` /
-:meth:`Scheduler.makespan`, the planner's forecast and the service runner's
-lease length, adaptive re-pack and what-if all go through them. A calibration
+:func:`_rank_loads` the one per-rank sum: :meth:`Scheduler.pack`, the
+planner's forecast and the service runner's lease length, adaptive re-pack
+and what-if all go through them. A calibration
 re-prices a group in one place, :meth:`ScheduledGroup.repriced`, stamped as
 its ``repriced_seconds``; every weight above reads that planned number, while
 the predicted fields stay the uncalibrated machine model's.
@@ -431,13 +431,3 @@ class Scheduler:
         for group in groups:
             bins[group.rank].append(group)
         return bins
-
-    def makespan(self, bins: list[list[ScheduledGroup]]) -> float:
-        """Predicted makespan of a packing: the heaviest rank's total load,
-        in the same unit :meth:`pack` balanced — planned seconds for the
-        time-aware policies, planned joules under ``"energy_aware"``."""
-        if not bins:
-            return 0.0
-        groups = [group for rank_groups in bins for group in rank_groups]
-        metric = self._weight_metric(groups)
-        return max(_rank_loads(groups, len(bins), lambda g: g.metric_value(metric)))

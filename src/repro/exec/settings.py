@@ -168,9 +168,3 @@ class ExecutionSettings:
                 f"unknown ExecutionSettings key(s) {unknown}; valid keys: {sorted(valid)}"
             )
         return cls(**data)
-
-    def replace(self, **changes) -> "ExecutionSettings":
-        """A copy with the given fields replaced (validated like any other)."""
-        data = self.as_dict()
-        data.update(changes)
-        return ExecutionSettings(**data)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .summit import GPUSpec
 
-__all__ = ["GPUKernelModel", "fft_flops", "gemm_flops"]
+__all__ = ["GPUKernelModel", "fft_flops"]
 
 
 def fft_flops(n_points: int, batch: int = 1) -> float:
@@ -27,11 +27,6 @@ def fft_flops(n_points: int, batch: int = 1) -> float:
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     return float(batch) * 5.0 * n_points * np.log2(n_points)
-
-
-def gemm_flops(m: int, n: int, k: int) -> float:
-    """Floating point operations of a complex matrix-matrix multiplication."""
-    return 8.0 * float(m) * float(n) * float(k)
 
 
 @dataclass(frozen=True)
@@ -88,10 +83,6 @@ class GPUKernelModel:
             effective_bw *= 0.35
         launches = batch if not batched else max(1, batch // 16)
         return bytes_moved / effective_bw + launches * self.kernel_launch_latency_s
-
-    def memcpy_time(self, n_bytes: float) -> float:
-        """Host <-> device copy time."""
-        return float(n_bytes) / (self.pcie_bandwidth_gbs * 1e9)
 
     def cholesky_time(self, n: int) -> float:
         """Dense Cholesky factorisation on a single GPU (cuSOLVER).

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .summit import SUMMIT
 
-__all__ = ["PowerReport", "cpu_run_power", "gpu_run_power", "energy_to_solution", "compare_runs"]
+__all__ = ["PowerReport", "cpu_run_power", "gpu_run_power", "compare_runs"]
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,6 @@ def cpu_run_power(n_cores: int) -> float:
 def gpu_run_power(n_gpus: int) -> float:
     """Total power (W) of a GPU run using ``n_gpus`` Summit GPUs (whole nodes)."""
     return SUMMIT.gpu_run_power_watts(n_gpus)
-
-
-def energy_to_solution(power_watts: float, wall_time_s: float) -> float:
-    """Energy in Joules."""
-    if power_watts < 0 or wall_time_s < 0:
-        raise ValueError("power and wall time must be non-negative")
-    return power_watts * wall_time_s
 
 
 def compare_runs(cpu: PowerReport, gpu: PowerReport) -> dict:

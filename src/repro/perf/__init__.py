@@ -30,7 +30,7 @@ from .sweep_cost import (
     predict_scf_cost,
     workload_sizes,
 )
-from .workload import SiliconWorkload, paper_workloads
+from .workload import SiliconWorkload
 
 __all__ = [
     "CommunicationBreakdown",
@@ -57,5 +57,4 @@ __all__ = [
     "predict_scf_cost",
     "workload_sizes",
     "SiliconWorkload",
-    "paper_workloads",
 ]

@@ -206,11 +206,6 @@ class CommunicationBreakdown:
         """Total MPI time."""
         return self.alltoallv + self.allreduce + self.bcast + self.allgatherv
 
-    @property
-    def total(self) -> float:
-        """Total step time."""
-        return self.mpi_total + self.memcpy + self.compute
-
     def as_dict(self) -> dict[str, float]:
         """Rows keyed like the paper's Table 2."""
         return {

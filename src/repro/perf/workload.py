@@ -16,7 +16,7 @@ import numpy as np
 
 from ..pw.structures import paper_silicon_series
 
-__all__ = ["SiliconWorkload", "paper_workloads"]
+__all__ = ["SiliconWorkload"]
 
 #: Wavefunction grid points per conventional 8-atom cell at the paper's cutoff
 #: (60 x 90 x 120 grid for the 4 x 6 x 8 supercell -> 15^3 per cell).
@@ -48,11 +48,6 @@ class SiliconWorkload:
     # ------------------------------------------------------------------
     # Electronic structure sizes
     # ------------------------------------------------------------------
-    @property
-    def n_electrons(self) -> int:
-        """Valence electrons (4 per silicon atom)."""
-        return 4 * self.natoms
-
     @property
     def n_bands(self) -> int:
         """Occupied, doubly-degenerate wavefunctions (paper: N_e = 3072 for Si1536)."""
@@ -139,8 +134,3 @@ class SiliconWorkload:
             ny -= 1
         nz = remaining // ny
         return cls(natoms, (nx, ny, nz))
-
-
-def paper_workloads() -> dict[int, SiliconWorkload]:
-    """All workloads of the paper's weak-scaling series (48 ... 1536 atoms)."""
-    return {natoms: SiliconWorkload(natoms, cell) for natoms, cell in paper_silicon_series().items()}

@@ -10,7 +10,7 @@ ground-state solvers and orthogonalization utilities.
 
 from .basis import Wavefunction
 from .density import compute_density, density_error
-from .eigensolver import block_davidson, dense_eigensolve
+from .eigensolver import block_davidson
 from .exchange import ExchangeOperator
 from .grid import FFTGrid, PlaneWaveBasis, choose_grid_shape
 from .ground_state import GroundStateResult, GroundStateSolver
@@ -19,7 +19,6 @@ from .laser import DeltaKick, GaussianLaserPulse, paper_laser_pulse
 from .lattice import Cell
 from .orthogonalization import (
     cholesky_orthonormalize,
-    gram_schmidt_orthonormalize,
     lowdin_orthonormalize,
     orthonormality_error,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "compute_density",
     "density_error",
     "block_davidson",
-    "dense_eigensolve",
     "ExchangeOperator",
     "FFTGrid",
     "PlaneWaveBasis",
@@ -67,7 +65,6 @@ __all__ = [
     "paper_laser_pulse",
     "Cell",
     "cholesky_orthonormalize",
-    "gram_schmidt_orthonormalize",
     "lowdin_orthonormalize",
     "orthonormality_error",
     "CoulombKernel",

@@ -80,11 +80,6 @@ class Wavefunction:
         """Number of plane waves per band (paper notation: N_G)."""
         return self.coefficients.shape[1]
 
-    @property
-    def precision(self) -> str:
-        """The precision tier of the stored coefficients (dtype name)."""
-        return self.coefficients.dtype.name
-
     def copy(self) -> "Wavefunction":
         """Deep copy of the coefficients (basis and occupations are shared)."""
         return Wavefunction(self.basis, self.coefficients.copy(), self.occupations)
@@ -118,10 +113,6 @@ class Wavefunction:
         else:
             right = np.asarray(other, dtype=np.complex128)
         return left.conj() @ right.T
-
-    def norms(self) -> np.ndarray:
-        """Per-band L2 norms of the coefficient vectors."""
-        return np.linalg.norm(self.coefficients, axis=1)
 
     # ------------------------------------------------------------------
     # Real-space access

@@ -1,14 +1,9 @@
 """Iterative eigensolvers for the ground-state Kohn–Sham problem.
 
-The rt-TDDFT runs of the paper start from converged ground-state orbitals. We
-provide two solvers for the lowest ``nbands`` eigenpairs of the (fixed-density)
-Kohn–Sham Hamiltonian:
-
-* a preconditioned **block Davidson** solver, the workhorse used by the
-  ground-state SCF driver, and
-* a **dense** solver that explicitly builds the Hamiltonian matrix in the
-  plane-wave basis, only feasible for very small bases but invaluable as a
-  reference in tests.
+The rt-TDDFT runs of the paper start from converged ground-state orbitals.
+The ground-state SCF driver finds the lowest ``nbands`` eigenpairs of the
+(fixed-density) Kohn–Sham Hamiltonian with a preconditioned **block
+Davidson** solver.
 """
 
 from __future__ import annotations
@@ -17,9 +12,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
-__all__ = ["EigenResult", "block_davidson", "dense_eigensolve"]
+__all__ = ["EigenResult", "block_davidson"]
 
 #: outer iterations of a block Davidson solve before it stops unconverged
 _MAX_ITERATIONS = 60
@@ -144,25 +138,3 @@ def block_davidson(
 
     return EigenResult(eigval, ritz, iterations, residual_norms, bool(np.all(residual_norms < tolerance)))
 
-
-def dense_eigensolve(
-    apply_h: Callable[[np.ndarray], np.ndarray], npw: int, nbands: int
-) -> EigenResult:
-    """Build the dense Hamiltonian by applying ``H`` to unit vectors and diagonalise.
-
-    Cost is ``O(npw)`` operator applications and an ``O(npw^3)`` dense solve, so
-    this is only usable for small test bases — but it gives machine-precision
-    reference eigenpairs for validating :func:`block_davidson`.
-    """
-    identity = np.eye(npw, dtype=np.complex128)
-    h_matrix = apply_h(identity).T  # columns H e_j -> matrix with H[i, j]
-    h_matrix = 0.5 * (h_matrix + h_matrix.conj().T)
-    eigval, eigvec = sla.eigh(h_matrix)
-    vectors = eigvec[:, :nbands].T
-    return EigenResult(
-        eigenvalues=eigval[:nbands],
-        eigenvectors=np.ascontiguousarray(vectors),
-        iterations=1,
-        residual_norms=np.zeros(nbands),
-        converged=True,
-    )

@@ -100,12 +100,6 @@ class ExchangeCounters:
     ffts: int = 0
     applications: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.poisson_solves = 0
-        self.ffts = 0
-        self.applications = 0
-
 
 @dataclass
 class _OrbitalSet:

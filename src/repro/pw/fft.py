@@ -184,6 +184,15 @@ def plan_memo(owner, name: str) -> dict:
     return memo
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only. A memoised derived array (G-vectors,
+    ``|G|^2``, the sphere's index set and mask, kernel values) is shared by
+    every job of a group, so a stray in-place write to it raises instead of
+    changing every later job."""
+    array.setflags(write=False)
+    return array
+
+
 def get_plan(grid, dtype=np.complex128) -> FFTPlan:
     """The plan of ``grid`` for ``dtype`` arrays, built on the instance's first
     lookup and kept in its memo, so every Hamiltonian application after that

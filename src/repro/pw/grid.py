@@ -20,12 +20,13 @@ This module provides
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .fft import FFTPlan, get_plan, plan_dtype, plan_memo
+from .fft import FFTPlan, get_plan, plan_dtype, plan_memo, read_only
 from .lattice import Cell
 
 __all__ = ["FFTGrid", "PlaneWaveBasis", "choose_grid_shape"]
@@ -131,7 +132,7 @@ class FFTGrid:
     def frequencies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer FFT frequencies along each axis (numpy ``fftfreq`` order)."""
         return tuple(
-            np.fft.fftfreq(n, d=1.0 / n).astype(int) for n in self.shape
+            read_only(np.fft.fftfreq(n, d=1.0 / n).astype(int)) for n in self.shape
         )  # type: ignore[return-value]
 
     @cached_property
@@ -140,13 +141,13 @@ class FFTGrid:
         f1, f2, f3 = self.frequencies
         m1, m2, m3 = np.meshgrid(f1, f2, f3, indexing="ij")
         miller = np.stack([m1, m2, m3], axis=-1).astype(float)
-        return miller @ self.cell.reciprocal_vectors
+        return read_only(miller @ self.cell.reciprocal_vectors)
 
     @cached_property
     def g_squared(self) -> np.ndarray:
         """``|G|^2`` on the FFT mesh, shape ``(n1, n2, n3)``."""
         g = self.g_vectors
-        return np.einsum("...i,...i->...", g, g)
+        return read_only(np.einsum("...i,...i->...", g, g))
 
     @cached_property
     def real_space_points(self) -> np.ndarray:
@@ -157,7 +158,7 @@ class FFTGrid:
         f3 = np.arange(n3) / n3
         m1, m2, m3 = np.meshgrid(f1, f2, f3, indexing="ij")
         frac = np.stack([m1, m2, m3], axis=-1)
-        return frac @ self.cell.lattice_vectors
+        return read_only(frac @ self.cell.lattice_vectors)
 
     # ------------------------------------------------------------------
     # Transforms
@@ -236,7 +237,7 @@ class PlaneWaveBasis:
             raise ValueError(f"ecut must be positive, got {ecut}")
         self.grid = grid
         self.ecut = float(ecut)
-        self._indices = _sphere_indices(grid, self.ecut)
+        self._indices = read_only(_sphere_indices(grid, self.ecut))
         if self._indices.size < 2:
             raise ValueError(
                 "plane-wave basis contains fewer than 2 G-vectors; "
@@ -254,7 +255,7 @@ class PlaneWaveBasis:
         """Boolean mask of sphere membership on the FFT mesh."""
         mask = np.zeros(self.grid.size, dtype=bool)
         mask[self._indices] = True
-        return mask.reshape(self.grid.shape)
+        return read_only(mask.reshape(self.grid.shape))
 
     @property
     def indices(self) -> np.ndarray:
@@ -264,17 +265,17 @@ class PlaneWaveBasis:
     @cached_property
     def g_vectors(self) -> np.ndarray:
         """G-vectors of the sphere, shape ``(npw, 3)``."""
-        return self.grid.g_vectors.reshape(-1, 3)[self._indices]
+        return read_only(self.grid.g_vectors.reshape(-1, 3)[self._indices])
 
     @cached_property
     def g_squared(self) -> np.ndarray:
         """``|G|^2`` for the sphere G-vectors, shape ``(npw,)``."""
-        return self.grid.g_squared.reshape(-1)[self._indices]
+        return read_only(self.grid.g_squared.reshape(-1)[self._indices])
 
     @cached_property
     def kinetic_energies(self) -> np.ndarray:
         """Kinetic energies ``|G|^2/2`` of the sphere plane waves."""
-        return 0.5 * self.g_squared
+        return read_only(0.5 * self.g_squared)
 
     # ------------------------------------------------------------------
     # Scatter / gather between sphere storage and the full FFT mesh
@@ -314,21 +315,29 @@ class PlaneWaveBasis:
 
     def _workspace(self, dtype: np.dtype, lead: tuple):
         """``(plan, flat, mesh)`` for scattering ``lead``-shaped stacks of
-        ``dtype`` coefficients: this basis's workspace (flat, and as the mesh
-        view the transform takes), allocated once per dtype and shape.
+        ``dtype`` coefficients: views of the leading rows of this basis's one
+        workspace of ``dtype`` (flat, and as the mesh the transform takes),
+        kept per shape. The workspace is allocated zeroed, and again only when
+        a larger stack than any before arrives.
 
-        Reusing the buffer is sound because this basis always writes the same
-        sphere positions and every other mesh position stays zero from the
-        initial allocation. It is scratch: valid only until the next call with
-        the same leading shape, so only :meth:`to_real_space` — whose FFT
-        immediately copies out of it — may use it.
+        Reusing the buffer is sound because every row is one mesh, this basis
+        always writes the same sphere positions of a row and every other mesh
+        position stays zero from the allocation. It is scratch: valid only
+        until the next call with the same dtype, so only
+        :meth:`to_real_space` — whose FFT immediately copies out of it — may
+        use it.
         """
         memo = plan_memo(self, "_bound_transforms")
-        bound = memo.get((dtype, lead))
+        buffer, views = memo.get(("workspace", dtype), (None, {}))
+        bound = views.get(lead)
         if bound is None:
-            flat = np.zeros(lead + (self.grid.size,), dtype=plan_dtype(dtype))
-            plan = get_plan(self.grid, flat.dtype)
-            bound = memo[(dtype, lead)] = (plan, flat, flat.reshape(lead + self.grid.shape))
+            rows = math.prod(lead)
+            if buffer is None or len(buffer) < rows:  # the views of a smaller buffer go with it
+                buffer, views = np.zeros((rows, self.grid.size), dtype=plan_dtype(dtype)), {}
+                memo[("workspace", dtype)] = (buffer, views)
+            flat = buffer[:rows].reshape(lead + (self.grid.size,))
+            plan = get_plan(self.grid, buffer.dtype)
+            bound = views[lead] = (plan, flat, flat.reshape(lead + self.grid.shape))
         return bound
 
     def from_grid(self, grid_values: np.ndarray) -> np.ndarray:

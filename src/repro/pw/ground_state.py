@@ -177,16 +177,6 @@ class GroundStateResult:
     # ------------------------------------------------------------------
     # Serialization (for the analysis layer and batch workloads)
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """A JSON-serializable summary (without the orbitals)."""
-        return {
-            "eigenvalues": np.asarray(self.eigenvalues).tolist(),
-            "total_energy": float(self.total_energy),
-            "scf_iterations": int(self.scf_iterations),
-            "density_errors": [float(e) for e in self.density_errors],
-            "converged": bool(self.converged),
-        }
-
     def save_npz(self, path) -> None:
         """Save the result, including the orbitals, to a ``.npz`` archive."""
         _atomic_savez(path, **self._npz_arrays())

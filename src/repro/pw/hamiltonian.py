@@ -115,12 +115,6 @@ class HamiltonianCounters:
     fock_applications: int = 0
     potential_updates: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.apply_calls = 0
-        self.fock_applications = 0
-        self.potential_updates = 0
-
 
 class Hamiltonian:
     """Plane-wave Kohn–Sham Hamiltonian with optional hybrid exchange.

@@ -112,20 +112,6 @@ class GaussianLaserPulse:
         envelope = np.exp(-((t - self.t0) ** 2) / (2.0 * self.sigma**2))
         return float(self.amplitude * envelope * np.sin(self.omega * (t - self.t0) + self.phase))
 
-    def field_vector(self, t: float) -> np.ndarray:
-        """Vector field ``E(t) e_hat``."""
-        return self.field(t) * self.polarization
-
-    def envelope(self, t: float) -> float:
-        """Gaussian envelope value at time ``t``."""
-        return float(self.amplitude * np.exp(-((t - self.t0) ** 2) / (2.0 * self.sigma**2)))
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised field values for an array of times."""
-        times = np.asarray(times, dtype=float)
-        envelope = np.exp(-((times - self.t0) ** 2) / (2.0 * self.sigma**2))
-        return self.amplitude * envelope * np.sin(self.omega * (times - self.t0) + self.phase)
-
     def potential_factory(self, grid: FFTGrid):
         """Return a callable ``t -> V_ext(r, t)`` in the length gauge."""
         position = sawtooth_position(grid, self.polarization)
@@ -205,28 +191,6 @@ class PumpProbePulse:
     # ------------------------------------------------------------------
     def _probe_time(self, t):
         return t - self.delay
-
-    def field_vector(self, t: float) -> np.ndarray:
-        """Total vector field ``E_pump(t) e_pump + E_probe(t - delay) e_probe``."""
-        return self.pump.field_vector(t) + self.probe.field_vector(self._probe_time(t))
-
-    def field(self, t: float) -> float:
-        """Scalar field along the *pump* polarisation (the probe's component
-        is projected onto it); exact for parallel polarisations."""
-        return float(self.field_vector(t) @ self.pump.polarization)
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`field` values for an array of times."""
-        times = np.asarray(times, dtype=float)
-        probe_along_pump = float(self.probe.polarization @ self.pump.polarization)
-        return self.pump.sample(times) + probe_along_pump * self.probe.sample(
-            self._probe_time(times)
-        )
-
-    @property
-    def polarization(self) -> np.ndarray:
-        """The pump polarisation (what dipole records are projected on)."""
-        return self.pump.polarization
 
     def potential_factory(self, grid: FFTGrid):
         """``t -> V_ext(r, t)`` in the length gauge, one sawtooth per component."""

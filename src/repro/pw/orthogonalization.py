@@ -18,7 +18,6 @@ from .basis import Wavefunction
 __all__ = [
     "cholesky_orthonormalize",
     "lowdin_orthonormalize",
-    "gram_schmidt_orthonormalize",
     "orthonormality_error",
 ]
 
@@ -77,22 +76,3 @@ def lowdin_orthonormalize(wavefunction: Wavefunction) -> Wavefunction:
     new_coeffs = s_inv_sqrt.T @ wavefunction.coefficients
     return Wavefunction(wavefunction.basis, new_coeffs, wavefunction.occupations)
 
-
-def gram_schmidt_orthonormalize(wavefunction: Wavefunction) -> Wavefunction:
-    """Modified Gram-Schmidt orthonormalization (band-by-band reference).
-
-    Slower but numerically transparent; used in tests as a reference for the
-    Cholesky and Löwdin implementations.
-    """
-    c = wavefunction.coefficients.copy()
-    nbands = c.shape[0]
-    for i in range(nbands):
-        for j in range(i):
-            c[i] -= (c[j].conj() @ c[i]) * c[j]
-        norm = np.linalg.norm(c[i])
-        if norm < 1e-14:
-            raise np.linalg.LinAlgError(
-                f"band {i} became numerically zero during Gram-Schmidt"
-            )
-        c[i] /= norm
-    return Wavefunction(wavefunction.basis, c, wavefunction.occupations)

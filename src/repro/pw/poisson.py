@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fft import get_plan, plan_dtype, plan_memo
+from .fft import get_plan, plan_dtype, plan_memo, read_only
 from .grid import FFTGrid
 
 __all__ = [
@@ -100,7 +100,7 @@ class CoulombKernel:
         (float64 values would silently promote the whole convolution)."""
         cached = getattr(self, "_values_single", None)
         if cached is None:
-            cached = self.values.astype(np.float32)
+            cached = read_only(self.values.astype(np.float32))
             object.__setattr__(self, "_values_single", cached)
         return cached
 
@@ -127,7 +127,7 @@ def bare_coulomb_kernel(grid: FFTGrid) -> CoulombKernel:
         values = np.zeros_like(g2)
         nonzero = g2 > 1e-12
         values[nonzero] = 4.0 * np.pi / g2[nonzero]
-        memo["bare"] = values
+        memo["bare"] = read_only(values)
     return CoulombKernel(grid, values, name="bare")
 
 

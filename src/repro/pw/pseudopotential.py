@@ -406,11 +406,6 @@ class NonlocalPotential:
         """Total number of projector functions (all atoms, channels, m)."""
         return self._projector_matrix.shape[0]
 
-    @property
-    def couplings(self) -> np.ndarray:
-        """Coupling strengths ``h`` per projector, shape ``(n_projectors,)``."""
-        return self._couplings
-
     # ------------------------------------------------------------------
     def _radial_transform(self, channel: ProjectorChannel, g_norm: np.ndarray) -> np.ndarray:
         r = np.linspace(0.0, _RADIAL_CUTOFF, _RADIAL_POINTS)

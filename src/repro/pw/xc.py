@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LDAFunctional", "lda_exchange", "pz81_correlation", "XCResult"]
+__all__ = ["LDAFunctional", "XCResult"]
 
 # Slater exchange prefactor: e_x(rho) = Cx * rho^{1/3}, Cx = -(3/4)(3/pi)^{1/3}
 _CX = -0.75 * (3.0 / np.pi) ** (1.0 / 3.0)
@@ -53,41 +53,26 @@ class XCResult:
     energy: float = 0.0
 
 
-def lda_exchange(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slater exchange energy density and potential.
-
-    Returns ``(epsilon_x, v_x)`` with ``epsilon_x = Cx rho^(1/3)`` and
-    ``v_x = (4/3) Cx rho^(1/3)``. Densities are clipped at zero so tiny
-    negative values from FFT round-off do not produce NaNs.
-    """
-    return _slater(_clipped(rho))
-
-
 def _clipped(rho: np.ndarray) -> np.ndarray:
-    """The density as ``float``, clipped at zero (one full-grid pass)."""
+    """The density as ``float``, clipped at zero (one full-grid pass), so tiny
+    negative values from FFT round-off do not produce NaNs."""
     return np.maximum(np.asarray(rho, dtype=float), 0.0)
 
 
 def _slater(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`lda_exchange` of a density already clipped at zero."""
+    """Slater exchange ``(epsilon_x, v_x)`` of a density already clipped at
+    zero: ``epsilon_x = Cx rho^(1/3)`` and ``v_x = (4/3) Cx rho^(1/3)``."""
     rho13 = np.cbrt(rho)
     eps_x = _CX * rho13
     v_x = (4.0 / 3.0) * _CX * rho13
     return eps_x, v_x
 
 
-def pz81_correlation(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Perdew–Zunger 1981 parameterisation of the correlation energy (unpolarised).
-
-    Returns ``(epsilon_c, v_c)``. Uses the high-density (rs < 1) logarithmic
+def _pz81(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perdew–Zunger 1981 correlation ``(epsilon_c, v_c)`` (unpolarised) of a
+    density already clipped at zero: the high-density (rs < 1) logarithmic
     form and the low-density Padé form, matched at ``rs = 1`` as in the
     original paper.
-    """
-    return _pz81(_clipped(rho))
-
-
-def _pz81(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pz81_correlation` of a density already clipped at zero.
 
     The low-density Padé form is evaluated on the whole grid (``rs`` of a
     vanishing density taken at ``rho = 1``), the high-density (``rs < 1``)

@@ -109,10 +109,6 @@ class CampaignHandle:
         """``queued``, ``running``, ``done``, ``failed`` or ``cancelled``."""
         return self._state
 
-    def done(self) -> bool:
-        """Whether the campaign task has finished (any way)."""
-        return self._task is not None and self._task.done()
-
     def cancel(self) -> bool:
         """Request cancellation of the running campaign (checkpoints and the
         sweeps already finished survive; see :meth:`partial_report`)."""

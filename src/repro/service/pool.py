@@ -85,11 +85,6 @@ class Lease:
         return len(self.nodes)
 
     @property
-    def active(self) -> bool:
-        """Whether the lease is still held (not yet released)."""
-        return self.end is None
-
-    @property
     def preempt_requested(self) -> bool:
         """Whether the pool asked the holder to yield at a group boundary."""
         return self._preempt.is_set()
@@ -177,11 +172,6 @@ class NodePool:
         """Whole nodes a ``ranks x gpus_per_group`` occupancy holds — the
         exact rule the planner prices (``system.nodes_for_gpus``)."""
         return self.system.nodes_for_gpus(int(ranks) * int(gpus_per_group))
-
-    @property
-    def free_nodes(self) -> int:
-        """Nodes not held by any active lease."""
-        return len(self._free)
 
     # ------------------------------------------------------------------
     # Leasing
@@ -320,16 +310,3 @@ class NodePool:
         if span <= 0.0:
             return 0.0
         return self.busy_node_seconds() / (span * self.n_nodes)
-
-    def as_dict(self) -> dict:
-        """JSON-able snapshot: geometry, calendar, and lease history."""
-        return {
-            "machine": self.machine,
-            "n_nodes": self.n_nodes,
-            "gpus_per_node": self.system.node.gpus,
-            "free_nodes": self.free_nodes,
-            "waiting": len(self._waiters),
-            "makespan_s": self.makespan(),
-            "utilisation": self.utilisation(),
-            "leases": [lease.as_dict() for lease in self.history + self.active],
-        }

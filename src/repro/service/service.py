@@ -28,6 +28,7 @@ seconds. Mid-flight re-packing on observed drift is
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import warnings
 
@@ -166,7 +167,7 @@ class CampaignService:
             planner_options.setdefault("calibration", calibration)
         capped = spec.budget
         if capped.max_nodes is None or capped.max_nodes > self.pool.n_nodes:
-            capped = capped.replace(max_nodes=self.pool.n_nodes)
+            capped = dataclasses.replace(capped, max_nodes=self.pool.n_nodes)
         return CampaignPlanner(spec, **planner_options).plan(capped)
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ ATOL = 1e-7
 
 
 def _golden_config() -> SimulationConfig:
-    return SimulationConfig.from_json(CONFIG_PATH.read_text())
+    return SimulationConfig.from_dict(json.loads(CONFIG_PATH.read_text()))
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def _regenerate() -> None:
     """Recompute and overwrite the golden fixtures (intentional changes only)."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     config = _golden_config() if CONFIG_PATH.exists() else _default_config()
-    CONFIG_PATH.write_text(config.to_json() + "\n")
+    CONFIG_PATH.write_text(json.dumps(config.to_dict(), indent=2) + "\n")
     trajectory = run_tddft(config)
     trajectory.save_npz(TRAJECTORY_PATH)
     print(f"wrote {CONFIG_PATH} and {TRAJECTORY_PATH}")

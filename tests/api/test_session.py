@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.api import SimulationConfig, Session, compare_propagators, run_tddft
+from repro.api import SimulationConfig, Session, run_tddft
 from repro.constants import attoseconds_to_au
 from repro.core import PTCNPropagator, TDDFTSimulation, Trajectory
 from repro.pw import (
@@ -129,7 +129,7 @@ def test_session_caches_ground_state_and_trajectories(api_session):
     assert api_session.ground_state() is api_session.ground_state()
     assert api_session.propagate() is api_session.propagate()
     assert api_session.hamiltonian is api_session.hamiltonian
-    assert len(api_session.trajectories) == 1
+    assert len(api_session._trajectories) == 1
 
 
 def test_propagate_is_propagate_many_of_one_request(api_session):
@@ -148,12 +148,12 @@ def test_propagate_overrides_create_distinct_cache_entries(api_session):
     assert short.n_steps == 1
     assert short is api_session.propagate_many([dict(n_steps=1)])[0]
     assert short is not api_session.propagate()
-    assert len(api_session.trajectories) == 2
+    assert len(api_session._trajectories) == 2
 
 
 def test_alias_shares_cache_and_configured_params(api_session):
     # "pt-cn" is a registry alias of the configured "ptcn": same params, same cache entry
-    assert api_session.propagate("pt-cn") is api_session.propagate()
+    assert api_session.propagate_many([{"propagator": "pt-cn"}])[0] is api_session.propagate()
 
 
 def test_params_spelled_as_int_or_float_are_one_cached_propagation(tiny_config, count_propagation_steps):
@@ -172,7 +172,7 @@ def test_duplicate_labels_never_shadow_trajectories(api_session):
     before = len(api_session._trajectories)
     api_session.propagate_many([dict(n_steps=1, params={"scf_tolerance": 1e-7})])[0]
     api_session.propagate_many([dict(n_steps=1, params={"scf_tolerance": 1e-5})])[0]
-    assert len(api_session.trajectories) == len(api_session._trajectories) == before + 2
+    assert len(set(api_session._trajectory_labels.values())) == len(api_session._trajectories) == before + 2
 
 
 def test_performance_report_lists_all_runs(api_session):
@@ -184,7 +184,7 @@ def test_performance_report_lists_all_runs(api_session):
 
 
 # ---------------------------------------------------------------------------
-# compare_propagators
+# several integrators on one session
 # ---------------------------------------------------------------------------
 
 
@@ -197,7 +197,8 @@ def test_compare_propagators_ptcn_vs_rk4():
             "run": {"time_step_as": 1.0, "n_steps": 2, "gs_scf_tolerance": 1e-6},
         }
     )
-    runs = compare_propagators(config, ["ptcn", "rk4"])
+    session = Session(config)  # one SCF, shared by both propagations
+    runs = {name: session.propagate_many([{"propagator": name}])[0] for name in ["ptcn", "rk4"]}
     assert list(runs) == ["ptcn", "rk4"]
     for trajectory in runs.values():
         assert isinstance(trajectory, Trajectory)
@@ -237,7 +238,8 @@ def test_sessions_with_equal_configs_still_solve_independently(tiny_config, coun
 
 
 def test_compare_propagators_converges_exactly_one_ground_state(tiny_config, count_scf_solves):
-    runs = compare_propagators(tiny_config, ["ptcn", "rk4", "etrs"])
+    session = Session(tiny_config)
+    runs = {name: session.propagate_many([{"propagator": name}])[0] for name in ["ptcn", "rk4", "etrs"]}
     assert len(count_scf_solves) == 1
     assert list(runs) == ["ptcn", "rk4", "etrs"]
 
@@ -294,10 +296,7 @@ def test_trajectory_to_dict_is_json_serializable(api_session):
 
 
 def test_ground_state_npz_round_trip(api_session, tmp_path):
-    import json
-
     result = api_session.ground_state()
-    json.dumps(result.to_dict())
     path = tmp_path / "ground_state.npz"
     result.save_npz(path)
     loaded = GroundStateResult.load_npz(path, api_session.basis)

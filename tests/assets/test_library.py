@@ -9,7 +9,6 @@ from repro.assets import (
     AssetLibrary,
     default_library,
     payload_digest,
-    split_asset_ref,
 )
 from repro.pw.pseudopotential import PseudopotentialSpecies
 from repro.pw.structures import Structure
@@ -130,10 +129,3 @@ class TestMaterialize:
 
         with pytest.raises(AssetError, match="no asset manifest"):
             AssetLibrary.open(tmp_path / "nowhere")
-
-
-class TestSplitAssetRef:
-    def test_prefix_detection(self):
-        assert split_asset_ref("asset:pulse/kick-z@1") == "pulse/kick-z@1"
-        assert split_asset_ref("gaussian") is None
-        assert split_asset_ref(None) is None

@@ -2,6 +2,7 @@
 bit-identical-physics acceptance criterion.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestExecution:
         screening tier is stamped on every result and never touches the
         store; either tier agrees with the hand-configured runner."""
         execution_plan = plan(small_campaign)
-        execution_plan.settings = execution_plan.settings.replace(precision=precision)
+        execution_plan.settings = dataclasses.replace(execution_plan.settings, precision=precision)
         store = ResultStore(tmp_path / "store")
         report = execution_plan.execute(store)
         assert report.ok

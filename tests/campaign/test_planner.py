@@ -7,6 +7,7 @@ model* and that loosening a budget never yields a slower plan. Planning never
 runs physics, so the whole module stays in the cheap config layers.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -55,7 +56,7 @@ class TestBudget:
     def test_round_trip_and_replace(self):
         budget = Budget(max_wall_seconds=60.0, max_nodes=2)
         assert Budget.from_dict(budget.as_dict()) == budget
-        assert budget.replace(max_wall_seconds=None).limits() == {"max_nodes": 2}
+        assert dataclasses.replace(budget, max_wall_seconds=None).limits() == {"max_nodes": 2}
         with pytest.raises(ValueError, match="unknown Budget key"):
             Budget.from_dict({"max_watts": 1.0})
 
@@ -63,7 +64,7 @@ class TestBudget:
 class TestCampaignSpec:
     def test_single_sweep_gets_the_default_name(self, tiny_config):
         spec = CampaignSpec(SweepSpec(tiny_config, {"run.time_step_as": [1.0]}))
-        assert spec.names == ["sweep"]
+        assert list(spec.sweeps) == ["sweep"]
         assert spec.n_jobs == 1
 
     def test_rejects_bad_shapes(self, tiny_config):
@@ -93,7 +94,7 @@ class TestCampaignSpec:
         assert spec.budget == Budget(max_ranks=4)
         relaxed = spec.with_budget(Budget())
         assert relaxed.budget.limits() == {}
-        assert relaxed.names == ["a"]
+        assert list(relaxed.sweeps) == ["a"]
 
 
 # ---------------------------------------------------------------------------

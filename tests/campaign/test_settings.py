@@ -2,6 +2,8 @@
 redesign around it (settings= is the only path).
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
@@ -88,11 +90,11 @@ class TestResolution:
     def test_round_trip_and_replace(self):
         settings = ExecutionSettings(backend="distributed", ranks=8, machine="frontier")
         assert ExecutionSettings.from_dict(settings.as_dict()) == settings
-        assert settings.replace(ranks=2).ranks == 2
+        assert dataclasses.replace(settings, ranks=2).ranks == 2
         with pytest.raises(ValueError, match="unknown ExecutionSettings key"):
             ExecutionSettings.from_dict({"backend": "serial", "bogus": 1})
         with pytest.raises(ValueError, match="ranks"):
-            settings.replace(ranks=0)
+            dataclasses.replace(settings, ranks=0)
 
 
 class TestDescribedObjects:

@@ -6,8 +6,9 @@ import pytest
 from repro.constants import attoseconds_to_au
 from repro.core import ETRSPropagator, PTCNPropagator, RK4Propagator, TDDFTSimulation
 from repro.core.dynamics import BatchedRun, run_batched
-from repro.core.observables import dipole_moment, electron_number
+from repro.core.observables import dipole_moment
 from repro.pw import Hamiltonian
+from support import electron_number
 
 
 @pytest.fixture()

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.gauge import (
-    apply_subspace_projection,
-    density_matrix_distance,
-    parallel_transport_align,
-    pt_residual,
-    subspace_hamiltonian,
-    unitary_defect,
-)
+from repro.core.gauge import apply_subspace_projection, pt_residual, subspace_hamiltonian
 from repro.pw import Wavefunction
+from support import dense_eigensolve, density_matrix_distance, parallel_transport_align, unitary_defect
 
 
 @pytest.fixture()
@@ -66,7 +60,6 @@ class TestPTResidual:
         assert np.linalg.norm(r) < 0.05 * np.linalg.norm(hc)
 
     def test_zero_for_eigenvectors(self, lda_hamiltonian, h2_basis, rng):
-        from repro.pw.eigensolver import dense_eigensolve
 
         wf = Wavefunction.random(h2_basis, 2, rng=rng)
         lda_hamiltonian.update_potential(wf)

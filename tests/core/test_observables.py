@@ -3,15 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.core.observables import (
-    absorption_spectrum,
-    band_occupations,
-    dipole_moment,
-    electron_number,
-    energy_drift,
-    excited_charge,
-)
+from repro.core.observables import absorption_spectrum, dipole_moment, energy_drift
 from repro.pw import Wavefunction
+from support import electron_number
+
+
+def band_occupations(wavefunction: Wavefunction, reference: Wavefunction) -> np.ndarray:
+    """Occupation of each reference (ground-state) band in the propagated state.
+
+    ``n_j = sum_i f_i |<phi_j | psi_i(t)>|^2`` where ``phi_j`` are the
+    reference orbitals. At ``t=0`` this returns the reference occupations; the
+    deficit from the initial values measures excited carriers.
+    """
+    overlap = reference.coefficients.conj() @ wavefunction.coefficients.T  # (nref, nprop)
+    weights = wavefunction.occupations[None, :]
+    return np.real(np.sum(weights * np.abs(overlap) ** 2, axis=1))
+
+
+def excited_charge(wavefunction: Wavefunction, reference: Wavefunction) -> float:
+    """Number of electrons promoted out of the reference occupied subspace."""
+    occupations = band_occupations(wavefunction, reference)
+    total = float(np.sum(wavefunction.occupations))
+    return max(total - float(np.sum(occupations)), 0.0)
 
 
 class TestDipole:

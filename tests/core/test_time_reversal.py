@@ -29,10 +29,10 @@ from repro.core import (
     ETRSPropagator,
     PTCNPropagator,
     RK4Propagator,
-    density_matrix_distance,
 )
 from repro.pw import GroundStateSolver, Hamiltonian, Wavefunction
 from repro.pw.laser import DeltaKick
+from support import density_matrix_distance
 
 
 @pytest.fixture(scope="module")

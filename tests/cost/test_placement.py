@@ -54,9 +54,9 @@ class TestLinks:
         assert twelve_ranks.link_bandwidth_gbs(Link.XBUS) == node.xbus_bandwidth_gbs
         assert twelve_ranks.link_bandwidth_gbs(Link.INFINIBAND) == node.nic_bandwidth_gbs
 
-    def test_describe_is_json_shaped(self, twelve_ranks):
-        record = twelve_ranks.describe(7)
-        assert record == {"rank": 7, "node": 1, "socket": 0, "link_from_root": "ib"}
+    def test_rank_seven_sits_on_the_second_node(self, twelve_ranks):
+        assert (twelve_ranks.node_of(7), twelve_ranks.socket_of(7)) == (1, 0)
+        assert twelve_ranks.link_between(0, 7).value == "ib"
 
 
 class TestTransferCost:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import PAPER_SCALARS
-from repro.machine import GPUKernelModel, NetworkModel, fft_flops, gemm_flops
+from repro.machine import GPUKernelModel, NetworkModel, fft_flops
 
 
 class TestFlopCounts:
@@ -13,9 +13,6 @@ class TestFlopCounts:
         n = 1024
         assert fft_flops(n) == pytest.approx(5 * n * np.log2(n))
         assert fft_flops(n, batch=3) == pytest.approx(3 * 5 * n * np.log2(n))
-
-    def test_gemm_flops(self):
-        assert gemm_flops(2, 3, 4) == pytest.approx(8 * 24)
 
     def test_invalid_fft_size(self):
         with pytest.raises(ValueError):
@@ -44,10 +41,6 @@ class TestGPUKernelModel:
         t = model.fft_time(ng)
         bandwidth = PAPER_SCALARS["gpu_bandwidth_utilisation"] * 900e9
         assert t == pytest.approx(model.fft_bandwidth_passes * ng * 16 / bandwidth, rel=0.3)
-
-    def test_memcpy(self):
-        model = GPUKernelModel()
-        assert model.memcpy_time(1e9) == pytest.approx(1e9 / 50e9)
 
     def test_pointwise_scaling(self):
         model = GPUKernelModel()

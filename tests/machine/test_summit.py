@@ -8,7 +8,6 @@ from repro.machine import (
     SUMMIT,
     NodeSpec,
     PowerReport,
-    energy_to_solution,
 )
 
 
@@ -39,9 +38,8 @@ class TestSummitSystem:
 
 class TestPower:
     def test_energy_to_solution(self):
-        assert energy_to_solution(1000.0, 3600.0) == pytest.approx(3.6e6)
-        with pytest.raises(ValueError):
-            energy_to_solution(-1.0, 10.0)
+        report = PowerReport("one hour at 1 kW", nodes=1, power_watts=1000.0, wall_time_s=3600.0)
+        assert report.energy_joules == pytest.approx(3.6e6)
 
     def test_power_report(self):
         report = PowerReport("x", 1, 2000.0, 1800.0)

@@ -8,6 +8,7 @@ counterpart without a row, fails too.
 
 import pytest
 
+from repro.analysis.paper_data import Budget
 from repro.perf import PWDFTPerformanceModel, SiliconWorkload
 
 
@@ -18,13 +19,30 @@ def si1536() -> PWDFTPerformanceModel:
 
 
 @pytest.fixture(scope="session")
-def admitted():
+def admits():
+    """``(budget, value, paper) -> bool``: whether a :class:`Budget` (the
+    relative deviation ``value / paper - 1`` in ``[-under, over]``; exact
+    equality for ``Budget()``) or a :class:`Ceiling` (``value < limit``)
+    admits ``value``."""
+
+    def check(budget, value, paper) -> bool:
+        if not isinstance(budget, Budget):
+            return value < budget.limit
+        if budget.under == budget.over == 0.0:
+            return value == paper
+        return -budget.under <= value / paper - 1.0 <= budget.over
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def admitted(admits):
     """``(table, modelled, row) -> bool``: whether ``row``'s budget admits its
     modelled value (and the two mappings name the same rows)."""
 
     def check(table: dict, modelled: dict, row: str) -> bool:
         assert set(modelled) == set(table)
         paper, budget = table[row]
-        return budget.admits(modelled[row], paper)
+        return admits(budget, modelled[row], paper)
 
     return check

@@ -25,7 +25,7 @@ def modelled():
     return {
         "supercell": supercell,
         "atoms": _one(structure.natoms, workload.natoms),
-        "valence_electrons": _one(structure.n_electrons, workload.n_electrons),
+        "valence_electrons": _one(structure.n_electrons, 2 * workload.n_bands),  # doubly occupied bands
         "occupied_bands": _one(structure.n_occupied_bands(), workload.n_bands),
         "planewaves": workload.n_planewaves,
         "wavefunction_grid": workload.wavefunction_grid,

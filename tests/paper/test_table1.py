@@ -1,8 +1,8 @@
 """Table 1: the component model at every cell, and its two anchors."""
 
+import numpy as np
 import pytest
 
-from repro.analysis import compare_series, geometric_mean_ratio
 from repro.analysis.paper_data import (
     CPU_BASELINE_CORES,
     TABLE1,
@@ -23,15 +23,15 @@ def _cell(model, row: str, n_gpus: int) -> float:
 
 @pytest.mark.parametrize("n_gpus", TABLE1_GPU_COUNTS)
 @pytest.mark.parametrize("row", list(TABLE1))
-def test_table1_cell(si1536, row, n_gpus):
+def test_table1_cell(si1536, row, n_gpus, admits):
     """Each cell within its row's budget; the 36-GPU calibration column also
     within the anchor's."""
     assert set(TABLE1_BUDGETS) == set(TABLE1_ANCHOR_BUDGETS) == set(TABLE1)
     paper = TABLE1[row][TABLE1_GPU_COUNTS.index(n_gpus)]
     value = _cell(si1536, row, n_gpus)
-    assert TABLE1_BUDGETS[row].admits(value, paper)
+    assert admits(TABLE1_BUDGETS[row], value, paper)
     if n_gpus == TABLE1_GPU_COUNTS[0]:
-        assert TABLE1_ANCHOR_BUDGETS[row].admits(value, paper)
+        assert admits(TABLE1_ANCHOR_BUDGETS[row], value, paper)
 
 
 def test_only_communication_rows_are_loose():
@@ -45,8 +45,8 @@ def modelled(si1536):
     totals = [si1536.step_breakdown(n).total_step_time for n in TABLE1_GPU_COUNTS]
     return {
         "cpu_step_3072_cores": si1536.cpu_step_time(CPU_BASELINE_CORES),
-        "total_step_time_geometric_mean_ratio": geometric_mean_ratio(
-            compare_series(list(TABLE1_GPU_COUNTS), list(TABLE1["total_step_time"]), totals)
+        "total_step_time_geometric_mean_ratio": float(
+            np.exp(np.mean(np.log(np.divide(totals, TABLE1["total_step_time"]))))
         ),
     }
 

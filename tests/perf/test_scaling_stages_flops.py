@@ -4,7 +4,7 @@ and the reporting helpers (their values against the paper: ``tests/paper/``)."""
 import numpy as np
 import pytest
 
-from repro.analysis import WEAK_SCALING_ATOMS, compare_series, format_table, geometric_mean_ratio
+from repro.analysis import WEAK_SCALING_ATOMS, format_table
 from repro.perf import (
     PWDFTPerformanceModel,
     SiliconWorkload,
@@ -97,13 +97,3 @@ class TestReportingHelpers:
         lines = text.splitlines()
         assert len(lines) == 4
         assert "a" in lines[0] and "bb" in lines[0]
-
-    def test_compare_series_and_geometric_mean(self):
-        rows = compare_series(["a", "b"], [1.0, 2.0], [1.1, 1.8])
-        assert rows[0].ratio == pytest.approx(1.1)
-        gm = geometric_mean_ratio(rows)
-        assert 0.9 < gm < 1.1
-
-    def test_compare_series_validation(self):
-        with pytest.raises(ValueError):
-            compare_series(["a"], [1.0, 2.0], [1.0])

@@ -4,7 +4,8 @@ paper: ``tests/paper/test_fig4.py`` and ``test_memory.py``)."""
 import pytest
 
 from repro.analysis import WEAK_SCALING_ATOMS
-from repro.perf import SiliconWorkload, paper_workloads
+from repro.perf import SiliconWorkload
+from repro.pw.structures import paper_silicon_series
 
 
 class TestSi1536:
@@ -22,7 +23,7 @@ class TestSi1536:
 
 class TestSeries:
     def test_paper_workloads_cover_weak_scaling(self):
-        workloads = paper_workloads()
+        workloads = {natoms: SiliconWorkload(natoms, cell) for natoms, cell in paper_silicon_series().items()}
         assert tuple(workloads) == WEAK_SCALING_ATOMS
         for natoms, w in workloads.items():
             assert w.n_bands == 2 * natoms

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from repro.api import PROPAGATORS
 from repro.constants import attoseconds_to_au
-from repro.core.gauge import density_matrix_distance
-from repro.core.observables import dipole_moment, electron_number
+from repro.core.observables import dipole_moment
 from repro.pw import Hamiltonian, Wavefunction
+from support import density_matrix_distance, electron_number
 
 SETTINGS = dict(max_examples=5, deadline=None)
 

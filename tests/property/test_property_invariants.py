@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.anderson import AndersonMixer
-from repro.core.gauge import density_matrix_distance
 from repro.parallel.comm import CollectiveKind, SimCommunicator
 from repro.parallel.paper_kernels import (
     band_distribution,
@@ -22,6 +21,7 @@ from repro.parallel.paper_kernels import (
 )
 from repro.pw.grid import FFTGrid, PlaneWaveBasis
 from repro.pw.lattice import Cell
+from support import density_matrix_distance
 
 # keep hypothesis example counts small: every example builds real arrays
 SETTINGS = dict(max_examples=25, deadline=None)

@@ -51,7 +51,7 @@ class TestLinearAlgebra:
         assert np.allclose(s, expected)
 
     def test_norms(self, random_wavefunction):
-        assert np.allclose(random_wavefunction.norms(), 1.0)
+        assert np.allclose(np.linalg.norm(random_wavefunction.coefficients, axis=1), 1.0)
 
     def test_copy_is_independent(self, random_wavefunction):
         copy = random_wavefunction.copy()

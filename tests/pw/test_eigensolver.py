@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.pw import eigensolver
-from repro.pw.eigensolver import EigenResult, block_davidson, dense_eigensolve
+from repro.pw.eigensolver import EigenResult, block_davidson
+from support import dense_eigensolve
 
 
 def capped_davidson(monkeypatch, apply_h, guess, nbands, max_iterations=60, max_subspace_factor=4, **keywords):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import repro.pw.exchange as exchange_module
 from repro.pw import ExchangeOperator, Wavefunction
+from repro.pw.exchange import ExchangeCounters
 from repro.pw.poisson import CoulombKernel, bare_coulomb_kernel
 
 
@@ -118,7 +119,7 @@ class TestEnergyAndCounters:
         operator.set_orbitals(other)
         before = operator.apply(other.coefficients)  # fills the memo of `other`
         operator.energy(orbitals)
-        operator.counters.reset()
+        operator.counters = ExchangeCounters()
         after = operator.apply(other.coefficients)
         assert np.array_equal(after, before)
         assert operator.counters.poisson_solves == 0  # served from the memo
@@ -131,7 +132,7 @@ class TestEnergyAndCounters:
         StepStatistics.hamiltonian_applications and are not affected."""
         n = orbitals.nbands
         operator.set_orbitals(orbitals)
-        operator.counters.reset()
+        operator.counters = ExchangeCounters()
         operator.apply(orbitals.coefficients)
         assert operator.counters.poisson_solves == n * (n + 1) // 2
         assert operator.counters.ffts == 2 * (n * (n + 1) // 2) + n  # no target transform
@@ -140,7 +141,7 @@ class TestEnergyAndCounters:
     def test_general_target_pairs_every_orbital_with_every_band(self, operator, orbitals, h2_basis, rng):
         target = Wavefunction.random(h2_basis, 2, rng=rng)
         operator.set_orbitals(orbitals)
-        operator.counters.reset()
+        operator.counters = ExchangeCounters()
         operator.apply(target.coefficients)
         assert operator.counters.poisson_solves == orbitals.nbands * 2
 
@@ -149,7 +150,7 @@ class TestEnergyAndCounters:
         occ = np.array([2.0, 0.0])
         wf = Wavefunction(h2_basis, Wavefunction.random(h2_basis, 2, rng=rng).coefficients, occ)
         op.set_orbitals(wf)
-        op.counters.reset()
+        op.counters = ExchangeCounters()
         op.apply(wf.coefficients)
         # pairs (0,0) and (0,1); the empty-empty pair (1,1) feeds no band
         assert op.counters.poisson_solves == 2
@@ -159,7 +160,7 @@ class TestEnergyAndCounters:
         op = ExchangeOperator(h2_basis, mixing_fraction=0.25)
         op.set_orbitals(Wavefunction(h2_basis, Wavefunction.random(h2_basis, 2, rng=rng).coefficients, np.array([2.0, 0.0])))
         target = Wavefunction.random(h2_basis, 5, rng=rng)
-        op.counters.reset()
+        op.counters = ExchangeCounters()
         op.apply(target.coefficients)
         assert op.counters.poisson_solves == 5
 
@@ -196,7 +197,7 @@ class TestPairSymmetry:
         reference = _rectangular_reference(h2_basis, op.kernel, wf, 0.25)
         assert np.allclose(triangle, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
         # a value-different target takes the rectangular path of the operator itself
-        op.counters.reset()
+        op.counters = ExchangeCounters()
         nudged = wf.coefficients * (1.0 + 1e-15)
         rectangular = op.apply(nudged)
         assert op.counters.poisson_solves == 6 * 3
@@ -258,7 +259,7 @@ class TestSelfApplicationMemo:
     def test_repeated_application_served_from_memo(self, operator, orbitals):
         operator.set_orbitals(orbitals)
         first = operator.apply(orbitals.coefficients)
-        operator.counters.reset()
+        operator.counters = ExchangeCounters()
         operator.set_orbitals(orbitals.copy())  # equal by value: a no-op
         second = operator.apply(orbitals.coefficients.copy())
         assert np.array_equal(first, second)
@@ -293,7 +294,7 @@ class TestSelfApplicationMemo:
         first = operator.apply(orbitals.coefficients)
         changed = Wavefunction(orbitals.basis, 1.01 * orbitals.coefficients, orbitals.occupations)
         operator.set_orbitals(changed)
-        operator.counters.reset()
+        operator.counters = ExchangeCounters()
         second = operator.apply(changed.coefficients)
         assert operator.counters.applications == 1
         assert np.allclose(second, 1.01**3 * first, rtol=1e-12)
@@ -312,7 +313,7 @@ class TestSelfApplicationMemo:
         original = orbitals.coefficients.copy()
         first = operator.apply(orbitals.coefficients)
         orbitals.coefficients[1] *= 2.0
-        operator.counters.reset()
+        operator.counters = ExchangeCounters()
         mutated = operator.apply(orbitals.coefficients)  # a general target now
         assert operator.counters.poisson_solves == orbitals.nbands**2
         assert not np.allclose(mutated, first)

@@ -191,15 +191,36 @@ class TestTransforms:
         assert grid.to_real(values.astype(np.complex64)).dtype == np.complex64
 
 
+def _workspaces(basis) -> dict:
+    """The basis's scatter workspaces by dtype."""
+    memo = basis.__dict__.get("_bound_transforms", {})
+    return {key[1]: bound[0] for key, bound in memo.items() if isinstance(key, tuple) and key[0] == "workspace"}
+
+
 class TestWorkspace:
-    def test_workspace_is_reused_per_lead_shape(self):
+    def test_one_workspace_per_dtype_grown_to_the_largest_stack(self):
         basis = PlaneWaveBasis(_grid(), 2.0)
         grid = basis.grid
         dtype = np.dtype(np.complex128)
         first = basis._workspace(dtype, (2, 3))[1]
         assert first.shape == (2, 3, grid.size)
-        assert basis._workspace(dtype, (2, 3))[1] is first
-        assert basis._workspace(dtype, (4,))[1] is not first
+        assert np.shares_memory(basis._workspace(dtype, (2, 3))[1], first)
+        assert np.shares_memory(basis._workspace(dtype, (4,))[1], first)  # a narrower stack slices it
+        wider = basis._workspace(dtype, (8,))[1]
+        assert wider.shape == (8, grid.size) and not np.shares_memory(wider, first)
+        assert [buffer.shape for buffer in _workspaces(basis).values()] == [(8, grid.size)]
+
+    def test_a_basis_holds_one_workspace_per_dtype(self, h2_ground_state, h2_basis, rng):
+        """After an SCF and stacks of several widths in both precisions, the
+        basis keeps one buffer per dtype, as wide as its widest stack."""
+        for width in (1, 3, 2, 5, 1):
+            coeffs = rng.standard_normal((width, h2_basis.npw)) + 0j
+            expected = h2_basis.grid.to_real(h2_basis.to_grid(coeffs))
+            assert np.array_equal(h2_basis.to_real_space(coeffs), expected)
+            h2_basis.to_real_space(coeffs.astype(np.complex64))
+        buffers = _workspaces(h2_basis)
+        assert sorted(dtype.name for dtype in buffers) == ["complex128", "complex64"]
+        assert all(len(buffer) >= 5 for buffer in buffers.values())
 
     def test_each_basis_owns_its_buffers(self, h2_basis, rng):
         """Every Session builds its own basis, and its workspaces go with it:
@@ -210,7 +231,7 @@ class TestWorkspace:
         expected = h2_basis.to_real_space(coeffs)
         assert np.array_equal(twin.to_real_space(coeffs), expected)
         lead = (np.dtype(np.complex128), (2,))
-        assert twin._workspace(*lead)[1] is not h2_basis._workspace(*lead)[1]
+        assert not np.shares_memory(twin._workspace(*lead)[1], h2_basis._workspace(*lead)[1])
         assert twin._workspace(*lead)[0] is h2_basis._workspace(*lead)[0]  # the grid's one plan
 
     def test_scatter_reuse_is_sound_across_calls(self, h2_basis, rng):
@@ -237,7 +258,7 @@ class TestWorkspace:
             assert via_workspace.dtype == np.complex64
             assert np.array_equal(via_workspace, h2_basis.grid.to_real(h2_basis.to_grid(coeffs)))
         single, double = (h2_basis._workspace(np.dtype(t), (2,))[1] for t in (np.complex64, np.complex128))
-        assert single.dtype == np.complex64 and single is not double
+        assert single.dtype == np.complex64 and not np.shares_memory(single, double)
 
     def test_batched_to_real_space_matches_per_band(self, h2_basis, rng):
         coeffs = rng.standard_normal((3, 2, h2_basis.npw)) + 1j * rng.standard_normal(

@@ -148,3 +148,21 @@ class TestPlaneWaveBasis:
     def test_invalid_ecut(self, cubic_grid):
         with pytest.raises(ValueError):
             PlaneWaveBasis(cubic_grid, -1.0)
+
+
+class TestSharedDerivedArraysAreReadOnly:
+    """Every job of a group shares its grid's and basis's memoised arrays, so
+    an in-place write to one must raise rather than change every later job."""
+
+    def test_in_place_writes_raise(self, h2_basis):
+        from repro.pw.poisson import bare_coulomb_kernel
+
+        grid = h2_basis.grid
+        kernel = bare_coulomb_kernel(grid)
+        shared = [grid.g_vectors, grid.g_squared, grid.real_space_points, *grid.frequencies,
+                  h2_basis.g_vectors, h2_basis.g_squared, h2_basis.kinetic_energies, h2_basis.mask,
+                  h2_basis.indices, kernel.values, kernel.values_single]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+        assert bare_coulomb_kernel(grid).values is kernel.values  # the memo's own array

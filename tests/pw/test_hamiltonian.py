@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pw import Hamiltonian, Wavefunction, compute_density
-from repro.pw.hamiltonian import apply_many
+from repro.pw.hamiltonian import HamiltonianCounters, apply_many
 from repro.pw.laser import GaussianLaserPulse
 
 
@@ -81,7 +81,7 @@ class TestApply:
 
     def test_counter_increments(self, hybrid_hamiltonian, random_wavefunction):
         hybrid_hamiltonian.update_potential(random_wavefunction)
-        hybrid_hamiltonian.counters.reset()
+        hybrid_hamiltonian.counters = HamiltonianCounters()
         hybrid_hamiltonian.apply(random_wavefunction.coefficients)
         assert hybrid_hamiltonian.counters.apply_calls == 1
         assert hybrid_hamiltonian.counters.fock_applications == 1

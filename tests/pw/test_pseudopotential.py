@@ -199,11 +199,11 @@ class TestNonlocalPotential:
         first = NonlocalPotential(small_basis, [si], [positions])
         again = NonlocalPotential(small_basis, [gth_species("Si")], [positions.copy()])
         assert len(builds) == 1
-        assert again._projector_matrix is first._projector_matrix and again.couplings is first.couplings
+        assert again._projector_matrix is first._projector_matrix and again._couplings is first._couplings
         matrix, couplings = uncached(first)
         assert first._projector_matrix.tobytes() == matrix.tobytes()
-        assert first.couplings.tobytes() == couplings.tobytes()
-        assert not first._projector_matrix.flags.writeable and not first.couplings.flags.writeable
+        assert first._couplings.tobytes() == couplings.tobytes()
+        assert not first._projector_matrix.flags.writeable and not first._couplings.flags.writeable
         c = np.random.default_rng(3).standard_normal((2, small_basis.npw)).astype(complex)
         assert np.array_equal(first.apply(c), (matrix.T @ ((matrix.conj() @ c.T) * couplings[:, None])).T)
         # anything that enters the tables is part of the key

@@ -26,31 +26,6 @@ def _pulse(amplitude=0.1, omega=0.5, t0=10.0, sigma=2.0, polarization=None):
 
 
 class TestPumpProbePulse:
-    def test_field_is_sum_of_components(self):
-        pair = PumpProbePulse(pump=_pulse(), probe=_pulse(amplitude=0.02), delay=3.0)
-        t = 9.0
-        expected = pair.pump.field(t) + pair.probe.field(t - 3.0)
-        assert pair.field(t) == pytest.approx(expected)
-        assert np.allclose(pair.field_vector(t), expected * pair.pump.polarization)
-
-    def test_sample_matches_field(self):
-        pair = PumpProbePulse(pump=_pulse(), probe=_pulse(amplitude=0.05), delay=2.0)
-        times = np.linspace(0.0, 25.0, 11)
-        assert np.allclose(pair.sample(times), [pair.field(t) for t in times])
-
-    def test_cross_polarised_probe_projects(self):
-        pair = PumpProbePulse(
-            pump=_pulse(polarization=[0, 0, 1]),
-            probe=_pulse(amplitude=0.05, polarization=[1, 0, 0]),
-            delay=0.0,
-        )
-        t = 10.0
-        # the scalar field (pump axis) must not see the orthogonal probe
-        assert pair.field(t) == pytest.approx(pair.pump.field(t))
-        vec = pair.field_vector(t)
-        assert vec[0] == pytest.approx(pair.probe.field(t))
-        assert np.allclose(pair.polarization, [0, 0, 1])
-
     def test_validation(self):
         with pytest.raises(ValueError, match="GaussianLaserPulse"):
             PumpProbePulse(pump=_pulse(), probe="not a pulse")

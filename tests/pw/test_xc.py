@@ -12,9 +12,20 @@ from repro.pw.xc import (
     _PZ_D,
     _PZ_GAMMA,
     LDAFunctional,
-    lda_exchange,
-    pz81_correlation,
+    _clipped,
+    _pz81,
+    _slater,
 )
+
+
+def lda_exchange(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slater exchange of a raw density, clipped at zero first."""
+    return _slater(_clipped(rho))
+
+
+def pz81_correlation(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PZ81 correlation of a raw density, clipped at zero first."""
+    return _pz81(_clipped(rho))
 
 
 def masked_pz81(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

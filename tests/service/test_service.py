@@ -308,7 +308,7 @@ class TestHandle:
             json.dumps(handle.progress())  # the snapshot is JSON-able
 
             report = await handle.report()
-            assert handle.status() == "done" and handle.done()
+            assert handle.status() == "done" and handle._task.done()
             progress = handle.progress()
             assert progress["sweeps"]["cutoff"]["state"] == "done"
             assert progress["jobs_done"] == progress["n_jobs"] == 4
@@ -381,7 +381,7 @@ class TestHandle:
         assert len(logged) == 3 and {obs.sweep for obs in logged} == {"cutoff"}
         assert handle.progress()["sweeps"]["dt"]["state"] == "pending"
         assert service.pool.active == []
-        assert service.pool.free_nodes == service.pool.n_nodes
+        assert len(service.pool._free) == service.pool.n_nodes
 
 
 # ---------------------------------------------------------------------------

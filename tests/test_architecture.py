@@ -9,12 +9,17 @@ whose pattern stops matching anything fails too (as
 """
 
 import ast
+import importlib.util
+import json
 import pathlib
 import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("reach", ROOT / "benchmarks" / "reach.py")
+reach = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reach)
 
 
 def _grep(root: pathlib.Path, pattern: str, tops: list[str], *, python_only: bool = True,
@@ -100,9 +105,9 @@ def one_observables_body(root):
     """The recorded energy, dipole and electron number have one body each,
     stacked over a group: ``repro.pw.hamiltonian.energies_many`` and
     ``repro.core.observables.dipoles_many`` / ``electron_numbers_many``.
-    ``Hamiltonian.energy`` and ``dipole_moment`` / ``electron_number`` are
-    their width-1 calls, and the trajectory records pick their rows and call
-    them, integrating nothing themselves: a second body would let a job's
+    ``Hamiltonian.energy`` and ``dipole_moment`` are width-1 calls of the
+    first two, and the trajectory records pick their rows and call them,
+    integrating nothing themselves: a second body would let a job's
     recorded energy depend on which body computed it. The laser builds its
     field from the sawtooth, not a dipole."""
     found = []
@@ -216,7 +221,7 @@ def every_import_is_named(root):
     whose import is named, or gone, leaves the list."""
     found, kept = [], set()
     for relative, tree in _python_files(root, ["src"]):
-        named = {name for name, _ in _names_referenced(tree, imports=False)}
+        named = {name for name, _ in _names_referenced(tree, exports=True)}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
                 continue
@@ -230,21 +235,6 @@ def every_import_is_named(root):
                     found.append(f"{relative}:{node.lineno}: {name}")
     return found + [f"{key}: on BOUND_FOR_THE_HARNESS, but named or gone" for key in BOUND_FOR_THE_HARNESS
                     if (root / key.split(":")[0]).is_file() and key not in kept]
-
-
-#: definitions under ``src/`` kept although no shipped caller names them, each with its reason
-CALLED_FROM_OUTSIDE = {
-    "src/repro/core/dynamics.py:Trajectory.save_npz":
-        "the user-facing trajectory writer README names; it writes the bytes the store archives",
-    "src/repro/pw/ground_state.py:GroundStateResult.save_npz":
-        "the user-facing ground-state writer README names; it writes the bytes the store archives",
-    "src/repro/analysis/paper_data.py:Budget.admits":
-        "the paper tables' own check, kept beside the rows it judges (tests/paper calls it per row)",
-    "src/repro/analysis/paper_data.py:Ceiling.admits":
-        "the same check for rows the paper states as an upper bound",
-    "src/repro/service/handle.py:CampaignHandle.cancel":
-        "the caller's control over a submitted campaign; the service's `cancelled` path exists for it",
-}
 
 
 def _python_files(root: pathlib.Path, tops: list[str]):
@@ -268,21 +258,28 @@ def _inert_strings(tree: ast.AST) -> set[int]:
                     if isinstance(member, ast.Assign) and isinstance(member.value, ast.Constant)}
 
 
-def _names_referenced(tree: ast.AST, imports: bool = True):
+def _exported_strings(tree: ast.AST) -> set[int]:
+    """The ids of the string constants of ``tree``'s ``__all__`` lists."""
+    exported = set()
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if isinstance(node, (ast.Assign, ast.AugAssign)) and any(getattr(t, "id", None) == "__all__" for t in targets):
+            exported |= {id(item) for item in ast.walk(node.value) if isinstance(item, ast.Constant)}
+    return exported
+
+
+def _names_referenced(tree: ast.AST, exports: bool):
     """``(name, line)`` for every name ``tree``'s code refers to: a ``Name``, an
-    ``Attribute``, an import alias (unless ``imports`` is false), or a string
-    constant spelled as a (dotted) identifier, as ``getattr``, ``__all__`` and
-    tracer targets spell one. Docstrings, comments and ``Enum`` member values
-    refer to nothing."""
-    inert = _inert_strings(tree)
+    ``Attribute``, or a string constant spelled as a (dotted) identifier, as
+    ``getattr`` and tracer targets spell one, and as ``__all__`` does (counted
+    only when ``exports`` is true). Import aliases, docstrings, comments and
+    ``Enum`` member values refer to nothing."""
+    inert = _inert_strings(tree) | (set() if exports else _exported_strings(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.alias) and imports:
-            for name in filter(None, (node.name.rsplit(".", 1)[-1], node.asname)):
-                yield name, node.lineno
         else:
             for part in _identifier_parts(node, inert):
                 yield part, node.lineno
@@ -304,19 +301,24 @@ def _registered(node) -> bool:
     return any(getattr(func, "id", getattr(func, "attr", "")).startswith("register_") for func in calls)
 
 
+#: at most this many ``benchmarks/reach.json`` entries may name a definition no shipped code names
+STATICALLY_UNCALLED_CAP = 10
+
+
 def src_holds_what_the_system_calls(root):
     """Every function, method, property and class under ``src/`` is there
     because the system calls it: shipped code (``src/``, ``examples/``,
     ``benchmarks/``) names it outside its own body, a ``@register_*``
-    decorator registers it, or it is on ``CALLED_FROM_OUTSIDE`` with its
-    reason. A definition only tests call belongs in ``tests/``; a mention in a
-    docstring is not a call. Dunders are the language's. The allowlist stays
-    short (at most 10 entries) and current: an entry whose definition is
-    called, or gone from its file, leaves it."""
+    decorator registers it, or ``benchmarks/reach.json`` lists it with its
+    class and reason. A definition only tests call belongs in ``tests/``; a
+    mention in a docstring, an ``__all__`` entry or an import is not a call.
+    Dunders are the language's. At most ``STATICALLY_UNCALLED_CAP`` of the
+    listed definitions may go uncalled this way (``benchmarks/reach.py``
+    checks the whole list against what the shipped commands execute)."""
     definitions = []
     references: dict[str, list[tuple[str, int]]] = {}
     for relative, tree in _python_files(root, ["src", "examples", "benchmarks"]):
-        for name, line in _names_referenced(tree):
+        for name, line in _names_referenced(tree, exports=False):
             references.setdefault(name, []).append((relative, line))
         if not relative.startswith("src/"):
             continue
@@ -329,7 +331,9 @@ def src_holds_what_the_system_calls(root):
                     scopes.append((node, f"{prefix}{node.name}."))
                 elif not isinstance(node, ast.expr):
                     scopes.append((node, prefix))
-    found, kept = [], set()
+    path = root / "benchmarks" / "reach.json"
+    listed = reach.listed(path) if path.is_file() else {}
+    found, kept = [], []
     for relative, qualname, node in definitions:
         name = node.name
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
@@ -337,14 +341,40 @@ def src_holds_what_the_system_calls(root):
                 or any(path != relative or not first <= line <= node.end_lineno
                        for path, line in references.get(name, ())):
             continue
-        if f"{relative}:{qualname}" in CALLED_FROM_OUTSIDE:
-            kept.add(f"{relative}:{qualname}")
+        if f"{relative}:{qualname}" in listed:
+            kept.append(f"{relative}:{qualname}")
         else:
             found.append(f"{relative}:{node.lineno}: {qualname}")
-    found += [f"{key}: on CALLED_FROM_OUTSIDE, but called or gone" for key in CALLED_FROM_OUTSIDE
-              if (root / key.split(":")[0]).is_file() and key not in kept]
-    if len(CALLED_FROM_OUTSIDE) > 10:
-        found.append(f"CALLED_FROM_OUTSIDE: {len(CALLED_FROM_OUTSIDE)} entries, more than 10")
+    if len(kept) > STATICALLY_UNCALLED_CAP:
+        found.append(f"benchmarks/reach.json: {len(kept)} statically uncalled entries, "
+                     f"more than {STATICALLY_UNCALLED_CAP}: {', '.join(kept)}")
+    return found
+
+
+def reach_list_is_well_formed(root):
+    """``benchmarks/reach.json`` lists each definition the shipped commands
+    never execute once, by an existing function or method under ``src/``,
+    with a class from ``benchmarks/reach.py``'s ``CLASSES`` and a reason.
+    "Only tests call it" is no class: such a definition belongs in
+    ``tests/``. Whether the list matches what runs is the probe's own check
+    (``python benchmarks/reach.py``, in CI's examples job)."""
+    path = root / "benchmarks" / "reach.json"
+    if not path.is_file():
+        return []
+    defined = reach.definitions(root)
+    found, seen = [], set()
+    for entry in json.loads(path.read_text()):
+        name = entry.get("definition")
+        where = f"benchmarks/reach.json:{name}"
+        if name in seen:
+            found.append(f"{where}: listed twice")
+        seen.add(name)
+        if name not in defined:
+            found.append(f"{where}: no such function or method under src/")
+        if entry.get("class") not in reach.CLASSES:
+            found.append(f"{where}: class {entry.get('class')!r} is not one of {sorted(reach.CLASSES)}")
+        if not str(entry.get("reason") or "").strip():
+            found.append(f"{where}: no reason")
     return found
 
 
@@ -556,11 +586,21 @@ RULES = [no_shim_names, no_rayleigh_ritz, identity_is_carried, transforms_are_ff
          one_hpsi_kernel, one_density_mixer, one_group_ledger, one_pair_solve_count,
          one_execution_settings_reader, one_canonical_encoder, results_carry_no_clock,
          src_holds_what_the_system_calls, one_observables_body, every_import_is_named,
-         every_parameter_is_passed, transform_state_lives_on_its_owner]
+         every_parameter_is_passed, transform_state_lives_on_its_owner, reach_list_is_well_formed]
 
 #: a method whose name only an ``Enum`` member's value spells
 _ENUM_NAMED_METHOD = ('class CollectiveKind(str, Enum):\n    GATHER = "gather"\n\n\n'
                       "class SimCommunicator:\n    def gather(self, data):\n        return data\n")
+
+def _reach_json(*entries: tuple) -> str:
+    """A ``benchmarks/reach.json`` text of ``(definition, class, reason)`` entries."""
+    return json.dumps([{"definition": d, "class": c, "reason": r} for d, c, r in entries])
+
+
+#: the listed writers of the break trees below
+_LISTED_WRITERS = _reach_json(
+    ("src/repro/core/dynamics.py:Trajectory.save_npz", "user_api", "the README names it"),
+    ("src/repro/service/handle.py:CampaignHandle.cancel", "user_api", "the README names it"))
 
 #: per rule, a tree that breaks it (the allowed sites included) and the file(s) it must name
 BREAKS = {
@@ -626,18 +666,19 @@ BREAKS = {
                                      "        return False\n",
          "src/repro/api/registry.py": '@register_pulse("none")\ndef _build_no_pulse():\n    return None\n',
          "src/repro/pw/lattice.py": "class Cell:\n    pass\n",
-         "src/repro/pw/__init__.py": '__all__ = ["Cell"]\n',
+         "src/repro/pw/__init__.py": 'from .lattice import Cell\n\n__all__ = ["Cell"]\n',
          "src/repro/core/dynamics.py": "class Trajectory:\n    def save_npz(self, path):\n        pass\n",
          "src/repro/service/handle.py": "class CampaignHandle:\n    def cancel(self):\n        pass\n",
          "src/repro/parallel/comm.py": _ENUM_NAMED_METHOD,
+         "benchmarks/reach.json": _LISTED_WRITERS,
          "examples/quickstart.py": "from repro.core.dynamics import Trajectory\n"
                                    "from repro.parallel.comm import CollectiveKind, SimCommunicator\n"
                                    "from repro.pw.basis import Wavefunction\n"
                                    "from repro.service.handle import CampaignHandle\n"
                                    "from repro.store.store import ResultStore\n"
                                    "served = ResultStore().has(Trajectory(Wavefunction()))\n"
-                                   "CampaignHandle().cancel()\n"},
-        ("src/repro/pw/basis.py", "src/repro/store/store.py", "src/repro/service/handle.py",
+                                   "print(CollectiveKind, SimCommunicator, CampaignHandle)\n"},
+        ("src/repro/pw/basis.py", "src/repro/store/store.py", "src/repro/pw/lattice.py",
          "src/repro/parallel/comm.py")),
     one_observables_body: (
         {"src/repro/pw/hamiltonian.py": "def energies_many(hams, wfs):\n"
@@ -670,6 +711,17 @@ BREAKS = {
          "src/repro/core/batching.py": "from ..pw.hamiltonian import apply_many, update_potentials_many\n",
          "src/repro/core/propagators/pt_cn.py": "from ...pw.density import compute_density\n"},
         ("src/repro/store/store.py", "src/repro/pw/hamiltonian.py")),
+    reach_list_is_well_formed: (
+        {"src/repro/pw/lattice.py": "class Cell:\n    @property\n    def volume(self):\n        return 1.0\n\n"
+                                    "    def __eq__(self, other):\n        return True\n",
+         "benchmarks/reach.json": _reach_json(
+             ("src/repro/pw/lattice.py:Cell.volume", "error_path", "raises on a degenerate cell"),
+             ("src/repro/pw/lattice.py:Cell.volume", "user_api", "the README names it"),
+             ("src/repro/pw/lattice.py:Cell.area", "user_api", "the README names it"),
+             ("src/repro/pw/lattice.py:Cell", "user_api", "the README names it"),
+             ("src/repro/pw/lattice.py:Cell.__eq__", "only_tests", "tests compare cells"),
+             ("src/repro/pw/lattice.py:Cell.__eq__", "language_hook", " "))},
+        "benchmarks/reach.json"),
     transform_state_lives_on_its_owner: (
         {"src/repro/pw/fft.py": "_PLANS = {}\n_generation = 0\n_workers = 1\n_AXES = (-3, -2, -1)\n\n\n"
                                 "def set_fft_workers(n):\n    global _workers\n    _workers = n\n\n\n"
@@ -719,15 +771,32 @@ def test_rule_detects_a_break(rule, tmp_path):
 def test_uncalled_definitions_are_the_only_ones_flagged(tmp_path):
     """In its break tree, ``src_holds_what_the_system_calls`` flags the helper
     only a test calls, the method only a docstring names, the method only an
-    ``Enum`` member's value spells and the allowlist entry an example now
-    calls, and passes the registered builder, the ``__all__`` export and the
-    allowlisted writer."""
+    ``Enum`` member's value spells and the class only an import and an
+    ``__all__`` entry name, and passes the registered builder, the listed
+    writer and the listed method an example calls."""
     found = src_holds_what_the_system_calls(_plant(tmp_path, BREAKS[src_holds_what_the_system_calls][0]))
     assert sorted(found) == [
         "src/repro/parallel/comm.py:6: SimCommunicator.gather",
         "src/repro/pw/basis.py:2: Wavefunction.rotate",
-        "src/repro/service/handle.py:CampaignHandle.cancel: on CALLED_FROM_OUTSIDE, but called or gone",
+        "src/repro/pw/lattice.py:1: Cell",
         "src/repro/store/store.py:2: ResultStore.completed_ids",
+    ]
+
+
+def test_malformed_reach_entries_are_the_only_ones_flagged(tmp_path):
+    """In its break tree, ``reach_list_is_well_formed`` passes the first
+    ``Cell.volume`` entry and flags its second listing, a method gone from its
+    file, a class (the probe lists functions and methods only), a class that
+    is not in ``CLASSES`` and a blank reason."""
+    found = reach_list_is_well_formed(_plant(tmp_path, BREAKS[reach_list_is_well_formed][0]))
+    assert found == [
+        "benchmarks/reach.json:src/repro/pw/lattice.py:Cell.volume: listed twice",
+        "benchmarks/reach.json:src/repro/pw/lattice.py:Cell.area: no such function or method under src/",
+        "benchmarks/reach.json:src/repro/pw/lattice.py:Cell: no such function or method under src/",
+        "benchmarks/reach.json:src/repro/pw/lattice.py:Cell.__eq__: class 'only_tests' is not one of "
+        f"{sorted(reach.CLASSES)}",
+        "benchmarks/reach.json:src/repro/pw/lattice.py:Cell.__eq__: listed twice",
+        "benchmarks/reach.json:src/repro/pw/lattice.py:Cell.__eq__: no reason",
     ]
 
 
@@ -778,7 +847,8 @@ DEFINITION_CASES = {
         ["src/repro/pw/lattice.py:1: depth"]),
     "a_method_only_an_enum_value_names": (
         {"src/repro/parallel/comm.py": _ENUM_NAMED_METHOD,
-         _CALLER: "from repro.parallel.comm import CollectiveKind, SimCommunicator\n"},
+         _CALLER: "from repro.parallel.comm import CollectiveKind, SimCommunicator\n"
+                  "print(CollectiveKind, SimCommunicator)\n"},
         ["src/repro/parallel/comm.py:6: SimCommunicator.gather"]),
     "a_string_that_is_not_an_identifier": (
         {"src/repro/pw/lattice.py": "def volume():\n    return 1.0\n",
@@ -802,6 +872,14 @@ DEFINITION_CASES = {
     "an_all_export": (
         {"src/repro/pw/lattice.py": "class Cell:\n    pass\n",
          "src/repro/pw/__init__.py": '__all__ = ["Cell"]\n'},
+        ["src/repro/pw/lattice.py:1: Cell"]),
+    "an_import_alias": (
+        {"src/repro/pw/lattice.py": "class Cell:\n    pass\n",
+         _CALLER: "from repro.pw.lattice import Cell as UnitCell\n"},
+        ["src/repro/pw/lattice.py:1: Cell"]),
+    "an_import_an_example_uses": (
+        {"src/repro/pw/lattice.py": "class Cell:\n    pass\n",
+         _CALLER: "from repro.pw.lattice import Cell\nprint(Cell())\n"},
         []),
     "a_dunder": (
         {"src/repro/pw/lattice.py": "class Cell:\n    def __len__(self):\n        return 3\n",
@@ -809,16 +887,25 @@ DEFINITION_CASES = {
         []),
     "an_allowlisted_writer": (
         {"src/repro/core/dynamics.py": "class Trajectory:\n    def save_npz(self, path):\n        pass\n",
-         _CALLER: "from repro.core.dynamics import Trajectory\n"},
+         "benchmarks/reach.json": _LISTED_WRITERS,
+         _CALLER: "from repro.core.dynamics import Trajectory\nprint(Trajectory)\n"},
         []),
+    "an_unlisted_writer": (
+        {"src/repro/core/dynamics.py": "class Trajectory:\n    def save_npz(self, path):\n        pass\n",
+         _CALLER: "from repro.core.dynamics import Trajectory\nprint(Trajectory)\n"},
+        ["src/repro/core/dynamics.py:2: Trajectory.save_npz"]),
+    # a listed definition that runs, or is gone, is the probe's finding
+    # (benchmarks/reach.py), and a gone one reach_list_is_well_formed's too
     "an_allowlisted_writer_an_example_calls": (
         {"src/repro/core/dynamics.py": "class Trajectory:\n    def save_npz(self, path):\n        pass\n",
+         "benchmarks/reach.json": _LISTED_WRITERS,
          _CALLER: "from repro.core.dynamics import Trajectory\nTrajectory().save_npz('t.npz')\n"},
-        ["src/repro/core/dynamics.py:Trajectory.save_npz: on CALLED_FROM_OUTSIDE, but called or gone"]),
+        []),
     "an_allowlisted_writer_gone_from_its_file": (
         {"src/repro/core/dynamics.py": "class Trajectory:\n    pass\n",
-         _CALLER: "from repro.core.dynamics import Trajectory\n"},
-        ["src/repro/core/dynamics.py:Trajectory.save_npz: on CALLED_FROM_OUTSIDE, but called or gone"]),
+         "benchmarks/reach.json": _LISTED_WRITERS,
+         _CALLER: "from repro.core.dynamics import Trajectory\nprint(Trajectory)\n"},
+        []),
 }
 
 
@@ -828,12 +915,15 @@ def test_each_definition_is_judged_by_its_callers(case, tmp_path):
     assert sorted(src_holds_what_the_system_calls(_plant(tmp_path, files))) == expected
 
 
-def test_the_allowlist_stays_short(tmp_path, monkeypatch):
-    """An eleventh ``CALLED_FROM_OUTSIDE`` entry fails the rule, however good its reason."""
-    for n in range(11 - len(CALLED_FROM_OUTSIDE)):
-        monkeypatch.setitem(CALLED_FROM_OUTSIDE, f"src/repro/extra.py:helper_{n}", "a reason")
-    found = src_holds_what_the_system_calls(_plant(tmp_path, {_CALLER: "print()\n"}))
-    assert found == ["CALLED_FROM_OUTSIDE: 11 entries, more than 10"]
+def test_the_allowlist_stays_short(tmp_path):
+    """An eleventh statically uncalled definition fails the rule, however good
+    its ``reach.json`` class and reason."""
+    helpers = [f"helper_{n}" for n in range(STATICALLY_UNCALLED_CAP + 1)]
+    found = src_holds_what_the_system_calls(_plant(tmp_path, {
+        "src/repro/extra.py": "".join(f"def {name}():\n    pass\n" for name in helpers),
+        "benchmarks/reach.json": _reach_json(*[(f"src/repro/extra.py:{name}", "user_api", "a reason")
+                                               for name in helpers])}))
+    assert len(found) == 1 and found[0].startswith("benchmarks/reach.json: 11 statically uncalled entries, more than 10")
 
 
 def test_unpassed_parameters_are_the_only_ones_flagged(tmp_path):
