@@ -3,8 +3,8 @@
 
     python benchmarks/reach.py
 
-Runs every example command CI runs and every benchmark workload (traced, seed
-1, three seconds each) in a fresh interpreter, one at a time, from a work
+Runs every example command CI runs and every benchmark workload (untraced,
+seed 1, three seconds each) in a fresh interpreter, one at a time, from a work
 directory ``benchmarks/reach-out/`` it empties first (the example stores stay
 there afterwards). A ``sitecustomize.py`` put first on ``PYTHONPATH`` installs
 a profile hook in each interpreter and in every interpreter those start, on
@@ -106,35 +106,46 @@ threading.setprofile(_hook)
 '''
 
 
-def commands(seed: int = 1) -> list[list[str]]:
+def commands() -> list[list[str]]:
     """Every command the probe runs, as arguments to the interpreter."""
     return [[str(ROOT / part) if part.startswith("examples/") else part for part in command]
             for command in EXAMPLES] + [
-        [str(ROOT / "benchmarks" / "layers" / "run.py"), "--workload", name, "--seed", str(seed),
-         "--seconds", "3", "--trace", "1"] for name in WORKLOADS]
+        [str(ROOT / "benchmarks" / "layers" / "run.py"), "--workload", name, "--seed", "1",
+         "--seconds", "3", "--trace", "0"] for name in WORKLOADS]
+
+
+def defined(tree: ast.AST):
+    """``(qualname, node)`` for every function, method and class in ``tree``,
+    nested ones included (a nested function is ``outer.inner``)."""
+    scopes = [(tree, "")]
+    while scopes:
+        scope, prefix = scopes.pop()
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{prefix}{node.name}", node
+                scopes.append((node, f"{prefix}{node.name}."))
+            elif not isinstance(node, ast.expr):
+                scopes.append((node, prefix))
+
+
+def first_line(node: ast.AST) -> int:
+    """Where a definition's code object starts: its first decorator's line
+    when it has one, its ``def`` or ``class`` line otherwise."""
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
 
 
 def definitions(root: pathlib.Path = ROOT) -> dict[str, tuple[pathlib.Path, int, int]]:
     """``"src/<path>:<qualname>"`` → ``(file, first line, line count)`` for every
-    function and method under ``src/``, nested ones included; the first line
-    is the first decorator's when there is one, as the code object has it."""
+    function and method under ``src/``, nested ones included."""
     found = {}
     for path in sorted((root / "src").rglob("*.py")):
         if "__pycache__" in path.parts:
             continue
         relative = path.relative_to(root).as_posix()
-        scopes = [(ast.parse(path.read_text()), "")]
-        while scopes:
-            scope, prefix = scopes.pop()
-            for node in ast.iter_child_nodes(scope):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                    found[f"{relative}:{prefix}{node.name}"] = (path, first, node.end_lineno - first + 1)
-                    scopes.append((node, f"{prefix}{node.name}."))
-                elif isinstance(node, ast.ClassDef):
-                    scopes.append((node, f"{prefix}{node.name}."))
-                elif not isinstance(node, ast.expr):
-                    scopes.append((node, prefix))
+        for qualname, node in defined(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                first = first_line(node)
+                found[f"{relative}:{qualname}"] = (path, first, node.end_lineno - first + 1)
     return found
 
 
@@ -143,7 +154,7 @@ def listed(path: pathlib.Path) -> dict[str, dict]:
     return {entry.get("definition"): entry for entry in json.loads(path.read_text())}
 
 
-def probe(seed: int = 1) -> set[str] | None:
+def probe() -> set[str] | None:
     """Run every command under the hook; the definitions that never ran, or
     ``None`` when a command failed."""
     if WORK.exists():
@@ -154,7 +165,7 @@ def probe(seed: int = 1) -> set[str] | None:
     (hook_dir / "sitecustomize.py").write_text(_HOOK.format(src=str(SRC) + os.sep, log=str(log)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(hook_dir), str(SRC), env.get("PYTHONPATH")]))
-    for command in commands(seed):
+    for command in commands():
         shown = " ".join(pathlib.Path(part).relative_to(ROOT).as_posix() if part.startswith(str(ROOT))
                          else part for part in command)
         print(f"$ python {shown}", flush=True)

@@ -69,8 +69,8 @@ class BatchRunner:
     spec:
         The :class:`~repro.batch.SweepSpec` to execute.
     settings:
-        The :class:`~repro.exec.ExecutionSettings` (or its ``as_dict`` form)
-        describing where and how the sweep runs. ``None`` (default) resolves
+        The :class:`~repro.exec.ExecutionSettings` describing where and how
+        the sweep runs. ``None`` (default) resolves
         the settings from the base config's ``run.schedule`` / ``run.machine``
         sections.
     store:
@@ -92,15 +92,13 @@ class BatchRunner:
         self,
         spec: SweepSpec,
         *,
-        settings: ExecutionSettings | dict | None = None,
+        settings: ExecutionSettings | None = None,
         store=None,
     ):
         from ..exec import Scheduler  # deferred: repro.exec imports repro.batch
 
         if settings is None:
             settings = ExecutionSettings.from_config(spec.base)
-        elif isinstance(settings, dict):
-            settings = ExecutionSettings.from_dict(settings)
         self.spec = spec
         self.settings = settings
         self.store = _as_store(store)

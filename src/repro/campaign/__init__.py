@@ -55,13 +55,13 @@ __all__ = [
 ]
 
 
-def plan(sweeps, budget: Budget | dict | None = None, **planner_options) -> ExecutionPlan:
+def plan(sweeps, budget: Budget | None = None, **planner_options) -> ExecutionPlan:
     """Plan a campaign in one call: sweeps + budget → :class:`ExecutionPlan`.
 
     ``sweeps`` is a :class:`CampaignSpec`, a single
     :class:`~repro.batch.SweepSpec`, or a mapping of name →
-    :class:`~repro.batch.SweepSpec`; ``budget`` (a :class:`Budget` or its
-    dict form) overrides the spec's own budget when given. Extra keyword
+    :class:`~repro.batch.SweepSpec`; ``budget`` (a :class:`Budget`) overrides
+    the spec's own budget when given. Extra keyword
     arguments parameterise the :class:`CampaignPlanner` search grid
     (``machines=``, ``rank_options=``, ``gpus_per_group_options=``,
     ``policies=``).
@@ -73,7 +73,7 @@ def plan(sweeps, budget: Budget | dict | None = None, **planner_options) -> Exec
     return CampaignPlanner(spec, **planner_options).plan()
 
 
-def run(sweeps, budget: Budget | dict | None = None, **planner_options) -> CampaignReport:
+def run(sweeps, budget: Budget | None = None, **planner_options) -> CampaignReport:
     """Plan and execute a campaign in one call, without a store; returns the
     :class:`CampaignReport` (see :func:`plan` for the arguments). An
     incremental run is ``plan(...).execute(store)``."""

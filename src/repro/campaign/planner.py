@@ -415,7 +415,7 @@ class CampaignPlanner:
                 )
         return self._evaluated
 
-    def plan(self, budget: Budget | dict | None = None) -> ExecutionPlan:
+    def plan(self, budget: Budget | None = None) -> ExecutionPlan:
         """The fastest deterministic plan that fits the budget.
 
         ``budget`` overrides the spec's own budget when given (the candidate
@@ -431,8 +431,6 @@ class CampaignPlanner:
         """
         if budget is None:
             budget = self.spec.budget
-        elif isinstance(budget, dict):
-            budget = Budget.from_dict(budget)
         limits = budget.limits()
         evaluated = self._evaluate()
         feasible = [

@@ -76,15 +76,6 @@ class Budget:
         """JSON-able record (``None`` for unconstrained dimensions)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Budget":
-        """Inverse of :meth:`as_dict` (unknown keys rejected with the valid set)."""
-        valid = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - valid)
-        if unknown:
-            raise ValueError(f"unknown Budget key(s) {unknown}; valid keys: {sorted(valid)}")
-        return cls(**data)
-
 
 class InfeasibleBudgetError(ValueError):
     """No candidate execution plan fits the campaign budget.
@@ -123,10 +114,10 @@ class CampaignSpec:
         or a mapping of sweep name → :class:`~repro.batch.SweepSpec`. Names
         order the campaign: sweeps execute (and report) in insertion order.
     budget:
-        The :class:`Budget` (or its dict form); defaults to unconstrained.
+        The :class:`Budget`; defaults to unconstrained.
     """
 
-    def __init__(self, sweeps, budget: Budget | dict | None = None):
+    def __init__(self, sweeps, budget: Budget | None = None):
         if isinstance(sweeps, SweepSpec):
             sweeps = {"sweep": sweeps}
         if not isinstance(sweeps, dict) or not sweeps:
@@ -149,10 +140,8 @@ class CampaignSpec:
                 )
         if budget is None:
             budget = Budget()
-        elif isinstance(budget, dict):
-            budget = Budget.from_dict(budget)
         elif not isinstance(budget, Budget):
-            raise ValueError(f"budget must be a Budget or dict, got {type(budget).__name__}")
+            raise ValueError(f"budget must be a Budget, got {type(budget).__name__}")
         self.sweeps: dict[str, SweepSpec] = dict(sweeps)
         self.budget = budget
 
@@ -162,6 +151,6 @@ class CampaignSpec:
         """Total jobs across every sweep of the campaign."""
         return sum(spec.n_jobs for spec in self.sweeps.values())
 
-    def with_budget(self, budget: Budget | dict) -> "CampaignSpec":
+    def with_budget(self, budget: Budget) -> "CampaignSpec":
         """The same sweeps under a different budget."""
         return CampaignSpec(self.sweeps, budget=budget)

@@ -157,14 +157,3 @@ class ExecutionSettings:
     def as_dict(self) -> dict:
         """JSON-able record (reports and campaign plans embed it)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExecutionSettings":
-        """Inverse of :meth:`as_dict` (unknown keys rejected with the valid set)."""
-        valid = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - valid)
-        if unknown:
-            raise ValueError(
-                f"unknown ExecutionSettings key(s) {unknown}; valid keys: {sorted(valid)}"
-            )
-        return cls(**data)

@@ -176,7 +176,7 @@ class CampaignService:
     def submit(
         self,
         campaign,
-        budget: Budget | dict | None = None,
+        budget: Budget | None = None,
         *,
         priority: int = 0,
         name: str | None = None,

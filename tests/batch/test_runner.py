@@ -268,7 +268,7 @@ class TestProcessBackend:
 
     def test_unknown_backend_raises(self, ptcn_rk4_spec):
         with pytest.raises(ValueError, match="serial"):
-            BatchRunner(ptcn_rk4_spec, settings={"backend": "threads"})
+            BatchRunner(ptcn_rk4_spec, settings=ExecutionSettings(backend="threads"))
 
 
 # ---------------------------------------------------------------------------

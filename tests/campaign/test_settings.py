@@ -89,10 +89,8 @@ class TestResolution:
 
     def test_round_trip_and_replace(self):
         settings = ExecutionSettings(backend="distributed", ranks=8, machine="frontier")
-        assert ExecutionSettings.from_dict(settings.as_dict()) == settings
+        assert ExecutionSettings(**settings.as_dict()) == settings
         assert dataclasses.replace(settings, ranks=2).ranks == 2
-        with pytest.raises(ValueError, match="unknown ExecutionSettings key"):
-            ExecutionSettings.from_dict({"backend": "serial", "bogus": 1})
         with pytest.raises(ValueError, match="ranks"):
             dataclasses.replace(settings, ranks=0)
 
@@ -160,12 +158,6 @@ class TestBatchRunnerRedesign:
         assert runner.settings.ranks == 2
         assert runner.settings.schedule == "makespan_balanced"
         assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
-
-    def test_settings_accepts_the_dict_form(self, tiny_config):
-        spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        runner = BatchRunner(spec, settings={"backend": "process", "max_workers": 2})
-        assert runner.settings.backend == "process"
-        assert runner.settings.max_workers == 2
 
     def test_settings_default_resolves_from_the_config(self, tiny_config, recwarn):
         config = tiny_config.with_overrides(

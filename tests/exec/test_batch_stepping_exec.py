@@ -256,7 +256,7 @@ class TestSettingsPlumbing:
         settings = ExecutionSettings(batch_stepping=True, precision="complex64")
         data = settings.as_dict()
         assert data["batch_stepping"] is True and data["precision"] == "complex64"
-        assert ExecutionSettings.from_dict(data) == settings
+        assert ExecutionSettings(**data) == settings
 
     def test_from_config_reads_run_schedule(self, tiny_config):
         config = tiny_config.with_overrides(

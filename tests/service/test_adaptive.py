@@ -403,7 +403,7 @@ class TestServiceCalibrationLoop:
         assert warm.n_cached == 0 and warm.ok
         assert "calibration" in warm.plan
 
-        settings = ExecutionSettings.from_dict(warm.plan["settings"])
+        settings = ExecutionSettings(**warm.plan["settings"])
         model = Scheduler(settings.schedule, machine=settings.machine_model())
         predicted = {g.index: g.predicted_seconds for g in model.schedule(campaign.sweeps["dt"].groups())}
         logged = ObservationLog(store).load()[len(cold_observations):]

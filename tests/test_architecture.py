@@ -272,7 +272,7 @@ def _names_referenced(tree: ast.AST, exports: bool):
     """``(name, line)`` for every name ``tree``'s code refers to: a ``Name``, an
     ``Attribute``, or a string constant spelled as a (dotted) identifier, as
     ``getattr`` and tracer targets spell one, and as ``__all__`` does (counted
-    only when ``exports`` is true). Import aliases, docstrings, comments and
+    only when ``exports`` is true). Import statements, docstrings, comments and
     ``Enum`` member values refer to nothing."""
     inert = _inert_strings(tree) | (set() if exports else _exported_strings(tree))
     for node in ast.walk(tree):
@@ -311,32 +311,27 @@ def src_holds_what_the_system_calls(root):
     ``benchmarks/``) names it outside its own body, a ``@register_*``
     decorator registers it, or ``benchmarks/reach.json`` lists it with its
     class and reason. A definition only tests call belongs in ``tests/``; a
-    mention in a docstring, an ``__all__`` entry or an import is not a call.
+    mention in a docstring, an ``__all__`` entry or an import is not a call
+    (a use of an import's ``as`` name is a use of the name it imports).
     Dunders are the language's. At most ``STATICALLY_UNCALLED_CAP`` of the
     listed definitions may go uncalled this way (``benchmarks/reach.py``
     checks the whole list against what the shipped commands execute)."""
     definitions = []
     references: dict[str, list[tuple[str, int]]] = {}
     for relative, tree in _python_files(root, ["src", "examples", "benchmarks"]):
+        renamed = {alias.asname: alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.asname}
         for name, line in _names_referenced(tree, exports=False):
-            references.setdefault(name, []).append((relative, line))
-        if not relative.startswith("src/"):
-            continue
-        scopes = [(tree, "")]
-        while scopes:
-            scope, prefix = scopes.pop()
-            for node in ast.iter_child_nodes(scope):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    definitions.append((relative, f"{prefix}{node.name}", node))
-                    scopes.append((node, f"{prefix}{node.name}."))
-                elif not isinstance(node, ast.expr):
-                    scopes.append((node, prefix))
+            for called in {name, renamed.get(name, name)}:
+                references.setdefault(called, []).append((relative, line))
+        if relative.startswith("src/"):
+            definitions += [(relative, qualname, node) for qualname, node in reach.defined(tree)]
     path = root / "benchmarks" / "reach.json"
     listed = reach.listed(path) if path.is_file() else {}
     found, kept = [], []
     for relative, qualname, node in definitions:
         name = node.name
-        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        first = reach.first_line(node)
         if (name.startswith("__") and name.endswith("__")) or _registered(node) \
                 or any(path != relative or not first <= line <= node.end_lineno
                        for path, line in references.get(name, ())):
@@ -877,6 +872,10 @@ DEFINITION_CASES = {
         {"src/repro/pw/lattice.py": "class Cell:\n    pass\n",
          _CALLER: "from repro.pw.lattice import Cell as UnitCell\n"},
         ["src/repro/pw/lattice.py:1: Cell"]),
+    "an_import_alias_an_example_calls": (
+        {"src/repro/pw/lattice.py": "class Cell:\n    pass\n",
+         _CALLER: "from repro.pw.lattice import Cell as UnitCell\nprint(UnitCell())\n"},
+        []),
     "an_import_an_example_uses": (
         {"src/repro/pw/lattice.py": "class Cell:\n    pass\n",
          _CALLER: "from repro.pw.lattice import Cell\nprint(Cell())\n"},
