@@ -127,7 +127,7 @@ def sweep(backend: str, ranks: int, schedule: str | None, smoke: bool) -> int:
     print(report.spectrum_table(damping=0.01, max_energy=1.5))
     if backend != "serial":
         print("\nExecution placement / predicted wall and energy costs:\n")
-        print(report.scaling_table())
+        print(report.execution_table())
     if smoke:
         spectra = report.spectra(max_energy=1.5)
         if len(spectra) != len(sizes):

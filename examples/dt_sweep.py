@@ -5,9 +5,9 @@ The paper's central comparison — PT-CN holding a large time step where RK4
 either crawls or blows up — is a *sweep*, not a single run. This example
 declares it as one: a base config, two axes, one ``BatchRunner.run()`` call.
 The runner converges the shared hybrid ground state exactly once, fans out
-the four propagations, and the report renders the cost table (Fig. 6), the
-propagator-x-dt Fock-application pivot, and the dt-vs-accuracy table against
-the smallest-step run.
+the four propagations, and the report renders the per-job cost table, the
+propagator-x-dt Fock-application grid (Fig. 6), and the dt-vs-accuracy table
+against the smallest-step run.
 
 Execution is pluggable (``repro.exec``): ``--backend distributed`` dispatches
 the ground-state groups over simulated MPI ranks and prints the per-rank
@@ -105,9 +105,7 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
         report = runner.run()
 
     print(report.to_table())
-    print("\nFig. 6-style cost comparison:\n")
-    print(report.fig6_table())
-    print("\nFock applications, propagator x dt:\n")
+    print("\nFig. 6: Fock applications, propagator x dt:\n")
     print(report.pivot("hamiltonian_applications"))
     print("\nAccuracy vs the smallest-step run:\n")
     print(report.accuracy_table())
@@ -130,8 +128,9 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
 
 def smoke(backend: str, ranks: int, schedule: str | None) -> int:
     """Tiny sweep + store resume through the chosen backend; exits
-    nonzero on any failure. With a non-serial backend the deterministic
-    report export is additionally checked against the serial reference."""
+    nonzero on any failure, or when a run's accuracy reference has another
+    cutoff than the run. With a non-serial backend the deterministic report
+    export is additionally checked against the serial reference."""
     base = SimulationConfig.from_dict(
         {
             "system": {"structure": "hydrogen_molecule", "params": {"box": 8.0, "bond_length": 1.4}},
@@ -153,13 +152,20 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
         if [r.status for r in report] != ["completed"] * n_jobs:
             print("smoke FAILED: sweep did not complete", file=sys.stderr)
             return 1
+        print(report.pivot("hamiltonian_applications"))
+        print(report.accuracy_table())
+        ecut = {r.job_id: r.point["basis.ecut"] for r in report}
+        crossed = {job_id: err["reference"] for job_id, err in report.accuracy_errors().items()
+                   if ecut[err["reference"]] != ecut[job_id]}
+        if crossed:
+            print(f"smoke FAILED: accuracy references at another cutoff: {crossed}", file=sys.stderr)
+            return 1
         resumed = BatchRunner(spec, store=store_root, settings=settings).run()
         if [r.status for r in resumed] != ["cached"] * n_jobs:
             print("smoke FAILED: resume did not load the stored results", file=sys.stderr)
             return 1
         if backend != "serial":
             print(report.execution_table())
-            print(report.scaling_table())
             serial = BatchRunner(spec).run()
             if report.to_json() != serial.to_json():
                 print(

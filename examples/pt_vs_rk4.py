@@ -67,7 +67,7 @@ def main() -> None:
 
     rk4, ptcn = report.results
     print(f"Propagated {WINDOW_AS:.0f} as of laser-driven dynamics ({n_scf} shared SCF):\n")
-    print(report.fig6_table())
+    print(report.to_table())
 
     rho_ref = compute_density(rk4.trajectory.final_wavefunction)
     rho_pt = compute_density(ptcn.trajectory.final_wavefunction)

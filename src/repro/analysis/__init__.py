@@ -11,7 +11,7 @@ from .paper_data import (
     TABLE2,
     WEAK_SCALING_ATOMS,
 )
-from .reporting import format_table, pivot_table
+from .reporting import format_table
 
 __all__ = [
     "paper_data",
@@ -24,5 +24,4 @@ __all__ = [
     "TABLE2",
     "WEAK_SCALING_ATOMS",
     "format_table",
-    "pivot_table",
 ]

@@ -9,8 +9,9 @@ groups through the pluggable :mod:`repro.exec` layer (serial, process pool,
 or simulated-MPI distributed), persisting every completed job *and* every
 converged SCF in a content-addressed :class:`~repro.store.ResultStore`
 (``store=``) for resume-after-crash — and a :class:`SweepReport` aggregates
-the results into the paper's tables (Fig. 6-style cost comparison,
-dt-vs-accuracy, propagator-x-dt pivots) plus the per-rank execution summary.
+the results into the paper's tables: the per-job cost table, propagator-x-dt
+pivots (the Fig. 6 grid), dt-vs-accuracy against the smallest-step run with
+the same other axis values, and the per-rank execution accounting.
 
 .. code-block:: python
 
@@ -26,7 +27,7 @@ dt-vs-accuracy, propagator-x-dt pivots) plus the per-rank execution summary.
         },
     )
     report = BatchRunner(spec, store="sweep-store").run()
-    print(report.fig6_table())
+    print(report.pivot("hamiltonian_applications"))  # the Fig. 6 grid
     print(report.accuracy_table())
 """
 

@@ -3,8 +3,13 @@
 :class:`JobResult` is the JSON-round-trippable outcome of one sweep job
 (summary metrics plus the recorded trajectory observables);
 :class:`SweepReport` aggregates them into the tables the paper's comparisons
-are made of — a flat per-job table, a propagator-x-dt pivot, the Fig. 6-style
-cost comparison, and a dt-vs-accuracy table against a reference job.
+are made of, one table per question: every job's cost
+(:meth:`~SweepReport.to_table`), a summary metric over propagator x dt
+(:meth:`~SweepReport.pivot`; the Fig. 6 grid is
+``pivot("hamiltonian_applications")``), each run's error against the
+smallest-step run comparable to it (:meth:`~SweepReport.accuracy_table`), the
+per-rank execution accounting (:meth:`~SweepReport.execution_table`) and the
+delta-kick spectra (:meth:`~SweepReport.spectrum_table`).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis import format_table, pivot_table
+from ..analysis import format_table
 from ..constants import HARTREE_TO_EV
 from ..core.dynamics import Trajectory, json_default
 from ..core.observables import AbsorptionSpectrum, absorption_spectrum
@@ -24,6 +29,16 @@ __all__ = ["JobResult", "SweepReport"]
 
 #: statuses of jobs that produced a usable trajectory
 _OK_STATUSES = ("completed", "cached")
+
+#: the axes a comparison varies (with ``propagator.*``); runs that agree on
+#: every other axis are comparable (:meth:`SweepReport._comparable`)
+_VARIED_AXES = ("propagator", "run", "run.time_step_as", "run.n_steps")
+
+
+def _series(trajectory: Trajectory) -> np.ndarray:
+    """The energy and the dipole components, one row per recorded time."""
+    return np.column_stack([np.asarray(trajectory.energies, dtype=float),
+                            np.asarray(trajectory.dipoles, dtype=float)])
 
 
 @dataclass
@@ -216,14 +231,6 @@ class SweepReport:
     def _job_record(self, result: JobResult) -> dict:
         return self.execution.get("jobs", {}).get(result.job_id, {})
 
-    def result_for(self, job_id: str) -> JobResult:
-        """The result with the given ``job_id``."""
-        for result in self.results:
-            if result.job_id == job_id:
-                return result
-        known = [r.job_id for r in self.results]
-        raise KeyError(f"unknown job_id {job_id!r}; known ids: {known}")
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
@@ -281,31 +288,34 @@ class SweepReport:
     # Execution placement / communication accounting
     # ------------------------------------------------------------------
     def execution_table(self) -> str:
-        """Per-rank placement and communication accounting of the backend.
+        """Per-rank placement, traffic, wall time and energy of the backend.
 
-        Meaningful for the distributed backend (one row per simulated rank:
-        node placement, the modeled link to the root rank, groups, jobs,
-        predicted seconds, dispatch/result bytes and their predicted wall
-        cost); other backends produce a one-line summary.
+        The sweep-level analogue of the paper's Fig. 7/8 scaling tables. For
+        the distributed backend each row is one simulated rank: its node, the
+        modeled link to the root rank, its groups and jobs, its predicted
+        makespan share (seconds on the modeled machine slice, from
+        :class:`repro.cost.MachineCostModel`), the wall time its jobs actually
+        took in-process, its dispatch/result bytes with their predicted
+        transfer seconds, and the predicted energy of its node-seconds. The
+        footer reduces the table to the sweep's scaling-curve point
+        (:func:`repro.cost.sweep_execution_point`). Other backends produce a
+        one-line summary.
         """
         info = self.execution
         if not info:
             return "(no execution summary recorded)"
-        from ..cost.model import _rank_records  # deferred: keeps report import light
+        from ..cost.model import _rank_records, sweep_execution_point  # deferred: keeps report import light
 
+        line = f"backend={info.get('backend', '?')} schedule={info.get('schedule', '?')}"
         per_rank = _rank_records(info)
         if not per_rank:
-            line = (
-                f"backend={info.get('backend', '?')} "
-                f"schedule={info.get('schedule', '?')} "
-                f"groups={info.get('n_groups', '?')} jobs={info.get('n_jobs', '?')}"
-            )
+            line += f" groups={info.get('n_groups', '?')} jobs={info.get('n_jobs', '?')}"
             if info.get("used_fallback"):
                 line += " (fell back to serial)"
             return line
         headers = [
-            "rank", "node", "link", "groups", "jobs",
-            "predicted [s]", "dispatch [B]", "result [B]", "comm [s]",
+            "rank", "node", "link", "groups", "jobs", "predicted [s]", "observed [s]",
+            "dispatch [B]", "result [B]", "comm [s]", "energy [J]",
         ]
         rows = [
             [
@@ -314,63 +324,19 @@ class SweepReport:
                 stats.get("link", "-"),
                 stats.get("groups", 0),
                 stats.get("jobs", 0),
-                stats.get("predicted_seconds", stats.get("predicted_cost", 0.0)),
-                stats.get("dispatch_bytes", 0),
-                stats.get("result_bytes", 0),
-                stats.get("comm_seconds", 0.0),
-            ]
-            for stats in per_rank
-        ]
-        table = format_table(headers, rows)
-        comm = info.get("comm", {})
-        footer = (
-            f"backend={info.get('backend', '?')} schedule={info.get('schedule', '?')} "
-            f"ranks={info.get('ranks', len(per_rank))} "
-            f"total comm = {comm.get('total_bytes', 0)} B"
-        )
-        return f"{table}\n{footer}"
-
-    def scaling_table(self) -> str:
-        """Predicted vs observed wall time and energy, per simulated rank.
-
-        The sweep-level analogue of the paper's Fig. 7/8 scaling tables: each
-        row is one modeled rank with its node, the link its traffic crossed,
-        its predicted makespan share (seconds on the modeled machine slice,
-        from :class:`repro.cost.MachineCostModel`), the wall time its jobs
-        actually took in-process, the predicted transfer cost of its sweep
-        traffic, and the predicted energy of its node-seconds. The footer
-        reduces the table to the scaling-curve point of the sweep-level
-        Fig. 7/8 analogues (:func:`repro.cost.sweep_execution_point`).
-        """
-        from ..cost.model import _rank_records, sweep_execution_point  # deferred: keeps report import light
-
-        per_rank = _rank_records(self.execution)
-        if not per_rank:
-            return (
-                "(no per-rank execution accounting; run the sweep with "
-                "backend='distributed' to model placement and wall costs)"
-            )
-
-        headers = [
-            "rank", "node", "link", "jobs",
-            "predicted [s]", "observed [s]", "comm [s]", "energy [J]",
-        ]
-        rows = [
-            [
-                stats.get("rank", "-"),
-                stats.get("node", "-"),
-                stats.get("link", "-"),
-                stats.get("jobs", 0),
                 stats.get("predicted_seconds", 0.0),
                 stats.get("observed_seconds", 0.0),
+                stats.get("dispatch_bytes", 0),
+                stats.get("result_bytes", 0),
                 stats.get("comm_seconds", 0.0),
                 stats.get("predicted_energy_j", 0.0),
             ]
             for stats in per_rank
         ]
-        point = sweep_execution_point(self.execution)
+        point = sweep_execution_point(info)
         footer = (
-            f"ranks={point['ranks']} predicted makespan = {point['predicted_makespan_s']:.3g} s "
+            f"{line} ranks={point['ranks']} "
+            f"predicted makespan = {point['predicted_makespan_s']:.3g} s "
             f"(observed {point['observed_makespan_s']:.3g} s), "
             f"predicted energy = {point['predicted_energy_j']:.3g} J, "
             f"sweep traffic = {point['comm_bytes']} B in {point['comm_seconds']:.3g} s"
@@ -381,10 +347,34 @@ class SweepReport:
     # Tables
     # ------------------------------------------------------------------
     @staticmethod
-    def _format_point_value(value) -> str:
-        if isinstance(value, dict):
-            return ",".join(f"{k}={v}" for k, v in value.items())
-        return str(value)
+    def _point_values(result: JobResult, axes: list[str]) -> list[str]:
+        """``result``'s value on each of ``axes``, as table cells."""
+        values = []
+        for axis in axes:
+            value = result.point.get(axis, "-")
+            if isinstance(value, dict):
+                value = ",".join(f"{k}={v}" for k, v in value.items())
+            values.append(str(value))
+        return values
+
+    def _comparable(self) -> tuple[list[str], dict[tuple, list[JobResult]]]:
+        """The completed runs in groups of mutually comparable ones.
+
+        Two runs are comparable when they agree on every sweep axis except
+        the propagator axes (``propagator``, ``propagator.*``) and the step
+        axes (``run``, ``run.time_step_as``, ``run.n_steps``): a Fig. 6 grid
+        or a dt-vs-accuracy comparison varies those and holds the rest — a
+        cutoff, a system size, a pulse — fixed. Returns ``(fixed_axes,
+        {values on fixed_axes: runs})``, groups and runs in job order.
+        """
+        fixed = [
+            axis for axis in self.axes
+            if axis not in _VARIED_AXES and not axis.startswith("propagator.")
+        ]
+        groups: dict[tuple, list[JobResult]] = {}
+        for r in self.completed:
+            groups.setdefault(tuple(self._point_values(r, fixed)), []).append(r)
+        return fixed, groups
 
     def to_table(self) -> str:
         """One row per job: axis values, status and the core cost metrics."""
@@ -399,7 +389,7 @@ class SweepReport:
             s = r.summary
             rows.append(
                 [r.job_id]
-                + [self._format_point_value(r.point.get(axis, "-")) for axis in self.axes]
+                + self._point_values(r, self.axes)
                 + [
                     r.status if r.error is None else f"{r.status}: {r.error}",
                     s.get("n_steps", "-"),
@@ -413,106 +403,90 @@ class SweepReport:
             )
         return format_table(headers, rows)
 
-    def fig6_table(self) -> str:
-        """The Fig. 6-style cost comparison: one row per completed run.
+    def pivot(self, value: str) -> str:
+        """A summary metric over propagator x time step, completed jobs only.
 
-        Matches the shape of the paper's Fig. 6 comparison — integrator vs
-        time step vs Fock-application count — plus the energy drift and
-        wall time the accuracy discussion needs (from :attr:`execution`).
+        ``value`` addresses a :attr:`JobResult.summary` key, e.g.
+        ``pivot("hamiltonian_applications")`` for the Fig. 6 Fock-cost grid.
+        A row is one propagator at one value of every other sweep axis
+        (:meth:`_comparable`), a column one time step; a missing run shows
+        ``-``. Two jobs that would share a cell raise :class:`ValueError`
+        naming both.
         """
-        headers = ["integrator", "time step [as]", "steps", "Fock applications", "energy drift [Ha]", "wall [s]"]
+        fixed, groups = self._comparable()
+        time_steps: list = []
+        cells: dict[tuple, dict] = {}
+        for values, runs in groups.items():
+            for r in runs:
+                dt = r.summary["time_step_as"]
+                if dt not in time_steps:
+                    time_steps.append(dt)
+                row = cells.setdefault((r.summary["propagator"], *values), {})
+                if dt in row:
+                    raise ValueError(
+                        f"jobs {row[dt].job_id} and {r.job_id} both land in the pivot cell "
+                        f"propagator={r.summary['propagator']}, dt={dt} as; sweep the "
+                        "parameter that tells them apart on its own axis"
+                    )
+                row[dt] = r
+        headers = ["propagator", *fixed] + [f"dt={dt:.3g} as" for dt in time_steps]
         rows = [
-            [
-                r.summary.get("integrator", r.summary.get("propagator", "?")),
-                r.summary.get("time_step_as", "-"),
-                r.summary.get("n_steps", "-"),
-                r.summary.get("hamiltonian_applications", "-"),
-                r.summary.get("energy_drift", "-"),
-                self._job_record(r).get("observed_seconds", "-"),
-            ]
-            for r in self.completed
+            [*key] + [row[dt].summary.get(value, "-") if dt in row else "-" for dt in time_steps]
+            for key, row in cells.items()
         ]
         return format_table(headers, rows)
 
-    def pivot(self, value: str) -> str:
-        """Pivot a summary metric over propagator x time step (completed jobs
-        only): ``value`` addresses a :attr:`JobResult.summary` key, e.g.
-        ``pivot("hamiltonian_applications")`` for the Fock-cost grid."""
-        records = [r.summary for r in self.completed]
-        return pivot_table(records, index="propagator", columns="time_step_as", value=value)
-
     # ------------------------------------------------------------------
-    # Accuracy vs a reference job
+    # Accuracy vs the smallest-step comparable run
     # ------------------------------------------------------------------
-    def reference_result(self, reference_job_id: str | None = None) -> JobResult:
-        """The accuracy reference: an explicit job id, or the smallest-dt run."""
-        if reference_job_id is not None:
-            result = self.result_for(reference_job_id)
-            if not result.ok:
-                raise ValueError(f"reference job {reference_job_id!r} did not complete")
-            return result
-        completed = self.completed
-        if not completed:
-            raise ValueError("no completed jobs to choose a reference from")
-        return min(completed, key=lambda r: (r.summary.get("time_step_as", np.inf), r.index))
-
-    def accuracy_errors(self, reference_job_id: str | None = None) -> dict[str, dict]:
-        """Max |energy| and |dipole| deviation of every completed job from the
-        reference, evaluated on the overlapping time window (the reference
+    def accuracy_errors(self) -> dict[str, dict]:
+        """Max |energy| and |dipole| deviation of every completed job from
+        its reference, the smallest-dt run among the runs comparable to it
+        (:meth:`_comparable`), on the overlapping time window (the reference
         series is linearly interpolated onto each job's time grid).
 
-        Returns ``{job_id: {"energy_error": float, "dipole_error": float}}``.
+        Returns ``{job_id: {"reference": job_id, "energy_error": float,
+        "dipole_error": float}}``.
         """
-        reference = self.reference_result(reference_job_id)
-        ref_traj = reference.trajectory
-        if ref_traj is None:
-            raise ValueError(f"reference job {reference.job_id!r} carries no trajectory")
-        t_ref = np.asarray(ref_traj.times, dtype=float)
+        _, groups = self._comparable()
+        if not groups:
+            raise ValueError("no completed jobs to compare")
         errors: dict[str, dict] = {}
-        for r in self.completed:
-            traj = r.trajectory
-            if traj is None:
-                continue
-            t = np.asarray(traj.times, dtype=float)
-            mask = t <= t_ref[-1] + 1e-12
-            if not np.any(mask):
-                errors[r.job_id] = {"energy_error": float("nan"), "dipole_error": float("nan")}
-                continue
-            t_common = t[mask]
-            e_interp = np.interp(t_common, t_ref, np.asarray(ref_traj.energies, dtype=float))
-            energy_error = float(np.max(np.abs(np.asarray(traj.energies)[mask] - e_interp)))
-            dipoles = np.asarray(traj.dipoles, dtype=float)
-            ref_dipoles = np.asarray(ref_traj.dipoles, dtype=float)
-            dipole_error = max(
-                float(
-                    np.max(np.abs(dipoles[mask, axis] - np.interp(t_common, t_ref, ref_dipoles[:, axis])))
-                )
-                for axis in range(dipoles.shape[1])
-            )
-            errors[r.job_id] = {"energy_error": energy_error, "dipole_error": dipole_error}
+        for runs in groups.values():
+            reference = min(runs, key=lambda r: (r.summary["time_step_as"], r.index))
+            t_ref = np.asarray(reference.trajectory.times, dtype=float)
+            ref_series = _series(reference.trajectory)
+            for r in runs:
+                t = np.asarray(r.trajectory.times, dtype=float)
+                t = t[t <= t_ref[-1] + 1e-12]
+                on_t = np.column_stack([np.interp(t, t_ref, column) for column in ref_series.T])
+                deviation = np.abs(_series(r.trajectory)[: len(t)] - on_t)
+                errors[r.job_id] = {
+                    "reference": reference.job_id,
+                    "energy_error": float(np.max(deviation[:, 0])),
+                    "dipole_error": float(np.max(deviation[:, 1:])),
+                }
         return errors
 
     def accuracy_table(self) -> str:
-        """The dt-vs-accuracy table: deviation of each run from the
-        smallest-dt run."""
-        reference = self.reference_result()
-        errors = self.accuracy_errors(reference.job_id)
-        headers = ["integrator", "dt [as]", "steps", "max |dE| [Ha]", "max |dD| [a.u.]", "note"]
-        rows = []
-        for r in self.completed:
-            if r.job_id not in errors:
-                continue
-            err = errors[r.job_id]
-            rows.append(
-                [
-                    r.summary.get("integrator", r.summary.get("propagator", "?")),
-                    r.summary.get("time_step_as", "-"),
-                    r.summary.get("n_steps", "-"),
-                    err["energy_error"],
-                    err["dipole_error"],
-                    "(reference)" if r.job_id == reference.job_id else "",
-                ]
-            )
+        """The dt-vs-accuracy table: each run's deviation from its reference
+        (:meth:`accuracy_errors`), next to the values of the axes that
+        reference holds fixed; reference rows are marked."""
+        fixed, _ = self._comparable()
+        errors = self.accuracy_errors()
+        headers = ["integrator", *fixed, "dt [as]", "steps", "max |dE| [Ha]", "max |dD| [a.u.]", "note"]
+        rows = [
+            [r.summary.get("integrator", r.summary.get("propagator", "?"))]
+            + self._point_values(r, fixed)
+            + [
+                r.summary.get("time_step_as", "-"),
+                r.summary.get("n_steps", "-"),
+                errors[r.job_id]["energy_error"],
+                errors[r.job_id]["dipole_error"],
+                "(reference)" if errors[r.job_id]["reference"] == r.job_id else "",
+            ]
+            for r in self.completed
+        ]
         return format_table(headers, rows)
 
     # ------------------------------------------------------------------
@@ -595,7 +569,7 @@ class SweepReport:
             peak = int(np.argmax(np.abs(spectrum.strength)))
             rows.append(
                 [r.job_id]
-                + [self._format_point_value(r.point.get(axis, "-")) for axis in self.axes]
+                + self._point_values(r, self.axes)
                 + [
                     int(r.trajectory.n_steps) + 1,
                     float(spectrum.frequencies[peak]) * HARTREE_TO_EV,

@@ -46,7 +46,7 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
         settings=ExecutionSettings(backend="distributed", ranks=4,
                                    schedule="makespan_balanced"),
     ).run()
-    print(report.fig6_table())
+    print(report.pivot("hamiltonian_applications"))
     print(report.execution_table())
 """
 

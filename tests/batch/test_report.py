@@ -26,8 +26,9 @@ def _trajectory(dt: float, n_steps: int, energy: float = -1.0, slope: float = 0.
     )
 
 
-def _result(index, propagator, dt, n_steps, *, status="completed", slope=0.0) -> JobResult:
-    traj = _trajectory(dt, n_steps, slope=slope) if status != "failed" else None
+def _result(index, propagator, dt, n_steps, *, status="completed", slope=0.0, ecut=None,
+            energy=-1.0) -> JobResult:
+    traj = _trajectory(dt, n_steps, energy=energy, slope=slope) if status != "failed" else None
     summary = {}
     if traj is not None:
         summary = {
@@ -45,7 +46,8 @@ def _result(index, propagator, dt, n_steps, *, status="completed", slope=0.0) ->
     return JobResult(
         index=index,
         job_id=f"job{index:04d}-aaaa",
-        point={"propagator.name": propagator, "run.time_step_as": dt},
+        point={"propagator.name": propagator, "run.time_step_as": dt,
+               **({} if ecut is None else {"basis.ecut": ecut})},
         config={"propagator": {"name": propagator}},
         status=status,
         summary=summary,
@@ -79,10 +81,6 @@ class TestBasics:
         assert len(report.completed) == 4
         assert [r.status for r in report.failed] == ["failed"]
 
-    def test_result_for_unknown_id_lists_known(self, report):
-        with pytest.raises(KeyError, match="job0000-aaaa"):
-            report.result_for("nope")
-
 
 class TestTables:
     def test_to_table_has_axis_columns_and_all_jobs(self, report):
@@ -90,11 +88,6 @@ class TestTables:
         assert "propagator.name" in table and "run.time_step_as" in table
         assert len(table.splitlines()) == 2 + 5
         assert "failed" in table
-
-    def test_fig6_table_excludes_failures(self, report):
-        table = report.fig6_table()
-        assert len(table.splitlines()) == 2 + 4
-        assert "PTCN" in table and "RK4" in table
 
     def test_pivot_grid(self, report):
         table = report.pivot("hamiltonian_applications")
@@ -114,7 +107,8 @@ class TestTables:
 
 class TestAccuracy:
     def test_reference_defaults_to_smallest_dt(self, report):
-        assert report.reference_result().job_id == "job0000-aaaa"
+        errors = report.accuracy_errors()
+        assert {err["reference"] for err in errors.values()} == {"job0000-aaaa"}
 
     def test_identical_series_have_zero_error(self, report):
         errors = report.accuracy_errors()
@@ -133,17 +127,66 @@ class TestAccuracy:
         assert "(reference)" in table
         assert len(table.splitlines()) == 2 + 4
 
-    def test_failed_reference_rejected(self, report):
-        with pytest.raises(ValueError, match="did not complete"):
-            report.reference_result("job0004-aaaa")
-
     def test_no_completed_jobs_rejected(self):
         empty = SweepReport([_result(0, "cn", 1.0, 2, status="failed")])
         with pytest.raises(ValueError, match="no completed jobs"):
-            empty.reference_result()
+            empty.accuracy_table()
 
 
-class TestScalingTable:
+@pytest.fixture()
+def cutoff_report() -> SweepReport:
+    """basis.ecut x propagator x dt over one 8 au window: the 3 Ha runs sit
+    0.04 Ha below the 2 Ha ones, and the 3 Ha dt=2 RK4 run has the slope."""
+    results = []
+    for ecut, energy in ((2.0, -1.0), (3.0, -1.04)):
+        for propagator in ("ptcn", "rk4"):
+            for dt, n_steps in ((1.0, 8), (2.0, 4)):
+                sloped = ecut == 3.0 and propagator == "rk4" and dt == 2.0
+                results.append(_result(len(results), propagator, dt, n_steps, ecut=ecut,
+                                       energy=energy, slope=1e-3 if sloped else 0.0))
+    return SweepReport(results, axes=["basis.ecut", "propagator.name", "run.time_step_as"])
+
+
+class TestComparableRuns:
+    """A third sweep axis splits the comparisons: the pivot and the accuracy
+    table compare a run only with runs at its own cutoff."""
+
+    def test_every_accuracy_reference_has_the_rows_cutoff(self, cutoff_report):
+        ecut = {r.job_id: r.point["basis.ecut"] for r in cutoff_report}
+        errors = cutoff_report.accuracy_errors()
+        assert set(errors) == set(ecut)
+        assert all(ecut[err["reference"]] == ecut[job_id] for job_id, err in errors.items())
+        assert {err["reference"] for err in errors.values()} == {"job0000-aaaa", "job0004-aaaa"}
+        # the sloped 3 Ha run reads its own error, not the 0.04 Ha cutoff gap
+        assert errors["job0007-aaaa"]["energy_error"] == pytest.approx(8e-3)
+        for job_id in ("job0004-aaaa", "job0005-aaaa", "job0006-aaaa"):
+            assert errors[job_id]["energy_error"] == pytest.approx(0.0, abs=1e-15)
+
+    def test_accuracy_table_shows_the_cutoff_and_marks_each_reference(self, cutoff_report):
+        lines = cutoff_report.accuracy_table().splitlines()
+        assert "basis.ecut" in lines[0]
+        assert len(lines) == 2 + 8
+        assert [line.split()[1] for line in lines[2:] if "(reference)" in line] == ["2.0", "3.0"]
+
+    def test_pivot_shows_a_cell_for_every_completed_job(self, cutoff_report):
+        lines = cutoff_report.pivot("final_energy").splitlines()
+        assert lines[0].split()[:2] == ["propagator", "basis.ecut"]
+        rows = [line.split() for line in lines[2:]]
+        assert [row[:2] for row in rows] == [["ptcn", "2.0"], ["rk4", "2.0"], ["ptcn", "3.0"], ["rk4", "3.0"]]
+        cells = [cell for row in rows for cell in row[2:]]
+        assert len(cells) == len(cutoff_report.completed) and "-" not in cells
+        assert rows[2][2:] == ["-1.04", "-1.04"]  # the 3 Ha runs' own energies
+
+    def test_two_jobs_in_one_pivot_cell_raise(self):
+        tight, loose = _result(0, "ptcn", 1.0, 8), _result(1, "ptcn", 1.0, 8)
+        tight.point = {"propagator": {"name": "ptcn", "params": {"scf_tolerance": 1e-7}}}
+        loose.point = {"propagator": {"name": "ptcn", "params": {"scf_tolerance": 1e-3}}}
+        report = SweepReport([tight, loose], axes=["propagator"])
+        with pytest.raises(ValueError, match="job0000-aaaa and job0001-aaaa"):
+            report.pivot("hamiltonian_applications")
+
+
+class TestExecutionTable:
     def _execution(self):
         return {
             "backend": "distributed",
@@ -165,7 +208,7 @@ class TestScalingTable:
 
     def test_per_rank_predicted_vs_observed_rows(self, report):
         report.execution = self._execution()
-        table = report.scaling_table()
+        table = report.execution_table()
         lines = table.splitlines()
         assert "predicted [s]" in lines[0] and "observed [s]" in lines[0]
         assert "energy [J]" in lines[0]
@@ -176,9 +219,9 @@ class TestScalingTable:
         assert "predicted energy = 16 J" in lines[-1]
         assert "1000 B" in lines[-1]
 
-    def test_non_distributed_backends_get_a_pointer(self, report):
-        report.execution = {"backend": "serial", "n_groups": 2, "n_jobs": 4}
-        assert "backend='distributed'" in report.scaling_table()
+    def test_non_distributed_backends_get_a_one_line_summary(self, report):
+        report.execution = {"backend": "serial", "schedule": "fifo", "n_groups": 2, "n_jobs": 4}
+        assert report.execution_table() == "backend=serial schedule=fifo groups=2 jobs=4"
 
     def test_execution_table_carries_links_and_wall_costs(self, report):
         report.execution = self._execution()
@@ -187,17 +230,17 @@ class TestScalingTable:
         assert "nvlink" in table and "ib" in table
 
     def test_a_missing_rank_entry_is_skipped_everywhere(self, report):
-        """A crashed rank may leave ``None`` in ``per_rank``: both tables
-        render the surviving rank, and the scaling point is that rank's."""
+        """A crashed rank may leave ``None`` in ``per_rank``: the table
+        renders the surviving rank, and the scaling point is that rank's."""
         from repro.cost import sweep_execution_point
 
         execution = self._execution()
         survivor = execution["per_rank"][1]
         execution["per_rank"][0] = None
         report.execution = execution
-        for table in (report.execution_table(), report.scaling_table()):
-            assert len(table.splitlines()) == 2 + 1 + 1  # header, separator, 1 rank, footer
-            assert "ib" in table and "nvlink" not in table
+        table = report.execution_table()
+        assert len(table.splitlines()) == 2 + 1 + 1  # header, separator, 1 rank, footer
+        assert "ib" in table and "nvlink" not in table
         point = sweep_execution_point(execution)
         assert point == sweep_execution_point({**execution, "per_rank": [survivor]})
         assert point["predicted_makespan_s"] == 1.5 and point["observed_makespan_s"] == 0.3

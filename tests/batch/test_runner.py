@@ -7,6 +7,7 @@ checkpoints without recomputing the finished jobs.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ class TestSharedGroundState:
         assert len(count_scf_solves) == 1
         assert [r.status for r in report] == ["completed"] * 4
 
-    def test_fig6_table_matches_direct_session_runs(self, ptcn_rk4_spec, tiny_config):
+    def test_fig6_pivot_matches_direct_session_runs(self, ptcn_rk4_spec, tiny_config):
         report = BatchRunner(ptcn_rk4_spec).run()
 
         # the same four runs, hand-driven through one session
@@ -54,10 +55,14 @@ class TestSharedGroundState:
             assert result.summary["hamiltonian_applications"] == ref.total_hamiltonian_applications
             assert result.summary["energy_drift"] == ref.energy_drift
 
-        table = report.fig6_table()
-        assert "PT-CN" in table and "RK4" in table
-        assert "Fock applications" in table
-        assert len(table.splitlines()) == 2 + 4  # header + rule + one row per run
+        # the Fig. 6 grid: one row per propagator, one column per time step
+        lines = report.pivot("hamiltonian_applications").splitlines()
+        assert re.split(r"\s{2,}", lines[0].strip()) == ["propagator", "dt=1 as", "dt=2 as"]
+        cells = {row.split()[0]: row.split()[1:] for row in lines[2:]}
+        assert cells == {
+            name: [str(reference[(name, dt)].total_hamiltonian_applications) for dt in (1.0, 2.0)]
+            for name in ("ptcn", "rk4")
+        }
 
     def test_prepare_ground_states_runs_scf_ahead_of_run(self, ptcn_rk4_spec, count_scf_solves):
         runner = BatchRunner(ptcn_rk4_spec)
@@ -241,7 +246,7 @@ class TestFailureCapture:
         assert failed.trajectory is None
         assert "failed" in report.to_table()
         # failed jobs never enter the physics tables
-        assert len(report.fig6_table().splitlines()) == 2 + 1
+        assert len(report.pivot("hamiltonian_applications").splitlines()) == 2 + 1
 
 
 # ---------------------------------------------------------------------------
